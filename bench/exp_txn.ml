@@ -2,10 +2,12 @@
 
    Multi-key transactions validate their read-set under the frontend lock
    and append the write-set as one all-or-nothing log span (begin /
-   members / commit). Neither phase blocks other clients, so the cost of
-   contention is pure retry work: the hotter the key distribution, the
-   more often a racing commit moves a read key's version between a txn's
-   first read and its validation, and the abort rate climbs.
+   members / commit); only a validated span writes its SSD payloads. The
+   hotter the key distribution, the more often a racing commit moves a
+   read key's version between a txn's first read and its validation, and
+   the abort rate climbs. An aborted attempt costs retry work but no
+   device work; a committing one holds its member keys' tickets across
+   its payload writes, so clients touching those keys briefly wait.
 
    The primary sweep measures exactly that: read-modify-write
    transactions of 2/4/8 Zipf-drawn distinct keys across theta in
@@ -15,9 +17,12 @@
    which pays the span framing (3 log records, same 3 fences) but does
    no validation reads — must stay within 10% of plain oput throughput:
    the span's extra two 64-byte log lines ride the existing batch-style
-   flush, so framing must not tax the common case. *)
+   flush, so framing must not tax the common case. Every txn cell must
+   also write exactly its committed txns' pages to the SSD over the
+   window: one page per member, none for an aborted attempt. *)
 
 open Dstore_platform
+open Dstore_ssd
 open Dstore_util
 open Dstore_core
 open Dstore_workload
@@ -33,6 +38,7 @@ type cell = {
   committed : int;  (* engine counters over the whole run *)
   aborted : int;
   members : int;
+  ssd_pages : int;  (* SSD pages written during the window *)
 }
 
 (* One simulated run: populate [records] objects, then have
@@ -49,7 +55,7 @@ let run_cell opts ~records ~mk_op =
           (Systems.dstore_store p
              { (scale_of opts) with Systems.objects = records }));
   Sim.run sim;
-  let st, _, _, _ = Option.get !built in
+  let st, _, ssd, _ = Option.get !built in
   let loaders = 8 in
   let per = (records + loaders - 1) / loaders in
   for l = 0 to loaders - 1 do
@@ -62,6 +68,7 @@ let run_cell opts ~records ~mk_op =
         done)
   done;
   Sim.run sim;
+  let bytes0 = (Ssd.stats ssd).Ssd.bytes_written in
   let t0 = Sim.now sim in
   let t_end = t0 + opts.window_ns in
   let ops = ref 0 and gave_up = ref 0 in
@@ -85,6 +92,8 @@ let run_cell opts ~records ~mk_op =
       committed = s.Dipper.txns_committed;
       aborted = s.Dipper.txns_aborted;
       members = s.Dipper.txn_member_records;
+      ssd_pages =
+        ((Ssd.stats ssd).Ssd.bytes_written - bytes0) / Dstore.page_bytes st;
     }
   in
   Sim.spawn sim "stopper" (fun () -> Dstore.stop st);
@@ -98,6 +107,15 @@ let ktps c = float_of_int c.ops /. (float_of_int c.elapsed_ns /. 1e9) /. 1e3
 let abort_rate c =
   let attempts = c.committed + c.aborted in
   if attempts = 0 then 0.0 else float_of_int c.aborted /. float_of_int attempts
+
+(* Device work per commit. Every value here fits one page, so a txn of
+   [size] members must write exactly [size] pages per committed txn; any
+   page written by an aborted attempt pushes the figure above. *)
+let pages_per_commit c =
+  if c.committed = 0 then 0.0
+  else float_of_int c.ssd_pages /. float_of_int c.committed
+
+let pages_exact ~size c = c.ssd_pages = size * c.committed
 
 (* Read-modify-write txn over [size] distinct Zipf-drawn keys. *)
 let rmw_op ~theta ~size ~records ctx rng =
@@ -149,6 +167,7 @@ let cell_json ~size ~theta c =
       ("abort_rate", Json.Float (abort_rate c));
       ("retries_exhausted", Json.Int c.gave_up);
       ("member_records", Json.Int c.members);
+      ("ssd_pages", Json.Int c.ssd_pages);
     ]
 
 let run opts =
@@ -163,10 +182,10 @@ let run opts =
     Tablefmt.create
       [
         "txn size"; "theta"; "Ktxn/s"; "committed"; "aborted"; "abort rate";
-        "gave up";
+        "gave up"; "SSD pages/txn";
       ]
   in
-  let monotone = ref true in
+  let monotone = ref true and exact = ref true in
   List.iter
     (fun size ->
       let prev = ref (-1.0) in
@@ -180,6 +199,7 @@ let run opts =
              sampling noise on near-equal cells. *)
           if rate < !prev -. 0.005 then monotone := false;
           prev := max !prev rate;
+          if not (pages_exact ~size c) then exact := false;
           Tablefmt.row t
             [
               string_of_int size;
@@ -189,6 +209,7 @@ let run opts =
               string_of_int c.aborted;
               Printf.sprintf "%.1f%%" (100.0 *. rate);
               string_of_int c.gave_up;
+              Tablefmt.f2 (pages_per_commit c);
             ];
           record_json (cell_json ~size ~theta c))
         thetas)
@@ -196,11 +217,13 @@ let run opts =
   Tablefmt.print t;
   note "abort rate = aborted / (committed + aborted): every validation";
   note "failure counts, including attempts a later retry committed.";
+  note "SSD pages/txn = pages written / committed txns; gate: = txn size.";
   print_newline ();
   hdr "txn: single-key blind-put txn vs plain oput (span framing overhead)";
   let c1 = run_cell opts ~records ~mk_op:(txn1_op ~records) in
   let c0 = run_cell opts ~records ~mk_op:(oput_op ~records) in
   let tp1 = ktps c1 and tp0 = ktps c0 in
+  if not (pages_exact ~size:1 c1) then exact := false;
   let overhead = abs_float (tp1 -. tp0) /. tp0 in
   let t2 = Tablefmt.create [ "path"; "Kops/s"; "log records/op" ] in
   Tablefmt.row t2
@@ -228,15 +251,19 @@ let run opts =
          ("overhead", Json.Float overhead);
        ]);
   print_newline ();
-  if !monotone && overhead <= 0.10 then
+  if !monotone && !exact && overhead <= 0.10 then
     Printf.printf
       "TXN-SWEEP OK: abort rate nondecreasing in theta for every txn size, \
-       single-key txn within %.1f%% of oput\n"
+       SSD pages = txn size per commit, single-key txn within %.1f%% of oput\n"
       (100.0 *. overhead)
   else begin
     if not !monotone then
       print_endline
         "TXN-SWEEP FAIL: abort rate not monotone in theta (see table)";
+    if not !exact then
+      print_endline
+        "TXN-SWEEP FAIL: SSD pages per commit differ from txn size — an \
+         aborted attempt did device work (see table)";
     if overhead > 0.10 then
       Printf.printf
         "TXN-SWEEP FAIL: single-key txn %.1f%% off plain oput (gate: 10%%)\n"

@@ -1404,26 +1404,42 @@ let rec read_entry_versioned ?(span = Span.none) ctx key =
    [fetch_value] in the same reader window — the old path paid a second
    lock acquisition ([Dipper.key_version]) and then re-ran the whole
    read protocol inside [oget], i.e. two frontend-lock rounds and two
-   index passes per call on the transactional hot read path. *)
-let oget_versioned ctx key =
+   index passes per call on the transactional hot read path.
+
+   A caller-owned [span] (a transaction's) takes the read's segments and
+   ticket waits in place of a [Get] span of its own. *)
+let oget_versioned ?span ctx key =
   check_ctx ctx;
   let t = ctx.store in
   let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
+  let own = Option.is_none span in
+  let span =
+    match span with
+    | Some s -> s
+    | None -> Span.start t.obs.Obs.spans Span.Get key
+  in
   let v = read_entry_versioned ~span ctx key in
   Span.seg span Span.S_ticket;
   let result = fetch_value ~span t key in
   read_exit t key;
-  Span.finish span;
+  if own then Span.finish span;
   Metrics.observe t.h_get (now t - tstart);
   (v, result)
 
 (* Commit a transaction's buffered write-set against its read-set.
-   Mirrors [exec_sub_batch] — stage allocations and SSD payloads before
-   the append (freshly allocated ids are unreachable until commit and the
-   pools are volatile, so an abort or crash needs only the in-memory
-   frees below) — but the append is [Dipper.txn_append]: OCC validation
-   and span staging under one lock hold, all-or-nothing after a crash. *)
+   Validation comes before any device work: stage allocations, then
+   [Dipper.txn_append] (conflict scan, OCC validation and span staging
+   under one lock hold, then the begin + members flush), and only on
+   success write the SSD payloads. An aborted attempt therefore does no
+   SSD I/O and needs only the in-memory frees below (freshly allocated
+   ids are unreachable and the pools are volatile). Crash-safe because
+   the span stays uncommitted until [Dipper.txn_commit] persists its
+   commit record — after every payload write has returned — and
+   recovery drops a span without one. The price is that the span's
+   in-flight tickets are held across the payload writes, so concurrent
+   accesses to member keys wait instead of racing. [exec_sub_batch]
+   keeps the payload-before-append order: it never aborts, and its
+   tickets stay free of device time. *)
 let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   check_ctx ctx;
   let t = ctx.store in
@@ -1433,7 +1449,7 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   | [] ->
       (* Read-only transaction: validation is the whole commit. *)
       Dipper.txn_validate t.engine ~reads
-  | _ ->
+  | _ -> (
       let ignore_tickets =
         List.filter_map (fun w -> own_lock ctx (txn_write_key w)) writes
       in
@@ -1452,16 +1468,6 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
               writes)
       in
       Span.seg span Span.S_stage;
-      par_iter t
-        (List.filter_map
-           (function
-             | Tput (key, value), Some (_, extents) -> Some (key, value, extents)
-             | _ -> None)
-           staged)
-        (fun (key, value, extents) ->
-          write_data ~span t extents value (Bytes.length value);
-          trace t (Trace.Write_step (Trace.W_data_write, key)));
-      Span.seg span Span.S_data;
       let items =
         List.map
           (fun (w, alloc) ->
@@ -1493,10 +1499,10 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
             | Tput _, None -> assert false)
           staged
       in
-      (match Dipper.txn_append ~ignore_tickets ~span t.engine ~reads ~items with
+      match Dipper.txn_append ~ignore_tickets ~span t.engine ~reads ~items with
       | Error key ->
-          (* Stale read: nothing was appended. Give back the staged
-             allocations (volatile pools — a plain free suffices). *)
+          (* Stale read: nothing was appended or written. Give back the
+             staged allocations (volatile pools — a plain free suffices). *)
           Dipper.with_frontend_lock t.engine (fun () ->
               List.iter
                 (function
@@ -1512,6 +1518,17 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
                 staged);
           Error key
       | Ok tx ->
+          par_iter t
+            (List.filter_map
+               (function
+                 | Tput (key, value), Some (_, extents) ->
+                     Some (key, value, extents)
+                 | _ -> None)
+               staged)
+            (fun (key, value, extents) ->
+              write_data ~span t extents value (Bytes.length value);
+              trace t (Trace.Write_step (Trace.W_data_write, key)));
+          Span.seg span Span.S_data;
           let posts =
             List.map2
               (fun (w, _) tk ->

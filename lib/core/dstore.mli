@@ -217,7 +217,8 @@ val txn_write_key : txn_write -> string
 val key_version : ctx -> string -> int
 (** The key's committed-version counter (see [Dipper.key_version]). *)
 
-val oget_versioned : ctx -> string -> int * Bytes.t option
+val oget_versioned :
+  ?span:Dstore_obs.Span.t -> ctx -> string -> int * Bytes.t option
 (** [oget] with the key's committed version — the version is read
     strictly {e before} the value, so a racing commit can only make the
     observation stale (caught by validation), never silently fresh.
@@ -225,7 +226,9 @@ val oget_versioned : ctx -> string -> int * Bytes.t option
     conflict-scan lock round ([Dipper.conflicting_ticket_versioned]) and
     the value is fetched inside the same reader window — one
     frontend-lock round and one index pass, where the naive composition
-    [key_version] + [oget] paid two of each. *)
+    [key_version] + [oget] paid two of each. With [span] (a
+    transaction's), the read's segments and conflict waits are booked on
+    it instead of on a [Get] span of the read's own. *)
 
 val txn_commit_writes :
   ?span:Dstore_obs.Span.t ->
@@ -235,8 +238,9 @@ val txn_commit_writes :
   (unit, string) result
 (** Atomically commit [writes] provided every [(key, version)] in [reads]
     still matches the committed state. Keys in [writes] must be pairwise
-    distinct. [Error key] names the first stale read; nothing is logged
-    or applied and staged allocations are returned. On [Ok ()], the whole
+    distinct. Validation precedes all device work: [Error key] names the
+    first stale read; nothing is logged, written to the SSD or applied,
+    and staged allocations are returned. On [Ok ()], the whole
     write-set is durable (single transaction span) and structure updates
     are applied. An empty write-set validates only (read-only commit).
     Requires [Logical] logging. *)

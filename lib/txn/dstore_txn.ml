@@ -8,7 +8,9 @@
    all-or-nothing log span (Txn_begin, members, Txn_commit) — see
    DESIGN.md "Transactions". The [txn] wrapper re-runs the caller's
    function on abort with bounded exponential backoff, booking the
-   wasted attempts as [Span.Txn_retry] blame. *)
+   wasted attempts as [Span.Txn_retry] blame; its span also takes the
+   read phase, so ticket waits of reads are [Span.Conflict_retry] blame
+   on the transaction rather than time hidden before its first cut. *)
 
 open Dstore_core
 open Dstore_platform
@@ -30,9 +32,13 @@ type t = {
   reads : (string, int) Hashtbl.t;
   mutable writes : (string * Dstore.txn_write) list;  (* first-touch order *)
   mutable state : state;
+  span : Span.t;  (* the [txn] wrapper's, or [Span.none] *)
 }
 
-let create ctx = { ctx; reads = Hashtbl.create 8; writes = []; state = Active }
+let make ~span ctx =
+  { ctx; reads = Hashtbl.create 8; writes = []; state = Active; span }
+
+let create ctx = make ~span:Span.none ctx
 
 let check tx =
   match tx.state with
@@ -55,7 +61,7 @@ let get tx key =
   | Some (Dstore.Tput (_, v)) -> Some (Bytes.copy v)
   | Some (Dstore.Tdelete _) -> None
   | None ->
-      let v, value = Dstore.oget_versioned tx.ctx key in
+      let v, value = Dstore.oget_versioned ~span:tx.span tx.ctx key in
       if not (Hashtbl.mem tx.reads key) then Hashtbl.replace tx.reads key v;
       value
 
@@ -71,11 +77,11 @@ let abort tx =
   check tx;
   tx.state <- Aborted
 
-let commit ?span tx =
+let commit tx =
   check tx;
   let reads = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tx.reads [] in
   let writes = List.map snd tx.writes in
-  match Dstore.txn_commit_writes ?span tx.ctx ~reads ~writes with
+  match Dstore.txn_commit_writes ~span:tx.span tx.ctx ~reads ~writes with
   | Ok () ->
       tx.state <- Committed;
       Ok ()
@@ -94,13 +100,13 @@ let txn ?(retries = default_retries) ?(backoff_ns = default_backoff_ns) ctx fn =
   let p = Dipper.platform (Dstore.engine store) in
   let span = Span.start (Dstore.obs store).Obs.spans Span.Txn "(txn)" in
   let rec attempt n =
-    let tx = create ctx in
+    let tx = make ~span ctx in
     let result = fn tx in
     match tx.state with
     | Aborted -> Error (Conflict "(explicit abort)")
     | Committed -> Ok result
     | Active -> (
-        match commit ~span tx with
+        match commit tx with
         | Ok () -> Ok result
         | Error reason ->
             if n >= retries then Error reason
@@ -114,7 +120,10 @@ let txn ?(retries = default_retries) ?(backoff_ns = default_backoff_ns) ctx fn =
               attempt (n + 1)
             end)
   in
-  let r = attempt 0 in
-  Span.seg span Span.S_commit;
-  Span.finish span;
-  r
+  (* Finish the span even when [fn] or the commit raises ([Log_full],
+     [Out_of_blocks], ...): an open span would never reach the recorder. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Span.seg span Span.S_commit;
+      Span.finish span)
+    (fun () -> attempt 0)

@@ -10,7 +10,10 @@
 
     Optimistic concurrency: [get]/[put]/[delete] never block other
     clients; conflicts surface at commit as an abort, and {!txn} retries
-    the whole function with exponential backoff. Writes are invisible to
+    the whole function with exponential backoff. Commit validates before
+    any device work, so an abort writes nothing; a validated commit holds
+    its member keys from validation through its SSD payload writes, and
+    clients touching those keys wait that long. Writes are invisible to
     other clients (and to crash recovery) until commit succeeds. *)
 
 type abort_reason =
@@ -40,10 +43,11 @@ val put : t -> string -> Bytes.t -> unit
 val delete : t -> string -> unit
 (** Buffer a delete. *)
 
-val commit : ?span:Dstore_obs.Span.t -> t -> (unit, abort_reason) result
+val commit : t -> (unit, abort_reason) result
 (** Validate and atomically apply the write-set. [Error (Conflict key)]
-    if any read observation is stale — the store is untouched and the
-    handle is dead. A transaction with no writes validates only. *)
+    if any read observation is stale — the store is untouched (no log
+    record, no SSD write) and the handle is dead. A transaction with no
+    writes validates only. *)
 
 val abort : t -> unit
 (** Discard the transaction (nothing to undo — writes were buffered). *)

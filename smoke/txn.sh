@@ -12,9 +12,10 @@
 # evaporate wholesale on power loss) must be caught.
 #
 # `bench txn` then runs the contention sweep: abort rate must be
-# nondecreasing in Zipfian theta for every txn size, and a single-key
-# blind-put txn must stay within 10% of plain oput throughput — it
-# prints TXN-SWEEP OK only then.
+# nondecreasing in Zipfian theta for every txn size, every txn cell must
+# write exactly one SSD page per committed member (an aborted attempt
+# does no device work), and a single-key blind-put txn must stay within
+# 10% of plain oput throughput — it prints TXN-SWEEP OK only then.
 #
 # Extra arguments are forwarded to both sweeps, e.g.
 #

@@ -1044,6 +1044,96 @@ let test_txn_stale_read_aborts () =
       check Alcotest.int "abort counted" 1
         (Dipper.stats (Dstore.engine st)).Dipper.txns_aborted)
 
+(* Validation precedes device work: an attempt that fails validation
+   writes no SSD page and leaves both allocators as it found them. *)
+let test_txn_abort_no_device_work () =
+  with_store (fun fx st ctx ->
+      Dstore.oput ctx "sr" (value_of_string "v0");
+      let tx = Dstore_txn.create ctx in
+      ignore (Dstore_txn.get tx "sr");
+      Dstore.oput ctx "sr" (value_of_string "v1");
+      Dstore_txn.put tx "other" (value_of_string "w");
+      Dstore_txn.put tx "wide" (big_value 3 (3 * Dstore.page_bytes st));
+      let i = Dstore.internals st in
+      let blocks () = Dstore_structs.Bitpool.allocated i.Dstore.i_blockpool in
+      let metas () = Dstore_structs.Bitpool.allocated i.Dstore.i_metapool in
+      let w0 = (Ssd.stats fx.ssd).Ssd.writes in
+      let b0 = blocks () and m0 = metas () in
+      (match Dstore_txn.commit tx with
+      | Error (Dstore_txn.Conflict _) -> ()
+      | Ok () -> Alcotest.fail "stale read committed"
+      | Error r -> Alcotest.failf "unexpected abort: %s" (Dstore_txn.pp_abort r));
+      check Alcotest.int "no SSD write" w0 (Ssd.stats fx.ssd).Ssd.writes;
+      check Alcotest.int "block pool unchanged" b0 (blocks ());
+      check Alcotest.int "meta pool unchanged" m0 (metas ()))
+
+(* The payloads must be durable before the commit point. Record the SSD
+   write count at every persistence event; the commit hook marks the
+   fence that closes the Txn_commit line's persist, so the event before
+   it is the flush that makes the line durable. That flush must already
+   see every payload write of the transaction — and the begin + members
+   flush, the transaction's first persistence event, none of them. *)
+let test_txn_payload_durable_before_commit () =
+  with_store (fun fx st ctx ->
+      Dstore.oput ctx "p0" (value_of_string "seed");
+      let writes () = (Ssd.stats fx.ssd).Ssd.writes in
+      let at_event = Hashtbl.create 16 in
+      let commit_event = ref 0 in
+      let e = Dstore.engine st in
+      Pmem.set_persist_hook fx.pm
+        (Some (fun n -> Hashtbl.replace at_event n (writes ())));
+      Dipper.set_commit_hook e
+        (Some (fun _ -> commit_event := Pmem.persist_events fx.pm));
+      let w0 = writes () and e0 = Pmem.persist_events fx.pm in
+      let r =
+        Dstore_txn.txn ctx (fun tx ->
+            ignore (Dstore_txn.get tx "p0");
+            Dstore_txn.put tx "p0" (value_of_string "txn0");
+            Dstore_txn.put tx "p1" (big_value 5 (2 * Dstore.page_bytes st)))
+      in
+      Pmem.set_persist_hook fx.pm None;
+      Dipper.set_commit_hook e None;
+      Alcotest.(check bool) "committed" true (Result.is_ok r);
+      let w1 = writes () in
+      Alcotest.(check bool) "every member wrote a payload" true (w1 - w0 >= 2);
+      check Alcotest.int "payloads durable at the commit-line flush" w1
+        (Hashtbl.find at_event (!commit_event - 1));
+      check Alcotest.int "no payload before the span flush" w0
+        (Hashtbl.find at_event (e0 + 1)))
+
+(* The [txn] wrapper's span owns the whole transaction: its reads open no
+   Get span of their own (their ticket waits are the txn's blame), and it
+   is finished even when the body raises. *)
+let test_txn_span_owns_reads () =
+  with_store (fun _ st ctx ->
+      let module Span = Dstore_obs.Span in
+      Dstore.oput ctx "sp" (value_of_string "v");
+      let rc = (Dstore.obs st).Dstore_obs.Obs.spans in
+      let f0 = Span.finished rc in
+      let r =
+        Dstore_txn.txn ctx (fun tx ->
+            ignore (Dstore_txn.get tx "sp");
+            Dstore_txn.put tx "sp" (value_of_string "w"))
+      in
+      Alcotest.(check bool) "committed" true (Result.is_ok r);
+      check Alcotest.int "one span per txn" (f0 + 1) (Span.finished rc);
+      (match Span.last rc 1 with
+      | [ s ] ->
+          Alcotest.(check bool) "it is the txn span" true
+            (Span.span_kind s = Span.Txn);
+          check Alcotest.int "partition holds" (Span.duration s)
+            (Span.segments_total s + Span.blame_total s)
+      | _ -> Alcotest.fail "no span recorded");
+      (match
+         Dstore_txn.txn ctx (fun tx ->
+             ignore (Dstore_txn.get tx "sp");
+             raise Exit)
+       with
+      | _ -> Alcotest.fail "exception swallowed"
+      | exception Exit -> ());
+      check Alcotest.int "raising txn still finishes its span" (f0 + 2)
+        (Span.finished rc))
+
 let test_txn_retry_commits () =
   (* The wrapper re-runs the whole function after a conflict abort, so the
      second attempt reads the fresh version and commits. *)
@@ -1224,6 +1314,11 @@ let suite =
     ("txn read-your-writes", `Quick, test_txn_read_your_writes);
     ("txn abort untouched", `Quick, test_txn_abort_untouched);
     ("txn stale read aborts", `Quick, test_txn_stale_read_aborts);
+    ("txn abort does no device work", `Quick, test_txn_abort_no_device_work);
+    ( "txn payload durable before commit",
+      `Quick,
+      test_txn_payload_durable_before_commit );
+    ("txn span owns reads and exceptions", `Quick, test_txn_span_owns_reads);
     ("txn retry wrapper recommits", `Quick, test_txn_retry_commits);
     ("txn read-only validates", `Quick, test_txn_readonly_validates);
     ("txn conflict scan one-pass", `Quick, test_conflict_scan_one_pass);
