@@ -1000,7 +1000,15 @@ let locked_append ?ignore_ticket ?(span = Span.none) t ~key ~max_slots f =
         else begin
           trace t (Trace.Write_step (Trace.W_lock, key));
           trace t (Trace.Write_step (Trace.W_conflict_check, key));
-          let op = f () in
+          let op =
+            (* A raising closure ([owrite] on a vanished object, [oopen]
+               out of meta ids) must not leave the frontend lock held. *)
+            match f () with
+            | op -> op
+            | exception e ->
+                t.lock.Platform.unlock ();
+                raise e
+          in
           let n = Logrec.slots_needed op in
           assert (n <= max_slots);
           let log = t.logs.(t.active_log) in

@@ -110,10 +110,13 @@ val locked_append :
     in-flight record conflicts on [key], release and spin on its commit
     flag, then retry; if the active log lacks [max_slots] free slots,
     trigger a checkpoint and wait for space; otherwise run the caller's
-    allocation steps (which build the final operation), append the record
-    (uncommitted), release the lock, and run the §3.4 flush protocol.
-    With a live [span], conflict and log-full waits are booked as blame
-    intervals and the lock-hold / log-append phases as segments. *)
+    builder (which finds the binding being replaced and builds the final
+    operation), append the record (uncommitted), release the lock, and
+    run the §3.4 flush protocol. Raises {!Log_full} under [No_checkpoint]
+    when the record does not fit; an exception from the builder releases
+    the lock before it propagates. With a live [span], conflict and
+    log-full waits are booked as blame intervals and the lock-hold /
+    log-append phases as segments. *)
 
 val with_frontend_lock : t -> (unit -> 'a) -> 'a
 (** Run under the pool lock without logging — for [oe = false] configs the

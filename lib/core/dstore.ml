@@ -1,5 +1,4 @@
 open Dstore_platform
-open Dstore_pmem
 open Dstore_ssd
 open Dstore_memory
 open Dstore_structs
@@ -204,7 +203,7 @@ let prepare_op h (op : Logrec.op) =
 let apply_op platform (cfg : Config.t) h (op : Logrec.op) =
   let costs = cfg.costs in
   match op with
-  | Logrec.Put { key; size; meta; extents; freed_meta; _ } ->
+  | Logrec.Put { key; size; meta; extents; _ } ->
       platform.Platform.consume (costs.meta_ns + costs.btree_ns);
       Metazone.write_object h.zone meta ~size (to_mz extents);
       ignore (Btree.insert h.btree key meta)
@@ -467,18 +466,21 @@ let alloc_meta t =
   | Some m -> m
   | None -> raise Out_of_blocks
 
+let free_extents t extents =
+  List.iter
+    (fun (s, l) ->
+      for b = s to s + l - 1 do
+        Bitpool.free t.h.blockpool b
+      done)
+    extents
+
 (* Commit-time releases: performed under the frontend lock so replay (which
    processes pool effects serially in LSN order) can never observe a block
    freed by record X yet allocated by a record younger than X. *)
 let release_freed t freed_meta freed_extents =
   if freed_meta >= 0 || freed_extents <> [] then
     Dipper.with_frontend_lock t.engine (fun () ->
-        List.iter
-          (fun (s, l) ->
-            for b = s to s + l - 1 do
-              Bitpool.free t.h.blockpool b
-            done)
-          freed_extents;
+        free_extents t freed_extents;
         if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta)
 
 (* Worst-case record size, computable before taking the lock. *)
@@ -554,9 +556,154 @@ let cache_write_through t key value size =
       Cache.put c key value ~pos:0 ~len:size
   | _ -> ()
 
-(* --- the write pipeline (Figure 4) ------------------------------------------- *)
+(* --- the write pipeline (Figure 4, staged) ------------------------------------ *)
 
-let put_structures t key meta size extents freed_meta =
+(* Every put that never aborts — [oput] and each put of an [obatch] — runs
+   alloc → SSD payload → lock / conflict scan / log append → [wait_readers]
+   → structures → cache → commit → release: allocation (step 4) and the
+   data write (step 8) are STAGED ahead of the append. The op's in-flight
+   window, which every same-key reader and writer must wait out, then
+   holds only the log flush, the structure updates and the commit fence —
+   no device time. Staging early is crash-safe: the freshly claimed blocks
+   and meta id are unreachable until the record commits, and the pools are
+   volatile (rebuilt from the log by recovery), so a crash before the
+   append loses nothing durable. Ids a record frees still come from
+   committed state, because the record is built under the append's lock
+   hold. [txn_commit_writes] claims the same way but validates before its
+   payload writes; [owrite] rewrites live pages inside its window. *)
+
+type batch_op = Bput of string * Bytes.t | Bdelete of string
+
+let batch_key = function Bput (k, _) -> k | Bdelete k -> k
+
+(* A batch op after staging: a put carries its claimed ids, its payload
+   already on the SSD. *)
+type staged =
+  | Sput of { key : string; value : Bytes.t; meta : int; extents : (int * int) list }
+  | Sdelete of string
+
+let staged_key = function Sput { key; _ } -> key | Sdelete k -> k
+
+(* Fork-join over [items]: run [f] on each concurrently (one platform
+   task per extra element, the first inline) and return when all are
+   done. Used to overlap the SSD payload writes of one staging round. *)
+let par_iter t items f =
+  match items with
+  | [] -> ()
+  | [ x ] -> f x
+  | x :: rest ->
+      let mu = t.platform.Platform.new_mutex () in
+      let cv = t.platform.Platform.new_cond () in
+      let pending = ref (List.length rest) in
+      List.iter
+        (fun y ->
+          t.platform.Platform.spawn "batch-io" (fun () ->
+              f y;
+              Platform.with_lock mu (fun () ->
+                  decr pending;
+                  if !pending = 0 then cv.Platform.signal ())))
+        rest;
+      f x;
+      Platform.with_lock mu (fun () ->
+          while !pending > 0 do
+            cv.Platform.wait mu
+          done)
+
+let free_claim t = function
+  | Sput { meta; extents; _ } ->
+      free_extents t extents;
+      Bitpool.free t.h.metapool meta
+  | Sdelete _ -> ()
+
+(* Step 4 for every put of [ops] under ONE frontend-lock hold, all or
+   nothing: if a claim runs out of blocks or meta ids, the ids this hold
+   already took go back before [Out_of_blocks] leaves. *)
+let claim t ops =
+  Dipper.with_frontend_lock t.engine (fun () ->
+      let taken = ref [] in
+      let claim_one = function
+        | Bdelete k -> Sdelete k
+        | Bput (key, value) ->
+            let extents = alloc_blocks t (blocks_for t (Bytes.length value)) in
+            let meta =
+              match alloc_meta t with
+              | m -> m
+              | exception e ->
+                  free_extents t extents;
+                  raise e
+            in
+            let s = Sput { key; value; meta; extents } in
+            taken := s :: !taken;
+            trace t (Trace.Write_step (Trace.W_alloc, key));
+            s
+      in
+      match List.map claim_one ops with
+      | staged -> staged
+      | exception e ->
+          List.iter (free_claim t) !taken;
+          raise e)
+
+(* Give back the ids of staged ops that never reached the log (volatile
+   pools, no record names them: a plain free suffices). *)
+let unstage t staged =
+  Dipper.with_frontend_lock t.engine (fun () -> List.iter (free_claim t) staged)
+
+(* Run [f]; if it raises, [unstage] first. *)
+let unstage_on_error t staged f =
+  match f () with
+  | r -> r
+  | exception e ->
+      unstage t staged;
+      raise e
+
+(* Step 8 for every staged put, overlapped across the SSD's channels. *)
+let write_payloads ~span t staged =
+  par_iter t
+    (List.filter (function Sput _ -> true | Sdelete _ -> false) staged)
+    (function
+      | Sput { key; value; extents; _ } ->
+          write_data ~span t extents value (Bytes.length value);
+          trace t (Trace.Write_step (Trace.W_data_write, key))
+      | Sdelete _ -> ())
+
+(* The staging helper shared by [oput] and [obatch]: claim, then write
+   every payload, before any log append. *)
+let stage ~span t ops =
+  let staged = claim t ops in
+  Span.seg span Span.S_stage;
+  write_payloads ~span t staged;
+  Span.seg span Span.S_data;
+  staged
+
+(* Step 3, under the append's lock hold: find the binding a staged op
+   replaces and build its record. *)
+let record_of t = function
+  | Sput { key; value; meta; extents } ->
+      let freed_meta, freed_extents =
+        match Btree.find t.h.btree key with
+        | Some old_meta ->
+            let _, exts = Metazone.read_object t.h.zone old_meta in
+            (old_meta, of_mz exts)
+        | None -> (-1, [])
+      in
+      trace t (Trace.Write_step (Trace.W_find_old, key));
+      Logrec.Put
+        { key; size = Bytes.length value; meta; extents; freed_meta; freed_extents }
+  | Sdelete key -> (
+      match Btree.find t.h.btree key with
+      | None -> Logrec.Noop { key }
+      | Some meta ->
+          let _, exts = Metazone.read_object t.h.zone meta in
+          Logrec.Delete { key; meta; extents = of_mz exts })
+
+let max_slots_of t = function
+  | Sput { key; value; _ } -> put_max_slots key (blocks_for t (Bytes.length value))
+  | Sdelete key -> put_max_slots key 1
+
+(* A staged op as a batched-append item. *)
+let append_item t s = (staged_key s, max_slots_of t s, fun () -> record_of t s)
+
+let put_structures t key meta size extents =
   let t6 = now t in
   t.platform.Platform.consume t.cfg.costs.meta_ns;
   Metazone.write_object t.h.zone meta ~size (to_mz extents);
@@ -565,33 +712,51 @@ let put_structures t key meta size extents freed_meta =
   t.platform.Platform.consume t.cfg.costs.btree_ns;
   ignore (Btree.insert t.h.btree key meta);
   trace t (Trace.Write_step (Trace.W_index_update, key));
-  ignore freed_meta;
   if t.collect_breakdown then begin
     t.bd.meta_ns <- t.bd.meta_ns + (t7 - t6);
     t.bd.btree_ns <- t.bd.btree_ns + (now t - t7)
   end
 
+let delete_structures t key =
+  with_structs t (fun () ->
+      t.platform.Platform.consume t.cfg.costs.btree_ns;
+      ignore (Btree.delete t.h.btree key));
+  cache_invalidate t key
+
+(* Steps 6-7 and cache maintenance for one appended record of a batch or
+   transaction, after draining the key's readers. Returns the ids its
+   commit releases, [None] for a delete that found nothing. *)
+let apply_appended t s op =
+  match (s, op) with
+  | Sput { key; value; _ }, Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ }
+    ->
+      Dipper.wait_readers t.engine t.rc key;
+      with_structs t (fun () -> put_structures t key meta size extents);
+      cache_write_through t key value size;
+      Some (freed_meta, freed_extents)
+  | Sdelete key, Logrec.Delete { meta; extents; _ } ->
+      Dipper.wait_readers t.engine t.rc key;
+      delete_structures t key;
+      Some (meta, extents)
+  | Sdelete _, Logrec.Noop _ -> None
+  | _ -> assert false
+
+let release_posts t posts =
+  List.iter (Option.iter (fun (m, e) -> release_freed t m e)) posts
+
 let oput_logical ctx t span key value size =
-  let nblocks = blocks_for t size in
   let ignore_ticket = own_lock ctx key in
   let t0 = now t in
-  (* Steps 1-5: lock, find the binding being replaced, allocate, log. *)
+  (* Steps 4 and 8, staged. Table 3 books the whole staging round as
+     NVMe time: the allocation in it costs no modeled time. *)
+  let staged = stage ~span t [ Bput (key, value) ] in
+  let s = List.hd staged in
+  let t4 = now t in
+  (* Steps 1-3 and 5: lock, conflict scan, find the old binding, log. *)
   let ticket =
-    Dipper.locked_append ?ignore_ticket ~span t.engine ~key
-      ~max_slots:(put_max_slots key nblocks)
-      (fun () ->
-        let freed_meta, freed_extents =
-          match Btree.find t.h.btree key with
-          | Some old_meta ->
-              let _, exts = Metazone.read_object t.h.zone old_meta in
-              (old_meta, of_mz exts)
-          | None -> (-1, [])
-        in
-        trace t (Trace.Write_step (Trace.W_find_old, key));
-        let extents = alloc_blocks t nblocks in
-        let meta = alloc_meta t in
-        trace t (Trace.Write_step (Trace.W_alloc, key));
-        Logrec.Put { key; size; meta; extents; freed_meta; freed_extents })
+    unstage_on_error t staged (fun () ->
+        Dipper.locked_append ?ignore_ticket ~span t.engine ~key
+          ~max_slots:(max_slots_of t s) (fun () -> record_of t s))
   in
   let t5 = now t in
   let meta, extents, freed_meta, freed_extents =
@@ -603,16 +768,10 @@ let oput_logical ctx t span key value size =
   (* Drain readers of this object, then steps 6-7 (metadata + index). *)
   Dipper.wait_readers t.engine t.rc key;
   Span.seg span Span.S_ticket;
-  with_structs t (fun () ->
-      put_structures t key meta size extents freed_meta);
+  with_structs t (fun () -> put_structures t key meta size extents);
   (* Write-through inside the fenced window (see the cache glue). *)
   cache_write_through t key value size;
   Span.seg span Span.S_structs;
-  (* Step 8: data to the SSD. *)
-  let t8 = now t in
-  write_data ~span t extents value size;
-  trace t (Trace.Write_step (Trace.W_data_write, key));
-  Span.seg span Span.S_data;
   (* Step 9: commit and flush, then release the replaced allocation. *)
   let t9 = now t in
   Dipper.commit t.engine ticket;
@@ -620,8 +779,8 @@ let oput_logical ctx t span key value size =
   release_freed t freed_meta freed_extents;
   if t.collect_breakdown then begin
     t.bd.ops <- t.bd.ops + 1;
-    t.bd.lock_alloc_log_ns <- t.bd.lock_alloc_log_ns + (t5 - t0);
-    t.bd.ssd_ns <- t.bd.ssd_ns + (t9 - t8);
+    t.bd.lock_alloc_log_ns <- t.bd.lock_alloc_log_ns + (t5 - t4);
+    t.bd.ssd_ns <- t.bd.ssd_ns + (t4 - t0);
     t.bd.log_flush_ns <- t.bd.log_flush_ns + (now t - t9)
   end
 
@@ -863,16 +1022,12 @@ let odelete ?span:caller_span ctx key =
     Metrics.observe t.h_del (now t - tstart);
     r
   in
+  let s = Sdelete key in
   let ticket =
     Dipper.locked_append
       ?ignore_ticket:(own_lock ctx key)
-      ~span t.engine ~key ~max_slots:(put_max_slots key 1)
-      (fun () ->
-        match Btree.find t.h.btree key with
-        | None -> Logrec.Noop { key }
-        | Some meta ->
-            let _, exts = Metazone.read_object t.h.zone meta in
-            Logrec.Delete { key; meta; extents = of_mz exts })
+      ~span t.engine ~key ~max_slots:(max_slots_of t s)
+      (fun () -> record_of t s)
   in
   match Dipper.ticket_op ticket with
   | Logrec.Noop _ ->
@@ -882,10 +1037,7 @@ let odelete ?span:caller_span ctx key =
   | Logrec.Delete { meta; extents; _ } ->
       Dipper.wait_readers t.engine t.rc key;
       Span.seg span Span.S_ticket;
-      with_structs t (fun () ->
-          t.platform.Platform.consume t.cfg.costs.btree_ns;
-          ignore (Btree.delete t.h.btree key));
-      cache_invalidate t key;
+      delete_structures t key;
       Span.seg span Span.S_structs;
       Dipper.commit t.engine ticket;
       Span.seg span Span.S_fence;
@@ -895,23 +1047,15 @@ let odelete ?span:caller_span ctx key =
 
 (* --- group commit (batched puts/deletes) --------------------------------------- *)
 
-type batch_op = Bput of string * Bytes.t | Bdelete of string
-
-let batch_key = function Bput (k, _) -> k | Bdelete k -> k
-
-(* Split a batch into sub-batches of pairwise-distinct keys, each small
-   enough to always fit the log. Distinct keys are required for
+(* Split a staged batch into sub-batches of pairwise-distinct keys, each
+   small enough to always fit the log. Distinct keys are required for
    correctness, not just to avoid self-conflict: a record's freed ids must
-   come from state committed before the batch, so that any surviving
-   subset of the batch replays against ids that were really allocated —
-   if op B freed what same-batch op A allocated and only B survived a
-   crash, replay would free never-allocated ids. *)
-let split_batches t ops =
+   come from state committed before its sub-batch, so that any surviving
+   subset of the sub-batch replays against ids that were really allocated
+   — if op B freed what same-sub-batch op A allocated and only B survived
+   a crash, replay would free never-allocated ids. *)
+let split_batches t staged =
   let max_batch_slots = max 8 (t.cfg.Config.log_slots / 2) in
-  let slots_of = function
-    | Bput (k, v) -> put_max_slots k (blocks_for t (Bytes.length v))
-    | Bdelete k -> put_max_slots k 1
-  in
   let out = ref [] and cur = ref [] and cur_slots = ref 0 in
   let seen = Hashtbl.create 16 in
   let flush () =
@@ -923,150 +1067,56 @@ let split_batches t ops =
     end
   in
   List.iter
-    (fun op ->
-      let k = batch_key op in
-      let n = slots_of op in
+    (fun s ->
+      let k = staged_key s in
+      let n = max_slots_of t s in
       if Hashtbl.mem seen k || !cur_slots + n > max_batch_slots then flush ();
       Hashtbl.add seen k ();
-      cur := op :: !cur;
+      cur := s :: !cur;
       cur_slots := !cur_slots + n)
-    ops;
+    staged;
   flush ();
   List.rev !out
 
-(* Fork-join over [items]: run [f] on each concurrently (one platform
-   task per extra element, the first inline) and return when all are
-   done. Used to overlap a batch's SSD payload writes. *)
-let par_iter t items f =
-  match items with
-  | [] -> ()
-  | [ x ] -> f x
-  | x :: rest ->
-      let mu = t.platform.Platform.new_mutex () in
-      let cv = t.platform.Platform.new_cond () in
-      let pending = ref (List.length rest) in
-      List.iter
-        (fun y ->
-          t.platform.Platform.spawn "batch-io" (fun () ->
-              f y;
-              Platform.with_lock mu (fun () ->
-                  decr pending;
-                  if !pending = 0 then cv.Platform.signal ())))
-        rest;
-      f x;
-      Platform.with_lock mu (fun () ->
-          while !pending > 0 do
-            cv.Platform.wait mu
-          done)
-
-(* One sub-batch (distinct keys). Step order differs from the single-op
-   pipeline: allocation (step 4) and the SSD data write (step 8) are
-   STAGED before the batched append, so the batch's in-flight window —
-   what a conflicting writer of the same key must wait out — contains
-   only the coalesced log flush, the structure updates, and the commit
-   fence, no device time. Staging early is safe because the freshly
-   allocated blocks are unreachable until the records commit and the
-   allocators are volatile (rebuilt by recovery): a crash before the
-   append loses nothing durable. Payload writes of one batch run
-   concurrently (par_iter); steps 6–7 stay per-op between append and
-   commit, and commit-time block releases per-op after the batch
-   commit. *)
-let exec_sub_batch ctx t span ops =
+(* One sub-batch (distinct keys), already staged: one batched append,
+   steps 6–7 per op, one batch commit, then the commit-time releases. If
+   the append raises, the claims of this sub-batch and of the [later]
+   ones go back. *)
+let exec_sub_batch ctx t span ~later sub =
   let ignore_tickets =
-    List.filter_map (fun op -> own_lock ctx (batch_key op)) ops
+    List.filter_map (fun s -> own_lock ctx (staged_key s)) sub
   in
-  (* Step 4, batched: one short lock hold for every allocation. *)
-  let staged =
-    Dipper.with_frontend_lock t.engine (fun () ->
-        List.map
-          (fun op ->
-            match op with
-            | Bput (key, value) ->
-                let nblocks = blocks_for t (Bytes.length value) in
-                let extents = alloc_blocks t nblocks in
-                let meta = alloc_meta t in
-                trace t (Trace.Write_step (Trace.W_alloc, key));
-                (op, Some (meta, extents))
-            | Bdelete _ -> (op, None))
-          ops)
+  let tickets =
+    match
+      Dipper.locked_append_batch ~ignore_tickets ~span t.engine
+        (List.map (append_item t) sub)
+    with
+    | tks -> tks
+    | exception e ->
+        unstage t (sub @ later);
+        raise e
   in
-  Span.seg span Span.S_stage;
-  (* Step 8, staged + overlapped: all payloads to the SSD concurrently. *)
-  par_iter t
-    (List.filter_map
-       (function
-         | Bput (key, value), Some (_, extents) -> Some (key, value, extents)
-         | _ -> None)
-       staged)
-    (fun (key, value, extents) ->
-      write_data ~span t extents value (Bytes.length value);
-      trace t (Trace.Write_step (Trace.W_data_write, key)));
-  Span.seg span Span.S_data;
-  let items =
-    List.map
-      (fun (op, alloc) ->
-        match (op, alloc) with
-        | Bput (key, value), Some (meta, extents) ->
-            let size = Bytes.length value in
-            ( key,
-              put_max_slots key (blocks_for t size),
-              fun () ->
-                let freed_meta, freed_extents =
-                  match Btree.find t.h.btree key with
-                  | Some old_meta ->
-                      let _, exts = Metazone.read_object t.h.zone old_meta in
-                      (old_meta, of_mz exts)
-                  | None -> (-1, [])
-                in
-                trace t (Trace.Write_step (Trace.W_find_old, key));
-                Logrec.Put { key; size; meta; extents; freed_meta; freed_extents }
-            )
-        | Bdelete key, _ ->
-            ( key,
-              put_max_slots key 1,
-              fun () ->
-                match Btree.find t.h.btree key with
-                | None -> Logrec.Noop { key }
-                | Some meta ->
-                    let _, exts = Metazone.read_object t.h.zone meta in
-                    Logrec.Delete { key; meta; extents = of_mz exts } )
-        | Bput _, None -> assert false)
-      staged
-  in
-  let tickets = Dipper.locked_append_batch ~ignore_tickets ~span t.engine items in
   let posts =
-    List.map2
-      (fun (op, _) tk ->
-        match (op, Dipper.ticket_op tk) with
-        | ( Bput (key, value),
-            Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ } )
-          ->
-            Dipper.wait_readers t.engine t.rc key;
-            with_structs t (fun () ->
-                put_structures t key meta size extents freed_meta);
-            cache_write_through t key value size;
-            (Some (freed_meta, freed_extents), true)
-        | Bdelete key, Logrec.Delete { meta; extents; _ } ->
-            Dipper.wait_readers t.engine t.rc key;
-            with_structs t (fun () ->
-                t.platform.Platform.consume t.cfg.costs.btree_ns;
-                ignore (Btree.delete t.h.btree key));
-            cache_invalidate t key;
-            (Some (meta, extents), true)
-        | Bdelete _, Logrec.Noop _ -> (None, false)
-        | _ -> assert false)
-      staged tickets
+    List.map2 (fun s tk -> apply_appended t s (Dipper.ticket_op tk)) sub tickets
   in
   Span.seg span Span.S_structs;
   Dipper.commit_batch t.engine tickets;
   Span.seg span Span.S_commit;
-  List.iter
-    (function
-      | Some (freed_meta, freed_extents), _ ->
-          release_freed t freed_meta freed_extents
-      | None, _ -> ())
-    posts;
-  List.map snd posts
+  release_posts t posts;
+  List.map Option.is_some posts
+
+(* Staging runs once per call, before the split: every payload of the
+   call shares one SSD round, however many duplicate-key sub-batches
+   follow. The sub-batches then append and commit in order, so each
+   record's freed ids come from state the earlier sub-batches committed. *)
+let run_staged ctx t span staged =
+  let rec go acc = function
+    | [] -> List.concat (List.rev acc)
+    | sub :: rest ->
+        let later = match rest with [] -> [] | _ -> List.concat rest in
+        go (exec_sub_batch ctx t span ~later sub :: acc) rest
+  in
+  go [] (split_batches t staged)
 
 let obatch ?span:caller_span ctx ops =
   check_ctx ctx;
@@ -1088,9 +1138,7 @@ let obatch ?span:caller_span ctx ops =
                       Span.Batch "(batch)",
                     true )
             in
-            let r =
-              List.concat_map (exec_sub_batch ctx t span) (split_batches t ops)
-            in
+            let r = run_staged ctx t span (stage ~span t ops) in
             if owned then Span.finish span;
             r
         | Config.Physical ->
@@ -1427,18 +1475,17 @@ let oget_versioned ?span ctx key =
   (v, result)
 
 (* Commit a transaction's buffered write-set against its read-set.
-   Validation comes before any device work: stage allocations, then
+   Validation comes before any device work: [claim] the allocations, then
    [Dipper.txn_append] (conflict scan, OCC validation and span staging
    under one lock hold, then the begin + members flush), and only on
    success write the SSD payloads. An aborted attempt therefore does no
-   SSD I/O and needs only the in-memory frees below (freshly allocated
-   ids are unreachable and the pools are volatile). Crash-safe because
+   SSD I/O and needs only [unstage]'s in-memory frees. Crash-safe because
    the span stays uncommitted until [Dipper.txn_commit] persists its
    commit record — after every payload write has returned — and
    recovery drops a span without one. The price is that the span's
    in-flight tickets are held across the payload writes, so concurrent
-   accesses to member keys wait instead of racing. [exec_sub_batch]
-   keeps the payload-before-append order: it never aborts, and its
+   accesses to member keys wait instead of racing. [oput] and [obatch]
+   keep the payload-before-append order: they never abort, and their
    tickets stay free of device time. *)
 let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   check_ctx ctx;
@@ -1454,112 +1501,32 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
         List.filter_map (fun w -> own_lock ctx (txn_write_key w)) writes
       in
       let staged =
-        Dipper.with_frontend_lock t.engine (fun () ->
-            List.map
-              (fun w ->
-                match w with
-                | Tput (key, value) ->
-                    let nblocks = blocks_for t (Bytes.length value) in
-                    let extents = alloc_blocks t nblocks in
-                    let meta = alloc_meta t in
-                    trace t (Trace.Write_step (Trace.W_alloc, key));
-                    (w, Some (meta, extents))
-                | Tdelete _ -> (w, None))
-              writes)
+        claim t
+          (List.map
+             (function Tput (k, v) -> Bput (k, v) | Tdelete k -> Bdelete k)
+             writes)
       in
       Span.seg span Span.S_stage;
-      let items =
-        List.map
-          (fun (w, alloc) ->
-            match (w, alloc) with
-            | Tput (key, value), Some (meta, extents) ->
-                let size = Bytes.length value in
-                ( key,
-                  put_max_slots key (blocks_for t size),
-                  fun () ->
-                    let freed_meta, freed_extents =
-                      match Btree.find t.h.btree key with
-                      | Some old_meta ->
-                          let _, exts = Metazone.read_object t.h.zone old_meta in
-                          (old_meta, of_mz exts)
-                      | None -> (-1, [])
-                    in
-                    trace t (Trace.Write_step (Trace.W_find_old, key));
-                    Logrec.Put
-                      { key; size; meta; extents; freed_meta; freed_extents } )
-            | Tdelete key, _ ->
-                ( key,
-                  put_max_slots key 1,
-                  fun () ->
-                    match Btree.find t.h.btree key with
-                    | None -> Logrec.Noop { key }
-                    | Some meta ->
-                        let _, exts = Metazone.read_object t.h.zone meta in
-                        Logrec.Delete { key; meta; extents = of_mz exts } )
-            | Tput _, None -> assert false)
-          staged
-      in
-      match Dipper.txn_append ~ignore_tickets ~span t.engine ~reads ~items with
+      match
+        unstage_on_error t staged (fun () ->
+            Dipper.txn_append ~ignore_tickets ~span t.engine ~reads
+              ~items:(List.map (append_item t) staged))
+      with
       | Error key ->
-          (* Stale read: nothing was appended or written. Give back the
-             staged allocations (volatile pools — a plain free suffices). *)
-          Dipper.with_frontend_lock t.engine (fun () ->
-              List.iter
-                (function
-                  | _, Some (meta, extents) ->
-                      List.iter
-                        (fun (s, l) ->
-                          for b = s to s + l - 1 do
-                            Bitpool.free t.h.blockpool b
-                          done)
-                        extents;
-                      Bitpool.free t.h.metapool meta
-                  | _, None -> ())
-                staged);
+          (* Stale read: nothing was appended or written. *)
+          unstage t staged;
           Error key
       | Ok tx ->
-          par_iter t
-            (List.filter_map
-               (function
-                 | Tput (key, value), Some (_, extents) ->
-                     Some (key, value, extents)
-                 | _ -> None)
-               staged)
-            (fun (key, value, extents) ->
-              write_data ~span t extents value (Bytes.length value);
-              trace t (Trace.Write_step (Trace.W_data_write, key)));
+          write_payloads ~span t staged;
           Span.seg span Span.S_data;
           let posts =
             List.map2
-              (fun (w, _) tk ->
-                match (w, Dipper.ticket_op tk) with
-                | ( Tput (key, value),
-                    Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ }
-                  ) ->
-                    Dipper.wait_readers t.engine t.rc key;
-                    with_structs t (fun () ->
-                        put_structures t key meta size extents freed_meta);
-                    cache_write_through t key value size;
-                    Some (freed_meta, freed_extents)
-                | Tdelete key, Logrec.Delete { meta; extents; _ } ->
-                    Dipper.wait_readers t.engine t.rc key;
-                    with_structs t (fun () ->
-                        t.platform.Platform.consume t.cfg.costs.btree_ns;
-                        ignore (Btree.delete t.h.btree key));
-                    cache_invalidate t key;
-                    Some (meta, extents)
-                | Tdelete _, Logrec.Noop _ -> None
-                | _ -> assert false)
+              (fun s tk -> apply_appended t s (Dipper.ticket_op tk))
               staged (Dipper.txn_members tx)
           in
           Span.seg span Span.S_structs;
           Dipper.txn_commit ~span t.engine tx;
-          List.iter
-            (function
-              | Some (freed_meta, freed_extents) ->
-                  release_freed t freed_meta freed_extents
-              | None -> ())
-            posts;
+          release_posts t posts;
           Ok ())
 
 (* --- introspection -------------------------------------------------------------- *)

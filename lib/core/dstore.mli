@@ -7,16 +7,22 @@
     DRAM, made persistent by DIPPER shadow copies in PMEM; the data plane
     is an SSD with a power-loss-protected write cache (Figure 4).
 
-    A whole-object write follows the paper's nine steps: lock the pools;
-    append the logical log record; allocate blocks and a metadata page;
-    unlock; write the metadata entry and B-tree record (in parallel with
-    other requests, by observational equivalence); write the data to the
-    SSD; commit and flush the log record. Two refinements over the paper's
-    prose, both explained in DESIGN.md: allocated (and to-be-freed) extents
-    are carried in the record so checkpoint replay is allocation-exact, and
+    A whole-object write runs the paper's nine steps in a staged order
+    (DESIGN.md decision 11): allocate blocks and a metadata page; write the
+    data to the SSD; lock; scan for conflicting in-flight records; find the
+    binding being replaced; append the logical log record and unlock; wait
+    for readers of the object to drain; write the metadata entry and
+    B-tree record (in parallel with other requests, by observational
+    equivalence); commit and flush the log record. Allocating and writing
+    the payload before the append keeps device time out of the window in
+    which same-key requests wait. Three refinements over the paper's
+    prose, all explained in DESIGN.md: allocated (and to-be-freed) extents
+    are carried in the record so checkpoint replay is allocation-exact;
     blocks freed by an overwrite or delete are released only at commit so a
     crash before commit can never have handed a still-referenced block to
-    another object.
+    another object; and a put rejected before its append ([Out_of_blocks],
+    or [Dipper.Log_full] under [No_checkpoint]) gives back every id it
+    claimed.
 
     All calls must run in platform thread context (a simulated process or
     a real thread). Each application thread creates its own {!ctx}
@@ -103,6 +109,9 @@ val ctx_store : ctx -> t
 
 val oput : ?span:Dstore_obs.Span.t -> ctx -> string -> Bytes.t -> unit
 (** Store the whole object (create or replace). Durable on return.
+    Raises [Out_of_blocks] when the SSD blocks or metadata ids run out and
+    [Dipper.Log_full] when the log is full under [No_checkpoint]; a
+    rejected put leaves both allocators as it found them.
 
     [?span] (here and on [odelete]/[obatch]/[owrite]) lets a wrapper own
     the operation's causal span: the engine books segments and stalls
@@ -143,8 +152,10 @@ val oexists : ctx -> string -> bool
     The batched entry points amortize the write pipeline's persistence
     rounds (steps 1–5 and 9) across a whole batch: one frontend-lock
     acquisition, one coalesced log-append flush pass, one commit flush —
-    while the per-object work (reader drain, structure updates, SSD data,
-    commit-time block releases) still runs per op.
+    while the per-object work (reader drain, structure updates,
+    commit-time block releases) still runs per op. Allocation and the SSD
+    payload writes are staged once per call, before any append, with the
+    payloads written concurrently.
 
     Durability contract: {e no operation in a batch is acknowledged
     durable until the batch call returns; after a crash any subset of the
@@ -161,7 +172,9 @@ val obatch : ?span:Dstore_obs.Span.t -> ctx -> batch_op list -> bool list
 (** Execute a batch of updates under group commit; results in input
     order ([Bput] → [true], [Bdelete] → whether the key existed). Under
     [Physical] logging the ops run individually (redo-image capture is
-    per-op by construction). *)
+    per-op by construction). Rejections raise as for [oput]; sub-batches
+    committed before the rejection stay committed, and every id claimed
+    for the rest of the call is given back. *)
 
 val oput_batch : ctx -> (string * Bytes.t) list -> unit
 (** [obatch] over puts only. Durable on return. *)

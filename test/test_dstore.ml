@@ -478,11 +478,30 @@ let test_readers_exclude_writer () =
       Dstore.stop st);
   Sim.run fx.sim
 
+(* Keep a put of "huge" in flight — appended, not committed — across a
+   forced checkpoint: a miss-path read of the 64-block object (~640 us on
+   the SSD) starts first, so the writer, whose one-page payload is staged
+   before its append, then sits in [wait_readers] until the read drains.
+   The checkpoint lands inside that window. *)
+let race_inflight_put_with_checkpoint fx st =
+  Dstore.oput (Dstore.ds_init st) "huge" (big_value 1 (64 * 4096));
+  Sim.spawn fx.sim "slow-reader" (fun () ->
+      ignore (Dstore.oget (Dstore.ds_init st) "huge"));
+  Sim.spawn fx.sim "writer" (fun () ->
+      Sim.wait fx.sim 10_000;
+      Dstore.oput (Dstore.ds_init st) "huge" (big_value 2 4096));
+  Sim.spawn fx.sim "ckpt" (fun () ->
+      Sim.wait fx.sim 100_000;
+      (* the writer is in wait_readers *)
+      Dstore.checkpoint_now st);
+  Sim.wait fx.sim Platform.ns_per_s;
+  let s = Dipper.stats (Dstore.engine st) in
+  Alcotest.(check bool) "a record was moved" true (s.Dipper.records_moved >= 1)
+
 let test_swap_moves_inflight_records () =
   (* A record uncommitted at the moment of a log swap must be re-homed to
      the new active log and still commit correctly (§3.5's "moving any
-     uncommitted log records"). A multi-block put keeps a record in flight
-     long enough for a forced checkpoint to land mid-write. *)
+     uncommitted log records"). *)
   let fx = fixture () in
   Sim.spawn fx.sim "main" (fun () ->
       let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
@@ -490,19 +509,9 @@ let test_swap_moves_inflight_records () =
       for i = 0 to 19 do
         Dstore.oput ctx (Printf.sprintf "w%d" i) (value_of_string "x")
       done;
-      Sim.spawn fx.sim "slow-writer" (fun () ->
-          let ctx2 = Dstore.ds_init st in
-          (* 64 blocks: the SSD write alone takes ~570 us. *)
-          Dstore.oput ctx2 "huge" (big_value 1 (64 * 4096)));
-      Sim.spawn fx.sim "ckpt" (fun () ->
-          Sim.wait fx.sim 50_000;
-          (* inside the slow write *)
-          Dstore.checkpoint_now st);
-      Sim.wait fx.sim Platform.ns_per_s;
-      let s = Dipper.stats (Dstore.engine st) in
-      Alcotest.(check bool) "a record was moved" true (s.Dipper.records_moved >= 1);
+      race_inflight_put_with_checkpoint fx st;
       (match Dstore.oget ctx "huge" with
-      | Some v -> check Alcotest.int "huge intact" (64 * 4096) (Bytes.length v)
+      | Some v -> check Alcotest.bytes "huge rewritten" (big_value 2 4096) v
       | None -> Alcotest.fail "huge lost");
       Dstore.stop st);
   Sim.run fx.sim
@@ -517,13 +526,7 @@ let test_moved_record_survives_crash () =
       for i = 0 to 9 do
         Dstore.oput ctx (Printf.sprintf "w%d" i) (value_of_string "x")
       done;
-      Sim.spawn fx.sim "slow-writer" (fun () ->
-          let ctx2 = Dstore.ds_init st in
-          Dstore.oput ctx2 "huge" (big_value 2 (64 * 4096)));
-      Sim.spawn fx.sim "ckpt" (fun () ->
-          Sim.wait fx.sim 50_000;
-          Dstore.checkpoint_now st);
-      Sim.wait fx.sim Platform.ns_per_s;
+      race_inflight_put_with_checkpoint fx st;
       Dstore.stop st);
   Sim.run fx.sim;
   Pmem.crash fx.pm Pmem.Drop_all;
@@ -532,7 +535,9 @@ let test_moved_record_survives_crash () =
       let st = Dstore.recover fx.p fx.pm fx.ssd fx.cfg in
       let ctx = Dstore.ds_init st in
       (match Dstore.oget ctx "huge" with
-      | Some v -> check Alcotest.int "moved+committed record recovered" (64 * 4096) (Bytes.length v)
+      | Some v ->
+          check Alcotest.bytes "moved+committed record recovered"
+            (big_value 2 4096) v
       | None -> Alcotest.fail "huge lost after crash");
       Dstore.stop st);
   Sim.run fx.sim
@@ -968,6 +973,166 @@ let test_obatch_crash_all_committed () =
       Dstore.stop st);
   Sim.run fx.sim
 
+(* --- staged write pipeline ----------------------------------------------- *)
+
+(* Staged allocation is all or nothing: [reject] must raise, leave both
+   allocators exactly as it found them, and leave the store usable —
+   [after] (a put on another key, by default) completes. *)
+let check_rejected ?after st ctx reject =
+  let i = Dstore.internals st in
+  let blocks () = Dstore_structs.Bitpool.allocated i.Dstore.i_blockpool in
+  let metas () = Dstore_structs.Bitpool.allocated i.Dstore.i_metapool in
+  let b0 = blocks () and m0 = metas () in
+  (match reject () with
+  | () -> Alcotest.fail "expected the write to be rejected"
+  | exception (Dstore.Out_of_blocks | Dipper.Log_full) -> ());
+  check Alcotest.int "block pool unchanged" b0 (blocks ());
+  check Alcotest.int "meta pool unchanged" m0 (metas ());
+  (match after with
+  | Some f -> f ()
+  | None -> Dstore.oput ctx "after" (value_of_string "ok"));
+  check Alcotest.bool "store still writable" true (Dstore.oexists ctx "after")
+
+let test_put_out_of_blocks_all_or_nothing () =
+  let cfg = { small_cfg with ssd_blocks = 64 } in
+  with_store ~cfg (fun _ st ctx ->
+      Dstore.oput ctx "small" (value_of_string "s");
+      check_rejected st ctx (fun () ->
+          Dstore.oput ctx "oversized" (big_value 1 (65 * Dstore.page_bytes st))))
+
+let test_put_out_of_meta_all_or_nothing () =
+  let cfg = { small_cfg with meta_entries = 16 } in
+  with_store ~cfg (fun _ st ctx ->
+      let n = ref 0 in
+      let full = ref false in
+      while not !full do
+        let i = Dstore.internals st in
+        if
+          Dstore_structs.Bitpool.allocated i.Dstore.i_metapool
+          = Dstore_structs.Bitpool.count i.Dstore.i_metapool
+        then full := true
+        else begin
+          Dstore.oput ctx (Printf.sprintf "m%d" !n) (value_of_string "v");
+          incr n
+        end
+      done;
+      check_rejected st ctx
+        ~after:(fun () ->
+          Alcotest.(check bool) "delete frees a meta id" true
+            (Dstore.odelete ctx "m0");
+          Dstore.oput ctx "after" (value_of_string "ok"))
+        (fun () -> Dstore.oput ctx "one-too-many" (value_of_string "v")))
+
+let test_log_full_all_or_nothing () =
+  let cfg = { small_cfg with checkpoint = Config.No_checkpoint; log_slots = 64 } in
+  with_store ~cfg (fun _ st ctx ->
+      (* Fill the log until a 64-block record no longer fits but a
+         one-block one does. *)
+      let free () = Oplog.free_slots (Dipper.log_handles (Dstore.engine st)).(0) in
+      let n = ref 0 in
+      while free () >= 16 do
+        Dstore.oput ctx (Printf.sprintf "f%d" !n) (value_of_string "v");
+        incr n
+      done;
+      let big = big_value 2 (64 * Dstore.page_bytes st) in
+      check_rejected st ctx (fun () -> Dstore.oput ctx "big" big);
+      check_rejected st ctx
+        ~after:(fun () -> Dstore.oput ctx "after2" (value_of_string "ok"))
+        (fun () ->
+          ignore
+            (Dstore.obatch ctx
+               [ Dstore.Bput ("b1", value_of_string "x"); Dstore.Bput ("b2", big) ])))
+
+let test_obatch_stage_failure_all_or_nothing () =
+  let cfg = { small_cfg with ssd_blocks = 64 } in
+  with_store ~cfg (fun _ st ctx ->
+      check_rejected st ctx (fun () ->
+          ignore
+            (Dstore.obatch ctx
+               [
+                 Dstore.Bput ("fits", value_of_string "x");
+                 Dstore.Bdelete "ghost";
+                 Dstore.Bput ("oversized", big_value 3 (65 * Dstore.page_bytes st));
+               ]));
+      Alcotest.(check bool) "no member applied" false (Dstore.oexists ctx "fits"))
+
+(* A builder that raises under the append's lock hold (here [owrite] on
+   an object deleted after it was opened) must release the lock. *)
+let test_owrite_vanished_object_releases_lock () =
+  with_store (fun _ _ ctx ->
+      Dstore.oput ctx "gone" (value_of_string "v");
+      let o = Dstore.oopen ctx "gone" Dstore.Wr in
+      Alcotest.(check bool) "deleted" true (Dstore.odelete ctx "gone");
+      (match Dstore.owrite o (value_of_string "x") ~size:1 ~off:0 with
+      | _ -> Alcotest.fail "owrite on a deleted object succeeded"
+      | exception Dstore.Object_not_found _ -> ());
+      Dstore.oput ctx "after" (value_of_string "ok");
+      Alcotest.(check bool) "store still writable" true (Dstore.oexists ctx "after"))
+
+(* The payload is written before the log append, so a read of the same
+   key issued while the put's payload is on its way to the SSD finds no
+   in-flight record: it reads the old value without a conflict stall. *)
+let test_get_during_payload_no_conflict () =
+  with_store (fun fx st ctx ->
+      let module Span = Dstore_obs.Span in
+      Dstore.oput ctx "k" (value_of_string "v0");
+      let rc = (Dstore.obs st).Dstore_obs.Obs.spans in
+      let conflicts () = Span.cause_events rc (Span.cause_index Span.Conflict_retry) in
+      let c0 = conflicts () in
+      let got = ref None in
+      Sim.spawn fx.sim "writer" (fun () ->
+          Dstore.oput (Dstore.ds_init st) "k" (big_value 4 4096));
+      Sim.spawn fx.sim "reader" (fun () ->
+          Sim.wait fx.sim 2_000;
+          (* mid-payload: a one-page write takes 8.9 us *)
+          got := Dstore.oget (Dstore.ds_init st) "k");
+      t_sleep fx 100_000;
+      check Alcotest.int "no conflict retry booked" c0 (conflicts ());
+      check (Alcotest.option Alcotest.string) "old value read" (Some "v0")
+        (Option.map Bytes.to_string !got);
+      check Alcotest.bytes "new value committed" (big_value 4 4096)
+        (Option.get (Dstore.oget ctx "k")))
+
+(* Staging runs once per [obatch] call: the two payloads of a duplicate-key
+   batch share one SSD round although the records append and commit in
+   two ordered sub-batches. *)
+let test_obatch_duplicate_keys_one_payload_round () =
+  with_store (fun fx _ ctx ->
+      let w0 = (Ssd.stats fx.ssd).Ssd.writes in
+      let t0 = Sim.now fx.sim in
+      let r =
+        Dstore.obatch ctx
+          [ Dstore.Bput ("K", big_value 5 4096); Dstore.Bput ("K", big_value 6 4096) ]
+      in
+      let dt = Sim.now fx.sim - t0 in
+      Alcotest.(check (list bool)) "both applied" [ true; true ] r;
+      check Alcotest.int "two SSD writes" (w0 + 2) (Ssd.stats fx.ssd).Ssd.writes;
+      Alcotest.(check bool)
+        (Printf.sprintf "one payload round (%d ns)" dt)
+        true
+        (dt < 2 * Ssd.default_config.Ssd.write_page_ns);
+      check Alcotest.bytes "last write wins" (big_value 6 4096)
+        (Option.get (Dstore.oget ctx "K")))
+
+(* Staging moves no PMEM traffic: one uncontended 4 KB put (fresh key,
+   then overwrite) costs exactly the fences, flush calls and flushed
+   bytes of the unstaged pipeline. *)
+let test_put_pmem_cost_unchanged () =
+  with_store (fun fx _ ctx ->
+      let cost f =
+        let st = Pmem.stats fx.pm in
+        let f0 = st.Pmem.fence_calls
+        and c0 = st.Pmem.flush_calls
+        and b0 = st.Pmem.bytes_flushed in
+        f ();
+        (st.Pmem.fence_calls - f0, st.Pmem.flush_calls - c0, st.Pmem.bytes_flushed - b0)
+      in
+      let triple = Alcotest.(triple int int int) in
+      check triple "fresh put: fences, flushes, bytes" (2, 2, 128)
+        (cost (fun () -> Dstore.oput ctx "p" (big_value 7 4096)));
+      check triple "overwrite: fences, flushes, bytes" (2, 2, 128)
+        (cost (fun () -> Dstore.oput ctx "p" (big_value 8 4096))))
+
 (* --- OCC transactions ---------------------------------------------------- *)
 
 let test_txn_commit_visible () =
@@ -1310,6 +1475,16 @@ let suite =
     ("obatch under own olock", `Quick, test_obatch_locked_key);
     ("obatch fence amortization", `Quick, test_obatch_fence_amortization);
     ("obatch crash: acked batch survives", `Quick, test_obatch_crash_all_committed);
+    ("put out of blocks: all or nothing", `Quick, test_put_out_of_blocks_all_or_nothing);
+    ("put out of meta ids: all or nothing", `Quick, test_put_out_of_meta_all_or_nothing);
+    ("Log_full: all or nothing", `Quick, test_log_full_all_or_nothing);
+    ("obatch stage failure: all or nothing", `Quick, test_obatch_stage_failure_all_or_nothing);
+    ("get during staged payload: no conflict", `Quick, test_get_during_payload_no_conflict);
+    ( "obatch duplicate keys: one payload round",
+      `Quick,
+      test_obatch_duplicate_keys_one_payload_round );
+    ("put pmem cost unchanged", `Quick, test_put_pmem_cost_unchanged);
+    ("owrite on vanished object releases lock", `Quick, test_owrite_vanished_object_releases_lock);
     ("txn commit visible + counted", `Quick, test_txn_commit_visible);
     ("txn read-your-writes", `Quick, test_txn_read_your_writes);
     ("txn abort untouched", `Quick, test_txn_abort_untouched);

@@ -204,8 +204,10 @@ let test_write_path_events () =
   with_store (fun _ st ctx ->
       let obs = Dstore.obs st in
       Dstore.oput ctx "k" (Bytes.of_string "hello");
-      check (Alcotest.list Alcotest.int) "nine steps in order"
-        [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+      (* Staged order: alloc (4) and the SSD payload (8) run before the
+         lock, conflict scan, old-binding lookup and log append. *)
+      check (Alcotest.list Alcotest.int) "nine steps in staged order"
+        [ 4; 8; 1; 2; 3; 5; 6; 7; 9 ]
         (write_steps_of "k" obs.Obs.trace);
       check
         (Alcotest.option Alcotest.string)
@@ -339,7 +341,7 @@ let test_trace_survives_recovery () =
     (phases = [ Trace.R_start; Trace.R_rebuild; Trace.R_replay; Trace.R_done ]);
   (* The write-path events from before the crash are still in the ring. *)
   check (Alcotest.list Alcotest.int) "pre-crash steps retained"
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    [ 4; 8; 1; 2; 3; 5; 6; 7; 9 ]
     (write_steps_of "k" obs.Obs.trace)
 
 (* --- spans ------------------------------------------------------------------ *)
