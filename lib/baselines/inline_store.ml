@@ -62,10 +62,6 @@ let stats t = t.st
 
 (* --- undo log ------------------------------------------------------------------ *)
 
-let undo_used t = Pmem.get_u64 t.pm (hdr_off + 16)
-
-let undo_count t = Pmem.get_u64 t.pm (hdr_off + 8)
-
 (* Append (space_off, old bytes) and persist it before the in-place write
    may proceed — the libpmemobj undo rule. *)
 let undo_append pm cfg st off len =

@@ -1,7 +1,6 @@
 open Dstore_platform
 open Dstore_pmem
 open Dstore_ssd
-open Dstore_util
 
 type config = {
   memtable_bytes : int;
@@ -47,8 +46,6 @@ type stats = {
 let magic = 0x4C534D53 (* "LSMS" *)
 
 let max_segments = 8
-
-let max_runs = 128
 
 let hdr_off = 0
 

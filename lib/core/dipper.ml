@@ -234,8 +234,6 @@ let register_stat_views m (st : stats) =
   M.gauge_fn m "dipper.recovery_replayed_records" (fun () ->
       st.recovery_replayed_records)
 
-let ticket_lsn tk = tk.lsn
-
 let ticket_op tk = tk.op
 
 (* --- volatile arena wrapper --------------------------------------------- *)
@@ -863,43 +861,22 @@ let stop t =
 
 (* --- write path ------------------------------------------------------------ *)
 
-let conflict_for ?(ignore = []) t key =
-  let skip tk = List.memq tk ignore in
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun _ tk ->
-         if tk.key = Some key && not (skip tk) then begin
-           found := Some tk;
-           raise Exit
-         end)
-       t.in_flight
-   with Exit -> ());
-  !found
-
-(* Multi-key conflict scan: ONE pass over the in-flight table for a whole
-   key set (a membership table the caller builds once), instead of one
-   full table scan per key. Shared by the group-commit batch path and the
-   transaction validation pass; call under the frontend lock. *)
-let conflict_for_keys ?(ignore = []) t keys =
-  let skip tk = List.memq tk ignore in
+(* The conflict scan: the first in-flight record outside [ignore] whose key
+   [k] satisfies [hit k x], found in ONE pass over the in-flight table
+   however many keys [x] holds. Call under the frontend lock. *)
+let conflict_for ~ignore t hit x =
   let found = ref None in
   (try
      Hashtbl.iter
        (fun _ tk ->
          match tk.key with
-         | Some k when Hashtbl.mem keys k && not (skip tk) ->
+         | Some k when hit k x && not (List.memq tk ignore) ->
              found := Some (k, tk);
              raise Exit
          | _ -> ())
        t.in_flight
    with Exit -> ());
   !found
-
-let keyset_of keys =
-  let h = Hashtbl.create (max 4 (List.length keys)) in
-  List.iter (fun k -> Hashtbl.replace h k ()) keys;
-  h
 
 (* --- per-key committed versions (OCC transactions) ----------------------- *)
 
@@ -930,30 +907,17 @@ let spin_wait t pred =
 
 let wait_ticket t tk = spin_wait t (fun () -> Atomic.get tk.done_)
 
-let conflicting_ticket ?ignore_ticket t key =
-  let ignore = Option.to_list ignore_ticket in
-  Platform.with_lock t.lock (fun () -> conflict_for ~ignore t key)
+let conflicting_ticket ?(ignore = []) t key =
+  Platform.with_lock t.lock (fun () ->
+      Option.map snd (conflict_for ~ignore t String.equal key))
 
 (* Conflict scan + committed version in ONE lock round: the hoisted
    versioned read ([Dstore.oget_versioned]) observes the version at
    reader entry instead of paying a second lock acquisition and scan. *)
-let conflicting_ticket_versioned ?ignore_ticket t key =
-  let ignore = Option.to_list ignore_ticket in
+let conflicting_ticket_versioned ?(ignore = []) t key =
   Platform.with_lock t.lock (fun () ->
-      (conflict_for ~ignore t key, version_locked t key))
-
-let wait_ticket_done t tk = wait_ticket t tk
-
-let wait_write_conflict t key =
-  let rec go () =
-    match Platform.with_lock t.lock (fun () -> conflict_for t key) with
-    | None -> ()
-    | Some tk ->
-        t.st.conflict_waits <- t.st.conflict_waits + 1;
-        wait_ticket t tk;
-        go ()
-  in
-  go ()
+      ( Option.map snd (conflict_for ~ignore t String.equal key),
+        version_locked t key ))
 
 let wait_readers t rc key =
   spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
@@ -961,90 +925,6 @@ let wait_readers t rc key =
 let request_checkpoint_locked t =
   t.ckpt_needed <- true;
   t.cond_ckpt.Platform.signal ()
-
-let locked_append ?ignore_ticket ?(span = Span.none) t ~key ~max_slots f =
-  let ignore = Option.to_list ignore_ticket in
-  let rec attempt () =
-    t.lock.Platform.lock ();
-    match conflict_for ~ignore t key with
-    | Some tk ->
-        t.lock.Platform.unlock ();
-        t.st.conflict_waits <- t.st.conflict_waits + 1;
-        trace t (Trace.Conflict_wait key);
-        if Span.live span then begin
-          let tw = t.platform.Platform.now () in
-          wait_ticket t tk;
-          Span.stall span Span.Conflict_retry (t.platform.Platform.now () - tw)
-        end
-        else wait_ticket t tk;
-        attempt ()
-    | None ->
-        if Oplog.free_slots t.logs.(t.active_log) < max_slots then begin
-          if t.cfg.checkpoint = Config.No_checkpoint then begin
-            t.lock.Platform.unlock ();
-            raise Log_full
-          end;
-          request_checkpoint_locked t;
-          t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-          trace t Trace.Log_full_stall;
-          (* cond wait releases and re-acquires the frontend lock *)
-          if Span.live span then begin
-            let tw = t.platform.Platform.now () in
-            t.cond_space.Platform.wait t.lock;
-            Span.stall span Span.Log_full (t.platform.Platform.now () - tw)
-          end
-          else t.cond_space.Platform.wait t.lock;
-          t.lock.Platform.unlock ();
-          attempt ()
-        end
-        else begin
-          trace t (Trace.Write_step (Trace.W_lock, key));
-          trace t (Trace.Write_step (Trace.W_conflict_check, key));
-          let op =
-            (* A raising closure ([owrite] on a vanished object, [oopen]
-               out of meta ids) must not leave the frontend lock held. *)
-            match f () with
-            | op -> op
-            | exception e ->
-                t.lock.Platform.unlock ();
-                raise e
-          in
-          let n = Logrec.slots_needed op in
-          assert (n <= max_slots);
-          let log = t.logs.(t.active_log) in
-          let slot, lsn = Option.get (Oplog.reserve log n) in
-          Oplog.write_record log ~slot ~lsn op;
-          t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
-          let tk =
-            {
-              lsn;
-              log_id = t.active_log;
-              slot;
-              op;
-              key = Some key;
-              done_ = Atomic.make false;
-            }
-          in
-          Hashtbl.add t.in_flight lsn tk;
-          if
-            t.cfg.checkpoint <> Config.No_checkpoint
-            && float_of_int (Oplog.tail log)
-               >= t.cfg.checkpoint_threshold *. float_of_int (Oplog.capacity log)
-          then request_checkpoint_locked t;
-          Span.seg span Span.S_lock;
-          t.lock.Platform.unlock ();
-          (* The §3.4 flush protocol runs outside the critical section. *)
-          let tf = t.platform.Platform.now () in
-          Oplog.flush_record log ~slot ~lsn op;
-          t.st.append_flush_ns <-
-            t.st.append_flush_ns + (t.platform.Platform.now () - tf);
-          t.st.records_appended <- t.st.records_appended + 1;
-          trace t (Trace.Write_step (Trace.W_log_append, key));
-          Span.seg span Span.S_append;
-          tk
-        end
-  in
-  attempt ()
 
 let with_frontend_lock t f = Platform.with_lock t.lock f
 
@@ -1055,153 +935,243 @@ let fire_commit_hook t tks =
   | None -> ()
   | Some h -> h (List.map (fun tk -> (tk.lsn, tk.op)) tks)
 
-let commit t tk =
-  let log_id, slot =
-    Platform.with_lock t.lock (fun () ->
-        Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot;
-        Hashtbl.remove t.in_flight tk.lsn;
-        bump_ticket_version t tk;
-        (tk.log_id, tk.slot))
-  in
-  Oplog.persist_slot t.logs.(log_id) ~slot;
-  fire_commit_hook t [ tk ];
-  (match tk.key with
-  | Some k -> trace t (Trace.Write_step (Trace.W_commit, k))
-  | None -> ());
-  Atomic.set tk.done_ true
+(* --- one append, one commit (Figure 4, §3.4) -------------------------------- *)
 
-(* --- group commit (§3.4 batched) ------------------------------------------- *)
+(* An appended, uncommitted group: the member records in item order and,
+   for a transaction, its Txn_begin / Txn_commit framing records. The
+   flush protocol follows from this shape alone (see dipper.mli): a
+   transaction persists begin + members with [Oplog.flush_batch] and
+   commits with the [Oplog.flush_txn_commit] line, one record takes
+   [Oplog.flush_record] + [Oplog.persist_slot], more than one
+   [Oplog.flush_batch] + [Oplog.persist_span]. Every record holds an
+   in-flight ticket until commit, so conflict scans block concurrent
+   writers on its key and a concurrent log swap re-homes the group
+   wholesale. *)
+type appended = { members : ticket list; frame : (ticket * ticket) option }
 
-(* Batched steps 1–5: one lock acquisition, one conflict scan per key, one
-   space check for the whole batch, then every record is staged into
-   consecutive slots of the active log and persisted by a single
-   [Oplog.flush_batch] pass outside the lock. Keys must be pairwise
-   distinct (the store layer splits batches on repeats); conflicts against
-   OTHER writers' in-flight records are waited out exactly as in
-   {!locked_append}. *)
-let locked_append_batch ?(ignore_tickets = []) ?(span = Span.none) t items =
-  match items with
+let members a = a.members
+
+let rec has_key k = function
+  | [] -> false
+  | (k', _, _) :: rest -> String.equal k k' || has_key k rest
+
+(* The first stale read: a commit bumped its key's version after the
+   transaction observed it. *)
+let rec stale_read t = function
+  | [] -> None
+  | (k, v) :: rest -> if version_locked t k <> v then Some k else stale_read t rest
+
+(* Run [wait]; with a live span, book its duration as [cause] blame. *)
+let blamed t span cause wait =
+  if Span.live span then begin
+    let tw = t.platform.Platform.now () in
+    wait ();
+    Span.stall span cause (t.platform.Platform.now () - tw)
+  end
+  else wait ()
+
+(* Steps 2–3 under the lock, in item order: each item's builder finds the
+   binding it replaces and builds its record, sized once here (sizing
+   encodes the record). *)
+let rec build t = function
   | [] -> []
-  | _ ->
-      let total_slots =
-        List.fold_left (fun acc (_, n, _) -> acc + n) 0 items
-      in
-      if total_slots > Oplog.capacity t.logs.(t.active_log) then
-        raise Log_full;
-      (* One membership table for the whole batch, built once: the
-         conflict check is then a single pass over the in-flight table
-         rather than one full scan per batch item. *)
-      let keys = keyset_of (List.map (fun (key, _, _) -> key) items) in
-      let rec attempt () =
-        t.lock.Platform.lock ();
-        match conflict_for_keys ~ignore:ignore_tickets t keys with
-        | Some (key, tk) ->
-            t.lock.Platform.unlock ();
-            t.st.conflict_waits <- t.st.conflict_waits + 1;
-            trace t (Trace.Conflict_wait key);
-            if Span.live span then begin
-              let tw = t.platform.Platform.now () in
-              wait_ticket t tk;
-              Span.stall span Span.Conflict_retry
-                (t.platform.Platform.now () - tw)
-            end
-            else wait_ticket t tk;
-            attempt ()
-        | None ->
-            if Oplog.free_slots t.logs.(t.active_log) < total_slots then begin
-              if t.cfg.checkpoint = Config.No_checkpoint then begin
-                t.lock.Platform.unlock ();
-                raise Log_full
-              end;
-              request_checkpoint_locked t;
-              t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-              trace t Trace.Log_full_stall;
-              if Span.live span then begin
-                let tw = t.platform.Platform.now () in
-                t.cond_space.Platform.wait t.lock;
-                Span.stall span Span.Log_full
-                  (t.platform.Platform.now () - tw)
-              end
-              else t.cond_space.Platform.wait t.lock;
-              t.lock.Platform.unlock ();
-              attempt ()
-            end
-            else begin
-              let log = t.logs.(t.active_log) in
-              let log_id = t.active_log in
-              let staged =
-                List.map
-                  (fun (key, max_slots, f) ->
-                    trace t (Trace.Write_step (Trace.W_lock, key));
-                    trace t (Trace.Write_step (Trace.W_conflict_check, key));
-                    let op = f () in
-                    let n = Logrec.slots_needed op in
-                    assert (n <= max_slots);
-                    let slot, lsn = Option.get (Oplog.reserve log n) in
-                    Oplog.write_record log ~slot ~lsn op;
-                    t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
-                    let tk =
-                      {
-                        lsn;
-                        log_id;
-                        slot;
-                        op;
-                        key = Some key;
-                        done_ = Atomic.make false;
-                      }
-                    in
-                    Hashtbl.add t.in_flight lsn tk;
-                    (tk, (slot, lsn, op)))
-                  items
-              in
-              if
-                t.cfg.checkpoint <> Config.No_checkpoint
-                && float_of_int (Oplog.tail log)
-                   >= t.cfg.checkpoint_threshold
-                      *. float_of_int (Oplog.capacity log)
-              then request_checkpoint_locked t;
-              Span.seg span Span.S_lock;
-              t.lock.Platform.unlock ();
-              (* One coalesced flush+fence pass for the whole batch. *)
-              let tf = t.platform.Platform.now () in
-              Oplog.flush_batch log (List.map snd staged);
-              t.st.append_flush_ns <-
-                t.st.append_flush_ns + (t.platform.Platform.now () - tf);
-              t.st.records_appended <-
-                t.st.records_appended + List.length staged;
-              List.iter
-                (fun (tk, _) ->
-                  match tk.key with
-                  | Some k -> trace t (Trace.Write_step (Trace.W_log_append, k))
-                  | None -> ())
-                staged;
-              Span.seg span Span.S_append;
-              List.map fst staged
-            end
-      in
-      attempt ()
+  | (key, _, f) :: rest ->
+      trace t (Trace.Write_step (Trace.W_lock, key));
+      trace t (Trace.Write_step (Trace.W_conflict_check, key));
+      let op = f () in
+      (op, Logrec.slots_needed op) :: build t rest
 
-(* Batched step 9. Durability contract: no operation in a batch is
-   acknowledged durable until this returns; after a crash any subset of
-   the batch may survive (each record is individually valid-or-absent and
-   individually committed-or-not). All commit words are set under one lock
-   hold, then each log's contiguous slot span is persisted with a single
-   flush+fence — tickets are grouped by log because a concurrent
-   [swap_logs] may have re-homed part of the batch. *)
-let commit_batch t tks =
-  match tks with
+(* Reserve, write and ticket one record of [n] slots in the active log. *)
+let stage_record t log key op n =
+  let slot, lsn = Option.get (Oplog.reserve log n) in
+  Oplog.write_record log ~slot ~lsn op;
+  t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
+  let tk = { lsn; log_id = t.active_log; slot; op; key; done_ = Atomic.make false } in
+  Hashtbl.add t.in_flight lsn tk;
+  tk
+
+let rec stage_members t log items ops =
+  match (items, ops) with
+  | (key, _, _) :: items, (op, n) :: ops ->
+      let tk = stage_record t log (Some key) op n in
+      tk :: stage_members t log items ops
+  | _ -> []
+
+let rec trace_keyed t step = function
   | [] -> ()
+  | tk :: rest ->
+      (match tk.key with
+      | Some k -> trace t (Trace.Write_step (step, k))
+      | None -> ());
+      trace_keyed t step rest
+
+let booked_flush t tf =
+  t.st.append_flush_ns <- t.st.append_flush_ns + (t.platform.Platform.now () - tf)
+
+(* Step 5 under the lock: stage every record of the group into consecutive
+   slots of the active log, then the checkpoint trigger, the release, and
+   the shape's flush protocol outside the critical section. Records are
+   located before the release (a swap may re-home them after it); a
+   transaction's commit record is left unflushed until [commit]. *)
+let stage t span ~txn items ops =
+  let log = t.logs.(t.active_log) in
+  let opened =
+    if txn then begin
+      let id = t.next_txn in
+      t.next_txn <- id + 1;
+      let n = List.length ops in
+      let op = Logrec.Txn_begin { txn = id; members = n } in
+      Some (id, stage_record t log None op (Logrec.slots_needed op))
+    end
+    else None
+  in
+  let members = stage_members t log items ops in
+  let frame =
+    match opened with
+    | Some (id, b) ->
+        let op = Logrec.Txn_commit { txn = id } in
+        Some (b, stage_record t log None op (Logrec.slots_needed op))
+    | None -> None
+  in
+  if
+    t.cfg.checkpoint <> Config.No_checkpoint
+    && float_of_int (Oplog.tail log)
+       >= t.cfg.checkpoint_threshold *. float_of_int (Oplog.capacity log)
+  then request_checkpoint_locked t;
+  Span.seg span Span.S_lock;
+  (match (frame, members) with
+  | None, [ tk ] ->
+      let slot = tk.slot and lsn = tk.lsn in
+      t.lock.Platform.unlock ();
+      let tf = t.platform.Platform.now () in
+      Oplog.flush_record log ~slot ~lsn tk.op;
+      booked_flush t tf
   | _ ->
+      let records = match frame with Some (b, _) -> b :: members | None -> members in
+      let located = List.map (fun tk -> (tk.slot, tk.lsn, tk.op)) records in
+      t.lock.Platform.unlock ();
+      let tf = t.platform.Platform.now () in
+      Oplog.flush_batch log located;
+      booked_flush t tf);
+  t.st.records_appended <-
+    t.st.records_appended + List.length members + (if txn then 2 else 0);
+  trace_keyed t Trace.W_log_append members;
+  Span.seg span Span.S_append;
+  { members; frame }
+
+(* Steps 1–6 of one append attempt, [need] slots of log space: conflict
+   scan and wait, log-full stall, validation, builders, staging. It and
+   its helpers are top-level functions, not closures over the call, so a
+   single put's append allocates no closure on the hot path. *)
+let rec attempt t ~ignore ~span ~reads ~txn items need =
+  if need > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
+  t.lock.Platform.lock ();
+  match conflict_for ~ignore t has_key items with
+  | Some (key, tk) ->
+      t.lock.Platform.unlock ();
+      t.st.conflict_waits <- t.st.conflict_waits + 1;
+      trace t (Trace.Conflict_wait key);
+      blamed t span Span.Conflict_retry (fun () -> wait_ticket t tk);
+      attempt t ~ignore ~span ~reads ~txn items need
+  | None when Oplog.free_slots t.logs.(t.active_log) < need ->
+      if t.cfg.checkpoint = Config.No_checkpoint then begin
+        t.lock.Platform.unlock ();
+        raise Log_full
+      end;
+      request_checkpoint_locked t;
+      t.st.log_full_stalls <- t.st.log_full_stalls + 1;
+      trace t Trace.Log_full_stall;
+      (* cond wait releases and re-acquires the frontend lock *)
+      blamed t span Span.Log_full (fun () -> t.cond_space.Platform.wait t.lock);
+      t.lock.Platform.unlock ();
+      attempt t ~ignore ~span ~reads ~txn items need
+  | None -> (
+      (* OCC validation shares this lock hold with the append: no
+         conflicting record is in flight (the scan above), so a read is
+         stale exactly when a commit bumped its key's version after the
+         transaction observed it. *)
+      match match reads with Some r -> stale_read t r | None -> None with
+      | Some key ->
+          t.st.txns_aborted <- t.st.txns_aborted + 1;
+          t.lock.Platform.unlock ();
+          Error key
+      | None when items = [] ->
+          (* A read-only transaction: validation is the whole commit. *)
+          if reads <> None then t.st.txns_committed <- t.st.txns_committed + 1;
+          t.lock.Platform.unlock ();
+          Ok { members = []; frame = None }
+      | None -> (
+          match build t items with
+          | exception e ->
+              t.lock.Platform.unlock ();
+              raise e
+          | ops ->
+              let actual =
+                List.fold_left (fun acc (_, n) -> acc + n) 0 ops + if txn then 2 else 0
+              in
+              if actual > Oplog.free_slots t.logs.(t.active_log) then begin
+                (* A record outgrew its estimate (an overwrite freeing more
+                   extents than the estimate allows): wait for room for the
+                   records as built, then build them again. *)
+                t.lock.Platform.unlock ();
+                attempt t ~ignore ~span ~reads ~txn items actual
+              end
+              else Ok (stage t span ~txn items ops)))
+
+let append ?(ignore = []) ?(span = Span.none) ?reads t items =
+  let txn = reads <> None && items <> [] in
+  let estimate = List.fold_left (fun n (_, bound, _) -> n + bound) 0 items in
+  attempt t ~ignore ~span ~reads ~txn items (estimate + if txn then 2 else 0)
+
+let finish t tks =
+  trace_keyed t Trace.W_commit tks;
+  List.iter (fun tk -> Atomic.set tk.done_ true) tks
+
+let retire t tk =
+  Hashtbl.remove t.in_flight tk.lsn;
+  bump_ticket_version t tk
+
+(* Step 9, by the group's shape. A record's commit word (or, for a
+   transaction, the commit record) is located under the lock — a
+   concurrent swap may have re-homed it — and the ticket retired there
+   with its key's version bumped; the persist runs outside. Conflict
+   waiters release once the group is durable. *)
+let commit t a =
+  match (a.frame, a.members) with
+  | _, [] -> ()
+  | Some (b, c), members ->
+      let log_id, slot, lsn =
+        Platform.with_lock t.lock (fun () ->
+            List.iter (retire t) (b :: members);
+            Hashtbl.remove t.in_flight c.lsn;
+            (c.log_id, c.slot, c.lsn))
+      in
+      Oplog.flush_txn_commit t.logs.(log_id) ~slot ~lsn c.op;
+      fire_commit_hook t members;
+      t.st.txns_committed <- t.st.txns_committed + 1;
+      t.st.txn_member_records <- t.st.txn_member_records + List.length members;
+      finish t (b :: c :: members)
+  | None, [ tk ] ->
+      let log_id, slot =
+        Platform.with_lock t.lock (fun () ->
+            Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot;
+            retire t tk;
+            (tk.log_id, tk.slot))
+      in
+      Oplog.persist_slot t.logs.(log_id) ~slot;
+      fire_commit_hook t a.members;
+      finish t a.members
+  | None, tks ->
       let located =
         Platform.with_lock t.lock (fun () ->
             List.map
               (fun tk ->
                 Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot;
-                Hashtbl.remove t.in_flight tk.lsn;
-                bump_ticket_version t tk;
+                retire t tk;
                 (tk.log_id, tk.slot, Logrec.slots_needed tk.op))
               tks)
       in
+      (* One flush+fence per log over the group's contiguous slot span. *)
       let spans = Hashtbl.create 2 in
       List.iter
         (fun (log_id, slot, n) ->
@@ -1222,198 +1192,7 @@ let commit_batch t tks =
       Metrics.observe
         (Metrics.histogram t.obs.Obs.metrics "dipper.batch_fill")
         (List.length tks);
-      List.iter
-        (fun tk ->
-          (match tk.key with
-          | Some k -> trace t (Trace.Write_step (Trace.W_commit, k))
-          | None -> ());
-          Atomic.set tk.done_ true)
-        tks
-
-(* --- OCC transactions (§3.4 extended to multi-key spans) ------------------- *)
-
-(* A transaction appends its whole write-set as one contiguous log span —
-   Txn_begin, the member records, Txn_commit — staged under a single
-   frontend-lock hold (which also runs the OCC validation), then persisted
-   in two steps: the begin + members via the coalesced batch pass, and the
-   commit record alone as the span's atomic commit point. Member records
-   never receive commit words; replay visibility is governed entirely by
-   the commit record's validity (see [Oplog.resolve_txn_spans]). Every
-   span record holds an in-flight ticket until commit, so conflict scans
-   block concurrent writers on member keys and a concurrent log swap
-   re-homes the span wholesale, keeping it contiguous. *)
-
-type txn_tickets = {
-  txn_id : int;
-  frame_begin : ticket;
-  members : ticket list;
-  frame_commit : ticket;
-}
-
-let txn_members tx = tx.members
-
-let txn_stale_locked t reads =
-  List.find_opt (fun (k, v) -> version_locked t k <> v) reads
-
-(* Read-only transaction commit: validate the read-set against current
-   committed versions under the frontend lock; nothing to append. *)
-let txn_validate t ~reads =
-  Platform.with_lock t.lock (fun () ->
-      match txn_stale_locked t reads with
-      | Some (k, _) ->
-          t.st.txns_aborted <- t.st.txns_aborted + 1;
-          Error k
-      | None ->
-          t.st.txns_committed <- t.st.txns_committed + 1;
-          Ok ())
-
-let conflicting_ticket_any ?(ignore = []) t keys =
-  let keys = keyset_of keys in
-  Platform.with_lock t.lock (fun () -> conflict_for_keys ~ignore t keys)
-
-let txn_append ?(ignore_tickets = []) ?(span = Span.none) t ~reads ~items =
-  let member_slots = List.fold_left (fun acc (_, n, _) -> acc + n) 0 items in
-  let total_slots = member_slots + 2 (* begin + commit framing *) in
-  if total_slots > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
-  let keys = keyset_of (List.map (fun (key, _, _) -> key) items) in
-  let rec attempt () =
-    t.lock.Platform.lock ();
-    match conflict_for_keys ~ignore:ignore_tickets t keys with
-    | Some (key, tk) ->
-        t.lock.Platform.unlock ();
-        t.st.conflict_waits <- t.st.conflict_waits + 1;
-        trace t (Trace.Conflict_wait key);
-        if Span.live span then begin
-          let tw = t.platform.Platform.now () in
-          wait_ticket t tk;
-          Span.stall span Span.Conflict_retry (t.platform.Platform.now () - tw)
-        end
-        else wait_ticket t tk;
-        attempt ()
-    | None ->
-        if Oplog.free_slots t.logs.(t.active_log) < total_slots then begin
-          if t.cfg.checkpoint = Config.No_checkpoint then begin
-            t.lock.Platform.unlock ();
-            raise Log_full
-          end;
-          request_checkpoint_locked t;
-          t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-          trace t Trace.Log_full_stall;
-          if Span.live span then begin
-            let tw = t.platform.Platform.now () in
-            t.cond_space.Platform.wait t.lock;
-            Span.stall span Span.Log_full (t.platform.Platform.now () - tw)
-          end
-          else t.cond_space.Platform.wait t.lock;
-          t.lock.Platform.unlock ();
-          attempt ()
-        end
-        else begin
-          (* OCC validation shares this lock hold with the append: no
-             conflicting record is in flight (the scan above), so a read
-             is stale exactly when a commit bumped its key's version
-             after the transaction observed it. *)
-          match txn_stale_locked t reads with
-          | Some (key, _) ->
-              t.st.txns_aborted <- t.st.txns_aborted + 1;
-              t.lock.Platform.unlock ();
-              Error key
-          | None ->
-              let txn_id = t.next_txn in
-              t.next_txn <- txn_id + 1;
-              let log = t.logs.(t.active_log) in
-              let log_id = t.active_log in
-              let stage key op =
-                let slot, lsn =
-                  Option.get (Oplog.reserve log (Logrec.slots_needed op))
-                in
-                Oplog.write_record log ~slot ~lsn op;
-                t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
-                let tk =
-                  { lsn; log_id; slot; op; key; done_ = Atomic.make false }
-                in
-                Hashtbl.add t.in_flight lsn tk;
-                (tk, (slot, lsn, op))
-              in
-              let b =
-                stage None
-                  (Logrec.Txn_begin
-                     { txn = txn_id; members = List.length items })
-              in
-              let staged =
-                List.map
-                  (fun (key, max_slots, f) ->
-                    trace t (Trace.Write_step (Trace.W_lock, key));
-                    trace t (Trace.Write_step (Trace.W_conflict_check, key));
-                    let op = f () in
-                    assert (Logrec.slots_needed op <= max_slots);
-                    stage (Some key) op)
-                  items
-              in
-              let c = stage None (Logrec.Txn_commit { txn = txn_id }) in
-              if
-                t.cfg.checkpoint <> Config.No_checkpoint
-                && float_of_int (Oplog.tail log)
-                   >= t.cfg.checkpoint_threshold
-                      *. float_of_int (Oplog.capacity log)
-              then request_checkpoint_locked t;
-              Span.seg span Span.S_lock;
-              t.lock.Platform.unlock ();
-              (* Persist begin + members with the coalesced batch pass.
-                 The commit record's LSN word stays unwritten — the span
-                 is durable but uncommitted until [txn_commit]. *)
-              let tf = t.platform.Platform.now () in
-              Oplog.flush_batch log (snd b :: List.map snd staged);
-              t.st.append_flush_ns <-
-                t.st.append_flush_ns + (t.platform.Platform.now () - tf);
-              t.st.records_appended <-
-                t.st.records_appended + 2 + List.length staged;
-              List.iter
-                (fun (tk, _) ->
-                  match tk.key with
-                  | Some k -> trace t (Trace.Write_step (Trace.W_log_append, k))
-                  | None -> ())
-                staged;
-              Span.seg span Span.S_append;
-              Ok
-                {
-                  txn_id;
-                  frame_begin = fst b;
-                  members = List.map fst staged;
-                  frame_commit = fst c;
-                }
-        end
-  in
-  attempt ()
-
-(* Transaction step 9: locate the commit record's current home under the
-   lock (a concurrent swap may have re-homed the span), retire every span
-   ticket, bump the write-set versions, then make the commit record valid
-   — the single persist that commits the whole span. *)
-let txn_commit ?(span = Span.none) t tx =
-  let log_id, slot, lsn =
-    Platform.with_lock t.lock (fun () ->
-        List.iter
-          (fun tk ->
-            Hashtbl.remove t.in_flight tk.lsn;
-            bump_ticket_version t tk)
-          (tx.frame_begin :: tx.members);
-        let c = tx.frame_commit in
-        Hashtbl.remove t.in_flight c.lsn;
-        (c.log_id, c.slot, c.lsn))
-  in
-  Oplog.flush_txn_commit t.logs.(log_id) ~slot ~lsn tx.frame_commit.op;
-  fire_commit_hook t tx.members;
-  t.st.txns_committed <- t.st.txns_committed + 1;
-  t.st.txn_member_records <- t.st.txn_member_records + List.length tx.members;
-  List.iter
-    (fun tk ->
-      (match tk.key with
-      | Some k -> trace t (Trace.Write_step (Trace.W_commit, k))
-      | None -> ());
-      Atomic.set tk.done_ true)
-    (tx.frame_begin :: tx.frame_commit :: tx.members);
-  Span.seg span Span.S_commit
+      finish t tks
 
 (* --- physical logging capture ------------------------------------------------ *)
 

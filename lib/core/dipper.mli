@@ -93,165 +93,119 @@ val shadow_space : t -> Space.t
 (** A fresh handle on the published PMEM shadow space (the checkpoint
     target the root's [current_space] selects). *)
 
-(** {1 The write path (paper Figure 4)} *)
+(** {1 The write path (paper Figure 4)}
+
+    One entry point appends, one commits. {!append} runs the pipeline's
+    steps 1–5 for a group of records: under the frontend lock, a conflict
+    scan over the items' keys (waiting out other writers' in-flight
+    records), a log-space check (triggering a checkpoint and waiting for
+    space), the optional read-set validation, then each item's builder and
+    the staging of every record with an in-flight ticket; the flush runs
+    after the lock is released. {!commit} is step 9.
+
+    The durability protocol is not chosen by the caller: it follows from
+    the group's shape.
+    - {b With a read-set} (an OCC transaction): a [Txn_begin], members,
+      [Txn_commit] span. Begin and members are persisted by the coalesced
+      batch pass; the commit record alone is persisted by {!commit}, and
+      its validity {e is} the transaction's commit point — after a crash,
+      recovery surfaces the members iff it persisted (all-or-nothing, see
+      [Oplog.resolve_txn_spans]).
+    - {b Exactly one record}: the single-record protocol —
+      [Oplog.flush_record] to append, [Oplog.persist_slot] to commit.
+    - {b More than one record} (group commit): one coalesced flush+fence
+      over the staged slot span before the LSN stores and one after
+      ([Oplog.flush_batch]), then one [Oplog.persist_span] per log to
+      commit, instead of up to 2N + N rounds. No record of the group is
+      acknowledged durable until {!commit} returns; after a crash any
+      subset may survive, each individually valid-or-absent and
+      committed-or-not, so recovery needs no batch awareness.
+
+    So a put, a delete and an [obatch] of one op all take the single-record
+    protocol. *)
 
 val wait_readers : t -> Dstore_structs.Readcount.t -> string -> unit
 (** Poll the read count to zero (§4.4 read-write conflicts). *)
 
-val wait_write_conflict : t -> string -> unit
-(** Block while an in-flight record on this name exists — used by readers
-    for the symmetric read-after-write case. *)
+type appended
+(** An appended, uncommitted group of records. *)
 
-val locked_append :
-  ?ignore_ticket:ticket ->
+val append :
+  ?ignore:ticket list ->
   ?span:Dstore_obs.Span.t ->
-  t -> key:string -> max_slots:int -> (unit -> Logrec.op) -> ticket
-(** Steps 1–5 of the write pipeline: acquire the frontend lock; if an
-    in-flight record conflicts on [key], release and spin on its commit
-    flag, then retry; if the active log lacks [max_slots] free slots,
-    trigger a checkpoint and wait for space; otherwise run the caller's
-    builder (which finds the binding being replaced and builds the final
-    operation), append the record (uncommitted), release the lock, and
-    run the §3.4 flush protocol. Raises {!Log_full} under [No_checkpoint]
-    when the record does not fit; an exception from the builder releases
-    the lock before it propagates. With a live [span], conflict and
-    log-full waits are booked as blame intervals and the lock-hold /
-    log-append phases as segments. *)
-
-val with_frontend_lock : t -> (unit -> 'a) -> 'a
-(** Run under the pool lock without logging — for [oe = false] configs the
-    store also performs its structure updates inside {!locked_append}'s
-    callback; this entry point serves read-side uses. *)
-
-val commit : t -> ticket -> unit
-(** Step 9: persist the commit flag; conflict waiters release once the
-    record is durable. *)
-
-(** {1 Group commit}
-
-    The batched write path amortizes the per-operation flush+fence rounds:
-    a batch of N records costs two persistence rounds to append (one
-    coalesced flush+fence over the staged slot span before the LSN stores,
-    one after) and one round to commit, instead of up to 2N + N.
-
-    Durability contract: {e no operation in a batch is acknowledged
-    durable until the batch commit returns; after a crash any subset of
-    the batch may survive}. Each record keeps the single-op invariants —
-    individually valid-or-absent (reverse-order flush + CRC) and
-    individually committed-or-not — so recovery needs no batch awareness. *)
-
-val locked_append_batch :
-  ?ignore_tickets:ticket list ->
-  ?span:Dstore_obs.Span.t ->
+  ?reads:(string * int) list ->
   t ->
   (string * int * (unit -> Logrec.op)) list ->
-  ticket list
-(** Batched {!locked_append}: each item is [(key, max_slots, builder)].
-    Keys must be pairwise distinct. One frontend-lock acquisition covers
-    conflict scans, the whole-batch space check, and every builder +
-    record staging; the single coalesced flush pass runs outside the lock.
-    Tickets are returned in item order. [ignore_tickets] excludes the
-    callers' own advisory-lock records from the conflict scan. Raises
-    {!Log_full} if the batch can never fit the log ([No_checkpoint], or
-    total slots beyond capacity). *)
+  (appended, string) result
+(** [append t items] appends one record per item [(key, max_slots,
+    builder)], keys pairwise distinct, in item order. [max_slots] is the
+    caller's estimate of the record's size: the log-space wait runs
+    against the items' estimates before any builder, and the records are
+    then reserved by their actual size — a record that outgrew its
+    estimate waits for room and is built again, so a builder may run more
+    than once and each run must replace the previous one's effects. The
+    builder runs under the frontend lock after the conflict scan (it finds
+    the binding being replaced and builds the final operation); an
+    exception from it releases the lock before it propagates.
 
-val commit_batch : t -> ticket list -> unit
-(** Batched step 9: set every commit word under one lock hold, then
-    persist each log's contiguous slot span with a single flush+fence
-    (tickets are grouped by log because a concurrent swap may have
-    re-homed part of the batch). On return every ticket is durable and
+    [ignore] excludes the caller's own advisory-lock records from the
+    conflict scan. [reads], the read-set as [(key, observed version)]
+    pairs (see {!key_version}), makes the group a transaction: it is
+    validated under the same lock hold, after the conflict scan, and
+    [Error key] reports the first stale read (nothing appended, stats
+    count an abort). With [reads] and no items the call only validates
+    (a read-only transaction; its {!commit} does nothing).
+
+    Raises {!Log_full} if the group can never fit the log, or under
+    [No_checkpoint] when it does not fit now. With a live [span], conflict
+    and log-full waits are booked as blame intervals and the lock hold /
+    log append as segments. *)
+
+val commit : t -> appended -> unit
+(** Step 9, by the group's shape (see above): retire every ticket, bump
+    the committed version of every member key, persist, fire the commit
+    hook with the member records. On return the group is durable and
     conflict waiters release. *)
 
-val ticket_lsn : ticket -> int
+val members : appended -> ticket list
+(** The member tickets in item order (their operations via {!ticket_op};
+    a transaction's framing records are not members). *)
 
-(** {1 OCC transactions}
+val ticket_op : ticket -> Logrec.op
+(** The operation the ticket logged — the builder may build it from
+    under-lock state the caller wants back. *)
 
-    The engine half of [lib/txn]: a transaction's write-set is appended as
-    one contiguous log span — [Txn_begin], the member records,
-    [Txn_commit] — staged under a single frontend-lock hold that also runs
-    the OCC validation. The begin + member records are persisted by the
-    coalesced batch pass; the commit record alone is persisted by
-    {!txn_commit} and its validity {e is} the transaction's commit point:
-    after a crash, recovery surfaces the members iff the commit record
-    persisted (all-or-nothing, see [Oplog.resolve_txn_spans]). Member
-    records hold in-flight tickets until commit, so concurrent writers on
-    member keys wait exactly as for single ops and a concurrent log swap
-    re-homes the span wholesale. *)
-
-type txn_tickets
-(** An appended, uncommitted transaction span. *)
-
-val txn_members : txn_tickets -> ticket list
-(** The member tickets in item order (builders may be inspected via
-    {!ticket_op}, as with the batch path). *)
-
-val txn_append :
-  ?ignore_tickets:ticket list ->
-  ?span:Dstore_obs.Span.t ->
-  t ->
-  reads:(string * int) list ->
-  items:(string * int * (unit -> Logrec.op)) list ->
-  (txn_tickets, string) result
-(** Validate + append under one lock hold. [reads] is the read-set as
-    [(key, observed version)] pairs (see {!key_version}); [items] is the
-    write-set in {!locked_append_batch} item form (pairwise-distinct
-    keys). Conflicting in-flight records on write-set keys are waited out
-    first (same machinery as the batch path); then, still under the lock,
-    the read-set is validated against current committed versions —
-    [Error key] reports the first stale read (nothing appended, stats
-    count an abort). On [Ok], the span is staged and the begin + member
-    records are persisted; the commit record stays invalid until
-    {!txn_commit}. Raises {!Log_full} if the span can never fit. *)
-
-val txn_commit : ?span:Dstore_obs.Span.t -> t -> txn_tickets -> unit
-(** The span's commit point: retire every span ticket, bump write-set
-    versions, persist the commit record (the single line whose durability
-    commits the whole transaction), fire the commit hook with the member
-    records. On return the transaction is durable and conflict waiters
-    release. *)
-
-val txn_validate : t -> reads:(string * int) list -> (unit, string) result
-(** Read-only transaction commit: validate the read-set under the
-    frontend lock; [Error key] on the first stale read. *)
+val with_frontend_lock : t -> (unit -> 'a) -> 'a
+(** Run [f] under the frontend lock without logging: the store's
+    allocation claims and commit-time releases, which replay orders by
+    the log. *)
 
 val key_version : t -> string -> int
 (** The key's committed-version counter (bumped at every commit on the
     key). Observe it {e before} reading the value: validation then aborts
     any transaction whose read raced a commit. *)
 
-val conflicting_ticket_any :
-  ?ignore:ticket list -> t -> string list -> (string * ticket) option
-(** One-pass multi-key conflict scan (takes and releases the frontend
-    lock): the first in-flight record whose key is in the set, with its
-    key. The same single pass backs {!locked_append_batch}'s conflict
-    check and {!txn_append}'s validation — exposed for tests. *)
-
 val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
 (** Oplog span export seam (dstore_repl). The hook fires after a commit's
-    closing persist — [commit] passes its single (lsn, op) pair,
-    [commit_batch] the whole just-persisted batch, mirroring the
-    [Oplog.persist_slot]/[persist_span] span that made them durable. It
-    runs on the committing thread, outside the frontend lock, so it may
-    take locks of its own but must not call back into the engine. *)
+    closing persist with the (lsn, op) pairs of the group's members,
+    mirroring the persist that made them durable. It runs on the
+    committing thread, outside the frontend lock, so it may take locks of
+    its own but must not call back into the engine. *)
 
-val ticket_op : ticket -> Logrec.op
-(** The operation the ticket logged — [locked_append]'s callback may build
-    it from under-lock state the caller wants back. *)
-
-val conflicting_ticket : ?ignore_ticket:ticket -> t -> string -> ticket option
+val conflicting_ticket : ?ignore:ticket list -> t -> string -> ticket option
 (** The in-flight record on this name, if any (takes and releases the
-    frontend lock). [ignore_ticket] excludes one specific record — the
-    caller's own advisory-lock NOOP, so a lock holder can operate on the
-    object it locked. *)
+    frontend lock). [ignore] excludes specific records — the caller's own
+    advisory-lock NOOP, so a lock holder can operate on the object it
+    locked. The same one-pass scan backs {!append}'s conflict check. *)
 
 val conflicting_ticket_versioned :
-  ?ignore_ticket:ticket -> t -> string -> ticket option * int
+  ?ignore:ticket list -> t -> string -> ticket option * int
 (** {!conflicting_ticket} and {!key_version} in a single frontend-lock
     round: the conflict scan plus the key's committed version, observed
     atomically. Backs the hoisted single-lookup [Dstore.oget_versioned]
     (version strictly before value, no second lock acquisition). *)
 
-val wait_ticket_done : t -> ticket -> unit
+val wait_ticket : t -> ticket -> unit
 (** Spin (with backoff) until the ticket's record commits. *)
 
 (** {1 Physical logging (ablation)} *)
@@ -331,7 +285,8 @@ type stats = {
       (** Total time in the record-flush protocol (Table 3's log-flush
           component, together with commit flushes). *)
   mutable batches_committed : int;
-      (** Group commits completed ({!commit_batch} calls). *)
+      (** Group commits completed ({!commit} of more than one record,
+          outside transactions). *)
   mutable batch_records : int;
       (** Records committed through group commits — [batch_records /
           batches_committed] is the mean batch fill (full distribution in

@@ -88,7 +88,7 @@ type t = {
   struct_lock : Platform.mutex;
       (* Serializes index/metadata updates when [oe = false]; unused (no
          contention) when observational equivalence is on. *)
-  held_locks : (string, ctx_id * Dipper.ticket) Hashtbl.t;
+  held_locks : (string, ctx_id * Dipper.appended) Hashtbl.t;
   locks_guard : Mutex.t;
   mutable collect_breakdown : bool;
   bd : breakdown;
@@ -378,11 +378,39 @@ let own_lock ctx name =
   Mutex.lock t.locks_guard;
   let r =
     match Hashtbl.find_opt t.held_locks name with
-    | Some (owner, tk) when owner = ctx.id -> Some tk
-    | _ -> None
+    | Some (owner, a) when owner = ctx.id -> Dipper.members a
+    | _ -> []
   in
   Mutex.unlock t.locks_guard;
   r
+
+let rec own_locks ctx = function
+  | [] -> []
+  | (key, _, _) :: rest -> own_lock ctx key @ own_locks ctx rest
+
+(* Append [items] past the caller's own advisory locks on their keys. *)
+let append_items ?span ?reads ctx items =
+  Dipper.append ~ignore:(own_locks ctx items) ?span ?reads ctx.store.engine items
+
+(* The records of an appended group, in item order. *)
+let ops_of a = List.map Dipper.ticket_op (Dipper.members a)
+
+(* [append_items] without a read-set, where validation cannot fail. *)
+let append ?span ctx items =
+  match append_items ?span ctx items with
+  | Ok a -> (a, ops_of a)
+  | Error _ -> assert false
+
+(* One record whose builder claims ids under the lock ([oopen], [owrite]).
+   The engine builds a record again when it outgrew its estimate, so each
+   build first runs [release] (give back the previous build's claim, then
+   forget it); an append that raises gives back the last build's claim. *)
+let append_claiming ?span ctx key max_slots ~release build =
+  match append ?span ctx [ (key, max_slots, fun () -> release (); build ()) ] with
+  | r -> r
+  | exception e ->
+      Dipper.with_frontend_lock ctx.store.engine release;
+      raise e
 
 (* With observational equivalence (the default), index and metadata updates
    by non-conflicting requests run fully in parallel; the [oe = false]
@@ -483,7 +511,9 @@ let release_freed t freed_meta freed_extents =
         free_extents t freed_extents;
         if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta)
 
-(* Worst-case record size, computable before taking the lock. *)
+(* A put's record-size estimate for the append's log-space wait, computable
+   before taking the lock. An overwrite of an object split across more
+   extents can outgrow it; the append then sizes the record as built. *)
 let put_max_slots key nblocks =
   let worst =
     Logrec.Put
@@ -700,7 +730,7 @@ let max_slots_of t = function
   | Sput { key; value; _ } -> put_max_slots key (blocks_for t (Bytes.length value))
   | Sdelete key -> put_max_slots key 1
 
-(* A staged op as a batched-append item. *)
+(* A staged op as an append item. *)
 let append_item t s = (staged_key s, max_slots_of t s, fun () -> record_of t s)
 
 let put_structures t key meta size extents =
@@ -745,23 +775,20 @@ let release_posts t posts =
   List.iter (Option.iter (fun (m, e) -> release_freed t m e)) posts
 
 let oput_logical ctx t span key value size =
-  let ignore_ticket = own_lock ctx key in
   let t0 = now t in
   (* Steps 4 and 8, staged. Table 3 books the whole staging round as
      NVMe time: the allocation in it costs no modeled time. *)
   let staged = stage ~span t [ Bput (key, value) ] in
-  let s = List.hd staged in
   let t4 = now t in
   (* Steps 1-3 and 5: lock, conflict scan, find the old binding, log. *)
-  let ticket =
+  let a, ops =
     unstage_on_error t staged (fun () ->
-        Dipper.locked_append ?ignore_ticket ~span t.engine ~key
-          ~max_slots:(max_slots_of t s) (fun () -> record_of t s))
+        append ~span ctx [ append_item t (List.hd staged) ])
   in
   let t5 = now t in
   let meta, extents, freed_meta, freed_extents =
-    match Dipper.ticket_op ticket with
-    | Logrec.Put { meta; extents; freed_meta; freed_extents; _ } ->
+    match ops with
+    | [ Logrec.Put { meta; extents; freed_meta; freed_extents; _ } ] ->
         (meta, extents, freed_meta, freed_extents)
     | _ -> assert false
   in
@@ -774,7 +801,7 @@ let oput_logical ctx t span key value size =
   Span.seg span Span.S_structs;
   (* Step 9: commit and flush, then release the replaced allocation. *)
   let t9 = now t in
-  Dipper.commit t.engine ticket;
+  Dipper.commit t.engine a;
   Span.seg span Span.S_fence;
   release_freed t freed_meta freed_extents;
   if t.collect_breakdown then begin
@@ -787,42 +814,47 @@ let oput_logical ctx t span key value size =
 (* Physical-logging put (Figure 9 naïve baseline): allocations, structure
    updates and releases all run inside the critical section under write
    capture; the record carries redo images of every modified byte range.
-   Intended for the write-only ablation workload (see DESIGN.md). *)
+   Intended for the write-only ablation workload (see DESIGN.md). Its
+   builder applies what it logs, so it must not run twice: the images of
+   the ablation's small puts stay far below the quarter-log estimate, and
+   a record that outgrew it (so [Dipper.append] would build it again)
+   fails here rather than applying its updates a second time. *)
 let oput_physical ctx t key value size =
   let nblocks = blocks_for t size in
-  let ignore_ticket = own_lock ctx key in
   let data_extents = ref [] in
-  let ticket =
-    Dipper.locked_append ?ignore_ticket t.engine ~key ~max_slots:(t.cfg.log_slots / 4)
-      (fun () ->
-        let images =
-          Dipper.capture_writes t.engine (fun () ->
-              let freed_meta, freed_extents =
-                match Btree.find t.h.btree key with
-                | Some old_meta ->
-                    let _, exts = Metazone.read_object t.h.zone old_meta in
-                    (old_meta, of_mz exts)
-                | None -> (-1, [])
-              in
-              let extents = alloc_blocks t nblocks in
-              let meta = alloc_meta t in
-              data_extents := extents;
-              t.platform.Platform.consume
-                (t.cfg.costs.meta_ns + t.cfg.costs.btree_ns);
-              Metazone.write_object t.h.zone meta ~size (to_mz extents);
-              ignore (Btree.insert t.h.btree key meta);
-              if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta;
-              List.iter
-                (fun (s, l) ->
-                  for b = s to s + l - 1 do
-                    Bitpool.free t.h.blockpool b
-                  done)
-                freed_extents)
-        in
-        Logrec.Phys { images })
+  let built = ref false in
+  let build () =
+    if !built then failwith "Dstore.oput_physical: record outgrew its estimate";
+    built := true;
+    let images =
+      Dipper.capture_writes t.engine (fun () ->
+          let freed_meta, freed_extents =
+            match Btree.find t.h.btree key with
+            | Some old_meta ->
+                let _, exts = Metazone.read_object t.h.zone old_meta in
+                (old_meta, of_mz exts)
+            | None -> (-1, [])
+          in
+          let extents = alloc_blocks t nblocks in
+          let meta = alloc_meta t in
+          data_extents := extents;
+          t.platform.Platform.consume
+            (t.cfg.costs.meta_ns + t.cfg.costs.btree_ns);
+          Metazone.write_object t.h.zone meta ~size (to_mz extents);
+          ignore (Btree.insert t.h.btree key meta);
+          if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta;
+          List.iter
+            (fun (s, l) ->
+              for b = s to s + l - 1 do
+                Bitpool.free t.h.blockpool b
+              done)
+            freed_extents)
+    in
+    Logrec.Phys { images }
   in
+  let a, _ = append ctx [ (key, t.cfg.log_slots / 4, build) ] in
   write_data t !data_extents value size;
-  Dipper.commit t.engine ticket
+  Dipper.commit t.engine a
 
 (* [?span] lets a wrapper (the replication façade) own the span's
    lifecycle: the engine books its segments and stalls into the caller's
@@ -855,18 +887,16 @@ let oput ?span ctx key value =
 let rec read_entry ?(span = Span.none) ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
-  match
-    Dipper.conflicting_ticket ?ignore_ticket:(own_lock ctx key) t.engine key
-  with
+  match Dipper.conflicting_ticket ~ignore:(own_lock ctx key) t.engine key with
   | None -> ()
   | Some tk ->
       Readcount.exit_reader t.rc key;
       (if Span.live span then begin
          let tw = now t in
-         Dipper.wait_ticket_done t.engine tk;
+         Dipper.wait_ticket t.engine tk;
          Span.stall span Span.Conflict_retry (now t - tw)
        end
-       else Dipper.wait_ticket_done t.engine tk);
+       else Dipper.wait_ticket t.engine tk);
       read_entry ~span ctx key
 
 let read_exit t key = Readcount.exit_reader t.rc key
@@ -1022,24 +1052,18 @@ let odelete ?span:caller_span ctx key =
     Metrics.observe t.h_del (now t - tstart);
     r
   in
-  let s = Sdelete key in
-  let ticket =
-    Dipper.locked_append
-      ?ignore_ticket:(own_lock ctx key)
-      ~span t.engine ~key ~max_slots:(max_slots_of t s)
-      (fun () -> record_of t s)
-  in
-  match Dipper.ticket_op ticket with
-  | Logrec.Noop _ ->
-      Dipper.commit t.engine ticket;
+  let a, ops = append ~span ctx [ append_item t (Sdelete key) ] in
+  match ops with
+  | [ Logrec.Noop _ ] ->
+      Dipper.commit t.engine a;
       Span.seg span Span.S_fence;
       observe_done false
-  | Logrec.Delete { meta; extents; _ } ->
+  | [ Logrec.Delete { meta; extents; _ } ] ->
       Dipper.wait_readers t.engine t.rc key;
       Span.seg span Span.S_ticket;
       delete_structures t key;
       Span.seg span Span.S_structs;
-      Dipper.commit t.engine ticket;
+      Dipper.commit t.engine a;
       Span.seg span Span.S_fence;
       release_freed t meta extents;
       observe_done true
@@ -1078,29 +1102,20 @@ let split_batches t staged =
   flush ();
   List.rev !out
 
-(* One sub-batch (distinct keys), already staged: one batched append,
-   steps 6–7 per op, one batch commit, then the commit-time releases. If
-   the append raises, the claims of this sub-batch and of the [later]
-   ones go back. *)
+(* One sub-batch (distinct keys), already staged: one append, steps 6–7
+   per op, one commit, then the commit-time releases. If the append
+   raises, the claims of this sub-batch and of the [later] ones go back. *)
 let exec_sub_batch ctx t span ~later sub =
-  let ignore_tickets =
-    List.filter_map (fun s -> own_lock ctx (staged_key s)) sub
-  in
-  let tickets =
-    match
-      Dipper.locked_append_batch ~ignore_tickets ~span t.engine
-        (List.map (append_item t) sub)
-    with
-    | tks -> tks
+  let a, ops =
+    match append ~span ctx (List.map (append_item t) sub) with
+    | r -> r
     | exception e ->
         unstage t (sub @ later);
         raise e
   in
-  let posts =
-    List.map2 (fun s tk -> apply_appended t s (Dipper.ticket_op tk)) sub tickets
-  in
+  let posts = List.map2 (apply_appended t) sub ops in
   Span.seg span Span.S_structs;
-  Dipper.commit_batch t.engine tickets;
+  Dipper.commit t.engine a;
   Span.seg span Span.S_commit;
   release_posts t posts;
   List.map Option.is_some posts
@@ -1177,17 +1192,22 @@ let oopen ctx name ?(create = true) mode =
   (match (exists, create, mode) with
   | true, _, _ -> ()
   | false, true, (Wr | Rdwr) ->
-      let ticket =
-        Dipper.locked_append
-          ?ignore_ticket:(own_lock ctx name)
-          t.engine ~key:name ~max_slots:4 (fun () ->
+      let claimed = ref (-1) in
+      let release () =
+        if !claimed >= 0 then Bitpool.free t.h.metapool !claimed;
+        claimed := -1
+      in
+      let a, ops =
+        append_claiming ctx name 4 ~release (fun () ->
             (* Re-check under the lock: a racing oopen may have created it. *)
             match Btree.find t.h.btree name with
             | Some _ -> Logrec.Noop { key = name }
-            | None -> Logrec.Create { key = name; meta = alloc_meta t })
+            | None ->
+                claimed := alloc_meta t;
+                Logrec.Create { key = name; meta = !claimed })
       in
-      (match Dipper.ticket_op ticket with
-      | Logrec.Create { meta; _ } ->
+      (match ops with
+      | [ Logrec.Create { meta; _ } ] ->
           Dipper.wait_readers t.engine t.rc name;
           with_structs t (fun () ->
               t.platform.Platform.consume
@@ -1196,7 +1216,7 @@ let oopen ctx name ?(create = true) mode =
               ignore (Btree.insert t.h.btree name meta));
           cache_invalidate t name
       | _ -> ());
-      Dipper.commit t.engine ticket
+      Dipper.commit t.engine a
   | false, _, _ -> raise (Object_not_found name));
   {
     octx = ctx;
@@ -1317,11 +1337,14 @@ let owrite ?span:caller_span o buf ~size ~off =
       | None -> (Span.start t.obs.Obs.spans Span.Write name, true)
     in
     let plan = ref None in
-    let ticket =
-      Dipper.locked_append
-        ?ignore_ticket:(own_lock o.octx name)
-        ~span t.engine ~key:name
-        ~max_slots:(put_max_slots name (blocks_for t size + 1))
+    let release () =
+      Option.iter (fun (_, _, new_extents, _) -> free_extents t new_extents) !plan;
+      plan := None
+    in
+    let a, ops =
+      append_claiming ~span o.octx name
+        (put_max_slots name (blocks_for t size + 1))
+        ~release
         (fun () ->
           let meta =
             match Btree.find t.h.btree name with
@@ -1348,8 +1371,8 @@ let owrite ?span:caller_span o buf ~size ~off =
     (* Partial overwrite (even the in-place NOOP case rewrites SSD
        bytes): the cached whole-object copy is stale either way. *)
     cache_invalidate t name;
-    (match Dipper.ticket_op ticket with
-    | Logrec.Write _ ->
+    (match ops with
+    | [ Logrec.Write _ ] ->
         with_structs t (fun () ->
             t.platform.Platform.consume t.cfg.costs.meta_ns;
             if new_extents <> [] then
@@ -1377,7 +1400,7 @@ let owrite ?span:caller_span o buf ~size ~off =
         ~count:1
     done;
     Span.seg span Span.S_data;
-    Dipper.commit t.engine ticket;
+    Dipper.commit t.engine a;
     Span.seg span Span.S_fence;
     if owned then Span.finish span;
     Metrics.observe t.h_write (now t - tstart);
@@ -1389,14 +1412,9 @@ let owrite ?span:caller_span o buf ~size ~off =
 let olock ctx name =
   check_ctx ctx;
   let t = ctx.store in
-  let ticket =
-    Dipper.locked_append
-      ?ignore_ticket:(own_lock ctx name)
-      t.engine ~key:name ~max_slots:2 (fun () ->
-        Logrec.Noop { key = name })
-  in
+  let a, _ = append ctx [ (name, 2, fun () -> Logrec.Noop { key = name }) ] in
   Mutex.lock t.locks_guard;
-  Hashtbl.replace t.held_locks name (ctx.id, ticket);
+  Hashtbl.replace t.held_locks name (ctx.id, a);
   Mutex.unlock t.locks_guard
 
 let ounlock ctx name =
@@ -1407,14 +1425,10 @@ let ounlock ctx name =
   Hashtbl.remove t.held_locks name;
   Mutex.unlock t.locks_guard;
   match entry with
-  | Some (_, tk) -> Dipper.commit t.engine tk
+  | Some (_, a) -> Dipper.commit t.engine a
   | None -> invalid_arg (Printf.sprintf "DStore.ounlock: %S is not locked" name)
 
 (* --- OCC transaction write path (backend of lib/txn) --------------------------- *)
-
-type txn_write = Tput of string * Bytes.t | Tdelete of string
-
-let txn_write_key = function Tput (k, _) -> k | Tdelete k -> k
 
 let key_version ctx key =
   check_ctx ctx;
@@ -1428,18 +1442,17 @@ let rec read_entry_versioned ?(span = Span.none) ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
   match
-    Dipper.conflicting_ticket_versioned
-      ?ignore_ticket:(own_lock ctx key) t.engine key
+    Dipper.conflicting_ticket_versioned ~ignore:(own_lock ctx key) t.engine key
   with
   | None, v -> v
   | Some tk, _ ->
       Readcount.exit_reader t.rc key;
       (if Span.live span then begin
          let tw = now t in
-         Dipper.wait_ticket_done t.engine tk;
+         Dipper.wait_ticket t.engine tk;
          Span.stall span Span.Conflict_retry (now t - tw)
        end
-       else Dipper.wait_ticket_done t.engine tk);
+       else Dipper.wait_ticket t.engine tk);
       read_entry_versioned ~span ctx key
 
 (* Version BEFORE value: if a commit lands between the two reads, the
@@ -1476,11 +1489,11 @@ let oget_versioned ?span ctx key =
 
 (* Commit a transaction's buffered write-set against its read-set.
    Validation comes before any device work: [claim] the allocations, then
-   [Dipper.txn_append] (conflict scan, OCC validation and span staging
-   under one lock hold, then the begin + members flush), and only on
-   success write the SSD payloads. An aborted attempt therefore does no
-   SSD I/O and needs only [unstage]'s in-memory frees. Crash-safe because
-   the span stays uncommitted until [Dipper.txn_commit] persists its
+   [Dipper.append] with the read-set (conflict scan, OCC validation and
+   span staging under one lock hold, then the begin + members flush), and
+   only on success write the SSD payloads. An aborted attempt therefore
+   does no SSD I/O and needs only [unstage]'s in-memory frees. Crash-safe
+   because the span stays uncommitted until [Dipper.commit] persists its
    commit record — after every payload write has returned — and
    recovery drops a span without one. The price is that the span's
    in-flight tickets are held across the payload writes, so concurrent
@@ -1495,37 +1508,25 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   match writes with
   | [] ->
       (* Read-only transaction: validation is the whole commit. *)
-      Dipper.txn_validate t.engine ~reads
+      Result.map ignore (append_items ~reads ctx [])
   | _ -> (
-      let ignore_tickets =
-        List.filter_map (fun w -> own_lock ctx (txn_write_key w)) writes
-      in
-      let staged =
-        claim t
-          (List.map
-             (function Tput (k, v) -> Bput (k, v) | Tdelete k -> Bdelete k)
-             writes)
-      in
+      let staged = claim t writes in
       Span.seg span Span.S_stage;
       match
         unstage_on_error t staged (fun () ->
-            Dipper.txn_append ~ignore_tickets ~span t.engine ~reads
-              ~items:(List.map (append_item t) staged))
+            append_items ~span ~reads ctx (List.map (append_item t) staged))
       with
       | Error key ->
           (* Stale read: nothing was appended or written. *)
           unstage t staged;
           Error key
-      | Ok tx ->
+      | Ok a ->
           write_payloads ~span t staged;
           Span.seg span Span.S_data;
-          let posts =
-            List.map2
-              (fun s tk -> apply_appended t s (Dipper.ticket_op tk))
-              staged (Dipper.txn_members tx)
-          in
+          let posts = List.map2 (apply_appended t) staged (ops_of a) in
           Span.seg span Span.S_structs;
-          Dipper.txn_commit ~span t.engine tx;
+          Dipper.commit t.engine a;
+          Span.seg span Span.S_commit;
           release_posts t posts;
           Ok ())
 

@@ -159,7 +159,9 @@ val oexists : ctx -> string -> bool
 
     Durability contract: {e no operation in a batch is acknowledged
     durable until the batch call returns; after a crash any subset of the
-    batch may survive}, each member individually valid-or-absent. Batches
+    batch may survive}, each member individually valid-or-absent. A
+    (sub-)batch of one op is committed exactly like [oput] or [odelete],
+    with the single-record flush protocol. Batches
     with repeated keys are split into sub-batches at each repeat (a
     record's freed ids must predate its batch), so a pathological batch
     degrades gracefully toward per-op commits. *)
@@ -222,11 +224,6 @@ val ounlock : ctx -> string -> unit
     ([Txn_begin], members, [Txn_commit] — see [Dipper]). The user-facing
     handle with buffering and retry lives in [Dstore_txn]. *)
 
-type txn_write = Tput of string * Bytes.t | Tdelete of string
-(** A buffered write-set entry. *)
-
-val txn_write_key : txn_write -> string
-
 val key_version : ctx -> string -> int
 (** The key's committed-version counter (see [Dipper.key_version]). *)
 
@@ -247,7 +244,7 @@ val txn_commit_writes :
   ?span:Dstore_obs.Span.t ->
   ctx ->
   reads:(string * int) list ->
-  writes:txn_write list ->
+  writes:batch_op list ->
   (unit, string) result
 (** Atomically commit [writes] provided every [(key, version)] in [reads]
     still matches the committed state. Keys in [writes] must be pairwise

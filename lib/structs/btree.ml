@@ -41,33 +41,33 @@ let link t n = (m t).Mem.get_u64 (n + 8)
 
 let set_link t n v = (m t).Mem.set_u64 (n + 8) v
 
-let cell t n i = n + cells_off + (i * cell_bytes)
+let cell n i = n + cells_off + (i * cell_bytes)
 
-let cell_koff t n i = (m t).Mem.get_u64 (cell t n i)
+let cell_koff t n i = (m t).Mem.get_u64 (cell n i)
 
-let cell_value t n i = (m t).Mem.get_u64 (cell t n i + 8)
+let cell_value t n i = (m t).Mem.get_u64 (cell n i + 8)
 
-let cell_klen t n i = (m t).Mem.get_u16 (cell t n i + 16)
+let cell_klen t n i = (m t).Mem.get_u16 (cell n i + 16)
 
 let set_cell t n i ~koff ~klen ~value =
-  let c = cell t n i in
+  let c = cell n i in
   (m t).Mem.set_u64 c koff;
   (m t).Mem.set_u64 (c + 8) value;
   (m t).Mem.set_u16 (c + 16) klen
 
-let set_cell_value t n i v = (m t).Mem.set_u64 (cell t n i + 8) v
+let set_cell_value t n i v = (m t).Mem.set_u64 (cell n i + 8) v
 
 (* Shift cells [i, nkeys) right by one slot to open slot i. *)
 let open_slot t n i =
   let k = nkeys t n in
   if k > i then
-    (m t).Mem.blit_within ~src:(cell t n i) ~dst:(cell t n (i + 1))
+    (m t).Mem.blit_within ~src:(cell n i) ~dst:(cell n (i + 1))
       ~len:((k - i) * cell_bytes)
 
 let close_slot t n i =
   let k = nkeys t n in
   if k - 1 > i then
-    (m t).Mem.blit_within ~src:(cell t n (i + 1)) ~dst:(cell t n i)
+    (m t).Mem.blit_within ~src:(cell n (i + 1)) ~dst:(cell n i)
       ~len:((k - 1 - i) * cell_bytes)
 
 (* --- keys ------------------------------------------------------------ *)
@@ -166,7 +166,7 @@ let split_child t parent ipos child =
     if tag t child = tag_leaf then begin
       let half = k / 2 in
       let moved = k - half in
-      (m t).Mem.blit_within ~src:(cell t child half) ~dst:(cell t right 0)
+      (m t).Mem.blit_within ~src:(cell child half) ~dst:(cell right 0)
         ~len:(moved * cell_bytes);
       set_nkeys t right moved;
       set_nkeys t child half;
@@ -180,7 +180,7 @@ let split_child t parent ipos child =
     else begin
       let mid = k / 2 in
       let moved = k - mid - 1 in
-      (m t).Mem.blit_within ~src:(cell t child (mid + 1)) ~dst:(cell t right 0)
+      (m t).Mem.blit_within ~src:(cell child (mid + 1)) ~dst:(cell right 0)
         ~len:(moved * cell_bytes);
       set_nkeys t right moved;
       set_link t right (cell_value t child mid);

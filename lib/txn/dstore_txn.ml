@@ -30,7 +30,7 @@ type state = Active | Committed | Aborted
 type t = {
   ctx : Dstore.ctx;
   reads : (string, int) Hashtbl.t;
-  mutable writes : (string * Dstore.txn_write) list;  (* first-touch order *)
+  mutable writes : (string * Dstore.batch_op) list;  (* first-touch order *)
   mutable state : state;
   span : Span.t;  (* the [txn] wrapper's, or [Span.none] *)
 }
@@ -58,8 +58,8 @@ let set_write tx key w =
 let get tx key =
   check tx;
   match List.assoc_opt key tx.writes with
-  | Some (Dstore.Tput (_, v)) -> Some (Bytes.copy v)
-  | Some (Dstore.Tdelete _) -> None
+  | Some (Dstore.Bput (_, v)) -> Some (Bytes.copy v)
+  | Some (Dstore.Bdelete _) -> None
   | None ->
       let v, value = Dstore.oget_versioned ~span:tx.span tx.ctx key in
       if not (Hashtbl.mem tx.reads key) then Hashtbl.replace tx.reads key v;
@@ -67,11 +67,11 @@ let get tx key =
 
 let put tx key value =
   check tx;
-  set_write tx key (Dstore.Tput (key, Bytes.copy value))
+  set_write tx key (Dstore.Bput (key, Bytes.copy value))
 
 let delete tx key =
   check tx;
-  set_write tx key (Dstore.Tdelete key)
+  set_write tx key (Dstore.Bdelete key)
 
 let abort tx =
   check tx;

@@ -43,14 +43,6 @@ let bucket_high t i =
     let sub_idx = i land ((1 lsl sub) - 1) in
     ((((1 lsl sub) + sub_idx + 1) lsl (half - 1)) - 1)
 
-let bucket_mid t i =
-  let sub = t.sub_bits in
-  if i < 1 lsl sub then float_of_int i
-  else
-    let high = bucket_high t i in
-    let width = 1 lsl ((i lsr sub) - 1) in
-    float_of_int high -. (float_of_int (width - 1) /. 2.0)
-
 let record_n t v n =
   let v = if v < 0 then 0 else v in
   let i = index t v in

@@ -203,7 +203,7 @@ let test_store_coherence () =
         (Dstore.oget ctx "k");
       (match
          Dstore.txn_commit_writes ctx ~reads:[]
-           ~writes:[ Dstore.Tput ("k", bs "v4") ]
+           ~writes:[ Dstore.Bput ("k", bs "v4") ]
        with
       | Ok () -> ()
       | Error e -> Alcotest.failf "txn commit: %s" e);

@@ -1069,6 +1069,70 @@ let test_owrite_vanished_object_releases_lock () =
       Dstore.oput ctx "after" (value_of_string "ok");
       Alcotest.(check bool) "store still writable" true (Dstore.oexists ctx "after"))
 
+(* Fragment a 128-block SSD into 60 one-block holes, then put "X" at 60
+   pages, so X's binding spans dozens of extents: an overwrite of X frees
+   far more extents than a one-block put's record estimate allows for. *)
+let fragmented_cfg = { small_cfg with ssd_blocks = 128; log_slots = 1024 }
+
+let holes st ctx =
+  let ps = Dstore.page_bytes st in
+  for i = 0 to 119 do
+    Dstore.oput ctx (Printf.sprintf "o%03d" i) (big_value i ps)
+  done;
+  for i = 0 to 59 do
+    ignore (Dstore.odelete ctx (Printf.sprintf "o%03d" (2 * i)))
+  done
+
+let fragment st ctx =
+  holes st ctx;
+  Dstore.oput ctx "X" (big_value 200 (60 * Dstore.page_bytes st));
+  let i = Dstore.internals st in
+  let _, extents =
+    Dstore_structs.Metazone.read_object i.Dstore.i_zone
+      (Option.get (Dstore_structs.Btree.find i.Dstore.i_btree "X"))
+  in
+  Alcotest.(check bool) "X is fragmented" true (List.length extents >= 40)
+
+let test_overwrite_frees_many_extents () =
+  with_store ~cfg:fragmented_cfg (fun _ st ctx ->
+      fragment st ctx;
+      Dstore.oput ctx "X" (value_of_string "y");
+      check Alcotest.string "new value" "y"
+        (Bytes.to_string (Option.get (Dstore.oget ctx "X")));
+      (* Live: 60 one-block objects and the one-block X. *)
+      let i = Dstore.internals st in
+      check Alcotest.int "blocks match live objects" 61
+        (Dstore_structs.Bitpool.allocated i.Dstore.i_blockpool);
+      check Alcotest.int "meta ids match live objects" 61
+        (Dstore_structs.Bitpool.allocated i.Dstore.i_metapool))
+
+(* The same outgrown records when the log has room for their estimate but
+   not for the records as built: under [No_checkpoint] the append raises
+   [Log_full] and every id claimed for it — the put's staged ids, the
+   blocks [owrite]'s builder took — goes back. *)
+let test_outgrown_record_log_full_all_or_nothing () =
+  let cfg = { fragmented_cfg with checkpoint = Config.No_checkpoint } in
+  let fill_log st ctx =
+    let free () = Oplog.free_slots (Dipper.log_handles (Dstore.engine st)).(0) in
+    (* A delete of an absent key logs a one-slot Noop and claims nothing. *)
+    while free () >= 6 do
+      ignore (Dstore.odelete ctx "absent")
+    done
+  in
+  with_store ~cfg (fun _ st ctx ->
+      fragment st ctx;
+      fill_log st ctx;
+      check_rejected st ctx (fun () -> Dstore.oput ctx "X" (value_of_string "z")));
+  with_store ~cfg (fun _ st ctx ->
+      holes st ctx;
+      let o = Dstore.oopen ctx "W" Dstore.Wr in
+      fill_log st ctx;
+      check_rejected st ctx (fun () ->
+          (* A sparse write: 61 blocks, mostly one-block holes. *)
+          ignore
+            (Dstore.owrite o (value_of_string "w") ~size:1
+               ~off:(60 * Dstore.page_bytes st))))
+
 (* The payload is written before the log append, so a read of the same
    key issued while the put's payload is on its way to the SSD finds no
    in-flight record: it reads the old value without a conflict stall. *)
@@ -1114,9 +1178,12 @@ let test_obatch_duplicate_keys_one_payload_round () =
       check Alcotest.bytes "last write wins" (big_value 6 4096)
         (Option.get (Dstore.oget ctx "K")))
 
-(* Staging moves no PMEM traffic: one uncontended 4 KB put (fresh key,
-   then overwrite) costs exactly the fences, flush calls and flushed
-   bytes of the unstaged pipeline. *)
+(* The flush protocol each call takes, pinned as exact (fences, flush
+   calls, flushed bytes): one record costs two rounds (append + commit
+   word), a multi-record group three (two coalesced append rounds + one
+   commit span), a transaction three (two append rounds + its commit
+   record), a read-only transaction none. Staging moves no PMEM traffic,
+   and a one-op [obatch] takes the single-record protocol, like [oput]. *)
 let test_put_pmem_cost_unchanged () =
   with_store (fun fx _ ctx ->
       let cost f =
@@ -1127,11 +1194,38 @@ let test_put_pmem_cost_unchanged () =
         f ();
         (st.Pmem.fence_calls - f0, st.Pmem.flush_calls - c0, st.Pmem.bytes_flushed - b0)
       in
-      let triple = Alcotest.(triple int int int) in
-      check triple "fresh put: fences, flushes, bytes" (2, 2, 128)
-        (cost (fun () -> Dstore.oput ctx "p" (big_value 7 4096)));
-      check triple "overwrite: fences, flushes, bytes" (2, 2, 128)
-        (cost (fun () -> Dstore.oput ctx "p" (big_value 8 4096))))
+      let put k seed = Dstore.Bput (k, big_value seed 4096) in
+      List.iter
+        (fun (name, expected, f) ->
+          check Alcotest.(triple int int int) (name ^ ": fences, flushes, bytes") expected
+            (cost f))
+        [
+          ("fresh put", (2, 2, 128), fun () -> Dstore.oput ctx "p" (big_value 7 4096));
+          ("overwrite", (2, 2, 128), fun () -> Dstore.oput ctx "p" (big_value 8 4096));
+          ("one-op obatch", (2, 2, 128), fun () -> ignore (Dstore.obatch ctx [ put "b0" 9 ]));
+          ( "four-op obatch",
+            (3, 3, 768),
+            fun () ->
+              ignore
+                (Dstore.obatch ctx
+                   (List.init 4 (fun i -> put (Printf.sprintf "b%d" (i + 1)) (10 + i)))) );
+          ("delete live", (2, 2, 128), fun () -> ignore (Dstore.odelete ctx "b0"));
+          ( "olock + ounlock",
+            (2, 2, 128),
+            fun () ->
+              Dstore.olock ctx "p";
+              Dstore.ounlock ctx "p" );
+          ( "two-key txn",
+            (3, 3, 448),
+            fun () ->
+              ignore
+                (Dstore_txn.txn ctx (fun tx ->
+                     Dstore_txn.put tx "t1" (big_value 20 4096);
+                     Dstore_txn.put tx "t2" (big_value 21 4096))) );
+          ( "read-only txn",
+            (0, 0, 0),
+            fun () -> ignore (Dstore_txn.txn ctx (fun tx -> ignore (Dstore_txn.get tx "t1"))) );
+        ])
 
 (* --- OCC transactions ---------------------------------------------------- *)
 
@@ -1333,38 +1427,38 @@ let test_txn_readonly_validates () =
       check Alcotest.int "nothing appended" appended0
         (Dipper.stats (Dstore.engine st)).Dipper.records_appended)
 
-(* Satellite: the hoisted one-pass conflict scan, pinned via its test
-   seam. A staged txn span holds in-flight tickets on its member keys;
-   one scan must find them, the ignore list must exclude them, and commit
-   must retire them. *)
+(* The one-pass conflict scan, pinned via its test seam. An appended txn
+   span holds in-flight tickets on its member keys; the scan must find
+   them, the ignore list must exclude them, and commit must retire them. *)
 let test_conflict_scan_one_pass () =
   with_store (fun _ st ctx ->
       Dstore.oput ctx "cs1" (value_of_string "x");
       let e = Dstore.engine st in
-      let tx =
+      let a =
         match
-          Dipper.txn_append e ~reads:[]
-            ~items:
-              [
-                ("cs1", 1, fun () -> Logrec.Noop { key = "cs1" });
-                ("cs2", 1, fun () -> Logrec.Noop { key = "cs2" });
-              ]
+          Dipper.append e ~reads:[]
+            [
+              ("cs1", 1, fun () -> Logrec.Noop { key = "cs1" });
+              ("cs2", 1, fun () -> Logrec.Noop { key = "cs2" });
+            ]
         with
-        | Ok tx -> tx
+        | Ok a -> a
         | Error k -> Alcotest.failf "unexpected stale read on %s" k
       in
-      (match Dipper.conflicting_ticket_any e [ "cs2"; "unrelated" ] with
-      | Some (k, _) -> check Alcotest.string "in-flight member found" "cs2" k
+      (match Dipper.conflicting_ticket e "cs2" with
+      | Some tk ->
+          Alcotest.(check bool) "in-flight member found" true
+            (List.memq tk (Dipper.members a))
       | None -> Alcotest.fail "in-flight member not found");
-      Alcotest.(check bool) "unrelated keys clean" true
-        (Dipper.conflicting_ticket_any e [ "unrelated" ] = None);
+      Alcotest.(check bool) "unrelated key clean" true
+        (Dipper.conflicting_ticket e "unrelated" = None);
       Alcotest.(check bool) "ignore list excludes own tickets" true
-        (Dipper.conflicting_ticket_any ~ignore:(Dipper.txn_members tx) e
-           [ "cs1"; "cs2" ]
-        = None);
-      Dipper.txn_commit e tx;
+        (List.for_all
+           (fun k -> Dipper.conflicting_ticket ~ignore:(Dipper.members a) e k = None)
+           [ "cs1"; "cs2" ]);
+      Dipper.commit e a;
       Alcotest.(check bool) "tickets retired by commit" true
-        (Dipper.conflicting_ticket_any e [ "cs1"; "cs2" ] = None))
+        (List.for_all (fun k -> Dipper.conflicting_ticket e k = None) [ "cs1"; "cs2" ]))
 
 let test_txn_crash_committed_survives () =
   let fx = fixture () in
@@ -1485,6 +1579,10 @@ let suite =
       test_obatch_duplicate_keys_one_payload_round );
     ("put pmem cost unchanged", `Quick, test_put_pmem_cost_unchanged);
     ("owrite on vanished object releases lock", `Quick, test_owrite_vanished_object_releases_lock);
+    ("overwrite freeing many extents", `Quick, test_overwrite_frees_many_extents);
+    ( "outgrown record Log_full: all or nothing",
+      `Quick,
+      test_outgrown_record_log_full_all_or_nothing );
     ("txn commit visible + counted", `Quick, test_txn_commit_visible);
     ("txn read-your-writes", `Quick, test_txn_read_your_writes);
     ("txn abort untouched", `Quick, test_txn_abort_untouched);
