@@ -15,7 +15,6 @@
    at the same site as the matching counter increment, so the event
    counts must agree exactly on this read-free workload. *)
 
-open Dstore_util
 open Dstore_core
 open Dstore_workload
 open Common

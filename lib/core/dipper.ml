@@ -161,9 +161,14 @@ type t = {
          recovery, which is safe because read observations never survive a
          crash. *)
   mutable next_txn : int;  (* transaction ids, engine-local *)
+  reserved : (string, int) Hashtbl.t;
+      (* Volatile key reservations of retrying transactions: key -> holder.
+         Guarded by the frontend lock. Never logged: a swap does not
+         re-home them, and checkpoints and recovery never see them. *)
   lock : Platform.mutex;
   cond_ckpt : Platform.cond;  (* manager sleeps here *)
   cond_space : Platform.cond;  (* writers wait for log space *)
+  cond_resv : Platform.cond;  (* waiters on another holder's reservation *)
   cond_done : Platform.cond;  (* checkpoint_now waits here *)
   mutable ckpt_needed : bool;
   mutable ckpt_running : bool;
@@ -364,9 +369,11 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
       in_flight = Hashtbl.create 64;
       versions = Hashtbl.create 256;
       next_txn = 1;
+      reserved = Hashtbl.create 16;
       lock = platform.Platform.new_mutex ();
       cond_ckpt = platform.Platform.new_cond ();
       cond_space = platform.Platform.new_cond ();
+      cond_resv = platform.Platform.new_cond ();
       cond_done = platform.Platform.new_cond ();
       ckpt_needed = false;
       ckpt_running = false;
@@ -861,6 +868,10 @@ let stop t =
 
 (* --- write path ------------------------------------------------------------ *)
 
+(* What a conflict scan found on a key: nothing, an in-flight record, or
+   another holder's reservation (see [reserve]). *)
+type conflict = Clear | Ticket of ticket | Reserved
+
 (* The conflict scan: the first in-flight record outside [ignore] whose key
    [k] satisfies [hit k x], found in ONE pass over the in-flight table
    however many keys [x] holds. Call under the frontend lock. *)
@@ -871,7 +882,7 @@ let conflict_for ~ignore t hit x =
        (fun _ tk ->
          match tk.key with
          | Some k when hit k x && not (List.memq tk ignore) ->
-             found := Some (k, tk);
+             found := Some (k, Ticket tk);
              raise Exit
          | _ -> ())
        t.in_flight
@@ -907,17 +918,75 @@ let spin_wait t pred =
 
 let wait_ticket t tk = spin_wait t (fun () -> Atomic.get tk.done_)
 
-let conflicting_ticket ?(ignore = []) t key =
-  Platform.with_lock t.lock (fun () ->
-      Option.map snd (conflict_for ~ignore t String.equal key))
+(* --- volatile key reservations (bounded transaction retries) -------------- *)
+
+(* [key] is reserved by a holder other than [holder] (0: the caller holds
+   none). Allocation-free while no key is reserved. *)
+let reserved_by_other t holder key =
+  Hashtbl.length t.reserved > 0
+  && match Hashtbl.find_opt t.reserved key with Some h -> h <> holder | None -> false
+
+let rec reserved_item t holder = function
+  | [] -> None
+  | (key, _, _) :: rest ->
+      if reserved_by_other t holder key then Some key else reserved_item t holder rest
+
+let rec has_key k = function
+  | [] -> false
+  | (k', _, _) :: rest -> String.equal k k' || has_key k rest
+
+(* Another holder's reservation conflicts like an in-flight record. *)
+let items_conflict ~ignore ~holder t items =
+  match conflict_for ~ignore t has_key items with
+  | Some _ as found -> found
+  | None -> (
+      match reserved_item t holder items with
+      | Some key -> Some (key, Reserved)
+      | None -> None)
+
+let scan_key ~ignore ~holder t key =
+  match conflict_for ~ignore t String.equal key with
+  | Some (_, c) -> c
+  | None -> if reserved_by_other t holder key then Reserved else Clear
+
+(* Lock and unlock by hand: the scan cannot raise, and a [with_lock]
+   closure would cost every read an allocation. *)
+let conflicting_ticket ?(ignore = []) ~holder t key =
+  t.lock.Platform.lock ();
+  let c = scan_key ~ignore ~holder t key in
+  t.lock.Platform.unlock ();
+  c
 
 (* Conflict scan + committed version in ONE lock round: the hoisted
    versioned read ([Dstore.oget_versioned]) observes the version at
    reader entry instead of paying a second lock acquisition and scan. *)
-let conflicting_ticket_versioned ?(ignore = []) t key =
-  Platform.with_lock t.lock (fun () ->
-      ( Option.map snd (conflict_for ~ignore t String.equal key),
-        version_locked t key ))
+let conflicting_ticket_versioned ?(ignore = []) ~holder t key =
+  t.lock.Platform.lock ();
+  let c = scan_key ~ignore ~holder t key in
+  let v = version_locked t key in
+  t.lock.Platform.unlock ();
+  (c, v)
+
+(* A reservation lasts its holder's whole read phase, so its waiters sleep
+   on a frontend-lock cond that [release] broadcasts, not on the spin,
+   whose poll cap would leave the key idle after the release. *)
+let wait_conflict t ~holder key = function
+  | Clear -> ()
+  | Ticket tk -> wait_ticket t tk
+  | Reserved ->
+      t.lock.Platform.lock ();
+      while reserved_by_other t holder key do
+        t.cond_resv.Platform.wait t.lock
+      done;
+      t.lock.Platform.unlock ()
+
+(* No hold-and-wait: a reservation holder waits only on commit tickets,
+   never on another holder's reservation nor on a NOOP, which may be an
+   advisory lock held for as long as its owner likes. *)
+let holder_must_abort = function
+  | Clear -> false
+  | Ticket tk -> ( match tk.op with Logrec.Noop _ -> true | _ -> false)
+  | Reserved -> true
 
 let wait_readers t rc key =
   spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
@@ -950,10 +1019,6 @@ let fire_commit_hook t tks =
 type appended = { members : ticket list; frame : (ticket * ticket) option }
 
 let members a = a.members
-
-let rec has_key k = function
-  | [] -> false
-  | (k', _, _) :: rest -> String.equal k k' || has_key k rest
 
 (* The first stale read: a commit bumped its key's version after the
    transaction observed it. *)
@@ -1059,20 +1124,30 @@ let stage t span ~txn items ops =
   Span.seg span Span.S_append;
   { members; frame }
 
+(* An OCC abort under the lock: nothing was appended. *)
+let abort_locked t key =
+  t.st.txns_aborted <- t.st.txns_aborted + 1;
+  t.lock.Platform.unlock ();
+  Error key
+
 (* Steps 1–6 of one append attempt, [need] slots of log space: conflict
    scan and wait, log-full stall, validation, builders, staging. It and
    its helpers are top-level functions, not closures over the call, so a
-   single put's append allocates no closure on the hot path. *)
-let rec attempt t ~ignore ~span ~reads ~txn items need =
+   single put's append allocates no closure on the hot path. A
+   transaction whose caller holds reservations aborts where
+   [holder_must_abort] forbids the wait. *)
+let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
   if need > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
   t.lock.Platform.lock ();
-  match conflict_for ~ignore t has_key items with
-  | Some (key, tk) ->
+  match items_conflict ~ignore ~holder t items with
+  | Some (key, c) when holder <> 0 && reads <> None && holder_must_abort c ->
+      abort_locked t key
+  | Some (key, c) ->
       t.lock.Platform.unlock ();
       t.st.conflict_waits <- t.st.conflict_waits + 1;
       trace t (Trace.Conflict_wait key);
-      blamed t span Span.Conflict_retry (fun () -> wait_ticket t tk);
-      attempt t ~ignore ~span ~reads ~txn items need
+      blamed t span Span.Conflict_retry (fun () -> wait_conflict t ~holder key c);
+      attempt t ~ignore ~holder ~span ~reads ~txn items need
   | None when Oplog.free_slots t.logs.(t.active_log) < need ->
       if t.cfg.checkpoint = Config.No_checkpoint then begin
         t.lock.Platform.unlock ();
@@ -1084,17 +1159,14 @@ let rec attempt t ~ignore ~span ~reads ~txn items need =
       (* cond wait releases and re-acquires the frontend lock *)
       blamed t span Span.Log_full (fun () -> t.cond_space.Platform.wait t.lock);
       t.lock.Platform.unlock ();
-      attempt t ~ignore ~span ~reads ~txn items need
+      attempt t ~ignore ~holder ~span ~reads ~txn items need
   | None -> (
       (* OCC validation shares this lock hold with the append: no
          conflicting record is in flight (the scan above), so a read is
          stale exactly when a commit bumped its key's version after the
          transaction observed it. *)
       match match reads with Some r -> stale_read t r | None -> None with
-      | Some key ->
-          t.st.txns_aborted <- t.st.txns_aborted + 1;
-          t.lock.Platform.unlock ();
-          Error key
+      | Some key -> abort_locked t key
       | None when items = [] ->
           (* A read-only transaction: validation is the whole commit. *)
           if reads <> None then t.st.txns_committed <- t.st.txns_committed + 1;
@@ -1114,14 +1186,14 @@ let rec attempt t ~ignore ~span ~reads ~txn items need =
                    extents than the estimate allows): wait for room for the
                    records as built, then build them again. *)
                 t.lock.Platform.unlock ();
-                attempt t ~ignore ~span ~reads ~txn items actual
+                attempt t ~ignore ~holder ~span ~reads ~txn items actual
               end
               else Ok (stage t span ~txn items ops)))
 
-let append ?(ignore = []) ?(span = Span.none) ?reads t items =
+let append ?(ignore = []) ~holder ?(span = Span.none) ?reads t items =
   let txn = reads <> None && items <> [] in
   let estimate = List.fold_left (fun n (_, bound, _) -> n + bound) 0 items in
-  attempt t ~ignore ~span ~reads ~txn items (estimate + if txn then 2 else 0)
+  attempt t ~ignore ~holder ~span ~reads ~txn items (estimate + if txn then 2 else 0)
 
 let finish t tks =
   trace_keyed t Trace.W_commit tks;
@@ -1193,6 +1265,34 @@ let commit t a =
         (Metrics.histogram t.obs.Obs.metrics "dipper.batch_fill")
         (List.length tks);
       finish t tks
+
+(* --- reservations ------------------------------------------------------------ *)
+
+(* All or nothing in one frontend-lock hold. While any key has an
+   in-flight ticket or another holder's reservation, wait holding nothing,
+   then scan again. Waits are the transaction's retry overhead:
+   [Txn_retry] blame. *)
+let rec reserve ?(ignore = []) ?(span = Span.none) t ~holder keys =
+  t.lock.Platform.lock ();
+  (* the scans take append items: (key, size estimate, builder) *)
+  match items_conflict ~ignore ~holder t (List.map (fun k -> (k, 0, ())) keys) with
+  | Some (key, c) ->
+      t.lock.Platform.unlock ();
+      blamed t span Span.Txn_retry (fun () -> wait_conflict t ~holder key c);
+      reserve ~ignore ~span t ~holder keys
+  | None ->
+      List.iter (fun k -> Hashtbl.replace t.reserved k holder) keys;
+      t.lock.Platform.unlock ()
+
+let release t ~holder keys =
+  Platform.with_lock t.lock (fun () ->
+      List.iter
+        (fun k ->
+          match Hashtbl.find_opt t.reserved k with
+          | Some h when h = holder -> Hashtbl.remove t.reserved k
+          | _ -> ())
+        keys;
+      t.cond_resv.Platform.broadcast ())
 
 (* --- physical logging capture ------------------------------------------------ *)
 

@@ -132,6 +132,7 @@ type appended
 
 val append :
   ?ignore:ticket list ->
+  holder:int ->
   ?span:Dstore_obs.Span.t ->
   ?reads:(string * int) list ->
   t ->
@@ -149,7 +150,12 @@ val append :
     exception from it releases the lock before it propagates.
 
     [ignore] excludes the caller's own advisory-lock records from the
-    conflict scan. [reads], the read-set as [(key, observed version)]
+    conflict scan, and [holder] its own reservations (see {!reserve}; 0
+    for a caller that holds none). Another holder's reservation on a key
+    is a conflict like an in-flight record: the call waits until it is
+    released. A transaction whose caller holds reservations aborts with
+    [Error key] instead of waiting where {!holder_must_abort} says so.
+    [reads], the read-set as [(key, observed version)]
     pairs (see {!key_version}), makes the group a transaction: it is
     validated under the same lock hold, after the conflict scan, and
     [Error key] reports the first stale read (nothing appended, stats
@@ -192,21 +198,58 @@ val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
     committing thread, outside the frontend lock, so it may take locks of
     its own but must not call back into the engine. *)
 
-val conflicting_ticket : ?ignore:ticket list -> t -> string -> ticket option
-(** The in-flight record on this name, if any (takes and releases the
-    frontend lock). [ignore] excludes specific records — the caller's own
-    advisory-lock NOOP, so a lock holder can operate on the object it
-    locked. The same one-pass scan backs {!append}'s conflict check. *)
+type conflict =
+  | Clear
+  | Ticket of ticket  (** An in-flight record on the key. *)
+  | Reserved  (** Another holder's reservation on the key. *)
+
+val conflicting_ticket : ?ignore:ticket list -> holder:int -> t -> string -> conflict
+(** What a reader of this name must wait out, if anything (takes and
+    releases the frontend lock). [ignore] excludes specific records — the
+    caller's own advisory-lock NOOP, so a lock holder can operate on the
+    object it locked — and [holder] the caller's own reservations (0: it
+    holds none). The same scans back {!append}'s conflict check. Allocates
+    nothing when the name is clear. *)
 
 val conflicting_ticket_versioned :
-  ?ignore:ticket list -> t -> string -> ticket option * int
+  ?ignore:ticket list -> holder:int -> t -> string -> conflict * int
 (** {!conflicting_ticket} and {!key_version} in a single frontend-lock
     round: the conflict scan plus the key's committed version, observed
     atomically. Backs the hoisted single-lookup [Dstore.oget_versioned]
     (version strictly before value, no second lock acquisition). *)
 
-val wait_ticket : t -> ticket -> unit
-(** Spin (with backoff) until the ticket's record commits. *)
+val wait_conflict : t -> holder:int -> string -> conflict -> unit
+(** Wait out a conflict on the key, holding nothing: spin (with backoff)
+    until an in-flight record commits, or sleep on the reservation cond
+    until no holder other than [holder] reserves the key. A reader first
+    leaves the read count. *)
+
+val holder_must_abort : conflict -> bool
+(** Whether a reservation holder must abort rather than wait: on another
+    holder's reservation, and on a NOOP record, which may be an advisory
+    lock held indefinitely. A holder thus waits only on commit tickets,
+    whose owners never wait on reservations: no hold-and-wait. *)
+
+(** {1 Reservations}
+
+    A volatile, all-or-nothing claim on a set of keys, taken by a
+    transaction retrying after repeat aborts ([Dstore_txn.txn]). While a
+    key is reserved, every other client's conflict scan treats it like an
+    in-flight record, so the holder's reads stay valid and its commit
+    cannot fail validation. Reservations are never logged: log swaps do
+    not re-home them, and checkpoints and recovery never see them.
+    Holders are identified by a nonzero int (a store context's id). *)
+
+val reserve :
+  ?ignore:ticket list -> ?span:Dstore_obs.Span.t -> t -> holder:int -> string list -> unit
+(** Reserve every key for [holder] in one frontend-lock hold. While any
+    key has an in-flight record (outside [ignore]) or another holder's
+    reservation, wait holding nothing, then scan again. With a live
+    [span], the waits are booked as [Txn_retry] blame. *)
+
+val release : t -> holder:int -> string list -> unit
+(** Drop [holder]'s reservations on these keys and wake every client
+    waiting on a reservation. *)
 
 (** {1 Physical logging (ablation)} *)
 

@@ -12,6 +12,8 @@ exception Object_not_found of string
 
 exception Out_of_blocks
 
+exception Would_wait of string
+
 type footprint = { dram : int; pmem : int; ssd : int }
 
 type breakdown = {
@@ -104,7 +106,12 @@ type t = {
   h_read : Metrics.histo;
 }
 
-type ctx = { store : t; id : ctx_id; mutable live : bool }
+type ctx = {
+  store : t;
+  id : ctx_id;
+  mutable live : bool;
+  mutable holds : string list;  (* keys this context reserves (see [reserve]) *)
+}
 
 type obj = {
   octx : ctx;
@@ -365,7 +372,8 @@ let install_snapshot ?obs platform pm ssd cfg snapshot =
 
 let next_ctx_id = Atomic.make 1
 
-let ds_init t = { store = t; id = Atomic.fetch_and_add next_ctx_id 1; live = true }
+let ds_init t =
+  { store = t; id = Atomic.fetch_and_add next_ctx_id 1; live = true; holds = [] }
 
 let ds_finalize ctx = ctx.live <- false
 
@@ -388,9 +396,14 @@ let rec own_locks ctx = function
   | [] -> []
   | (key, _, _) :: rest -> own_lock ctx key @ own_locks ctx rest
 
-(* Append [items] past the caller's own advisory locks on their keys. *)
+(* The caller's holder id for the engine's reservation checks: its own
+   reservations never conflict with its own operations. *)
+let holder ctx = match ctx.holds with [] -> 0 | _ -> ctx.id
+
+(* Append [items] past the caller's own advisory locks and reservations. *)
 let append_items ?span ?reads ctx items =
-  Dipper.append ~ignore:(own_locks ctx items) ?span ?reads ctx.store.engine items
+  Dipper.append ~ignore:(own_locks ctx items) ~holder:(holder ctx) ?span ?reads
+    ctx.store.engine items
 
 (* The records of an appended group, in item order. *)
 let ops_of a = List.map Dipper.ticket_op (Dipper.members a)
@@ -879,6 +892,17 @@ let oput ?span ctx key value =
 
 (* --- reads ----------------------------------------------------------------- *)
 
+(* Wait out what a reader's conflict scan found, holding nothing, as
+   [Conflict_retry] blame. *)
+let wait_out ~span ctx key c =
+  let t = ctx.store in
+  if Span.live span then begin
+    let tw = now t in
+    Dipper.wait_conflict t.engine ~holder:(holder ctx) key c;
+    Span.stall span Span.Conflict_retry (now t - tw)
+  end
+  else Dipper.wait_conflict t.engine ~holder:(holder ctx) key c
+
 (* Reader protocol (§4.4): enter the read count, then back out and wait if
    a write on this name is in flight. A writer appends its record before
    draining the read count, so it only ever waits on readers that entered
@@ -887,16 +911,13 @@ let oput ?span ctx key value =
 let rec read_entry ?(span = Span.none) ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
-  match Dipper.conflicting_ticket ~ignore:(own_lock ctx key) t.engine key with
-  | None -> ()
-  | Some tk ->
+  match
+    Dipper.conflicting_ticket ~ignore:(own_lock ctx key) ~holder:(holder ctx) t.engine key
+  with
+  | Dipper.Clear -> ()
+  | c ->
       Readcount.exit_reader t.rc key;
-      (if Span.live span then begin
-         let tw = now t in
-         Dipper.wait_ticket t.engine tk;
-         Span.stall span Span.Conflict_retry (now t - tw)
-       end
-       else Dipper.wait_ticket t.engine tk);
+      wait_out ~span ctx key c;
       read_entry ~span ctx key
 
 let read_exit t key = Readcount.exit_reader t.rc key
@@ -1442,17 +1463,18 @@ let rec read_entry_versioned ?(span = Span.none) ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
   match
-    Dipper.conflicting_ticket_versioned ~ignore:(own_lock ctx key) t.engine key
+    Dipper.conflicting_ticket_versioned ~ignore:(own_lock ctx key) ~holder:(holder ctx)
+      t.engine key
   with
-  | None, v -> v
-  | Some tk, _ ->
+  | Dipper.Clear, v -> v
+  | c, _ ->
       Readcount.exit_reader t.rc key;
-      (if Span.live span then begin
-         let tw = now t in
-         Dipper.wait_ticket t.engine tk;
-         Span.stall span Span.Conflict_retry (now t - tw)
-       end
-       else Dipper.wait_ticket t.engine tk);
+      if ctx.holds <> [] && Dipper.holder_must_abort c then begin
+        let st = Dipper.stats t.engine in
+        st.Dipper.txns_aborted <- st.Dipper.txns_aborted + 1;
+        raise (Would_wait key)
+      end;
+      wait_out ~span ctx key c;
       read_entry_versioned ~span ctx key
 
 (* Version BEFORE value: if a commit lands between the two reads, the
@@ -1486,6 +1508,22 @@ let oget_versioned ?span ctx key =
   if own then Span.finish span;
   Metrics.observe t.h_get (now t - tstart);
   (v, result)
+
+(* Reserve [keys] for the context, all or nothing (see [Dipper.reserve]);
+   the context must hold none. *)
+let reserve ?span ctx keys =
+  check_ctx ctx;
+  assert (ctx.holds = []);
+  let ignore = List.concat_map (own_lock ctx) keys in
+  Dipper.reserve ~ignore ?span ctx.store.engine ~holder:ctx.id keys;
+  ctx.holds <- keys
+
+let release ctx =
+  match ctx.holds with
+  | [] -> ()
+  | keys ->
+      Dipper.release ctx.store.engine ~holder:ctx.id keys;
+      ctx.holds <- []
 
 (* Commit a transaction's buffered write-set against its read-set.
    Validation comes before any device work: [claim] the allocations, then

@@ -43,6 +43,12 @@ exception Object_not_found of string
 
 exception Out_of_blocks
 
+exception Would_wait of string
+(** Raised by {!oget_versioned} to a context holding reservations (see
+    {!reserve}) instead of waiting on the named key: it carries another
+    context's reservation, or a NOOP record that may be an advisory lock.
+    The engine counts it as a transaction abort. *)
+
 (** {1 Environment} *)
 
 val create :
@@ -239,6 +245,17 @@ val oget_versioned :
     [key_version] + [oget] paid two of each. With [span] (a
     transaction's), the read's segments and conflict waits are booked on
     it instead of on a [Get] span of the read's own. *)
+
+val reserve : ?span:Dstore_obs.Span.t -> ctx -> string list -> unit
+(** Reserve the keys for this context, all or nothing ([Dipper.reserve]);
+    the context must hold no reservation. Until {!release}, every other
+    context's reads and writes of the keys wait, and this context's own
+    operations pass. A holder's {!oget_versioned} and
+    {!txn_commit_writes} never wait on another holder's reservation or on
+    a NOOP: the read raises {!Would_wait}, the commit returns [Error]. *)
+
+val release : ctx -> unit
+(** Drop every reservation the context holds and wake their waiters. *)
 
 val txn_commit_writes :
   ?span:Dstore_obs.Span.t ->

@@ -34,7 +34,7 @@ type cause =
   | Batch_wait  (* group commit: co-batched with (n-1) other ops *)
   | Ssd_queue  (* SSD channel queueing *)
   | Repl_wait  (* replication: waiting for backup span acks *)
-  | Txn_retry  (* OCC transaction: aborted attempt + backoff before retry *)
+  | Txn_retry  (* OCC transaction: a retry waiting to reserve its keys *)
   | Repl_apply  (* backup: shipped entry queued behind the apply pipeline *)
 
 let n_causes = 8

@@ -23,7 +23,9 @@ type cause =
   | Batch_wait  (** Group commit: co-batched with (n-1) other ops. *)
   | Ssd_queue  (** SSD channel queueing. *)
   | Repl_wait  (** Replication: waiting for backup span acks. *)
-  | Txn_retry  (** OCC transaction: aborted attempt + backoff before retry. *)
+  | Txn_retry
+      (** OCC transaction: a retry waiting to reserve its key set
+          ([Dipper.reserve]) after repeat aborts. *)
   | Repl_apply
       (** Backup apply pipeline: time a shipped entry spent queued
           between receipt and its re-execution through the group-commit

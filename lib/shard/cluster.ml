@@ -312,13 +312,13 @@ let ounlock ctx key = Dstore.ounlock (route ctx key) key
    log span, one validation). Cross-shard footprints are rejected up
    front — DStore has no distributed commit, and silently spanning
    shards would break the all-or-nothing crash contract. *)
-let txn ?retries ?backoff_ns ctx ~keys fn =
+let txn ?retries ctx ~keys fn =
   let s = match keys with [] -> 0 | k :: _ -> Shard_map.shard_of ctx.c.map k in
   match
     List.find_opt (fun k -> Shard_map.shard_of ctx.c.map k <> s) keys
   with
   | Some k -> Error (Dstore_txn.Cross_shard k)
-  | None -> Dstore_txn.txn ?retries ?backoff_ns ctx.ctxs.(s) fn
+  | None -> Dstore_txn.txn ?retries ctx.ctxs.(s) fn
 
 let olist ctx ~prefix =
   Array.fold_left

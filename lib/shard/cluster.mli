@@ -160,7 +160,6 @@ val ounlock : ctx -> string -> unit
 
 val txn :
   ?retries:int ->
-  ?backoff_ns:int ->
   ctx ->
   keys:string list ->
   (Dstore_txn.t -> 'a) ->
@@ -172,7 +171,8 @@ val txn :
     [Error (Cross_shard key)] without running [fn]: DStore has no
     distributed commit, and spanning shards would silently break the
     all-or-nothing crash contract. An empty footprint routes to shard
-    0 (read-only or single-shard-by-construction uses). *)
+    0 (read-only or single-shard-by-construction uses). Retries follow
+    {!Dstore_txn.txn}'s bounded policy on the owning shard. *)
 
 val olist : ctx -> prefix:string -> string list
 (** Union of every shard's listing, re-sorted lexicographically. *)

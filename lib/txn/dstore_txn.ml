@@ -7,13 +7,14 @@
    under the engine's frontend lock and appends the write-set as one
    all-or-nothing log span (Txn_begin, members, Txn_commit) — see
    DESIGN.md "Transactions". The [txn] wrapper re-runs the caller's
-   function on abort with bounded exponential backoff, booking the
-   wasted attempts as [Span.Txn_retry] blame; its span also takes the
-   read phase, so ticket waits of reads are [Span.Conflict_retry] blame
-   on the transaction rather than time hidden before its first cut. *)
+   function on abort: at once the first time, then under volatile
+   reservations on every key it has touched, so it finishes in a bounded
+   number of attempts. Reservation waits are [Span.Txn_retry] blame; its
+   span also takes the read phase, so ticket waits of reads are
+   [Span.Conflict_retry] blame on the transaction rather than time hidden
+   before its first cut. *)
 
 open Dstore_core
-open Dstore_platform
 module Span = Dstore_obs.Span
 module Obs = Dstore_obs.Obs
 
@@ -60,10 +61,16 @@ let get tx key =
   match List.assoc_opt key tx.writes with
   | Some (Dstore.Bput (_, v)) -> Some (Bytes.copy v)
   | Some (Dstore.Bdelete _) -> None
-  | None ->
-      let v, value = Dstore.oget_versioned ~span:tx.span tx.ctx key in
-      if not (Hashtbl.mem tx.reads key) then Hashtbl.replace tx.reads key v;
-      value
+  | None -> (
+      match Dstore.oget_versioned ~span:tx.span tx.ctx key with
+      | v, value ->
+          if not (Hashtbl.mem tx.reads key) then Hashtbl.replace tx.reads key v;
+          value
+      | exception (Dstore.Would_wait _ as e) ->
+          (* A reservation holder met another holder's reservation or a
+             NOOP: the attempt is over, even if [fn] swallows this. *)
+          tx.state <- Aborted;
+          raise e)
 
 let put tx key value =
   check tx;
@@ -93,37 +100,47 @@ let commit tx =
 
 let default_retries = 8
 
-let default_backoff_ns = 2 * Platform.ns_per_us
+(* Every key the attempt touched, the keys the context already reserves
+   and the key it aborted on: what the next attempt reserves. *)
+let touched tx held key =
+  let reads = Hashtbl.fold (fun k _ acc -> k :: acc) tx.reads [] in
+  List.sort_uniq String.compare ((key :: held) @ List.map fst tx.writes @ reads)
 
-let txn ?(retries = default_retries) ?(backoff_ns = default_backoff_ns) ctx fn =
+(* The retry policy. Attempt 0 is plain OCC and attempt 1 retries it at
+   once. From attempt 2 on, the attempt first reserves its previous key
+   set ([touched], via [Dstore.reserve]): nobody else can commit to a
+   reserved key, so a transaction with a fixed key set validates by its
+   third attempt. Reservations are released before the next reservation
+   is taken, so a context never waits holding any. *)
+let txn ?(retries = default_retries) ctx fn =
   let store = Dstore.ctx_store ctx in
-  let p = Dipper.platform (Dstore.engine store) in
   let span = Span.start (Dstore.obs store).Obs.spans Span.Txn "(txn)" in
-  let rec attempt n =
+  let rec attempt n keys =
+    let held = if n >= 2 then (Dstore.reserve ~span ctx keys; keys) else [] in
     let tx = make ~span ctx in
-    let result = fn tx in
-    match tx.state with
-    | Aborted -> Error (Conflict "(explicit abort)")
-    | Committed -> Ok result
-    | Active -> (
-        match commit tx with
-        | Ok () -> Ok result
-        | Error reason ->
-            if n >= retries then Error reason
-            else begin
-              (* Wasted attempt: back off (exponential, capped) and blame
-                 the wait so tail forensics can attribute txn latency. *)
-              let wait = backoff_ns * (1 lsl min n 6) in
-              let t0 = p.Platform.now () in
-              if wait > 0 then p.Platform.sleep wait;
-              Span.stall span Span.Txn_retry (p.Platform.now () - t0);
-              attempt (n + 1)
-            end)
+    match fn tx with
+    | exception Dstore.Would_wait key -> retry n tx key (Conflict key) held
+    | result -> (
+        match tx.state with
+        | Aborted -> Error (Conflict "(explicit abort)")
+        | Committed -> Ok result
+        | Active -> (
+            match commit tx with
+            | Ok () -> Ok result
+            | Error ((Conflict key | Cross_shard key) as reason) ->
+                retry n tx key reason held))
+  and retry n tx key reason held =
+    let keys = touched tx held key in
+    Dstore.release ctx;
+    if n >= retries then Error reason else attempt (n + 1) keys
   in
-  (* Finish the span even when [fn] or the commit raises ([Log_full],
-     [Out_of_blocks], ...): an open span would never reach the recorder. *)
+  (* Release the reservations and finish the span even when [fn] or the
+     commit raises ([Log_full], [Out_of_blocks], ...): a reservation left
+     behind would block its keys forever, an open span would never reach
+     the recorder. *)
   Fun.protect
     ~finally:(fun () ->
+      Dstore.release ctx;
       Span.seg span Span.S_commit;
       Span.finish span)
-    (fun () -> attempt 0)
+    (fun () -> attempt 0 [])

@@ -10,7 +10,8 @@
 
     Optimistic concurrency: [get]/[put]/[delete] never block other
     clients; conflicts surface at commit as an abort, and {!txn} retries
-    the whole function with exponential backoff. Commit validates before
+    the whole function, under key reservations from the second retry on,
+    so it finishes in a bounded number of attempts. Commit validates before
     any device work, so an abort writes nothing; a validated commit holds
     its member keys from validation through its SSD payload writes, and
     clients touching those keys wait that long. Writes are invisible to
@@ -54,17 +55,22 @@ val abort : t -> unit
 
 val default_retries : int
 
-val default_backoff_ns : int
-
 val txn :
   ?retries:int ->
-  ?backoff_ns:int ->
   Dstore_core.Dstore.ctx ->
   (t -> 'a) ->
   ('a, abort_reason) result
 (** [txn ctx fn] runs [fn] with a fresh handle and commits; on abort it
-    retries (up to [retries] more attempts, default 8) with capped
-    exponential backoff starting at [backoff_ns]. Retry waits are booked
-    as [Span.Txn_retry] blame on the transaction's span. [fn] may call
+    retries, up to [retries] more attempts (default 8). The first retry
+    runs optimistically at once. Every later one first reserves, all or
+    nothing, every key the earlier attempt touched plus the keys the
+    context already holds ({!Dstore_core.Dstore.reserve}); a reservation
+    holder that meets another's reservation or a NOOP aborts instead of
+    waiting, so no two transactions wait on each other. A [fn] with a
+    fixed key set therefore commits within 3 attempts. Reservation waits
+    are booked as [Span.Txn_retry] blame on the transaction's span, and
+    the reservations are released however the call ends. [fn] may call
     {!abort} to give up (no retry) or {!commit} itself; a handle left
-    active is committed on return. *)
+    active is committed on return. [fn] must let
+    {!Dstore_core.Dstore.Would_wait} from {!get} propagate: it ends the
+    attempt. *)

@@ -14,8 +14,9 @@
 # `bench txn` then runs the contention sweep: abort rate must be
 # nondecreasing in Zipfian theta for every txn size, every txn cell must
 # write exactly one SSD page per committed member (an aborted attempt
-# does no device work), and a single-key blind-put txn must stay within
-# 10% of plain oput throughput — it prints TXN-SWEEP OK only then.
+# does no device work), no txn may exhaust its default 8 retries, and a
+# single-key blind-put txn must stay within 10% of plain oput throughput
+# — it prints TXN-SWEEP OK only then.
 #
 # Extra arguments are forwarded to both sweeps, e.g.
 #

@@ -328,101 +328,119 @@ let test_inline_crash_mid_txn_rolls_back () =
             (match other with Some s -> s | None -> "<missing>"));
   Sim.run sim
 
+(* The crash oracle shared by the two stores: every acknowledged op
+   before the crash must survive it, except on the key of the one op in
+   flight at the crash, which may or may not have landed — a put may have
+   overwritten the acked value, a delete may already be durable. *)
+let acked_survive ~inflight snapshot read =
+  let module M = Map.Make (String) in
+  M.for_all
+    (fun key expect ->
+      match (expect, read key) with
+      | _ when Some key = inflight -> true
+      | Some v, Some g -> g = v
+      | None, None -> true
+      | None, Some _ | Some _, None -> false)
+    snapshot
+
+(* One run: a writer loops random puts/deletes (and, for the cached
+   store, checkpoints), the power fails at a random instant, and the
+   recovered store must pass [acked_survive]. *)
+let cached_crash_acked_survive seed =
+  let sim, p, pm, ssd =
+    sim_fixture (Cached_store.pmem_bytes cached_cfg) cached_cfg.Cached_store.ssd_blocks
+  in
+  let r = Rng.create seed in
+  let module M = Map.Make (String) in
+  let acked = ref M.empty and inflight = ref None in
+  Sim.spawn sim "w" (fun () ->
+      let st = Cached_store.create p pm ssd cached_cfg in
+      for i = 0 to 149 do
+        let key = Printf.sprintf "k%d" (Rng.int r 30) in
+        inflight := Some key;
+        if Rng.int r 5 = 0 then begin
+          ignore (Cached_store.delete st key);
+          acked := M.add key None !acked
+        end
+        else begin
+          let v = Printf.sprintf "v%d" i in
+          Cached_store.put st key (Bytes.of_string v);
+          acked := M.add key (Some v) !acked
+        end;
+        inflight := None;
+        if Rng.int r 40 = 0 then Cached_store.checkpoint_now st
+      done);
+  (* Crash at a random instant during the run. *)
+  Sim.run_until sim (100_000 + Rng.int r 3_000_000);
+  let snapshot = !acked and inflight = !inflight in
+  Pmem.crash pm (Pmem.Random (Rng.split r));
+  Sim.clear_pending sim;
+  let ok = ref false in
+  Sim.spawn sim "rec" (fun () ->
+      let st = Cached_store.recover p pm ssd cached_cfg in
+      ok := acked_survive ~inflight snapshot (read_str (Cached_store.get st));
+      Cached_store.stop st);
+  Sim.run sim;
+  !ok
+
+let lsm_crash_acked_survive seed =
+  let sim, p, pm, ssd = sim_fixture (Lsm_store.pmem_bytes lsm_cfg) 8192 in
+  let r = Rng.create seed in
+  let module M = Map.Make (String) in
+  let acked = ref M.empty and inflight = ref None in
+  Sim.spawn sim "w" (fun () ->
+      let st = Lsm_store.create p pm ssd lsm_cfg in
+      for i = 0 to 199 do
+        let key = Printf.sprintf "k%d" (Rng.int r 40) in
+        inflight := Some key;
+        if Rng.int r 6 = 0 then begin
+          ignore (Lsm_store.delete st key);
+          acked := M.add key None !acked
+        end
+        else begin
+          let v = Printf.sprintf "v%d" i in
+          Lsm_store.put st key (Bytes.of_string v);
+          acked := M.add key (Some v) !acked
+        end;
+        inflight := None
+      done);
+  Sim.run_until sim (50_000 + Rng.int r 2_000_000);
+  let snapshot = !acked and inflight = !inflight in
+  Pmem.crash pm (Pmem.Random (Rng.split r));
+  Sim.clear_pending sim;
+  let ok = ref false in
+  Sim.spawn sim "rec" (fun () ->
+      let st = Lsm_store.recover p pm ssd lsm_cfg in
+      ok := acked_survive ~inflight snapshot (read_str (Lsm_store.get st));
+      Lsm_store.stop st);
+  Sim.run sim;
+  !ok
+
 let prop_cached_crash_acked_survive =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"cached: acked ops survive any crash" ~count:15
        QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let sim, p, pm, ssd =
-           sim_fixture (Cached_store.pmem_bytes cached_cfg)
-             cached_cfg.Cached_store.ssd_blocks
-         in
-         let r = Rng.create seed in
-         let module M = Map.Make (String) in
-         let acked = ref M.empty in
-         let st_ref = ref None in
-         Sim.spawn sim "w" (fun () ->
-             let st = Cached_store.create p pm ssd cached_cfg in
-             st_ref := Some st;
-             for i = 0 to 149 do
-               let key = Printf.sprintf "k%d" (Rng.int r 30) in
-               if Rng.int r 5 = 0 then begin
-                 ignore (Cached_store.delete st key);
-                 acked := M.add key None !acked
-               end
-               else begin
-                 let v = Printf.sprintf "v%d" i in
-                 Cached_store.put st key (Bytes.of_string v);
-                 acked := M.add key (Some v) !acked
-               end;
-               if Rng.int r 40 = 0 then Cached_store.checkpoint_now st
-             done);
-         (* Crash at a random instant during the run. *)
-         Sim.run_until sim (100_000 + Rng.int r 3_000_000);
-         let snapshot = !acked in
-         Pmem.crash pm (Pmem.Random (Rng.split r));
-         Sim.clear_pending sim;
-         let ok = ref true in
-         Sim.spawn sim "rec" (fun () ->
-             let st = Cached_store.recover p pm ssd cached_cfg in
-             M.iter
-               (fun key expect ->
-                 let got = read_str (Cached_store.get st) key in
-                 (* The op in flight at the crash is unknown; accept any
-                    value for the single key it might touch by checking
-                    only acked-before-crash entries, where last-acked must
-                    be present unless a newer in-flight op overwrote it. *)
-                 match (expect, got) with
-                 | Some v, Some g when g = v -> ()
-                 | None, None -> ()
-                 | _, Some _ -> () (* newer in-flight write may have landed *)
-                 | Some _, None -> ok := false)
-               snapshot;
-             Cached_store.stop st);
-         Sim.run sim;
-         !ok))
+       cached_crash_acked_survive)
 
 let prop_lsm_crash_acked_survive =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"lsm: acked ops survive any crash" ~count:15
        QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let sim, p, pm, ssd = sim_fixture (Lsm_store.pmem_bytes lsm_cfg) 8192 in
-         let r = Rng.create seed in
-         let module M = Map.Make (String) in
-         let acked = ref M.empty in
-         Sim.spawn sim "w" (fun () ->
-             let st = Lsm_store.create p pm ssd lsm_cfg in
-             for i = 0 to 199 do
-               let key = Printf.sprintf "k%d" (Rng.int r 40) in
-               if Rng.int r 6 = 0 then begin
-                 ignore (Lsm_store.delete st key);
-                 acked := M.add key None !acked
-               end
-               else begin
-                 let v = Printf.sprintf "v%d" i in
-                 Lsm_store.put st key (Bytes.of_string v);
-                 acked := M.add key (Some v) !acked
-               end
-             done);
-         Sim.run_until sim (50_000 + Rng.int r 2_000_000);
-         let snapshot = !acked in
-         Pmem.crash pm (Pmem.Random (Rng.split r));
-         Sim.clear_pending sim;
-         let ok = ref true in
-         Sim.spawn sim "rec" (fun () ->
-             let st = Lsm_store.recover p pm ssd lsm_cfg in
-             M.iter
-               (fun key expect ->
-                 match (expect, read_str (Lsm_store.get st) key) with
-                 | Some v, Some g when g = v -> ()
-                 | None, None -> ()
-                 | _, Some _ -> ()
-                 | Some _, None -> ok := false)
-               snapshot;
-             Lsm_store.stop st);
-         Sim.run sim;
-         !ok))
+       lsm_crash_acked_survive)
+
+(* Seeds whose crash lands on a delete in flight that was already
+   durable: the read-back misses a key whose last acked op was a put. *)
+let test_crash_inflight_delete_seeds () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "cached seed %d" seed) true
+        (cached_crash_acked_survive seed))
+    [ 10516; 49411; 55048 ];
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "lsm seed %d" seed) true
+        (lsm_crash_acked_survive seed))
+    [ 29100; 34836 ]
 
 (* --- fsmeta models ------------------------------------------------------------ *)
 
@@ -475,6 +493,9 @@ let suite =
     ("inline crash mid-txn rolls back", `Quick, test_inline_crash_mid_txn_rolls_back);
     prop_cached_crash_acked_survive;
     prop_lsm_crash_acked_survive;
+    ( "cached/lsm: in-flight delete at the crash",
+      `Quick,
+      test_crash_inflight_delete_seeds );
     ("fsmeta cost ordering", `Quick, test_fsmeta_costs_ordered);
     ("fsmeta names", `Quick, test_fsmeta_names);
   ]

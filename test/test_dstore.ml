@@ -1436,7 +1436,7 @@ let test_conflict_scan_one_pass () =
       let e = Dstore.engine st in
       let a =
         match
-          Dipper.append e ~reads:[]
+          Dipper.append e ~holder:0 ~reads:[]
             [
               ("cs1", 1, fun () -> Logrec.Noop { key = "cs1" });
               ("cs2", 1, fun () -> Logrec.Noop { key = "cs2" });
@@ -1445,20 +1445,18 @@ let test_conflict_scan_one_pass () =
         | Ok a -> a
         | Error k -> Alcotest.failf "unexpected stale read on %s" k
       in
-      (match Dipper.conflicting_ticket e "cs2" with
-      | Some tk ->
+      let clear ?(ignore = []) k = Dipper.conflicting_ticket ~ignore ~holder:0 e k = Dipper.Clear in
+      (match Dipper.conflicting_ticket ~holder:0 e "cs2" with
+      | Dipper.Ticket tk ->
           Alcotest.(check bool) "in-flight member found" true
             (List.memq tk (Dipper.members a))
-      | None -> Alcotest.fail "in-flight member not found");
-      Alcotest.(check bool) "unrelated key clean" true
-        (Dipper.conflicting_ticket e "unrelated" = None);
+      | _ -> Alcotest.fail "in-flight member not found");
+      Alcotest.(check bool) "unrelated key clean" true (clear "unrelated");
       Alcotest.(check bool) "ignore list excludes own tickets" true
-        (List.for_all
-           (fun k -> Dipper.conflicting_ticket ~ignore:(Dipper.members a) e k = None)
-           [ "cs1"; "cs2" ]);
+        (List.for_all (clear ~ignore:(Dipper.members a)) [ "cs1"; "cs2" ]);
       Dipper.commit e a;
       Alcotest.(check bool) "tickets retired by commit" true
-        (List.for_all (fun k -> Dipper.conflicting_ticket e k = None) [ "cs1"; "cs2" ]))
+        (List.for_all (fun k -> clear k) [ "cs1"; "cs2" ]))
 
 let test_txn_crash_committed_survives () =
   let fx = fixture () in

@@ -14,6 +14,7 @@ let () =
       ("core", Test_core.suite);
       ("check", Test_check.suite);
       ("dstore", Test_dstore.suite);
+      ("txn", Test_txn.suite);
       ("cache", Test_cache.suite);
       ("baselines", Test_baselines.suite);
       ("workload", Test_workload.suite);
