@@ -1,51 +1,71 @@
 (* Table 3: time breakdown of write requests — where the time of a 4 KB
    and a 16 KB whole-object write goes: NVMe write, B-tree, metadata, log
    flush. Paper result: the NVMe write dominates (88-96%); software
-   overhead ~10%; metadata and log costs are request-size-agnostic. *)
+   overhead ~10%; metadata and log costs are request-size-agnostic.
+
+   The columns are sums of the put spans' segments (see the write
+   pipeline in dstore.ml), averaged per put. *)
 
 open Dstore_platform
 open Dstore_util
 open Dstore_workload
 open Dstore_core
 open Common
+module Span = Dstore_obs.Span
+module Obs = Dstore_obs.Obs
 
 let ops = 2000
 
-let breakdown_for opts value_bytes =
+type columns = { nvme : int; btree : int; meta : int; log : int }
+
+let total c = c.nvme + c.btree + c.meta + c.log
+
+(* The paper's "NVMe write" is the staged claim and payload; "Metadata"
+   the lock hold (conflict scan, old-binding lookup, record write) and
+   the metadata entry; "Log flush" the record flush plus the commit
+   flush. A single client never waits on a ticket. *)
+let columns_of seg =
+  {
+    nvme = seg Span.S_stage + seg Span.S_data;
+    btree = seg Span.S_index;
+    meta = seg Span.S_lock + seg Span.S_structs;
+    log = seg Span.S_append + seg Span.S_fence + seg Span.S_commit;
+  }
+
+(* Per-put means over [ops] single-client puts of [value_bytes] bytes,
+   each in a span this loop owns. *)
+let columns opts value_bytes =
   let sim = Sim.create () in
   let p = Sim_platform.make sim in
-  let out = ref None in
+  let sums = Array.make Span.n_segs 0 in
   Sim.spawn sim "m" (fun () ->
       let st, _, _, _ = Systems.dstore_store p (scale_of opts) in
-      Dstore.set_collect_breakdown st true;
+      let spans = (Dstore.obs st).Obs.spans in
       let ctx = Dstore.ds_init st in
       let v = Bytes.create value_bytes in
       for i = 0 to ops - 1 do
-        Dstore.oput ctx (Ycsb.key i) v
+        let key = Ycsb.key i in
+        let sp = Span.start spans Span.Put key in
+        Dstore.oput ~span:sp ctx key v;
+        Span.finish sp;
+        List.iter
+          (fun sg ->
+            let i = Span.seg_index sg in
+            sums.(i) <- sums.(i) + Span.segment sp sg)
+          Span.[ S_stage; S_data; S_index; S_lock; S_structs; S_append; S_fence; S_commit ]
       done;
-      out := Some (Dstore.breakdown st, Dipper.stats (Dstore.engine st));
       Dstore.stop st);
   Sim.run sim;
-  Option.get !out
+  columns_of (fun sg -> sums.(Span.seg_index sg) / ops)
 
-let row t label (bd, (es : Dipper.stats)) =
-  let per x = x / bd.Dstore.ops in
-  let append_flush = es.Dipper.append_flush_ns / es.Dipper.records_appended in
-  let nvme = per bd.Dstore.ssd_ns in
-  let btree = per bd.Dstore.btree_ns in
-  (* The paper's "Metadata" is the alloc + metadata-entry work; "Log flush"
-     covers the record flush (inside steps 1-5) plus the commit flush. *)
-  let meta =
-    per (bd.Dstore.meta_ns + bd.Dstore.lock_alloc_log_ns) - append_flush
-  in
-  let log = per bd.Dstore.log_flush_ns + append_flush in
-  let total = nvme + btree + meta + log in
+let row t label c =
+  let total = total c in
   let pct x = Tablefmt.pct (100.0 *. float_of_int x /. float_of_int total) in
   Tablefmt.row t
-    [ label; "time (ns)"; string_of_int nvme; string_of_int btree;
-      string_of_int meta; string_of_int log; string_of_int total ];
+    [ label; "time (ns)"; string_of_int c.nvme; string_of_int c.btree;
+      string_of_int c.meta; string_of_int c.log; string_of_int total ];
   Tablefmt.row t
-    [ ""; "% of total"; pct nvme; pct btree; pct meta; pct log; "100%" ]
+    [ ""; "% of total"; pct c.nvme; pct c.btree; pct c.meta; pct c.log; "100%" ]
 
 let run opts =
   hdr "Table 3: Time breakdown of write requests (single client)";
@@ -53,9 +73,9 @@ let run opts =
     Tablefmt.create
       [ "size"; ""; "NVMe write"; "BTree"; "Metadata"; "Log flush"; "Total" ]
   in
-  row t "4KB" (breakdown_for opts 4096);
+  row t "4KB" (columns opts 4096);
   Tablefmt.sep t;
-  row t "16KB" (breakdown_for opts 16384);
+  row t "16KB" (columns opts 16384);
   Tablefmt.print t;
   note "paper: 4KB = 8900/299/292/616 ns (NVMe 88%%); 16KB NVMe share 96%%;";
   note "metadata and log-flush costs are request-size-agnostic."

@@ -124,9 +124,9 @@ type session = {
 }
 
 (* A single-shard shell shares the session handle with the store itself,
-   so `trace` keeps showing the write-path steps across crash/recover
-   exactly as the unsharded shell did; multi-shard stores keep their own
-   rings (see `trace-shard`). *)
+   so `trace` keeps showing pre-crash events across crash/recover exactly
+   as the unsharded shell did; multi-shard stores keep their own rings
+   (see `trace-shard`). *)
 let shard_obs s i =
   if Array.length s.nodes = 1 && i = 0 then Some s.obs else None
 

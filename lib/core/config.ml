@@ -157,10 +157,11 @@ type t = {
           later messages are still in flight. *)
   costs : costs;
   obs_enabled : bool;
-      (** Observability opt-out: when false the store's metrics registry
-          and trace ring are created disabled (recording is a dead
-          branch). Engine {!Dipper.stats} and {!Dstore.breakdown} are
-          unaffected — they are not optional instrumentation. *)
+      (** Observability opt-out: when false the store's metrics registry,
+          span recorder and trace ring are created disabled (recording is
+          a dead branch), so span-derived figures such as Table 3 read
+          zero. Engine {!Dipper.stats} are unaffected — they are not
+          optional instrumentation. *)
   trace_capacity : int;
       (** Trace ring size in entries (DRAM only, bounded memory). *)
   fault : fault;

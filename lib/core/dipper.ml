@@ -38,7 +38,6 @@ type stats = {
   mutable log_full_stalls : int;
   mutable conflict_waits : int;
   mutable records_appended : int;
-  mutable append_flush_ns : int;
   mutable batches_committed : int;
   mutable batch_records : int;
   mutable txns_committed : int;
@@ -68,7 +67,6 @@ let fresh_stats () =
     log_full_stalls = 0;
     conflict_waits = 0;
     records_appended = 0;
-    append_flush_ns = 0;
     batches_committed = 0;
     batch_records = 0;
     txns_committed = 0;
@@ -225,7 +223,6 @@ let register_stat_views m (st : stats) =
   M.gauge_fn m "dipper.log_full_stalls" (fun () -> st.log_full_stalls);
   M.gauge_fn m "dipper.conflict_waits" (fun () -> st.conflict_waits);
   M.gauge_fn m "dipper.records_appended" (fun () -> st.records_appended);
-  M.gauge_fn m "dipper.append_flush_ns" (fun () -> st.append_flush_ns);
   M.gauge_fn m "dipper.batches_committed" (fun () -> st.batches_committed);
   M.gauge_fn m "dipper.batch_records" (fun () -> st.batch_records);
   M.gauge_fn m "dipper.txns_committed" (fun () -> st.txns_committed);
@@ -447,6 +444,17 @@ let committed_entries log ~above =
          e.Oplog.committed && e.Oplog.lsn > above
          && match e.Oplog.op with Logrec.Noop _ -> false | _ -> true)
 
+(* Replay [entries] onto [space] one record at a time in LSN order: its
+   pool effects, then its structure effects. A physical record's images
+   carry pool bytes too, so a log that mixes them with logical records
+   (physical puts, logical deletes) must replay exactly in this order. *)
+let replay_serial t space entries =
+  List.iter
+    (fun e ->
+      t.hooks.prepare space e.Oplog.op;
+      t.hooks.apply space e.Oplog.op)
+    entries
+
 (* Replay [entries] onto [shadow] with a worker pool. Operations on the
    same key hash to the same worker, preserving conflict order; across
    workers, order is free (observational equivalence, §3.7). Physical
@@ -458,18 +466,17 @@ let replay_pool t shadow entries =
       entries
   in
   let workers = if has_phys then 1 else max 1 t.cfg.checkpoint_workers in
-  (* Phase 1, serial in LSN order: allocation-pool effects. These are the
-     steps the frontend performed inside its critical section, so their
-     order is the log order; they touch nothing the parallel phase reads. *)
-  List.iter (fun e -> t.hooks.prepare shadow e.Oplog.op) entries;
   if entries = [] then ()
-  else if workers = 1 then
-    List.iter
-      (fun e ->
-        t.hooks.apply shadow e.Oplog.op;
-        t.st.records_replayed <- t.st.records_replayed + 1)
-      entries
+  else if workers = 1 then begin
+    replay_serial t shadow entries;
+    t.st.records_replayed <- t.st.records_replayed + List.length entries
+  end
   else begin
+    (* Phase 1, serial in LSN order: allocation-pool effects. These are
+       the steps the frontend performed inside its critical section, so
+       their order is the log order; they touch nothing the parallel
+       phase reads. *)
+    List.iter (fun e -> t.hooks.prepare shadow e.Oplog.op) entries;
     let buckets = Array.make workers [] in
     List.iter
       (fun e ->
@@ -812,12 +819,8 @@ let recover ?obs platform pm cfg hooks =
     (* Always a full clone: the dirty epochs died with the crash. *)
     let shadow = clone_full t ~target in
     let entries = committed_entries t.logs.(arch) ~above:t.last_applied in
-    List.iter (fun e -> t.hooks.prepare shadow e.Oplog.op) entries;
-    List.iter
-      (fun e ->
-        t.hooks.apply shadow e.Oplog.op;
-        t.st.records_replayed <- t.st.records_replayed + 1)
-      entries;
+    replay_serial t shadow entries;
+    t.st.records_replayed <- t.st.records_replayed + List.length entries;
     Space.persist_used shadow;
     finish_checkpoint t ~target ~arch
   end;
@@ -841,12 +844,9 @@ let recover ?obs platform pm cfg hooks =
     @ committed_entries t.logs.(1) ~above:t.last_applied
     |> List.sort (fun a b -> compare a.Oplog.lsn b.Oplog.lsn)
   in
-  List.iter (fun e -> t.hooks.prepare t.volatile e.Oplog.op) entries;
-  List.iter
-    (fun e ->
-      t.hooks.apply t.volatile e.Oplog.op;
-      t.st.recovery_replayed_records <- t.st.recovery_replayed_records + 1)
-    entries;
+  replay_serial t t.volatile entries;
+  t.st.recovery_replayed_records <-
+    t.st.recovery_replayed_records + List.length entries;
   t.st.recovery_replay_ns <- platform.Platform.now () - t1;
   Span.seg sp Span.S_rec_replay;
   (* Resume appending after the last valid record of the active log. *)
@@ -1038,13 +1038,11 @@ let blamed t span cause wait =
 (* Steps 2–3 under the lock, in item order: each item's builder finds the
    binding it replaces and builds its record, sized once here (sizing
    encodes the record). *)
-let rec build t = function
+let rec build = function
   | [] -> []
-  | (key, _, f) :: rest ->
-      trace t (Trace.Write_step (Trace.W_lock, key));
-      trace t (Trace.Write_step (Trace.W_conflict_check, key));
+  | (_, _, f) :: rest ->
       let op = f () in
-      (op, Logrec.slots_needed op) :: build t rest
+      (op, Logrec.slots_needed op) :: build rest
 
 (* Reserve, write and ticket one record of [n] slots in the active log. *)
 let stage_record t log key op n =
@@ -1061,17 +1059,6 @@ let rec stage_members t log items ops =
       let tk = stage_record t log (Some key) op n in
       tk :: stage_members t log items ops
   | _ -> []
-
-let rec trace_keyed t step = function
-  | [] -> ()
-  | tk :: rest ->
-      (match tk.key with
-      | Some k -> trace t (Trace.Write_step (step, k))
-      | None -> ());
-      trace_keyed t step rest
-
-let booked_flush t tf =
-  t.st.append_flush_ns <- t.st.append_flush_ns + (t.platform.Platform.now () - tf)
 
 (* Step 5 under the lock: stage every record of the group into consecutive
    slots of the active log, then the checkpoint trigger, the release, and
@@ -1108,19 +1095,14 @@ let stage t span ~txn items ops =
   | None, [ tk ] ->
       let slot = tk.slot and lsn = tk.lsn in
       t.lock.Platform.unlock ();
-      let tf = t.platform.Platform.now () in
-      Oplog.flush_record log ~slot ~lsn tk.op;
-      booked_flush t tf
+      Oplog.flush_record log ~slot ~lsn tk.op
   | _ ->
       let records = match frame with Some (b, _) -> b :: members | None -> members in
       let located = List.map (fun tk -> (tk.slot, tk.lsn, tk.op)) records in
       t.lock.Platform.unlock ();
-      let tf = t.platform.Platform.now () in
-      Oplog.flush_batch log located;
-      booked_flush t tf);
+      Oplog.flush_batch log located);
   t.st.records_appended <-
     t.st.records_appended + List.length members + (if txn then 2 else 0);
-  trace_keyed t Trace.W_log_append members;
   Span.seg span Span.S_append;
   { members; frame }
 
@@ -1173,7 +1155,7 @@ let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
           t.lock.Platform.unlock ();
           Ok { members = []; frame = None }
       | None -> (
-          match build t items with
+          match build items with
           | exception e ->
               t.lock.Platform.unlock ();
               raise e
@@ -1195,8 +1177,7 @@ let append ?(ignore = []) ~holder ?(span = Span.none) ?reads t items =
   let estimate = List.fold_left (fun n (_, bound, _) -> n + bound) 0 items in
   attempt t ~ignore ~holder ~span ~reads ~txn items (estimate + if txn then 2 else 0)
 
-let finish t tks =
-  trace_keyed t Trace.W_commit tks;
+let finish tks =
   List.iter (fun tk -> Atomic.set tk.done_ true) tks
 
 let retire t tk =
@@ -1222,7 +1203,7 @@ let commit t a =
       fire_commit_hook t members;
       t.st.txns_committed <- t.st.txns_committed + 1;
       t.st.txn_member_records <- t.st.txn_member_records + List.length members;
-      finish t (b :: c :: members)
+      finish (b :: c :: members)
   | None, [ tk ] ->
       let log_id, slot =
         Platform.with_lock t.lock (fun () ->
@@ -1232,7 +1213,7 @@ let commit t a =
       in
       Oplog.persist_slot t.logs.(log_id) ~slot;
       fire_commit_hook t a.members;
-      finish t a.members
+      finish a.members
   | None, tks ->
       let located =
         Platform.with_lock t.lock (fun () ->
@@ -1264,7 +1245,7 @@ let commit t a =
       Metrics.observe
         (Metrics.histogram t.obs.Obs.metrics "dipper.batch_fill")
         (List.length tks);
-      finish t tks
+      finish tks
 
 (* --- reservations ------------------------------------------------------------ *)
 

@@ -324,9 +324,6 @@ type stats = {
   mutable log_full_stalls : int;  (** Writers that waited for log space. *)
   mutable conflict_waits : int;
   mutable records_appended : int;
-  mutable append_flush_ns : int;
-      (** Total time in the record-flush protocol (Table 3's log-flush
-          component, together with commit flushes). *)
   mutable batches_committed : int;
       (** Group commits completed ({!commit} of more than one record,
           outside transactions). *)

@@ -4,7 +4,6 @@ open Dstore_memory
 open Dstore_structs
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
-module Trace = Dstore_obs.Trace
 module Span = Dstore_obs.Span
 module Cache = Dstore_cache.Cache
 
@@ -15,15 +14,6 @@ exception Out_of_blocks
 exception Would_wait of string
 
 type footprint = { dram : int; pmem : int; ssd : int }
-
-type breakdown = {
-  mutable ops : int;
-  mutable lock_alloc_log_ns : int;
-  mutable btree_ns : int;
-  mutable meta_ns : int;
-  mutable ssd_ns : int;
-  mutable log_flush_ns : int;
-}
 
 (* --- reserved-region layout inside every space ---------------------------- *)
 
@@ -92,8 +82,6 @@ type t = {
          contention) when observational equivalence is on. *)
   held_locks : (string, ctx_id * Dipper.appended) Hashtbl.t;
   locks_guard : Mutex.t;
-  mutable collect_breakdown : bool;
-  bd : breakdown;
   obs : Obs.t;
   cache : Cache.t option;
       (* DRAM object cache (strictly volatile; see the cache glue below).
@@ -155,13 +143,7 @@ let shadow_internals t =
 
 let is_initialized = Dipper.is_initialized
 
-let breakdown t = t.bd
-
 let obs t = t.obs
-
-let trace t ev = Trace.emit t.obs.Obs.trace ev
-
-let set_collect_breakdown t v = t.collect_breakdown <- v
 
 let to_mz extents = List.map (fun (s, l) -> { Metazone.start = s; len = l }) extents
 
@@ -254,31 +236,11 @@ let hooks platform cfg reg =
     apply = (fun space op -> apply_op platform cfg (handles_of space) op);
   }
 
-let register_breakdown_views m (bd : breakdown) =
-  let module M = Metrics in
-  M.gauge_fn m "breakdown.ops" (fun () -> bd.ops);
-  M.gauge_fn m "breakdown.lock_alloc_log_ns" (fun () -> bd.lock_alloc_log_ns);
-  M.gauge_fn m "breakdown.btree_ns" (fun () -> bd.btree_ns);
-  M.gauge_fn m "breakdown.meta_ns" (fun () -> bd.meta_ns);
-  M.gauge_fn m "breakdown.ssd_ns" (fun () -> bd.ssd_ns);
-  M.gauge_fn m "breakdown.log_flush_ns" (fun () -> bd.log_flush_ns)
-
 let build platform cfg engine ssd =
   let reg = regions_of cfg in
   let h = attach_handles cfg reg (Dipper.volatile engine) in
   let obs = Dipper.obs engine in
   Ssd.attach_obs ssd obs;
-  let bd =
-    {
-      ops = 0;
-      lock_alloc_log_ns = 0;
-      btree_ns = 0;
-      meta_ns = 0;
-      ssd_ns = 0;
-      log_flush_ns = 0;
-    }
-  in
-  register_breakdown_views obs.Obs.metrics bd;
   let m = obs.Obs.metrics in
   (* The cache engages only under logical logging: the logical write
      pipeline's reader fencing (conflict scan + wait_readers) is what
@@ -308,8 +270,6 @@ let build platform cfg engine ssd =
     struct_lock = platform.Platform.new_mutex ();
     held_locks = Hashtbl.create 64;
     locks_guard = Mutex.create ();
-    collect_breakdown = false;
-    bd;
     obs;
     cache;
     h_put = Metrics.histogram m "op.put";
@@ -601,19 +561,27 @@ let cache_write_through t key value size =
 
 (* --- the write pipeline (Figure 4, staged) ------------------------------------ *)
 
-(* Every put that never aborts — [oput] and each put of an [obatch] — runs
-   alloc → SSD payload → lock / conflict scan / log append → [wait_readers]
-   → structures → cache → commit → release: allocation (step 4) and the
-   data write (step 8) are STAGED ahead of the append. The op's in-flight
-   window, which every same-key reader and writer must wait out, then
-   holds only the log flush, the structure updates and the commit fence —
-   no device time. Staging early is crash-safe: the freshly claimed blocks
-   and meta id are unreachable until the record commits, and the pools are
-   volatile (rebuilt from the log by recovery), so a crash before the
-   append loses nothing durable. Ids a record frees still come from
-   committed state, because the record is built under the append's lock
-   hold. [txn_commit_writes] claims the same way but validates before its
-   payload writes; [owrite] rewrites live pages inside its window. *)
+(* [oput], [odelete] and [obatch] run one pipeline; a single op is the
+   group of one. Every put runs alloc → SSD payload → lock / conflict
+   scan / log append → [wait_readers] → structures → cache → commit →
+   release: allocation (step 4) and the data write (step 8) are STAGED
+   ahead of the append. The op's in-flight window, which every same-key
+   reader and writer must wait out, then holds only the log flush, the
+   structure updates and the commit fence — no device time. Staging early
+   is crash-safe: the freshly claimed blocks and meta id are unreachable
+   until the record commits, and the pools are volatile (rebuilt from the
+   log by recovery), so a crash before the append loses nothing durable.
+   Ids a record frees still come from committed state, because the record
+   is built under the append's lock hold. [txn_commit_writes] claims the
+   same way but validates before its payload writes; [owrite] rewrites
+   live pages inside its window.
+
+   The op's span partitions it by step: [S_stage] (claim), [S_data]
+   (payload), [S_lock] and [S_append] (the engine's cuts), then per
+   record [S_ticket] (reader drain), [S_structs] (metadata entry) and
+   [S_index] (B-tree), [S_structs] again for the cache maintenance, and
+   the commit: [S_fence] for a one-record group, [S_commit] for the
+   coalesced persist of a larger one. Table 3 is these sums. *)
 
 type batch_op = Bput of string * Bytes.t | Bdelete of string
 
@@ -658,33 +626,34 @@ let free_claim t = function
       Bitpool.free t.h.metapool meta
   | Sdelete _ -> ()
 
-(* Step 4 for every put of [ops] under ONE frontend-lock hold, all or
-   nothing: if a claim runs out of blocks or meta ids, the ids this hold
-   already took go back before [Out_of_blocks] leaves. *)
-let claim t ops =
-  Dipper.with_frontend_lock t.engine (fun () ->
-      let taken = ref [] in
-      let claim_one = function
-        | Bdelete k -> Sdelete k
-        | Bput (key, value) ->
-            let extents = alloc_blocks t (blocks_for t (Bytes.length value)) in
-            let meta =
-              match alloc_meta t with
-              | m -> m
-              | exception e ->
-                  free_extents t extents;
-                  raise e
-            in
-            let s = Sput { key; value; meta; extents } in
-            taken := s :: !taken;
-            trace t (Trace.Write_step (Trace.W_alloc, key));
-            s
+(* Step 4 for every put of [ops], all or nothing: if a claim runs out of
+   blocks or meta ids, the ids already taken go back as [Out_of_blocks]
+   unwinds. *)
+let rec claim_all t = function
+  | [] -> []
+  | Bdelete k :: rest -> Sdelete k :: claim_all t rest
+  | Bput (key, value) :: rest -> (
+      let extents = alloc_blocks t (blocks_for t (Bytes.length value)) in
+      let meta =
+        match alloc_meta t with
+        | m -> m
+        | exception e ->
+            free_extents t extents;
+            raise e
       in
-      match List.map claim_one ops with
-      | staged -> staged
+      let s = Sput { key; value; meta; extents } in
+      match claim_all t rest with
+      | staged -> s :: staged
       | exception e ->
-          List.iter (free_claim t) !taken;
+          free_claim t s;
           raise e)
+
+(* The claims share one frontend-lock hold, taken only when some op
+   claims ids. *)
+let claim t ops =
+  if List.exists (function Bput _ -> true | Bdelete _ -> false) ops then
+    Dipper.with_frontend_lock t.engine (fun () -> claim_all t ops)
+  else claim_all t ops
 
 (* Give back the ids of staged ops that never reached the log (volatile
    pools, no record names them: a plain free suffices). *)
@@ -701,16 +670,15 @@ let unstage_on_error t staged f =
 
 (* Step 8 for every staged put, overlapped across the SSD's channels. *)
 let write_payloads ~span t staged =
-  par_iter t
-    (List.filter (function Sput _ -> true | Sdelete _ -> false) staged)
-    (function
-      | Sput { key; value; extents; _ } ->
-          write_data ~span t extents value (Bytes.length value);
-          trace t (Trace.Write_step (Trace.W_data_write, key))
-      | Sdelete _ -> ())
+  match List.filter (function Sput _ -> true | Sdelete _ -> false) staged with
+  | [] -> ()
+  | puts ->
+      par_iter t puts (function
+        | Sput { value; extents; _ } ->
+            write_data ~span t extents value (Bytes.length value)
+        | Sdelete _ -> ())
 
-(* The staging helper shared by [oput] and [obatch]: claim, then write
-   every payload, before any log append. *)
+(* Claim, then write every payload, before any log append. *)
 let stage ~span t ops =
   let staged = claim t ops in
   Span.seg span Span.S_stage;
@@ -729,7 +697,6 @@ let record_of t = function
             (old_meta, of_mz exts)
         | None -> (-1, [])
       in
-      trace t (Trace.Write_step (Trace.W_find_old, key));
       Logrec.Put
         { key; size = Bytes.length value; meta; extents; freed_meta; freed_extents }
   | Sdelete key -> (
@@ -743,22 +710,20 @@ let max_slots_of t = function
   | Sput { key; value; _ } -> put_max_slots key (blocks_for t (Bytes.length value))
   | Sdelete key -> put_max_slots key 1
 
-(* A staged op as an append item. *)
-let append_item t s = (staged_key s, max_slots_of t s, fun () -> record_of t s)
+(* Staged ops as append items. *)
+let rec append_items_of t = function
+  | [] -> []
+  | s :: rest ->
+      (staged_key s, max_slots_of t s, fun () -> record_of t s) :: append_items_of t rest
 
-let put_structures t key meta size extents =
-  let t6 = now t in
+(* Steps 6 and 7, cut apart so Table 3 can tell metadata from B-tree. *)
+let put_structures ~span t key meta size extents =
   t.platform.Platform.consume t.cfg.costs.meta_ns;
   Metazone.write_object t.h.zone meta ~size (to_mz extents);
-  trace t (Trace.Write_step (Trace.W_meta_update, key));
-  let t7 = now t in
+  Span.seg span Span.S_structs;
   t.platform.Platform.consume t.cfg.costs.btree_ns;
   ignore (Btree.insert t.h.btree key meta);
-  trace t (Trace.Write_step (Trace.W_index_update, key));
-  if t.collect_breakdown then begin
-    t.bd.meta_ns <- t.bd.meta_ns + (t7 - t6);
-    t.bd.btree_ns <- t.bd.btree_ns + (now t - t7)
-  end
+  Span.seg span Span.S_index
 
 let delete_structures t key =
   with_structs t (fun () ->
@@ -766,63 +731,107 @@ let delete_structures t key =
       ignore (Btree.delete t.h.btree key));
   cache_invalidate t key
 
-(* Steps 6-7 and cache maintenance for one appended record of a batch or
-   transaction, after draining the key's readers. Returns the ids its
-   commit releases, [None] for a delete that found nothing. *)
-let apply_appended t s op =
+(* Steps 6-7 and cache maintenance for one appended record, after
+   draining the key's readers. Returns the ids its commit releases,
+   [None] for a delete that found nothing. *)
+let apply_appended ~span t s op =
   match (s, op) with
   | Sput { key; value; _ }, Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ }
     ->
       Dipper.wait_readers t.engine t.rc key;
-      with_structs t (fun () -> put_structures t key meta size extents);
+      Span.seg span Span.S_ticket;
+      with_structs t (fun () -> put_structures ~span t key meta size extents);
       cache_write_through t key value size;
       Some (freed_meta, freed_extents)
   | Sdelete key, Logrec.Delete { meta; extents; _ } ->
       Dipper.wait_readers t.engine t.rc key;
+      Span.seg span Span.S_ticket;
       delete_structures t key;
       Some (meta, extents)
   | Sdelete _, Logrec.Noop _ -> None
   | _ -> assert false
 
-let release_posts t posts =
-  List.iter (Option.iter (fun (m, e) -> release_freed t m e)) posts
+let rec apply_all ~span t staged ops =
+  match (staged, ops) with
+  | s :: staged, op :: ops ->
+      let post = apply_appended ~span t s op in
+      post :: apply_all ~span t staged ops
+  | _ -> []
 
-let oput_logical ctx t span key value size =
-  let t0 = now t in
-  (* Steps 4 and 8, staged. Table 3 books the whole staging round as
-     NVMe time: the allocation in it costs no modeled time. *)
-  let staged = stage ~span t [ Bput (key, value) ] in
-  let t4 = now t in
-  (* Steps 1-3 and 5: lock, conflict scan, find the old binding, log. *)
+let rec release_posts t = function
+  | [] -> ()
+  | Some (m, e) :: rest ->
+      release_freed t m e;
+      release_posts t rest
+  | None :: rest -> release_posts t rest
+
+(* Split a staged group into sub-batches of pairwise-distinct keys, each
+   small enough to always fit the log. Distinct keys are required for
+   correctness, not just to avoid self-conflict: a record's freed ids must
+   come from state committed before its sub-batch, so that any surviving
+   subset of the sub-batch replays against ids that were really allocated
+   — if op B freed what same-sub-batch op A allocated and only B survived
+   a crash, replay would free never-allocated ids. *)
+let split_batches t staged =
+  let max_batch_slots = max 8 (t.cfg.Config.log_slots / 2) in
+  let out = ref [] and cur = ref [] and cur_slots = ref 0 in
+  let seen = Hashtbl.create 16 in
+  let flush () =
+    if !cur <> [] then begin
+      out := List.rev !cur :: !out;
+      cur := [];
+      cur_slots := 0;
+      Hashtbl.reset seen
+    end
+  in
+  List.iter
+    (fun s ->
+      let k = staged_key s in
+      let n = max_slots_of t s in
+      if Hashtbl.mem seen k || !cur_slots + n > max_batch_slots then flush ();
+      Hashtbl.add seen k ();
+      cur := s :: !cur;
+      cur_slots := !cur_slots + n)
+    staged;
+  flush ();
+  List.rev !out
+
+(* One sub-batch (distinct keys), already staged: one append, steps 6–7
+   per op, one commit, then the commit-time releases. If the append
+   raises, the claims of this sub-batch and of the [later] ones go back. *)
+let exec_sub_batch ctx t span ~later sub =
   let a, ops =
-    unstage_on_error t staged (fun () ->
-        append ~span ctx [ append_item t (List.hd staged) ])
+    match append ~span ctx (append_items_of t sub) with
+    | r -> r
+    | exception e ->
+        unstage t (sub @ later);
+        raise e
   in
-  let t5 = now t in
-  let meta, extents, freed_meta, freed_extents =
-    match ops with
-    | [ Logrec.Put { meta; extents; freed_meta; freed_extents; _ } ] ->
-        (meta, extents, freed_meta, freed_extents)
-    | _ -> assert false
-  in
-  (* Drain readers of this object, then steps 6-7 (metadata + index). *)
-  Dipper.wait_readers t.engine t.rc key;
-  Span.seg span Span.S_ticket;
-  with_structs t (fun () -> put_structures t key meta size extents);
-  (* Write-through inside the fenced window (see the cache glue). *)
-  cache_write_through t key value size;
+  let posts = apply_all ~span t sub ops in
   Span.seg span Span.S_structs;
-  (* Step 9: commit and flush, then release the replaced allocation. *)
-  let t9 = now t in
   Dipper.commit t.engine a;
-  Span.seg span Span.S_fence;
-  release_freed t freed_meta freed_extents;
-  if t.collect_breakdown then begin
-    t.bd.ops <- t.bd.ops + 1;
-    t.bd.lock_alloc_log_ns <- t.bd.lock_alloc_log_ns + (t5 - t4);
-    t.bd.ssd_ns <- t.bd.ssd_ns + (t4 - t0);
-    t.bd.log_flush_ns <- t.bd.log_flush_ns + (now t - t9)
-  end
+  Span.seg span (match sub with [ _ ] -> Span.S_fence | _ -> Span.S_commit);
+  release_posts t posts;
+  posts
+
+(* The sub-batches append and commit in order, so each record's freed ids
+   come from state the earlier sub-batches committed. *)
+let rec exec_sub_batches ctx t span = function
+  | [] -> []
+  | [ sub ] -> exec_sub_batch ctx t span ~later:[] sub
+  | sub :: rest ->
+      let r = exec_sub_batch ctx t span ~later:(List.concat rest) sub in
+      r @ exec_sub_batches ctx t span rest
+
+(* Staging runs once per call, before the split: every payload of the
+   call shares one SSD round, however many duplicate-key sub-batches
+   follow. A single op is its own sub-batch, with no split to run.
+   Returns what each op's commit released, in input order: [None] only
+   for a delete that found nothing. *)
+let pipeline ctx t span ops =
+  match stage ~span t ops with
+  | [ _ ] as one -> exec_sub_batch ctx t span ~later:[] one
+  | staged -> exec_sub_batches ctx t span (split_batches t staged)
 
 (* Physical-logging put (Figure 9 naïve baseline): allocations, structure
    updates and releases all run inside the critical section under write
@@ -869,26 +878,88 @@ let oput_physical ctx t key value size =
   write_data t !data_extents value size;
   Dipper.commit t.engine a
 
-(* [?span] lets a wrapper (the replication façade) own the span's
-   lifecycle: the engine books its segments and stalls into the caller's
-   span but does not finish it, so post-return waits (backup acks) land
-   in the same record and the partition invariant still holds. *)
+(* --- entry points: each a group over the one pipeline ------------------------- *)
+
+(* The caller's [span], or a fresh one of [kind] that [finish_own]
+   closes. A caller-owned span (the replication façade's) takes the
+   engine's segments and stalls but stays open, so post-return waits
+   (backup acks) land in the same record and the partition invariant
+   still holds. *)
+let span_of t span ?n_ops kind key =
+  match span with Some s -> s | None -> Span.start t.obs.Obs.spans ?n_ops kind key
+
+let finish_own span sp = match span with None -> Span.finish sp | Some _ -> ()
+
 let oput ?span ctx key value =
   check_ctx ctx;
   let t = ctx.store in
-  let size = Bytes.length value in
   let t0 = now t in
   (match t.cfg.logging with
   | Config.Logical ->
-      let sp, owned =
-        match span with
-        | Some s -> (s, false)
-        | None -> (Span.start t.obs.Obs.spans Span.Put key, true)
-      in
-      oput_logical ctx t sp key value size;
-      if owned then Span.finish sp
-  | Config.Physical -> oput_physical ctx t key value size);
+      let sp = span_of t span Span.Put key in
+      ignore (pipeline ctx t sp [ Bput (key, value) ]);
+      finish_own span sp
+  | Config.Physical -> oput_physical ctx t key value (Bytes.length value));
   Metrics.observe t.h_put (now t - t0)
+
+(* A delete logs a logical record under either logging mode. *)
+let delete_one ctx t span key =
+  match pipeline ctx t span [ Bdelete key ] with
+  | [ post ] -> Option.is_some post
+  | _ -> assert false
+
+let odelete ?span ctx key =
+  check_ctx ctx;
+  let t = ctx.store in
+  let t0 = now t in
+  let sp = span_of t span Span.Delete key in
+  let r = delete_one ctx t sp key in
+  finish_own span sp;
+  Metrics.observe t.h_del (now t - t0);
+  r
+
+let obatch ?span ctx ops =
+  check_ctx ctx;
+  let t = ctx.store in
+  match ops with
+  | [] -> []
+  | _ ->
+      let t0 = now t in
+      let results =
+        match t.cfg.logging with
+        | Config.Logical ->
+            (* One Batch span covers the whole group commit; attribution
+               weights it by op count (every op observes batch latency). *)
+            let sp = span_of t span ~n_ops:(List.length ops) Span.Batch "(batch)" in
+            let posts = pipeline ctx t sp ops in
+            finish_own span sp;
+            List.map Option.is_some posts
+        | Config.Physical ->
+            (* Physical logging captures redo images inside the critical
+               section per op; run the batch as individual ops. *)
+            List.map
+              (function
+                | Bput (k, v) ->
+                    oput_physical ctx t k v (Bytes.length v);
+                    true
+                | Bdelete k -> delete_one ctx t Span.none k)
+              ops
+      in
+      (* Group-commit acknowledgment: every op in the batch observes the
+         whole batch's latency — nothing is durable earlier. *)
+      let dt = now t - t0 in
+      List.iter
+        (fun op ->
+          match op with
+          | Bput _ -> Metrics.observe t.h_put dt
+          | Bdelete _ -> Metrics.observe t.h_del dt)
+        ops;
+      results
+
+let oput_batch ctx kvs =
+  ignore (obatch ctx (List.map (fun (k, v) -> Bput (k, v)) kvs))
+
+let odelete_batch ctx keys = obatch ctx (List.map (fun k -> Bdelete k) keys)
 
 (* --- reads ----------------------------------------------------------------- *)
 
@@ -1056,153 +1127,6 @@ let oexists ctx key =
   let r = Btree.mem t.h.btree key in
   read_exit t key;
   r
-
-(* --- delete ----------------------------------------------------------------- *)
-
-let odelete ?span:caller_span ctx key =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let span, owned =
-    match caller_span with
-    | Some s -> (s, false)
-    | None -> (Span.start t.obs.Obs.spans Span.Delete key, true)
-  in
-  let observe_done r =
-    if owned then Span.finish span;
-    Metrics.observe t.h_del (now t - tstart);
-    r
-  in
-  let a, ops = append ~span ctx [ append_item t (Sdelete key) ] in
-  match ops with
-  | [ Logrec.Noop _ ] ->
-      Dipper.commit t.engine a;
-      Span.seg span Span.S_fence;
-      observe_done false
-  | [ Logrec.Delete { meta; extents; _ } ] ->
-      Dipper.wait_readers t.engine t.rc key;
-      Span.seg span Span.S_ticket;
-      delete_structures t key;
-      Span.seg span Span.S_structs;
-      Dipper.commit t.engine a;
-      Span.seg span Span.S_fence;
-      release_freed t meta extents;
-      observe_done true
-  | _ -> assert false
-
-(* --- group commit (batched puts/deletes) --------------------------------------- *)
-
-(* Split a staged batch into sub-batches of pairwise-distinct keys, each
-   small enough to always fit the log. Distinct keys are required for
-   correctness, not just to avoid self-conflict: a record's freed ids must
-   come from state committed before its sub-batch, so that any surviving
-   subset of the sub-batch replays against ids that were really allocated
-   — if op B freed what same-sub-batch op A allocated and only B survived
-   a crash, replay would free never-allocated ids. *)
-let split_batches t staged =
-  let max_batch_slots = max 8 (t.cfg.Config.log_slots / 2) in
-  let out = ref [] and cur = ref [] and cur_slots = ref 0 in
-  let seen = Hashtbl.create 16 in
-  let flush () =
-    if !cur <> [] then begin
-      out := List.rev !cur :: !out;
-      cur := [];
-      cur_slots := 0;
-      Hashtbl.reset seen
-    end
-  in
-  List.iter
-    (fun s ->
-      let k = staged_key s in
-      let n = max_slots_of t s in
-      if Hashtbl.mem seen k || !cur_slots + n > max_batch_slots then flush ();
-      Hashtbl.add seen k ();
-      cur := s :: !cur;
-      cur_slots := !cur_slots + n)
-    staged;
-  flush ();
-  List.rev !out
-
-(* One sub-batch (distinct keys), already staged: one append, steps 6–7
-   per op, one commit, then the commit-time releases. If the append
-   raises, the claims of this sub-batch and of the [later] ones go back. *)
-let exec_sub_batch ctx t span ~later sub =
-  let a, ops =
-    match append ~span ctx (List.map (append_item t) sub) with
-    | r -> r
-    | exception e ->
-        unstage t (sub @ later);
-        raise e
-  in
-  let posts = List.map2 (apply_appended t) sub ops in
-  Span.seg span Span.S_structs;
-  Dipper.commit t.engine a;
-  Span.seg span Span.S_commit;
-  release_posts t posts;
-  List.map Option.is_some posts
-
-(* Staging runs once per call, before the split: every payload of the
-   call shares one SSD round, however many duplicate-key sub-batches
-   follow. The sub-batches then append and commit in order, so each
-   record's freed ids come from state the earlier sub-batches committed. *)
-let run_staged ctx t span staged =
-  let rec go acc = function
-    | [] -> List.concat (List.rev acc)
-    | sub :: rest ->
-        let later = match rest with [] -> [] | _ -> List.concat rest in
-        go (exec_sub_batch ctx t span ~later sub :: acc) rest
-  in
-  go [] (split_batches t staged)
-
-let obatch ?span:caller_span ctx ops =
-  check_ctx ctx;
-  let t = ctx.store in
-  match ops with
-  | [] -> []
-  | _ ->
-      let t0 = now t in
-      let results =
-        match t.cfg.logging with
-        | Config.Logical ->
-            (* One Batch span covers the whole group commit; attribution
-               weights it by op count (every op observes batch latency). *)
-            let span, owned =
-              match caller_span with
-              | Some s -> (s, false)
-              | None ->
-                  ( Span.start t.obs.Obs.spans ~n_ops:(List.length ops)
-                      Span.Batch "(batch)",
-                    true )
-            in
-            let r = run_staged ctx t span (stage ~span t ops) in
-            if owned then Span.finish span;
-            r
-        | Config.Physical ->
-            (* Physical logging captures redo images inside the critical
-               section per op; run the batch as individual ops. *)
-            List.map
-              (function
-                | Bput (k, v) ->
-                    oput_physical ctx t k v (Bytes.length v);
-                    true
-                | Bdelete k -> odelete ctx k)
-              ops
-      in
-      (* Group-commit acknowledgment: every op in the batch observes the
-         whole batch's latency — nothing is durable earlier. *)
-      let dt = now t - t0 in
-      List.iter
-        (fun op ->
-          match op with
-          | Bput _ -> Metrics.observe t.h_put dt
-          | Bdelete _ -> Metrics.observe t.h_del dt)
-        ops;
-      results
-
-let oput_batch ctx kvs =
-  ignore (obatch ctx (List.map (fun (k, v) -> Bput (k, v)) kvs))
-
-let odelete_batch ctx keys = obatch ctx (List.map (fun k -> Bdelete k) keys)
 
 (* --- filesystem-style API ----------------------------------------------------- *)
 
@@ -1552,7 +1476,7 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
       Span.seg span Span.S_stage;
       match
         unstage_on_error t staged (fun () ->
-            append_items ~span ~reads ctx (List.map (append_item t) staged))
+            append_items ~span ~reads ctx (append_items_of t staged))
       with
       | Error key ->
           (* Stale read: nothing was appended or written. *)
@@ -1561,7 +1485,7 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
       | Ok a ->
           write_payloads ~span t staged;
           Span.seg span Span.S_data;
-          let posts = List.map2 (apply_appended t) staged (ops_of a) in
+          let posts = apply_all ~span t staged (ops_of a) in
           Span.seg span Span.S_structs;
           Dipper.commit t.engine a;
           Span.seg span Span.S_commit;

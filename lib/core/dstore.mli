@@ -149,7 +149,10 @@ val oget_view : ctx -> string -> Bytes.t -> (Bytes.t * int) option
     [oget_into], which copies out before any scheduling point. *)
 
 val odelete : ?span:Dstore_obs.Span.t -> ctx -> string -> bool
-(** Remove an object; [false] if it did not exist. Durable on return. *)
+(** Remove an object; [false] if it did not exist. Durable on return.
+    [oput] and [odelete] run the group-commit pipeline of {!obatch} as a
+    group of one, in a [Put] or [Delete] span. A delete logs a logical
+    record under either logging mode. *)
 
 val oexists : ctx -> string -> bool
 
@@ -166,8 +169,8 @@ val oexists : ctx -> string -> bool
     Durability contract: {e no operation in a batch is acknowledged
     durable until the batch call returns; after a crash any subset of the
     batch may survive}, each member individually valid-or-absent. A
-    (sub-)batch of one op is committed exactly like [oput] or [odelete],
-    with the single-record flush protocol. Batches
+    (sub-)batch of one op takes the single-record flush protocol; [oput]
+    and [odelete] are such batches. Batches
     with repeated keys are split into sub-batches at each repeat (a
     record's freed ids must predate its batch), so a pathological batch
     degrades gracefully toward per-op commits. *)
@@ -334,28 +337,13 @@ val cache_clear : t -> unit
 (** Drop every cached object (volatile state only; correctness is
     unaffected — subsequent reads refill from the SSD path). *)
 
-(** {1 Write-path breakdown (Table 3)} *)
-
-(** Cumulative per-stage virtual time of whole-object puts, for the
-    paper's Table 3. Enable with {!set_collect_breakdown}. *)
-type breakdown = {
-  mutable ops : int;
-  mutable lock_alloc_log_ns : int;  (** Steps 1–5 (lock, alloc, log write). *)
-  mutable btree_ns : int;  (** Step 7. *)
-  mutable meta_ns : int;  (** Step 6. *)
-  mutable ssd_ns : int;  (** Step 8 (NVMe write). *)
-  mutable log_flush_ns : int;  (** Record flush + commit flush (§3.4, step 9). *)
-}
-
-val set_collect_breakdown : t -> bool -> unit
-
-val breakdown : t -> breakdown
-
 (** {1 Observability} *)
 
 val obs : t -> Dstore_obs.Obs.t
 (** The store's observability handle (shared with the engine): metrics
     registry with device counters ([pmem.*], [ssd.*]), engine stat views
-    ([dipper.*], [breakdown.*]) and per-operation latency histograms
-    ([op.put], [op.get], [op.delete], [op.write], [op.read]); plus the
-    write-path/checkpoint trace ring. *)
+    ([dipper.*]) and per-operation latency histograms ([op.put],
+    [op.get], [op.delete], [op.write], [op.read]); the span recorder,
+    whose segments partition every write by pipeline step (Table 3 is
+    their per-put sums); and the trace ring of checkpoint, log-swap,
+    stall, recovery and crash events. *)

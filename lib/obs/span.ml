@@ -60,15 +60,15 @@ let cause_label i = cause_names.(i)
 (* --- segment taxonomy ------------------------------------------------------- *)
 
 type seg =
-  | S_index  (* structure lookup under the reader seqlock *)
+  | S_index  (* B-tree: lookup on reads, insert on puts *)
   | S_ticket  (* ticket / reader-drain wait *)
   | S_lock  (* frontend lock hold: conflict check + log reserve *)
   | S_append  (* log record flush to PMEM *)
   | S_fence  (* commit word + closing flush/fence *)
   | S_data  (* SSD payload transfer *)
-  | S_structs  (* metadata / B-tree / space-bitmap update *)
-  | S_stage  (* batch: staged allocation under the frontend lock *)
-  | S_commit  (* batch: coalesced commit-word persist *)
+  | S_structs  (* metadata-zone / delete / cache update *)
+  | S_stage  (* staged allocation under the frontend lock *)
+  | S_commit  (* multi-record group: coalesced commit-word persist *)
   | S_ckpt_archive
   | S_ckpt_clone
   | S_ckpt_replay
@@ -103,8 +103,8 @@ let seg_index = function
 
 let seg_names =
   [|
-    "index_lookup"; "ticket_wait"; "lock_hold"; "log_append"; "commit_fence";
-    "ssd_payload"; "struct_update"; "batch_stage"; "batch_commit";
+    "index"; "ticket_wait"; "lock_hold"; "log_append"; "commit_fence";
+    "ssd_payload"; "struct_update"; "stage"; "group_commit";
     "ckpt_archive"; "ckpt_clone"; "ckpt_replay"; "ckpt_persist";
     "ckpt_publish"; "recovery_metadata"; "recovery_replay"; "cache_fill";
     "other";

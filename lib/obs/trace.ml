@@ -3,17 +3,6 @@
    cannot perturb the persistence protocol or simulated timings — it is a
    pure observer (see DESIGN.md, "Observability"). *)
 
-type write_step =
-  | W_lock
-  | W_conflict_check
-  | W_find_old
-  | W_alloc
-  | W_log_append
-  | W_meta_update
-  | W_index_update
-  | W_data_write
-  | W_commit
-
 type ckpt_phase =
   | C_trigger
   | C_archive
@@ -25,7 +14,6 @@ type ckpt_phase =
 type recovery_phase = R_start | R_redo_ckpt | R_rebuild | R_replay | R_done
 
 type event =
-  | Write_step of write_step * string
   | Ckpt of ckpt_phase
   | Log_swap of { archived : int; active : int }
   | Conflict_wait of string
@@ -83,28 +71,6 @@ let last t n =
 
 (* --- names ---------------------------------------------------------------- *)
 
-let step_index = function
-  | W_lock -> 1
-  | W_conflict_check -> 2
-  | W_find_old -> 3
-  | W_alloc -> 4
-  | W_log_append -> 5
-  | W_meta_update -> 6
-  | W_index_update -> 7
-  | W_data_write -> 8
-  | W_commit -> 9
-
-let step_name = function
-  | W_lock -> "lock"
-  | W_conflict_check -> "conflict-check"
-  | W_find_old -> "find-old"
-  | W_alloc -> "alloc"
-  | W_log_append -> "log-append"
-  | W_meta_update -> "meta-update"
-  | W_index_update -> "index-update"
-  | W_data_write -> "data-write"
-  | W_commit -> "commit"
-
 let ckpt_name = function
   | C_trigger -> "trigger"
   | C_archive -> "archive"
@@ -121,8 +87,6 @@ let recovery_name = function
   | R_done -> "done"
 
 let event_label = function
-  | Write_step (s, key) ->
-      Printf.sprintf "write.%d.%s %S" (step_index s) (step_name s) key
   | Ckpt p -> "ckpt." ^ ckpt_name p
   | Log_swap { archived; active } ->
       Printf.sprintf "log-swap archived=%d active=%d" archived active
@@ -133,14 +97,6 @@ let event_label = function
   | Note s -> "note " ^ s
 
 let event_json = function
-  | Write_step (s, key) ->
-      Json.Obj
-        [
-          ("type", Json.String "write_step");
-          ("step", Json.Int (step_index s));
-          ("name", Json.String (step_name s));
-          ("key", Json.String key);
-        ]
   | Ckpt p ->
       Json.Obj
         [ ("type", Json.String "ckpt_phase"); ("phase", Json.String (ckpt_name p)) ]

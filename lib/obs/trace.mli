@@ -1,24 +1,13 @@
 (** Trace ring: a bounded, DRAM-only buffer of typed events with
     virtual-time timestamps.
 
-    The taxonomy covers the signals the paper's claims are made of: the
-    nine write-path steps (Figure 4), the checkpoint phases (§3.5), log
-    swaps, conflict and log-full stalls, recovery phases (§3.6), and
-    crash injections. Memory is bounded by [capacity]; older events are
+    The taxonomy covers the events that are not per-op work: the
+    checkpoint phases (§3.5), log swaps, conflict and log-full stalls,
+    recovery phases (§3.6), crash injections and notes. A write's nine
+    steps (Figure 4) are the segments of its span ({!Span}). Memory is bounded by [capacity]; older events are
     overwritten. The tracer never writes PMEM and never consumes
     simulated time, so it cannot alter flush/fence ordering or measured
     latencies. *)
-
-type write_step =
-  | W_lock  (** 1 — frontend lock acquired. *)
-  | W_conflict_check  (** 2 — in-flight conflict scan passed. *)
-  | W_find_old  (** 3 — old binding looked up. *)
-  | W_alloc  (** 4 — blocks + metadata page allocated. *)
-  | W_log_append  (** 5 — record appended and flushed (§3.4). *)
-  | W_meta_update  (** 6 — metadata-zone entry written. *)
-  | W_index_update  (** 7 — B-tree updated. *)
-  | W_data_write  (** 8 — data written to the SSD. *)
-  | W_commit  (** 9 — commit flag persisted. *)
 
 type ckpt_phase =
   | C_trigger
@@ -31,7 +20,6 @@ type ckpt_phase =
 type recovery_phase = R_start | R_redo_ckpt | R_rebuild | R_replay | R_done
 
 type event =
-  | Write_step of write_step * string  (** Step and object name. *)
   | Ckpt of ckpt_phase
   | Log_swap of { archived : int; active : int }
   | Conflict_wait of string
@@ -72,9 +60,6 @@ val last : t -> int -> entry list
 (** Newest [n] entries, oldest first. *)
 
 val clear : t -> unit
-
-val step_index : write_step -> int
-(** 1–9, the paper's numbering. *)
 
 val event_label : event -> string
 

@@ -116,7 +116,8 @@ let set_allocated t id =
   assert (id >= 0 && id < t.count);
   assert (not (is_allocated t id));
   set_bit t id;
-  bump_allocated t 1
+  bump_allocated t 1;
+  set_hint t ((id + 1) mod t.count)
 
 let free t id =
   assert (id >= 0 && id < t.count);

@@ -34,7 +34,10 @@ val alloc_run : t -> int -> (int * int) list option
 
 val set_allocated : t -> int -> unit
 (** Mark one id allocated — the checkpoint/recovery replay path. Must be
-    free. *)
+    free. Moves the hint past [id], as {!alloc} would have: replaying a
+    record's ids in order leaves the hint where the live allocator left
+    it, so the allocator state recovery rebuilds depends only on the
+    replayed records. *)
 
 val free : t -> int -> unit
 (** Must be allocated. *)

@@ -117,7 +117,7 @@ let dstore ?(tweak = Fun.id) ?label platform scale : Kv_intf.system =
 
 let dstore_store ?(tweak = Fun.id) platform scale =
   (* Variant returning the raw store for experiments that need internals
-     (breakdown, engine stats, recovery). *)
+     (its spans, engine stats, recovery). *)
   let cfg = tweak (dstore_config scale) in
   let pm = make_pmem platform scale (Dipper.layout_bytes cfg) in
   let ssd = make_ssd platform scale in

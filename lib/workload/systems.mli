@@ -39,7 +39,7 @@ val dstore_store :
   ?tweak:(Config.t -> Config.t) -> Platform.t -> scale ->
   Dstore.t * Pmem.t * Ssd.t * Config.t
 (** The raw store plus its devices, for experiments needing internals
-    (breakdowns, engine statistics, crash/recovery control). *)
+    (its span recorder, engine statistics, crash/recovery control). *)
 
 val cow_tweak : Config.t -> Config.t
 (** Checkpoint by copy-on-write (the paper's comparison design, §4.5). *)

@@ -601,6 +601,57 @@ let test_physical_mode_crash_recovery () =
       Dstore.stop st);
   Sim.run fx.sim
 
+(* Deletes and batches under physical logging: puts take the redo-image
+   path, deletes the logical one, and a batch runs op by op without
+   re-entering [odelete] — each delete books one [op.delete] sample. A
+   checkpoint and a recovery both replay the mixed log, whose physical
+   images carry pool bytes, so every acked op survives the crash. *)
+let test_physical_mode_deletes_and_batches () =
+  let cfg =
+    { small_cfg with logging = Config.Physical; oe = false; log_slots = 4096 }
+  in
+  let fx = fixture ~cfg () in
+  let key i = Printf.sprintf "p%d" i in
+  let expect = Hashtbl.create 16 in
+  Sim.spawn fx.sim "main" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      for i = 0 to 11 do
+        Dstore.oput ctx (key i) (value_of_string (string_of_int i));
+        Hashtbl.replace expect (key i) (string_of_int i)
+      done;
+      check Alcotest.bool "odelete hit" true (Dstore.odelete ctx (key 0));
+      check Alcotest.bool "odelete miss" false (Dstore.odelete ctx "ghost");
+      (* The checkpoint replays physical puts and a logical delete. *)
+      Dstore.checkpoint_now st;
+      Dstore.oput_batch ctx [ (key 1, value_of_string "b1"); (key 20, value_of_string "b20") ];
+      check (Alcotest.list Alcotest.bool) "odelete_batch" [ true; true; false ]
+        (Dstore.odelete_batch ctx [ key 2; key 3; "ghost" ]);
+      check (Alcotest.list Alcotest.bool) "mixed obatch" [ true; true ]
+        (Dstore.obatch ctx [ Dstore.Bdelete (key 4); Dstore.Bput (key 5, value_of_string "b5") ]);
+      List.iter (fun i -> Hashtbl.remove expect (key i)) [ 0; 2; 3; 4 ];
+      List.iter (fun (k, v) -> Hashtbl.replace expect k v)
+        [ (key 1, "b1"); (key 20, "b20"); (key 5, "b5") ];
+      let m = (Dstore.obs st).Dstore_obs.Obs.metrics in
+      check Alcotest.int "one op.delete sample per delete" 6
+        (Histogram.count
+           (Dstore_obs.Metrics.histo_data (Dstore_obs.Metrics.histogram m "op.delete"))));
+  Sim.run fx.sim;
+  Pmem.crash fx.pm (Pmem.Random (Rng.create 11));
+  Sim.clear_pending fx.sim;
+  Sim.spawn fx.sim "recovery" (fun () ->
+      let st = Dstore.recover fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      List.iter
+        (fun k ->
+          check
+            (Alcotest.option Alcotest.string)
+            k (Hashtbl.find_opt expect k)
+            (Option.map Bytes.to_string (Dstore.oget ctx k)))
+        ("ghost" :: key 20 :: List.init 12 key);
+      Dstore.stop st);
+  Sim.run fx.sim
+
 (* --- recovery ----------------------------------------------------------------- *)
 
 (* Clean-shutdown recovery: stop (no final checkpoint), recover, compare. *)
@@ -1555,6 +1606,7 @@ let suite =
     ("olock holder passthrough", `Quick, test_olock_holder_passthrough);
     ("cow faults counted", `Quick, test_cow_faults_counted);
     ("physical-mode crash recovery", `Quick, test_physical_mode_crash_recovery);
+    ("physical-mode deletes and batches", `Quick, test_physical_mode_deletes_and_batches);
     ("recover clean shutdown", `Quick, test_recover_clean);
     ("recover after checkpoint", `Quick, test_recover_after_checkpoint);
     ("recover crash drop-all", `Quick, test_recover_crash_drop_all);

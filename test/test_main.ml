@@ -20,4 +20,5 @@ let () =
       ("workload", Test_workload.suite);
       ("shard", Test_shard.suite);
       ("repl", Test_repl.suite);
+      ("bench", Test_bench.suite);
     ]

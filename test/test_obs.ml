@@ -192,27 +192,48 @@ let with_store ?(cfg = small_cfg) f =
   Sim.run sim;
   Option.get !result
 
-let write_steps_of key tr =
-  List.filter_map
-    (fun e ->
-      match e.Trace.ev with
-      | Trace.Write_step (s, k) when k = key -> Some (Trace.step_index s)
-      | _ -> None)
-    (Trace.to_list tr)
+(* Every segment of a finished span, in [Span.seg_index] order. *)
+let all_segs =
+  Span.
+    [
+      S_index; S_ticket; S_lock; S_append; S_fence; S_data; S_structs; S_stage;
+      S_commit; S_ckpt_archive; S_ckpt_clone; S_ckpt_replay; S_ckpt_persist;
+      S_ckpt_publish; S_rec_metadata; S_rec_replay; S_cache_fill; S_other;
+    ]
 
-let test_write_path_events () =
+let segments sp = List.map (Span.segment sp) all_segs
+
+let last_span obs = List.hd (Span.last obs.Obs.spans 1)
+
+(* A put's nine steps are its span's segments: the staged payload
+   (data), the lock hold (lock), the record flush (append), the metadata
+   entry (structs), the B-tree insert (index) and the single-record
+   commit (fence) take time; the claim and, with one client, the reader
+   drain take none. [oput] is the group of one: a one-op [obatch] books
+   the same vector. *)
+let test_put_span_segments () =
   with_store (fun _ st ctx ->
       let obs = Dstore.obs st in
-      Dstore.oput ctx "k" (Bytes.of_string "hello");
-      (* Staged order: alloc (4) and the SSD payload (8) run before the
-         lock, conflict scan, old-binding lookup and log append. *)
-      check (Alcotest.list Alcotest.int) "nine steps in staged order"
-        [ 4; 8; 1; 2; 3; 5; 6; 7; 9 ]
-        (write_steps_of "k" obs.Obs.trace);
+      let v = Bytes.make 4096 'v' in
+      Dstore.oput ctx "a" v;
+      let put = last_span obs in
+      check Alcotest.bool "put span" true (Span.span_kind put = Span.Put);
+      let nonzero =
+        List.filter (fun sg -> Span.segment put sg > 0) all_segs
+      in
+      check Alcotest.bool "non-zero segments" true
+        (nonzero = Span.[ S_index; S_lock; S_append; S_fence; S_data; S_structs ]);
+      check Alcotest.int "segments partition the put" (Span.duration put)
+        (Span.segments_total put + Span.blame_total put);
+      ignore (Dstore.obatch ctx [ Dstore.Bput ("b", v) ]);
+      let batch = last_span obs in
+      check Alcotest.bool "batch span" true (Span.span_kind batch = Span.Batch);
+      check (Alcotest.list Alcotest.int) "oput = obatch of one" (segments put)
+        (segments batch);
       check
         (Alcotest.option Alcotest.string)
-        "value readable" (Some "hello")
-        (Option.map Bytes.to_string (Dstore.oget ctx "k")))
+        "value readable" (Some (Bytes.to_string v))
+        (Option.map Bytes.to_string (Dstore.oget ctx "a")))
 
 let test_checkpoint_events () =
   with_store (fun _ st ctx ->
@@ -339,10 +360,17 @@ let test_trace_survives_recovery () =
   in
   check Alcotest.bool "recovery phases in order" true
     (phases = [ Trace.R_start; Trace.R_rebuild; Trace.R_replay; Trace.R_done ]);
-  (* The write-path events from before the crash are still in the ring. *)
-  check (Alcotest.list Alcotest.int) "pre-crash steps retained"
-    [ 4; 8; 1; 2; 3; 5; 6; 7; 9 ]
-    (write_steps_of "k" obs.Obs.trace)
+  (* The put from before the crash is still in the span ring, ahead of
+     the recovery span. *)
+  let kinds =
+    List.map
+      (fun sp -> (Span.span_kind sp, Span.span_key sp))
+      (Span.spans obs.Obs.spans)
+  in
+  check Alcotest.bool "pre-crash put span retained" true
+    (match kinds with
+    | (Span.Put, "k") :: rest -> List.mem_assoc Span.Recovery rest
+    | _ -> false)
 
 (* --- spans ------------------------------------------------------------------ *)
 
@@ -529,8 +557,8 @@ let suite =
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "write path emits nine steps" `Quick
-      test_write_path_events;
+    Alcotest.test_case "write path: put span segments" `Quick
+      test_put_span_segments;
     Alcotest.test_case "checkpoint emits phases" `Quick test_checkpoint_events;
     Alcotest.test_case "metrics across the stack" `Quick
       test_metrics_integration;

@@ -525,6 +525,22 @@ let prop_resynced_backup_byte_identity =
          prom_used = replay_used
          && Mem.equal_range prom_mem replay_mem ~off:0 ~len:prom_used))
 
+(* Seeds that once diverged: checkpoint replay marked blocks allocated
+   without advancing the pool's next-fit hint, so after recovery a
+   batched backup apply and the one-op reference replay picked
+   different ids. *)
+let test_resynced_pinned_seeds () =
+  List.iter
+    (fun seed ->
+      let prom_mem, prom_used, journal, snap = run_resynced ~seed ~n_ops:60 in
+      let replay_mem, replay_used = run_replay ~restart_at:snap journal in
+      check Alcotest.bool
+        (Printf.sprintf "seed %d: same bytes" seed)
+        true
+        (prom_used = replay_used
+        && Mem.equal_range prom_mem replay_mem ~off:0 ~len:prom_used))
+    [ 2019; 59341; 70447 ]
+
 let suite =
   [
     test_case "link: FIFO under jitter + bandwidth" `Quick
@@ -541,4 +557,6 @@ let suite =
       `Quick test_resync_ships_only_suffix;
     prop_promoted_backup_byte_identity;
     prop_resynced_backup_byte_identity;
+    test_case "re-synced backup byte identity: pinned seeds" `Quick
+      test_resynced_pinned_seeds;
   ]

@@ -256,7 +256,16 @@ let test_bitpool_set_allocated () =
     match Bitpool.alloc p with
     | Some id -> Alcotest.(check bool) "skips 17" true (id <> 17)
     | None -> Alcotest.fail "should have space"
-  done
+  done;
+  (* Replaying ids in allocation order leaves the next-fit hint where the
+     live allocator left it, holes behind it included. *)
+  let _, live = fresh_pool ~count:50 () in
+  let _, replayed = fresh_pool ~count:50 () in
+  let ids = List.init 6 (fun _ -> Option.get (Bitpool.alloc live)) in
+  List.iter (Bitpool.set_allocated replayed) ids;
+  List.iter (fun id -> Bitpool.free live id; Bitpool.free replayed id) [ 1; 3 ];
+  check Alcotest.int "same next id after replay" (Option.get (Bitpool.alloc live))
+    (Option.get (Bitpool.alloc replayed))
 
 let test_bitpool_alloc_run_coalesces () =
   let _, p = fresh_pool ~count:100 () in
