@@ -2,21 +2,24 @@
 
      dune exec bin/dstore_checker.exe -- sweep --ops 120 --seed 42
      dune exec bin/dstore_checker.exe -- sweep --fault skip-commit --expect-violations
+     dune exec bin/dstore_checker.exe -- cluster --ops 80 --shards 2
+     dune exec bin/dstore_checker.exe -- pair --ops 24 --resync
      dune exec bin/dstore_checker.exe -- selftest
 
-   [sweep] explores every persistence event of a generated scenario,
-   crashing, recovering and checking at each; it exits non-zero (and
-   writes CHECK_FAIL.json) if the oracle or fsck reports a violation —
-   unless --expect-violations, which inverts the exit status (used with
-   --fault to demonstrate detection of injected protocol bugs).
+   [sweep], [cluster] and [pair] explore every persistence event of a
+   generated scenario on one store, a sharded cluster or a replicated
+   pair, crashing, recovering and checking at each; each exits non-zero
+   (and writes a JSON failure artifact) if the oracle or fsck reports a
+   violation — unless --expect-violations, which inverts the exit status
+   (used with --fault to demonstrate detection of injected protocol bugs).
 
-   [selftest] is the acceptance gate: a clean sweep must pass and each
+   [selftest] is the acceptance gate: clean sweeps must pass and each
    fault-injected sweep must be caught. *)
 
 open Cmdliner
 open Dstore_core
 open Dstore_check
-module Obs = Dstore_obs.Obs
+module Repl = Dstore_repl.Repl
 module Json = Dstore_obs.Json
 
 (* Small store so checkpoints and log swaps trigger within a short
@@ -41,176 +44,6 @@ let check_cfg ?(log_slots = 512) ~clone fault =
     fault;
   }
 
-let fault_conv =
-  let parse = function
-    | "none" -> Ok Config.No_fault
-    | "skip-commit" -> Ok Config.Skip_commit_persist
-    | "skip-flush" -> Ok Config.Skip_payload_flush
-    | "skip-dirty" -> Ok Config.Skip_dirty_track
-    | "skip-batch-commit" -> Ok Config.Skip_batch_commit_fence
-    | "skip-replica-ack" -> Ok Config.Skip_replica_ack_fence
-    | "skip-txn-commit" -> Ok Config.Skip_txn_commit_record
-    | "stale-cache-read" -> Ok Config.Stale_cache_read
-    | "skip-resync-replay" -> Ok Config.Skip_resync_journal_replay
-    | s -> Error (`Msg (Printf.sprintf "unknown fault %S" s))
-  in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | Config.No_fault -> "none"
-      | Config.Skip_commit_persist -> "skip-commit"
-      | Config.Skip_payload_flush -> "skip-flush"
-      | Config.Skip_dirty_track -> "skip-dirty"
-      | Config.Skip_batch_commit_fence -> "skip-batch-commit"
-      | Config.Skip_replica_ack_fence -> "skip-replica-ack"
-      | Config.Skip_txn_commit_record -> "skip-txn-commit"
-      | Config.Stale_cache_read -> "stale-cache-read"
-      | Config.Skip_resync_journal_replay -> "skip-resync-replay")
-  in
-  Arg.conv (parse, print)
-
-let clone_conv =
-  let parse = function
-    | "full" -> Ok Config.Full
-    | "delta" -> Ok Config.Delta
-    | s -> Error (`Msg (Printf.sprintf "unknown clone mode %S" s))
-  in
-  let print fmt c =
-    Format.pp_print_string fmt
-      (match c with Config.Full -> "full" | Config.Delta -> "delta")
-  in
-  Arg.conv (parse, print)
-
-let clone_arg =
-  Arg.(
-    value
-    & opt clone_conv Config.Delta
-    & info [ "clone" ] ~docv:"MODE"
-        ~doc:
-          "Checkpoint clone strategy swept: $(b,delta) (incremental, the \
-           default) or $(b,full) (wholesale ablation baseline).")
-
-let run_sweep ?log_slots ~seed ~n_ops ~subsets ~stride ~clone ~fault ~quiet () =
-  let obs = Obs.create ~now:(fun () -> 0) () in
-  let progress ~done_ ~total =
-    if (not quiet) && (done_ mod 25 = 0 || done_ = total) then
-      Printf.eprintf "\r  crash points: %d/%d%!" done_ total;
-    if done_ = total && not quiet then prerr_newline ()
-  in
-  let subset_seeds = List.init subsets (fun i -> 11 + (12 * i)) in
-  let r =
-    Explorer.sweep ~obs ~subset_seeds ~stride ~progress ~seed ~n_ops
-      (check_cfg ?log_slots ~clone fault)
-  in
-  Printf.printf
-    "sweep: seed=%d ops=%d events=%d (init %d) points=%d runs=%d violations=%d\n"
-    r.Explorer.seed r.Explorer.n_ops r.Explorer.total_events
-    r.Explorer.init_events r.Explorer.crash_points r.Explorer.runs
-    (List.length r.Explorer.violations);
-  List.iteri
-    (fun i v ->
-      if i < 10 then
-        Printf.printf "  [%s] event %d, %s: %s\n"
-          (Explorer.source_label v.Explorer.source)
-          v.Explorer.crash_event v.Explorer.mode v.Explorer.detail)
-    r.Explorer.violations;
-  (if List.length r.Explorer.violations > 10 then
-     Printf.printf "  ... and %d more\n" (List.length r.Explorer.violations - 10));
-  r
-
-let write_artifact path r =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.pretty (Explorer.report_json r));
-      output_char oc '\n');
-  Printf.printf "violation artifact written to %s\n" path
-
-let sweep_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario seed.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 120
-      & info [ "ops" ] ~docv:"N" ~doc:"Generated operations per scenario.")
-  in
-  let subsets =
-    Arg.(
-      value & opt int 3
-      & info [ "subsets" ] ~docv:"N"
-          ~doc:"Sampled adversarial eviction subsets per crash point.")
-  in
-  let stride =
-    Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Sweep every K-th persistence event (1 = exhaustive).")
-  in
-  let fault =
-    Arg.(
-      value
-      & opt fault_conv Config.No_fault
-      & info [ "fault" ] ~docv:"FAULT"
-          ~doc:
-            "Injected protocol bug: $(b,none), $(b,skip-commit) (commit \
-             word never flushed), $(b,skip-flush) (payload lines of \
-             multi-slot records never flushed), $(b,skip-dirty), \
-             $(b,skip-batch-commit) (group-commit words set but the \
-             batch's single persist pass skipped), $(b,skip-txn-commit) \
-             (transaction commit record stored but never flushed) or \
-             $(b,stale-cache-read) (DRAM cache serves reads but the write \
-             pipeline skips invalidation/write-through).")
-  in
-  let expect =
-    Arg.(
-      value & flag
-      & info [ "expect-violations" ]
-          ~doc:"Exit 0 iff the sweep reports at least one violation.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
-  in
-  let log_slots =
-    Arg.(
-      value & opt int 512
-      & info [ "log-slots" ] ~docv:"N" ~doc:"Log capacity of the scenario store.")
-  in
-  let run seed ops subsets stride clone log_slots fault expect json =
-    let r =
-      run_sweep ~log_slots ~seed ~n_ops:ops ~subsets ~stride ~clone ~fault
-        ~quiet:false ()
-    in
-    (match json with
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Json.pretty (Explorer.report_json r));
-            output_char oc '\n')
-    | None -> ());
-    let violated = r.Explorer.violations <> [] in
-    if violated && not expect then write_artifact "CHECK_FAIL.json" r;
-    match (violated, expect) with
-    | false, false ->
-        print_endline "PASS: no oracle or fsck violations";
-        0
-    | true, true ->
-        print_endline "PASS: injected fault detected";
-        0
-    | true, false ->
-        print_endline "FAIL: violations on the unmutated engine";
-        1
-    | false, true ->
-        print_endline "FAIL: injected fault went undetected";
-        1
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Exhaustive crash-point sweep of one generated scenario.")
-    Term.(
-      const run $ seed $ ops $ subsets $ stride $ clone_arg $ log_slots $ fault
-      $ expect $ json)
-
 (* Per-shard configuration for the cluster sweep: an even smaller log than
    [check_cfg] so each shard (seeing only ~1/N of the ops) still
    checkpoints inside a short scenario — the sweep must land crash points
@@ -227,140 +60,6 @@ let cluster_cfg ~clone fault =
     fault;
   }
 
-let cluster_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario seed.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 80
-      & info [ "ops" ] ~docv:"N" ~doc:"Generated operations per scenario.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"N" ~doc:"Shards in the cluster.")
-  in
-  let target =
-    Arg.(
-      value & opt int 0
-      & info [ "target" ] ~docv:"I"
-          ~doc:"Shard whose persistence events index the crash points.")
-  in
-  let subsets =
-    Arg.(
-      value & opt int 1
-      & info [ "subsets" ] ~docv:"N"
-          ~doc:"Sampled adversarial eviction subsets per crash point.")
-  in
-  let stride =
-    Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Sweep every K-th persistence event (1 = exhaustive).")
-  in
-  let no_stagger =
-    Arg.(
-      value & flag
-      & info [ "no-stagger" ]
-          ~doc:"Disable staggered checkpoint scheduling for the sweep.")
-  in
-  let fault =
-    Arg.(
-      value
-      & opt fault_conv Config.No_fault
-      & info [ "fault" ] ~docv:"FAULT"
-          ~doc:
-            "Injected protocol bug on every shard: $(b,none), \
-             $(b,skip-commit), $(b,skip-flush) or $(b,skip-batch-commit).")
-  in
-  let expect =
-    Arg.(
-      value & flag
-      & info [ "expect-violations" ]
-          ~doc:"Exit 0 iff the sweep reports at least one violation.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
-  in
-  let run seed ops shards target subsets stride no_stagger clone fault expect
-      json =
-    let obs = Obs.create ~now:(fun () -> 0) () in
-    let progress ~done_ ~total =
-      if done_ mod 25 = 0 || done_ = total then
-        Printf.eprintf "\r  crash points: %d/%d%!" done_ total;
-      if done_ = total then prerr_newline ()
-    in
-    let subset_seeds = List.init subsets (fun i -> 11 + (12 * i)) in
-    let policy =
-      if no_stagger then Dstore_shard.Cluster.no_stagger
-      else Dstore_shard.Cluster.staggered
-    in
-    let r =
-      Cluster_explorer.sweep ~obs ~subset_seeds ~stride ~progress ~policy
-        ~target_shard:target ~shards ~seed ~n_ops:ops (cluster_cfg ~clone fault)
-    in
-    Printf.printf
-      "cluster sweep: seed=%d ops=%d shards=%d target=%d events=%d (init %d) \
-       points=%d (mid-ckpt %d) runs=%d violations=%d\n"
-      r.Cluster_explorer.seed r.Cluster_explorer.n_ops r.Cluster_explorer.shards
-      r.Cluster_explorer.target_shard r.Cluster_explorer.total_events
-      r.Cluster_explorer.init_events r.Cluster_explorer.crash_points
-      r.Cluster_explorer.mid_ckpt_points r.Cluster_explorer.runs
-      (List.length r.Cluster_explorer.violations);
-    List.iteri
-      (fun i v ->
-        if i < 10 then
-          Printf.printf "  [%s] event %d, %s: %s\n"
-            (Explorer.source_label v.Explorer.source)
-            v.Explorer.crash_event v.Explorer.mode v.Explorer.detail)
-      r.Cluster_explorer.violations;
-    (if List.length r.Cluster_explorer.violations > 10 then
-       Printf.printf "  ... and %d more\n"
-         (List.length r.Cluster_explorer.violations - 10));
-    (match json with
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Json.pretty (Cluster_explorer.report_json r));
-            output_char oc '\n')
-    | None -> ());
-    let violated = r.Cluster_explorer.violations <> [] in
-    (if violated && not expect then
-       Out_channel.with_open_text "CHECK_SHARD_FAIL.json" (fun oc ->
-           output_string oc (Json.pretty (Cluster_explorer.report_json r));
-           output_char oc '\n';
-           Printf.printf "violation artifact written to CHECK_SHARD_FAIL.json\n"));
-    if r.Cluster_explorer.mid_ckpt_points = 0 && not expect then
-      print_endline
-        "warning: no crash point landed mid-checkpoint on the target shard \
-         (scenario too small?)";
-    match (violated, expect) with
-    | false, false ->
-        print_endline "PASS: no oracle or fsck violations across the cluster";
-        0
-    | true, true ->
-        print_endline "PASS: injected fault detected";
-        0
-    | true, false ->
-        print_endline "FAIL: violations on the unmutated cluster";
-        1
-    | false, true ->
-        print_endline "FAIL: injected fault went undetected";
-        1
-  in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:
-         "Whole-cluster crash-point sweep: crash one shard mid-checkpoint, \
-          power-fail the rest, recover all shards, check oracle + per-shard \
-          fsck.")
-    Term.(
-      const run $ seed $ ops $ shards $ target $ subsets $ stride $ no_stagger
-      $ clone_arg $ fault $ expect $ json)
-
 (* Replicated-pair sweep config: small enough that the backup engine
    checkpoints inside a short scenario, yet the primary (which sees every
    op) still fits its log. *)
@@ -376,73 +75,233 @@ let pair_cfg ~clone fault =
     fault;
   }
 
-let durability_conv =
-  let parse s =
-    match Dstore_repl.Repl.durability_of_string s with
-    | Some d -> Ok d
-    | None -> Error (`Msg (Printf.sprintf "unknown durability %S" s))
-  in
-  let print fmt d =
-    Format.pp_print_string fmt (Dstore_repl.Repl.durability_name d)
-  in
-  Arg.conv (parse, print)
+(* Every injectable protocol bug: its flag name and what it breaks. *)
+let faults =
+  [
+    ("none", Config.No_fault, "the unmutated engine");
+    ("skip-commit", Config.Skip_commit_persist, "commit word never flushed");
+    ( "skip-flush",
+      Config.Skip_payload_flush,
+      "payload lines of multi-slot records never flushed" );
+    ( "skip-dirty",
+      Config.Skip_dirty_track,
+      "delta checkpoints lose the pages replay dirtied" );
+    ( "skip-batch-commit",
+      Config.Skip_batch_commit_fence,
+      "group-commit words set but the batch's single persist pass skipped" );
+    ( "skip-txn-commit",
+      Config.Skip_txn_commit_record,
+      "transaction commit record stored but never flushed" );
+    ( "stale-cache-read",
+      Config.Stale_cache_read,
+      "DRAM cache serves reads but the write pipeline skips \
+       invalidation/write-through" );
+    ( "skip-replica-ack",
+      Config.Skip_replica_ack_fence,
+      "a backup acks a span before applying it; needs $(b,pair)" );
+    ( "skip-resync-replay",
+      Config.Skip_resync_journal_replay,
+      "a re-synced backup skips the journal suffix shipped during its \
+       snapshot transfer; needs $(b,pair --resync)" );
+  ]
 
-(* Default resync drill over an [n]-op scenario: kill early, start the
-   transfer with a third of the ops still to come (they are the window
-   suffix), rejoin with a third left to sample the recovered backup. *)
-let resync_story n =
-  Pair_explorer.Resync
-    { kill_at = max 1 (n / 6); resync_at = max 2 (n / 3); join_at = 2 * n / 3 }
+let fault_arg =
+  let doc =
+    "Injected protocol bug, on every engine: "
+    ^ String.concat ", "
+        (List.map (fun (n, _, d) -> Printf.sprintf "$(b,%s) (%s)" n d) faults)
+    ^ "."
+  in
+  Arg.(
+    value
+    & opt (enum (List.map (fun (n, f, _) -> (n, f)) faults)) Config.No_fault
+    & info [ "fault" ] ~docv:"FAULT" ~doc)
 
-let run_pair_sweep ?(story = Pair_explorer.Steady) ~seed ~n_ops ~subsets
-    ~stride ~mode ~latency ~target ~clone ~fault ~quiet () =
-  let obs = Obs.create ~now:(fun () -> 0) () in
+let clone_arg =
+  Arg.(
+    value
+    & opt (enum [ ("full", Config.Full); ("delta", Config.Delta) ]) Config.Delta
+    & info [ "clone" ] ~docv:"MODE"
+        ~doc:
+          "Checkpoint clone strategy swept: $(b,delta) (incremental, the \
+           default) or $(b,full) (wholesale ablation baseline).")
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario seed.")
+
+let ops_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "ops" ] ~docv:"N" ~doc:"Generated operations per scenario.")
+
+let subsets_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "subsets" ] ~docv:"N"
+        ~doc:"Sampled adversarial eviction subsets per crash point.")
+
+let stride_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "stride" ] ~docv:"K"
+        ~doc:"Sweep every K-th persistence event (1 = exhaustive).")
+
+let expect_arg =
+  Arg.(
+    value & flag
+    & info [ "expect-violations" ]
+        ~doc:"Exit 0 iff the sweep reports at least one violation.")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
+
+let write_json path r =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.pretty (Explorer.report_json r));
+      output_char oc '\n')
+
+(* Run one sweep and print its summary and first violations. *)
+let run_sweep ~seed ~n_ops ~subsets ~stride topology cfg =
   let progress ~done_ ~total =
-    if (not quiet) && (done_ mod 25 = 0 || done_ = total) then
+    if done_ mod 25 = 0 || done_ = total then
       Printf.eprintf "\r  crash points: %d/%d%!" done_ total;
-    if done_ = total && not quiet then prerr_newline ()
+    if done_ = total then prerr_newline ()
   in
-  let subset_seeds = List.init subsets (fun i -> 11 + (12 * i)) in
   let r =
-    Pair_explorer.sweep ~obs ~subset_seeds ~stride ~progress ~mode
-      ~link_latency_ns:latency ~story ~target_node:target ~seed ~n_ops
-      (pair_cfg ~clone fault)
+    Explorer.sweep ~subsets ~stride ~progress ~seed ~n_ops topology cfg
   in
+  let n = List.length r.Explorer.violations in
   Printf.printf
-    "pair sweep: seed=%d ops=%d mode=%s story=%s target=node%d events=%d \
-     (init %d) points=%d (mid-ckpt %d) runs=%d violations=%d\n"
-    r.Pair_explorer.seed r.Pair_explorer.n_ops
-    (Dstore_repl.Repl.durability_name r.Pair_explorer.mode)
-    (Pair_explorer.story_label r.Pair_explorer.story)
-    r.Pair_explorer.target_node r.Pair_explorer.total_events
-    r.Pair_explorer.init_events r.Pair_explorer.crash_points
-    r.Pair_explorer.mid_ckpt_points r.Pair_explorer.runs
-    (List.length r.Pair_explorer.violations);
+    "sweep (%s): seed=%d ops=%d events=%d (init %d) points=%d (mid-ckpt %d) \
+     runs=%d violations=%d\n"
+    (Explorer.topology_label topology)
+    seed n_ops r.Explorer.total_events r.Explorer.init_events
+    r.Explorer.crash_points r.Explorer.mid_ckpt_points r.Explorer.runs n;
   List.iteri
     (fun i v ->
       if i < 10 then
         Printf.printf "  [%s] event %d, %s: %s\n"
           (Explorer.source_label v.Explorer.source)
           v.Explorer.crash_event v.Explorer.mode v.Explorer.detail)
-    r.Pair_explorer.violations;
-  (if List.length r.Pair_explorer.violations > 10 then
-     Printf.printf "  ... and %d more\n"
-       (List.length r.Pair_explorer.violations - 10));
+    r.Explorer.violations;
+  if n > 10 then Printf.printf "  ... and %d more\n" (n - 10);
   r
 
-let pair_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario seed.")
+(* Print the verdict; an unexpected outcome dumps the report to
+   [artifact]. Returns whether the outcome was the expected one. *)
+let verdict ~artifact ~expect r =
+  let violated = r.Explorer.violations <> [] in
+  if violated <> expect then begin
+    write_json artifact r;
+    Printf.printf "failure artifact written to %s\n" artifact
+  end;
+  (match r.Explorer.topology with
+  | Explorer.Cluster _ when r.Explorer.mid_ckpt_points = 0 && not expect ->
+      print_endline
+        "warning: no crash point landed mid-checkpoint on the target node \
+         (scenario too small?)"
+  | _ -> ());
+  print_endline
+    (match (violated, expect) with
+    | false, false -> "PASS: no oracle or fsck violations"
+    | true, true -> "PASS: injected fault detected"
+    | true, false -> "FAIL: violations on the unmutated engine"
+    | false, true -> "FAIL: injected fault went undetected");
+  violated = expect
+
+(* A sweep subcommand: [setup] is a term that, given the scenario length,
+   yields the topology and engine configuration to sweep. *)
+let sweep_cmd name ~doc ~artifact ~ops ~subsets setup =
+  let run setup seed ops subsets stride expect json =
+    let topology, cfg = setup ops in
+    let r = run_sweep ~seed ~n_ops:ops ~subsets ~stride topology cfg in
+    Option.iter (fun path -> write_json path r) json;
+    if verdict ~artifact ~expect r then 0 else 1
   in
-  let ops =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ setup $ seed_arg $ ops_arg ops $ subsets_arg subsets
+      $ stride_arg $ expect_arg $ json_arg)
+
+let single_cmd =
+  let log_slots =
     Arg.(
-      value & opt int 40
-      & info [ "ops" ] ~docv:"N" ~doc:"Generated operations per scenario.")
+      value & opt int 512
+      & info [ "log-slots" ] ~docv:"N" ~doc:"Log capacity of the scenario store.")
+  in
+  let setup clone log_slots fault _ =
+    (Explorer.Single, check_cfg ~log_slots ~clone fault)
+  in
+  sweep_cmd "sweep" ~artifact:"CHECK_FAIL.json" ~ops:120 ~subsets:3
+    ~doc:"Exhaustive crash-point sweep of one generated scenario."
+    Term.(const setup $ clone_arg $ log_slots $ fault_arg)
+
+let cluster_cmd =
+  let shards =
+    Arg.(
+      value & opt int 2
+      & info [ "shards" ] ~docv:"N" ~doc:"Shards in the cluster.")
+  in
+  let target =
+    Arg.(
+      value & opt int 0
+      & info [ "target" ] ~docv:"I"
+          ~doc:"Shard whose persistence events index the crash points.")
+  in
+  let no_stagger =
+    Arg.(
+      value & flag
+      & info [ "no-stagger" ]
+          ~doc:"Disable staggered checkpoint scheduling for the sweep.")
+  in
+  let setup shards target no_stagger clone fault _ =
+    let policy =
+      if no_stagger then Dstore_shard.Cluster.no_stagger
+      else Dstore_shard.Cluster.staggered
+    in
+    (Explorer.Cluster { shards; policy; target }, cluster_cfg ~clone fault)
+  in
+  sweep_cmd "cluster" ~artifact:"CHECK_SHARD_FAIL.json" ~ops:80 ~subsets:1
+    ~doc:
+      "Whole-cluster crash-point sweep: crash one shard mid-checkpoint, \
+       power-fail the rest, recover all shards, check oracle + per-shard \
+       fsck."
+    Term.(const setup $ shards $ target $ no_stagger $ clone_arg $ fault_arg)
+
+(* A pair over an [n]-op scenario. The default resync drill kills the
+   backup early, starts the transfer with a third of the ops still to come
+   (they are the window suffix), and rejoins with a third left to sample
+   the recovered backup. *)
+let pair_topology ~resync ~mode ~latency ~target n =
+  let story =
+    if resync then
+      Explorer.Resync
+        {
+          kill_at = max 1 (n / 6);
+          resync_at = max 2 (n / 3);
+          join_at = 2 * n / 3;
+        }
+    else Explorer.Steady
+  in
+  Explorer.Pair { mode; link_latency_ns = latency; story; target }
+
+let pair_cmd =
+  let durability_conv =
+    let parse s =
+      match Repl.durability_of_string s with
+      | Some d -> Ok d
+      | None -> Error (`Msg (Printf.sprintf "unknown durability %S" s))
+    in
+    let print fmt d = Format.pp_print_string fmt (Repl.durability_name d) in
+    Arg.conv (parse, print)
   in
   let mode =
     Arg.(
       value
-      & opt durability_conv Dstore_repl.Repl.Ack_all
+      & opt durability_conv Repl.Ack_all
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
             "Replication durability swept: $(b,ack-one) or $(b,ack-all) \
@@ -462,31 +321,6 @@ let pair_cmd =
              primary, 1 = backup (default — where the replicated-durability \
              windows live).")
   in
-  let subsets =
-    Arg.(
-      value & opt int 1
-      & info [ "subsets" ] ~docv:"N"
-          ~doc:"Sampled adversarial eviction subsets per crash point.")
-  in
-  let stride =
-    Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Sweep every K-th persistence event (1 = exhaustive).")
-  in
-  let fault =
-    Arg.(
-      value
-      & opt fault_conv Config.No_fault
-      & info [ "fault" ] ~docv:"FAULT"
-          ~doc:
-            "Injected protocol bug on both engines: $(b,none), engine faults \
-             ($(b,skip-commit), ...) or the replication-protocol mutations \
-             $(b,skip-replica-ack) (backup acks a span before applying it) \
-             and $(b,skip-resync-replay) (a re-synced backup skips the \
-             journal suffix shipped during its snapshot transfer — needs \
-             $(b,--resync)).")
-  in
   let resync =
     Arg.(
       value & flag
@@ -498,198 +332,99 @@ let pair_cmd =
              mid-transfer and mid-install, and the failover check follows \
              the primary's slot state ($(b,backup_ready)).")
   in
-  let expect =
-    Arg.(
-      value & flag
-      & info [ "expect-violations" ]
-          ~doc:"Exit 0 iff the sweep reports at least one violation.")
+  let setup mode latency target resync clone fault n =
+    (pair_topology ~resync ~mode ~latency ~target n, pair_cfg ~clone fault)
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
-  in
-  let run seed ops mode latency target subsets stride clone fault resync
-      expect json =
-    let story =
-      if resync then resync_story ops else Pair_explorer.Steady
-    in
-    let r =
-      run_pair_sweep ~story ~seed ~n_ops:ops ~subsets ~stride ~mode ~latency
-        ~target ~clone ~fault ~quiet:false ()
-    in
-    (match json with
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Json.pretty (Pair_explorer.report_json r));
-            output_char oc '\n')
-    | None -> ());
-    let violated = r.Pair_explorer.violations <> [] in
-    (if violated && not expect then
-       Out_channel.with_open_text "CHECK_PAIR_FAIL.json" (fun oc ->
-           output_string oc (Json.pretty (Pair_explorer.report_json r));
-           output_char oc '\n';
-           Printf.printf "violation artifact written to CHECK_PAIR_FAIL.json\n"));
-    match (violated, expect) with
-    | false, false ->
-        print_endline "PASS: no oracle or fsck violations across the pair";
-        0
-    | true, true ->
-        print_endline "PASS: injected fault detected";
-        0
-    | true, false ->
-        print_endline "FAIL: violations on the unmutated pair";
-        1
-    | false, true ->
-        print_endline "FAIL: injected fault went undetected";
-        1
-  in
-  Cmd.v
-    (Cmd.info "pair"
-       ~doc:
-         "Whole-pair crash-point sweep of a replicated primary-backup \
-          deployment: crash both nodes at each swept event, then check both \
-          the promoted-backup state and the restarted-primary state against \
-          the oracle.")
+  sweep_cmd "pair" ~artifact:"CHECK_PAIR_FAIL.json" ~ops:40 ~subsets:1
+    ~doc:
+      "Whole-pair crash-point sweep of a replicated primary-backup \
+       deployment: crash both nodes at each swept event, then check both \
+       the promoted-backup state and the restarted-primary state against \
+       the oracle."
     Term.(
-      const run $ seed $ ops $ mode $ latency $ target $ subsets $ stride
-      $ clone_arg $ fault $ resync $ expect $ json)
+      const setup $ mode $ latency $ target $ resync $ clone_arg $ fault_arg)
 
 let selftest_cmd =
-  let ops =
-    Arg.(
-      value & opt int 120
-      & info [ "ops" ] ~docv:"N" ~doc:"Generated operations per scenario.")
-  in
-  let subsets =
-    Arg.(
-      value & opt int 3
-      & info [ "subsets" ] ~docv:"N" ~doc:"Eviction subsets per crash point.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario seed.")
-  in
   let run seed ops subsets =
-    let pair_case ?(resync = false) ?(stride = 1) name fault expect_violations =
-      Printf.printf "--- %s\n%!" name;
-      let n_ops = max 24 (ops / 5) in
-      let story =
-        if resync then resync_story n_ops else Pair_explorer.Steady
-      in
-      let r =
-        run_pair_sweep ~story ~seed ~n_ops ~subsets:1 ~stride
-          ~mode:Dstore_repl.Repl.Ack_all ~latency:1_000 ~target:1
-          ~clone:Config.Delta ~fault ~quiet:false ()
-      in
-      let violated = r.Pair_explorer.violations <> [] in
-      if violated <> expect_violations then begin
-        Out_channel.with_open_text
-          (Printf.sprintf "CHECK_FAIL_%s.json" name)
-          (fun oc ->
-            output_string oc (Json.pretty (Pair_explorer.report_json r));
-            output_char oc '\n');
-        Printf.printf "FAIL: %s %s\n" name
-          (if expect_violations then "missed the injected fault"
-           else "violated on the clean pair");
-        false
-      end
-      else begin
-        Printf.printf "ok: %s\n" name;
-        true
-      end
+    let single ?(clone = Config.Delta) ?log_slots ?(seed = seed) name fault
+        expect =
+      ( name,
+        expect,
+        fun () ->
+          run_sweep ~seed ~n_ops:ops ~subsets ~stride:1 Explorer.Single
+            (check_cfg ?log_slots ~clone fault) )
     in
-    let case name ?log_slots ?seed:seed_override ~clone fault expect_violations =
-      Printf.printf "--- %s\n%!" name;
-      let seed = Option.value seed_override ~default:seed in
-      let r =
-        run_sweep ?log_slots ~seed ~n_ops:ops ~subsets ~stride:1 ~clone ~fault
-          ~quiet:false ()
-      in
-      let violated = r.Explorer.violations <> [] in
-      if violated <> expect_violations then begin
-        write_artifact (Printf.sprintf "CHECK_FAIL_%s.json" name) r;
-        Printf.printf "FAIL: %s %s\n" name
-          (if expect_violations then "missed the injected fault"
-           else "violated on the clean engine");
-        false
-      end
-      else begin
-        Printf.printf "ok: %s\n" name;
-        true
-      end
+    (* Each pair crash point replays a whole two-engine pair: smaller
+       scenario, one eviction subset. *)
+    let pair ?(resync = false) ?(stride = 1) name fault expect =
+      let n_ops = max 24 (ops / 5) in
+      ( name,
+        expect,
+        fun () ->
+          run_sweep ~seed ~n_ops ~subsets:1 ~stride
+            (pair_topology ~resync ~mode:Repl.Ack_all ~latency:1_000 ~target:1
+               n_ops)
+            (pair_cfg ~clone:Config.Delta fault) )
+    in
+    let cases =
+      [
+        single "clean" Config.No_fault false;
+        single "clean-fullclone" ~clone:Config.Full Config.No_fault false;
+        single "skip-commit" Config.Skip_commit_persist true;
+        single "skip-flush" Config.Skip_payload_flush true;
+        (* Group commit: all commit words of a batch are set but never
+           persisted as a unit — a crash right after the batched call
+           returns can drop an acknowledged op. *)
+        single "skip-batch-commit" Config.Skip_batch_commit_fence true;
+        (* OCC transactions: the commit record's LSN word is stored but
+           never flushed, so a checkpoint replay (memory image) sees the
+           span committed while a power failure drops it wholesale — an
+           acknowledged transaction evaporates. The oracle's
+           all-or-nothing clause catches the acked-then-vanished span. *)
+        single "skip-txn-commit" Config.Skip_txn_commit_record true;
+        (* A 96-slot log checkpoints every ~30 ops, so the scenario runs
+           several delta clones — the second one is the first that can
+           miss the untracked dirt. *)
+        single "skip-dirty" ~log_slots:96 Config.Skip_dirty_track true;
+        (* DRAM cache coherence: the mutated pipeline keeps serving
+           cached values but never invalidates or write-throughs them, so
+           an overwrite of a cached key leaves the old value live — caught
+           by the explorer's live-read check in the very run where it
+           happens (a volatile bug: crash recovery alone would hide it,
+           since the cache restarts cold). Pinned seed: the detection
+           needs a read of a key that is later overwritten and read again,
+           and the default seed's 120-op stream never produces that
+           shape. *)
+        single "stale-cache-read" ~seed:7 Config.Stale_cache_read true;
+        (* Replicated pair: the clean protocol keeps every acked op on the
+           backup through whole-pair crashes; acking before the apply
+           (skip-replica-ack) does not. *)
+        pair "pair-clean" Config.No_fault false;
+        pair "pair-skip-replica-ack" Config.Skip_replica_ack_fence true;
+        (* Laggard catch-up: the kill/re-sync drill must stay clean —
+           crash points land mid-snapshot-transfer and mid-install, and
+           the rejoined backup must hold every acked op — while the
+           transfer-window mutation (the re-synced backup seeds its
+           applied watermark past the suffix shipped during the transfer,
+           silently dropping it) must be caught by the same byte-level
+           oracle. Strided: each crash point replays the whole drill
+           including the snapshot stream. *)
+        pair ~resync:true ~stride:2 "pair-resync-clean" Config.No_fault false;
+        pair ~resync:true ~stride:2 "pair-skip-resync-replay"
+          Config.Skip_resync_journal_replay true;
+      ]
     in
     let results =
       List.map
-        (fun run -> run ())
-        [
-          (fun () -> case "clean" ~clone:Config.Delta Config.No_fault false);
-          (fun () ->
-            case "clean-fullclone" ~clone:Config.Full Config.No_fault false);
-          (fun () ->
-            case "skip-commit" ~clone:Config.Delta Config.Skip_commit_persist
-              true);
-          (fun () ->
-            case "skip-flush" ~clone:Config.Delta Config.Skip_payload_flush
-              true);
-          (* Group commit: all commit words of a batch are set but never
-             persisted as a unit — a crash right after the batched call
-             returns can drop an acknowledged op. *)
-          (fun () ->
-            case "skip-batch-commit" ~clone:Config.Delta
-              Config.Skip_batch_commit_fence true);
-          (* OCC transactions: the commit record's LSN word is stored but
-             never flushed, so a checkpoint replay (memory image) sees the
-             span committed while a power failure drops it wholesale — an
-             acknowledged transaction evaporates. The oracle's
-             all-or-nothing clause catches the acked-then-vanished span. *)
-          (fun () ->
-            case "skip-txn-commit" ~clone:Config.Delta
-              Config.Skip_txn_commit_record true);
-          (* A 96-slot log checkpoints every ~30 ops, so the scenario runs
-             several delta clones — the second one is the first that can
-             miss the untracked dirt. *)
-          (fun () ->
-            case "skip-dirty" ~log_slots:96 ~clone:Config.Delta
-              Config.Skip_dirty_track true);
-          (* DRAM cache coherence: the mutated pipeline keeps serving
-             cached values but never invalidates or write-throughs them,
-             so an overwrite of a cached key leaves the old value live —
-             caught by the explorer's live-read oracle check in the very
-             run where it happens (it is a volatile bug: crash recovery
-             alone would hide it, since the cache restarts cold). Pinned
-             seed: the detection needs a read of a key that is later
-             overwritten and read again, and the default seed's 120-op
-             stream happens to never produce that shape. *)
-          (fun () ->
-            case "stale-cache-read" ~seed:7 ~clone:Config.Delta
-              Config.Stale_cache_read true);
-          (* Replicated pair: the clean protocol keeps every acked op on
-             the backup through whole-pair crashes; acking before the
-             apply (skip-replica-ack) does not. Smaller scenario — each
-             crash point replays a whole two-engine pair. *)
-          (fun () -> pair_case "pair-clean" Config.No_fault false);
-          (fun () ->
-            pair_case "pair-skip-replica-ack" Config.Skip_replica_ack_fence
-              true);
-          (* Laggard catch-up: the kill/re-sync drill must stay clean —
-             crash points land mid-snapshot-transfer and mid-install, and
-             the rejoined backup must hold every acked op — while the
-             transfer-window mutation (the re-synced backup seeds its
-             applied watermark past the suffix shipped during the
-             transfer, silently dropping it) must be caught by the same
-             byte-level oracle. Strided: each crash point replays the
-             whole drill including the snapshot stream. *)
-          (fun () ->
-            pair_case ~resync:true ~stride:2 "pair-resync-clean"
-              Config.No_fault false);
-          (fun () ->
-            pair_case ~resync:true ~stride:2 "pair-skip-resync-replay"
-              Config.Skip_resync_journal_replay true);
-        ]
+        (fun (name, expect, sweep) ->
+          Printf.printf "--- %s\n%!" name;
+          let artifact = Printf.sprintf "CHECK_FAIL_%s.json" name in
+          let ok = verdict ~artifact ~expect (sweep ()) in
+          Printf.printf "%s: %s\n" (if ok then "ok" else "FAIL") name;
+          ok)
+        cases
     in
-    let ok = List.for_all Fun.id results in
-    if ok then begin
+    if List.for_all Fun.id results then begin
       print_endline "SELFTEST PASS";
       0
     end
@@ -701,9 +436,9 @@ let selftest_cmd =
   Cmd.v
     (Cmd.info "selftest"
        ~doc:
-         "Acceptance gate: clean sweep passes, each injected fault is \
+         "Acceptance gate: clean sweeps pass, each injected fault is \
           detected.")
-    Term.(const run $ seed $ ops $ subsets)
+    Term.(const run $ seed_arg $ ops_arg 120 $ subsets_arg 3)
 
 let () =
   let info =
@@ -711,4 +446,5 @@ let () =
       ~doc:"Crash-consistency model checker for the DStore reproduction."
   in
   exit
-    (Cmd.eval' (Cmd.group info [ sweep_cmd; cluster_cmd; pair_cmd; selftest_cmd ]))
+    (Cmd.eval'
+       (Cmd.group info [ single_cmd; cluster_cmd; pair_cmd; selftest_cmd ]))

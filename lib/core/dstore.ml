@@ -15,6 +15,8 @@ exception Would_wait of string
 
 type footprint = { dram : int; pmem : int; ssd : int }
 
+type node = { pm : Dstore_pmem.Pmem.t; ssd : Ssd.t }
+
 (* --- reserved-region layout inside every space ---------------------------- *)
 
 (* Must mirror Space.reserve's bump-and-align behaviour exactly; asserted at

@@ -39,6 +39,10 @@ type ctx
 type obj
 (** An open object handle (filesystem API). *)
 
+type node = { pm : Pmem.t; ssd : Ssd.t }
+(** One machine's device pair. The caller owns device construction so it
+    can share a {!Pmem.Bw} bandwidth domain across machines (or not). *)
+
 exception Object_not_found of string
 
 exception Out_of_blocks

@@ -26,7 +26,7 @@ open Dstore_pmem
 open Dstore_ssd
 open Dstore_core
 
-type node = { pm : Pmem.t; ssd : Ssd.t }
+type node = Dstore.node = { pm : Pmem.t; ssd : Ssd.t }
 
 type t
 

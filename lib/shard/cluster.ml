@@ -7,7 +7,7 @@ module Metrics = Dstore_obs.Metrics
 module Trace = Dstore_obs.Trace
 module Span = Dstore_obs.Span
 
-type node = { pm : Pmem.t; ssd : Ssd.t }
+type node = Dstore.node = { pm : Pmem.t; ssd : Ssd.t }
 
 type policy = { max_concurrent : int; spread : float }
 

@@ -37,9 +37,8 @@ open Dstore_pmem
 open Dstore_ssd
 open Dstore_core
 
-(** One shard's device pair. The caller owns device construction so it
-    can share a {!Pmem.Bw} bandwidth domain across shards (or not). *)
-type node = { pm : Pmem.t; ssd : Ssd.t }
+(** One shard's device pair (see {!Dstore_core.Dstore.node}). *)
+type node = Dstore.node = { pm : Pmem.t; ssd : Ssd.t }
 
 (** Checkpoint scheduling policy. *)
 type policy = {

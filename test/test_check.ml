@@ -415,7 +415,19 @@ let prop_oplog_corrupted_slots_never_valid =
 (* --- Explorer sweeps --------------------------------------------------- *)
 
 let sweep ~fault ~seed ~n_ops ~stride =
-  Explorer.sweep ~subset_seeds:[ 11 ] ~stride ~seed ~n_ops (small_cfg fault)
+  Explorer.sweep ~subsets:1 ~stride ~seed ~n_ops Explorer.Single
+    (small_cfg fault)
+
+(* (total events, init events, crash points, runs, violations): any change
+   to event numbering or run counts moves it. *)
+let fingerprint (r : Explorer.report) =
+  [
+    r.total_events;
+    r.init_events;
+    r.crash_points;
+    r.runs;
+    List.length r.violations;
+  ]
 
 (* Bounded exhaustive sweep on the unmutated engine: every persistence
    event of a mixed put/overwrite/delete scenario, drop-all plus one
@@ -431,7 +443,8 @@ let test_sweep_clean () =
       fail
         (Printf.sprintf "clean engine violated at event %d (%s): %s"
            v.Explorer.crash_event v.Explorer.mode v.Explorer.detail));
-  check bool "runs = 2x points" true (r.Explorer.runs = 2 * r.Explorer.crash_points)
+  check bool "runs = 2x points" true (r.Explorer.runs = 2 * r.Explorer.crash_points);
+  check (list int) "fingerprint" [ 218; 12; 206; 412; 0 ] (fingerprint r)
 
 let test_sweep_detects_skip_commit () =
   let r = sweep ~fault:Config.Skip_commit_persist ~seed:7 ~n_ops:40 ~stride:1 in
@@ -473,7 +486,7 @@ let test_sweep_detects_skip_txn_commit () =
 let test_sweep_detects_skip_dirty_track () =
   let cfg = { (small_cfg Config.Skip_dirty_track) with Config.log_slots = 96 } in
   let r =
-    Explorer.sweep ~subset_seeds:[ 11 ] ~stride:64 ~seed:42 ~n_ops:120 cfg
+    Explorer.sweep ~subsets:1 ~stride:64 ~seed:42 ~n_ops:120 Explorer.Single cfg
   in
   check bool "lost dirty tracking detected" true (r.Explorer.violations <> [])
 
@@ -914,7 +927,7 @@ let test_sweep_obs_export () =
     Dstore_obs.Obs.create ~trace_capacity:256 ~now:(fun () -> 0) ()
   in
   let r =
-    Explorer.sweep ~obs ~subset_seeds:[ 11 ] ~stride:8 ~seed:7 ~n_ops:25
+    Explorer.sweep ~obs ~subsets:1 ~stride:8 ~seed:7 ~n_ops:25 Explorer.Single
       (small_cfg Config.No_fault)
   in
   let m = obs.Dstore_obs.Obs.metrics in

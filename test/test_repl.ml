@@ -541,6 +541,36 @@ let test_resynced_pinned_seeds () =
         && Mem.equal_range prom_mem replay_mem ~off:0 ~len:prom_used))
     [ 2019; 59341; 70447 ]
 
+(* --- Whole-pair crash sweep ------------------------------------------- *)
+
+(* Every fourth persistence event of the backup, drop-all plus one eviction
+   subset, with a log small enough that the backup checkpoints inside the
+   scenario. *)
+let pair_sweep fault =
+  Explorer.sweep ~subsets:1 ~stride:4 ~seed:42 ~n_ops:24
+    (Pair
+       {
+         mode = Repl.Ack_all;
+         link_latency_ns = 1_000;
+         story = Steady;
+         target = 1;
+       })
+    { pair_cfg with Config.log_slots = 32; fault }
+
+let test_pair_sweep_clean () =
+  let r = pair_sweep Config.No_fault in
+  check (list int) "fingerprint" [ 104; 12; 23; 46; 0 ]
+    (Test_check.fingerprint r);
+  check bool "crash points inside a backup checkpoint" true
+    (r.mid_ckpt_points > 0)
+
+(* A backup that acks before applying loses acked ops on failover. *)
+let test_pair_sweep_detects_skip_replica_ack () =
+  let r = pair_sweep Config.Skip_replica_ack_fence in
+  check bool "acked-before-apply caught" true (r.violations <> []);
+  check (list int) "fingerprint" [ 94; 12; 21; 42; 20 ]
+    (Test_check.fingerprint r)
+
 let suite =
   [
     test_case "link: FIFO under jitter + bandwidth" `Quick
@@ -559,4 +589,8 @@ let suite =
     prop_resynced_backup_byte_identity;
     test_case "re-synced backup byte identity: pinned seeds" `Quick
       test_resynced_pinned_seeds;
+    test_case "pair sweep: bounded strided sweep clean" `Quick
+      test_pair_sweep_clean;
+    test_case "pair sweep: detects skipped replica ack fence" `Quick
+      test_pair_sweep_detects_skip_replica_ack;
   ]

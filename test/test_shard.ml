@@ -359,15 +359,17 @@ let test_cluster_crash_mid_ckpt_recover () =
 
 (* --- Bounded explorer sweep ------------------------------------------- *)
 
-let test_cluster_explorer_bounded_sweep () =
+let test_cluster_bounded_sweep () =
   let cfg = { small_cfg with Config.log_slots = 64 } in
   let r =
-    Dstore_check.Cluster_explorer.sweep ~shards:2 ~seed:7 ~n_ops:30
-      ~subset_seeds:[] ~stride:16 cfg
+    Dstore_check.Explorer.sweep ~subsets:0 ~stride:16 ~seed:7 ~n_ops:30
+      (Cluster { shards = 2; policy = Cluster.staggered; target = 0 })
+      cfg
   in
-  check bool "swept some crash points" true (r.Dstore_check.Cluster_explorer.crash_points > 0);
-  check int "no violations" 0
-    (List.length r.Dstore_check.Cluster_explorer.violations)
+  check bool "swept some crash points" true (r.crash_points > 0);
+  check int "no violations" 0 (List.length r.violations);
+  check (list int) "fingerprint" [ 28; 12; 1; 1; 0 ]
+    (Test_check.fingerprint r)
 
 let suite =
   [
@@ -388,5 +390,5 @@ let suite =
       test_cluster_crash_mid_ckpt_recover );
     ( "cluster: bounded crash sweep is violation-free",
       `Slow,
-      test_cluster_explorer_bounded_sweep );
+      test_cluster_bounded_sweep );
   ]
