@@ -67,11 +67,9 @@
      tail              tail-latency attribution report over all recorded
                        spans (merged across shards): >=p99 / >=p9999 mass
                        decomposed by blame cause
-     spans [N]         last N finished op spans with per-segment timings
-                       and blame intervals (default 20)
-     trace [N]         last N cluster trace events (default 20)
-     trace-shard I [N] last N trace events of shard I's store
-     trace-clear       empty the cluster trace ring
+     spans [N]         last N finished spans (ops, checkpoints, recoveries)
+                       with per-segment timings and blame intervals
+                       (default 20)
      footprint         DRAM/PMEM/SSD usage summed across shards
      cache             DRAM object-cache statistics summed across shards
      cache-clear       drop every cached object (volatile state only;
@@ -89,7 +87,6 @@ open Dstore_shard
 open Dstore_util
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
-module Trace = Dstore_obs.Trace
 module Span = Dstore_obs.Span
 
 (* A ref: --cache-mb rewrites it before the session starts, and recovery
@@ -114,7 +111,7 @@ type session = {
   platform : Platform.t;
   nodes : Cluster.node array;
   policy : Cluster.policy;
-  obs : Obs.t;  (* session-owned: the trace survives crash/recover *)
+  obs : Obs.t;  (* session-owned: spans survive crash/recover *)
   mutable cluster : Cluster.t option;
   mutable ctx : Cluster.ctx option;
   mutable batch : int;  (* group-commit size: 1 = classic per-op commit *)
@@ -124,9 +121,8 @@ type session = {
 }
 
 (* A single-shard shell shares the session handle with the store itself,
-   so `trace` keeps showing pre-crash events across crash/recover exactly
-   as the unsharded shell did; multi-shard stores keep their own rings
-   (see `trace-shard`). *)
+   so `spans` keeps showing pre-crash spans across crash/recover;
+   multi-shard stores keep their own recorders. *)
 let shard_obs s i =
   if Array.length s.nodes = 1 && i = 0 then Some s.obs else None
 
@@ -398,23 +394,6 @@ let handle s line =
   | [ "spans" ] -> Span.print_spans ~n:20 (Cluster.tail_recorder (cluster s))
   | [ "spans"; n ] when int_of_string_opt n <> None ->
       Span.print_spans ~n:(int_of_string n) (Cluster.tail_recorder (cluster s))
-  | [ "trace" ] -> Obs.print_trace ~last:20 s.obs
-  | [ "trace"; n ] when int_of_string_opt n <> None ->
-      Obs.print_trace ~last:(int_of_string n) s.obs
-  | "trace-shard" :: i :: rest
-    when int_of_string_opt i <> None
-         && (rest = [] || List.for_all (fun x -> int_of_string_opt x <> None) rest)
-    ->
-      let c = cluster s in
-      let i = int_of_string i in
-      if i < 0 || i >= Cluster.shard_count c then
-        print_endline "(no such shard)"
-      else
-        let last = match rest with [ n ] -> int_of_string n | _ -> 20 in
-        Obs.print_trace ~last (Dstore.obs (Cluster.shard_store c i))
-  | [ "trace-clear" ] ->
-      Trace.clear s.obs.Obs.trace;
-      print_endline "trace cleared"
   | [ "footprint" ] ->
       let f = Cluster.footprint (cluster s) in
       Printf.printf "dram=%s pmem=%s ssd=%s\n"
@@ -491,9 +470,8 @@ let handle s line =
   | _ ->
       print_endline
         "unknown command (put/get/del/batch/txn/list/checkpoint/ckpt/shards/\n\
-         stats/metrics/tail/spans/trace/trace-shard/trace-clear/footprint/\n\
-         cache/cache-clear/check/crash/recover/quit; txn subcommands: \n\
-         begin/get/put/del/commit/abort)"
+         stats/metrics/tail/spans/footprint/cache/cache-clear/check/crash/\n\
+         recover/quit; txn subcommands: begin/get/put/del/commit/abort)"
 
 (* --- Replicated shell (with --backups) ------------------------------------ *)
 
@@ -797,11 +775,7 @@ let () =
         })
   in
   let policy = if stagger then Cluster.staggered else Cluster.no_stagger in
-  let obs =
-    Obs.create ~trace_capacity:!cfg.Config.trace_capacity
-      ~now:(fun () -> platform.Platform.now ())
-      ()
-  in
+  let obs = Obs.create ~now:(fun () -> platform.Platform.now ()) () in
   let s =
     {
       sim;

@@ -393,7 +393,7 @@ let checkpoint_now t = do_checkpoint t
 
 (* --- operations ------------------------------------------------------------------ *)
 
-let costs = Config.default_costs
+let costs = Config.costs
 
 let put_once t key value =
   t.platform.Platform.consume t.cfg.op_cpu_ns;

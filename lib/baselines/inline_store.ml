@@ -207,7 +207,7 @@ let with_tx t f =
 
 let blob_alloc_size size = 8 + max size 1
 
-let costs = Config.default_costs
+let costs = Config.costs
 
 let put t key value =
   t.platform.Platform.consume t.cfg.op_cpu_ns;

@@ -10,7 +10,6 @@ open Dstore_repl
 open Dstore_util
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
-module Trace = Dstore_obs.Trace
 module Json = Dstore_obs.Json
 
 exception Crash_point of int
@@ -581,21 +580,16 @@ let sweep ?obs ?(stride = 1) ?(progress = fun ~done_:_ ~total:_ -> ())
   let total = max 0 ((total_events - init_events + stride - 1) / stride) in
   let points = List.init total (fun i -> init_events + 1 + (i * stride)) in
   let specs = Drop :: List.init subsets (fun i -> Subset (11 + (12 * i))) in
-  let counter, note =
+  let counter name =
     match obs with
-    | None -> ((fun _ -> ignore), fun _ -> ())
+    | None -> ignore
     | Some o ->
-        ( (fun name ->
-            let c = Metrics.counter o.Obs.metrics ("check." ^ name) in
-            fun () -> Metrics.incr c),
-          fun s -> Trace.emit o.Obs.trace (Trace.Note s) )
+        let c = Metrics.counter o.Obs.metrics ("check." ^ name) in
+        fun () -> Metrics.incr c
   in
   let bump_points = counter "crash_points" and bump_runs = counter "runs" in
   let bump_oracle = counter "oracle_violations" in
   let bump_fsck = counter "fsck_violations" in
-  note
-    (Printf.sprintf "check: sweep %s seed=%d ops=%d events=%d points=%d"
-       (topology_label topology) seed n_ops total_events total);
   let runs = ref 0 and mid_ckpt_points = ref 0 in
   let violations =
     ref
@@ -623,21 +617,15 @@ let sweep ?obs ?(stride = 1) ?(progress = fun ~done_:_ ~total:_ -> ())
           if mid then mid_at_k := true;
           List.iter
             (fun v ->
-              (match v.source with
+              match v.source with
               | Fsck_violation -> bump_fsck ()
-              | Oracle_violation | Recovery_failure -> bump_oracle ());
-              note
-                (Printf.sprintf "check: VIOLATION event=%d mode=%s %s: %s"
-                   v.crash_event v.mode (source_label v.source) v.detail))
+              | Oracle_violation | Recovery_failure -> bump_oracle ())
             bad;
           violations := List.rev_append bad !violations)
         specs;
       if !mid_at_k then incr mid_ckpt_points;
       progress ~done_:(i + 1) ~total)
     points;
-  note
-    (Printf.sprintf "check: sweep done runs=%d mid_ckpt_points=%d violations=%d"
-       !runs !mid_ckpt_points (List.length !violations));
   {
     seed;
     n_ops;

@@ -120,10 +120,9 @@ val sweep :
     = exhaustive) sweeps every [stride]-th event; [progress] is called
     after each crash point. With [obs], the sweep counts
     [check.crash_points] / [check.runs] / [check.oracle_violations] /
-    [check.fsck_violations] and emits [Note] trace events (one per
-    violation). [cfg] configures every engine; a {!Dstore_core.Config.fault}
-    in it runs the whole stack with that protocol bug, and the sweep is
-    expected to report violations. Raises [Invalid_argument] on a bad
+    [check.fsck_violations]. [cfg] configures every engine; a
+    {!Dstore_core.Config.fault} in it runs the whole stack with that
+    protocol bug, and the sweep is expected to report violations. Raises [Invalid_argument] on a bad
     stride, subset count, shard count, target, [Async] pair, or a [Resync]
     story not satisfying [0 < kill_at < resync_at < join_at < n_ops]. *)
 

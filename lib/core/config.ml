@@ -34,7 +34,7 @@ type clone_mode =
 
 (** Modeled CPU costs, charged via [Platform.consume] at protocol level
     (device costs are charged by the devices themselves). Calibrated from
-    the paper's Table 3. *)
+    the paper's Table 3; DStore and the baselines share one [costs]. *)
 type costs = {
   btree_ns : int;  (** One index update (Table 3: ~300 ns). *)
   meta_ns : int;  (** Allocate blocks + write metadata entry (~292 ns). *)
@@ -46,7 +46,7 @@ type costs = {
           absorb under CoW checkpoints (§4.5). *)
 }
 
-let default_costs =
+let costs =
   {
     btree_ns = 300;
     meta_ns = 292;
@@ -125,12 +125,6 @@ type t = {
   space_bytes : int;  (** Bytes per space (volatile + two PMEM shadows). *)
   meta_entries : int;  (** Metadata-zone capacity (max live objects). *)
   ssd_blocks : int;  (** Block-pool capacity; block = one SSD page. *)
-  readcount_buckets : int;
-  batch : int;
-      (** Group-commit batch size: how many frontend updates share one log
-          append + one commit round. 1 = classic per-op commit. Only the
-          batched entry points ([Dstore.obatch] and friends) consult it;
-          single-op calls are always batch = 1. *)
   cache_bytes : int;
       (** DRAM object-cache byte budget; 0 disables the cache. Strictly
           volatile (never persisted, cold after recovery) and only
@@ -141,10 +135,6 @@ type t = {
           this many consecutive committed entries into one multi-entry
           ship message before forcing a flush. 1 = one message per entry
           (the PR 7 behavior, the serial ablation baseline). *)
-  repl_ship_bytes : int;
-      (** Replication ship-batch byte budget: a staged batch is flushed
-          as soon as its serialized payload reaches this size, whatever
-          its op count. *)
   repl_ship_linger_ns : int;
       (** How long the first staged entry may wait for co-travellers
           before the batch is flushed anyway. 0 = flush on every entry
@@ -155,15 +145,12 @@ type t = {
           backpressures into the link), decoupling receive from apply so
           shipped spans re-execute through the group-commit path while
           later messages are still in flight. *)
-  costs : costs;
   obs_enabled : bool;
-      (** Observability opt-out: when false the store's metrics registry,
-          span recorder and trace ring are created disabled (recording is
-          a dead branch), so span-derived figures such as Table 3 read
-          zero. Engine {!Dipper.stats} are unaffected — they are not
-          optional instrumentation. *)
-  trace_capacity : int;
-      (** Trace ring size in entries (DRAM only, bounded memory). *)
+      (** Observability opt-out: when false the store's metrics registry
+          and span recorder are created disabled (recording is a dead
+          branch), so span-derived figures such as Table 3 read zero.
+          Engine {!Dipper.stats} are unaffected — they are not optional
+          instrumentation. *)
   fault : fault;
       (** Injected protocol bug for checker validation; [No_fault] in any
           real configuration. *)
@@ -181,16 +168,11 @@ let default =
     space_bytes = 32 * 1024 * 1024;
     meta_entries = 16384;
     ssd_blocks = 60 * 1024;
-    readcount_buckets = 65536;
-    batch = 1;
     cache_bytes = 0;
     repl_ship_ops = 32;
-    repl_ship_bytes = 256 * 1024;
     repl_ship_linger_ns = 5_000;
     repl_apply_depth = 256;
-    costs = default_costs;
     obs_enabled = true;
-    trace_capacity = 4096;
     fault = No_fault;
   }
 

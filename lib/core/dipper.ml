@@ -3,7 +3,6 @@ open Dstore_pmem
 open Dstore_memory
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
-module Trace = Dstore_obs.Trace
 module Span = Dstore_obs.Span
 
 exception Log_full
@@ -201,8 +200,6 @@ let log_handles t = Array.copy t.logs
 
 let root_snapshot t = Root.read t.root
 
-let trace t ev = Trace.emit t.obs.Obs.trace ev
-
 (* Engine statistics surface on the registry as callback gauges over the
    live stats record: the record stays the single always-on source of
    truth (its counters carry protocol meaning and must not be silenced by
@@ -244,13 +241,13 @@ let ticket_op tk = tk.op
    store to a write-protected page copies the page to the PMEM target
    first — the "page fault handler" of §4.5 — and (b) the physical-logging
    capture used by the Figure 9 naïve baseline. *)
-let cow_fault platform fault_ns pm cow raw page =
+let cow_fault platform pm cow raw page =
   cow.sem.Platform.acquire ();
   if cow.active && page < cow.marked_pages && Bytes.get cow.ro page = '\001'
   then begin
     (* Fault trap + TLB shootdown, then the page copy — serialized by the
        fault handler (mmap_sem), which is where CoW's tail comes from. *)
-    platform.Platform.consume fault_ns;
+    platform.Platform.consume Config.costs.cow_fault_ns;
     let off = page * page_bytes in
     Pmem.blit_from_bytes pm raw ~src:off ~dst:(cow.target_off + off)
       ~len:page_bytes;
@@ -260,14 +257,14 @@ let cow_fault platform fault_ns pm cow raw page =
   end;
   cow.sem.Platform.release ()
 
-let wrap_volatile platform fault_ns pm cow cap st (base : Mem.t) raw : Mem.t =
+let wrap_volatile platform pm cow cap st (base : Mem.t) raw : Mem.t =
   let pre off len =
     if cow.active then begin
       let first = off / page_bytes and last = (off + len - 1) / page_bytes in
       for p = first to min last (cow.marked_pages - 1) do
         if Bytes.get cow.ro p = '\001' then begin
           st.cow_faults <- st.cow_faults + 1;
-          cow_fault platform fault_ns pm cow raw p
+          cow_fault platform pm cow raw p
         end
       done
     end
@@ -311,7 +308,6 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
     | Some o -> o
     | None ->
         Obs.create ~enabled:cfg.Config.obs_enabled
-          ~trace_capacity:cfg.Config.trace_capacity
           ~now:(fun () -> platform.Platform.now ())
           ()
   in
@@ -406,7 +402,6 @@ let swap_logs t =
   let arch = t.active_log in
   let standby = 1 - arch in
   t.active_log <- standby;
-  trace t (Trace.Log_swap { archived = arch; active = standby });
   Root.publish t.root (root_state t ~in_progress:true ~archived:arch);
   let tickets =
     Hashtbl.fold (fun _ tk acc -> tk :: acc) t.in_flight []
@@ -625,12 +620,10 @@ let dipper_checkpoint t sp =
   Oplog.reset t.logs.(standby) ~lsn_base:t.next_base;
   t.next_base <- t.next_base + t.cfg.log_slots;
   let arch = Platform.with_lock t.lock (fun () -> swap_logs t) in
-  trace t (Trace.Ckpt Trace.C_archive);
   let t1 = now () in
   t.st.ckpt_archive_ns <- t.st.ckpt_archive_ns + (t1 - t0);
   Span.seg sp Span.S_ckpt_archive;
   let target = 1 - t.current_space in
-  trace t (Trace.Ckpt Trace.C_clone);
   let delta_cfg = t.cfg.Config.ckpt_clone = Config.Delta in
   let copyset =
     if delta_cfg then Bytes.make (space_pages t) '\000' else Bytes.empty
@@ -661,12 +654,10 @@ let dipper_checkpoint t sp =
     end
   in
   let entries = committed_entries t.logs.(arch) ~above:t.last_applied in
-  trace t (Trace.Ckpt Trace.C_replay);
   let t2 = now () in
   t.st.ckpt_clone_ns <- t.st.ckpt_clone_ns + (t2 - t1);
   Span.seg sp Span.S_ckpt_clone;
   replay_pool t shadow entries;
-  trace t (Trace.Ckpt Trace.C_persist);
   let t3 = now () in
   t.st.ckpt_replay_ns <- t.st.ckpt_replay_ns + (t3 - t2);
   Span.seg sp Span.S_ckpt_replay;
@@ -679,7 +670,6 @@ let dipper_checkpoint t sp =
   t.st.ckpt_persist_ns <- t.st.ckpt_persist_ns + (t4 - t3);
   Span.seg sp Span.S_ckpt_persist;
   finish_checkpoint t ~target ~arch;
-  trace t (Trace.Ckpt Trace.C_publish);
   t.st.ckpt_publish_ns <- t.st.ckpt_publish_ns + (now () - t4);
   Span.seg sp Span.S_ckpt_publish
 
@@ -696,8 +686,6 @@ let cow_checkpoint t sp =
   let arch =
     Platform.with_lock t.lock (fun () ->
         let arch = swap_logs t in
-        trace t (Trace.Ckpt Trace.C_archive);
-        trace t (Trace.Ckpt Trace.C_clone);
         (* Mark: every used page becomes read-only. Fast — a flag sweep. *)
         let pages =
           (Space.used_bytes t.volatile + page_bytes - 1) / page_bytes
@@ -717,22 +705,18 @@ let cow_checkpoint t sp =
      as the clone+persist phases combined; it is booked under clone. *)
   for p = 0 to t.cow.marked_pages - 1 do
     if Bytes.get t.cow.ro p = '\001' then
-      cow_fault t.platform t.cfg.Config.costs.cow_fault_ns t.pm t.cow
-        t.volatile_raw p
+      cow_fault t.platform t.pm t.cow t.volatile_raw p
   done;
   t.cow.active <- false;
-  trace t (Trace.Ckpt Trace.C_persist);
   let t2 = now () in
   t.st.ckpt_clone_ns <- t.st.ckpt_clone_ns + (t2 - t1);
   Span.seg sp Span.S_ckpt_clone;
   finish_checkpoint t ~target ~arch;
-  trace t (Trace.Ckpt Trace.C_publish);
   t.st.ckpt_publish_ns <- t.st.ckpt_publish_ns + (now () - t2);
   Span.seg sp Span.S_ckpt_publish
 
 let do_checkpoint t =
   let t0 = t.platform.Platform.now () in
-  trace t (Trace.Ckpt Trace.C_trigger);
   let sp = Span.start t.obs.Obs.spans Span.Checkpoint "ckpt" in
   (match t.cfg.checkpoint with
   | Config.Dipper -> dipper_checkpoint t sp
@@ -786,7 +770,7 @@ let create ?obs platform pm cfg hooks =
   in
   let t, raw, cow, cap = make_engine ?obs platform pm cfg hooks root in
   let base = Mem.of_bytes raw in
-  let wrapped = wrap_volatile platform cfg.Config.costs.cow_fault_ns pm cow cap t.st base raw in
+  let wrapped = wrap_volatile platform pm cow cap t.st base raw in
   let volatile = Space.format wrapped in
   hooks.format_structures volatile;
   t.volatile <- volatile;
@@ -805,7 +789,6 @@ let recover ?obs platform pm cfg hooks =
   let t, raw, cow, cap = make_engine ?obs platform pm cfg hooks root in
   let t0 = platform.Platform.now () in
   let sp = Span.start t.obs.Obs.spans Span.Recovery "recover" in
-  trace t (Trace.Recovery Trace.R_start);
   let rs = Root.read root in
   t.active_log <- rs.Root.active_log;
   t.current_space <- rs.Root.current_space;
@@ -813,7 +796,6 @@ let recover ?obs platform pm cfg hooks =
   (* Phase 1: if a checkpoint was interrupted, redo it from the old shadow
      copies (§3.6) — identical for DIPPER and CoW configurations. *)
   if rs.Root.ckpt_in_progress then begin
-    trace t (Trace.Recovery Trace.R_redo_ckpt);
     let arch = rs.Root.ckpt_archived_log in
     let target = 1 - t.current_space in
     (* Always a full clone: the dirty epochs died with the crash. *)
@@ -826,18 +808,16 @@ let recover ?obs platform pm cfg hooks =
   end;
   (* Phase 2: rebuild the volatile space — bulk copy of the current shadow
      (the "replicate the PMEM allocator state in the DRAM allocator" step). *)
-  trace t (Trace.Recovery Trace.R_rebuild);
   let pspace = Space.attach (space_mem t t.current_space) in
   let used = Space.used_bytes pspace in
   Pmem.bulk_read_cost pm used;
   let base = Mem.of_bytes raw in
-  let wrapped = wrap_volatile platform cfg.Config.costs.cow_fault_ns pm cow cap t.st base raw in
+  let wrapped = wrap_volatile platform pm cow cap t.st base raw in
   t.volatile <- Space.copy_into pspace wrapped;
   t.st.recovery_metadata_ns <- platform.Platform.now () - t0;
   Span.seg sp Span.S_rec_metadata;
   (* Phase 3: replay committed records beyond the watermark from both logs
      in LSN order (robust to a crash landing anywhere around a swap). *)
-  trace t (Trace.Recovery Trace.R_replay);
   let t1 = platform.Platform.now () in
   let entries =
     committed_entries t.logs.(0) ~above:t.last_applied
@@ -856,7 +836,6 @@ let recover ?obs platform pm cfg hooks =
       (Oplog.lsn_base t.logs.(0))
       (Oplog.lsn_base t.logs.(1))
     + cfg.log_slots;
-  trace t (Trace.Recovery Trace.R_done);
   Span.finish sp;
   spawn_manager t;
   t
@@ -1048,7 +1027,7 @@ let rec build = function
 let stage_record t log key op n =
   let slot, lsn = Option.get (Oplog.reserve log n) in
   Oplog.write_record log ~slot ~lsn op;
-  t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
+  t.platform.Platform.consume Config.costs.log_cpu_ns;
   let tk = { lsn; log_id = t.active_log; slot; op; key; done_ = Atomic.make false } in
   Hashtbl.add t.in_flight lsn tk;
   tk
@@ -1127,7 +1106,6 @@ let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
   | Some (key, c) ->
       t.lock.Platform.unlock ();
       t.st.conflict_waits <- t.st.conflict_waits + 1;
-      trace t (Trace.Conflict_wait key);
       blamed t span Span.Conflict_retry (fun () -> wait_conflict t ~holder key c);
       attempt t ~ignore ~holder ~span ~reads ~txn items need
   | None when Oplog.free_slots t.logs.(t.active_log) < need ->
@@ -1137,7 +1115,6 @@ let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
       end;
       request_checkpoint_locked t;
       t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-      trace t Trace.Log_full_stall;
       (* cond wait releases and re-acquires the frontend lock *)
       blamed t span Span.Log_full (fun () -> t.cond_space.Platform.wait t.lock);
       t.lock.Platform.unlock ();
@@ -1302,9 +1279,9 @@ let checkpoint_now t =
 let is_checkpoint_running t = t.ckpt_running
 
 (* Cluster seam: the shard layer wraps checkpoint execution to bound how
-   many engines run one concurrently and to emit cluster-level trace
-   notes. The gate runs on the engine's manager thread; it must call the
-   thunk exactly once. *)
+   many engines run one concurrently and to count concurrent checkpoints.
+   The gate runs on the engine's manager thread; it must call the thunk
+   exactly once. *)
 let set_ckpt_gate t gate = t.ckpt_gate <- gate
 
 let log_fill t =

@@ -58,16 +58,17 @@ val layout_bytes : Config.t -> int
 val create :
   ?obs:Dstore_obs.Obs.t -> Platform.t -> Pmem.t -> Config.t -> hooks -> t
 (** Format a fresh store on the device (root at offset 0). [obs] supplies
-    an existing observability handle (so traces survive engine re-creation
+    an existing observability handle (so spans survive engine re-creation
     across crash/recover cycles); by default one is built from the config's
-    [obs_enabled] / [trace_capacity] using the platform's virtual clock. *)
+    [obs_enabled] using the platform's virtual clock. *)
 
 val recover :
   ?obs:Dstore_obs.Obs.t -> Platform.t -> Pmem.t -> Config.t -> hooks -> t
 (** Open after a shutdown or crash: redoes an interrupted checkpoint if the
     root says one was running, rebuilds the volatile space from the current
     shadow copies, and replays committed log records beyond the applied
-    watermark. Emits [Recovery] trace events for each phase. *)
+    watermark. Records one [Recovery] span whose [S_rec_metadata] and
+    [S_rec_replay] segments time the phases. *)
 
 val is_initialized : Pmem.t -> bool
 
@@ -274,8 +275,7 @@ val set_ckpt_gate : t -> ((unit -> unit) -> unit) -> unit
     calls [gate run] instead of running the checkpoint directly; the gate
     must call [run] exactly once. The shard layer uses this to cap how
     many engines checkpoint concurrently (staggered scheduling) and to
-    emit cluster-level trace notes around each shard checkpoint. Default:
-    [fun run -> run ()]. *)
+    count concurrent checkpoints. Default: [fun run -> run ()]. *)
 
 val log_fill : t -> float
 (** Fraction of the active log's slots currently occupied, in [0, 1] —
@@ -349,7 +349,7 @@ val stats : t -> stats
 
 val obs : t -> Dstore_obs.Obs.t
 (** The engine's observability handle: metrics registry (device counters,
-    [dipper.*] views of {!stats}) and the trace ring. *)
+    [dipper.*] views of {!stats}) and the span recorder. *)
 
 val pmem_footprint : t -> int
 (** Bytes of PMEM in active use: root, both logs, used prefixes of both

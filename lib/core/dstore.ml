@@ -191,8 +191,8 @@ let prepare_op h (op : Logrec.op) =
 
 (* Phase 2: key-indexed structure updates (what the frontend did outside
    the lock, under observational equivalence). *)
-let apply_op platform (cfg : Config.t) h (op : Logrec.op) =
-  let costs = cfg.costs in
+let apply_op platform h (op : Logrec.op) =
+  let costs = Config.costs in
   match op with
   | Logrec.Put { key; size; meta; extents; _ } ->
       platform.Platform.consume (costs.meta_ns + costs.btree_ns);
@@ -235,7 +235,7 @@ let hooks platform cfg reg =
   {
     Dipper.format_structures = (fun space -> format_structures cfg reg space);
     prepare = (fun space op -> prepare_op (handles_of space) op);
-    apply = (fun space op -> apply_op platform cfg (handles_of space) op);
+    apply = (fun space op -> apply_op platform (handles_of space) op);
   }
 
 let build platform cfg engine ssd =
@@ -267,7 +267,7 @@ let build platform cfg engine ssd =
     reg;
     engine;
     ssd;
-    rc = Readcount.create ~buckets:cfg.readcount_buckets ();
+    rc = Readcount.create ();
     h;
     struct_lock = platform.Platform.new_mutex ();
     held_locks = Hashtbl.create 64;
@@ -720,16 +720,16 @@ let rec append_items_of t = function
 
 (* Steps 6 and 7, cut apart so Table 3 can tell metadata from B-tree. *)
 let put_structures ~span t key meta size extents =
-  t.platform.Platform.consume t.cfg.costs.meta_ns;
+  t.platform.Platform.consume Config.costs.meta_ns;
   Metazone.write_object t.h.zone meta ~size (to_mz extents);
   Span.seg span Span.S_structs;
-  t.platform.Platform.consume t.cfg.costs.btree_ns;
+  t.platform.Platform.consume Config.costs.btree_ns;
   ignore (Btree.insert t.h.btree key meta);
   Span.seg span Span.S_index
 
 let delete_structures t key =
   with_structs t (fun () ->
-      t.platform.Platform.consume t.cfg.costs.btree_ns;
+      t.platform.Platform.consume Config.costs.btree_ns;
       ignore (Btree.delete t.h.btree key));
   cache_invalidate t key
 
@@ -863,7 +863,7 @@ let oput_physical ctx t key value size =
           let meta = alloc_meta t in
           data_extents := extents;
           t.platform.Platform.consume
-            (t.cfg.costs.meta_ns + t.cfg.costs.btree_ns);
+            (Config.costs.meta_ns + Config.costs.btree_ns);
           Metazone.write_object t.h.zone meta ~size (to_mz extents);
           ignore (Btree.insert t.h.btree key meta);
           if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta;
@@ -995,6 +995,14 @@ let rec read_entry ?(span = Span.none) ctx key =
 
 let read_exit t key = Readcount.exit_reader t.rc key
 
+(* A caller buffer too short for the object: leave the reader window
+   and finish the span before raising, or the key's next writer would
+   wait in [Dipper.wait_readers] for a reader that is gone. *)
+let short_buffer ~span t key fn =
+  read_exit t key;
+  Span.finish span;
+  invalid_arg (fn ^ ": buffer shorter than the object")
+
 let oget_into ctx key buf =
   check_ctx ctx;
   let t = ctx.store in
@@ -1010,9 +1018,10 @@ let oget_into ctx key buf =
            BEFORE charging modeled costs: [consume] is a scheduling
            point, and a concurrent op's fill/write-through could evict
            and recycle the borrowed buffer during the yield. *)
-        assert (Bytes.length buf >= len);
+        if Bytes.length buf < len then
+          short_buffer ~span t key "Dstore.oget_into";
         Bytes.blit cbuf 0 buf 0 len;
-        t.platform.Platform.consume t.cfg.costs.lookup_ns;
+        t.platform.Platform.consume Config.costs.lookup_ns;
         copy_cost t len;
         Span.seg span Span.S_index;
         len
@@ -1022,7 +1031,7 @@ let oget_into ctx key buf =
               match Btree.find t.h.btree key with
               | None -> None
               | Some meta ->
-                  t.platform.Platform.consume t.cfg.costs.lookup_ns;
+                  t.platform.Platform.consume Config.costs.lookup_ns;
                   let size, extents = Metazone.read_object t.h.zone meta in
                   Some (size, extents))
         in
@@ -1030,7 +1039,8 @@ let oget_into ctx key buf =
         match located with
         | None -> -1
         | Some (size, extents) ->
-            assert (Bytes.length buf >= size);
+            if Bytes.length buf < size then
+              short_buffer ~span t key "Dstore.oget_into";
             read_data ~span t (of_mz extents) buf size;
             Span.seg span Span.S_data;
             cache_fill ~span t key buf size;
@@ -1049,7 +1059,7 @@ let fetch_value ~span t key =
       (* Copy out before the [consume] yield — see [oget_into]. *)
       let buf = Bytes.create len in
       Bytes.blit cbuf 0 buf 0 len;
-      t.platform.Platform.consume t.cfg.costs.lookup_ns;
+      t.platform.Platform.consume Config.costs.lookup_ns;
       copy_cost t len;
       Span.seg span Span.S_index;
       Some buf
@@ -1059,7 +1069,7 @@ let fetch_value ~span t key =
           Span.seg span Span.S_index;
           None
       | Some meta ->
-          t.platform.Platform.consume t.cfg.costs.lookup_ns;
+          t.platform.Platform.consume Config.costs.lookup_ns;
           let size, extents = Metazone.read_object t.h.zone meta in
           Span.seg span Span.S_index;
           let buf = Bytes.create size in
@@ -1099,7 +1109,7 @@ let oget_view ctx key scratch =
   let result =
     match cache_lookup t key with
     | Some (cbuf, len) ->
-        t.platform.Platform.consume t.cfg.costs.lookup_ns;
+        t.platform.Platform.consume Config.costs.lookup_ns;
         Span.seg span Span.S_index;
         Some (cbuf, len)
     | None -> (
@@ -1108,10 +1118,11 @@ let oget_view ctx key scratch =
             Span.seg span Span.S_index;
             None
         | Some meta ->
-            t.platform.Platform.consume t.cfg.costs.lookup_ns;
+            t.platform.Platform.consume Config.costs.lookup_ns;
             let size, extents = Metazone.read_object t.h.zone meta in
             Span.seg span Span.S_index;
-            assert (Bytes.length scratch >= size);
+            if Bytes.length scratch < size then
+              short_buffer ~span t key "Dstore.oget_view";
             read_data ~span t (of_mz extents) scratch size;
             Span.seg span Span.S_data;
             cache_fill ~span t key scratch size;
@@ -1158,7 +1169,7 @@ let oopen ctx name ?(create = true) mode =
           Dipper.wait_readers t.engine t.rc name;
           with_structs t (fun () ->
               t.platform.Platform.consume
-                (t.cfg.costs.meta_ns + t.cfg.costs.btree_ns);
+                (Config.costs.meta_ns + Config.costs.btree_ns);
               Metazone.write_object t.h.zone meta ~size:0 [];
               ignore (Btree.insert t.h.btree name meta));
           cache_invalidate t name
@@ -1221,7 +1232,7 @@ let oread o buf ~size ~off =
       let n = if off >= osz then 0 else min size (osz - off) in
       (* Copy out before the [consume] yield — see [oget_into]. *)
       if n > 0 then Bytes.blit cbuf off buf 0 n;
-      t.platform.Platform.consume t.cfg.costs.lookup_ns;
+      t.platform.Platform.consume Config.costs.lookup_ns;
       copy_cost t n;
       Span.seg span Span.S_index;
       read_exit t o.name;
@@ -1247,7 +1258,7 @@ let oread o buf ~size ~off =
         end
         else begin
           let n = min size (osz - off) in
-          t.platform.Platform.consume t.cfg.costs.lookup_ns;
+          t.platform.Platform.consume Config.costs.lookup_ns;
           Span.seg span Span.S_index;
           let ps = page_size t in
           let first_page = off / ps and last_page = (off + n - 1) / ps in
@@ -1321,7 +1332,7 @@ let owrite ?span:caller_span o buf ~size ~off =
     (match ops with
     | [ Logrec.Write _ ] ->
         with_structs t (fun () ->
-            t.platform.Platform.consume t.cfg.costs.meta_ns;
+            t.platform.Platform.consume Config.costs.meta_ns;
             if new_extents <> [] then
               Metazone.append_extents t.h.zone meta (to_mz new_extents);
             Metazone.set_size t.h.zone meta new_size)

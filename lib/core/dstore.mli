@@ -58,9 +58,9 @@ exception Would_wait of string
 val create :
   ?obs:Dstore_obs.Obs.t -> Platform.t -> Pmem.t -> Ssd.t -> Config.t -> t
 (** Format a fresh store across the two devices. [obs] supplies an
-    existing observability handle (keeps one trace/registry across
-    crash/recover cycles); by default the engine builds one from the
-    config ([obs_enabled] / [trace_capacity]). *)
+    existing observability handle (keeps one span recorder and registry
+    across crash/recover cycles); by default the engine builds one from
+    the config ([obs_enabled]). *)
 
 val recover :
   ?obs:Dstore_obs.Obs.t -> Platform.t -> Pmem.t -> Ssd.t -> Config.t -> t
@@ -134,7 +134,8 @@ val oget : ctx -> string -> Bytes.t option
 
 val oget_into : ctx -> string -> Bytes.t -> int
 (** Zero-copy-ish variant: read into the caller's buffer, return the
-    object size; -1 if absent. The buffer must be large enough. On a
+    object size; -1 if absent. Raises [Invalid_argument] if the buffer
+    is shorter than the object, leaving the key free for writers. On a
     DRAM-cache hit the bytes come straight out of the cached buffer —
     one copy, no index walk, no SSD. *)
 
@@ -143,7 +144,8 @@ val oget_view : ctx -> string -> Bytes.t -> (Bytes.t * int) option
     returns [(buf, len)] where [buf] is the cache's own buffer on a hit
     (nothing copied) or [scratch] filled from the SSD path on a miss
     (which also warms the cache). [None] if absent. No per-op allocation
-    on either path; [scratch] must be large enough for any object.
+    on either path; a miss raises [Invalid_argument] if [scratch] is
+    shorter than the object, as {!oget_into} does.
 
     The borrowed view is invalidated by {e any} store mutation — a cache
     fill, write-through, or invalidation performed by any concurrent
@@ -349,5 +351,5 @@ val obs : t -> Dstore_obs.Obs.t
     ([dipper.*]) and per-operation latency histograms ([op.put],
     [op.get], [op.delete], [op.write], [op.read]); the span recorder,
     whose segments partition every write by pipeline step (Table 3 is
-    their per-put sums); and the trace ring of checkpoint, log-swap,
-    stall, recovery and crash events. *)
+    their per-put sums), every checkpoint by phase and every recovery by
+    stage, and whose blames name every stall. *)

@@ -1,19 +1,17 @@
-(* The per-store observability handle: one metrics registry, one trace
-   ring, and one span recorder, sharing an enable switch. Created by the
-   engine (or by the caller, to share one handle across crash/recover
-   cycles) and threaded through the devices and the store. *)
+(* The per-store observability handle: one metrics registry and one span
+   recorder, sharing an enable switch. Created by the engine (or by the
+   caller, to share one handle across crash/recover cycles) and threaded
+   through the devices and the store. *)
 
-type t = { metrics : Metrics.t; trace : Trace.t; spans : Span.recorder }
+type t = { metrics : Metrics.t; spans : Span.recorder }
 
-let create ?(enabled = true) ?trace_capacity ?span_capacity ~now () =
+let create ?(enabled = true) ?span_capacity ~now () =
   let o =
     {
       metrics = Metrics.create ~enabled ();
-      trace = Trace.create ?capacity:trace_capacity ~now ();
       spans = Span.create ?capacity:span_capacity ~enabled ~now ();
     }
   in
-  Trace.set_enabled o.trace enabled;
   (* Blame rollups as registry views: the cluster's prefix-merge then
      exports shard<i>.blame.* alongside shard<i>.dipper.* for free. *)
   for i = 0 to Span.n_causes - 1 do
@@ -26,29 +24,23 @@ let create ?(enabled = true) ?trace_capacity ?span_capacity ~now () =
   done;
   o
 
-let null () =
-  create ~enabled:false ~trace_capacity:1 ~span_capacity:1 ~now:(fun () -> 0) ()
+let null () = create ~enabled:false ~span_capacity:1 ~now:(fun () -> 0) ()
 
 let enabled t = Metrics.enabled t.metrics
 
 let set_enabled t v =
   Metrics.set_enabled t.metrics v;
-  Trace.set_enabled t.trace v;
   Span.set_enabled t.spans v
 
 let reset t =
   Metrics.reset t.metrics;
-  Trace.clear t.trace;
   Span.reset t.spans
 
-let to_json ?trace_last t =
+let to_json t =
   Json.Obj
     [
       ("metrics", Metrics.to_json t.metrics);
-      ("trace", Trace.to_json ?last:trace_last t.trace);
       ("blame", Span.blame_json t.spans);
     ]
 
 let print_metrics ?oc t = Metrics.print ?oc t.metrics
-
-let print_trace ?oc ?last t = Trace.print ?oc ?last t.trace

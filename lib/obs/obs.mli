@@ -1,17 +1,12 @@
-(** One observability handle per store: a {!Metrics} registry, a
-    {!Trace} ring, and a {!Span} recorder behind a shared enable switch.
-    All state is DRAM-only; nothing here may live in (or write to) the
-    simulated PMEM. *)
+(** One observability handle per store: a {!Metrics} registry and a
+    {!Span} recorder behind a shared enable switch. All state is
+    DRAM-only; nothing here may live in (or write to) the simulated
+    PMEM. *)
 
-type t = { metrics : Metrics.t; trace : Trace.t; spans : Span.recorder }
+type t = { metrics : Metrics.t; spans : Span.recorder }
 
 val create :
-  ?enabled:bool ->
-  ?trace_capacity:int ->
-  ?span_capacity:int ->
-  now:(unit -> int) ->
-  unit ->
-  t
+  ?enabled:bool -> ?span_capacity:int -> now:(unit -> int) -> unit -> t
 (** Also registers per-cause [blame.*_ns] / [blame.*_events] callback
     gauges over the span recorder, so cluster prefix-merges export
     per-shard blame rollups automatically. *)
@@ -23,16 +18,12 @@ val null : unit -> t
 val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
-(** Switches the registry, the tracer, and the span recorder. *)
+(** Switches the registry and the span recorder. *)
 
 val reset : t -> unit
-(** Reset metrics, clear the trace, reset the span recorder. *)
+(** Reset metrics and the span recorder. *)
 
-val to_json : ?trace_last:int -> t -> Json.t
-(** [{"metrics": ..., "trace": [...], "blame": {...}}]. [trace_last]
-    limits the trace to its newest entries (default: everything
-    currently buffered). *)
+val to_json : t -> Json.t
+(** [{"metrics": ..., "blame": {...}}]. *)
 
 val print_metrics : ?oc:out_channel -> t -> unit
-
-val print_trace : ?oc:out_channel -> ?last:int -> t -> unit

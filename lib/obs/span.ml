@@ -386,7 +386,7 @@ let cause_totals r =
   Array.to_list
     (Array.mapi (fun i name -> (name, r.cause_ns.(i), r.cause_events.(i))) cause_names)
 
-(* Oldest-first window of finished spans, like Trace.to_list. *)
+(* Oldest-first window of finished spans. *)
 let spans r =
   let cap = Array.length r.ring in
   if cap = 0 then []

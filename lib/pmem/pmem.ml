@@ -94,7 +94,6 @@ type t = {
   dirty : (int, Bytes.t) Hashtbl.t;
   guard : Mutex.t;  (* protects [dirty] under the real platform *)
   st : stats;
-  mutable obs : Dstore_obs.Obs.t option;
   mutable persist_events : int;
   mutable persist_hook : (int -> unit) option;
   mutable in_bulk : bool;  (* inside [with_bulk]: one registered transfer *)
@@ -116,7 +115,6 @@ let create platform cfg =
         flush_calls = 0;
         fence_calls = 0;
       };
-    obs = None;
     persist_events = 0;
     persist_hook = None;
     in_bulk = false;
@@ -211,7 +209,6 @@ let dirty_lines_unlocked t =
    registry reads them on snapshot, so the unified export sees the device
    without adding a single instruction to loads and stores. *)
 let attach_obs t obs =
-  t.obs <- Some obs;
   let m = obs.Dstore_obs.Obs.metrics in
   let module M = Dstore_obs.Metrics in
   M.gauge_fn m "pmem.bytes_written" (fun () -> t.st.bytes_written);
@@ -354,9 +351,6 @@ type crash_mode = Drop_all | Keep_all | Random of Rng.t
 let crash t mode =
   if not t.cfg.crash_model then
     invalid_arg "Pmem.crash: device created with crash_model = false";
-  (match t.obs with
-  | Some o -> Dstore_obs.Trace.emit o.Dstore_obs.Obs.trace Dstore_obs.Trace.Crash_injected
-  | None -> ());
   Mutex.lock t.guard;
   let resolve l undo =
     let base = l lsl line_shift in

@@ -198,5 +198,5 @@ val attach_obs : t -> Dstore_obs.Obs.t -> unit
     registry ([pmem.flush_calls], [pmem.fence_calls], [pmem.bytes_written],
     [pmem.bytes_flushed], [pmem.bytes_read_bulk], [pmem.lines_flushed],
     [pmem.dirty_lines], plus [pmem.bw_*] bandwidth-contention views on
-    shared-domain devices) and report {!crash} calls to its trace. The
-    hot accessors are unchanged; views are evaluated at snapshot time. *)
+    shared-domain devices). The hot accessors are unchanged; views are
+    evaluated at snapshot time. *)

@@ -43,7 +43,6 @@ type t = {
      assigned, journal already written) until a budget or the linger
      timer flushes them as one multi-entry message. *)
   ship_ops : int;
-  ship_bytes_budget : int;
   linger_ns : int;
   mutable pending_rev : Repl.entry list;
   mutable pending_n : int;
@@ -144,6 +143,10 @@ let ack_loop t slot =
    framing line and the op payload. *)
 let entry_bytes (e : Repl.entry) = 16 + Repl.rop_bytes e.Repl.op
 
+(* A staged batch is flushed as soon as its serialized payload reaches
+   this size, whatever its op count. *)
+let ship_bytes_budget = 256 * 1024
+
 (* Send everything staged as one multi-entry message per non-dead slot.
    Caller holds the lock. A closed data link downgrades its slot to
    [Dead] instead of propagating — losing a backup must not fail the
@@ -219,7 +222,6 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
       journal_on = journal;
       journal_rev = [];
       ship_ops = max 1 cfg.Config.repl_ship_ops;
-      ship_bytes_budget = max 1 cfg.Config.repl_ship_bytes;
       linger_ns = max 0 cfg.Config.repl_ship_linger_ns;
       pending_rev = [];
       pending_n = 0;
@@ -314,7 +316,7 @@ let ship t op =
            if
              t.linger_ns = 0 || t.ship_ops = 1
              || t.pending_n >= t.ship_ops
-             || t.pending_bytes >= t.ship_bytes_budget
+             || t.pending_bytes >= ship_bytes_budget
            then flush_locked t
            else arm_flusher t;
            entry))

@@ -14,7 +14,7 @@
     are staged in a pending buffer — rseq assigned at staging, so
     stream order always equals commit order — and flushed as {e one}
     multi-entry [ship_msg] when an op-count or byte budget fills
-    ([Config.repl_ship_ops] / [repl_ship_bytes]) or when the oldest
+    ([Config.repl_ship_ops] / 256 KiB) or when the oldest
     staged entry has lingered [repl_ship_linger_ns]. An ack covers a
     whole span: the backup acks the highest rseq it has applied, and
     the monotone per-slot watermark releases every durability wait at

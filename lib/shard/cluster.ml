@@ -4,7 +4,6 @@ open Dstore_ssd
 open Dstore_core
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
-module Trace = Dstore_obs.Trace
 module Span = Dstore_obs.Span
 
 type node = Dstore.node = { pm : Pmem.t; ssd : Ssd.t }
@@ -48,12 +47,10 @@ let shard_config (cfg : Config.t) policy i n =
           +. (policy.spread *. float_of_int i /. float_of_int n));
     }
 
-let note c fmt = Printf.ksprintf (fun s -> Trace.emit c.obs.Obs.trace (Trace.Note s)) fmt
-
 (* The gate runs on each shard's checkpoint-manager thread. Semaphore
-   first (so at most [max_concurrent] engines proceed), then accounting
-   and trace notes; [Fun.protect] keeps both balanced if the checkpoint
-   is aborted by a crash harness. *)
+   first (so at most [max_concurrent] engines proceed), then accounting;
+   [Fun.protect] keeps both balanced if the checkpoint is aborted by a
+   crash harness. *)
 let install_gates c =
   Array.iter
     (fun sh ->
@@ -76,11 +73,9 @@ let install_gates c =
               end);
           c.active_ckpts <- c.active_ckpts + 1;
           if c.active_ckpts > c.peak_ckpts then c.peak_ckpts <- c.active_ckpts;
-          note c "shard%d: checkpoint start (active=%d)" sh.index c.active_ckpts;
           Fun.protect
             ~finally:(fun () ->
               c.active_ckpts <- c.active_ckpts - 1;
-              note c "shard%d: checkpoint end" sh.index;
               match c.gate_sem with
               | None -> ()
               | Some sem -> sem.Platform.release ())
@@ -135,9 +130,8 @@ let make ~recovering ?obs ?(shard_obs = fun _ -> None) ?(policy = staggered)
     match obs with
     | Some o -> o
     | None ->
-        Obs.create ~enabled:cfg.Config.obs_enabled
-          ~trace_capacity:cfg.Config.trace_capacity
-          ~now:platform.Platform.now ()
+        Obs.create ~enabled:cfg.Config.obs_enabled ~now:platform.Platform.now
+          ()
   in
   if recovering then
     Array.iteri
@@ -182,23 +176,10 @@ let make ~recovering ?obs ?(shard_obs = fun _ -> None) ?(policy = staggered)
   install_gates c;
   register_views c;
   if recovering then begin
-    (match verify_roots c with
+    match verify_roots c with
     | [] -> ()
-    | problems -> failwith ("Cluster.recover: " ^ String.concat "; " problems));
-    let replayed =
-      Array.fold_left
-        (fun acc sh ->
-          acc
-          + (Dipper.stats (Dstore.engine sh.store)).Dipper.recovery_replayed_records)
-        0 c.shards
-    in
-    note c "cluster: recovered %d shards (replayed %d records)" n replayed
-  end
-  else note c "cluster: created %d shards (%s)" n
-         (if policy.max_concurrent > 0 || policy.spread > 0.0 then
-            Printf.sprintf "staggered, max_concurrent=%d spread=%.2f"
-              policy.max_concurrent policy.spread
-          else "unstaggered");
+    | problems -> failwith ("Cluster.recover: " ^ String.concat "; " problems)
+  end;
   c
 
 let create ?obs ?shard_obs ?policy platform cfg nodes =
@@ -230,7 +211,6 @@ let stop c =
   end
 
 let crash c mode_of =
-  note c "cluster: crash injected on %d shards" (Array.length c.shards);
   Array.iteri (fun i sh -> Pmem.crash sh.pm (mode_of i)) c.shards
 
 (* --- Table 2 API ---------------------------------------------------------- *)

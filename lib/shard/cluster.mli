@@ -26,8 +26,7 @@
       (interrupted checkpoints redo first, then log replay, per §3.6),
       verifies every shard's root, and re-wires the checkpoint gates.
 
-    Observability: the cluster owns an {!Dstore_obs.Obs.t} whose trace
-    records shard-level checkpoint start/stop notes and whose registry
+    Observability: the cluster owns an {!Dstore_obs.Obs.t} whose registry
     carries cluster gauges ([cluster.*], [shard<i>.log_fill_pct], …).
     {!stop} folds every shard's registry in under a [shard<i>.] prefix,
     so exported metrics keep per-shard series without clobbering. *)
@@ -78,7 +77,7 @@ val create :
     [obs] supplies a cluster observability handle that survives
     crash/recover cycles. [shard_obs i] optionally supplies shard [i]'s
     store-level handle the same way (e.g. a single-shard shell sharing
-    one trace ring with the cluster — a shard handed the cluster handle
+    one span recorder with the cluster — a shard handed the cluster handle
     itself is excluded from the [shard<i>.] metric fold to avoid
     self-duplication). Raises on an empty node array. *)
 
@@ -226,8 +225,7 @@ val verify_roots : t -> string list
     = all good. Run by {!recover}; exposed for checkers. *)
 
 val obs : t -> Dstore_obs.Obs.t
-(** The cluster handle: shard checkpoint notes in the trace, [cluster.*]
-    and [shard<i>.*] gauges in the registry, plus (after {!stop}) every
+(** The cluster handle: [cluster.*] and [shard<i>.*] gauges in the registry, plus (after {!stop}) every
     shard's metrics under [shard<i>.]. *)
 
 val aggregate_metrics : t -> Dstore_obs.Metrics.t
@@ -236,7 +234,7 @@ val aggregate_metrics : t -> Dstore_obs.Metrics.t
     materialized). Safe to call while running. *)
 
 val tail_recorder : t -> Dstore_obs.Span.recorder
-(** Live snapshot of the cluster's span traces: a fresh recorder holding
+(** Live snapshot of the cluster's spans: a fresh recorder holding
     the cluster handle's spans plus every distinct shard recorder's,
     merged (rings interleaved by finish time, histograms, blame totals
     and time series summed). Source recorders are not mutated; safe to

@@ -248,7 +248,7 @@ let sample_json s =
       ("pmem_bytes", Json.Int s.pmem_bytes);
     ]
 
-let result_json ?(trace_last = 64) r =
+let result_json r =
   let dram, pmem, ssd = r.footprint in
   Json.Obj
     [
@@ -281,7 +281,7 @@ let result_json ?(trace_last = 64) r =
       ("client_metrics", Metrics.to_json r.metrics);
       ( "store",
         match r.sys_obs with
-        | Some o -> Obs.to_json ~trace_last o
+        | Some o -> Obs.to_json o
         | None -> Json.Null );
       (* Tail forensics: where the slow ops' time went (attribution) and
          when it went there (virtual-time buckets). *)

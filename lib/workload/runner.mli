@@ -77,8 +77,8 @@ val run :
     a read flushes the client's staged updates first. Systems without a
     batched endpoint silently run per-op. *)
 
-val result_json : ?trace_last:int -> result -> Dstore_obs.Json.t
+val result_json : result -> Dstore_obs.Json.t
 (** Machine-readable results blob: identity, throughput, footprint,
     timeline samples, the aggregated client metrics, and (when the system
-    exposes an observability handle) its full store-side metrics plus the
-    last [trace_last] (default 64) trace events. *)
+    exposes an observability handle) its full store-side metrics and blame
+    totals plus the tail attribution report. *)

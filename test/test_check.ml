@@ -923,9 +923,7 @@ let contains s sub =
   go 0
 
 let test_sweep_obs_export () =
-  let obs =
-    Dstore_obs.Obs.create ~trace_capacity:256 ~now:(fun () -> 0) ()
-  in
+  let obs = Dstore_obs.Obs.create ~now:(fun () -> 0) () in
   let r =
     Explorer.sweep ~obs ~subsets:1 ~stride:8 ~seed:7 ~n_ops:25 Explorer.Single
       (small_cfg Config.No_fault)
@@ -937,17 +935,19 @@ let test_sweep_obs_export () =
   check int "runs counted" r.Explorer.runs (v "check.runs");
   check int "no oracle violations" 0 (v "check.oracle_violations");
   check int "no fsck violations" 0 (v "check.fsck_violations");
-  check bool "per-phase trace notes emitted" true
-    (List.exists
-       (fun e ->
-         match e.Dstore_obs.Trace.ev with
-         | Dstore_obs.Trace.Note s -> contains s "check:"
-         | _ -> false)
-       (Dstore_obs.Trace.to_list obs.Dstore_obs.Obs.trace));
-  (* The failure artifact: the report serializes with the scenario seed
-     and every violation's event index. *)
+  (* The sweep books counters on the caller's handle, never spans: every
+     engine it crashes records into its own recorder. *)
+  check int "no spans on the sweep handle" 0
+    (Dstore_obs.Span.finished obs.Dstore_obs.Obs.spans);
+  (* The failure artifact: the report serializes with the scenario seed,
+     the sweep's progress counts and every violation's event index. *)
   let j = Dstore_obs.Json.to_string (Explorer.report_json r) in
-  check bool "report json has seed" true (contains j "\"seed\":7")
+  check bool "report json has seed" true (contains j "\"seed\":7");
+  check bool "report json has runs" true
+    (contains j (Printf.sprintf "\"runs\":%d" r.Explorer.runs));
+  check bool "report json has mid-checkpoint points" true
+    (contains j
+       (Printf.sprintf "\"mid_ckpt_points\":%d" r.Explorer.mid_ckpt_points))
 
 let suite =
   [

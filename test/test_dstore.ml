@@ -78,6 +78,40 @@ let test_get_missing () =
       check Alcotest.int "oget_into -1" (-1)
         (Dstore.oget_into ctx "ghost" (Bytes.create 16)))
 
+(* A read into a buffer shorter than the object raises Invalid_argument
+   only after leaving the key's reader window: the next put of the key
+   completes instead of waiting forever for a reader that is gone. *)
+let test_short_buffer_frees_key () =
+  let run name ~cache_bytes read =
+    let fx = fixture ~cfg:{ small_cfg with Config.cache_bytes } () in
+    let raised = ref false and hits = ref 0 and put_done = ref false in
+    Sim.spawn fx.sim "test" (fun () ->
+        let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+        let ctx = Dstore.ds_init st in
+        Dstore.oput ctx "k" (Bytes.make 100 'a');
+        ignore (Dstore.oget ctx "k");
+        let hits_of () =
+          match Dstore.cache_stats st with
+          | Some s -> s.Dstore_cache.Cache.hits
+          | None -> 0
+        in
+        let before = hits_of () in
+        (try ignore (read ctx "k" (Bytes.create 10))
+         with Invalid_argument _ -> raised := true);
+        hits := hits_of () - before;
+        Dstore.oput ctx "k" (Bytes.make 100 'b');
+        put_done := true);
+    Sim.run_until fx.sim 50_000_000;
+    check Alcotest.bool (name ^ ": raises Invalid_argument") true !raised;
+    check Alcotest.int (name ^ ": cache hits") (if cache_bytes > 0 then 1 else 0)
+      !hits;
+    check Alcotest.bool (name ^ ": next put completes") true !put_done
+  in
+  run "oget_into hit" ~cache_bytes:(1 lsl 20) Dstore.oget_into;
+  run "oget_into miss" ~cache_bytes:0 Dstore.oget_into;
+  run "oget_view miss" ~cache_bytes:0 (fun ctx k b ->
+      Option.fold ~none:(-1) ~some:snd (Dstore.oget_view ctx k b))
+
 let test_put_overwrite () =
   with_store (fun _ st ctx ->
       Dstore.oput ctx "k" (value_of_string "v1");
@@ -1648,4 +1682,5 @@ let suite =
     ("txn crash: committed span survives", `Quick, test_txn_crash_committed_survives);
     ("txn crash: torn span dropped", `Quick, test_txn_torn_span_dropped);
     prop_crash_recovery_observational_equivalence;
+    ("short read buffer frees the key", `Quick, test_short_buffer_frees_key);
   ]

@@ -1,7 +1,8 @@
 (* Tests for the observability layer: metrics registry semantics,
-   per-thread shard merging, trace ring wraparound, the JSON encoder, and
-   an end-to-end sim integration test asserting that one oput emits the
-   nine write-path events in order and a checkpoint emits its phases. *)
+   per-thread shard merging, the JSON encoder, and end-to-end sim
+   integration tests asserting that one oput books its write-path steps
+   as span segments, a checkpoint books its phases, and a recovery its
+   stages. *)
 
 open Dstore_platform
 open Dstore_pmem
@@ -10,7 +11,6 @@ open Dstore_core
 open Dstore_util
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
-module Trace = Dstore_obs.Trace
 module Json = Dstore_obs.Json
 module Span = Dstore_obs.Span
 
@@ -101,41 +101,6 @@ let test_histogram_buckets () =
        | _ -> true
      in
      mono buckets)
-
-(* --- trace ring ------------------------------------------------------------ *)
-
-let test_trace_wraparound () =
-  let now = ref 0 in
-  let tr = Trace.create ~capacity:8 ~now:(fun () -> !now) () in
-  for i = 0 to 19 do
-    now := i * 10;
-    Trace.emit tr (Trace.Note (string_of_int i))
-  done;
-  check Alcotest.int "emitted keeps counting" 20 (Trace.emitted tr);
-  check Alcotest.int "length bounded" 8 (Trace.length tr);
-  let entries = Trace.to_list tr in
-  check (Alcotest.list Alcotest.int) "newest 8, oldest first"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun e -> e.Trace.seq) entries);
-  List.iter
-    (fun e ->
-      match e.Trace.ev with
-      | Trace.Note s ->
-          check Alcotest.int "timestamp matches emission"
-            (int_of_string s * 10) e.Trace.t_ns
-      | _ -> Alcotest.fail "unexpected event")
-    entries;
-  check (Alcotest.list Alcotest.int) "last n" [ 18; 19 ]
-    (List.map (fun e -> e.Trace.seq) (Trace.last tr 2));
-  Trace.clear tr;
-  check Alcotest.int "clear empties" 0 (Trace.length tr);
-  check Alcotest.int "clear resets emitted" 0 (Trace.emitted tr)
-
-let test_trace_disabled () =
-  let tr = Trace.create ~capacity:8 ~now:(fun () -> 0) () in
-  Trace.set_enabled tr false;
-  Trace.emit tr Trace.Log_full_stall;
-  check Alcotest.int "disabled emit is a no-op" 0 (Trace.emitted tr)
 
 (* --- JSON ------------------------------------------------------------------- *)
 
@@ -235,32 +200,35 @@ let test_put_span_segments () =
         "value readable" (Some (Bytes.to_string v))
         (Option.map Bytes.to_string (Dstore.oget ctx "a")))
 
+(* A checkpoint's phases (§3.5) are its span's segments: the log swap
+   (archive), the shadow clone, the archived-log replay, the persist pass
+   and the root publish each take time, and nothing else does. *)
 let test_checkpoint_events () =
   with_store (fun _ st ctx ->
       Dstore.oput ctx "a" (Bytes.of_string "1");
       Dstore.checkpoint_now st;
       let obs = Dstore.obs st in
-      let phases =
-        List.filter_map
-          (fun e ->
-            match e.Trace.ev with Trace.Ckpt p -> Some p | _ -> None)
-          (Trace.to_list obs.Obs.trace)
+      let ckpts =
+        List.filter
+          (fun sp -> Span.span_kind sp = Span.Checkpoint)
+          (Span.spans obs.Obs.spans)
       in
-      check Alcotest.bool "all phases in order" true
-        (phases
-        = [
-            Trace.C_trigger;
-            Trace.C_archive;
-            Trace.C_clone;
-            Trace.C_replay;
-            Trace.C_persist;
-            Trace.C_publish;
-          ]);
-      check Alcotest.bool "log swap traced" true
-        (List.exists
-           (fun e ->
-             match e.Trace.ev with Trace.Log_swap _ -> true | _ -> false)
-           (Trace.to_list obs.Obs.trace)))
+      check Alcotest.int "one checkpoint span" 1 (List.length ckpts);
+      let ck = List.hd ckpts in
+      check Alcotest.int "segments + blames = duration" (Span.duration ck)
+        (Span.segments_total ck + Span.blame_total ck);
+      check Alcotest.bool "every phase, nothing else" true
+        (List.filter (fun sg -> Span.segment ck sg > 0) all_segs
+        = Span.
+            [
+              S_ckpt_archive;
+              S_ckpt_clone;
+              S_ckpt_replay;
+              S_ckpt_persist;
+              S_ckpt_publish;
+            ]);
+      check Alcotest.int "checkpoint counted" 1
+        (Dipper.stats (Dstore.engine st)).Dipper.checkpoints)
 
 let test_metrics_integration () =
   with_store (fun _ st ctx ->
@@ -298,8 +266,8 @@ let test_metrics_integration () =
       | Json.Obj fields ->
           check Alcotest.bool "metrics key present" true
             (List.mem_assoc "metrics" fields);
-          check Alcotest.bool "trace key present" true
-            (List.mem_assoc "trace" fields)
+          check Alcotest.bool "blame key present" true
+            (List.mem_assoc "blame" fields)
       | _ -> Alcotest.fail "export is not a JSON object")
 
 let test_obs_disabled_store () =
@@ -309,7 +277,7 @@ let test_obs_disabled_store () =
       Dstore.oput ctx "k" (Bytes.of_string "v");
       Dstore.checkpoint_now st;
       let obs = Dstore.obs st in
-      check Alcotest.int "no trace events" 0 (Trace.emitted obs.Obs.trace);
+      check Alcotest.int "no spans" 0 (Span.finished obs.Obs.spans);
       let m = obs.Obs.metrics in
       check Alcotest.int "no latency samples" 0
         (Histogram.count (Metrics.histo_data (Metrics.histogram m "op.put")));
@@ -320,7 +288,10 @@ let test_obs_disabled_store () =
       check (Alcotest.option Alcotest.int) "views still live" (Some 1)
         (Metrics.value m "dipper.records_appended"))
 
-let test_trace_survives_recovery () =
+(* A session-owned handle outlives the store: the put from before the
+   crash stays in the span ring, ahead of the recovery span, whose
+   metadata rebuild takes time. *)
+let test_spans_survive_recovery () =
   let sim = Sim.create () in
   let p = Sim_platform.make sim in
   let cfg = small_cfg in
@@ -329,9 +300,7 @@ let test_trace_survives_recovery () =
       { Pmem.default_config with size = Dipper.layout_bytes cfg; crash_model = true }
   in
   let ssd = Ssd.create p { Ssd.default_config with pages = cfg.Config.ssd_blocks } in
-  let obs =
-    Obs.create ~trace_capacity:256 ~now:(fun () -> p.Platform.now ()) ()
-  in
+  let obs = Obs.create ~now:(fun () -> p.Platform.now ()) () in
   let done_ = ref false in
   Sim.spawn sim "phase1" (fun () ->
       let st = Dstore.create ~obs p pm ssd cfg in
@@ -350,27 +319,20 @@ let test_trace_survives_recovery () =
   Sim.run sim;
   check (Alcotest.option Alcotest.string) "value recovered" (Some "v")
     !recovered;
-  let evs = List.map (fun e -> e.Trace.ev) (Trace.to_list obs.Obs.trace) in
-  check Alcotest.bool "crash injected traced" true
-    (List.mem Trace.Crash_injected evs);
-  let phases =
-    List.filter_map
-      (function Trace.Recovery r -> Some r | _ -> None)
-      evs
-  in
-  check Alcotest.bool "recovery phases in order" true
-    (phases = [ Trace.R_start; Trace.R_rebuild; Trace.R_replay; Trace.R_done ]);
-  (* The put from before the crash is still in the span ring, ahead of
-     the recovery span. *)
-  let kinds =
-    List.map
-      (fun sp -> (Span.span_kind sp, Span.span_key sp))
-      (Span.spans obs.Obs.spans)
-  in
-  check Alcotest.bool "pre-crash put span retained" true
-    (match kinds with
-    | (Span.Put, "k") :: rest -> List.mem_assoc Span.Recovery rest
-    | _ -> false)
+  match Span.spans obs.Obs.spans with
+  | put :: rest ->
+      check Alcotest.bool "pre-crash put span first" true
+        (Span.span_kind put = Span.Put && Span.span_key put = "k");
+      let recs =
+        List.filter (fun sp -> Span.span_kind sp = Span.Recovery) rest
+      in
+      check Alcotest.int "one recovery span" 1 (List.length recs);
+      let r = List.hd recs in
+      check Alcotest.bool "metadata rebuild timed" true
+        (Span.segment r Span.S_rec_metadata > 0);
+      check Alcotest.int "segments + blames = duration" (Span.duration r)
+        (Span.segments_total r + Span.blame_total r)
+  | [] -> Alcotest.fail "no spans recorded"
 
 (* --- spans ------------------------------------------------------------------ *)
 
@@ -553,8 +515,6 @@ let suite =
     Alcotest.test_case "disabled registry" `Quick test_disabled_registry;
     Alcotest.test_case "per-thread shard merge" `Quick test_shard_merge;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-    Alcotest.test_case "trace ring wraparound" `Quick test_trace_wraparound;
-    Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "write path: put span segments" `Quick
@@ -563,8 +523,8 @@ let suite =
     Alcotest.test_case "metrics across the stack" `Quick
       test_metrics_integration;
     Alcotest.test_case "obs opt-out" `Quick test_obs_disabled_store;
-    Alcotest.test_case "trace survives crash recovery" `Quick
-      test_trace_survives_recovery;
+    Alcotest.test_case "spans survive crash recovery" `Quick
+      test_spans_survive_recovery;
     Alcotest.test_case "spans: zero cost when disabled" `Quick
       test_span_zero_cost_when_disabled;
     prop_span_partition;
