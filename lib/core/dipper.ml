@@ -1015,8 +1015,7 @@ let blamed t span cause wait =
   else wait ()
 
 (* Steps 2–3 under the lock, in item order: each item's builder finds the
-   binding it replaces and builds its record, sized once here (sizing
-   encodes the record). *)
+   binding it replaces and builds its record, sized here. *)
 let rec build = function
   | [] -> []
   | (_, _, f) :: rest ->

@@ -486,24 +486,6 @@ let release_freed t freed_meta freed_extents =
         free_extents t freed_extents;
         if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta)
 
-(* A put's record-size estimate for the append's log-space wait, computable
-   before taking the lock. An overwrite of an object split across more
-   extents can outgrow it; the append then sizes the record as built. *)
-let put_max_slots key nblocks =
-  let worst =
-    Logrec.Put
-      {
-        key;
-        size = 0;
-        meta = 0;
-        extents = List.init (max nblocks 1) (fun i -> (i * 2, 1));
-        freed_meta = 0;
-        freed_extents =
-          List.init (max nblocks 1 + 4) (fun i -> (i * 2, 1));
-      }
-  in
-  Logrec.slots_needed worst
-
 let now t = t.platform.Platform.now ()
 
 (* --- DRAM object cache glue --------------------------------------------------- *)
@@ -709,8 +691,9 @@ let record_of t = function
           Logrec.Delete { key; meta; extents = of_mz exts })
 
 let max_slots_of t = function
-  | Sput { key; value; _ } -> put_max_slots key (blocks_for t (Bytes.length value))
-  | Sdelete key -> put_max_slots key 1
+  | Sput { key; value; _ } ->
+      Logrec.put_max_slots key (blocks_for t (Bytes.length value))
+  | Sdelete key -> Logrec.put_max_slots key 1
 
 (* Staged ops as append items. *)
 let rec append_items_of t = function
@@ -1301,7 +1284,7 @@ let owrite ?span:caller_span o buf ~size ~off =
     in
     let a, ops =
       append_claiming ~span o.octx name
-        (put_max_slots name (blocks_for t size + 1))
+        (Logrec.put_max_slots name (blocks_for t size + 1))
         ~release
         (fun () ->
           let meta =

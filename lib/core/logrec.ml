@@ -37,67 +37,88 @@ let tag_of_op = function
   | Txn_begin _ -> 7
   | Txn_commit _ -> 8
 
-(* --- little-endian append helpers on Buffer --- *)
+(* --- sizing --- *)
 
-let add_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff))
+let str_bytes s = 2 + String.length s
 
-let add_u32 buf v =
-  add_u16 buf (v land 0xffff);
-  add_u16 buf ((v lsr 16) land 0xffff)
+let extents_bytes n = 2 + (8 * n)
 
-let add_u64 buf v =
-  add_u32 buf (v land 0xFFFFFFFF);
-  add_u32 buf ((v lsr 32) land 0x7FFFFFFF)
+let put_payload_bytes key ~extents ~freed =
+  str_bytes key + 8 + 4 + extents_bytes extents + 4 + extents_bytes freed
 
-let add_str buf s =
-  add_u16 buf (String.length s);
-  Buffer.add_string buf s
+let payload_bytes = function
+  | Put { key; extents; freed_extents; _ } ->
+      put_payload_bytes key ~extents:(List.length extents)
+        ~freed:(List.length freed_extents)
+  | Create { key; _ } -> str_bytes key + 4
+  | Write { key; new_extents; _ } ->
+      str_bytes key + 4 + 8 + extents_bytes (List.length new_extents)
+  | Delete { key; extents; _ } ->
+      str_bytes key + 4 + extents_bytes (List.length extents)
+  | Noop { key } -> str_bytes key
+  | Phys { images } ->
+      List.fold_left (fun acc (_, bytes) -> acc + 8 + str_bytes bytes) 2 images
+  | Txn_begin _ -> 8 + 2
+  | Txn_commit _ -> 8
 
-let add_extents buf extents =
-  add_u16 buf (List.length extents);
-  List.iter
-    (fun (start, len) ->
-      add_u32 buf start;
-      add_u32 buf len)
-    extents
+let slots_of_payload n = (header_bytes + n + slot_bytes - 1) / slot_bytes
+
+let record_bytes op = header_bytes + payload_bytes op
+
+let slots_needed op = slots_of_payload (payload_bytes op)
+
+(* Every block its own extent, and an overwritten object split across up
+   to four more extents than the new one. *)
+let put_max_slots key nblocks =
+  let e = max nblocks 1 in
+  slots_of_payload (put_payload_bytes key ~extents:e ~freed:(e + 4))
+
+(* --- encoding: little-endian stores at a cursor, returning the next --- *)
+
+let put_u16 b pos v =
+  Bytes.set_uint16_le b pos (v land 0xffff);
+  pos + 2
+
+let put_u32 b pos v = put_u16 b (put_u16 b pos v) (v lsr 16)
+
+let put_u64 b pos v = put_u32 b (put_u32 b pos v) ((v lsr 32) land 0x7FFFFFFF)
+
+let put_str b pos s =
+  let pos = put_u16 b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let rec put_extent_list b pos = function
+  | [] -> pos
+  | (start, len) :: rest -> put_extent_list b (put_u32 b (put_u32 b pos start) len) rest
+
+let put_extents b pos l = put_extent_list b (put_u16 b pos (List.length l)) l
+
+let rec put_images b pos = function
+  | [] -> pos
+  | (off, bytes) :: rest -> put_images b (put_str b (put_u64 b pos off) bytes) rest
+
+let encode_into op b pos =
+  match op with
+  | Put { key; size; meta; extents; freed_meta; freed_extents } ->
+      let pos = put_u32 b (put_u64 b (put_str b pos key) size) meta in
+      let pos = put_extents b pos extents in
+      let pos = put_u32 b pos (if freed_meta < 0 then 0xFFFFFFFF else freed_meta) in
+      put_extents b pos freed_extents
+  | Create { key; meta } -> put_u32 b (put_str b pos key) meta
+  | Write { key; meta; size; new_extents } ->
+      put_extents b (put_u64 b (put_u32 b (put_str b pos key) meta) size) new_extents
+  | Delete { key; meta; extents } ->
+      put_extents b (put_u32 b (put_str b pos key) meta) extents
+  | Noop { key } -> put_str b pos key
+  | Phys { images } -> put_images b (put_u16 b pos (List.length images)) images
+  | Txn_begin { txn; members } -> put_u16 b (put_u64 b pos txn) members
+  | Txn_commit { txn } -> put_u64 b pos txn
 
 let encode_payload op =
-  let buf = Buffer.create 64 in
-  (match op with
-  | Put { key; size; meta; extents; freed_meta; freed_extents } ->
-      add_str buf key;
-      add_u64 buf size;
-      add_u32 buf meta;
-      add_extents buf extents;
-      add_u32 buf (if freed_meta < 0 then 0xFFFFFFFF else freed_meta);
-      add_extents buf freed_extents
-  | Create { key; meta } ->
-      add_str buf key;
-      add_u32 buf meta
-  | Write { key; meta; size; new_extents } ->
-      add_str buf key;
-      add_u32 buf meta;
-      add_u64 buf size;
-      add_extents buf new_extents
-  | Delete { key; meta; extents } ->
-      add_str buf key;
-      add_u32 buf meta;
-      add_extents buf extents
-  | Noop { key } -> add_str buf key
-  | Phys { images } ->
-      add_u16 buf (List.length images);
-      List.iter
-        (fun (off, bytes) ->
-          add_u64 buf off;
-          add_str buf bytes)
-        images
-  | Txn_begin { txn; members } ->
-      add_u64 buf txn;
-      add_u16 buf members
-  | Txn_commit { txn } -> add_u64 buf txn);
-  Buffer.to_bytes buf
+  let b = Bytes.create (payload_bytes op) in
+  ignore (encode_into op b 0);
+  b
 
 (* --- decoding --- *)
 
@@ -177,9 +198,3 @@ let decode_payload ~tag b =
     | 8 -> Txn_commit { txn = get_u64 c }
     | t -> failwith (Printf.sprintf "Logrec: unknown op tag %d" t)
   with Invalid_argument _ -> failwith "Logrec: truncated payload"
-
-let record_bytes op = header_bytes + Bytes.length (encode_payload op)
-
-let slots_needed op =
-  let total = record_bytes op in
-  (total + slot_bytes - 1) / slot_bytes

@@ -62,8 +62,17 @@ val header_bytes : int
 val slot_bytes : int
 (** 64. *)
 
+val payload_bytes : op -> int
+(** Size of the serialized operation (without the record header),
+    computed without encoding it. *)
+
+val encode_into : op -> Bytes.t -> int -> int
+(** [encode_into op b pos] serializes [op] into [b] starting at [pos] and
+    returns the offset just past it, [pos + payload_bytes op]. Raises
+    [Invalid_argument] if [b] is too short. *)
+
 val encode_payload : op -> Bytes.t
-(** Serialize the operation (without the record header). *)
+(** [op] serialized into a fresh buffer of [payload_bytes op] bytes. *)
 
 val decode_payload : tag:int -> Bytes.t -> op
 (** Inverse of [encode_payload]; [tag] comes from the header.
@@ -73,6 +82,13 @@ val tag_of_op : op -> int
 
 val slots_needed : op -> int
 (** Total slots for the record carrying [op]. *)
+
+val put_max_slots : string -> int -> int
+(** [put_max_slots key nblocks] bounds the slots of the [Put] a
+    whole-object write of [key] over [nblocks] blocks logs, assuming every
+    block is its own extent and an overwritten object spans up to four
+    more. Computable before the write takes any lock; a record that
+    outgrows it is sized as built. *)
 
 val record_bytes : op -> int
 (** Header + payload size (before slot rounding) — the paper's "32 B plus

@@ -82,20 +82,17 @@ let reserve t n =
     Some (slot, t.base + slot)
   end
 
-(* Assemble the full record image (header + payload) in a scratch buffer.
-   The CRC covers lsn, len, op and payload — everything except the commit
-   word and the CRC itself. *)
+(* Assemble the full record image (header + payload) in one buffer, the
+   payload encoded in place. The CRC covers lsn, len, op and payload —
+   everything except the commit word and the CRC itself. *)
 let build_record ~lsn op =
-  let payload = Logrec.encode_payload op in
-  let len_slots =
-    (Logrec.header_bytes + Bytes.length payload + slot_bytes - 1) / slot_bytes
-  in
+  let len_slots = Logrec.slots_needed op in
   let img = Bytes.make (len_slots * slot_bytes) '\000' in
   Bytes.set_int64_le img 0 (Int64.of_int lsn);
   (* commit word at 8 stays 0 *)
   Bytes.set_uint16_le img 16 len_slots;
   Bytes.set_uint8 img 18 (Logrec.tag_of_op op);
-  Bytes.blit payload 0 img Logrec.header_bytes (Bytes.length payload);
+  ignore (Logrec.encode_into op img Logrec.header_bytes);
   let crc =
     Checksum.crc32c img ~pos:0 ~len:8
     |> fun c ->

@@ -1,44 +1,85 @@
 open Dstore_util
+open Effect.Deep
 
 (* The two effects a process can perform. [Wait] advances its local time;
-   [Suspend] parks the process, handing a resume closure to synchronization
-   primitives (mutex/cond/resource waiter queues). The resume closure
-   schedules the continuation at the resumer's current time — a direct
-   ownership handoff, so wakeups are FIFO-fair and never lost. *)
+   [Suspend] parks the process, handing its waker to a synchronization
+   primitive's waiter queue (mutex/cond/resource). [wake] schedules the
+   parked continuation at the current time of the process that wakes it —
+   a direct ownership handoff, so wakeups are FIFO-fair and never lost. *)
+type waker = (unit, unit) continuation
+
 type _ Effect.t +=
   | Wait : int -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Suspend : (waker -> unit) -> unit Effect.t
 
+(* A queued event is the continuation of the process it resumes; a
+   spawned process is parked by a [Wait 0] before its body runs.
+
+   [effc] allocates nothing: it stashes the effect's payload in [delay] or
+   [park] and returns one of two handlers built with the simulator, which
+   read the stash back. The runtime calls the returned handler as soon as
+   [effc] returns, before any other OCaml code runs, so a stash is never
+   overwritten before it is read. *)
 type t = {
   mutable clock : int;
   mutable seq : int;
-  events : (unit -> unit) Pqueue.t;
+  events : waker Pqueue.t;
   mutable live : int;
   mutable blocked : int;
   mutable failure : (exn * Printexc.raw_backtrace) option;
+  mutable delay : int;
+  mutable park : waker -> unit;
+  mutable handler : (unit, unit) handler;
 }
 
-let create () =
-  {
-    clock = 0;
-    seq = 0;
-    events = Pqueue.create ();
-    live = 0;
-    blocked = 0;
-    failure = None;
-  }
+(* Fills the event queue's vacated slots: a fiber parked once, at module
+   initialisation, and never resumed. *)
+let filler : waker =
+  let k : waker option ref = ref None in
+  match_with Effect.perform (Wait 0)
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Wait _ -> Some (fun (c : (a, unit) continuation) -> k := Some c)
+          | _ -> None);
+    };
+  Option.get !k
 
-let now t = t.clock
-
-let schedule t time thunk =
+let schedule t time k =
   t.seq <- t.seq + 1;
-  Pqueue.push t.events (max time t.clock) t.seq thunk
+  Pqueue.push t.events (max time t.clock) t.seq k
 
-let start t name f =
-  let open Effect.Deep in
-  ignore name;
-  t.live <- t.live + 1;
-  match_with f ()
+let wake t k =
+  t.blocked <- t.blocked - 1;
+  schedule t t.clock k
+
+let create () =
+  let t =
+    {
+      clock = 0;
+      seq = 0;
+      events = Pqueue.create ~filler;
+      live = 0;
+      blocked = 0;
+      failure = None;
+      delay = 0;
+      park = ignore;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+    }
+  in
+  let on_wait = Some (fun k -> schedule t (t.clock + max 0 t.delay) k) in
+  let on_suspend =
+    Some
+      (fun k ->
+        let register = t.park in
+        t.park <- ignore;
+        t.blocked <- t.blocked + 1;
+        register k)
+  in
+  t.handler <-
     {
       retc = (fun () -> t.live <- t.live - 1);
       exnc =
@@ -47,23 +88,28 @@ let start t name f =
           if t.failure = None then
             t.failure <- Some (e, Printexc.get_raw_backtrace ()));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Wait d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule t (t.clock + max 0 d) (fun () -> continue k ()))
+              t.delay <- d;
+              on_wait
           | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.blocked <- t.blocked + 1;
-                  register (fun () ->
-                      t.blocked <- t.blocked - 1;
-                      schedule t t.clock (fun () -> continue k ())))
+              t.park <- register;
+              on_suspend
           | _ -> None);
-    }
+    };
+  t
 
-let spawn t name f = schedule t t.clock (fun () -> start t name f)
+let now t = t.clock
+
+let spawn t name f =
+  ignore name;
+  match_with
+    (fun () ->
+      Effect.perform (Wait 0);
+      t.live <- t.live + 1;
+      f ())
+    () t.handler
 
 let wait _t d = Effect.perform (Wait d)
 
@@ -74,39 +120,28 @@ let check_failure t =
       Printexc.raise_with_backtrace e bt
   | None -> ()
 
+let step t =
+  t.clock <- Pqueue.min_key t.events;
+  continue (Pqueue.take t.events) ();
+  check_failure t
+
 let run t =
-  let rec loop () =
-    match Pqueue.pop t.events with
-    | None -> ()
-    | Some (time, _, thunk) ->
-        t.clock <- time;
-        thunk ();
-        check_failure t;
-        loop ()
-  in
-  loop ()
+  while not (Pqueue.is_empty t.events) do
+    step t
+  done
 
 let run_until t deadline =
-  let rec loop () =
-    match Pqueue.peek_key t.events with
-    | Some (time, _) when time <= deadline ->
-        (match Pqueue.pop t.events with
-        | Some (time, _, thunk) ->
-            t.clock <- time;
-            thunk ();
-            check_failure t;
-            loop ()
-        | None -> ())
-    | _ -> ()
-  in
-  loop ();
+  while
+    (not (Pqueue.is_empty t.events)) && Pqueue.min_key t.events <= deadline
+  do
+    step t
+  done;
   if t.clock < deadline then t.clock <- deadline
 
 let clear_pending t =
-  let rec drain () =
-    match Pqueue.pop t.events with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  while not (Pqueue.is_empty t.events) do
+    ignore (Pqueue.take t.events)
+  done;
   t.live <- 0;
   t.blocked <- 0
 
@@ -114,90 +149,104 @@ let blocked_processes t = t.blocked
 
 let live_processes t = t.live
 
+(* A FIFO of parked processes and the prebuilt effect that parks one in it;
+   [after_park] runs once the parker's continuation is queued. *)
+type waitq = { sim : t; waiters : waker Queue.t; park : unit Effect.t }
+
+let waitq ?(after_park = ignore) sim =
+  let waiters = Queue.create () in
+  {
+    sim;
+    waiters;
+    park =
+      Suspend
+        (fun k ->
+          Queue.push k waiters;
+          after_park ());
+  }
+
+(* Wake the longest-parked process; false if none is parked. *)
+let wake_first q =
+  (not (Queue.is_empty q.waiters))
+  && begin
+       wake q.sim (Queue.pop q.waiters);
+       true
+     end
+
 module Mutex = struct
-  type sim = t
+  (* [unlock_fn] is [unlock] on this mutex, built once for {!Cond.wait}. *)
+  type t = { q : waitq; mutable locked : bool; mutable unlock_fn : unit -> unit }
 
-  type t = { mutable locked : bool; waiters : (unit -> unit) Queue.t }
-
-  let create (_ : sim) = { locked = false; waiters = Queue.create () }
-
-  let lock m =
-    if not m.locked then m.locked <- true
-    else Effect.perform (Suspend (fun resume -> Queue.push resume m.waiters))
+  let lock m = if not m.locked then m.locked <- true else Effect.perform m.q.park
   (* When resumed, ownership was handed off by [unlock]; [locked] stays true. *)
 
   let unlock m =
     assert m.locked;
-    match Queue.pop m.waiters with
-    | resume -> resume ()
-    | exception Queue.Empty -> m.locked <- false
+    if not (wake_first m.q) then m.locked <- false
+
+  let create sim =
+    let m = { q = waitq sim; locked = false; unlock_fn = ignore } in
+    m.unlock_fn <- (fun () -> unlock m);
+    m
 
   let locked m = m.locked
 end
 
 module Cond = struct
-  type sim = t
+  type t = { q : waitq; unlock : (unit -> unit) ref }
 
-  type t = { waiters : (unit -> unit) Queue.t }
+  let create sim =
+    let unlock = ref ignore in
+    (* Runs after the continuation is captured, so releasing the mutex here
+       makes wait-and-release atomic: a signal arriving from the code the
+       unlock admits finds us in the queue. *)
+    let after_park () =
+      let f = !unlock in
+      unlock := ignore;
+      f ()
+    in
+    { q = waitq ~after_park sim; unlock }
 
-  let create (_ : sim) = { waiters = Queue.create () }
+  let park_unlocking c f =
+    c.unlock := f;
+    Effect.perform c.q.park
 
-  let wait c (m : Mutex.t) =
-    (* The register closure runs after the continuation is captured, so
-       releasing the mutex there makes wait-and-release atomic: a signal
-       arriving from the code the unlock admits finds us in the queue. *)
-    Effect.perform
-      (Suspend
-         (fun resume ->
-           Queue.push resume c.waiters;
-           Mutex.unlock m));
+  let wait c m =
+    park_unlocking c m.Mutex.unlock_fn;
     Mutex.lock m
 
-  let signal c =
-    match Queue.pop c.waiters with
-    | resume -> resume ()
-    | exception Queue.Empty -> ()
+  let signal c = ignore (wake_first c.q)
 
+  (* Only the waiters queued now; one they enqueue waits for the next
+     broadcast. *)
   let broadcast c =
-    let pending = Queue.length c.waiters in
-    for _ = 1 to pending do
-      match Queue.pop c.waiters with
-      | resume -> resume ()
-      | exception Queue.Empty -> ()
+    for _ = 1 to Queue.length c.q.waiters do
+      signal c
     done
 end
 
 module Resource = struct
-  type sim = t
-
-  type t = {
-    capacity : int;
-    sim : sim;
-    mutable in_use : int;
-    waiters : (unit -> unit) Queue.t;
-  }
+  type t = { q : waitq; capacity : int; mutable in_use : int }
 
   let create sim ~capacity =
     assert (capacity > 0);
-    { capacity; sim; in_use = 0; waiters = Queue.create () }
+    { q = waitq sim; capacity; in_use = 0 }
 
   let acquire r =
     if r.in_use < r.capacity then r.in_use <- r.in_use + 1
-    else Effect.perform (Suspend (fun resume -> Queue.push resume r.waiters))
+    else Effect.perform r.q.park
   (* Handoff: the releaser keeps [in_use] constant and wakes us directly. *)
 
   let release r =
     assert (r.in_use > 0);
-    match Queue.pop r.waiters with
-    | resume -> resume ()
-    | exception Queue.Empty -> r.in_use <- r.in_use - 1
+    if not (wake_first r.q) then r.in_use <- r.in_use - 1
 
   let use r ~service_ns =
     acquire r;
-    wait r.sim service_ns;
+    wait r.q.sim service_ns;
     release r
 
   let in_use r = r.in_use
 
-  let queued r = Queue.length r.waiters
+  let queued r = Queue.length r.q.waiters
 end

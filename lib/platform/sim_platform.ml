@@ -5,34 +5,14 @@ let make ?(parallelism = 28) (sim : Sim.t) : Platform.t =
       unlock = (fun () -> Sim.Mutex.unlock m) }
   in
   let new_cond () =
-    (* A platform cond pairs with platform mutexes, which wrap sim mutexes
-       behind closures. We recover atomic release-and-wait by replicating
-       Sim.Cond's trick on the closure interface: park first (capturing the
-       continuation), then unlock via the closure inside the register
-       callback. *)
-    let waiters = Queue.create () in
+    let c = Sim.Cond.create sim in
     {
       Platform.wait =
         (fun (m : Platform.mutex) ->
-          Effect.perform
-            (Sim.Suspend
-               (fun resume ->
-                 Queue.push resume waiters;
-                 m.unlock ()));
+          Sim.Cond.park_unlocking c m.unlock;
           m.lock ());
-      signal =
-        (fun () ->
-          match Queue.pop waiters with
-          | resume -> resume ()
-          | exception Queue.Empty -> ());
-      broadcast =
-        (fun () ->
-          let pending = Queue.length waiters in
-          for _ = 1 to pending do
-            match Queue.pop waiters with
-            | resume -> resume ()
-            | exception Queue.Empty -> ()
-          done);
+      signal = (fun () -> Sim.Cond.signal c);
+      broadcast = (fun () -> Sim.Cond.broadcast c);
     }
   in
   let new_sem capacity =

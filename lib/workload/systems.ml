@@ -201,8 +201,7 @@ let lsm_no_stall ?label platform scale : Kv_intf.system =
   let memtable_bytes = 8 * 1024 * 1024 in
   let cfg =
     {
-      Lsm_store.default_config with
-      memtable_bytes;
+      Lsm_store.memtable_bytes;
       wal_bytes = 16 * memtable_bytes;
       l0_limit = 64;
       run_limit = 1_000_000;

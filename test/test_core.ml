@@ -121,6 +121,134 @@ let prop_logrec_roundtrip =
          in
          Logrec.decode_payload ~tag:1 (Logrec.encode_payload op) = op))
 
+(* Payload bytes of one op per constructor, as the Buffer-based encoder
+   that preceded [Logrec.encode_into] wrote them: the in-place encoder
+   must log the same bytes. *)
+let pinned_encodings =
+  [
+    ( Logrec.Put
+        {
+          key = "user42";
+          size = 4096;
+          meta = 7;
+          extents = [ (10, 1) ];
+          freed_meta = -1;
+          freed_extents = [];
+        },
+      "060075736572343200100000000000000700000001000a00000001000000ffffffff0000"
+    );
+    ( Logrec.Put
+        {
+          key = String.make 50 'k';
+          size = (1 lsl 40) + 3;
+          meta = 0xABCDE;
+          extents = [ (20, 2); (30, 2); (70000, 9) ];
+          freed_meta = 3;
+          freed_extents = [ (1, 4) ];
+        },
+      "3200" ^ String.concat "" (List.init 50 (fun _ -> "6b"))
+      ^ "0300000000010000" ^ "debc0a00" ^ "0300" ^ "1400000002000000"
+      ^ "1e00000002000000" ^ "7011010009000000" ^ "03000000" ^ "0100"
+      ^ "0100000004000000" );
+    (Logrec.Create { key = "fresh"; meta = 0 }, "0500667265736800000000");
+    ( Logrec.Write { key = "grow"; meta = 5; size = 20000; new_extents = [ (99, 1) ] },
+      "040067726f7705000000204e00000000000001006300000001000000" );
+    ( Logrec.Delete { key = "gone"; meta = 2; extents = [ (50, 3) ] },
+      "0400676f6e650200000001003200000003000000" );
+    (Logrec.Noop { key = "locked-object" }, "0d006c6f636b65642d6f626a656374");
+    ( Logrec.Phys { images = [ (100, "abcdef"); (4096, "zz") ] },
+      "020064000000000000000600616263646566001000000000000002007a7a" );
+    (Logrec.Txn_begin { txn = 77; members = 4 }, "4d000000000000000400");
+    (Logrec.Txn_commit { txn = 77 }, "4d00000000000000");
+  ]
+
+let hex_of b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* [op] encoded in place after a record header's worth of filler, as
+   [Oplog.build_record] does; returns the payload and the end offset. *)
+let encode_at_header op =
+  let len = Logrec.payload_bytes op in
+  let img = Bytes.make (Logrec.header_bytes + len + 8) '\xff' in
+  let stop = Logrec.encode_into op img Logrec.header_bytes in
+  (Bytes.sub img Logrec.header_bytes len, stop)
+
+let test_logrec_pinned_bytes () =
+  List.iter
+    (fun (op, hex) ->
+      check Alcotest.string "encode_payload" hex (hex_of (Logrec.encode_payload op));
+      let payload, stop = encode_at_header op in
+      check Alcotest.string "encode_into at the header" hex (hex_of payload);
+      check Alcotest.int "end offset" (Logrec.header_bytes + (String.length hex / 2)) stop)
+    pinned_encodings
+
+let gen_op =
+  let open QCheck.Gen in
+  let u16 = int_range 0 0xFFFF and u32 = int_range 0 0xFFFFFFFE in
+  let u64 = int_range 0 max_int in
+  (* Keys past 40 B spill the record into continuation slots. *)
+  let key_g = string_size ~gen:char (int_range 0 300) in
+  let extents_g = list_size (int_range 0 64) (pair u32 u32) in
+  let freed_meta_g = oneof [ return (-1); u32 ] in
+  oneof
+    [
+      (let* key = key_g and* size = u64 and* meta = u32 and* extents = extents_g in
+       let* freed_meta = freed_meta_g and* freed_extents = extents_g in
+       return (Logrec.Put { key; size; meta; extents; freed_meta; freed_extents }));
+      map2 (fun key meta -> Logrec.Create { key; meta }) key_g u32;
+      (let* key = key_g and* meta = u32 and* size = u64 and* new_extents = extents_g in
+       return (Logrec.Write { key; meta; size; new_extents }));
+      (let* key = key_g and* meta = u32 and* extents = extents_g in
+       return (Logrec.Delete { key; meta; extents }));
+      map (fun key -> Logrec.Noop { key }) key_g;
+      map
+        (fun images -> Logrec.Phys { images })
+        (list_size (int_range 0 8) (pair u64 (string_size ~gen:char (int_range 0 200))));
+      map2 (fun txn members -> Logrec.Txn_begin { txn; members }) u64 u16;
+      map (fun txn -> Logrec.Txn_commit { txn }) u64;
+    ]
+
+let prop_logrec_sized_encode =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"logrec sizes arithmetically, encodes in place" ~count:500
+       (QCheck.make gen_op) (fun op ->
+         let encoded = Logrec.encode_payload op in
+         let payload, stop = encode_at_header op in
+         Logrec.payload_bytes op = Bytes.length encoded
+         && stop = Logrec.header_bytes + Logrec.payload_bytes op
+         && Bytes.equal payload encoded
+         && Logrec.decode_payload ~tag:(Logrec.tag_of_op op) payload = op
+         && Logrec.slots_needed op
+            = (Logrec.record_bytes op + Logrec.slot_bytes - 1) / Logrec.slot_bytes))
+
+(* The put estimate used to be the slot count of this worst-case record,
+   encoded; the arithmetic estimate must reproduce it exactly, or the
+   log-space wait before a put would change. *)
+let test_put_max_slots_table () =
+  let buf = Bytes.create 4096 in
+  for key_len = 0 to 300 do
+    let key = String.make key_len 'k' in
+    for nblocks = 0 to 64 do
+      let worst =
+        Logrec.Put
+          {
+            key;
+            size = 0;
+            meta = 0;
+            extents = List.init (max nblocks 1) (fun i -> (i * 2, 1));
+            freed_meta = 0;
+            freed_extents = List.init (max nblocks 1 + 4) (fun i -> (i * 2, 1));
+          }
+      in
+      let bytes = Logrec.header_bytes + Logrec.encode_into worst buf 0 in
+      let slots = (bytes + Logrec.slot_bytes - 1) / Logrec.slot_bytes in
+      if Logrec.put_max_slots key nblocks <> slots then
+        Alcotest.failf "key %d B, %d blocks: estimate %d, record %d slots" key_len
+          nblocks (Logrec.put_max_slots key nblocks) slots
+    done
+  done
+
 (* --- Oplog ------------------------------------------------------------ *)
 
 let fresh_log ?(slots = 64) p =
@@ -528,6 +656,9 @@ let suite =
     ("logrec bad tag", `Quick, test_logrec_bad_tag);
     ("logrec truncated", `Quick, test_logrec_truncated);
     prop_logrec_roundtrip;
+    ("logrec pinned bytes", `Quick, test_logrec_pinned_bytes);
+    prop_logrec_sized_encode;
+    ("logrec put estimate table", `Quick, test_put_max_slots_table);
     ("oplog append+scan", `Quick, test_oplog_append_scan);
     ("oplog multislot records", `Quick, test_oplog_multislot_records);
     ("oplog reserve exhaustion", `Quick, test_oplog_reserve_exhaustion);

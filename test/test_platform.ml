@@ -419,6 +419,85 @@ let test_real_platform_clock () =
   let t1 = p.Platform.now () in
   Alcotest.(check bool) "clock advanced >= 2ms" true (t1 - t0 >= 2_000_000)
 
+(* --- host cost ----------------------------------------------------------- *)
+
+(* Minor words [Sim.run] allocates, divided by the [n] events the spawned
+   processes perform. *)
+let words_per_event ~n sim =
+  let before = Gc.minor_words () in
+  Sim.run sim;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* Every simulated device delay is a [Sim.wait]: the runtime's continuation
+   and the effect value are all it may allocate. *)
+let test_wait_alloc () =
+  let sim = Sim.create () in
+  let n = 10_000 in
+  Sim.spawn sim "waiter" (fun () ->
+      for _ = 1 to n do
+        Sim.wait sim 1
+      done);
+  let words = words_per_event ~n sim in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per wait <= 8" words)
+    true (words <= 8.0)
+
+(* Two processes hand one mutex back and forth, so every lock parks. *)
+let test_contended_mutex_alloc () =
+  let sim = Sim.create () in
+  let m = Sim.Mutex.create sim in
+  let n = 10_000 in
+  for _ = 1 to 2 do
+    Sim.spawn sim "locker" (fun () ->
+        for _ = 1 to n / 2 do
+          Sim.Mutex.lock m;
+          Sim.wait sim 1;
+          Sim.Mutex.unlock m
+        done)
+  done;
+  let words = words_per_event ~n sim in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per lock cycle <= 20" words)
+    true (words <= 20.0);
+  check Alcotest.int "both ran to the end" (n / 2) (Sim.now sim / 2)
+
+(* After a simulated power cut, neither the event queue nor the simulator
+   may keep the abandoned processes' stacks alive. *)
+let test_clear_pending_releases_fibers () =
+  let sim = Sim.create () in
+  let w = Weak.create 8 in
+  let spawn_holder i body =
+    Sim.spawn sim "holder" (fun () ->
+        let v = ref i in
+        Weak.set w i (Some v);
+        body ();
+        ignore (Sys.opaque_identity !v))
+  in
+  let m = ref (Some (Sim.Mutex.create sim)) in
+  let lock () = Sim.Mutex.lock (Option.get !m) in
+  for i = 0 to 3 do
+    spawn_holder i (fun () -> Sim.wait sim (1_000 * (i + 1)))
+  done;
+  for i = 4 to 7 do
+    spawn_holder i (fun () ->
+        lock ();
+        Sim.wait sim 1_000_000)
+  done;
+  Sim.run_until sim 10;
+  check Alcotest.int "three parked on the mutex" 3 (Sim.blocked_processes sim);
+  Sim.clear_pending sim;
+  m := None;
+  Gc.full_major ();
+  let alive = List.filter (fun i -> Weak.check w i) (List.init 8 Fun.id) in
+  check Alcotest.(list int) "no abandoned stack reachable" [] alive;
+  (* The simulator is still usable afterwards. *)
+  let ran = ref false in
+  Sim.spawn sim "fresh" (fun () ->
+      Sim.wait sim 5;
+      ran := true);
+  Sim.run sim;
+  Alcotest.(check bool) "fresh process ran" true !ran
+
 let suite =
   [
     ("wait advances clock", `Quick, test_wait_advances_clock);
@@ -447,4 +526,7 @@ let suite =
     ("real platform mutex", `Quick, test_real_platform_mutex);
     ("real platform sem", `Quick, test_real_platform_sem);
     ("real platform clock", `Quick, test_real_platform_clock);
+    ("wait allocation", `Quick, test_wait_alloc);
+    ("contended mutex allocation", `Quick, test_contended_mutex_alloc);
+    ("clear_pending releases fibers", `Quick, test_clear_pending_releases_fibers);
   ]

@@ -262,54 +262,83 @@ let prop_hist_percentile_bounds =
 
 (* --- Pqueue ------------------------------------------------------------ *)
 
+(* Drain [q], returning each element's primary key and value in take
+   order. *)
+let drain_pqueue q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc
+    else
+      let p = Pqueue.min_key q in
+      go ((p, Pqueue.take q) :: acc)
+  in
+  go []
+
 let test_pqueue_order () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~filler:"" in
   Pqueue.push q 5 0 "e";
   Pqueue.push q 1 0 "a";
   Pqueue.push q 3 0 "c";
   Pqueue.push q 1 1 "b";
   Pqueue.push q 4 0 "d";
-  let order = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, _, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list string) "sorted by (p, s)" [ "a"; "b"; "c"; "d"; "e" ]
-    (List.rev !order)
+  check Alcotest.(list (pair int string)) "sorted by (p, s)"
+    [ (1, "a"); (1, "b"); (3, "c"); (4, "d"); (5, "e") ]
+    (drain_pqueue q)
 
 let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~filler:(-1) in
   for i = 0 to 99 do
     Pqueue.push q 7 i i
   done;
   for i = 0 to 99 do
-    match Pqueue.pop q with
-    | Some (_, _, v) -> check Alcotest.int "fifo among ties" i v
-    | None -> Alcotest.fail "queue exhausted early"
-  done
+    check Alcotest.int "key" 7 (Pqueue.min_key q);
+    check Alcotest.int "fifo among ties" i (Pqueue.take q)
+  done;
+  Alcotest.(check bool) "drained" true (Pqueue.is_empty q)
 
 let test_pqueue_empty () =
-  let q : int Pqueue.t = Pqueue.create () in
+  let q = Pqueue.create ~filler:0 in
   Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop None" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek None" true (Pqueue.peek_key q = None)
+  Alcotest.check_raises "min_key"
+    (Invalid_argument "Pqueue.min_key: empty queue") (fun () ->
+      ignore (Pqueue.min_key q));
+  Alcotest.check_raises "take" (Invalid_argument "Pqueue.take: empty queue")
+    (fun () -> ignore (Pqueue.take q));
+  Pqueue.push q 3 0 30;
+  check Alcotest.int "one" 30 (Pqueue.take q);
+  Alcotest.(check bool) "empty again" true (Pqueue.is_empty q)
+
+(* A taken value, and every value of a drained queue, must not stay
+   reachable through the queue's vacated slots: the scheduler queues
+   process continuations, and a crash test's abandoned incarnation must
+   become garbage. *)
+let test_pqueue_releases_taken () =
+  let q = Pqueue.create ~filler:(ref 0) in
+  let w = Weak.create 100 in
+  for i = 0 to 99 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Pqueue.push q (i mod 7) i v
+  done;
+  let first = Pqueue.take q in
+  check Alcotest.int "minimum" 0 !first;
+  let live () =
+    Gc.full_major ();
+    List.length (List.filter (fun i -> Weak.check w i) (List.init 100 Fun.id))
+  in
+  check Alcotest.int "taken value collectable" 99 (live ());
+  while not (Pqueue.is_empty q) do
+    ignore (Pqueue.take q)
+  done;
+  check Alcotest.int "drained queue holds nothing" 0 (live ())
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue drains in key order" ~count:300
     QCheck.(list (pair small_int small_int))
     (fun pairs ->
-      let q = Pqueue.create () in
+      let q = Pqueue.create ~filler:(-1) in
       List.iteri (fun i (p, _) -> Pqueue.push q p i i) pairs;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | Some (p, s, _) -> drain ((p, s) :: acc)
-        | None -> List.rev acc
-      in
-      let keys = drain [] in
+      (* Values are the tiebreaks, so the drain yields full keys. *)
+      let keys = drain_pqueue q in
       let rec sorted = function
         | (p1, s1) :: ((p2, s2) :: _ as rest) ->
             (p1 < p2 || (p1 = p2 && s1 < s2)) && sorted rest
@@ -429,6 +458,7 @@ let suite =
     ("pqueue order", `Quick, test_pqueue_order);
     ("pqueue fifo ties", `Quick, test_pqueue_fifo_ties);
     ("pqueue empty", `Quick, test_pqueue_empty);
+    ("pqueue releases taken values", `Quick, test_pqueue_releases_taken);
     qtest prop_pqueue_sorted;
     ("crc known vector", `Quick, test_crc_known_vector);
     ("crc empty", `Quick, test_crc_empty);
