@@ -122,26 +122,33 @@ let encode_payload op =
 
 (* --- decoding --- *)
 
-type cursor = { b : Bytes.t; mutable pos : int }
+(* Reads stop at [lim], which may sit before the end of [b]: a reused
+   buffer's stale tail must not complete a truncated record. *)
+type cursor = { b : Bytes.t; lim : int; mutable pos : int }
+
+let need c n = if c.pos + n > c.lim then failwith "Logrec: truncated payload"
 
 let get_u16 c =
+  need c 2;
   let v = Bytes.get_uint16_le c.b c.pos in
   c.pos <- c.pos + 2;
   v
 
 let get_u32 c =
+  need c 4;
   let v = Int32.to_int (Bytes.get_int32_le c.b c.pos) land 0xFFFFFFFF in
   c.pos <- c.pos + 4;
   v
 
 let get_u64 c =
+  need c 8;
   let v = Int64.to_int (Bytes.get_int64_le c.b c.pos) in
   c.pos <- c.pos + 8;
   v
 
 let get_str c =
   let len = get_u16 c in
-  if c.pos + len > Bytes.length c.b then failwith "Logrec: truncated string";
+  if c.pos + len > c.lim then failwith "Logrec: truncated string";
   let s = Bytes.sub_string c.b c.pos len in
   c.pos <- c.pos + len;
   s
@@ -153,8 +160,16 @@ let get_extents c =
       let len = get_u32 c in
       (start, len))
 
-let decode_payload ~tag b =
-  let c = { b; pos = 0 } in
+let decode_payload ?len ~tag b =
+  let lim =
+    match len with
+    | None -> Bytes.length b
+    | Some l ->
+        if l < 0 || l > Bytes.length b then
+          invalid_arg "Logrec.decode_payload: len outside buffer";
+        l
+  in
+  let c = { b; lim; pos = 0 } in
   try
     match tag with
     | 1 ->

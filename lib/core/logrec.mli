@@ -74,9 +74,11 @@ val encode_into : op -> Bytes.t -> int -> int
 val encode_payload : op -> Bytes.t
 (** [op] serialized into a fresh buffer of [payload_bytes op] bytes. *)
 
-val decode_payload : tag:int -> Bytes.t -> op
-(** Inverse of [encode_payload]; [tag] comes from the header.
-    Raises [Failure] on malformed input. *)
+val decode_payload : ?len:int -> tag:int -> Bytes.t -> op
+(** Inverse of [encode_payload]; [tag] comes from the header. Decodes
+    the first [len] bytes of the buffer (default: all of it) and never
+    reads past them, so a reused buffer longer than the payload is safe.
+    Raises [Failure] on malformed or truncated input. *)
 
 val tag_of_op : op -> int
 

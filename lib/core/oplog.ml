@@ -27,6 +27,9 @@ type t = {
   mutable tail_ : int;
   ctr : counters option;
   fault : Config.fault;  (* injected protocol bug; No_fault in production *)
+  mutable scratch : Bytes.t;
+      (* payload staging for [probe], grown to the longest record seen;
+         scans of one log are serialized (checkpointer or recovery) *)
 }
 
 let region_bytes ~slots = (slots + 1) * slot_bytes
@@ -52,7 +55,9 @@ let count c f = match c with Some c -> Dstore_obs.Metrics.incr (f c) | None -> (
 let attach ?obs ?(fault = Config.No_fault) pm ~off ~slots =
   assert (off mod slot_bytes = 0);
   let ctr = Option.map counters_of obs in
-  let t = { pm; off; slots; base = 0; tail_ = 0; ctr; fault } in
+  let t =
+    { pm; off; slots; base = 0; tail_ = 0; ctr; fault; scratch = Bytes.empty }
+  in
   t.base <- Pmem.get_u64 pm (hdr_off t + 8);
   t
 
@@ -101,20 +106,21 @@ let build_record ~lsn op =
   Bytes.set_int32_le img 20 (Int32.of_int crc);
   img
 
-let record_crc t ~slot ~len_slots =
-  let img = Bytes.create (len_slots * slot_bytes) in
-  Pmem.blit_to_bytes t.pm ~src:(slot_off t slot) img ~dst:0
-    ~len:(len_slots * slot_bytes);
-  (* Zero the commit and crc fields before hashing. *)
-  Bytes.set_int64_le img 8 0L;
-  let stored = Int32.to_int (Bytes.get_int32_le img 20) land 0xFFFFFFFF in
-  Bytes.set_int32_le img 20 0l;
+let zero_word = Bytes.make 4 '\000'
+
+(* Whether the CRC [build_record] stored matches the device bytes,
+   hashed in place: the commit word is skipped and the CRC field reads as
+   zero, as they did when the record was built. *)
+let crc_matches t ~slot ~len_slots =
+  let off = slot_off t slot in
+  let c = Pmem.crc32c t.pm ~off ~len:8 in
+  let c = Pmem.crc32c ~init:c t.pm ~off:(off + 16) ~len:4 in
+  let c = Checksum.crc32c ~init:c zero_word ~pos:0 ~len:4 in
   let crc =
-    Checksum.crc32c img ~pos:0 ~len:8
-    |> fun c ->
-    Checksum.crc32c ~init:c img ~pos:16 ~len:(Bytes.length img - 16)
+    Pmem.crc32c ~init:c t.pm ~off:(off + 24)
+      ~len:((len_slots * slot_bytes) - 24)
   in
-  (stored, crc)
+  Pmem.get_u32 t.pm (off + 20) = crc
 
 let write_record t ~slot ~lsn op =
   count t.ctr (fun c -> c.c_appends);
@@ -230,16 +236,16 @@ let probe t s =
     let len_slots = Pmem.get_u16 t.pm (base_off + 16) in
     if len_slots < 1 || s + len_slots > t.slots then None
     else begin
-      let stored, crc = record_crc t ~slot:s ~len_slots in
-      if stored <> crc then None
+      if not (crc_matches t ~slot:s ~len_slots) then None
       else begin
         let tag = Pmem.get_u8 t.pm (base_off + 18) in
         let payload_len = (len_slots * slot_bytes) - Logrec.header_bytes in
-        let payload = Bytes.create payload_len in
+        if Bytes.length t.scratch < payload_len then
+          t.scratch <- Bytes.create payload_len;
         Pmem.blit_to_bytes t.pm
           ~src:(base_off + Logrec.header_bytes)
-          payload ~dst:0 ~len:payload_len;
-        match Logrec.decode_payload ~tag payload with
+          t.scratch ~dst:0 ~len:payload_len;
+        match Logrec.decode_payload ~len:payload_len ~tag t.scratch with
         | op ->
             let committed = Pmem.get_u64 t.pm (base_off + 8) = 1 in
             Some ({ lsn; slot = s; committed; op }, len_slots)

@@ -86,13 +86,21 @@ let default_config =
     share = None;
   }
 
+(* Undo images live in one growable arena of 64 B slots: slot [s] is
+   bytes [s * line_size, (s + 1) * line_size) of [undo]. Flushed lines
+   return their slot to the [free] stack, so a steady write/flush load
+   stops allocating once the arena covers its peak dirty set. *)
 type t = {
   cfg : config;
   platform : Platform.t;
   data : Bytes.t;
-  (* line index -> last durable content of that line (undo image) *)
-  dirty : (int, Bytes.t) Hashtbl.t;
-  guard : Mutex.t;  (* protects [dirty] under the real platform *)
+  (* line index -> arena slot holding the line's last durable content *)
+  dirty : (int, int) Hashtbl.t;
+  mutable undo : Bytes.t;
+  mutable free : int array;  (* free-slot stack, [nfree] entries *)
+  mutable nfree : int;
+  mutable slots : int;  (* slots handed out so far (live + free) *)
+  guard : Mutex.t;  (* protects the dirty map and arena under the real platform *)
   st : stats;
   mutable persist_events : int;
   mutable persist_hook : (int -> unit) option;
@@ -106,6 +114,10 @@ let create platform cfg =
     platform;
     data = Bytes.make cfg.size '\000';
     dirty = Hashtbl.create 4096;
+    undo = Bytes.empty;
+    free = [||];
+    nfree = 0;
+    slots = 0;
     guard = Mutex.create ();
     st =
       {
@@ -228,18 +240,45 @@ let attach_obs t obs =
       M.gauge_fn m "pmem.bw_contended_extra_ns" (fun () ->
           Bw.contended_extra_ns d)
 
+(* A free arena slot, growing the arena when none is left. Runs with
+   [guard] held and cannot raise short of running out of memory. *)
+let take_slot t =
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
+    let cap = Bytes.length t.undo / line_size in
+    if t.slots = cap then begin
+      let cap' = max 64 (2 * cap) in
+      let undo = Bytes.create (cap' * line_size) in
+      Bytes.blit t.undo 0 undo 0 (Bytes.length t.undo);
+      t.undo <- undo;
+      t.free <- Array.make cap' 0
+    end;
+    let s = t.slots in
+    t.slots <- s + 1;
+    s
+  end
+
+let release_slot t s =
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
 (* Record undo images for every line intersecting [off, off+len) that is
-   not already dirty. Must run before the store mutates [data]. *)
+   not already dirty. Must run after [check] and before the store mutates
+   [data]; a zero-length store touches no line. *)
 let note_write t off len =
   t.st.bytes_written <- t.st.bytes_written + len;
-  if t.cfg.crash_model then begin
+  if t.cfg.crash_model && len > 0 then begin
     let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
     Mutex.lock t.guard;
     for l = first to last do
       if not (Hashtbl.mem t.dirty l) then begin
-        let undo = Bytes.create line_size in
-        Bytes.blit t.data (l lsl line_shift) undo 0 line_size;
-        Hashtbl.add t.dirty l undo
+        let s = take_slot t in
+        Bytes.blit t.data (l lsl line_shift) t.undo (s lsl line_shift)
+          line_size;
+        Hashtbl.add t.dirty l s
       end
     done;
     Mutex.unlock t.guard
@@ -307,6 +346,10 @@ let fill t off len byte =
   note_write t off len;
   Bytes.fill t.data off len (Char.chr (byte land 0xff))
 
+let crc32c ?init t ~off ~len =
+  check t off len;
+  Checksum.crc32c ?init t.data ~pos:off ~len
+
 let flush t off len =
   check t off len;
   if len > 0 then begin
@@ -315,7 +358,11 @@ let flush t off len =
     if t.cfg.crash_model then begin
       Mutex.lock t.guard;
       for l = first to last do
-        Hashtbl.remove t.dirty l
+        match Hashtbl.find t.dirty l with
+        | s ->
+            release_slot t s;
+            Hashtbl.remove t.dirty l
+        | exception Not_found -> ()
       done;
       Mutex.unlock t.guard
     end;
@@ -352,24 +399,30 @@ let crash t mode =
   if not t.cfg.crash_model then
     invalid_arg "Pmem.crash: device created with crash_model = false";
   Mutex.lock t.guard;
-  let resolve l undo =
-    let base = l lsl line_shift in
+  let resolve l s =
+    let base = l lsl line_shift and src = s lsl line_shift in
     match mode with
     | Keep_all -> ()
-    | Drop_all -> Bytes.blit undo 0 t.data base line_size
+    | Drop_all -> Bytes.blit t.undo src t.data base line_size
     | Random rng -> (
         match Rng.int rng 3 with
         | 0 -> () (* spurious eviction persisted the whole line *)
-        | 1 -> Bytes.blit undo 0 t.data base line_size
+        | 1 -> Bytes.blit t.undo src t.data base line_size
         | _ ->
             (* Partial persistence at 8-byte-word granularity. *)
             for w = 0 to (line_size / 8) - 1 do
               if Rng.bool rng then
-                Bytes.blit undo (w * 8) t.data (base + (w * 8)) 8
+                Bytes.blit t.undo (src + (w * 8)) t.data (base + (w * 8)) 8
             done)
   in
   Hashtbl.iter resolve t.dirty;
   Hashtbl.reset t.dirty;
+  t.undo <- Bytes.empty;
+  t.free <- [||];
+  t.nfree <- 0;
+  t.slots <- 0;
   Mutex.unlock t.guard
 
 let dirty_lines = dirty_lines_unlocked
+
+let undo_slots t = t.slots

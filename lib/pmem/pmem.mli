@@ -64,8 +64,13 @@ type config = {
   read_bw : float;  (** Sequential read bandwidth, bytes/ns. *)
   write_bw : float;  (** Sequential write bandwidth, bytes/ns. *)
   crash_model : bool;
-      (** Track dirty-line undo images so {!crash} works. Disable for pure
-          performance runs to skip the bookkeeping. *)
+      (** Track dirty-line undo images so {!crash} works. The first store
+          to a clean line copies the line's durable content into a slot
+          of one growable arena; {!flush} hands the slot back for reuse,
+          and {!crash} empties the arena. A steady write/flush load
+          therefore stops allocating once the arena covers its peak
+          dirty set. Disable for pure performance runs to skip the
+          bookkeeping. *)
   share : Bw.t option;
       (** Shared bandwidth domain, or [None] (default) for a dedicated
           device whose transfers never contend. *)
@@ -111,6 +116,11 @@ val blit_within : t -> src:int -> dst:int -> len:int -> unit
 
 val fill : t -> int -> int -> int -> unit
 (** [fill t off len byte]. *)
+
+val crc32c : ?init:int -> t -> off:int -> len:int -> int
+(** CRC-32C of the device bytes [off, off+len), computed in place (no
+    copy, no charge); [init] chains a previous result as in
+    {!Dstore_util.Checksum.crc32c}. *)
 
 (** {1 Persistence} *)
 
@@ -178,7 +188,13 @@ val crash : t -> crash_mode -> unit
     runs recovery against the surviving bytes. *)
 
 val dirty_lines : t -> int
-(** Number of lines currently dirty (written and not yet persisted). *)
+(** Number of lines currently dirty (written and not yet persisted). A
+    zero-length store dirties nothing. *)
+
+val undo_slots : t -> int
+(** Undo-image slots the crash-model arena has handed out since
+    {!create} or the last {!crash}, live and free: at most the peak of
+    {!dirty_lines} over that time. *)
 
 (** {1 Statistics} *)
 

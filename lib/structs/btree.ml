@@ -82,23 +82,22 @@ let free_key t koff klen = Space.free t.space koff (max klen 1)
 
 let read_key t koff klen = Mem.read_string (m t) ~off:koff ~len:klen
 
-(* Compare the stored key at (koff, klen) with [key]; negative if stored
-   key is smaller. Allocation-free. *)
+(* Compare the stored key at [koff] with [key] from byte [i] on, over
+   their common prefix length [n]; ties go to the shorter key. Negative
+   if the stored key is smaller. Top-level so a comparison allocates no
+   closure. *)
+let rec cmp_from (mem_ : Mem.t) koff klen key n i =
+  if i = n then Int.compare klen (String.length key)
+  else
+    let a = mem_.Mem.get_u8 (koff + i) and b = Char.code (String.unsafe_get key i) in
+    if a <> b then Int.compare a b else cmp_from mem_ koff klen key n (i + 1)
+
 let cmp_stored t koff klen (key : string) =
-  let mem_ = m t in
-  let n = min klen (String.length key) in
-  let rec go i =
-    if i = n then compare klen (String.length key)
-    else
-      let a = mem_.Mem.get_u8 (koff + i) and b = Char.code (String.unsafe_get key i) in
-      if a <> b then compare a b else go (i + 1)
-  in
-  go 0
+  cmp_from (m t) koff klen key (min klen (String.length key)) 0
 
-(* Binary search in node [n] for [key]. Returns [Found i] or [Insert i]
-   (the slot where the key would go). *)
-type probe = Found of int | Insert of int
-
+(* Binary search in node [n] for [key], encoded as an unboxed int: [i]
+   when cell [i] holds the key, [-(i + 1)] when the key would be inserted
+   at slot [i]. *)
 let search t n key =
   let lo = ref 0 and hi = ref (nkeys t n) in
   let found = ref (-1) in
@@ -109,18 +108,19 @@ let search t n key =
     else if c < 0 then lo := mid + 1
     else hi := mid
   done;
-  if !found >= 0 then Found !found else Insert !lo
+  if !found >= 0 then !found else -(!lo + 1)
 
 (* Child of branch [n] to follow for [key]. *)
 let child_for t n key =
-  match search t n key with
-  | Found i -> cell_value t n i
-  | Insert 0 -> link t n
-  | Insert i -> cell_value t n (i - 1)
+  let r = search t n key in
+  if r >= 0 then cell_value t n r
+  else if r = -1 then link t n
+  else cell_value t n (-r - 2)
 
 (* Index of the child slot in branch [n]: -1 for child0, else cell id. *)
 let child_slot_for t n key =
-  match search t n key with Found i -> i | Insert i -> i - 1
+  let r = search t n key in
+  if r >= 0 then r else -r - 2
 
 (* --- roots ------------------------------------------------------------ *)
 
@@ -203,64 +203,69 @@ let grow_root t =
 
 (* --- public operations ------------------------------------------------ *)
 
+(* Descents are top-level recursive functions, not local closures, so a
+   lookup or an overwrite allocates only its [Some] result. *)
+let rec insert_from t key v n =
+  if tag t n = tag_leaf then begin
+    let r = search t n key in
+    if r >= 0 then begin
+      let old = cell_value t n r in
+      set_cell_value t n r v;
+      Some old
+    end
+    else begin
+      let i = -r - 1 in
+      open_slot t n i;
+      let koff = alloc_key t key in
+      set_cell t n i ~koff ~klen:(String.length key) ~value:v;
+      set_nkeys t n (nkeys t n + 1);
+      set_length t (length t + 1);
+      None
+    end
+  end
+  else begin
+    let slot = child_slot_for t n key in
+    let child = if slot < 0 then link t n else cell_value t n slot in
+    if nkeys t child = order then begin
+      split_child t n (slot + 1) child;
+      (* Re-route: the key may belong in the new right sibling. *)
+      insert_from t key v (child_for t n key)
+    end
+    else insert_from t key v child
+  end
+
 let insert t key v =
   assert (v >= 0);
   if String.length key > max_key_len then invalid_arg "Btree.insert: key too long";
   if nkeys t (root t) = order then grow_root t;
-  let rec go n =
-    if tag t n = tag_leaf then
-      match search t n key with
-      | Found i ->
-          let old = cell_value t n i in
-          set_cell_value t n i v;
-          Some old
-      | Insert i ->
-          open_slot t n i;
-          let koff = alloc_key t key in
-          set_cell t n i ~koff ~klen:(String.length key) ~value:v;
-          set_nkeys t n (nkeys t n + 1);
-          set_length t (length t + 1);
-          None
-    else begin
-      let slot = child_slot_for t n key in
-      let child = if slot < 0 then link t n else cell_value t n slot in
-      if nkeys t child = order then begin
-        split_child t n (slot + 1) child;
-        (* Re-route: the key may belong in the new right sibling. *)
-        go (child_for t n key)
-      end
-      else go child
-    end
-  in
-  go (root t)
+  insert_from t key v (root t)
 
-let find t key =
-  let rec go n =
-    if tag t n = tag_leaf then
-      match search t n key with
-      | Found i -> Some (cell_value t n i)
-      | Insert _ -> None
-    else go (child_for t n key)
-  in
-  go (root t)
+let rec find_from t key n =
+  if tag t n = tag_leaf then
+    let r = search t n key in
+    if r >= 0 then Some (cell_value t n r) else None
+  else find_from t key (child_for t n key)
+
+let find t key = find_from t key (root t)
 
 let mem t key = find t key <> None
 
-let delete t key =
-  let rec go n =
-    if tag t n = tag_leaf then
-      match search t n key with
-      | Found i ->
-          let old = cell_value t n i in
-          free_key t (cell_koff t n i) (cell_klen t n i);
-          close_slot t n i;
-          set_nkeys t n (nkeys t n - 1);
-          set_length t (length t - 1);
-          Some old
-      | Insert _ -> None
-    else go (child_for t n key)
-  in
-  go (root t)
+let rec delete_from t key n =
+  if tag t n = tag_leaf then begin
+    let i = search t n key in
+    if i >= 0 then begin
+      let old = cell_value t n i in
+      free_key t (cell_koff t n i) (cell_klen t n i);
+      close_slot t n i;
+      set_nkeys t n (nkeys t n - 1);
+      set_length t (length t - 1);
+      Some old
+    end
+    else None
+  end
+  else delete_from t key (child_for t n key)
+
+let delete t key = delete_from t key (root t)
 
 let leftmost_leaf t =
   let rec go n = if tag t n = tag_leaf then n else go (link t n) in

@@ -108,6 +108,40 @@ let test_logrec_truncated () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* Decoding from a reused buffer longer than the payload: [~len] bounds
+   every read, so a record whose string or extent list runs past it fails
+   even though the stale bytes behind it would complete the parse. *)
+let test_logrec_decode_bound () =
+  let op =
+    Logrec.Put
+      {
+        key = "a-key-long-enough-to-cut";
+        size = 4096;
+        meta = 1;
+        extents = [ (1, 2); (3, 4); (5, 6) ];
+        freed_meta = -1;
+        freed_extents = [];
+      }
+  in
+  let payload = Logrec.encode_payload op in
+  let full = Bytes.length payload in
+  let buf = Bytes.make (full + 64) '\000' in
+  Bytes.blit payload 0 buf 0 full;
+  Alcotest.(check bool) "whole payload decodes" true
+    (Logrec.decode_payload ~len:full ~tag:1 buf = op);
+  Alcotest.(check bool) "stale tail parses unbounded" true
+    (Logrec.decode_payload ~tag:1 buf = op);
+  let cut_fails name len =
+    match Logrec.decode_payload ~len ~tag:1 buf with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: decoded past ~len:%d" name len
+  in
+  (* key: 2-byte length, then the bytes; cut inside the key *)
+  cut_fails "string" 10;
+  (* extents start after key, size (8) and meta (4); cut inside them *)
+  cut_fails "extents" (2 + 24 + 8 + 4 + 2 + 8 + 3);
+  cut_fails "trailing field" (full - 1)
+
 let prop_logrec_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"logrec roundtrips arbitrary puts" ~count:300
@@ -293,6 +327,28 @@ let test_oplog_append_scan () =
           Alcotest.(check bool) "ops preserved" true
             (e1.Oplog.op = put_op "a" && e2.Oplog.op = put_op "b")
       | _ -> Alcotest.fail "entry count")
+
+(* Host words a probe costs per record: the CRC runs over the device
+   bytes in place and the payload decodes from the log's scratch buffer,
+   so what is left is the decoded entry itself (key, op, extent list,
+   entry record, scan list): 52 words per record, against 65 when the
+   record image and the payload are copied out first. *)
+let test_oplog_scan_alloc_budget () =
+  with_sim (fun p _ ->
+      let _, log = fresh_log ~slots:256 p in
+      let n = 200 in
+      for i = 1 to n do
+        let slot, _ = append log (put_op (Printf.sprintf "obj/%04d" i)) in
+        Oplog.commit_record log ~slot
+      done;
+      check Alcotest.int "all records scanned" n (List.length (Oplog.scan log));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        ignore (Sys.opaque_identity (Oplog.scan log))
+      done;
+      let per_record = (Gc.minor_words () -. w0) /. float_of_int (10 * n) in
+      if per_record > 56.0 then
+        Alcotest.failf "scan: %.1f words/record > 56" per_record)
 
 let test_oplog_multislot_records () =
   with_sim (fun p _ ->
@@ -655,11 +711,13 @@ let suite =
     ("logrec multislot", `Quick, test_logrec_multislot);
     ("logrec bad tag", `Quick, test_logrec_bad_tag);
     ("logrec truncated", `Quick, test_logrec_truncated);
+    ("logrec decode bounded by len", `Quick, test_logrec_decode_bound);
     prop_logrec_roundtrip;
     ("logrec pinned bytes", `Quick, test_logrec_pinned_bytes);
     prop_logrec_sized_encode;
     ("logrec put estimate table", `Quick, test_put_max_slots_table);
     ("oplog append+scan", `Quick, test_oplog_append_scan);
+    ("oplog scan alloc budget", `Quick, test_oplog_scan_alloc_budget);
     ("oplog multislot records", `Quick, test_oplog_multislot_records);
     ("oplog reserve exhaustion", `Quick, test_oplog_reserve_exhaustion);
     ("oplog reset clears", `Quick, test_oplog_reset_clears);

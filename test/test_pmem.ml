@@ -243,6 +243,99 @@ let test_with_bulk_cost_linear () =
   check Alcotest.int "4 segments cost the same as one 4x transfer"
     (elapsed 1 19200) (elapsed 4 4800)
 
+(* Crash-model equivalence: a scripted history of stores across many
+   lines (enough to make the dirty map resize), re-dirtied lines and
+   partial flushes, then a random crash. The digests were captured with
+   one [Bytes] undo image per dirty line; the pooled arena must reproduce
+   them bit for bit, which pins both the undo images and the order in
+   which [crash] visits lines and draws its random numbers. *)
+let crash_history_digest seed =
+  let cfg = { small_config with size = 2 * 1024 * 1024 } in
+  with_pmem ~cfg (fun pm _ _ ->
+      let size = Pmem.size pm in
+      let r = Rng.create 17 in
+      let buf = Bytes.init 512 (fun i -> Char.chr ((i * 7) land 0xff)) in
+      for round = 1 to 40 do
+        for _ = 1 to 500 do
+          match Rng.int r 4 with
+          | 0 ->
+              Pmem.set_u64 pm (Rng.int r (size / 8) * 8) (Rng.int r 1_000_000)
+          | 1 ->
+              let len = 1 + Rng.int r 300 in
+              Pmem.blit_from_bytes pm buf ~src:(Rng.int r 200)
+                ~dst:(Rng.int r (size - len)) ~len
+          | 2 ->
+              let len = 1 + Rng.int r 200 in
+              Pmem.fill pm (Rng.int r (size - len)) len (round + Rng.int r 200)
+          | _ -> Pmem.set_u8 pm (Rng.int r size) (Rng.int r 256)
+        done;
+        (* Flush a few random ranges: some lines become clean, and later
+           stores re-dirty them with a newer durable image. *)
+        for _ = 1 to 3 + (round mod 5) do
+          let len = 1 + Rng.int r 8192 in
+          Pmem.flush pm (Rng.int r (size - len)) len
+        done
+      done;
+      let dirty = Pmem.dirty_lines pm in
+      let rng = Rng.create seed in
+      Pmem.crash pm (Pmem.Random rng);
+      let img = Bytes.create size in
+      Pmem.blit_to_bytes pm ~src:0 img ~dst:0 ~len:size;
+      Printf.sprintf "%d %d %s" dirty (Rng.int rng 1_000_000)
+        (Digest.to_hex (Digest.bytes img)))
+
+let test_crash_history_digest () =
+  List.iter
+    (fun (seed, expect) ->
+      check Alcotest.string (Printf.sprintf "seed %d" seed) expect
+        (crash_history_digest seed))
+    [
+      (1, "19579 393143 58d602404416584f14a91540b6ace603");
+      (2, "19579 430433 23107b8090513147cd149240b083e689");
+      (3, "19579 597605 a00f6cc0ca77ae2b88016650f61edf1b");
+      (42, "19579 428704 084a414166702a7b2b7464f4c99279cd");
+    ]
+
+(* Flushed lines hand their undo slot back: many write/flush rounds never
+   grow the arena past the peak number of lines dirty at once, and a
+   crash empties both the dirty map and the arena. *)
+let test_undo_slots_recycled () =
+  with_pmem (fun pm _ _ ->
+      let r = Rng.create 3 in
+      let peak = ref 0 in
+      for _ = 1 to 10_000 do
+        let off = Rng.int r (60 * 1024) in
+        let len = 1 + Rng.int r 200 in
+        Pmem.fill pm off len (Rng.int r 256);
+        peak := max !peak (Pmem.dirty_lines pm);
+        if Rng.int r 4 > 0 then Pmem.flush pm (Rng.int r (60 * 1024)) 4096
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "arena %d within peak %d" (Pmem.undo_slots pm) !peak)
+        true
+        (Pmem.undo_slots pm <= !peak);
+      Alcotest.(check bool) "some lines still dirty" true (Pmem.dirty_lines pm > 0);
+      Pmem.crash pm Pmem.Drop_all;
+      check Alcotest.int "dirty map emptied" 0 (Pmem.dirty_lines pm);
+      check Alcotest.int "arena emptied" 0 (Pmem.undo_slots pm))
+
+(* A zero-length store dirties no line, wherever it lands, and leaves the
+   device usable: at offset 0 it must not compute a line range ending at
+   [(-1) lsr 6], walk the whole device and raise inside the dirty-map
+   lock, which would wedge every later store. *)
+let test_zero_length_store () =
+  with_pmem (fun pm _ _ ->
+      let b = Bytes.make 8 'x' in
+      Pmem.blit_from_bytes pm b ~src:0 ~dst:0 ~len:0;
+      Pmem.blit_from_bytes pm b ~src:0 ~dst:100 ~len:0;
+      Pmem.fill pm 200 0 0xFF;
+      Pmem.blit_within pm ~src:0 ~dst:300 ~len:0;
+      check Alcotest.int "nothing dirty" 0 (Pmem.dirty_lines pm);
+      check Alcotest.int "bytes written" 0 (Pmem.stats pm).Pmem.bytes_written;
+      Pmem.set_u64 pm 0 7;
+      check Alcotest.int "next store lands" 7 (Pmem.get_u64 pm 0);
+      check Alcotest.int "one line dirty" 1 (Pmem.dirty_lines pm))
+
 let suite =
   [
     ("read/write roundtrip", `Quick, test_rw_roundtrip);
@@ -262,4 +355,7 @@ let suite =
     ("blit within", `Quick, test_blit_within);
     ("with_bulk single registration", `Quick, test_with_bulk_single_registration);
     ("with_bulk segment cost linear", `Quick, test_with_bulk_cost_linear);
+    ("crash history digest", `Quick, test_crash_history_digest);
+    ("undo slots recycled", `Quick, test_undo_slots_recycled);
+    ("zero-length store", `Quick, test_zero_length_store);
   ]

@@ -152,13 +152,25 @@ let test_btree_survives_copy () =
   ignore (Btree.insert t2 "new" 1);
   Alcotest.(check (option int)) "original untouched" None (Btree.find t "new")
 
+(* Keys of different lengths: the fixed-width "k%02d" family, plus short
+   strings over a four-letter alphabet that yield the empty key, prefix
+   pairs ("k1"/"k10") and embedded NUL bytes, so comparisons often end
+   on the length tie-break rather than on a differing byte. *)
+let btree_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (Printf.sprintf "k%02d") (int_bound 60));
+        (2, string_size ~gen:(oneofl [ 'k'; '1'; '0'; '\000' ]) (int_bound 4));
+      ])
+
 let btree_model_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (5, map (fun k -> `Insert (Printf.sprintf "k%02d" k)) (int_bound 60));
-        (2, map (fun k -> `Delete (Printf.sprintf "k%02d" k)) (int_bound 60));
-        (2, map (fun k -> `Find (Printf.sprintf "k%02d" k)) (int_bound 60));
+        (5, map (fun k -> `Insert k) btree_key_gen);
+        (2, map (fun k -> `Delete k) btree_key_gen);
+        (2, map (fun k -> `Find k) btree_key_gen);
       ])
 
 let prop_btree_model =
@@ -192,6 +204,33 @@ let prop_btree_model =
          Btree.check_invariants t;
          !ok && Btree.length t = M.cardinal !model
          && M.for_all (fun k v -> Btree.find t k = Some v) !model))
+
+(* Host-allocation budgets on a tree of at least three levels: order 84
+   caps two levels at 84 * 84 = 7 056 keys, so 20 000 force a third. A
+   lookup allocates only its [Some] result and an overwrite only the
+   [Some] of the old value: the search encodes found/insert as one int
+   and the key compare and descents are closure-free. *)
+let test_btree_alloc_budget () =
+  let _, t = fresh_tree ~bytes:(1 lsl 24) () in
+  let n = 20_000 in
+  let keys = Array.init n (fun i -> Printf.sprintf "obj/%07d" ((i * 7919) mod n)) in
+  Array.iteri (fun i k -> ignore (Btree.insert t k i)) keys;
+  let calls = 10_000 in
+  let per_call f =
+    let w0 = Gc.minor_words () in
+    for i = 0 to calls - 1 do
+      f keys.((i * 13) mod n)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let find_w = per_call (fun k -> ignore (Sys.opaque_identity (Btree.find t k))) in
+  let insert_w =
+    per_call (fun k -> ignore (Sys.opaque_identity (Btree.insert t k 1)))
+  in
+  Btree.check_invariants t;
+  check Alcotest.int "no key added" n (Btree.length t);
+  if find_w > 2.0 then Alcotest.failf "find: %.1f words/call > 2" find_w;
+  if insert_w > 3.0 then Alcotest.failf "overwrite insert: %.1f words/call > 3" insert_w
 
 let prop_btree_large_split_stress =
   QCheck_alcotest.to_alcotest
@@ -490,6 +529,7 @@ let suite =
     ("btree prefix keys", `Quick, test_btree_prefix_keys);
     ("btree delete/reinsert churn", `Quick, test_btree_delete_reinsert_churn);
     ("btree survives space copy", `Quick, test_btree_survives_copy);
+    ("btree alloc budget", `Quick, test_btree_alloc_budget);
     prop_btree_model;
     prop_btree_large_split_stress;
     ("bitpool alloc unique", `Quick, test_bitpool_alloc_unique);
