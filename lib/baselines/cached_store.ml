@@ -220,9 +220,9 @@ let alloc_blocks t nblocks =
     | None -> raise Out_of_blocks
 
 let alloc_meta t =
-  match Bitpool.alloc t.h.metapool with
-  | Some m -> m
-  | None -> raise Out_of_blocks
+  let m = Bitpool.alloc t.h.metapool in
+  if m < 0 then raise Out_of_blocks;
+  m
 
 let release_binding t key =
   match Btree.find t.h.btree key with

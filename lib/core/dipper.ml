@@ -411,33 +411,21 @@ let swap_logs t =
   let nl = t.logs.(standby) in
   List.iter
     (fun tk ->
-      let n = Logrec.slots_needed tk.op in
-      match Oplog.reserve nl n with
-      | None -> failwith "Dipper: new active log cannot hold in-flight records"
-      | Some (slot, lsn) ->
-          Oplog.write_record nl ~slot ~lsn tk.op;
-          (* Flushed here (under the lock, bounded by client count) so a
-             commit persisting only the first line cannot leave a torn
-             committed record. *)
-          Oplog.flush_record nl ~slot ~lsn tk.op;
-          tk.log_id <- standby;
-          tk.slot <- slot;
-          tk.lsn <- lsn;
-          Hashtbl.add t.in_flight lsn tk;
-          t.st.records_moved <- t.st.records_moved + 1)
+      let slot = Oplog.reserve nl (Logrec.slots_needed tk.op) in
+      if slot < 0 then failwith "Dipper: new active log cannot hold in-flight records";
+      let lsn = Oplog.lsn_base nl + slot in
+      Oplog.write_record nl ~slot ~lsn tk.op;
+      (* Flushed here (under the lock, bounded by client count) so a
+         commit persisting only the first line cannot leave a torn
+         committed record. *)
+      Oplog.flush_record nl ~slot ~lsn tk.op;
+      tk.log_id <- standby;
+      tk.slot <- slot;
+      tk.lsn <- lsn;
+      Hashtbl.add t.in_flight lsn tk;
+      t.st.records_moved <- t.st.records_moved + 1)
     tickets;
   arch
-
-(* The shared replay-visibility filter (checkpoint replay AND recovery):
-   resolve transaction spans first — members surface as committed iff
-   their span's Txn_commit record persisted, the pending-transaction
-   buffer of §3.6 extended to multi-key spans — then keep committed
-   records beyond the watermark, minus Noops. *)
-let committed_entries log ~above =
-  Oplog.scan log |> Oplog.resolve_txn_spans
-  |> List.filter (fun e ->
-         e.Oplog.committed && e.Oplog.lsn > above
-         && match e.Oplog.op with Logrec.Noop _ -> false | _ -> true)
 
 (* Replay [entries] onto [space] one record at a time in LSN order: its
    pool effects, then its structure effects. A physical record's images
@@ -653,7 +641,7 @@ let dipper_checkpoint t sp =
       Space.attach (Mem.tracked (space_mem t target) ~note)
     end
   in
-  let entries = committed_entries t.logs.(arch) ~above:t.last_applied in
+  let entries = Oplog.committed t.logs.(arch) ~above:t.last_applied in
   let t2 = now () in
   t.st.ckpt_clone_ns <- t.st.ckpt_clone_ns + (t2 - t1);
   Span.seg sp Span.S_ckpt_clone;
@@ -800,7 +788,7 @@ let recover ?obs platform pm cfg hooks =
     let target = 1 - t.current_space in
     (* Always a full clone: the dirty epochs died with the crash. *)
     let shadow = clone_full t ~target in
-    let entries = committed_entries t.logs.(arch) ~above:t.last_applied in
+    let entries = Oplog.committed t.logs.(arch) ~above:t.last_applied in
     replay_serial t shadow entries;
     t.st.records_replayed <- t.st.records_replayed + List.length entries;
     Space.persist_used shadow;
@@ -817,11 +805,16 @@ let recover ?obs platform pm cfg hooks =
   t.st.recovery_metadata_ns <- platform.Platform.now () - t0;
   Span.seg sp Span.S_rec_metadata;
   (* Phase 3: replay committed records beyond the watermark from both logs
-     in LSN order (robust to a crash landing anywhere around a swap). *)
+     in LSN order (robust to a crash landing anywhere around a swap).
+     [Oplog.committed] is the replay-visibility filter the checkpoint
+     shares: a span's members surface as committed iff its Txn_commit
+     record persisted — the pending-transaction buffer of §3.6 extended
+     to multi-key spans — and committed records beyond the watermark,
+     minus Noops, are kept. *)
   let t1 = platform.Platform.now () in
   let entries =
-    committed_entries t.logs.(0) ~above:t.last_applied
-    @ committed_entries t.logs.(1) ~above:t.last_applied
+    Oplog.committed t.logs.(0) ~above:t.last_applied
+    @ Oplog.committed t.logs.(1) ~above:t.last_applied
     |> List.sort (fun a b -> compare a.Oplog.lsn b.Oplog.lsn)
   in
   replay_serial t t.volatile entries;
@@ -967,8 +960,10 @@ let holder_must_abort = function
   | Ticket tk -> ( match tk.op with Logrec.Noop _ -> true | _ -> false)
   | Reserved -> true
 
+(* With no reader in, the wait builds no polling closure. *)
 let wait_readers t rc key =
-  spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
+  if Dstore_structs.Readcount.readers rc key <> 0 then
+    spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
 
 let request_checkpoint_locked t =
   t.ckpt_needed <- true;
@@ -1024,7 +1019,9 @@ let rec build = function
 
 (* Reserve, write and ticket one record of [n] slots in the active log. *)
 let stage_record t log key op n =
-  let slot, lsn = Option.get (Oplog.reserve log n) in
+  let slot = Oplog.reserve log n in
+  assert (slot >= 0);
+  let lsn = Oplog.lsn_base log + slot in
   Oplog.write_record log ~slot ~lsn op;
   t.platform.Platform.consume Config.costs.log_cpu_ns;
   let tk = { lsn; log_id = t.active_log; slot; op; key; done_ = Atomic.make false } in
@@ -1181,12 +1178,13 @@ let commit t a =
       t.st.txn_member_records <- t.st.txn_member_records + List.length members;
       finish (b :: c :: members)
   | None, [ tk ] ->
-      let log_id, slot =
-        Platform.with_lock t.lock (fun () ->
-            Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot;
-            retire t tk;
-            (tk.log_id, tk.slot))
-      in
+      (* Locked by hand: neither step raises, and a [with_lock] closure
+         returning the location would cost every put two allocations. *)
+      t.lock.Platform.lock ();
+      let log_id = tk.log_id and slot = tk.slot in
+      Oplog.set_commit_word t.logs.(log_id) ~slot;
+      retire t tk;
+      t.lock.Platform.unlock ();
       Oplog.persist_slot t.logs.(log_id) ~slot;
       fire_commit_hook t a.members;
       finish a.members

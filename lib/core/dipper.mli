@@ -111,7 +111,7 @@ val shadow_space : t -> Space.t
       batch pass; the commit record alone is persisted by {!commit}, and
       its validity {e is} the transaction's commit point — after a crash,
       recovery surfaces the members iff it persisted (all-or-nothing, see
-      [Oplog.resolve_txn_spans]).
+      [Oplog.committed]).
     - {b Exactly one record}: the single-record protocol —
       [Oplog.flush_record] to append, [Oplog.persist_slot] to commit.
     - {b More than one record} (group commit): one coalesced flush+fence
@@ -126,7 +126,8 @@ val shadow_space : t -> Space.t
     protocol. *)
 
 val wait_readers : t -> Dstore_structs.Readcount.t -> string -> unit
-(** Poll the read count to zero (§4.4 read-write conflicts). *)
+(** Poll the read count to zero (§4.4 read-write conflicts). Returns at
+    once, allocating nothing, when no reader is in. *)
 
 type appended
 (** An appended, uncommitted group of records. *)

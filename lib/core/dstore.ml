@@ -185,7 +185,7 @@ let prepare_op h (op : Logrec.op) =
       Bitpool.free h.metapool meta
   | Logrec.Noop _ -> ()
   | Logrec.Phys _ -> ()
-  (* Transaction framing never reaches replay: [Oplog.resolve_txn_spans]
+  (* Transaction framing never reaches replay: [Oplog.committed]
      consumes it before the hooks run. *)
   | Logrec.Txn_begin _ | Logrec.Txn_commit _ -> ()
 
@@ -465,9 +465,9 @@ let alloc_blocks t nblocks =
     | None -> raise Out_of_blocks
 
 let alloc_meta t =
-  match Bitpool.alloc t.h.metapool with
-  | Some m -> m
-  | None -> raise Out_of_blocks
+  let m = Bitpool.alloc t.h.metapool in
+  if m < 0 then raise Out_of_blocks;
+  m
 
 let free_extents t extents =
   List.iter
@@ -725,7 +725,11 @@ let apply_appended ~span t s op =
     ->
       Dipper.wait_readers t.engine t.rc key;
       Span.seg span Span.S_ticket;
-      with_structs t (fun () -> put_structures ~span t key meta size extents);
+      (* Called directly when unserialized: no closure per put. *)
+      if serialized t then
+        Platform.with_lock t.struct_lock (fun () ->
+            put_structures ~span t key meta size extents)
+      else put_structures ~span t key meta size extents;
       cache_write_through t key value size;
       Some (freed_meta, freed_extents)
   | Sdelete key, Logrec.Delete { meta; extents; _ } ->

@@ -30,6 +30,13 @@ type t = {
   mutable scratch : Bytes.t;
       (* payload staging for [probe], grown to the longest record seen;
          scans of one log are serialized (checkpointer or recovery) *)
+  mutable img : Bytes.t;
+      (* record image staging for [write_record], grown likewise;
+         appends to one log are serialized by the frontend lock *)
+  (* The last successful [probe]'s decoded fields. *)
+  mutable p_len : int;
+  mutable p_committed : bool;
+  mutable p_op : Logrec.op;
 }
 
 let region_bytes ~slots = (slots + 1) * slot_bytes
@@ -56,7 +63,20 @@ let attach ?obs ?(fault = Config.No_fault) pm ~off ~slots =
   assert (off mod slot_bytes = 0);
   let ctr = Option.map counters_of obs in
   let t =
-    { pm; off; slots; base = 0; tail_ = 0; ctr; fault; scratch = Bytes.empty }
+    {
+      pm;
+      off;
+      slots;
+      base = 0;
+      tail_ = 0;
+      ctr;
+      fault;
+      scratch = Bytes.empty;
+      img = Bytes.empty;
+      p_len = 0;
+      p_committed = false;
+      p_op = Logrec.Noop { key = "" };
+    }
   in
   t.base <- Pmem.get_u64 pm (hdr_off t + 8);
   t
@@ -80,35 +100,16 @@ let free_slots t = t.slots - t.tail_
 
 let reserve t n =
   assert (n > 0);
-  if t.tail_ + n > t.slots then None
+  if t.tail_ + n > t.slots then -1
   else begin
     let slot = t.tail_ in
     t.tail_ <- t.tail_ + n;
-    Some (slot, t.base + slot)
+    slot
   end
-
-(* Assemble the full record image (header + payload) in one buffer, the
-   payload encoded in place. The CRC covers lsn, len, op and payload —
-   everything except the commit word and the CRC itself. *)
-let build_record ~lsn op =
-  let len_slots = Logrec.slots_needed op in
-  let img = Bytes.make (len_slots * slot_bytes) '\000' in
-  Bytes.set_int64_le img 0 (Int64.of_int lsn);
-  (* commit word at 8 stays 0 *)
-  Bytes.set_uint16_le img 16 len_slots;
-  Bytes.set_uint8 img 18 (Logrec.tag_of_op op);
-  ignore (Logrec.encode_into op img Logrec.header_bytes);
-  let crc =
-    Checksum.crc32c img ~pos:0 ~len:8
-    |> fun c ->
-    Checksum.crc32c ~init:c img ~pos:16 ~len:(Bytes.length img - 16)
-  in
-  Bytes.set_int32_le img 20 (Int32.of_int crc);
-  img
 
 let zero_word = Bytes.make 4 '\000'
 
-(* Whether the CRC [build_record] stored matches the device bytes,
+(* Whether the CRC [write_record] stored matches the device bytes,
    hashed in place: the commit word is skipped and the CRC field reads as
    zero, as they did when the record was built. *)
 let crc_matches t ~slot ~len_slots =
@@ -122,16 +123,28 @@ let crc_matches t ~slot ~len_slots =
   in
   Pmem.get_u32 t.pm (off + 20) = crc
 
+(* Assemble the full record image (header + payload, the payload encoded
+   in place) in the log's staging buffer, then store everything except
+   the LSN word; flush_record writes it after the rest of the record is
+   durable. The CRC covers lsn, len, op and payload — everything except
+   the commit word and the CRC itself. *)
 let write_record t ~slot ~lsn op =
   count t.ctr (fun c -> c.c_appends);
-  let img = build_record ~lsn op in
-  let n = Bytes.length img / slot_bytes in
-  assert (slot + n <= t.slots);
-  (* Store everything except the LSN word; it is written by flush_record,
-     after the rest of the record is durable. *)
-  Pmem.blit_from_bytes t.pm img ~src:8
-    ~dst:(slot_off t slot + 8)
-    ~len:(Bytes.length img - 8)
+  let len_slots = Logrec.slots_needed op in
+  let len = len_slots * slot_bytes in
+  assert (slot + len_slots <= t.slots);
+  if Bytes.length t.img < len then t.img <- Bytes.create len;
+  let img = t.img in
+  Bytes.fill img 0 len '\000';
+  Bytes.set_int64_le img 0 (Int64.of_int lsn);
+  (* commit word at 8 stays 0 *)
+  Bytes.set_uint16_le img 16 len_slots;
+  Bytes.set_uint8 img 18 (Logrec.tag_of_op op);
+  ignore (Logrec.encode_into op img Logrec.header_bytes);
+  let c = Checksum.crc32c img ~pos:0 ~len:8 in
+  let crc = Checksum.crc32c ~init:c img ~pos:16 ~len:(len - 16) in
+  Bytes.set_int32_le img 20 (Int32.of_int crc);
+  Pmem.blit_from_bytes t.pm img ~src:8 ~dst:(slot_off t slot + 8) ~len:(len - 8)
 
 let flush_record t ~slot ~lsn op =
   let n = Logrec.slots_needed op in
@@ -226,42 +239,43 @@ let is_committed t ~slot = Pmem.get_u64 t.pm (slot_off t slot + 8) = 1
 
 type entry = { lsn : int; slot : int; committed : bool; op : Logrec.op }
 
-(* Validity probe at slot [s]: LSN equation + CRC. Returns the decoded
-   entry and its slot length. *)
+(* Validity probe at slot [s]: LSN equation + CRC. On success the
+   record's slot length, commit word and decoded operation are left in
+   [p_len], [p_committed] and [p_op] (its LSN is [base + s]), so a scan
+   step allocates only the decoded operation. *)
 let probe t s =
   let base_off = slot_off t s in
-  let lsn = Pmem.get_u64 t.pm base_off in
-  if lsn <> t.base + s then None
-  else begin
-    let len_slots = Pmem.get_u16 t.pm (base_off + 16) in
-    if len_slots < 1 || s + len_slots > t.slots then None
-    else begin
-      if not (crc_matches t ~slot:s ~len_slots) then None
-      else begin
-        let tag = Pmem.get_u8 t.pm (base_off + 18) in
-        let payload_len = (len_slots * slot_bytes) - Logrec.header_bytes in
-        if Bytes.length t.scratch < payload_len then
-          t.scratch <- Bytes.create payload_len;
-        Pmem.blit_to_bytes t.pm
-          ~src:(base_off + Logrec.header_bytes)
-          t.scratch ~dst:0 ~len:payload_len;
-        match Logrec.decode_payload ~len:payload_len ~tag t.scratch with
-        | op ->
-            let committed = Pmem.get_u64 t.pm (base_off + 8) = 1 in
-            Some ({ lsn; slot = s; committed; op }, len_slots)
-        | exception Failure _ -> None
-      end
-    end
-  end
+  Pmem.get_u64 t.pm base_off = t.base + s
+  &&
+  let len_slots = Pmem.get_u16 t.pm (base_off + 16) in
+  len_slots >= 1
+  && s + len_slots <= t.slots
+  && crc_matches t ~slot:s ~len_slots
+  &&
+  let tag = Pmem.get_u8 t.pm (base_off + 18) in
+  let payload_len = (len_slots * slot_bytes) - Logrec.header_bytes in
+  if Bytes.length t.scratch < payload_len then
+    t.scratch <- Bytes.create payload_len;
+  Pmem.blit_to_bytes t.pm
+    ~src:(base_off + Logrec.header_bytes)
+    t.scratch ~dst:0 ~len:payload_len;
+  match Logrec.decode_payload ~len:payload_len ~tag t.scratch with
+  | op ->
+      t.p_len <- len_slots;
+      t.p_committed <- Pmem.get_u64 t.pm (base_off + 8) = 1;
+      t.p_op <- op;
+      true
+  | exception Failure _ -> false
 
 let scan t =
   count t.ctr (fun c -> c.c_scans);
   let rec go s acc =
     if s >= t.slots then List.rev acc
-    else
-      match probe t s with
-      | Some (e, len) -> go (s + len) (e :: acc)
-      | None -> go (s + 1) acc
+    else if probe t s then
+      go (s + t.p_len)
+        ({ lsn = t.base + s; slot = s; committed = t.p_committed; op = t.p_op }
+        :: acc)
+    else go (s + 1) acc
   in
   go 0 []
 
@@ -312,6 +326,74 @@ let resolve_txn_spans entries =
   in
   go entries
 
+let is_framing = function
+  | Logrec.Txn_begin _ | Logrec.Txn_commit _ -> true
+  | _ -> false
+
+let closes txn = function
+  | Logrec.Txn_commit tc -> tc.txn = txn
+  | _ -> false
+
+(* [scan |> resolve_txn_spans |> List.filter] in one pass: the same slot
+   stepping, with the span resolution run as a state machine over the
+   same entry sequence, building only the output list. Inside a span
+   ([in_span]), [left] members are still to chain and [expected] is the
+   slot the next member — or, once [left] is 0, the commit record — must
+   start at. Members that pass the filter are pushed onto the output as
+   they chain, already marked committed; a span that fails to commit
+   rolls the output back to [mark], its value at the Txn_begin. A record
+   that breaks a span re-enters the normal stream, as in
+   [resolve_txn_spans]. *)
+let committed t ~above =
+  count t.ctr (fun c -> c.c_scans);
+  let acc = ref [] and mark = ref [] in
+  let in_span = ref false and txn = ref 0 and left = ref 0 and expected = ref 0 in
+  let s = ref 0 in
+  while !s < t.slots do
+    let slot = !s in
+    if not (probe t slot) then s := slot + 1
+    else begin
+      let op = t.p_op and next = slot + t.p_len and lsn = t.base + slot in
+      s := next;
+      let consumed =
+        !in_span
+        &&
+        if slot = !expected && !left <> 0 && not (is_framing op) then begin
+          left := !left - 1;
+          expected := next;
+          (match op with
+          | Logrec.Noop _ -> ()
+          | _ ->
+              if lsn > above then
+                acc := { lsn; slot; committed = true; op } :: !acc);
+          true
+        end
+        else if slot = !expected && !left = 0 && closes !txn op then begin
+          in_span := false;
+          true
+        end
+        else begin
+          acc := !mark;
+          in_span := false;
+          false
+        end
+      in
+      if not consumed then
+        match op with
+        | Logrec.Txn_commit _ | Logrec.Noop _ -> ()
+        | Logrec.Txn_begin tb ->
+            in_span := true;
+            txn := tb.txn;
+            left := tb.members;
+            expected := next;
+            mark := !acc
+        | _ ->
+            if t.p_committed && lsn > above then
+              acc := { lsn; slot; committed = true; op } :: !acc
+    end
+  done;
+  List.rev (if !in_span then !mark else !acc)
+
 let recover_tail t =
   let entries = scan t in
   let last_end =
@@ -322,9 +404,8 @@ let recover_tail t =
   t.tail_ <- last_end
 
 let read_op t ~slot =
-  match probe t slot with
-  | Some (e, _) -> e.op
-  | None -> invalid_arg "Oplog.read_op: no valid record at slot"
+  if probe t slot then t.p_op
+  else invalid_arg "Oplog.read_op: no valid record at slot"
 
 (* Structural self-check over the persistent region. Only properties that
    must hold in ANY reachable durable state are checked: header magic and
@@ -340,15 +421,16 @@ let fsck t =
   if base < 0 then err "oplog@%d: negative lsn base %d" t.off base;
   let rec go s =
     if s < t.slots then
-      match probe t s with
-      | Some (e, len) ->
-          let commit = Pmem.get_u64 t.pm (slot_off t s + 8) in
-          if commit <> 0 && commit <> 1 then
-            err "oplog@%d slot %d: commit word %d not in {0,1}" t.off s commit;
-          if e.slot + len > t.slots then
-            err "oplog@%d slot %d: record overruns region" t.off s;
-          go (s + len)
-      | None -> go (s + 1)
+      if probe t s then begin
+        let len = t.p_len in
+        let commit = Pmem.get_u64 t.pm (slot_off t s + 8) in
+        if commit <> 0 && commit <> 1 then
+          err "oplog@%d slot %d: commit word %d not in {0,1}" t.off s commit;
+        if s + len > t.slots then
+          err "oplog@%d slot %d: record overruns region" t.off s;
+        go (s + len)
+      end
+      else go (s + 1)
   in
   go 0;
   List.rev !bad

@@ -54,12 +54,15 @@ val tail : t -> int
 
 val free_slots : t -> int
 
-val reserve : t -> int -> (int * int) option
-(** [reserve t n] claims [n] contiguous slots; returns [(slot, lsn)] or
-    [None] if the log is full. Caller must hold the frontend lock. *)
+val reserve : t -> int -> int
+(** [reserve t n] claims [n] contiguous slots and returns the first, or
+    -1 if the log is full. The record there has LSN
+    [lsn_base t + slot]. Caller must hold the frontend lock. *)
 
 val write_record : t -> slot:int -> lsn:int -> Logrec.op -> unit
-(** Store the record bytes (header with commit = 0 + payload). No
+(** Store the record bytes (header with commit = 0 + payload). The image
+    is assembled in a staging buffer the log keeps, so an append
+    allocates nothing once the buffer covers the longest record. No
     persistence; call under the frontend lock. *)
 
 val flush_record : t -> slot:int -> lsn:int -> Logrec.op -> unit
@@ -115,6 +118,14 @@ val resolve_txn_spans : entry list -> entry list
     records themselves never escape. Non-member records pass through
     untouched. Callers that feed replay must run this before filtering on
     [committed] — it is the engine's pending-transaction buffer. *)
+
+val committed : t -> above:int -> entry list
+(** The replay set of one log, in one pass: exactly
+    [scan t |> resolve_txn_spans |> List.filter keep], where [keep e] is
+    [e.committed && e.lsn > above] and [e.op] is not a [Noop]. The slots
+    are walked with {!scan}'s stepping and transaction spans resolved as
+    the entries go by, so only the output list is built. Counts as one
+    scan on [oplog.scans]. *)
 
 val recover_tail : t -> unit
 (** Set {!tail} to the first slot after the last valid record, so appends

@@ -57,35 +57,34 @@ let clear_bit t id =
   let wo = word_off t (id / bits_per_word) in
   t.mem.Mem.set_u32 wo (t.mem.Mem.get_u32 wo land lnot (1 lsl (id mod bits_per_word)))
 
-(* First free id in word [w_idx] at or above bit [lo_bit], if any. *)
+(* First free id in word [w_idx] at or above bit [lo_bit], or -1. *)
 let probe t w_idx lo_bit =
   let w = t.mem.Mem.get_u32 (word_off t w_idx) in
   let free_mask = lnot w land 0xFFFFFFFF land lnot ((1 lsl lo_bit) - 1) in
-  if free_mask <> 0 then Some ((w_idx * bits_per_word) + Base_bits.ctz free_mask)
-  else None
+  if free_mask <> 0 then (w_idx * bits_per_word) + Base_bits.ctz free_mask
+  else -1
 
-(* First free id at or after [from], scanning circularly. *)
+(* First free id at or after [from], scanning circularly, or -1. *)
 let scan_from t from =
   let start_word = from / bits_per_word in
   let rec go step =
-    if step > t.words then None
+    if step > t.words then -1
     else
       let w_idx = (start_word + step) mod t.words in
       let lo = if step = 0 then from mod bits_per_word else 0 in
-      match probe t w_idx lo with
-      | Some id when id < t.count -> Some id
-      | Some _ | None -> go (step + 1)
+      let id = probe t w_idx lo in
+      if id >= 0 && id < t.count then id else go (step + 1)
   in
   go 0
 
 let alloc t =
-  match scan_from t (hint t mod t.count) with
-  | None -> None
-  | Some id ->
-      set_bit t id;
-      bump_allocated t 1;
-      set_hint t ((id + 1) mod t.count);
-      Some id
+  let id = scan_from t (hint t mod t.count) in
+  if id >= 0 then begin
+    set_bit t id;
+    bump_allocated t 1;
+    set_hint t ((id + 1) mod t.count)
+  end;
+  id
 
 let alloc_run t n =
   assert (n > 0);
@@ -93,9 +92,9 @@ let alloc_run t n =
   else begin
     let ids = Array.make n 0 in
     for i = 0 to n - 1 do
-      match alloc t with
-      | Some id -> ids.(i) <- id
-      | None -> assert false (* capacity was checked above *)
+      let id = alloc t in
+      assert (id >= 0) (* capacity was checked above *);
+      ids.(i) <- id
     done;
     (* Coalesce adjacent ids into extents, preserving order. *)
     let extents = ref [] in

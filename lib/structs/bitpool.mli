@@ -24,8 +24,9 @@ val attach : Dstore_memory.Space.t -> off:int -> count:int -> t
 
 val count : t -> int
 
-val alloc : t -> int option
-(** Next free id, circular scan from the hint. *)
+val alloc : t -> int
+(** Next free id, circular scan from the hint; -1 (and no allocation)
+    when every id is taken. *)
 
 val alloc_run : t -> int -> (int * int) list option
 (** [alloc_run t n] allocates [n] ids, greedily coalescing adjacent ones,

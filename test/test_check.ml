@@ -342,14 +342,13 @@ let prop_oplog_corrupted_slots_never_valid =
                     else String.make (40 + Rng.int r 60) 'k'
                   in
                   let op = Logrec.Noop { key } in
-                  match Oplog.reserve log (Logrec.slots_needed op) with
-                  | None -> raise Exit
-                  | Some (slot, lsn) ->
-                      Oplog.write_record log ~slot ~lsn op;
-                      Oplog.flush_record log ~slot ~lsn op;
-                      Oplog.commit_record log ~slot;
-                      written :=
-                        (slot, Logrec.slots_needed op, lsn, op) :: !written
+                  let slot = Oplog.reserve log (Logrec.slots_needed op) in
+                  if slot < 0 then raise Exit;
+                  let lsn = Oplog.lsn_base log + slot in
+                  Oplog.write_record log ~slot ~lsn op;
+                  Oplog.flush_record log ~slot ~lsn op;
+                  Oplog.commit_record log ~slot;
+                  written := (slot, Logrec.slots_needed op, lsn, op) :: !written
                 done
               with Exit -> ());
              let recs = List.rev !written in

@@ -201,7 +201,7 @@ let hex_of b =
     (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
 
 (* [op] encoded in place after a record header's worth of filler, as
-   [Oplog.build_record] does; returns the payload and the end offset. *)
+   [Oplog.write_record] does; returns the payload and the end offset. *)
 let encode_at_header op =
   let len = Logrec.payload_bytes op in
   let img = Bytes.make (Logrec.header_bytes + len + 8) '\xff' in
@@ -302,8 +302,13 @@ let put_op key =
       freed_extents = [];
     }
 
+(* [Oplog.reserve] as a [(slot, lsn)] option. *)
+let reserve log n =
+  let slot = Oplog.reserve log n in
+  if slot < 0 then None else Some (slot, Oplog.lsn_base log + slot)
+
 let append log op =
-  match Oplog.reserve log (Logrec.slots_needed op) with
+  match reserve log (Logrec.slots_needed op) with
   | None -> Alcotest.fail "log full"
   | Some (slot, lsn) ->
       Oplog.write_record log ~slot ~lsn op;
@@ -331,8 +336,10 @@ let test_oplog_append_scan () =
 (* Host words a probe costs per record: the CRC runs over the device
    bytes in place and the payload decodes from the log's scratch buffer,
    so what is left is the decoded entry itself (key, op, extent list,
-   entry record, scan list): 52 words per record, against 65 when the
-   record image and the payload are copied out first. *)
+   entry record, scan list): 47 words per record now that [probe]
+   leaves its fields on the log, 52 when it returned them as an option
+   of a pair, 65 when the record image and the payload were copied out
+   first. *)
 let test_oplog_scan_alloc_budget () =
   with_sim (fun p _ ->
       let _, log = fresh_log ~slots:256 p in
@@ -349,6 +356,144 @@ let test_oplog_scan_alloc_budget () =
       let per_record = (Gc.minor_words () -. w0) /. float_of_int (10 * n) in
       if per_record > 56.0 then
         Alcotest.failf "scan: %.1f words/record > 56" per_record)
+
+(* [Oplog.committed] against the three-pass pipeline it fuses. *)
+let keep ~above e =
+  e.Oplog.committed && e.Oplog.lsn > above
+  && match e.Oplog.op with Logrec.Noop _ -> false | _ -> true
+
+let committed_by_passes log ~above =
+  Oplog.scan log |> Oplog.resolve_txn_spans |> List.filter (keep ~above)
+
+(* Fill [log] with a seeded mix of record shapes, then tear a few: single
+   records committed or not (Noops among them, some multi-slot), orphan
+   commit records, and transaction spans of 0-3 members whose chain or
+   closing record goes wrong in every way the resolver distinguishes — a
+   member never made valid, a framing record in a member slot, a member
+   count that disagrees with the chain, a missing commit record, one
+   never made valid, one naming another transaction. Tearing flips a
+   payload byte of a random slot, so the record there fails its CRC. *)
+let random_span_log r pm log =
+  let write ?(valid = true) ?(commit = false) op =
+    match reserve log (Logrec.slots_needed op) with
+    | None -> ()
+    | Some (slot, lsn) ->
+        Oplog.write_record log ~slot ~lsn op;
+        if valid then Oplog.flush_record log ~slot ~lsn op;
+        if commit then Oplog.commit_record log ~slot
+  in
+  let key () = Printf.sprintf "k%d" (Rng.int r 20) in
+  let single () =
+    match Rng.int r 5 with
+    | 0 -> Logrec.Noop { key = key () }
+    | 1 -> Logrec.Noop { key = key () ^ String.make 80 'n' }
+    | 2 -> Logrec.Delete { key = key (); meta = Rng.int r 50; extents = [ (Rng.int r 99, 1) ] }
+    | 3 -> Logrec.Create { key = key (); meta = Rng.int r 50 }
+    | _ -> put_op (key ())
+  in
+  let next_txn = ref 0 in
+  for _ = 1 to 12 + Rng.int r 30 do
+    match Rng.int r 8 with
+    | 0 | 1 | 2 -> write ~commit:(Rng.bool r) (single ())
+    | 3 -> write (Logrec.Txn_commit { txn = Rng.int r (!next_txn + 2) })
+    | _ ->
+        incr next_txn;
+        let txn = !next_txn in
+        let members = Rng.int r 4 in
+        let declared =
+          match Rng.int r 8 with 0 -> members + 1 | 1 -> max 0 (members - 1) | _ -> members
+        in
+        write (Logrec.Txn_begin { txn; members = declared });
+        for _ = 1 to members do
+          match Rng.int r 12 with
+          | 0 -> write ~valid:false (single ())
+          | 1 -> write (Logrec.Txn_begin { txn = txn + 1000; members = 1 })
+          | 2 -> write (Logrec.Txn_commit { txn })
+          | _ -> write ~commit:(Rng.int r 4 = 0) (single ())
+        done;
+        (match Rng.int r 8 with
+        | 0 -> ()
+        | 1 -> write (Logrec.Txn_commit { txn = txn + 1 })
+        | 2 -> write ~valid:false (Logrec.Txn_commit { txn })
+        | _ -> write (Logrec.Txn_commit { txn }))
+  done;
+  for _ = 1 to Rng.int r 3 do
+    let off = ((1 + Rng.int r (Oplog.capacity log)) * Logrec.slot_bytes) + 30 in
+    Pmem.set_u8 pm off (Pmem.get_u8 pm off lxor 0x5a)
+  done
+
+let prop_oplog_committed_matches_passes =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"oplog committed = scan |> resolve_txn_spans |> filter"
+       ~count:300
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         with_sim (fun p _ ->
+             let r = Rng.create seed in
+             let pm, log = fresh_log ~slots:96 p in
+             random_span_log r pm log;
+             (* base 100: below, inside and above every LSN of the log *)
+             List.for_all
+               (fun above ->
+                 Oplog.committed log ~above = committed_by_passes log ~above)
+               [ 0; 99; 100 + Rng.int r 96; 100 + Rng.int r 96; 150; 195; 1000 ])))
+
+(* The span resolver on one hand-built log: a committed span surfaces its
+   members as committed (their own commit words unset), a span closed by
+   the wrong transaction and a span cut short by framing vanish, framing
+   never escapes, and an uncommitted single record stays out. *)
+let test_oplog_committed_spans () =
+  with_sim (fun p _ ->
+      let _, log = fresh_log p in
+      let commit (slot, _) = Oplog.commit_record log ~slot in
+      let a = append log (put_op "a") in
+      commit a;
+      ignore (append log (Logrec.Txn_begin { txn = 1; members = 2 }));
+      let m1 = append log (put_op "m1") in
+      let m2 = append log (Logrec.Delete { key = "m2"; meta = 3; extents = [] }) in
+      ignore (append log (Logrec.Txn_commit { txn = 1 }));
+      ignore (append log (Logrec.Txn_begin { txn = 2; members = 1 }));
+      ignore (append log (put_op "wrong-close"));
+      ignore (append log (Logrec.Txn_commit { txn = 3 }));
+      ignore (append log (Logrec.Txn_begin { txn = 4; members = 2 }));
+      ignore (append log (put_op "short"));
+      (* framing where span 4's second member belongs: span 4 is torn, and
+         the record opens an empty span 5 that commits *)
+      ignore (append log (Logrec.Txn_begin { txn = 5; members = 0 }));
+      ignore (append log (Logrec.Txn_commit { txn = 5 }));
+      let b = append log (put_op "b") in
+      commit b;
+      ignore (append log (put_op "uncommitted"));
+      let got = Oplog.committed log ~above:0 in
+      let lsns = List.map (fun e -> e.Oplog.lsn) got in
+      check Alcotest.(list int) "a, both members, b" [ snd a; snd m1; snd m2; snd b ] lsns;
+      Alcotest.(check bool) "members surface committed" true
+        (List.for_all (fun e -> e.Oplog.committed) got);
+      check Alcotest.(list int) "watermark" [ snd m2; snd b ]
+        (List.map (fun e -> e.Oplog.lsn) (Oplog.committed log ~above:(snd m1)));
+      Alcotest.(check bool) "same as the passes" true
+        (got = committed_by_passes log ~above:0))
+
+(* What [committed] costs per replayed record: the decoded operation, the
+   entry and its list cell, and the final reversal — no option, tuple or
+   intermediate list per record. 47 words per one-slot put, against 58
+   for scan, resolve_txn_spans and filter at the parent. *)
+let test_oplog_committed_alloc_budget () =
+  with_sim (fun p _ ->
+      let _, log = fresh_log ~slots:256 p in
+      let n = 200 in
+      for i = 1 to n do
+        let slot, _ = append log (put_op (Printf.sprintf "obj/%04d" i)) in
+        Oplog.commit_record log ~slot
+      done;
+      check Alcotest.int "all records kept" n (List.length (Oplog.committed log ~above:0));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        ignore (Sys.opaque_identity (Oplog.committed log ~above:0))
+      done;
+      let per_record = (Gc.minor_words () -. w0) /. float_of_int (10 * n) in
+      if per_record > 48.0 then
+        Alcotest.failf "committed: %.1f words/record > 48" per_record)
 
 let test_oplog_multislot_records () =
   with_sim (fun p _ ->
@@ -368,7 +513,7 @@ let test_oplog_reserve_exhaustion () =
       ignore (append log (put_op "2"));
       ignore (append log (put_op "3"));
       ignore (append log (put_op "4"));
-      Alcotest.(check bool) "full" true (Oplog.reserve log 1 = None);
+      check Alcotest.int "full" (-1) (Oplog.reserve log 1);
       check Alcotest.int "free" 0 (Oplog.free_slots log))
 
 let test_oplog_reset_clears () =
@@ -402,7 +547,7 @@ let test_oplog_torn_lsn_invalid () =
      the LSN word is still zero — and even the written parts are dirty. *)
   with_sim (fun p _ ->
       let pm, log = fresh_log p in
-      (match Oplog.reserve log 1 with
+      (match reserve log 1 with
       | Some (slot, lsn) -> Oplog.write_record log ~slot ~lsn (put_op "torn")
       | None -> Alcotest.fail "reserve");
       Pmem.crash pm Pmem.Drop_all;
@@ -416,7 +561,7 @@ let test_oplog_torn_multislot_does_not_hide_later () =
       let big = Logrec.Noop { key = String.make 200 'y' } in
       (* Reserve + write the big record but never flush it (simulating a
          crash mid-append)... *)
-      (match Oplog.reserve log (Logrec.slots_needed big) with
+      (match reserve log (Logrec.slots_needed big) with
       | Some (slot, lsn) -> Oplog.write_record log ~slot ~lsn big
       | None -> Alcotest.fail "reserve");
       (* ...while a later record is fully appended and committed. *)
@@ -517,7 +662,7 @@ let test_oplog_persist_call_accounting () =
         (2, 2) (diff s);
       (* Batched append: four records, still two coalesced rounds. *)
       let stage op =
-        match Oplog.reserve log (Logrec.slots_needed op) with
+        match reserve log (Logrec.slots_needed op) with
         | None -> Alcotest.fail "log full"
         | Some (slot, lsn) ->
             Oplog.write_record log ~slot ~lsn op;
@@ -549,7 +694,7 @@ let test_oplog_flush_batch_durable () =
   with_sim (fun p _ ->
       let pm, log = fresh_log ~slots:128 p in
       let stage op =
-        match Oplog.reserve log (Logrec.slots_needed op) with
+        match reserve log (Logrec.slots_needed op) with
         | None -> Alcotest.fail "log full"
         | Some (slot, lsn) ->
             Oplog.write_record log ~slot ~lsn op;
@@ -604,7 +749,7 @@ let prop_oplog_random_crash_valid_prefix =
                  if Rng.int r 4 = 0 then Logrec.Noop { key = key ^ String.make 80 'p' }
                  else put_op key
                in
-               match Oplog.reserve log (Logrec.slots_needed op) with
+               match reserve log (Logrec.slots_needed op) with
                | None -> ()
                | Some (slot, lsn) ->
                    Oplog.write_record log ~slot ~lsn op;
@@ -718,6 +863,9 @@ let suite =
     ("logrec put estimate table", `Quick, test_put_max_slots_table);
     ("oplog append+scan", `Quick, test_oplog_append_scan);
     ("oplog scan alloc budget", `Quick, test_oplog_scan_alloc_budget);
+    prop_oplog_committed_matches_passes;
+    ("oplog committed spans", `Quick, test_oplog_committed_spans);
+    ("oplog committed alloc budget", `Quick, test_oplog_committed_alloc_budget);
     ("oplog multislot records", `Quick, test_oplog_multislot_records);
     ("oplog reserve exhaustion", `Quick, test_oplog_reserve_exhaustion);
     ("oplog reset clears", `Quick, test_oplog_reset_clears);

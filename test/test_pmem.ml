@@ -336,6 +336,114 @@ let test_zero_length_store () =
       check Alcotest.int "next store lands" 7 (Pmem.get_u64 pm 0);
       check Alcotest.int "one line dirty" 1 (Pmem.dirty_lines pm))
 
+(* The line map against the stdlib table it replaced: a seeded program of
+   adds (absent keys only, as the crash model adds), takes, mems, iters
+   and resets drives both. Contents and [iter] order must agree after
+   every step that can change them; each program grows the map past two
+   resizes (8 192 and 16 384 entries over 4 096 buckets), resets it and
+   grows it again. *)
+let prop_line_map_matches_hashtbl =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"line map = Hashtbl, iter order included"
+       ~count:12
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let r = Rng.create seed in
+         let m = Pmem.Line_map.create () in
+         let h = Hashtbl.create ~random:false 4096 in
+         let bindings_m () =
+           let l = ref [] in
+           Pmem.Line_map.iter (fun k v -> l := (k, v) :: !l) m;
+           !l
+         in
+         let bindings_h () =
+           let l = ref [] in
+           Hashtbl.iter (fun k v -> l := (k, v) :: !l) h;
+           !l
+         in
+         let same () =
+           Pmem.Line_map.length m = Hashtbl.length h && bindings_m () = bindings_h ()
+         in
+         let key_space = 1 lsl (16 + Rng.int r 6) in
+         let ok = ref true in
+         let step () =
+           let k = Rng.int r key_space in
+           match Rng.int r 10 with
+           | 0 | 1 ->
+               let expect =
+                 match Hashtbl.find h k with
+                 | v ->
+                     Hashtbl.remove h k;
+                     v
+                 | exception Not_found -> -1
+               in
+               if Pmem.Line_map.take m k <> expect then ok := false
+           | 2 -> if Pmem.Line_map.mem m k <> Hashtbl.mem h k then ok := false
+           | _ ->
+               if not (Hashtbl.mem h k) then begin
+                 let v = Rng.int r 1_000_000 in
+                 Hashtbl.add h k v;
+                 Pmem.Line_map.add m k v
+               end
+         in
+         let grow target =
+           let resizes = ref 0 in
+           let buckets = ref 4096 in
+           while !ok && Hashtbl.length h < target do
+             step ();
+             if Hashtbl.length h > 2 * !buckets then begin
+               buckets := 2 * !buckets;
+               incr resizes;
+               if not (same ()) then ok := false
+             end
+           done;
+           !resizes
+         in
+         let resizes = grow 20_000 in
+         if resizes < 2 then ok := false;
+         if not (same ()) then ok := false;
+         Hashtbl.reset h;
+         Pmem.Line_map.reset m;
+         if not (same ()) then ok := false;
+         ignore (grow (9_000 + Rng.int r 2_000));
+         for _ = 1 to 2_000 do
+           step ()
+         done;
+         !ok && same ()))
+
+(* After warm-up, stores to clean lines take map nodes and undo slots
+   from their free lists: no heap block per newly dirtied line. The
+   stdlib table allocated a 4-word bucket cell per add, 4.0 words per
+   new line here. Random draws are made up front, and
+   the device runs on a platform whose [consume] is free, so only the
+   crash-model bookkeeping is counted, not the scheduler's suspension
+   for each flush's latency. *)
+let test_line_map_alloc_budget () =
+  let p = { (Sim_platform.make (Sim.create ())) with Platform.consume = ignore } in
+  let pm = Pmem.create p small_config in
+  let r = Rng.create 5 in
+  let n = 10_000 in
+  let draw bound = Array.init n (fun _ -> Rng.int r bound) in
+  let offs = draw (60 * 1024) and lens = draw 200 and bytes = draw 256 in
+  let flushes = Array.init n (fun _ -> if Rng.int r 4 > 0 then Rng.int r (60 * 1024) else -1) in
+  let rounds () =
+    let fresh = ref 0 in
+    for i = 0 to n - 1 do
+      let before = Pmem.dirty_lines pm in
+      Pmem.fill pm offs.(i) (1 + lens.(i)) bytes.(i);
+      fresh := !fresh + Pmem.dirty_lines pm - before;
+      if flushes.(i) >= 0 then Pmem.flush pm flushes.(i) 4096
+    done;
+    !fresh
+  in
+  ignore (rounds ());
+  let w0 = Gc.minor_words () in
+  let fresh = rounds () in
+  let per_line = (Gc.minor_words () -. w0) /. float_of_int fresh in
+  if per_line > 0.5 then
+    Alcotest.failf "%.2f words per newly dirtied line > 0.5 (%d lines)" per_line
+      fresh
+
 let suite =
   [
     ("read/write roundtrip", `Quick, test_rw_roundtrip);
@@ -358,4 +466,6 @@ let suite =
     ("crash history digest", `Quick, test_crash_history_digest);
     ("undo slots recycled", `Quick, test_undo_slots_recycled);
     ("zero-length store", `Quick, test_zero_length_store);
+    prop_line_map_matches_hashtbl;
+    ("line map alloc budget", `Quick, test_line_map_alloc_budget);
   ]

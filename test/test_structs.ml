@@ -260,13 +260,12 @@ let test_bitpool_alloc_unique () =
   let _, p = fresh_pool ~count:100 () in
   let seen = Hashtbl.create 100 in
   for _ = 1 to 100 do
-    match Bitpool.alloc p with
-    | Some id ->
-        Alcotest.(check bool) "unique" false (Hashtbl.mem seen id);
-        Hashtbl.add seen id ()
-    | None -> Alcotest.fail "pool exhausted early"
+    let id = Bitpool.alloc p in
+    if id < 0 then Alcotest.fail "pool exhausted early";
+    Alcotest.(check bool) "unique" false (Hashtbl.mem seen id);
+    Hashtbl.add seen id ()
   done;
-  Alcotest.(check (option int)) "exhausted" None (Bitpool.alloc p)
+  check Alcotest.int "exhausted" (-1) (Bitpool.alloc p)
 
 let test_bitpool_free_recycle () =
   let _, p = fresh_pool ~count:10 () in
@@ -274,15 +273,15 @@ let test_bitpool_free_recycle () =
     ignore (Bitpool.alloc p)
   done;
   Bitpool.free p 4;
-  Alcotest.(check (option int)) "recycled" (Some 4) (Bitpool.alloc p)
+  check Alcotest.int "recycled" 4 (Bitpool.alloc p)
 
 let test_bitpool_circular_hint () =
   let _, p = fresh_pool ~count:10 () in
-  let a = Option.get (Bitpool.alloc p) in
-  let b = Option.get (Bitpool.alloc p) in
+  let a = Bitpool.alloc p in
+  let b = Bitpool.alloc p in
   Bitpool.free p a;
   (* The hint moved past [a]; the next alloc continues forward. *)
-  let c = Option.get (Bitpool.alloc p) in
+  let c = Bitpool.alloc p in
   Alcotest.(check bool) "scan continues forward" true (c > b || c = a);
   check Alcotest.int "b distinct" 1 b
 
@@ -292,19 +291,19 @@ let test_bitpool_set_allocated () =
   Alcotest.(check bool) "marked" true (Bitpool.is_allocated p 17);
   (* Replay-marked ids are skipped by the scanner. *)
   for _ = 1 to 49 do
-    match Bitpool.alloc p with
-    | Some id -> Alcotest.(check bool) "skips 17" true (id <> 17)
-    | None -> Alcotest.fail "should have space"
+    let id = Bitpool.alloc p in
+    if id < 0 then Alcotest.fail "should have space";
+    Alcotest.(check bool) "skips 17" true (id <> 17)
   done;
   (* Replaying ids in allocation order leaves the next-fit hint where the
      live allocator left it, holes behind it included. *)
   let _, live = fresh_pool ~count:50 () in
   let _, replayed = fresh_pool ~count:50 () in
-  let ids = List.init 6 (fun _ -> Option.get (Bitpool.alloc live)) in
+  let ids = List.init 6 (fun _ -> Bitpool.alloc live) in
   List.iter (Bitpool.set_allocated replayed) ids;
   List.iter (fun id -> Bitpool.free live id; Bitpool.free replayed id) [ 1; 3 ];
-  check Alcotest.int "same next id after replay" (Option.get (Bitpool.alloc live))
-    (Option.get (Bitpool.alloc replayed))
+  check Alcotest.int "same next id after replay" (Bitpool.alloc live)
+    (Bitpool.alloc replayed)
 
 let test_bitpool_alloc_run_coalesces () =
   let _, p = fresh_pool ~count:100 () in
@@ -341,9 +340,7 @@ let test_bitpool_word_boundary () =
   (* Exercise ids straddling the 32-bit word boundary. *)
   let _, p = fresh_pool ~count:70 () in
   for i = 0 to 69 do
-    match Bitpool.alloc p with
-    | Some id -> check Alcotest.int "sequential from empty" i id
-    | None -> Alcotest.fail "exhausted early"
+    check Alcotest.int "sequential from empty" i (Bitpool.alloc p)
   done;
   Bitpool.free p 31;
   Bitpool.free p 32;
@@ -377,11 +374,12 @@ let prop_bitpool_alloc_free =
          let ok = ref true in
          for _ = 0 to 500 do
            if Rng.bool r then (
-             match Bitpool.alloc p with
-             | Some id ->
-                 if Hashtbl.mem live id then ok := false;
-                 Hashtbl.add live id ()
-             | None -> if Hashtbl.length live < 64 then ok := false)
+             let id = Bitpool.alloc p in
+             if id < 0 then (if Hashtbl.length live < 64 then ok := false)
+             else begin
+               if Hashtbl.mem live id then ok := false;
+               Hashtbl.add live id ()
+             end)
            else if Hashtbl.length live > 0 then begin
              let ids = Hashtbl.fold (fun k () acc -> k :: acc) live [] in
              let id = List.nth ids (Rng.int r (List.length ids)) in
