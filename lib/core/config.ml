@@ -136,9 +136,10 @@ type t = {
           ship message before forcing a flush. 1 = one message per entry
           (the PR 7 behavior, the serial ablation baseline). *)
   repl_ship_linger_ns : int;
-      (** How long the first staged entry may wait for co-travellers
-          before the batch is flushed anyway. 0 = flush on every entry
-          (batching off, whatever the budgets say). *)
+      (** Period of the primary's ship clock: a staged batch that no
+          budget has flushed goes out at the next multiple of this many
+          ns of platform time, so no entry waits longer. 0 = flush on
+          every entry (batching off, whatever the budgets say). *)
   repl_apply_depth : int;
       (** Backup apply-queue bound, in entries: the receive loop drains
           the data link into a queue of at most this depth (then

@@ -167,6 +167,16 @@ type t = {
   cond_space : Platform.cond;  (* writers wait for log space *)
   cond_resv : Platform.cond;  (* waiters on another holder's reservation *)
   cond_done : Platform.cond;  (* checkpoint_now waits here *)
+  wait_lock : Platform.mutex;
+      (* Guards the two parked waits below, never the frontend lock. A
+         waker reads a waiter count without it and takes it only to
+         broadcast, so an unwatched commit or reader exit costs one
+         atomic load; the counts are atomic so that, on OS threads, a
+         waker sees a waiter that has not yet re-checked its predicate. *)
+  cond_ticket : Platform.cond;  (* waiters on an in-flight ticket *)
+  ticket_waiters : int Atomic.t;
+  cond_drain : Platform.cond;  (* writers draining a key's readers *)
+  drain_waiters : int Atomic.t;
   mutable ckpt_needed : bool;
   mutable ckpt_running : bool;
   mutable ckpt_gate : (unit -> unit) -> unit;
@@ -368,6 +378,11 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
       cond_space = platform.Platform.new_cond ();
       cond_resv = platform.Platform.new_cond ();
       cond_done = platform.Platform.new_cond ();
+      wait_lock = platform.Platform.new_mutex ();
+      cond_ticket = platform.Platform.new_cond ();
+      ticket_waiters = Atomic.make 0;
+      cond_drain = platform.Platform.new_cond ();
+      drain_waiters = Atomic.make 0;
       ckpt_needed = false;
       ckpt_running = false;
       ckpt_gate = (fun run -> run ());
@@ -876,19 +891,32 @@ let version_locked t key =
 let key_version t key =
   Platform.with_lock t.lock (fun () -> version_locked t key)
 
-let spin_ns = 200
+(* Park on [cond] until [ready ()], counted in [waiters] so that the
+   event that makes [ready] true knows to [wake] it. *)
+let park t waiters cond ready =
+  t.wait_lock.Platform.lock ();
+  Atomic.incr waiters;
+  while not (ready ()) do
+    cond.Platform.wait t.wait_lock
+  done;
+  Atomic.decr waiters;
+  t.wait_lock.Platform.unlock ()
 
-(* Spin with exponential backoff: the paper's CC spins on the commit flag;
-   under simulation each poll is a scheduler event, so backoff keeps the
-   event count bounded without materially changing observed latency. *)
-let spin_wait t pred =
-  let d = ref spin_ns in
-  while not (pred ()) do
-    t.platform.Platform.sleep !d;
-    if !d < 25_600 then d := !d * 2
-  done
+(* Wake every waiter parked on [cond], if [waiters] counts any. The
+   waker makes its waiters' predicate true before the check. *)
+let wake t waiters cond =
+  if Atomic.get waiters > 0 then begin
+    t.wait_lock.Platform.lock ();
+    cond.Platform.broadcast ();
+    t.wait_lock.Platform.unlock ()
+  end
 
-let wait_ticket t tk = spin_wait t (fun () -> Atomic.get tk.done_)
+(* The paper's CC spins on the commit flag (§4.4); here a waiter parks
+   until [finish] marks its ticket done. One cond serves every ticket: a
+   woken waiter whose ticket is still in flight parks again. *)
+let wait_ticket t tk =
+  if not (Atomic.get tk.done_) then
+    park t t.ticket_waiters t.cond_ticket (fun () -> Atomic.get tk.done_)
 
 (* --- volatile key reservations (bounded transaction retries) -------------- *)
 
@@ -939,9 +967,8 @@ let conflicting_ticket_versioned ?(ignore = []) ~holder t key =
   t.lock.Platform.unlock ();
   (c, v)
 
-(* A reservation lasts its holder's whole read phase, so its waiters sleep
-   on a frontend-lock cond that [release] broadcasts, not on the spin,
-   whose poll cap would leave the key idle after the release. *)
+(* Reservations live under the frontend lock, so their waiters sleep on a
+   frontend-lock cond that [release] broadcasts. *)
 let wait_conflict t ~holder key = function
   | Clear -> ()
   | Ticket tk -> wait_ticket t tk
@@ -960,10 +987,14 @@ let holder_must_abort = function
   | Ticket tk -> ( match tk.op with Logrec.Noop _ -> true | _ -> false)
   | Reserved -> true
 
-(* With no reader in, the wait builds no polling closure. *)
+(* A writer draining the key's readers parks until a reader exit
+   ([reader_exited]) finds the count at zero. *)
 let wait_readers t rc key =
-  if Dstore_structs.Readcount.readers rc key <> 0 then
-    spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
+  let open Dstore_structs in
+  if Readcount.readers rc key <> 0 then
+    park t t.drain_waiters t.cond_drain (fun () -> Readcount.readers rc key = 0)
+
+let reader_exited t = wake t t.drain_waiters t.cond_drain
 
 let request_checkpoint_locked t =
   t.ckpt_needed <- true;
@@ -1150,8 +1181,9 @@ let append ?(ignore = []) ~holder ?(span = Span.none) ?reads t items =
   let estimate = List.fold_left (fun n (_, bound, _) -> n + bound) 0 items in
   attempt t ~ignore ~holder ~span ~reads ~txn items (estimate + if txn then 2 else 0)
 
-let finish tks =
-  List.iter (fun tk -> Atomic.set tk.done_ true) tks
+let finish t tks =
+  List.iter (fun tk -> Atomic.set tk.done_ true) tks;
+  wake t t.ticket_waiters t.cond_ticket
 
 let retire t tk =
   Hashtbl.remove t.in_flight tk.lsn;
@@ -1176,7 +1208,7 @@ let commit t a =
       fire_commit_hook t members;
       t.st.txns_committed <- t.st.txns_committed + 1;
       t.st.txn_member_records <- t.st.txn_member_records + List.length members;
-      finish (b :: c :: members)
+      finish t (b :: c :: members)
   | None, [ tk ] ->
       (* Locked by hand: neither step raises, and a [with_lock] closure
          returning the location would cost every put two allocations. *)
@@ -1187,7 +1219,7 @@ let commit t a =
       t.lock.Platform.unlock ();
       Oplog.persist_slot t.logs.(log_id) ~slot;
       fire_commit_hook t a.members;
-      finish a.members
+      finish t a.members
   | None, tks ->
       let located =
         Platform.with_lock t.lock (fun () ->
@@ -1219,7 +1251,7 @@ let commit t a =
       Metrics.observe
         (Metrics.histogram t.obs.Obs.metrics "dipper.batch_fill")
         (List.length tks);
-      finish tks
+      finish t tks
 
 (* --- reservations ------------------------------------------------------------ *)
 

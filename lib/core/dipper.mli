@@ -8,7 +8,7 @@
 
     - the persistent logical log (two {!Oplog}s, swapped by pointer),
     - the frontend critical section and write-write concurrency control
-      (in-flight records + commit-flag spinning, §4.4),
+      (in-flight records whose waiters park until the commit, §4.4),
     - atomic quiescent-free checkpoints (§3.5): archive the log, clone the
       current shadow space into the other PMEM half, replay committed
       records with a worker pool, persist, publish the root — all while
@@ -126,8 +126,14 @@ val shadow_space : t -> Space.t
     protocol. *)
 
 val wait_readers : t -> Dstore_structs.Readcount.t -> string -> unit
-(** Poll the read count to zero (§4.4 read-write conflicts). Returns at
-    once, allocating nothing, when no reader is in. *)
+(** Park until the name's read count is zero (§4.4 read-write conflicts);
+    each reader exit must call {!reader_exited}. Returns at once,
+    allocating nothing, when no reader is in. *)
+
+val reader_exited : t -> unit
+(** Wake the writers parked in {!wait_readers}, if any; call after every
+    decrement of a read count they may drain. Costs one atomic load when
+    no writer is parked. *)
 
 type appended
 (** An appended, uncommitted group of records. *)
@@ -221,10 +227,10 @@ val conflicting_ticket_versioned :
     (version strictly before value, no second lock acquisition). *)
 
 val wait_conflict : t -> holder:int -> string -> conflict -> unit
-(** Wait out a conflict on the key, holding nothing: spin (with backoff)
-    until an in-flight record commits, or sleep on the reservation cond
-    until no holder other than [holder] reserves the key. A reader first
-    leaves the read count. *)
+(** Wait out a conflict on the key, holding nothing: park until the
+    in-flight record's commit wakes the caller, or until no holder other
+    than [holder] reserves the key. A reader first leaves the read
+    count. *)
 
 val holder_must_abort : conflict -> bool
 (** Whether a reservation holder must abort rather than wait: on another

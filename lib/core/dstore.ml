@@ -963,6 +963,12 @@ let wait_out ~span ctx key c =
   end
   else Dipper.wait_conflict t.engine ~holder:(holder ctx) key c
 
+(* The one way out of the read count: a writer may be parked draining
+   exactly this reader ([Dipper.wait_readers]). *)
+let read_exit t key =
+  Readcount.exit_reader t.rc key;
+  Dipper.reader_exited t.engine
+
 (* Reader protocol (§4.4): enter the read count, then back out and wait if
    a write on this name is in flight. A writer appends its record before
    draining the read count, so it only ever waits on readers that entered
@@ -976,11 +982,9 @@ let rec read_entry ?(span = Span.none) ctx key =
   with
   | Dipper.Clear -> ()
   | c ->
-      Readcount.exit_reader t.rc key;
+      read_exit t key;
       wait_out ~span ctx key c;
       read_entry ~span ctx key
-
-let read_exit t key = Readcount.exit_reader t.rc key
 
 (* A caller buffer too short for the object: leave the reader window
    and finish the span before raising, or the key's next writer would
@@ -1392,7 +1396,7 @@ let rec read_entry_versioned ?(span = Span.none) ctx key =
   with
   | Dipper.Clear, v -> v
   | c, _ ->
-      Readcount.exit_reader t.rc key;
+      read_exit t key;
       if ctx.holds <> [] && Dipper.holder_must_abort c then begin
         let st = Dipper.stats t.engine in
         st.Dipper.txns_aborted <- st.Dipper.txns_aborted + 1;

@@ -40,8 +40,8 @@ type t = {
   journal_on : bool;
   mutable journal_rev : Repl.entry list;
   (* ship batching: committed entries staged here (rseq already
-     assigned, journal already written) until a budget or the linger
-     timer flushes them as one multi-entry message. *)
+     assigned, journal already written) until a budget or the ship
+     clock flushes them as one multi-entry message. *)
   ship_ops : int;
   linger_ns : int;
   mutable pending_rev : Repl.entry list;
@@ -179,11 +179,16 @@ let flush_locked t =
       t.slots
   end
 
+(* The flush fires at the next multiple of [linger_ns] of platform time:
+   message boundaries follow a fixed clock, not the instants at which
+   writers woken from a conflict wait happen to commit, and no entry
+   waits longer than [linger_ns]. *)
 let arm_flusher t =
   if not t.flusher_armed then begin
     t.flusher_armed <- true;
     t.platform.Platform.spawn "repl.linger" (fun () ->
-        t.platform.Platform.sleep t.linger_ns;
+        let now = t.platform.Platform.now () in
+        t.platform.Platform.sleep ((((now / t.linger_ns) + 1) * t.linger_ns) - now);
         Platform.with_lock t.lock (fun () ->
             t.flusher_armed <- false;
             if not t.fenced then flush_locked t))
@@ -295,7 +300,7 @@ let with_op t f =
    staging order, and the flush sends whole prefixes in order over the
    FIFO link, so stream order matches rseq order even with concurrent
    committers. The entry is flushed immediately when batching is off or
-   a budget fills, otherwise the linger timer picks it up. *)
+   a budget fills, otherwise the ship clock picks it up. *)
 let ship t op =
   if Array.length t.slots = 0 && not t.journal_on then None
   else

@@ -14,8 +14,10 @@
     are staged in a pending buffer — rseq assigned at staging, so
     stream order always equals commit order — and flushed as {e one}
     multi-entry [ship_msg] when an op-count or byte budget fills
-    ([Config.repl_ship_ops] / 256 KiB) or when the oldest
-    staged entry has lingered [repl_ship_linger_ns]. An ack covers a
+    ([Config.repl_ship_ops] / 256 KiB), or else at the next multiple of
+    [repl_ship_linger_ns] of platform time: a fixed clock, so message
+    boundaries do not depend on when committers happen to run, and no
+    entry lingers longer than [repl_ship_linger_ns]. An ack covers a
     whole span: the backup acks the highest rseq it has applied, and
     the monotone per-slot watermark releases every durability wait at
     or below it. [repl_ship_linger_ns = 0] or [repl_ship_ops = 1]

@@ -1,24 +1,32 @@
-(* SplitMix64 (Steele, Lea & Flood, OOPSLA'14). One mutable 64-bit word of
-   state; [next] is the standard finalizer over a Weyl sequence. *)
+(* SplitMix64 (Steele, Lea & Flood, OOPSLA'14). One 64-bit word of state;
+   [next] is the standard finalizer over a Weyl sequence. The word lives
+   unboxed in an 8-byte [Bytes.t]: a mutable [int64] field would box
+   every update, and a draw would allocate. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = next t }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (next t)
+
+let copy = Bytes.copy
 
 let int t bound =
   assert (bound > 0);

@@ -313,6 +313,180 @@ let test_olock_blocks_writer () =
       Alcotest.failf "unexpected order: %s"
         (String.concat "," (List.map fst other))
 
+(* --- waits end at the event that frees them -------------------------------- *)
+
+(* Latency of an uncontended 4 KB overwrite of an existing key: the bound
+   on a woken writer's completion, counted from the event that woke it. *)
+let uncontended_put_ns fx ctx key =
+  Dstore.oput ctx key (big_value 3 4096);
+  let t0 = Sim.now fx.sim in
+  Dstore.oput ctx key (big_value 4 4096);
+  Sim.now fx.sim - t0
+
+(* Whatever the phase of the freeing event against the writer's own
+   clock (8 phases across one 25.6 us period), the writer completes a
+   fixed time after the event, within an uncontended put: it resumed at
+   the event, not at a later poll. [run offset] returns that delay and
+   the uncontended latency. *)
+let check_woken_at_event run =
+  let runs = List.init 8 (fun i -> run ~offset:(i * 3_200)) in
+  let lates = List.map fst runs and bound = snd (List.hd runs) in
+  let show = String.concat " " (List.map string_of_int lates) in
+  List.iter
+    (fun late ->
+      Alcotest.(check bool)
+        (Printf.sprintf "done [%s] ns after the event, uncontended %d ns" show bound)
+        true
+        (late > 0 && late <= bound))
+    lates;
+  check Alcotest.int
+    (Printf.sprintf "fixed delay from the event [%s]" show)
+    (List.hd lates)
+    (List.fold_left max 0 lates)
+
+(* An olock holder releases at 80 us; a put on the key, started at
+   1 us + [offset], waits on the holder's NOOP record. *)
+let olock_run ~offset =
+  let fx = fixture ~crash_model:false () in
+  let release = ref 0 and done_ = ref 0 and bound = ref 0 in
+  Sim.spawn fx.sim "main" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      bound := uncontended_put_ns fx ctx "obj";
+      let t0 = Sim.now fx.sim in
+      Dstore.olock ctx "obj";
+      Sim.spawn fx.sim "writer" (fun () ->
+          Sim.wait fx.sim (1_000 + offset);
+          Dstore.oput (Dstore.ds_init st) "obj" (big_value 5 4096);
+          done_ := Sim.now fx.sim);
+      Sim.wait fx.sim (t0 + 80_000 - Sim.now fx.sim);
+      release := Sim.now fx.sim;
+      Dstore.ounlock ctx "obj";
+      Sim.wait fx.sim 1_000_000;
+      Dstore.stop st);
+  Sim.run fx.sim;
+  (!done_ - !release, !bound)
+
+(* A name whose read count shares [key]'s bucket: its readers hold
+   [key]'s writers like readers of [key] itself (Readcount's false
+   conflicts), but never conflict with [key]'s in-flight record. *)
+let bucket_twin key =
+  let rc = Dstore_structs.Readcount.create () in
+  Dstore_structs.Readcount.enter_reader rc key;
+  let rec find i =
+    let k = Printf.sprintf "twin%d" i in
+    if k <> key && Dstore_structs.Readcount.readers rc k = 1 then k else find (i + 1)
+  in
+  find 0
+
+type reader_exit = Plain | Back_out | Short_buffer
+
+(* A writer overwriting "huge" appends at 10 us + [offset] and parks
+   draining a miss-path read of the 64-page object (~640 us on the SSD).
+   [Plain]: that reader's exit frees it. Otherwise a process holds the
+   frontend lock from 50 us to 1 ms + [offset], and a second reader
+   enters the count at 60 us and queues on that lock, so the first exit
+   wakes the writer into a count of one: [Back_out] reads "huge", finds
+   the writer's record and backs out of [read_entry]; [Short_buffer]
+   reads a bucket twin into a short buffer. Returns the writer's
+   completion, counted from the exit that freed it, and the latency of
+   an uncontended put. *)
+let drain_run kind ~offset =
+  let fx = fixture ~crash_model:false () in
+  let exit_at = ref 0 and done_ = ref 0 and bound = ref 0 in
+  Sim.spawn fx.sim "main" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      let twin = bucket_twin "huge" in
+      Dstore.oput ctx twin (big_value 6 4096);
+      bound := uncontended_put_ns fx ctx "other";
+      Dstore.oput ctx "huge" (big_value 1 (64 * 4096));
+      let t0 = Sim.now fx.sim in
+      let at us = Sim.wait fx.sim (t0 + (us * 1_000) - Sim.now fx.sim) in
+      Sim.spawn fx.sim "slow-reader" (fun () ->
+          ignore (Dstore.oget (Dstore.ds_init st) "huge");
+          if kind = Plain then exit_at := Sim.now fx.sim);
+      Sim.spawn fx.sim "writer" (fun () ->
+          at 10;
+          Sim.wait fx.sim offset;
+          Dstore.oput (Dstore.ds_init st) "huge" (big_value 2 4096);
+          done_ := Sim.now fx.sim);
+      if kind <> Plain then begin
+        Sim.spawn fx.sim "lock-holder" (fun () ->
+            at 50;
+            Dipper.with_frontend_lock (Dstore.engine st) (fun () ->
+                at 1_000;
+                Sim.wait fx.sim offset;
+                if kind = Back_out then exit_at := Sim.now fx.sim));
+        Sim.spawn fx.sim "second-reader" (fun () ->
+            at 60;
+            let rctx = Dstore.ds_init st in
+            match kind with
+            | Short_buffer -> (
+                match Dstore.oget_into rctx twin (Bytes.create 16) with
+                | _ -> Alcotest.fail "short buffer accepted"
+                | exception Invalid_argument _ -> exit_at := Sim.now fx.sim)
+            | _ -> ignore (Dstore.oget rctx "huge"))
+      end;
+      Sim.wait fx.sim Platform.ns_per_s;
+      Dstore.stop st);
+  Sim.run fx.sim;
+  (!done_ - !exit_at, !bound)
+
+(* 8 threads mixing puts and gets on 4 hot keys: every op completes, so
+   no wakeup of a parked ticket or drain waiter was lost. [join] waits
+   for the spawned threads. *)
+let hot_mix p ~join =
+  let finished = Atomic.make 0 in
+  let st_ref = ref None in
+  p.Platform.spawn "main" (fun () ->
+      let pm =
+        Pmem.create p
+          { Pmem.default_config with size = Dipper.layout_bytes small_cfg; crash_model = false }
+      in
+      let ssd = Ssd.create p { Ssd.default_config with pages = small_cfg.Config.ssd_blocks } in
+      let st = Dstore.create p pm ssd small_cfg in
+      st_ref := Some st;
+      for c = 0 to 7 do
+        p.Platform.spawn "client" (fun () ->
+            let ctx = Dstore.ds_init st in
+            let r = Rng.create (100 + c) in
+            for _ = 1 to 200 do
+              let k = Printf.sprintf "hot%d" (Rng.int r 4) in
+              if Rng.bool r then Dstore.oput ctx k (Rng.bytes r (1 + Rng.int r 64))
+              else ignore (Dstore.oget ctx k)
+            done;
+            Atomic.incr finished)
+      done);
+  join finished;
+  Dstore.stop (Option.get !st_ref);
+  Atomic.get finished
+
+let test_hot_mix_sim () =
+  let sim = Sim.create () in
+  let p = Sim_platform.make ~parallelism:8 sim in
+  let n = hot_mix p ~join:(fun _ -> Sim.run sim) in
+  check Alcotest.int "every client finished" 8 n;
+  Sim.run sim;
+  check Alcotest.int "nothing left blocked" 0 (Sim.blocked_processes sim)
+
+let test_hot_mix_real () =
+  let rp = Real_platform.create ~parallelism:2 () in
+  let p = Real_platform.platform rp in
+  let n =
+    hot_mix p ~join:(fun finished ->
+        (* A lost wakeup parks a client forever: fail after a deadline
+           instead of hanging the suite. *)
+        let deadline = Unix.gettimeofday () +. 60.0 in
+        while Atomic.get finished < 8 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        if Atomic.get finished < 8 then
+          Alcotest.failf "%d of 8 clients finished within 60 s" (Atomic.get finished))
+  in
+  Real_platform.join_all rp;
+  check Alcotest.int "every client finished" 8 n
+
 (* --- checkpoints ----------------------------------------------------------- *)
 
 let test_checkpoint_now () =
@@ -1645,6 +1819,18 @@ let suite =
     ("closed handle rejected", `Quick, test_oclose_rejects_use);
     ("olock/ounlock", `Quick, test_olock_ounlock);
     ("olock blocks writer", `Quick, test_olock_blocks_writer);
+    ("olock release wakes the writer", `Quick, fun () -> check_woken_at_event olock_run);
+    ( "reader exit wakes the draining writer",
+      `Quick,
+      fun () -> check_woken_at_event (drain_run Plain) );
+    ( "read_entry back-out wakes the draining writer",
+      `Quick,
+      fun () -> check_woken_at_event (drain_run Back_out) );
+    ( "short-buffer exit wakes the draining writer",
+      `Quick,
+      fun () -> check_woken_at_event (drain_run Short_buffer) );
+    ("hot keys: every op completes (sim)", `Quick, test_hot_mix_sim);
+    ("hot keys: every op completes (threads)", `Quick, test_hot_mix_real);
     ("checkpoint_now", `Quick, test_checkpoint_now);
     ("automatic checkpoints", `Quick, test_checkpoint_automatic);
     ("No_checkpoint raises Log_full", `Quick, test_no_checkpoint_mode_log_full);

@@ -571,12 +571,78 @@ let test_pair_sweep_detects_skip_replica_ack () =
   check (list int) "fingerprint" [ 94; 12; 21; 42; 20 ]
     (Test_check.fingerprint r)
 
+(* --- ship clock ----------------------------------------------------------- *)
+
+(* A primary with one zero-latency slot, nobody acking (Async): creates
+   commit at [base] + each of [commits_ns], and the messages the slot
+   receives come back as (arrival - [base], entries carried). [base] is
+   a multiple of 5 us, so the ship clock's grid is [base] + k * 5 us. *)
+let ship_clock_run ~linger ~ship_ops commits_ns =
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  let cfg =
+    { pair_cfg with Config.repl_ship_linger_ns = linger; repl_ship_ops = ship_ops }
+  in
+  let node = (make_nodes p cfg 1).(0) in
+  let data = Link.create p { Link.default_config with latency_ns = 0; gbps = 0. } in
+  let ack = Link.create p Link.default_config in
+  let base = ref 0 and staged = ref [] and got = ref [] in
+  Sim.spawn sim "main" (fun () ->
+      let st = Dstore.create p node.Group.pm node.Group.ssd cfg in
+      let pr = Primary.create p ~mode:Repl.Async ~epoch:1 st [| (1, data, ack, 0) |] in
+      Sim.spawn sim "slot" (fun () ->
+          try
+            while true do
+              let m = Link.recv data in
+              got := (Sim.now sim - !base, List.length m.Repl.entries) :: !got
+            done
+          with Link.Closed -> ());
+      let ctx = Dstore.ds_init st in
+      Primary.ocreate pr ctx "warm0";
+      let t0 = Sim.now sim in
+      Primary.ocreate pr ctx "warm1";
+      let d = Sim.now sim - t0 in
+      base := ((Sim.now sim / 5_000) + 4) * 5_000;
+      List.iteri
+        (fun i c ->
+          Sim.spawn sim "writer" (fun () ->
+              Sim.wait sim (!base + c - d - Sim.now sim);
+              Primary.ocreate pr (Dstore.ds_init st) (Printf.sprintf "k%d" i);
+              staged := (Sim.now sim - !base) :: !staged))
+        commits_ns;
+      (* The warm-up creates flushed well before [base]. *)
+      Sim.wait sim (!base - Sim.now sim);
+      got := [];
+      Sim.wait sim 100_000;
+      Primary.close_links pr;
+      Dstore.stop st);
+  Sim.run sim;
+  check (list int) "entries staged at the planned instants" commits_ns
+    (List.sort compare !staged);
+  List.rev !got
+
+let test_ship_clock_grid () =
+  check (list (pair int int)) "1 and 4 us ship together at 5 us, 6 us at 10 us"
+    [ (5_000, 2); (10_000, 1) ]
+    (ship_clock_run ~linger:5_000 ~ship_ops:32 [ 1_000; 4_000; 6_000 ])
+
+let test_ship_clock_unbatched () =
+  let at_once = [ (1_000, 1); (4_000, 1); (6_000, 1) ] in
+  check (list (pair int int)) "repl_ship_ops = 1 sends at once" at_once
+    (ship_clock_run ~linger:5_000 ~ship_ops:1 [ 1_000; 4_000; 6_000 ]);
+  check (list (pair int int)) "repl_ship_linger_ns = 0 sends at once" at_once
+    (ship_clock_run ~linger:0 ~ship_ops:32 [ 1_000; 4_000; 6_000 ])
+
 let suite =
   [
     test_case "link: FIFO under jitter + bandwidth" `Quick
       test_link_fifo_under_jitter;
     test_case "link: drop model counts and keeps order" `Quick test_link_drop;
     test_case "link: close semantics" `Quick test_link_closed;
+    test_case "ship clock: batches flush on a fixed 5 us grid" `Quick
+      test_ship_clock_grid;
+    test_case "ship clock: unbatched configs send at once" `Quick
+      test_ship_clock_unbatched;
     test_case "fencing: stale-epoch ship rejected, primary self-fences" `Quick
       test_stale_epoch_ship_rejected;
     test_case "fencing: dead group raises, promote revives" `Quick

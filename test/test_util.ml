@@ -80,6 +80,42 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "is a permutation" (Array.init 100 Fun.id) sorted
 
+(* The first 1 000 draws of every kind, interleaved, for one seed. The
+   pinned digests below were captured from the boxed-state generator:
+   any change of representation must replay the same streams. *)
+let rng_stream_digest seed =
+  let r = Rng.create seed in
+  let b = Buffer.create 65536 in
+  for i = 0 to 999 do
+    Buffer.add_string b (string_of_int (Rng.int r (1 + (i * 7919))));
+    Buffer.add_char b ' ';
+    Buffer.add_string b (Int64.to_string (Int64.bits_of_float (Rng.float r)));
+    Buffer.add_char b (if Rng.bool r then '1' else '0');
+    Buffer.add_bytes b (Rng.bytes r (i mod 17));
+    Buffer.add_string b (Int64.to_string (Rng.next (Rng.split r)));
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_rng_stream_pinned () =
+  check Alcotest.string "seed 0" "848714ab71fce147e65abb57b0d030fe" (rng_stream_digest 0);
+  check Alcotest.string "seed 42" "1b4980172c46a18355476223128f0ab4"
+    (rng_stream_digest 42)
+
+(* Every simulated op draws from an Rng: a draw must not allocate. *)
+let test_rng_int_alloc_free () =
+  let r = Rng.create 42 in
+  let acc = ref 0 in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc + Rng.int r 1000
+  done;
+  let per_draw = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per Rng.int <= 0.5 (sum %d)" per_draw !acc)
+    true (per_draw <= 0.5)
+
 (* --- Zipf ------------------------------------------------------------- *)
 
 let test_zipf_range () =
@@ -439,6 +475,8 @@ let suite =
     ("rng uniformity", `Quick, test_rng_uniformity);
     ("rng bytes length", `Quick, test_rng_bytes_len);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
+    ("rng streams pinned", `Quick, test_rng_stream_pinned);
+    ("rng int allocation-free", `Quick, test_rng_int_alloc_free);
     ("zipf range", `Quick, test_zipf_range);
     ("zipf skew", `Quick, test_zipf_skew);
     ("zipf scrambled range", `Quick, test_zipf_scrambled_range);
