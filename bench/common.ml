@@ -15,7 +15,7 @@ type opts = {
   stagger : bool;  (* staggered checkpoint scheduling in the cluster *)
   batch : int;  (* group-commit batch size (1 = per-op commit) *)
   cache_mb : int;  (* DRAM object-cache budget for DStore runs (0 = off) *)
-  ship_batch : int option;  (* replication ship-batch override (1 = serial) *)
+  ship_batch : int option;  (* backup apply-chunk override (1 = serial) *)
   apply_depth : int option;  (* backup apply-queue depth override *)
 }
 

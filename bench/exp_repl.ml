@@ -11,13 +11,14 @@
    >=p9999 attribution must name it.
 
    The last two rows are the pipeline ablation at a WAN-ish link (10x
-   base latency): the same ack-all workload with shipping forced serial
-   (one message per entry, apply queue depth 1 — the pre-pipeline
-   protocol) and with batched shipping + pipelined backup apply at the
-   config defaults. Batching amortizes the per-message link cost across
-   [repl_ship_ops] entries and the backup re-executes each chunk through
-   group commit, so the acked throughput at high latency must scale well
-   past the serial protocol's round-trip bound.
+   base latency): the same ack-all workload with the backup forced
+   serial (apply chunks of one entry, apply queue depth 1 — the
+   pre-pipeline protocol) and with the pipelined backup apply at the
+   config defaults. The primary ships every entry at commit in both;
+   the pipelined backup keeps receiving while it applies and
+   re-executes up to [repl_ship_ops] queued entries as one group commit
+   under one ack, so the acked throughput at high latency must scale
+   well past the serial protocol's round-trip bound.
 
    Acceptance gates (smoke/repl.sh and smoke/repl2.sh grep for these):
    - REPL-ATTRIBUTION: on the ack-all run at base link latency, at
@@ -25,7 +26,7 @@
      causes, with Repl_wait among them.
    - REPL-PIPELINE: at 10x base latency, pipelined ack-all throughput
      must be >= 2x the serial ablation, with peak lag bounded by the
-     configured pipeline depth (clients + ship batch + apply queue). *)
+     configured pipeline depth (clients + apply chunk + apply queue). *)
 
 open Dstore_workload
 open Common
@@ -263,8 +264,8 @@ let run opts =
   (* Gate 2: the shipping pipeline at WAN latency (last two rows).
      Pipelining must buy at least 2x acked throughput over the serial
      protocol, and the peak lag must stay bounded by the configured
-     pipeline: the clients' outstanding ops, plus one staged ship batch,
-     plus the backup's apply queue. *)
+     pipeline: the clients' outstanding ops, plus one apply chunk, plus
+     the backup's apply queue. *)
   let serial = List.nth rows 4 and piped = List.nth rows 5 in
   let ship_ops =
     knob None opts.ship_batch Config.default.Config.repl_ship_ops
@@ -286,6 +287,6 @@ let run opts =
       speedup pipeline_speedup_target piped.final_lag lag_bound;
   note "ack-all puts the link round-trip inside every acked write; the";
   note "span partition books that wait as repl_wait, so the tail stays";
-  note "explained end to end. Batched shipping amortizes that round-trip";
-  note "across a whole span batch, and the backup re-executes each chunk";
-  note "through group commit - serial vs pipelined is the last two rows."
+  note "explained end to end. The pipelined backup overlaps receive with";
+  note "apply and re-executes each queued chunk through group commit under";
+  note "one ack - serial vs pipelined is the last two rows."

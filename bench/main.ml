@@ -54,7 +54,7 @@ let usage () =
   print_endline
     "  --cache-mb N   DRAM object-cache budget for DStore runs (default 0 = off)";
   print_endline
-    "  --ship-batch N replication ship-batch op budget (1 = serial baseline)";
+    "  --ship-batch N backup apply-chunk bound in entries (1 = serial baseline)";
   print_endline
     "  --apply-depth N backup apply-queue depth for the repl experiment";
   print_endline "  --seed N"

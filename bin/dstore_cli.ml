@@ -19,8 +19,8 @@
      --repl MODE       replication durability: async, ack-one, ack-all
                        (default ack-all; only with --backups)
      --latency-ns N    one-way link latency (default 5000; only with --backups)
-     --ship-batch N    replication ship-batch op budget (1 = serial per-entry
-                       shipping; only with --backups)
+     --ship-batch N    backup apply-chunk bound in entries (1 = serial
+                       per-entry apply; only with --backups)
      --apply-depth N   backup apply-queue depth (only with --backups)
 
    Replicated-shell commands (with --backups):
@@ -709,15 +709,7 @@ let parse_args () =
     | "--ship-batch" :: n :: rest -> (
         match int_of_string_opt n with
         | Some v when v >= 1 ->
-            (* ship-batch 1 also zeroes the linger so shipping degenerates
-               to the serial per-entry baseline, mirroring the bench. *)
-            cfg :=
-              {
-                !cfg with
-                Config.repl_ship_ops = v;
-                repl_ship_linger_ns =
-                  (if v <= 1 then 0 else !cfg.Config.repl_ship_linger_ns);
-              };
+            cfg := { !cfg with Config.repl_ship_ops = v };
             go rest
         | _ ->
             prerr_endline "--ship-batch expects a positive integer";

@@ -131,15 +131,11 @@ type t = {
           engaged under [Logical] logging, where the write pipeline's
           reader fencing makes invalidation race-free. *)
   repl_ship_ops : int;
-      (** Replication ship-batch op budget: the primary coalesces up to
-          this many consecutive committed entries into one multi-entry
-          ship message before forcing a flush. 1 = one message per entry
-          (the PR 7 behavior, the serial ablation baseline). *)
-  repl_ship_linger_ns : int;
-      (** Period of the primary's ship clock: a staged batch that no
-          budget has flushed goes out at the next multiple of this many
-          ns of platform time, so no entry waits longer. 0 = flush on
-          every entry (batching off, whatever the budgets say). *)
+      (** Backup apply-chunk bound: the backup drains at most this many
+          queued entries at a time and re-executes them as one group
+          commit, acked once. The primary ships every entry at commit,
+          whatever this says. 1 = one entry per apply (the serial
+          ablation baseline). *)
   repl_apply_depth : int;
       (** Backup apply-queue bound, in entries: the receive loop drains
           the data link into a queue of at most this depth (then
@@ -171,7 +167,6 @@ let default =
     ssd_blocks = 60 * 1024;
     cache_bytes = 0;
     repl_ship_ops = 32;
-    repl_ship_linger_ns = 5_000;
     repl_apply_depth = 256;
     obs_enabled = true;
     fault = No_fault;

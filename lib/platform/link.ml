@@ -34,7 +34,6 @@ type 'a t = {
   mutable in_flight : int;
   mutable closed : bool;
   mutable sent : int;
-  mutable sent_bytes : int;
   mutable delivered : int;
   mutable dropped : int;
 }
@@ -53,7 +52,6 @@ let create p cfg =
     in_flight = 0;
     closed = false;
     sent = 0;
-    sent_bytes = 0;
     delivered = 0;
     dropped = 0;
   }
@@ -67,7 +65,6 @@ let send t ?(bytes = 64) msg =
     Platform.with_lock t.lock (fun () ->
         if t.closed then raise Closed;
         t.sent <- t.sent + 1;
-        t.sent_bytes <- t.sent_bytes + bytes;
         let jitter =
           if t.cfg.jitter_ns > 0 then Rng.int t.rng (t.cfg.jitter_ns + 1) else 0
         in
@@ -116,14 +113,6 @@ let recv t =
       in
       wait ())
 
-let try_recv t =
-  Platform.with_lock t.lock (fun () ->
-      if Queue.is_empty t.ready then None
-      else begin
-        t.delivered <- t.delivered + 1;
-        Some (Queue.pop t.ready)
-      end)
-
 let close t =
   Platform.with_lock t.lock (fun () ->
       if not t.closed then begin
@@ -135,6 +124,5 @@ let pending t =
   Platform.with_lock t.lock (fun () -> t.in_flight + Queue.length t.ready)
 
 let sent t = t.sent
-let sent_bytes t = t.sent_bytes
 let delivered t = t.delivered
 let dropped t = t.dropped

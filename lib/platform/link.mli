@@ -44,23 +44,16 @@ val recv : 'a t -> 'a
 (** Block until the next message is delivered. Raises {!Closed} once the
     link is closed and every in-flight message has been consumed. *)
 
-val try_recv : 'a t -> 'a option
-(** [Some m] if a message has already been delivered, else [None]. *)
-
 val close : 'a t -> unit
 (** Stop accepting sends and wake blocked receivers. In-flight messages
-    already scheduled are still delivered to [recv]/[try_recv]. *)
+    already scheduled are still delivered to [recv]. *)
 
 val pending : 'a t -> int
 (** Messages sent but not yet received (in flight + queued). *)
 
 val sent : 'a t -> int
 
-val sent_bytes : 'a t -> int
-(** Cumulative serialized payload accepted by [send] (dropped messages
-    included — they consumed the wire). *)
-
 val delivered : 'a t -> int
-(** Messages handed to [recv]/[try_recv]. *)
+(** Messages handed to [recv]. *)
 
 val dropped : 'a t -> int

@@ -10,11 +10,10 @@ type t = {
   platform : Platform.t;
   store : Dstore.t;
   ctx : Dstore.ctx;
-  data : Repl.ship_msg Link.t;
+  data : Repl.entry Link.t;
   ack : Repl.ack_msg Link.t;
   mutable epoch : int;
   mutable applied_rseq : int;
-  mutable applied_lsn : int;
   mutable rejects : int;
   mutable stopped : bool;
   (* apply pipeline: the receive loop drains the data link into this
@@ -55,7 +54,6 @@ let create platform ?(applied0 = 0) ~data ~ack ~epoch store =
       ack;
       epoch;
       applied_rseq = applied0;
-      applied_lsn = 0;
       rejects = 0;
       stopped = false;
       depth = max 1 cfg.Config.repl_apply_depth;
@@ -120,15 +118,15 @@ let recv_loop t =
   let rec loop () =
     match Link.recv t.data with
     | exception Link.Closed -> ()
-    | m ->
-        (if m.Repl.s_epoch < t.epoch then begin
+    | e ->
+        (if e.Repl.epoch < t.epoch then begin
            t.rejects <- t.rejects + 1;
            Link.send t.ack
              { Repl.a_epoch = t.epoch; a_rseq = 0; a_lsn = 0; a_ok = false }
          end
          else begin
-           if m.Repl.s_epoch > t.epoch then t.epoch <- m.Repl.s_epoch;
-           List.iter (enqueue t) m.Repl.entries
+           if e.Repl.epoch > t.epoch then t.epoch <- e.Repl.epoch;
+           enqueue t e
          end);
         loop ()
   in
@@ -177,7 +175,6 @@ let apply_chunk t entries =
             flush_run ();
             Repl.apply_entry t.ctx e.Repl.op);
         t.applied_rseq <- e.Repl.rseq;
-        t.applied_lsn <- e.Repl.lsn;
         t.apply_entries <- t.apply_entries + 1;
         last := Some e
       end)
@@ -253,5 +250,4 @@ let stop t =
 let store t = t.store
 let epoch t = t.epoch
 let applied_rseq t = t.applied_rseq
-let applied_lsn t = t.applied_lsn
 let rejects t = t.rejects

@@ -6,8 +6,9 @@
     are decoupled. The receive loop drains the data link into a bounded
     queue ([Config.repl_apply_depth] entries; when full it stops
     receiving, backpressuring into the link), and a separate apply loop
-    drains the queue in chunks of up to [Config.repl_ship_ops] entries,
-    re-executing each chunk through the {e group-commit} path: runs of
+    drains the queue in chunks of up to [Config.repl_ship_ops] entries
+    (the primary ships one entry per message, so this is where entries
+    batch), re-executing each chunk through the {e group-commit} path: runs of
     puts / deletes / shipped group commits coalesce into one
     [Dstore.obatch] call (safe — batched and unbatched execution are
     byte-identical by construction), while creates and ranged writes
@@ -40,7 +41,7 @@ type t
 val create :
   Platform.t ->
   ?applied0:int ->
-  data:Repl.ship_msg Link.t ->
+  data:Repl.entry Link.t ->
   ack:Repl.ack_msg Link.t ->
   epoch:int ->
   Dstore.t ->
@@ -51,7 +52,7 @@ val create :
     it. Call {!start} to spawn the loops. *)
 
 val reattach :
-  t -> data:Repl.ship_msg Link.t -> ack:Repl.ack_msg Link.t -> epoch:int -> t
+  t -> data:Repl.entry Link.t -> ack:Repl.ack_msg Link.t -> epoch:int -> t
 (** After failover: rebind a surviving backup to a new primary's links
     under the new epoch, keeping its store and applied watermark (the
     apply queue starts empty — the new primary reships everything above
@@ -76,8 +77,6 @@ val epoch : t -> int
 
 val applied_rseq : t -> int
 (** Highest applied-and-persisted replication sequence number. *)
-
-val applied_lsn : t -> int
 
 val rejects : t -> int
 (** Stale-epoch ships rejected. *)

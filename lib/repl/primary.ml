@@ -2,6 +2,7 @@
 
 open Dstore_platform
 open Dstore_core
+module Pqueue = Dstore_util.Pqueue
 module Obs = Dstore_obs.Obs
 module Metrics = Dstore_obs.Metrics
 module Span = Dstore_obs.Span
@@ -17,7 +18,7 @@ let slot_state_name = function
 
 type slot = {
   node : int;
-  data : Repl.ship_msg Link.t;
+  data : Repl.entry Link.t;
   ack : Repl.ack_msg Link.t;
   mutable state : slot_state;
   mutable shipped : int;
@@ -33,30 +34,25 @@ type t = {
   mutable fenced : bool;
   mutable slots : slot array;
   lock : Platform.mutex;
-  ack_cond : Platform.cond;
+  ack_cond : Platform.cond;  (* quiesce, snapshot barrier, in-flight drain *)
+  (* Durability waiters, keyed by the rseq each one waits for. A waiter
+     parks on a cond of its own, taken from [cond_pool], so an ack wakes
+     exactly the waiters its quorum mark covers. *)
+  waiters : Platform.cond Pqueue.t;
+  cond_pool : Platform.cond Pqueue.t;  (* every key 0: a stack *)
   mutable rseq : int;
   mutable in_flight : int;  (* mutating ops between entry and ship+ack *)
   mutable committed_lsn : int;  (* engine commit-hook watermark *)
   journal_on : bool;
   mutable journal_rev : Repl.entry list;
-  (* ship batching: committed entries staged here (rseq already
-     assigned, journal already written) until a budget or the ship
-     clock flushes them as one multi-entry message. *)
-  ship_ops : int;
-  linger_ns : int;
-  mutable pending_rev : Repl.entry list;
-  mutable pending_n : int;
-  mutable pending_bytes : int;
-  mutable flusher_armed : bool;
-  fill_hist : Metrics.histo;
   (* snapshot barrier: while set, new mutators block at entry; the
      resync path drains in-flight ops, checkpoints and captures the
      transfer image knowing the store cannot move under it. *)
   mutable barrier : bool;
   (* stats (exported as repl.* gauge views) *)
   mutable ships : int;  (* entries shipped *)
-  mutable ship_msgs : int;  (* multi-entry messages flushed *)
-  mutable ship_bytes : int;  (* serialized bytes flushed *)
+  mutable ship_msgs : int;  (* messages sent, one per entry *)
+  mutable ship_bytes : int;  (* serialized bytes sent *)
   mutable acks : int;
   mutable rejects : int;
   mutable waits : int;
@@ -77,17 +73,26 @@ let journal t = List.rev t.journal_rev
    wedge durability waits forever, and a Syncing slot is mid-transfer —
    it receives the stream but cannot ack until its snapshot lands, so
    counting it would re-introduce exactly the tail re-sync exists to
-   avoid. With zero live slots the quorum is vacuously reached (the
-   degradation is visible in [repl.live_backups]). *)
-let live_fold f init t =
-  Array.fold_left (fun acc s -> if s.state = Live then f acc s else acc) init
-    t.slots
+   avoid. [live_acked] is the min (or, with [best], the max) of [acked]
+   over live slots, and [max_int] with zero live slots: the quorum is
+   then vacuously reached (the degradation is visible in
+   [repl.live_backups]). *)
+let live_acked t ~best =
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to Array.length t.slots - 1 do
+    let s = t.slots.(i) in
+    if s.state = Live then begin
+      if s.acked < !lo then lo := s.acked;
+      if s.acked > !hi then hi := s.acked
+    end
+  done;
+  if best && !lo <> max_int then !hi else !lo
 
-let live_count t = live_fold (fun n _ -> n + 1) 0 t
+(* Every entry at or below this rseq is durable under [t.mode]. *)
+let quorum_mark t = live_acked t ~best:(t.mode = Repl.Ack_one)
 
-let min_acked t =
-  let m = live_fold (fun m s -> min m s.acked) max_int t in
-  if m = max_int then t.rseq else m
+let live_count t =
+  Array.fold_left (fun n s -> if s.state = Live then n + 1 else n) 0 t.slots
 
 let register_views t =
   let m = (Dstore.obs t.store).Obs.metrics in
@@ -103,8 +108,25 @@ let register_views t =
   Metrics.gauge_fn m "repl.wait_ns" (fun () -> t.wait_ns);
   Metrics.gauge_fn m "repl.live_backups" (fun () -> live_count t);
   Metrics.gauge_fn m "repl.lag" (fun () ->
-      if live_count t = 0 then 0 else t.rseq - min_acked t);
+      let m = live_acked t ~best:false in
+      if m = max_int then 0 else t.rseq - m);
   Metrics.gauge_fn m "repl.lag_max" (fun () -> t.lag_max)
+
+(* Wake the parked durability waiters whose rseq is at or below [mark],
+   lowest rseq first. Caller holds the lock. A woken waiter has left the
+   queue; it re-checks its own condition and re-parks if that still
+   fails. *)
+let release t mark =
+  while (not (Pqueue.is_empty t.waiters)) && Pqueue.min_key t.waiters <= mark do
+    (Pqueue.take t.waiters).Platform.signal ()
+  done
+
+(* Wake every waiter of either kind to re-check: fences, dead or
+   detached slots, attaches and rejects change the quorum's shape, not
+   just its mark. Caller holds the lock. *)
+let wake_all t =
+  release t max_int;
+  t.ack_cond.Platform.broadcast ()
 
 let ack_loop t slot =
   let rec loop () =
@@ -112,7 +134,7 @@ let ack_loop t slot =
     | exception Link.Closed ->
         Platform.with_lock t.lock (fun () ->
             if slot.state <> Dead then slot.state <- Dead;
-            t.ack_cond.Platform.broadcast ())
+            wake_all t)
     | a ->
         Platform.with_lock t.lock (fun () ->
             if a.Repl.a_ok then begin
@@ -125,78 +147,28 @@ let ack_loop t slot =
                  everything shipped: from here on it is an ordinary
                  backup and starts gating the quorum. *)
               if slot.state = Syncing && slot.acked >= t.rseq then
-                slot.state <- Live
+                slot.state <- Live;
+              release t (quorum_mark t);
+              t.ack_cond.Platform.broadcast ()
             end
             else begin
               (* A reject means someone with a newer epoch owns the
                  stream: self-fence (split-brain protection for a
                  primary that missed the explicit seal). *)
               t.rejects <- t.rejects + 1;
-              if a.Repl.a_epoch > t.epoch then t.fenced <- true
-            end;
-            t.ack_cond.Platform.broadcast ());
+              if a.Repl.a_epoch > t.epoch then t.fenced <- true;
+              wake_all t
+            end);
         loop ()
   in
   loop ()
 
-(* Wire-size model for a flushed message: a header plus a per-entry
-   framing line and the op payload. *)
-let entry_bytes (e : Repl.entry) = 16 + Repl.rop_bytes e.Repl.op
-
-(* A staged batch is flushed as soon as its serialized payload reaches
-   this size, whatever its op count. *)
-let ship_bytes_budget = 256 * 1024
-
-(* Send everything staged as one multi-entry message per non-dead slot.
-   Caller holds the lock. A closed data link downgrades its slot to
-   [Dead] instead of propagating — losing a backup must not fail the
-   committer that happened to flush. *)
-let flush_locked t =
-  if t.pending_n > 0 then begin
-    let entries = List.rev t.pending_rev in
-    let bytes = 64 + t.pending_bytes in
-    let n = t.pending_n in
-    let hi =
-      match t.pending_rev with e :: _ -> e.Repl.rseq | [] -> assert false
-    in
-    t.pending_rev <- [];
-    t.pending_n <- 0;
-    t.pending_bytes <- 0;
-    t.ship_msgs <- t.ship_msgs + 1;
-    t.ship_bytes <- t.ship_bytes + bytes;
-    Metrics.observe t.fill_hist n;
-    Array.iter
-      (fun s ->
-        if s.state <> Dead then begin
-          (match
-             Link.send s.data ~bytes { Repl.s_epoch = t.epoch; entries }
-           with
-          | () -> s.shipped <- max s.shipped hi
-          | exception Link.Closed ->
-              s.state <- Dead;
-              t.ack_cond.Platform.broadcast ())
-        end)
-      t.slots
-  end
-
-(* The flush fires at the next multiple of [linger_ns] of platform time:
-   message boundaries follow a fixed clock, not the instants at which
-   writers woken from a conflict wait happen to commit, and no entry
-   waits longer than [linger_ns]. *)
-let arm_flusher t =
-  if not t.flusher_armed then begin
-    t.flusher_armed <- true;
-    t.platform.Platform.spawn "repl.linger" (fun () ->
-        let now = t.platform.Platform.now () in
-        t.platform.Platform.sleep ((((now / t.linger_ns) + 1) * t.linger_ns) - now);
-        Platform.with_lock t.lock (fun () ->
-            t.flusher_armed <- false;
-            if not t.fenced then flush_locked t))
-  end
+(* Wire-size model for a message: a header plus a per-entry framing line
+   and the op payload. *)
+let msg_bytes (e : Repl.entry) = 64 + 16 + Repl.rop_bytes e.Repl.op
 
 let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
     slot_specs =
-  let cfg = Dstore.config store in
   let slots =
     Array.map
       (fun (node, data, ack, acked0) ->
@@ -211,6 +183,7 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
         })
       slot_specs
   in
+  let filler = platform.Platform.new_cond () in
   let t =
     {
       platform;
@@ -221,19 +194,13 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
       slots;
       lock = platform.Platform.new_mutex ();
       ack_cond = platform.Platform.new_cond ();
+      waiters = Pqueue.create ~filler;
+      cond_pool = Pqueue.create ~filler;
       rseq = rseq_base;
       in_flight = 0;
       committed_lsn = 0;
       journal_on = journal;
       journal_rev = [];
-      ship_ops = max 1 cfg.Config.repl_ship_ops;
-      linger_ns = max 0 cfg.Config.repl_ship_linger_ns;
-      pending_rev = [];
-      pending_n = 0;
-      pending_bytes = 0;
-      flusher_armed = false;
-      fill_hist =
-        Metrics.histogram (Dstore.obs store).Obs.metrics "repl.ship_batch_fill";
       barrier = false;
       ships = 0;
       ship_msgs = 0;
@@ -263,7 +230,7 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
 let fence t =
   Platform.with_lock t.lock (fun () ->
       t.fenced <- true;
-      t.ack_cond.Platform.broadcast ())
+      wake_all t)
 
 let close_links t =
   Dipper.set_commit_hook (Dstore.engine t.store) None;
@@ -280,7 +247,8 @@ let check_fenced t = if t.fenced then raise Fenced
    between an op's local commit and its ship would otherwise raise
    {!Fenced} into a caller whose op was about to become fully durable.
    The same count is the snapshot barrier's drain condition: while a
-   snapshot is being cut, new mutators block here. *)
+   snapshot is being cut, new mutators block here. Only the drains wait
+   for the count, and only for zero. *)
 let with_op t f =
   check_fenced t;
   Platform.with_lock t.lock (fun () ->
@@ -293,14 +261,15 @@ let with_op t f =
     ~finally:(fun () ->
       Platform.with_lock t.lock (fun () ->
           t.in_flight <- t.in_flight - 1;
-          t.ack_cond.Platform.broadcast ()))
+          if t.in_flight = 0 then t.ack_cond.Platform.broadcast ()))
     f
 
-(* Assign the rseq and stage under one lock hold: rseq order equals
-   staging order, and the flush sends whole prefixes in order over the
-   FIFO link, so stream order matches rseq order even with concurrent
-   committers. The entry is flushed immediately when batching is off or
-   a budget fills, otherwise the ship clock picks it up. *)
+(* Assign the rseq and send under one lock hold: rseq order equals send
+   order over each FIFO link, so stream order matches rseq order even
+   with concurrent committers. Every committed entry goes out at once,
+   as a message of its own. A closed data link downgrades its slot to
+   [Dead] instead of propagating — losing a backup must not fail the
+   committer that happened to ship. *)
 let ship t op =
   if Array.length t.slots = 0 && not t.journal_on then None
   else
@@ -313,18 +282,39 @@ let ship t op =
              { Repl.rseq = t.rseq; epoch = t.epoch; lsn = t.committed_lsn; op }
            in
            if t.journal_on then t.journal_rev <- entry :: t.journal_rev;
-           if live_count t > 0 then
-             t.lag_max <- max t.lag_max (t.rseq - min_acked t);
-           t.pending_rev <- entry :: t.pending_rev;
-           t.pending_n <- t.pending_n + 1;
-           t.pending_bytes <- t.pending_bytes + entry_bytes entry;
-           if
-             t.linger_ns = 0 || t.ship_ops = 1
-             || t.pending_n >= t.ship_ops
-             || t.pending_bytes >= ship_bytes_budget
-           then flush_locked t
-           else arm_flusher t;
+           let m = live_acked t ~best:false in
+           if m <> max_int then t.lag_max <- max t.lag_max (t.rseq - m);
+           if Array.length t.slots > 0 then begin
+             let bytes = msg_bytes entry in
+             t.ship_msgs <- t.ship_msgs + 1;
+             t.ship_bytes <- t.ship_bytes + bytes;
+             for i = 0 to Array.length t.slots - 1 do
+               let s = t.slots.(i) in
+               if s.state <> Dead then
+                 match Link.send s.data ~bytes entry with
+                 | () -> s.shipped <- t.rseq
+                 | exception Link.Closed ->
+                     s.state <- Dead;
+                     wake_all t
+             done
+           end;
            entry))
+
+(* Park until the quorum mark covers [rseq] or the primary is fenced.
+   Caller holds the lock. *)
+let await_quorum t rseq =
+  if rseq > quorum_mark t && not t.fenced then begin
+    let c =
+      if Pqueue.is_empty t.cond_pool then t.platform.Platform.new_cond ()
+      else Pqueue.take t.cond_pool
+    in
+    while rseq > quorum_mark t && not t.fenced do
+      Pqueue.push t.waiters rseq 0 c;
+      c.Platform.wait t.lock
+    done;
+    Pqueue.push t.cond_pool 0 0 c
+  end;
+  if rseq > quorum_mark t then raise Fenced
 
 let wait_durable t span (entry : Repl.entry) =
   if Array.length t.slots = 0 then ()
@@ -333,24 +323,7 @@ let wait_durable t span (entry : Repl.entry) =
     | Repl.Async -> ()
     | Repl.Ack_one | Repl.Ack_all ->
         let t0 = t.platform.Platform.now () in
-        Platform.with_lock t.lock (fun () ->
-            let reached () =
-              if live_count t = 0 then true
-              else
-                match t.mode with
-                | Repl.Ack_one ->
-                    Array.exists
-                      (fun s -> s.state = Live && s.acked >= entry.Repl.rseq)
-                      t.slots
-                | _ ->
-                    Array.for_all
-                      (fun s -> s.state <> Live || s.acked >= entry.Repl.rseq)
-                      t.slots
-            in
-            while not (t.fenced || reached ()) do
-              t.ack_cond.Platform.wait t.lock
-            done;
-            if t.fenced && not (reached ()) then raise Fenced);
+        Platform.with_lock t.lock (fun () -> await_quorum t entry.Repl.rseq);
         let dt = t.platform.Platform.now () - t0 in
         (* One wait per client op the entry carries, mirroring the
            group-commit convention: an R_batch of n puts books n waits
@@ -431,14 +404,12 @@ let ounlock t ctx key =
   Dstore.ounlock ctx key
 
 (* Block until no op is in flight and every attached (non-dead) slot has
-   acked everything shipped so far (or the primary is fenced). Staged
-   entries are flushed first so the drain cannot wait on a batch still
-   sitting in the linger buffer. A clean stop drains through this before
-   fencing; failover drills and tests use it to make "the acked prefix"
-   mean "everything" before comparing states. *)
+   acked everything shipped so far (or the primary is fenced). A clean
+   stop drains through this before fencing; failover drills and tests
+   use it to make "the acked prefix" mean "everything" before comparing
+   states. *)
 let quiesce t =
   Platform.with_lock t.lock (fun () ->
-      flush_locked t;
       while
         (not t.fenced)
         && (t.in_flight > 0
@@ -458,7 +429,6 @@ let begin_snapshot t =
       done;
       if t.fenced then raise Fenced;
       t.barrier <- true;
-      flush_locked t;
       while t.in_flight > 0 && not t.fenced do
         t.ack_cond.Platform.wait t.lock
       done;
@@ -487,7 +457,7 @@ let attach_slot t ~node ~data ~ack ~acked0 ~syncing =
   in
   Platform.with_lock t.lock (fun () ->
       t.slots <- Array.append t.slots [| slot |];
-      t.ack_cond.Platform.broadcast ());
+      wake_all t);
   t.platform.Platform.spawn "repl.ack" (fun () -> ack_loop t slot)
 
 let detach_slot t node =
@@ -495,7 +465,7 @@ let detach_slot t node =
       Array.iter
         (fun s -> if s.node = node && s.state <> Dead then s.state <- Dead)
         t.slots;
-      t.ack_cond.Platform.broadcast ())
+      wake_all t)
 
 let slot_state t node =
   Platform.with_lock t.lock (fun () ->

@@ -10,20 +10,17 @@
     op's causal span as [Span.Repl_wait] blame, so tail attribution
     explains replication stalls by name.
 
-    {b Batched shipping} (PR: pipelined replication): committed entries
-    are staged in a pending buffer — rseq assigned at staging, so
-    stream order always equals commit order — and flushed as {e one}
-    multi-entry [ship_msg] when an op-count or byte budget fills
-    ([Config.repl_ship_ops] / 256 KiB), or else at the next multiple of
-    [repl_ship_linger_ns] of platform time: a fixed clock, so message
-    boundaries do not depend on when committers happen to run, and no
-    entry lingers longer than [repl_ship_linger_ns]. An ack covers a
-    whole span: the backup acks the highest rseq it has applied, and
-    the monotone per-slot watermark releases every durability wait at
-    or below it. [repl_ship_linger_ns = 0] or [repl_ship_ops = 1]
-    degenerates to one message per entry (the serial baseline). The
-    fill distribution is exported as the [repl.ship_batch_fill]
-    histogram.
+    {b Shipping at commit}: each entry goes out as a message of its own
+    under the lock hold that assigns its rseq, so stream order always
+    equals commit order. The backup batches on its side (see
+    {!Backup}) and acks the highest rseq it has applied; the monotone
+    per-slot watermark releases every durability wait at or below it.
+
+    {b Durability waits} park one per entry, keyed by rseq. An ack
+    computes the quorum mark once — the minimum [acked] over live slots
+    under [Ack_all], the maximum under [Ack_one] — and wakes exactly the
+    waiters at or below it, lowest rseq first. A fence, a dead or
+    detached slot, an attach and a reject wake every waiter to re-check.
 
     {b Quorum} ranges over {e live} slots only. A slot is [Live]
     (ordinary backup), [Syncing] (mid catch-up: receives the stream,
@@ -65,15 +62,14 @@ val create :
   ?rseq_base:int ->
   ?journal:bool ->
   Dstore.t ->
-  (int * Repl.ship_msg Link.t * Repl.ack_msg Link.t * int) array ->
+  (int * Repl.entry Link.t * Repl.ack_msg Link.t * int) array ->
   t
 (** [create p ~mode ~epoch store slots] with one
     [(node_id, data, ack, acked0)] slot per backup; [acked0] is the
     backup's already-applied rseq (0 for a fresh pair, the applied
     watermark when re-attaching after failover). [rseq_base] continues
     an existing sequence. Installs the engine commit hook and spawns one
-    ack-receiver process per slot. Ship-batching knobs are read from the
-    store's [Config.t]. [journal] retains every shipped entry in DRAM
+    ack-receiver process per slot. [journal] retains every shipped entry in DRAM
     (test seam — see {!journal}). *)
 
 val store : t -> Dstore.t
@@ -114,7 +110,7 @@ val ounlock : t -> Dstore.ctx -> string -> unit
 
     The re-sync protocol ([Group.resync]) cuts a checkpoint-consistent
     snapshot under a write barrier: {!begin_snapshot} blocks new
-    mutators, flushes the staged ship batch, and drains in-flight ops;
+    mutators and drains in-flight ops;
     the caller then checkpoints, captures the transfer image, and
     attaches the laggard's fresh slot — all before {!end_snapshot}
     reopens the write path. Attaching {e under} the barrier is what
@@ -124,8 +120,7 @@ val ounlock : t -> Dstore.ctx -> string -> unit
     [snapshot_rseq + 1 ..] — nothing doubled, nothing dropped. *)
 
 val begin_snapshot : t -> unit
-(** Close the write barrier: flush staged entries, wait until no
-    mutator is in flight. Raises {!Fenced} on a sealed primary. Only
+(** Close the write barrier: wait until no mutator is in flight. Raises {!Fenced} on a sealed primary. Only
     one snapshot may be open at a time (concurrent callers queue). *)
 
 val end_snapshot : t -> unit
@@ -134,7 +129,7 @@ val end_snapshot : t -> unit
 val attach_slot :
   t ->
   node:int ->
-  data:Repl.ship_msg Link.t ->
+  data:Repl.entry Link.t ->
   ack:Repl.ack_msg Link.t ->
   acked0:int ->
   syncing:bool ->
@@ -173,9 +168,8 @@ type status = {
 val status : t -> status
 
 val quiesce : t -> unit
-(** Flush the staged batch, then block until no op is in flight and
-    every non-dead slot has acked everything shipped so far (or the
-    primary is fenced). *)
+(** Block until no op is in flight and every non-dead slot has acked
+    everything shipped so far (or the primary is fenced). *)
 
 val wait_ns : t -> int
 (** Cumulative durability-wait time, weighted by client ops (an

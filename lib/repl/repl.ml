@@ -41,8 +41,6 @@ let rop_ops = function R_batch ops -> List.length ops | _ -> 1
 
 type entry = { rseq : int; epoch : int; lsn : int; op : rop }
 
-type ship_msg = { s_epoch : int; entries : entry list }
-
 type ack_msg = { a_epoch : int; a_rseq : int; a_lsn : int; a_ok : bool }
 
 let apply_entry ctx = function

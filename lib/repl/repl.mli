@@ -8,7 +8,7 @@
     mutating calls, assigns each a replication sequence number in local
     commit order, and ships it over a {!Dstore_platform.Link}; the
     engine-level commit hook ({!Dstore_core.Dipper.set_commit_hook})
-    supplies the oplog LSN watermark each shipped span carries, so acks
+    supplies the oplog LSN watermark each shipped entry carries, so acks
     can be reported in both sequence and LSN terms.
 
     A group commit ships as {e one} [R_batch] entry — the replication
@@ -48,14 +48,14 @@ val rop_ops : rop -> int
     1 otherwise. Weights replication wait accounting the same way
     [n_ops] weights group-commit spans. *)
 
+(** One data-link message: the primary ships each entry on its own, at
+    commit. *)
 type entry = {
   rseq : int;  (** Replication sequence number, in primary commit order. *)
   epoch : int;  (** The primary's epoch when shipped. *)
   lsn : int;  (** Primary oplog committed-LSN watermark at ship time. *)
   op : rop;
 }
-
-type ship_msg = { s_epoch : int; entries : entry list }
 
 type ack_msg = {
   a_epoch : int;

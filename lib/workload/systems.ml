@@ -312,14 +312,7 @@ let replicated ?(backups = 1) ?mode ?link_latency_ns ?ship_batch ?apply_depth
   let cfg =
     match ship_batch with
     | None -> cfg
-    | Some n ->
-        (* ship_batch = 1 is the serial ablation: one message per entry,
-           no linger. *)
-        {
-          cfg with
-          Config.repl_ship_ops = max 1 n;
-          repl_ship_linger_ns = (if n <= 1 then 0 else cfg.Config.repl_ship_linger_ns);
-        }
+    | Some n -> { cfg with Config.repl_ship_ops = max 1 n }
   in
   let cfg =
     match apply_depth with

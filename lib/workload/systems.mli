@@ -83,8 +83,8 @@ val replicated :
     replication status and failover control. [mode] defaults to
     [Ack_all]; [link_latency_ns] overrides the one-way link latency of
     {!Dstore_platform.Link.default_config}; [ship_batch] overrides
-    [Config.repl_ship_ops] (1 also zeroes the linger — the serial
-    ablation baseline) and [apply_depth] overrides
+    [Config.repl_ship_ops], the backup's apply-chunk bound (1 is the
+    serial ablation baseline), and [apply_depth] overrides
     [Config.repl_apply_depth]. *)
 
 val sharded :

@@ -14,11 +14,11 @@
 #     hole is invisible to ack watermarks (they jump past it), so only
 #     the byte-identity oracle can see it. Proof the sweep would notice
 #     a broken catch-up protocol.
-#  3. `bench repl` pipeline gate: at link 50us the batched-shipping +
-#     pipelined-apply protocol must deliver >= 2x the acked throughput
-#     of the serial per-entry baseline, with peak replication lag
-#     bounded by the configured pipeline depth (clients + ship batch +
-#     apply queue). Prints REPL-PIPELINE OK only then.
+#  3. `bench repl` pipeline gate: at link 50us the pipelined-apply
+#     protocol must deliver >= 2x the acked throughput of the serial
+#     per-entry baseline, with peak replication lag bounded by the
+#     configured pipeline depth (clients + apply chunk + apply queue).
+#     Prints REPL-PIPELINE OK only then.
 #
 # Extra arguments are forwarded to both checker sweeps, e.g.
 #

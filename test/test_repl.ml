@@ -571,30 +571,26 @@ let test_pair_sweep_detects_skip_replica_ack () =
   check (list int) "fingerprint" [ 94; 12; 21; 42; 20 ]
     (Test_check.fingerprint r)
 
-(* --- ship clock ----------------------------------------------------------- *)
+(* --- shipping at commit ----------------------------------------------- *)
 
 (* A primary with one zero-latency slot, nobody acking (Async): creates
    commit at [base] + each of [commits_ns], and the messages the slot
-   receives come back as (arrival - [base], entries carried). [base] is
-   a multiple of 5 us, so the ship clock's grid is [base] + k * 5 us. *)
-let ship_clock_run ~linger ~ship_ops commits_ns =
+   receives come back as their arrival - [base]. *)
+let ship_run commits_ns =
   let sim = Sim.create () in
   let p = Sim_platform.make sim in
-  let cfg =
-    { pair_cfg with Config.repl_ship_linger_ns = linger; repl_ship_ops = ship_ops }
-  in
-  let node = (make_nodes p cfg 1).(0) in
+  let node = (make_nodes p pair_cfg 1).(0) in
   let data = Link.create p { Link.default_config with latency_ns = 0; gbps = 0. } in
   let ack = Link.create p Link.default_config in
   let base = ref 0 and staged = ref [] and got = ref [] in
   Sim.spawn sim "main" (fun () ->
-      let st = Dstore.create p node.Group.pm node.Group.ssd cfg in
+      let st = Dstore.create p node.Group.pm node.Group.ssd pair_cfg in
       let pr = Primary.create p ~mode:Repl.Async ~epoch:1 st [| (1, data, ack, 0) |] in
       Sim.spawn sim "slot" (fun () ->
           try
             while true do
-              let m = Link.recv data in
-              got := (Sim.now sim - !base, List.length m.Repl.entries) :: !got
+              ignore (Link.recv data);
+              got := (Sim.now sim - !base) :: !got
             done
           with Link.Closed -> ());
       let ctx = Dstore.ds_init st in
@@ -602,7 +598,7 @@ let ship_clock_run ~linger ~ship_ops commits_ns =
       let t0 = Sim.now sim in
       Primary.ocreate pr ctx "warm1";
       let d = Sim.now sim - t0 in
-      base := ((Sim.now sim / 5_000) + 4) * 5_000;
+      base := Sim.now sim + 20_000;
       List.iteri
         (fun i c ->
           Sim.spawn sim "writer" (fun () ->
@@ -610,28 +606,221 @@ let ship_clock_run ~linger ~ship_ops commits_ns =
               Primary.ocreate pr (Dstore.ds_init st) (Printf.sprintf "k%d" i);
               staged := (Sim.now sim - !base) :: !staged))
         commits_ns;
-      (* The warm-up creates flushed well before [base]. *)
+      (* The warm-up creates arrived well before [base]. *)
       Sim.wait sim (!base - Sim.now sim);
       got := [];
       Sim.wait sim 100_000;
       Primary.close_links pr;
       Dstore.stop st);
   Sim.run sim;
-  check (list int) "entries staged at the planned instants" commits_ns
+  check (list int) "entries committed at the planned instants" commits_ns
     (List.sort compare !staged);
   List.rev !got
 
-let test_ship_clock_grid () =
-  check (list (pair int int)) "1 and 4 us ship together at 5 us, 6 us at 10 us"
-    [ (5_000, 2); (10_000, 1) ]
-    (ship_clock_run ~linger:5_000 ~ship_ops:32 [ 1_000; 4_000; 6_000 ])
+let test_ship_at_commit () =
+  check (list int) "one message per commit, sent at commit"
+    [ 1_000; 4_000; 6_000 ] (ship_run [ 1_000; 4_000; 6_000 ])
 
-let test_ship_clock_unbatched () =
-  let at_once = [ (1_000, 1); (4_000, 1); (6_000, 1) ] in
-  check (list (pair int int)) "repl_ship_ops = 1 sends at once" at_once
-    (ship_clock_run ~linger:5_000 ~ship_ops:1 [ 1_000; 4_000; 6_000 ]);
-  check (list (pair int int)) "repl_ship_linger_ns = 0 sends at once" at_once
-    (ship_clock_run ~linger:0 ~ship_ops:32 [ 1_000; 4_000; 6_000 ])
+(* --- durability waits ------------------------------------------------- *)
+
+(* One scenario's platform. [run] runs the scenario as a process to its
+   end; [settle] blocks it until a condition holds; [pause] lets time
+   pass. On [Real_platform] both fail after a deadline instead of
+   hanging the suite. Completion instants are exact only in virtual
+   time ([exact]). *)
+type harness = {
+  p : Platform.t;
+  exact : bool;
+  run : (unit -> unit) -> unit;
+  settle : string -> (unit -> bool) -> unit;
+  pause : unit -> unit;
+}
+
+let sim_harness () =
+  let sim = Sim.create () in
+  {
+    p = Sim_platform.make sim;
+    exact = true;
+    run =
+      (fun f ->
+        Sim.spawn sim "main" f;
+        Sim.run sim);
+    settle =
+      (fun what cond ->
+        let deadline = Sim.now sim + Platform.ns_per_s in
+        while not (cond ()) do
+          if Sim.now sim > deadline then failf "%s: not within 1 s" what;
+          Sim.wait sim 1_000
+        done);
+    pause = (fun () -> Sim.wait sim 10_000);
+  }
+
+let real_harness () =
+  let rp = Real_platform.create ~parallelism:2 () in
+  let p = Real_platform.platform rp in
+  let within s what cond =
+    let deadline = Unix.gettimeofday () +. s in
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then failf "%s: not within %.0f s" what s;
+      Thread.delay 0.001
+    done
+  in
+  {
+    p;
+    exact = false;
+    run =
+      (fun f ->
+        let result = Atomic.make None in
+        p.Platform.spawn "main" (fun () ->
+            Atomic.set result (Some (try Ok (f ()) with e -> Error e)));
+        within 60.0 "scenario" (fun () -> Option.is_some (Atomic.get result));
+        match Atomic.get result with
+        | Some (Ok ()) -> Real_platform.join_all rp
+        | Some (Error e) -> raise e
+        | None -> assert false);
+    settle = within 30.0;
+    pause = (fun () -> Thread.delay 0.02);
+  }
+
+type outcome = Durable | Fenced_out
+
+(* A primary over [slots] zero-latency slots that nobody serves: the
+   scenario sends every ack itself, through [ack slot rseq]. The
+   primary's own conds count how often a waiter parks and how often it
+   resumes; [k] runs with the primary, the ack sender, the slot specs
+   and the park count, and the fixture returns (parks, resumes). *)
+let waits_fixture h ~mode ~slots k =
+  let parks = Atomic.make 0 and resumes = Atomic.make 0 in
+  let counting =
+    {
+      h.p with
+      Platform.new_cond =
+        (fun () ->
+          let c = h.p.Platform.new_cond () in
+          {
+            c with
+            Platform.wait =
+              (fun m ->
+                Atomic.incr parks;
+                c.Platform.wait m;
+                Atomic.incr resumes);
+          });
+    }
+  in
+  h.run (fun () ->
+      let node = (make_nodes h.p pair_cfg 1).(0) in
+      let st = Dstore.create h.p node.Group.pm node.Group.ssd pair_cfg in
+      let instant = { Link.default_config with latency_ns = 0; gbps = 0. } in
+      let specs =
+        Array.init slots (fun i ->
+            (i + 1, Link.create h.p instant, Link.create h.p instant, 0))
+      in
+      let pr = Primary.create counting ~mode ~epoch:1 st specs in
+      let ack i rseq =
+        let _, _, l, _ = specs.(i) in
+        Link.send l { Repl.a_epoch = 1; a_rseq = rseq; a_lsn = 0; a_ok = true }
+      in
+      k pr ack specs (fun () -> Atomic.get parks);
+      Primary.close_links pr;
+      Dstore.stop st);
+  (Atomic.get parks, Atomic.get resumes)
+
+(* Start [n] writers one at a time, so writer i's entry has rseq i, and
+   wait until each is parked on its ack. [fin.(i)] becomes writer i's
+   completion instant and outcome. *)
+let park_writers h pr ~parked n =
+  let fin = Array.make (n + 1) None in
+  let st = Primary.store pr in
+  for i = 1 to n do
+    h.p.Platform.spawn "writer" (fun () ->
+        let r =
+          match
+            Primary.oput pr (Dstore.ds_init st) (Printf.sprintf "w%d" i)
+              (Bytes.make 16 'v')
+          with
+          | () -> Durable
+          | exception Primary.Fenced -> Fenced_out
+        in
+        fin.(i) <- Some (h.p.Platform.now (), r));
+    h.settle
+      (Printf.sprintf "writer %d parks" i)
+      (fun () -> Primary.rseq pr = i && parked () = i)
+  done;
+  fin
+
+let finished fin =
+  List.filter (fun i -> Option.is_some fin.(i)) (List.init (Array.length fin) Fun.id)
+
+let instants fin = List.filter_map (Option.map fst) (Array.to_list fin)
+
+let outcomes fin = List.filter_map (Option.map snd) (Array.to_list fin)
+
+(* Send one ack, let the waiters it covers finish, and check that
+   exactly [released] have. Returns the instant the ack was sent. *)
+let ack_releases h fin ~send released =
+  let at = h.p.Platform.now () in
+  send ();
+  let n = List.length released in
+  h.settle
+    (Printf.sprintf "%d waiters released" n)
+    (fun () -> List.length (finished fin) >= n);
+  h.pause ();
+  check (list int) "released waiters" released (finished fin);
+  at
+
+let test_acks_release_in_order h () =
+  let parks, resumes =
+    waits_fixture h ~mode:Repl.Ack_all ~slots:1 (fun pr ack _ parked ->
+        let fin = park_writers h pr ~parked 8 in
+        let t1 = ack_releases h fin ~send:(fun () -> ack 0 3) [ 1; 2; 3 ] in
+        let t2 =
+          ack_releases h fin ~send:(fun () -> ack 0 8) [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        in
+        if h.exact then
+          check (list int) "each waiter finishes at its ack's instant"
+            [ t1; t1; t1; t2; t2; t2; t2; t2 ] (instants fin))
+  in
+  check int "one park per waiter" 8 parks;
+  check int "no waiter resumed before its ack" 8 resumes
+
+let test_ack_one_best_slot h () =
+  let parks, resumes =
+    waits_fixture h ~mode:Repl.Ack_one ~slots:2 (fun pr ack _ parked ->
+        let fin = park_writers h pr ~parked 4 in
+        let t1 = ack_releases h fin ~send:(fun () -> ack 1 1) [ 1 ] in
+        let t2 = ack_releases h fin ~send:(fun () -> ack 0 3) [ 1; 2; 3 ] in
+        let t3 = ack_releases h fin ~send:(fun () -> ack 1 4) [ 1; 2; 3; 4 ] in
+        if h.exact then
+          check (list int) "released by whichever slot is ahead"
+            [ t1; t2; t2; t3 ] (instants fin))
+  in
+  check int "one park per waiter" 4 parks;
+  check int "no waiter resumed before its ack" 4 resumes
+
+(* A fence, a closed ack link and a detached slot each wake every
+   waiter: the fenced ones raise, the others find no live slot left and
+   return (the quorum is vacuously reached). *)
+let test_wake_all h () =
+  List.iter
+    (fun (what, expect, event) ->
+      let parks, resumes =
+        waits_fixture h ~mode:Repl.Ack_all ~slots:1 (fun pr _ specs parked ->
+            let fin = park_writers h pr ~parked 4 in
+            let at = ack_releases h fin ~send:(fun () -> event pr specs) [ 1; 2; 3; 4 ] in
+            check bool (what ^ ": outcomes") true
+              (List.for_all (( = ) expect) (outcomes fin));
+            if h.exact then
+              check (list int) (what ^ ": all at once") [ at; at; at; at ] (instants fin))
+      in
+      check int (what ^ ": one park per waiter") 4 parks;
+      check int (what ^ ": one resume per waiter") 4 resumes)
+    [
+      ("fence", Fenced_out, fun pr _ -> Primary.fence pr);
+      ("closed link", Durable, fun _ specs ->
+        let _, _, ack, _ = specs.(0) in
+        Link.close ack);
+      ("detach", Durable, fun pr _ -> Primary.detach_slot pr 1);
+    ]
 
 let suite =
   [
@@ -639,10 +828,19 @@ let suite =
       test_link_fifo_under_jitter;
     test_case "link: drop model counts and keeps order" `Quick test_link_drop;
     test_case "link: close semantics" `Quick test_link_closed;
-    test_case "ship clock: batches flush on a fixed 5 us grid" `Quick
-      test_ship_clock_grid;
-    test_case "ship clock: unbatched configs send at once" `Quick
-      test_ship_clock_unbatched;
+    test_case "ship: every commit ships at once" `Quick test_ship_at_commit;
+    test_case "wait/sim: acks free just their waiters" `Quick
+      (fun () -> test_acks_release_in_order (sim_harness ()) ());
+    test_case "wait/threads: acks free just their waiters"
+      `Quick (fun () -> test_acks_release_in_order (real_harness ()) ());
+    test_case "wait/sim: ack-one frees on the best slot" `Quick
+      (fun () -> test_ack_one_best_slot (sim_harness ()) ());
+    test_case "wait/threads: ack-one frees on the best slot"
+      `Quick (fun () -> test_ack_one_best_slot (real_harness ()) ());
+    test_case "wait/sim: fence, close, detach wake all" `Quick
+      (fun () -> test_wake_all (sim_harness ()) ());
+    test_case "wait/threads: fence, close, detach wake all" `Quick
+      (fun () -> test_wake_all (real_harness ()) ());
     test_case "fencing: stale-epoch ship rejected, primary self-fences" `Quick
       test_stale_epoch_ship_rejected;
     test_case "fencing: dead group raises, promote revives" `Quick
