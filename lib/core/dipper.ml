@@ -14,13 +14,38 @@ type hooks = {
 }
 
 type ticket = {
-  mutable lsn : int;
+  mutable lsn : int;  (* 0 for a reservation, which is never logged *)
   mutable log_id : int;
   mutable slot : int;
   op : Logrec.op;
-  key : string option;
+  entry : entry;  (* its key's; [blank] for a transaction's framing records *)
+  mutable owner : int;  (* the context holding this lock or reservation, else 0 *)
   done_ : bool Atomic.t;
 }
+
+(* One key of the per-key concurrency table ([t.keys]). *)
+and entry = {
+  mutable tickets : ticket list;  (* in-flight records and reservations, oldest first *)
+  mutable version : int;  (* committed OCC version *)
+  mutable waiters : waiter;  (* parked clients in stamp order, chained by [next] *)
+}
+
+(* A parked client, pooled, with a cond of its own so that a wake reaches
+   exactly it; [awaits] is its ticket's [done_]. Chains end in [nil]. *)
+and waiter = {
+  cond : Platform.cond;
+  mutable seq : int;  (* park stamp: the wake order *)
+  mutable awaits : bool Atomic.t;
+  mutable ready : bool;
+  mutable next : waiter;
+}
+
+let no_cond = { Platform.wait = ignore; signal = ignore; broadcast = ignore }
+
+let rec nil = { cond = no_cond; seq = 0; awaits = Atomic.make false; ready = false; next = nil }
+
+(* Unknown keys and framing records. Never mutated. *)
+let blank = { tickets = []; version = 0; waiters = nil }
 
 type stats = {
   mutable checkpoints : int;
@@ -148,33 +173,29 @@ type t = {
   volatile_raw : Bytes.t;
   mutable current_space : int;
   mutable last_applied : int;
-  in_flight : (int, ticket) Hashtbl.t;
-  versions : (string, int) Hashtbl.t;
-      (* Per-key committed-version counter for OCC transaction validation:
-         bumped under the frontend lock each time a record on the key
-         commits (including Noop commits — an in-place [owrite] changes
-         bytes under a Noop record, so any commit conservatively
-         invalidates readers). Volatile: versions restart at 0 after
-         recovery, which is safe because read observations never survive a
-         crash. *)
+  in_flight : (int, ticket) Hashtbl.t;  (* LSN -> ticket: what a log swap re-homes *)
+  keys : (string, entry) Hashtbl.t;
+      (* The per-key concurrency table: [tickets] and [version] under the
+         frontend lock, [waiters] under [wait_lock]. Entries are never
+         removed; versions restart at 0 after recovery, which is safe
+         because read observations never survive a crash. *)
   mutable next_txn : int;  (* transaction ids, engine-local *)
-  reserved : (string, int) Hashtbl.t;
-      (* Volatile key reservations of retrying transactions: key -> holder.
-         Guarded by the frontend lock. Never logged: a swap does not
-         re-home them, and checkpoints and recovery never see them. *)
   lock : Platform.mutex;
   cond_ckpt : Platform.cond;  (* manager sleeps here *)
   cond_space : Platform.cond;  (* writers wait for log space *)
-  cond_resv : Platform.cond;  (* waiters on another holder's reservation *)
   cond_done : Platform.cond;  (* checkpoint_now waits here *)
   wait_lock : Platform.mutex;
-      (* Guards the two parked waits below, never the frontend lock. A
-         waker reads a waiter count without it and takes it only to
-         broadcast, so an unwatched commit or reader exit costs one
-         atomic load; the counts are atomic so that, on OS threads, a
-         waker sees a waiter that has not yet re-checked its predicate. *)
-  cond_ticket : Platform.cond;  (* waiters on an in-flight ticket *)
+      (* Guards the entries' waiters, the waiter pool and the drain wait,
+         never the frontend lock. A waker reads a waiter count
+         without it and takes it only to wake, so an unwatched commit or
+         reader exit costs one atomic load; the counts are atomic so that,
+         on OS threads, a waker sees a waiter that has not yet re-checked
+         its predicate. *)
   ticket_waiters : int Atomic.t;
+  mutable spare : waiter;  (* the waiter pool, chained by [next] *)
+  mutable parks : int;  (* park stamps, see [stamp] *)
+  mutable early : int;
+  mutable woke_at : int;  (* virtual time of the last wake of ticket waiters *)
   cond_drain : Platform.cond;  (* writers draining a key's readers *)
   drain_waiters : int Atomic.t;
   mutable ckpt_needed : bool;
@@ -193,10 +214,6 @@ type t = {
          group commit. Runs on the committing thread, outside the
          frontend lock. *)
 }
-
-let platform t = t.platform
-
-let config t = t.cfg
 
 let volatile t = t.volatile
 
@@ -370,17 +387,18 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
       current_space = 0;
       last_applied = 0;
       in_flight = Hashtbl.create 64;
-      versions = Hashtbl.create 256;
+      keys = Hashtbl.create 256;
       next_txn = 1;
-      reserved = Hashtbl.create 16;
       lock = platform.Platform.new_mutex ();
       cond_ckpt = platform.Platform.new_cond ();
       cond_space = platform.Platform.new_cond ();
-      cond_resv = platform.Platform.new_cond ();
       cond_done = platform.Platform.new_cond ();
       wait_lock = platform.Platform.new_mutex ();
-      cond_ticket = platform.Platform.new_cond ();
       ticket_waiters = Atomic.make 0;
+      spare = nil;
+      parks = 0;
+      early = 0;
+      woke_at = -1;
       cond_drain = platform.Platform.new_cond ();
       drain_waiters = Atomic.make 0;
       ckpt_needed = false;
@@ -411,17 +429,20 @@ let root_state t ~in_progress ~archived =
     last_applied_lsn = t.last_applied;
   }
 
-(* Swap active/archived logs and re-home uncommitted records (§3.5). The
-   standby log must already be reset. Called under the frontend lock. *)
+(* The in-flight records in LSN order. Call under the frontend lock. *)
+let live_tickets t =
+  Hashtbl.fold (fun _ tk acc -> tk :: acc) t.in_flight []
+  |> List.sort (fun a b -> compare a.lsn b.lsn)
+
+(* Swap active/archived logs and re-home uncommitted records (§3.5) in
+   place: the tickets keep their key entries and waiters. The standby log
+   must already be reset. Called under the frontend lock. *)
 let swap_logs t =
   let arch = t.active_log in
   let standby = 1 - arch in
   t.active_log <- standby;
   Root.publish t.root (root_state t ~in_progress:true ~archived:arch);
-  let tickets =
-    Hashtbl.fold (fun _ tk acc -> tk :: acc) t.in_flight []
-    |> List.sort (fun a b -> compare a.lsn b.lsn)
-  in
+  let tickets = live_tickets t in
   Hashtbl.reset t.in_flight;
   let nl = t.logs.(standby) in
   List.iter
@@ -853,148 +874,153 @@ let stop t =
       t.stopping <- true;
       t.cond_ckpt.Platform.broadcast ())
 
-(* --- write path ------------------------------------------------------------ *)
+(* --- the per-key table -------------------------------------------------------- *)
 
-(* What a conflict scan found on a key: nothing, an in-flight record, or
-   another holder's reservation (see [reserve]). *)
-type conflict = Clear | Ticket of ticket | Reserved
+(* What a lookup found: the ticket a client must wait out. *)
+exception Busy of ticket
 
-(* The conflict scan: the first in-flight record outside [ignore] whose key
-   [k] satisfies [hit k x], found in ONE pass over the in-flight table
-   however many keys [x] holds. Call under the frontend lock. *)
-let conflict_for ~ignore t hit x =
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun _ tk ->
-         match tk.key with
-         | Some k when hit k x && not (List.memq tk ignore) ->
-             found := Some (k, Ticket tk);
-             raise Exit
-         | _ -> ())
-       t.in_flight
-   with Exit -> ());
-  !found
+(* Call the lookups under the frontend lock. *)
+let find_entry t key =
+  match Hashtbl.find t.keys key with e -> e | exception Not_found -> blank
 
-(* --- per-key committed versions (OCC transactions) ----------------------- *)
+let entry_of t key =
+  match Hashtbl.find t.keys key with
+  | e -> e
+  | exception Not_found ->
+      let e = { tickets = []; version = 0; waiters = nil } in
+      Hashtbl.add t.keys key e;
+      e
 
-let bump_version t key =
-  Hashtbl.replace t.versions key
-    (1 + Option.value (Hashtbl.find_opt t.versions key) ~default:0)
+(* [ctx] owns the ticket: an advisory lock or a reservation it took. *)
+let owns ctx tk = tk.owner <> 0 && tk.owner = ctx
 
-let bump_ticket_version t tk =
-  match tk.key with Some k -> bump_version t k | None -> ()
+(* The oldest ticket [ctx] does not own. *)
+let rec foreign ctx = function
+  | [] -> None
+  | tk :: rest -> if owns ctx tk then foreign ctx rest else Some tk
 
-let version_locked t key =
-  Option.value (Hashtbl.find_opt t.versions key) ~default:0
+(* The first conflict on the items' keys, in item order. Allocates
+   nothing when there is none. *)
+let rec items_conflict t ~ctx = function
+  | [] -> None
+  | (key, _, _) :: rest -> (
+      match foreign ctx (find_entry t key).tickets with
+      | Some tk -> Some (key, tk)
+      | None -> items_conflict t ~ctx rest)
+
+let rec remove tk = function
+  | [] -> []
+  | x :: rest -> if x == tk then rest else x :: remove tk rest
+
+(* Locked by hand: the lookup cannot raise, and a [with_lock] closure
+   would cost every read an allocation. *)
+let lookup ~ctx t key =
+  t.lock.Platform.lock ();
+  let e = find_entry t key in
+  let tk = foreign ctx e.tickets and v = e.version in
+  t.lock.Platform.unlock ();
+  match tk with Some tk -> raise (Busy tk) | None -> v
 
 let key_version t key =
-  Platform.with_lock t.lock (fun () -> version_locked t key)
+  Platform.with_lock t.lock (fun () -> (find_entry t key).version)
 
-(* Park on [cond] until [ready ()], counted in [waiters] so that the
-   event that makes [ready] true knows to [wake] it. *)
-let park t waiters cond ready =
-  t.wait_lock.Platform.lock ();
-  Atomic.incr waiters;
-  while not (ready ()) do
-    cond.Platform.wait t.wait_lock
-  done;
-  Atomic.decr waiters;
-  t.wait_lock.Platform.unlock ()
+(* --- parked waits ------------------------------------------------------------ *)
 
-(* Wake every waiter parked on [cond], if [waiters] counts any. The
-   waker makes its waiters' predicate true before the check. *)
-let wake t waiters cond =
-  if Atomic.get waiters > 0 then begin
+(* Stamps order a wake as one cond shared by every ticket waiter would:
+   each wake re-parked the waiters it left, behind the clients parking at
+   the wake's instant. So such a client is stamped ahead of every waiter
+   parked before that wake (stamps count down by 2^30 per wake); any other
+   park is stamped last. *)
+let stamp t =
+  if t.platform.Platform.now () = t.woke_at then begin
+    t.early <- t.early + 1;
+    t.early
+  end
+  else begin
+    t.parks <- t.parks + 1;
+    t.parks
+  end
+
+(* [w] into the chain at [c], kept in stamp order. *)
+let rec insert w c =
+  if c == nil || w.seq < c.seq then begin
+    w.next <- c;
+    w
+  end
+  else begin
+    c.next <- insert w c.next;
+    c
+  end
+
+(* The paper's CC spins on the commit flag (§4.4); here a waiter parks on
+   the ticket's key until [finish] marks the ticket done and wakes it, and
+   then on the key's next reservation: a releaser mostly re-reserves. *)
+let rec wait_ticket t tk =
+  if not (Atomic.get tk.done_) then begin
     t.wait_lock.Platform.lock ();
-    cond.Platform.broadcast ();
+    Atomic.incr t.ticket_waiters;
+    if not (Atomic.get tk.done_) then begin
+      let w = if t.spare == nil then { nil with cond = t.platform.Platform.new_cond () } else t.spare in
+      t.spare <- w.next;
+      w.seq <- stamp t;
+      w.awaits <- tk.done_;
+      w.ready <- false;
+      tk.entry.waiters <- insert w tk.entry.waiters;
+      while not w.ready do
+        w.cond.Platform.wait t.wait_lock
+      done;
+      w.next <- t.spare;
+      t.spare <- w
+    end;
+    Atomic.decr t.ticket_waiters;
+    t.wait_lock.Platform.unlock ()
+  end;
+  if tk.lsn = 0 then begin
+    t.lock.Platform.lock ();
+    let next = List.find_opt (fun x -> x.lsn = 0) tk.entry.tickets in
+    t.lock.Platform.unlock ();
+    match next with Some next -> wait_ticket t next | None -> ()
+  end
+
+(* Run [wait]; with a live span, book its duration as [cause] blame. *)
+let blamed t span cause wait =
+  if Span.live span then begin
+    let tw = t.platform.Platform.now () in
+    wait ();
+    Span.stall span cause (t.platform.Platform.now () - tw)
+  end
+  else wait ()
+
+let wait_conflict ?(span = Span.none) t tk =
+  blamed t span Span.Conflict_retry (fun () -> wait_ticket t tk)
+
+(* No hold-and-wait: a reservation holder waits only on commit tickets,
+   never on a NOOP — another holder's reservation, or an advisory lock
+   held for as long as its owner likes. *)
+let holder_must_abort tk = match tk.op with Logrec.Noop _ -> true | _ -> false
+
+(* A writer draining the key's readers parks until a reader exit
+   ([reader_exited]) finds the count at zero. One cond serves every
+   drain: a woken writer whose key still has readers parks again. *)
+let wait_readers t rc key =
+  let open Dstore_structs in
+  if Readcount.readers rc key <> 0 then begin
+    t.wait_lock.Platform.lock ();
+    Atomic.incr t.drain_waiters;
+    while Readcount.readers rc key <> 0 do
+      t.cond_drain.Platform.wait t.wait_lock
+    done;
+    Atomic.decr t.drain_waiters;
     t.wait_lock.Platform.unlock ()
   end
 
-(* The paper's CC spins on the commit flag (§4.4); here a waiter parks
-   until [finish] marks its ticket done. One cond serves every ticket: a
-   woken waiter whose ticket is still in flight parks again. *)
-let wait_ticket t tk =
-  if not (Atomic.get tk.done_) then
-    park t t.ticket_waiters t.cond_ticket (fun () -> Atomic.get tk.done_)
-
-(* --- volatile key reservations (bounded transaction retries) -------------- *)
-
-(* [key] is reserved by a holder other than [holder] (0: the caller holds
-   none). Allocation-free while no key is reserved. *)
-let reserved_by_other t holder key =
-  Hashtbl.length t.reserved > 0
-  && match Hashtbl.find_opt t.reserved key with Some h -> h <> holder | None -> false
-
-let rec reserved_item t holder = function
-  | [] -> None
-  | (key, _, _) :: rest ->
-      if reserved_by_other t holder key then Some key else reserved_item t holder rest
-
-let rec has_key k = function
-  | [] -> false
-  | (k', _, _) :: rest -> String.equal k k' || has_key k rest
-
-(* Another holder's reservation conflicts like an in-flight record. *)
-let items_conflict ~ignore ~holder t items =
-  match conflict_for ~ignore t has_key items with
-  | Some _ as found -> found
-  | None -> (
-      match reserved_item t holder items with
-      | Some key -> Some (key, Reserved)
-      | None -> None)
-
-let scan_key ~ignore ~holder t key =
-  match conflict_for ~ignore t String.equal key with
-  | Some (_, c) -> c
-  | None -> if reserved_by_other t holder key then Reserved else Clear
-
-(* Lock and unlock by hand: the scan cannot raise, and a [with_lock]
-   closure would cost every read an allocation. *)
-let conflicting_ticket ?(ignore = []) ~holder t key =
-  t.lock.Platform.lock ();
-  let c = scan_key ~ignore ~holder t key in
-  t.lock.Platform.unlock ();
-  c
-
-(* Conflict scan + committed version in ONE lock round: the hoisted
-   versioned read ([Dstore.oget_versioned]) observes the version at
-   reader entry instead of paying a second lock acquisition and scan. *)
-let conflicting_ticket_versioned ?(ignore = []) ~holder t key =
-  t.lock.Platform.lock ();
-  let c = scan_key ~ignore ~holder t key in
-  let v = version_locked t key in
-  t.lock.Platform.unlock ();
-  (c, v)
-
-(* Reservations live under the frontend lock, so their waiters sleep on a
-   frontend-lock cond that [release] broadcasts. *)
-let wait_conflict t ~holder key = function
-  | Clear -> ()
-  | Ticket tk -> wait_ticket t tk
-  | Reserved ->
-      t.lock.Platform.lock ();
-      while reserved_by_other t holder key do
-        t.cond_resv.Platform.wait t.lock
-      done;
-      t.lock.Platform.unlock ()
-
-(* No hold-and-wait: a reservation holder waits only on commit tickets,
-   never on another holder's reservation nor on a NOOP, which may be an
-   advisory lock held for as long as its owner likes. *)
-let holder_must_abort = function
-  | Clear -> false
-  | Ticket tk -> ( match tk.op with Logrec.Noop _ -> true | _ -> false)
-  | Reserved -> true
-
-(* A writer draining the key's readers parks until a reader exit
-   ([reader_exited]) finds the count at zero. *)
-let wait_readers t rc key =
-  let open Dstore_structs in
-  if Readcount.readers rc key <> 0 then
-    park t t.drain_waiters t.cond_drain (fun () -> Readcount.readers rc key = 0)
-
-let reader_exited t = wake t t.drain_waiters t.cond_drain
+(* The exiting reader made its count zero before the check. *)
+let reader_exited t =
+  if Atomic.get t.drain_waiters > 0 then begin
+    t.wait_lock.Platform.lock ();
+    t.cond_drain.Platform.broadcast ();
+    t.wait_lock.Platform.unlock ()
+  end
 
 let request_checkpoint_locked t =
   t.ckpt_needed <- true;
@@ -1018,7 +1044,7 @@ let fire_commit_hook t tks =
    commits with the [Oplog.flush_txn_commit] line, one record takes
    [Oplog.flush_record] + [Oplog.persist_slot], more than one
    [Oplog.flush_batch] + [Oplog.persist_span]. Every record holds an
-   in-flight ticket until commit, so conflict scans block concurrent
+   in-flight ticket until commit, so conflict lookups block concurrent
    writers on its key and a concurrent log swap re-homes the group
    wholesale. *)
 type appended = { members : ticket list; frame : (ticket * ticket) option }
@@ -1029,16 +1055,7 @@ let members a = a.members
    transaction observed it. *)
 let rec stale_read t = function
   | [] -> None
-  | (k, v) :: rest -> if version_locked t k <> v then Some k else stale_read t rest
-
-(* Run [wait]; with a live span, book its duration as [cause] blame. *)
-let blamed t span cause wait =
-  if Span.live span then begin
-    let tw = t.platform.Platform.now () in
-    wait ();
-    Span.stall span cause (t.platform.Platform.now () - tw)
-  end
-  else wait ()
+  | (k, v) :: rest -> if (find_entry t k).version <> v then Some k else stale_read t rest
 
 (* Steps 2–3 under the lock, in item order: each item's builder finds the
    binding it replaces and builds its record, sized here. *)
@@ -1048,21 +1065,25 @@ let rec build = function
       let op = f () in
       (op, Logrec.slots_needed op) :: build rest
 
-(* Reserve, write and ticket one record of [n] slots in the active log. *)
-let stage_record t log key op n =
+(* Reserve, write and ticket one record of [n] slots in the active log,
+   queued last on its key's entry. *)
+let stage_record t log entry op n =
   let slot = Oplog.reserve log n in
   assert (slot >= 0);
   let lsn = Oplog.lsn_base log + slot in
   Oplog.write_record log ~slot ~lsn op;
   t.platform.Platform.consume Config.costs.log_cpu_ns;
-  let tk = { lsn; log_id = t.active_log; slot; op; key; done_ = Atomic.make false } in
+  let tk =
+    { lsn; log_id = t.active_log; slot; op; entry; owner = 0; done_ = Atomic.make false }
+  in
   Hashtbl.add t.in_flight lsn tk;
+  if entry != blank then entry.tickets <- entry.tickets @ [ tk ];
   tk
 
 let rec stage_members t log items ops =
   match (items, ops) with
   | (key, _, _) :: items, (op, n) :: ops ->
-      let tk = stage_record t log (Some key) op n in
+      let tk = stage_record t log (entry_of t key) op n in
       tk :: stage_members t log items ops
   | _ -> []
 
@@ -1079,7 +1100,7 @@ let stage t span ~txn items ops =
       t.next_txn <- id + 1;
       let n = List.length ops in
       let op = Logrec.Txn_begin { txn = id; members = n } in
-      Some (id, stage_record t log None op (Logrec.slots_needed op))
+      Some (id, stage_record t log blank op (Logrec.slots_needed op))
     end
     else None
   in
@@ -1088,7 +1109,7 @@ let stage t span ~txn items ops =
     match opened with
     | Some (id, b) ->
         let op = Logrec.Txn_commit { txn = id } in
-        Some (b, stage_record t log None op (Logrec.slots_needed op))
+        Some (b, stage_record t log blank op (Logrec.slots_needed op))
     | None -> None
   in
   if
@@ -1119,22 +1140,22 @@ let abort_locked t key =
   Error key
 
 (* Steps 1–6 of one append attempt, [need] slots of log space: conflict
-   scan and wait, log-full stall, validation, builders, staging. It and
+   lookup and wait, log-full stall, validation, builders, staging. It and
    its helpers are top-level functions, not closures over the call, so a
    single put's append allocates no closure on the hot path. A
    transaction whose caller holds reservations aborts where
    [holder_must_abort] forbids the wait. *)
-let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
+let rec attempt t ~ctx ~holding ~span ~reads ~txn items need =
   if need > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
   t.lock.Platform.lock ();
-  match items_conflict ~ignore ~holder t items with
-  | Some (key, c) when holder <> 0 && reads <> None && holder_must_abort c ->
+  match items_conflict t ~ctx items with
+  | Some (key, tk) when holding && reads <> None && holder_must_abort tk ->
       abort_locked t key
-  | Some (key, c) ->
+  | Some (_, tk) ->
       t.lock.Platform.unlock ();
       t.st.conflict_waits <- t.st.conflict_waits + 1;
-      blamed t span Span.Conflict_retry (fun () -> wait_conflict t ~holder key c);
-      attempt t ~ignore ~holder ~span ~reads ~txn items need
+      wait_conflict ~span t tk;
+      attempt t ~ctx ~holding ~span ~reads ~txn items need
   | None when Oplog.free_slots t.logs.(t.active_log) < need ->
       if t.cfg.checkpoint = Config.No_checkpoint then begin
         t.lock.Platform.unlock ();
@@ -1145,10 +1166,10 @@ let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
       (* cond wait releases and re-acquires the frontend lock *)
       blamed t span Span.Log_full (fun () -> t.cond_space.Platform.wait t.lock);
       t.lock.Platform.unlock ();
-      attempt t ~ignore ~holder ~span ~reads ~txn items need
+      attempt t ~ctx ~holding ~span ~reads ~txn items need
   | None -> (
       (* OCC validation shares this lock hold with the append: no
-         conflicting record is in flight (the scan above), so a read is
+         conflicting record is in flight (the lookup above), so a read is
          stale exactly when a commit bumped its key's version after the
          transaction observed it. *)
       match match reads with Some r -> stale_read t r | None -> None with
@@ -1172,22 +1193,56 @@ let rec attempt t ~ignore ~holder ~span ~reads ~txn items need =
                    extents than the estimate allows): wait for room for the
                    records as built, then build them again. *)
                 t.lock.Platform.unlock ();
-                attempt t ~ignore ~holder ~span ~reads ~txn items actual
+                attempt t ~ctx ~holding ~span ~reads ~txn items actual
               end
               else Ok (stage t span ~txn items ops)))
 
-let append ?(ignore = []) ~holder ?(span = Span.none) ?reads t items =
+let append ~ctx ?(holding = false) ?(span = Span.none) ?reads t items =
   let txn = reads <> None && items <> [] in
   let estimate = List.fold_left (fun n (_, bound, _) -> n + bound) 0 items in
-  attempt t ~ignore ~holder ~span ~reads ~txn items (estimate + if txn then 2 else 0)
+  attempt t ~ctx ~holding ~span ~reads ~txn items (estimate + if txn then 2 else 0)
 
+(* Unlink from [e]'s chain the waiters whose ticket is done, into
+   [batch] in stamp order. Call under [wait_lock]. *)
+let rec take e prev w batch =
+  if w == nil then batch
+  else if Atomic.get w.awaits then begin
+    let next = w.next in
+    if prev == nil then e.waiters <- next else prev.next <- next;
+    take e prev next (insert w batch)
+  end
+  else take e w w.next batch
+
+let rec wake w =
+  if w != nil then begin
+    let next = w.next in
+    w.ready <- true;
+    w.cond.Platform.signal ();
+    wake next
+  end
+
+(* Mark the tickets done and wake exactly the waiters parked on them. *)
 let finish t tks =
   List.iter (fun tk -> Atomic.set tk.done_ true) tks;
-  wake t t.ticket_waiters t.cond_ticket
+  if Atomic.get t.ticket_waiters > 0 then begin
+    t.wait_lock.Platform.lock ();
+    t.woke_at <- t.platform.Platform.now ();
+    t.early <- (t.early land lnot ((1 lsl 30) - 1)) - (1 lsl 30);
+    wake (List.fold_left (fun b tk -> take tk.entry nil tk.entry.waiters b) nil tks);
+    t.wait_lock.Platform.unlock ()
+  end
 
+(* Drop the ticket from the in-flight set and its key's entry, and bump
+   the key's version: every commit on the key, Noop commits included (an
+   in-place [owrite] changes bytes under a Noop record), invalidates its
+   readers. Call under the frontend lock. *)
 let retire t tk =
   Hashtbl.remove t.in_flight tk.lsn;
-  bump_ticket_version t tk
+  let e = tk.entry in
+  if e != blank then begin
+    e.tickets <- remove tk e.tickets;
+    e.version <- e.version + 1
+  end
 
 (* Step 9, by the group's shape. A record's commit word (or, for a
    transaction, the commit record) is located under the lock — a
@@ -1200,8 +1255,7 @@ let commit t a =
   | Some (b, c), members ->
       let log_id, slot, lsn =
         Platform.with_lock t.lock (fun () ->
-            List.iter (retire t) (b :: members);
-            Hashtbl.remove t.in_flight c.lsn;
+            List.iter (retire t) (b :: c :: members);
             (c.log_id, c.slot, c.lsn))
       in
       Oplog.flush_txn_commit t.logs.(log_id) ~slot ~lsn c.op;
@@ -1255,31 +1309,56 @@ let commit t a =
 
 (* --- reservations ------------------------------------------------------------ *)
 
-(* All or nothing in one frontend-lock hold. While any key has an
-   in-flight ticket or another holder's reservation, wait holding nothing,
-   then scan again. Waits are the transaction's retry overhead:
-   [Txn_retry] blame. *)
-let rec reserve ?(ignore = []) ?(span = Span.none) t ~holder keys =
-  t.lock.Platform.lock ();
-  (* the scans take append items: (key, size estimate, builder) *)
-  match items_conflict ~ignore ~holder t (List.map (fun k -> (k, 0, ())) keys) with
-  | Some (key, c) ->
-      t.lock.Platform.unlock ();
-      blamed t span Span.Txn_retry (fun () -> wait_conflict t ~holder key c);
-      reserve ~ignore ~span t ~holder keys
-  | None ->
-      List.iter (fun k -> Hashtbl.replace t.reserved k holder) keys;
-      t.lock.Platform.unlock ()
+type reservation = ticket list
 
-let release t ~holder keys =
+(* One unlogged NOOP ticket per key, owned by the holder, all or nothing
+   in one frontend-lock hold. While any key has a ticket the holder does
+   not own, wait holding nothing ([Txn_retry] blame), then look again. *)
+let rec reserve ?(span = Span.none) t ~ctx keys =
+  t.lock.Platform.lock ();
+  (* the lookups take append items: (key, size estimate, builder) *)
+  match items_conflict t ~ctx (List.map (fun k -> (k, 0, ())) keys) with
+  | Some (_, tk) ->
+      t.lock.Platform.unlock ();
+      blamed t span Span.Txn_retry (fun () -> wait_ticket t tk);
+      reserve ~span t ~ctx keys
+  | None ->
+      let hold key =
+        let entry = entry_of t key and done_ = Atomic.make false in
+        let tk = { lsn = 0; log_id = 0; slot = 0; op = Noop { key }; entry; owner = ctx; done_ } in
+        entry.tickets <- entry.tickets @ [ tk ];
+        tk
+      in
+      let r = List.map hold keys in
+      t.lock.Platform.unlock ();
+      r
+
+(* Unlike a commit, a release bumps no version. *)
+let release t r =
   Platform.with_lock t.lock (fun () ->
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt t.reserved k with
-          | Some h when h = holder -> Hashtbl.remove t.reserved k
-          | _ -> ())
-        keys;
-      t.cond_resv.Platform.broadcast ())
+      List.iter (fun tk -> tk.entry.tickets <- remove tk tk.entry.tickets) r);
+  finish t r
+
+(* --- advisory locks ----------------------------------------------------------- *)
+
+(* The lock is a NOOP record [ctx] owns: other clients wait it out like
+   any in-flight record, its owner passes it. *)
+let lock t ~ctx key =
+  match append ~ctx t [ (key, 2, fun () -> Logrec.Noop { key }) ] with
+  | Ok { members = [ tk ]; _ } -> with_frontend_lock t (fun () -> tk.owner <- ctx)
+  | _ -> assert false
+
+let unlock t ~ctx key =
+  let held tk = owns ctx tk && tk.lsn > 0 in
+  match with_frontend_lock t (fun () -> List.find_opt held (find_entry t key).tickets) with
+  | Some tk ->
+      commit t { members = [ tk ]; frame = None };
+      true
+  | None -> false
+
+let in_flight t =
+  Platform.with_lock t.lock (fun () ->
+      List.map (fun tk -> (tk, Logrec.op_key tk.op, tk.owner)) (live_tickets t))
 
 (* --- physical logging capture ------------------------------------------------ *)
 
@@ -1316,9 +1395,6 @@ let set_ckpt_gate t gate = t.ckpt_gate <- gate
 let log_fill t =
   let log = t.logs.(t.active_log) in
   float_of_int (Oplog.tail log) /. float_of_int (max 1 (Oplog.capacity log))
-
-let checkpoints_quiesced t =
-  Platform.with_lock t.lock (fun () -> not (t.ckpt_needed || t.ckpt_running))
 
 (* --- snapshot image transfer (replica catch-up) --------------------------- *)
 

@@ -8,7 +8,8 @@
 
     - the persistent logical log (two {!Oplog}s, swapped by pointer),
     - the frontend critical section and write-write concurrency control
-      (in-flight records whose waiters park until the commit, §4.4),
+      (§4.4) through one table keyed by object name: a conflict check is
+      a lookup, and a commit wakes only the clients parked on its records,
     - atomic quiescent-free checkpoints (§3.5): archive the log, clone the
       current shadow space into the other PMEM half, replay committed
       records with a worker pool, persist, publish the root — all while
@@ -52,6 +53,10 @@ type t
 type ticket
 (** An in-flight (appended, uncommitted) record. *)
 
+(** Callers name themselves by a context id, [ctx] below: a nonzero int
+    (a store context's id), or 0 for an anonymous caller. A context passes
+    its own advisory locks ({!lock}) and reservations ({!reserve}). *)
+
 val layout_bytes : Config.t -> int
 (** PMEM bytes the engine needs for root + two logs + two spaces. *)
 
@@ -75,10 +80,6 @@ val is_initialized : Pmem.t -> bool
 val volatile : t -> Space.t
 (** The volatile system space (CoW-barrier-wrapped when configured). *)
 
-val platform : t -> Platform.t
-
-val config : t -> Config.t
-
 (** {1 Verification seam (dstore_check)}
 
     Read-only access to the persistent pieces a recovered-state checker
@@ -98,7 +99,7 @@ val shadow_space : t -> Space.t
 
     One entry point appends, one commits. {!append} runs the pipeline's
     steps 1–5 for a group of records: under the frontend lock, a conflict
-    scan over the items' keys (waiting out other writers' in-flight
+    lookup of each item's key (waiting out other writers' in-flight
     records), a log-space check (triggering a checkpoint and waiting for
     space), the optional read-set validation, then each item's builder and
     the staging of every record with an in-flight ticket; the flush runs
@@ -139,8 +140,8 @@ type appended
 (** An appended, uncommitted group of records. *)
 
 val append :
-  ?ignore:ticket list ->
-  holder:int ->
+  ctx:int ->
+  ?holding:bool ->
   ?span:Dstore_obs.Span.t ->
   ?reads:(string * int) list ->
   t ->
@@ -153,19 +154,17 @@ val append :
     then reserved by their actual size — a record that outgrew its
     estimate waits for room and is built again, so a builder may run more
     than once and each run must replace the previous one's effects. The
-    builder runs under the frontend lock after the conflict scan (it finds
-    the binding being replaced and builds the final operation); an
+    builder runs under the frontend lock after the conflict lookups (it
+    finds the binding being replaced and builds the final operation); an
     exception from it releases the lock before it propagates.
 
-    [ignore] excludes the caller's own advisory-lock records from the
-    conflict scan, and [holder] its own reservations (see {!reserve}; 0
-    for a caller that holds none). Another holder's reservation on a key
-    is a conflict like an in-flight record: the call waits until it is
-    released. A transaction whose caller holds reservations aborts with
-    [Error key] instead of waiting where {!holder_must_abort} says so.
-    [reads], the read-set as [(key, observed version)]
-    pairs (see {!key_version}), makes the group a transaction: it is
-    validated under the same lock hold, after the conflict scan, and
+    Another context's reservation on a key is a conflict like an
+    in-flight record: the call waits until it is released. A transaction
+    whose caller is [holding] reservations aborts with [Error key] instead
+    of waiting where {!holder_must_abort} says so. [reads], the read-set
+    as [(key, observed version)] pairs (see {!key_version}), makes the
+    group a transaction: it is validated under the same lock hold, after
+    the conflict lookups, and
     [Error key] reports the first stale read (nothing appended, stats
     count an abort). With [reads] and no items the call only validates
     (a read-only transaction; its {!commit} does nothing).
@@ -178,8 +177,8 @@ val append :
 val commit : t -> appended -> unit
 (** Step 9, by the group's shape (see above): retire every ticket, bump
     the committed version of every member key, persist, fire the commit
-    hook with the member records. On return the group is durable and
-    conflict waiters release. *)
+    hook with the member records. On return the group is durable and the
+    clients parked on its records are woken, in the order they parked. *)
 
 val members : appended -> ticket list
 (** The member tickets in item order (their operations via {!ticket_op};
@@ -206,58 +205,64 @@ val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
     committing thread, outside the frontend lock, so it may take locks of
     its own but must not call back into the engine. *)
 
-type conflict =
-  | Clear
-  | Ticket of ticket  (** An in-flight record on the key. *)
-  | Reserved  (** Another holder's reservation on the key. *)
+exception Busy of ticket
+(** What a client must wait out on a key: the oldest ticket on it, record
+    or reservation, that the client does not own. *)
 
-val conflicting_ticket : ?ignore:ticket list -> holder:int -> t -> string -> conflict
-(** What a reader of this name must wait out, if anything (takes and
-    releases the frontend lock). [ignore] excludes specific records — the
-    caller's own advisory-lock NOOP, so a lock holder can operate on the
-    object it locked — and [holder] the caller's own reservations (0: it
-    holds none). The same scans back {!append}'s conflict check. Allocates
-    nothing when the name is clear. *)
+val lookup : ctx:int -> t -> string -> int
+(** The key's committed version (see {!key_version}) if [ctx] may read it
+    now, in one frontend-lock round; raises {!Busy} otherwise. The same
+    lookup backs {!append}'s conflict check. Allocates nothing when the
+    key is clear. *)
 
-val conflicting_ticket_versioned :
-  ?ignore:ticket list -> holder:int -> t -> string -> conflict * int
-(** {!conflicting_ticket} and {!key_version} in a single frontend-lock
-    round: the conflict scan plus the key's committed version, observed
-    atomically. Backs the hoisted single-lookup [Dstore.oget_versioned]
-    (version strictly before value, no second lock acquisition). *)
+val wait_conflict : ?span:Dstore_obs.Span.t -> t -> ticket -> unit
+(** Wait out a {!Busy} ticket, holding nothing: park on its key until its
+    commit or release wakes the caller. A reader first leaves the read
+    count. With a live [span], the wait is booked as [Conflict_retry]
+    blame. *)
 
-val wait_conflict : t -> holder:int -> string -> conflict -> unit
-(** Wait out a conflict on the key, holding nothing: park until the
-    in-flight record's commit wakes the caller, or until no holder other
-    than [holder] reserves the key. A reader first leaves the read
-    count. *)
-
-val holder_must_abort : conflict -> bool
-(** Whether a reservation holder must abort rather than wait: on another
-    holder's reservation, and on a NOOP record, which may be an advisory
-    lock held indefinitely. A holder thus waits only on commit tickets,
-    whose owners never wait on reservations: no hold-and-wait. *)
+val holder_must_abort : ticket -> bool
+(** Whether a reservation holder must abort rather than wait: on a NOOP,
+    another holder's reservation or an advisory lock held indefinitely.
+    A holder thus waits only on commit tickets, whose owners never wait
+    on reservations: no hold-and-wait. *)
 
 (** {1 Reservations}
 
     A volatile, all-or-nothing claim on a set of keys, taken by a
-    transaction retrying after repeat aborts ([Dstore_txn.txn]). While a
-    key is reserved, every other client's conflict scan treats it like an
-    in-flight record, so the holder's reads stay valid and its commit
-    cannot fail validation. Reservations are never logged: log swaps do
-    not re-home them, and checkpoints and recovery never see them.
-    Holders are identified by a nonzero int (a store context's id). *)
+    transaction retrying after repeat aborts ([Dstore_txn.txn]): one
+    unlogged NOOP ticket per key, owned by the holder. Every other
+    client's conflict lookup waits it out like an in-flight record, so the
+    holder's reads stay valid and its commit cannot fail validation. Log
+    swaps do not re-home reservations, and checkpoints and recovery never
+    see them. *)
+
+type reservation
 
 val reserve :
-  ?ignore:ticket list -> ?span:Dstore_obs.Span.t -> t -> holder:int -> string list -> unit
-(** Reserve every key for [holder] in one frontend-lock hold. While any
-    key has an in-flight record (outside [ignore]) or another holder's
-    reservation, wait holding nothing, then scan again. With a live
-    [span], the waits are booked as [Txn_retry] blame. *)
+  ?span:Dstore_obs.Span.t -> t -> ctx:int -> string list -> reservation
+(** Reserve every key for [ctx] in one frontend-lock hold. While any key
+    has a ticket [ctx] does not own, wait holding nothing, then look
+    again. A reserve does not queue behind clients parked on the key.
+    With a live [span], the waits are booked as [Txn_retry] blame. *)
 
-val release : t -> holder:int -> string list -> unit
-(** Drop [holder]'s reservations on these keys and wake every client
-    waiting on a reservation. *)
+val release : t -> reservation -> unit
+(** Drop the reservation, bumping no version, and wake the clients parked
+    on it. *)
+
+(** {1 Advisory locks (§4.5)} *)
+
+val lock : t -> ctx:int -> string -> unit
+(** Append a NOOP record on the key that [ctx] owns: it blocks every other
+    client's operations on the key until {!unlock}, but not [ctx]'s. *)
+
+val unlock : t -> ctx:int -> string -> bool
+(** Commit [ctx]'s oldest lock on the key; false if it holds none. *)
+
+val in_flight : t -> (ticket * string option * int) list
+(** Test seam: every in-flight record in LSN order, with its key ([None]
+    for a transaction's framing records) and owning context (0: none) —
+    the set a brute-force conflict scan would walk. *)
 
 (** {1 Physical logging (ablation)} *)
 
@@ -270,8 +275,6 @@ val capture_writes : t -> (unit -> unit) -> (int * string) list
 
 val checkpoint_now : t -> unit
 (** Trigger a checkpoint and block until it completes. *)
-
-val checkpoints_quiesced : t -> bool
 
 val is_checkpoint_running : t -> bool
 (** Lock-free snapshot (racy by design) — lets crash harnesses detect the

@@ -69,8 +69,6 @@ let format_structures (cfg : Config.t) reg space =
 
 (* --- store ------------------------------------------------------------------ *)
 
-type ctx_id = int
-
 type t = {
   platform : Platform.t;
   cfg : Config.t;
@@ -82,8 +80,6 @@ type t = {
   struct_lock : Platform.mutex;
       (* Serializes index/metadata updates when [oe = false]; unused (no
          contention) when observational equivalence is on. *)
-  held_locks : (string, ctx_id * Dipper.appended) Hashtbl.t;
-  locks_guard : Mutex.t;
   obs : Obs.t;
   cache : Cache.t option;
       (* DRAM object cache (strictly volatile; see the cache glue below).
@@ -98,9 +94,9 @@ type t = {
 
 type ctx = {
   store : t;
-  id : ctx_id;
+  id : int;  (* the engine's context id: nonzero *)
   mutable live : bool;
-  mutable holds : string list;  (* keys this context reserves (see [reserve]) *)
+  mutable holds : Dipper.reservation option;  (* see [reserve] *)
 }
 
 type obj = {
@@ -245,7 +241,7 @@ let build platform cfg engine ssd =
   Ssd.attach_obs ssd obs;
   let m = obs.Obs.metrics in
   (* The cache engages only under logical logging: the logical write
-     pipeline's reader fencing (conflict scan + wait_readers) is what
+     pipeline's reader fencing (conflict lookup + wait_readers) is what
      makes invalidation race-free; the physical-logging ablation has no
      such window, so it simply runs uncached. *)
   let cache =
@@ -270,8 +266,6 @@ let build platform cfg engine ssd =
     rc = Readcount.create ();
     h;
     struct_lock = platform.Platform.new_mutex ();
-    held_locks = Hashtbl.create 64;
-    locks_guard = Mutex.create ();
     obs;
     cache;
     h_put = Metrics.histogram m "op.put";
@@ -335,37 +329,16 @@ let install_snapshot ?obs platform pm ssd cfg snapshot =
 let next_ctx_id = Atomic.make 1
 
 let ds_init t =
-  { store = t; id = Atomic.fetch_and_add next_ctx_id 1; live = true; holds = [] }
+  { store = t; id = Atomic.fetch_and_add next_ctx_id 1; live = true; holds = None }
 
 let ds_finalize ctx = ctx.live <- false
 
 let check_ctx ctx = if not ctx.live then invalid_arg "DStore: finalized context"
 
-(* The caller's own advisory-lock record on [name], if it holds one: its
-   NOOP must not conflict with the holder's own operations. *)
-let own_lock ctx name =
-  let t = ctx.store in
-  Mutex.lock t.locks_guard;
-  let r =
-    match Hashtbl.find_opt t.held_locks name with
-    | Some (owner, a) when owner = ctx.id -> Dipper.members a
-    | _ -> []
-  in
-  Mutex.unlock t.locks_guard;
-  r
-
-let rec own_locks ctx = function
-  | [] -> []
-  | (key, _, _) :: rest -> own_lock ctx key @ own_locks ctx rest
-
-(* The caller's holder id for the engine's reservation checks: its own
-   reservations never conflict with its own operations. *)
-let holder ctx = match ctx.holds with [] -> 0 | _ -> ctx.id
-
 (* Append [items] past the caller's own advisory locks and reservations. *)
 let append_items ?span ?reads ctx items =
-  Dipper.append ~ignore:(own_locks ctx items) ~holder:(holder ctx) ?span ?reads
-    ctx.store.engine items
+  Dipper.append ~ctx:ctx.id ~holding:(Option.is_some ctx.holds) ?span ?reads ctx.store.engine
+    items
 
 (* The records of an appended group, in item order. *)
 let ops_of a = List.map Dipper.ticket_op (Dipper.members a)
@@ -498,13 +471,13 @@ let now t = t.platform.Platform.now ()
    (between [read_entry] and [read_exit]), and writers maintain it from
    the write pipeline at the point right after [Dipper.wait_readers]:
    the log append under the frontend lock has already ordered the op and
-   made its ticket visible to the conflict scan, so
+   made its ticket visible to the conflict lookup, so
 
    - every reader that entered BEFORE the append has drained (so no
      in-flight miss path can re-fill the stale value after our
      invalidation), and
    - every reader arriving AFTER the append is held at [read_entry] by
-     the conflict scan until the op commits (so nobody observes the
+     the conflict lookup until the op commits (so nobody observes the
      write-through before the op is acknowledged).
 
    Hence invalidation/write-through inherits exactly the order the
@@ -547,7 +520,7 @@ let cache_write_through t key value size =
 
 (* [oput], [odelete] and [obatch] run one pipeline; a single op is the
    group of one. Every put runs alloc → SSD payload → lock / conflict
-   scan / log append → [wait_readers] → structures → cache → commit →
+   lookup / log append → [wait_readers] → structures → cache → commit →
    release: allocation (step 4) and the data write (step 8) are STAGED
    ahead of the append. The op's in-flight window, which every same-key
    reader and writer must wait out, then holds only the log flush, the
@@ -952,17 +925,6 @@ let odelete_batch ctx keys = obatch ctx (List.map (fun k -> Bdelete k) keys)
 
 (* --- reads ----------------------------------------------------------------- *)
 
-(* Wait out what a reader's conflict scan found, holding nothing, as
-   [Conflict_retry] blame. *)
-let wait_out ~span ctx key c =
-  let t = ctx.store in
-  if Span.live span then begin
-    let tw = now t in
-    Dipper.wait_conflict t.engine ~holder:(holder ctx) key c;
-    Span.stall span Span.Conflict_retry (now t - tw)
-  end
-  else Dipper.wait_conflict t.engine ~holder:(holder ctx) key c
-
 (* The one way out of the read count: a writer may be parked draining
    exactly this reader ([Dipper.wait_readers]). *)
 let read_exit t key =
@@ -973,17 +935,21 @@ let read_exit t key =
    a write on this name is in flight. A writer appends its record before
    draining the read count, so it only ever waits on readers that entered
    before its record appeared — and those readers never wait on it: no
-   circular wait. *)
+   circular wait. A reservation holder raises [Would_wait] rather than wait
+   on a NOOP. Returns the version the conflict-free lookup observed. *)
 let rec read_entry ?(span = Span.none) ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
-  match
-    Dipper.conflicting_ticket ~ignore:(own_lock ctx key) ~holder:(holder ctx) t.engine key
-  with
-  | Dipper.Clear -> ()
-  | c ->
+  match Dipper.lookup ~ctx:ctx.id t.engine key with
+  | v -> v
+  | exception Dipper.Busy tk ->
       read_exit t key;
-      wait_out ~span ctx key c;
+      if Option.is_some ctx.holds && Dipper.holder_must_abort tk then begin
+        let st = Dipper.stats t.engine in
+        st.Dipper.txns_aborted <- st.Dipper.txns_aborted + 1;
+        raise (Would_wait key)
+      end;
+      Dipper.wait_conflict ~span t.engine tk;
       read_entry ~span ctx key
 
 (* A caller buffer too short for the object: leave the reader window
@@ -999,7 +965,7 @@ let oget_into ctx key buf =
   let t = ctx.store in
   let tstart = now t in
   let span = Span.start t.obs.Obs.spans Span.Get key in
-  read_entry ~span ctx key;
+  ignore (read_entry ~span ctx key);
   Span.seg span Span.S_ticket;
   let result =
     match cache_lookup t key with
@@ -1074,7 +1040,7 @@ let oget ctx key =
   let t = ctx.store in
   let tstart = now t in
   let span = Span.start t.obs.Obs.spans Span.Get key in
-  read_entry ~span ctx key;
+  ignore (read_entry ~span ctx key);
   Span.seg span Span.S_ticket;
   let result = fetch_value ~span t key in
   read_exit t key;
@@ -1095,7 +1061,7 @@ let oget_view ctx key scratch =
   let t = ctx.store in
   let tstart = now t in
   let span = Span.start t.obs.Obs.spans Span.Get key in
-  read_entry ~span ctx key;
+  ignore (read_entry ~span ctx key);
   Span.seg span Span.S_ticket;
   let result =
     match cache_lookup t key with
@@ -1127,7 +1093,7 @@ let oget_view ctx key scratch =
 let oexists ctx key =
   check_ctx ctx;
   let t = ctx.store in
-  read_entry ctx key;
+  ignore (read_entry ctx key);
   let r = Btree.mem t.h.btree key in
   read_exit t key;
   r
@@ -1185,7 +1151,7 @@ let oclose o =
 let osize o =
   check_obj o;
   let t = o.octx.store in
-  read_entry o.octx o.name;
+  ignore (read_entry o.octx o.name);
   let size =
     with_structs_read t (fun () ->
         match Btree.find t.h.btree o.name with
@@ -1212,7 +1178,7 @@ let oread o buf ~size ~off =
   let t = o.octx.store in
   let tstart = now t in
   let span = Span.start t.obs.Obs.spans Span.Read o.name in
-  read_entry ~span o.octx o.name;
+  ignore (read_entry ~span o.octx o.name);
   Span.seg span Span.S_ticket;
   (* Whole-object cache hit: serve the byte range straight from the
      cached buffer (no index walk, no SSD). Misses take the page-granular
@@ -1310,7 +1276,7 @@ let owrite ?span:caller_span o buf ~size ~off =
           if new_extents = [] && new_size = osz then
             (* In-place overwrite: no metadata change, no logical record
                needed (§4.3); the NOOP still serializes conflicting
-               writers through the conflict scan. *)
+               writers through the conflict lookup. *)
             Logrec.Noop { key = name }
           else Logrec.Write { key = name; meta; size = new_size; new_extents })
     in
@@ -1360,22 +1326,12 @@ let owrite ?span:caller_span o buf ~size ~off =
 
 let olock ctx name =
   check_ctx ctx;
-  let t = ctx.store in
-  let a, _ = append ctx [ (name, 2, fun () -> Logrec.Noop { key = name }) ] in
-  Mutex.lock t.locks_guard;
-  Hashtbl.replace t.held_locks name (ctx.id, a);
-  Mutex.unlock t.locks_guard
+  Dipper.lock ctx.store.engine ~ctx:ctx.id name
 
 let ounlock ctx name =
   check_ctx ctx;
-  let t = ctx.store in
-  Mutex.lock t.locks_guard;
-  let entry = Hashtbl.find_opt t.held_locks name in
-  Hashtbl.remove t.held_locks name;
-  Mutex.unlock t.locks_guard;
-  match entry with
-  | Some (_, a) -> Dipper.commit t.engine a
-  | None -> invalid_arg (Printf.sprintf "DStore.ounlock: %S is not locked" name)
+  if not (Dipper.unlock ctx.store.engine ~ctx:ctx.id name) then
+    invalid_arg (Printf.sprintf "DStore.ounlock: %S is not locked" name)
 
 (* --- OCC transaction write path (backend of lib/txn) --------------------------- *)
 
@@ -1383,39 +1339,12 @@ let key_version ctx key =
   check_ctx ctx;
   Dipper.key_version ctx.store.engine key
 
-(* Versioned reader entry: the retry loop of [read_entry] with the
-   conflict scan and version read fused into ONE frontend-lock round
-   ([Dipper.conflicting_ticket_versioned]). Returns the version observed
-   by the round that found no conflict. *)
-let rec read_entry_versioned ?(span = Span.none) ctx key =
-  let t = ctx.store in
-  Readcount.enter_reader t.rc key;
-  match
-    Dipper.conflicting_ticket_versioned ~ignore:(own_lock ctx key) ~holder:(holder ctx)
-      t.engine key
-  with
-  | Dipper.Clear, v -> v
-  | c, _ ->
-      read_exit t key;
-      if ctx.holds <> [] && Dipper.holder_must_abort c then begin
-        let st = Dipper.stats t.engine in
-        st.Dipper.txns_aborted <- st.Dipper.txns_aborted + 1;
-        raise (Would_wait key)
-      end;
-      wait_out ~span ctx key c;
-      read_entry_versioned ~span ctx key
-
 (* Version BEFORE value: if a commit lands between the two reads, the
    recorded version is stale and validation aborts the transaction —
    never the reverse interleaving (fresh version, old value), which
-   validation could not detect.
-
-   Hoisted to a single versioned lookup: the version comes out of the
-   reader entry's own conflict-scan lock round and the value out of one
-   [fetch_value] in the same reader window — the old path paid a second
-   lock acquisition ([Dipper.key_version]) and then re-ran the whole
-   read protocol inside [oget], i.e. two frontend-lock rounds and two
-   index passes per call on the transactional hot read path.
+   validation could not detect. The version comes out of the reader
+   entry's own lookup and the value out of one [fetch_value] in the same
+   reader window: one frontend-lock round and one index pass.
 
    A caller-owned [span] (a transaction's) takes the read's segments and
    ticket waits in place of a [Get] span of its own. *)
@@ -1429,7 +1358,7 @@ let oget_versioned ?span ctx key =
     | Some s -> s
     | None -> Span.start t.obs.Obs.spans Span.Get key
   in
-  let v = read_entry_versioned ~span ctx key in
+  let v = read_entry ~span ctx key in
   Span.seg span Span.S_ticket;
   let result = fetch_value ~span t key in
   read_exit t key;
@@ -1441,21 +1370,19 @@ let oget_versioned ?span ctx key =
    the context must hold none. *)
 let reserve ?span ctx keys =
   check_ctx ctx;
-  assert (ctx.holds = []);
-  let ignore = List.concat_map (own_lock ctx) keys in
-  Dipper.reserve ~ignore ?span ctx.store.engine ~holder:ctx.id keys;
-  ctx.holds <- keys
+  assert (Option.is_none ctx.holds);
+  ctx.holds <- Some (Dipper.reserve ?span ctx.store.engine ~ctx:ctx.id keys)
 
 let release ctx =
   match ctx.holds with
-  | [] -> ()
-  | keys ->
-      Dipper.release ctx.store.engine ~holder:ctx.id keys;
-      ctx.holds <- []
+  | None -> ()
+  | Some r ->
+      Dipper.release ctx.store.engine r;
+      ctx.holds <- None
 
 (* Commit a transaction's buffered write-set against its read-set.
    Validation comes before any device work: [claim] the allocations, then
-   [Dipper.append] with the read-set (conflict scan, OCC validation and
+   [Dipper.append] with the read-set (conflict lookups, OCC validation and
    span staging under one lock hold, then the begin + members flush), and
    only on success write the SSD payloads. An aborted attempt therefore
    does no SSD I/O and needs only [unstage]'s in-memory frees. Crash-safe

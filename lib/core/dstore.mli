@@ -9,7 +9,7 @@
 
     A whole-object write runs the paper's nine steps in a staged order
     (DESIGN.md decision 11): allocate blocks and a metadata page; write the
-    data to the SSD; lock; scan for conflicting in-flight records; find the
+    data to the SSD; lock; look up in-flight records on the key; find the
     binding being replaced; append the logical log record and unlock; wait
     for readers of the object to drain; write the metadata entry and
     B-tree record (in parallel with other requests, by observational
@@ -48,10 +48,10 @@ exception Object_not_found of string
 exception Out_of_blocks
 
 exception Would_wait of string
-(** Raised by {!oget_versioned} to a context holding reservations (see
-    {!reserve}) instead of waiting on the named key: it carries another
-    context's reservation, or a NOOP record that may be an advisory lock.
-    The engine counts it as a transaction abort. *)
+(** Raised by a read to a context holding reservations (see {!reserve})
+    instead of waiting on the named key: it carries another context's
+    reservation, or a NOOP record that may be an advisory lock. The
+    engine counts it as a transaction abort. *)
 
 (** {1 Environment} *)
 
@@ -224,12 +224,15 @@ val owrite : ?span:Dstore_obs.Span.t -> obj -> Bytes.t -> size:int -> off:int ->
 (** {1 Concurrency control} *)
 
 val olock : ctx -> string -> unit
-(** Acquire an advisory object lock: appends a NOOP record that conflict
-    scans treat as an in-flight operation (§4.5). Blocks while another
-    lock or write on the name is in flight. *)
+(** Acquire an advisory object lock: appends a NOOP record, owned by the
+    context, that every other context's conflict lookups treat as an
+    in-flight operation (§4.5) while this context's own operations on the
+    name pass it ([Dipper.lock]). Blocks while another lock or write on
+    the name is in flight. *)
 
 val ounlock : ctx -> string -> unit
-(** Release: commits the NOOP record. *)
+(** Release: commits the context's oldest NOOP record on the name. Raises
+    [Invalid_argument] if it holds none. *)
 
 (** {1 OCC transactions (backend of [lib/txn])}
 
@@ -247,24 +250,23 @@ val oget_versioned :
 (** [oget] with the key's committed version — the version is read
     strictly {e before} the value, so a racing commit can only make the
     observation stale (caught by validation), never silently fresh.
-    Single-lookup: the version is observed by the reader entry's own
-    conflict-scan lock round ([Dipper.conflicting_ticket_versioned]) and
-    the value is fetched inside the same reader window — one
-    frontend-lock round and one index pass, where the naive composition
-    [key_version] + [oget] paid two of each. With [span] (a
-    transaction's), the read's segments and conflict waits are booked on
-    it instead of on a [Get] span of the read's own. *)
+    The reader entry's own lookup ([Dipper.lookup]) observes the version,
+    and the value is fetched in the same reader window: one frontend-lock
+    round and one index pass. With [span] (a transaction's), the read's
+    segments and conflict waits are booked on it instead of on a [Get]
+    span of the read's own. *)
 
 val reserve : ?span:Dstore_obs.Span.t -> ctx -> string list -> unit
 (** Reserve the keys for this context, all or nothing ([Dipper.reserve]);
     the context must hold no reservation. Until {!release}, every other
     context's reads and writes of the keys wait, and this context's own
-    operations pass. A holder's {!oget_versioned} and
-    {!txn_commit_writes} never wait on another holder's reservation or on
-    a NOOP: the read raises {!Would_wait}, the commit returns [Error]. *)
+    operations pass. A holder's reads and {!txn_commit_writes} never wait
+    on another holder's reservation or on a NOOP: a read raises
+    {!Would_wait}, the commit returns [Error]. *)
 
 val release : ctx -> unit
-(** Drop every reservation the context holds and wake their waiters. *)
+(** Drop every reservation the context holds and wake the clients parked
+    on those keys. *)
 
 val txn_commit_writes :
   ?span:Dstore_obs.Span.t ->

@@ -39,7 +39,7 @@ type op =
       (** Removal; the released ids are logged for the same reason. *)
   | Noop of { key : string }
       (** [olock]'s lock record (§4.5): ignored by recovery, visible to
-          conflict scans. *)
+          conflict lookups. *)
   | Phys of { images : (int * string) list }
       (** Physical logging baseline: redo images [(space_offset, bytes)]. *)
   | Txn_begin of { txn : int; members : int }

@@ -235,8 +235,6 @@ let commit_record t ~slot =
   set_commit_word t ~slot;
   persist_slot t ~slot
 
-let is_committed t ~slot = Pmem.get_u64 t.pm (slot_off t slot + 8) = 1
-
 type entry = { lsn : int; slot : int; committed : bool; op : Logrec.op }
 
 (* Validity probe at slot [s]: LSN equation + CRC. On success the
@@ -402,10 +400,6 @@ let recover_tail t =
       0 entries
   in
   t.tail_ <- last_end
-
-let read_op t ~slot =
-  if probe t slot then t.p_op
-  else invalid_arg "Oplog.read_op: no valid record at slot"
 
 (* Structural self-check over the persistent region. Only properties that
    must hold in ANY reachable durable state are checked: header magic and

@@ -103,8 +103,6 @@ val set_commit_word : t -> slot:int -> unit
 
 val persist_slot : t -> slot:int -> unit
 
-val is_committed : t -> slot:int -> bool
-
 type entry = { lsn : int; slot : int; committed : bool; op : Logrec.op }
 
 val scan : t -> entry list
@@ -130,9 +128,6 @@ val committed : t -> above:int -> entry list
 val recover_tail : t -> unit
 (** Set {!tail} to the first slot after the last valid record, so appends
     can continue after recovery. *)
-
-val read_op : t -> slot:int -> Logrec.op
-(** Decode the record at [slot] (must be valid). *)
 
 val fsck : t -> string list
 (** Structural check of the persistent region: header magic and LSN base,

@@ -42,5 +42,3 @@ let to_json t =
       ("metrics", Metrics.to_json t.metrics);
       ("blame", Span.blame_json t.spans);
     ]
-
-let print_metrics ?oc t = Metrics.print ?oc t.metrics

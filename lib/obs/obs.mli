@@ -26,4 +26,3 @@ val reset : t -> unit
 val to_json : t -> Json.t
 (** [{"metrics": ..., "blame": {...}}]. *)
 
-val print_metrics : ?oc:out_channel -> t -> unit

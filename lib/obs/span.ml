@@ -366,7 +366,6 @@ let span_kind s = s.kind
 let span_key s = s.key
 let span_ops s = s.n_ops
 let span_seq s = s.seq
-let span_start s = s.t0
 let duration s = if s.t1 < 0 then 0 else s.t1 - s.t0
 let segment s sg = if Array.length s.segs = 0 then 0 else s.segs.(seg_index sg)
 let blame_of s c = if Array.length s.blames = 0 then 0 else s.blames.(cause_index c)
@@ -381,10 +380,6 @@ let ops r = r.ops
 let hist r = r.hist
 let cause_ns r i = r.cause_ns.(i)
 let cause_events r i = r.cause_events.(i)
-
-let cause_totals r =
-  Array.to_list
-    (Array.mapi (fun i name -> (name, r.cause_ns.(i), r.cause_events.(i))) cause_names)
 
 (* Oldest-first window of finished spans. *)
 let spans r =

@@ -128,7 +128,6 @@ val span_kind : t -> kind
 val span_key : t -> string
 val span_ops : t -> int
 val span_seq : t -> int
-val span_start : t -> int
 val duration : t -> int
 val segment : t -> seg -> int
 val blame_of : t -> cause -> int
@@ -147,9 +146,6 @@ val ops : recorder -> int
 val hist : recorder -> Dstore_util.Histogram.t
 val cause_ns : recorder -> int -> int
 val cause_events : recorder -> int -> int
-
-val cause_totals : recorder -> (string * int * int) list
-(** [(name, blame_ns, events)] per cause, in index order. *)
 
 val spans : recorder -> t list
 (** Buffered window, oldest first. *)

@@ -2,13 +2,13 @@
 
    Implementation: [send] computes the delivery time from the latency /
    bandwidth / jitter model, clamps it strictly after the previous
-   message's delivery time (FIFO, like a TCP stream), and spawns a tiny
-   deliverer process that sleeps until then and appends the message to
-   the ready queue under the link mutex. [recv] is a standard
-   mutex/condvar consumer. Everything runs in the platform's virtual
-   time, so a link adds no host-side threads and stays deterministic:
-   jitter and drops are drawn from a SplitMix64 stream seeded per
-   link. *)
+   message's delivery time (FIFO, like a TCP stream), and queues the
+   message with that time under the link mutex. [recv] takes the queue's
+   head once its delivery time has come, sleeping until then, or parks on
+   a condvar while the queue is empty. Everything runs in the platform's
+   virtual time, so a link adds no host-side threads or per-message
+   processes and stays deterministic: jitter and drops are drawn from a
+   SplitMix64 stream seeded per link. *)
 
 open Dstore_util
 
@@ -29,9 +29,8 @@ type 'a t = {
   rng : Rng.t;
   lock : Platform.mutex;
   nonempty : Platform.cond;
-  ready : 'a Queue.t;
+  queue : (int * 'a) Queue.t;  (* (delivery time, message), in delivery order *)
   mutable last_deliver : int;  (* monotone delivery clock (FIFO order) *)
-  mutable in_flight : int;
   mutable closed : bool;
   mutable sent : int;
   mutable delivered : int;
@@ -47,9 +46,8 @@ let create p cfg =
     rng = Rng.create cfg.seed;
     lock = p.Platform.new_mutex ();
     nonempty = p.Platform.new_cond ();
-    ready = Queue.create ();
+    queue = Queue.create ();
     last_deliver = 0;
-    in_flight = 0;
     closed = false;
     sent = 0;
     delivered = 0;
@@ -61,57 +59,60 @@ let transfer_ns cfg bytes =
   else int_of_float (float_of_int (bytes * 8) /. cfg.gbps)
 
 let send t ?(bytes = 64) msg =
-  let deliver_at =
-    Platform.with_lock t.lock (fun () ->
-        if t.closed then raise Closed;
-        t.sent <- t.sent + 1;
-        let jitter =
-          if t.cfg.jitter_ns > 0 then Rng.int t.rng (t.cfg.jitter_ns + 1) else 0
-        in
-        let drop =
-          t.cfg.drop_prob > 0.0 && Rng.float t.rng < t.cfg.drop_prob
-        in
-        if drop then begin
-          t.dropped <- t.dropped + 1;
-          None
-        end
-        else begin
-          let at =
-            t.p.Platform.now () + t.cfg.latency_ns + transfer_ns t.cfg bytes
-            + jitter
-          in
-          (* Strictly after the previous delivery: FIFO even under jitter. *)
-          let at = max at (t.last_deliver + 1) in
-          t.last_deliver <- at;
-          t.in_flight <- t.in_flight + 1;
-          Some at
-        end)
+  t.lock.Platform.lock ();
+  if t.closed then begin
+    t.lock.Platform.unlock ();
+    raise Closed
+  end;
+  t.sent <- t.sent + 1;
+  let jitter =
+    if t.cfg.jitter_ns > 0 then Rng.int t.rng (t.cfg.jitter_ns + 1) else 0
   in
-  match deliver_at with
-  | None -> ()
-  | Some at ->
-      t.p.Platform.spawn "link.deliver" (fun () ->
-          let dt = at - t.p.Platform.now () in
-          if dt > 0 then t.p.Platform.sleep dt;
-          Platform.with_lock t.lock (fun () ->
-              Queue.push msg t.ready;
-              t.in_flight <- t.in_flight - 1;
-              t.nonempty.Platform.broadcast ()))
+  if t.cfg.drop_prob > 0.0 && Rng.float t.rng < t.cfg.drop_prob then
+    t.dropped <- t.dropped + 1
+  else begin
+    let at =
+      t.p.Platform.now () + t.cfg.latency_ns + transfer_ns t.cfg bytes + jitter
+    in
+    (* Strictly after the previous delivery: FIFO even under jitter. *)
+    let at = max at (t.last_deliver + 1) in
+    t.last_deliver <- at;
+    Queue.push (at, msg) t.queue;
+    (* A receiver parks only on an empty queue. *)
+    if Queue.length t.queue = 1 then t.nonempty.Platform.broadcast ()
+  end;
+  t.lock.Platform.unlock ()
+
+(* Under the link mutex; returns with it released. *)
+let rec take t =
+  if Queue.is_empty t.queue then
+    if t.closed then begin
+      t.lock.Platform.unlock ();
+      raise Closed
+    end
+    else begin
+      t.nonempty.Platform.wait t.lock;
+      take t
+    end
+  else
+    let at, msg = Queue.peek t.queue in
+    let dt = at - t.p.Platform.now () in
+    if dt > 0 then begin
+      t.lock.Platform.unlock ();
+      t.p.Platform.sleep dt;
+      t.lock.Platform.lock ();
+      take t
+    end
+    else begin
+      ignore (Queue.pop t.queue);
+      t.delivered <- t.delivered + 1;
+      t.lock.Platform.unlock ();
+      msg
+    end
 
 let recv t =
-  Platform.with_lock t.lock (fun () ->
-      let rec wait () =
-        if not (Queue.is_empty t.ready) then begin
-          t.delivered <- t.delivered + 1;
-          Queue.pop t.ready
-        end
-        else if t.closed && t.in_flight = 0 then raise Closed
-        else begin
-          t.nonempty.Platform.wait t.lock;
-          wait ()
-        end
-      in
-      wait ())
+  t.lock.Platform.lock ();
+  take t
 
 let close t =
   Platform.with_lock t.lock (fun () ->
@@ -120,8 +121,7 @@ let close t =
         t.nonempty.Platform.broadcast ()
       end)
 
-let pending t =
-  Platform.with_lock t.lock (fun () -> t.in_flight + Queue.length t.ready)
+let pending t = Platform.with_lock t.lock (fun () -> Queue.length t.queue)
 
 let sent t = t.sent
 let delivered t = t.delivered

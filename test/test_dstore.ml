@@ -487,6 +487,73 @@ let test_hot_mix_real () =
   Real_platform.join_all rp;
   check Alcotest.int "every client finished" 8 n
 
+(* A platform whose conds count re-parks: a waiter that waits again on a
+   mutex its previous wait re-acquired, without unlocking it in between,
+   was woken while its predicate was still false. *)
+let counting_reparks p =
+  let reparks = ref 0 and mutexes = ref [] in
+  let new_mutex () =
+    let inner = p.Platform.new_mutex () and rewoken = ref false in
+    let m =
+      {
+        Platform.lock = inner.Platform.lock;
+        unlock =
+          (fun () ->
+            rewoken := false;
+            inner.Platform.unlock ());
+      }
+    in
+    mutexes := (m, (inner, rewoken)) :: !mutexes;
+    m
+  in
+  let new_cond () =
+    let c = p.Platform.new_cond () in
+    {
+      c with
+      Platform.wait =
+        (fun m ->
+          let inner, rewoken = List.assq m !mutexes in
+          if !rewoken then incr reparks;
+          c.Platform.wait inner;
+          rewoken := true);
+    }
+  in
+  ({ p with Platform.new_mutex; new_cond }, reparks)
+
+(* 8 clients putting 4 hot keys: every conflict wait parks once, until
+   the commit it waits on. A commit wakes only its own key's waiters, so
+   no woken client finds its ticket still in flight and parks again. One
+   checkpoint worker: a pool's join loop re-parks by design. *)
+let test_hot_puts_no_reparks () =
+  let cfg = { small_cfg with checkpoint_workers = 1 } in
+  let sim = Sim.create () in
+  let p, reparks = counting_reparks (Sim_platform.make ~parallelism:8 sim) in
+  let waits = ref 0 in
+  Sim.spawn sim "main" (fun () ->
+      let pm =
+        Pmem.create p
+          { Pmem.default_config with size = Dipper.layout_bytes cfg; crash_model = false }
+      in
+      let ssd = Ssd.create p { Ssd.default_config with pages = cfg.Config.ssd_blocks } in
+      let st = Dstore.create p pm ssd cfg in
+      let finished = ref 0 in
+      for c = 0 to 7 do
+        Sim.spawn sim "client" (fun () ->
+            let ctx = Dstore.ds_init st in
+            let r = Rng.create (200 + c) in
+            for _ = 1 to 100 do
+              Dstore.oput ctx (Printf.sprintf "hot%d" (Rng.int r 4)) (Rng.bytes r 64)
+            done;
+            incr finished;
+            if !finished = 8 then begin
+              waits := (Dipper.stats (Dstore.engine st)).Dipper.conflict_waits;
+              Dstore.stop st
+            end)
+      done);
+  Sim.run sim;
+  Alcotest.(check bool) (Printf.sprintf "clients waited (%d)" !waits) true (!waits > 0);
+  check Alcotest.int "re-parks" 0 !reparks
+
 (* --- checkpoints ----------------------------------------------------------- *)
 
 let test_checkpoint_now () =
@@ -1686,16 +1753,17 @@ let test_txn_readonly_validates () =
       check Alcotest.int "nothing appended" appended0
         (Dipper.stats (Dstore.engine st)).Dipper.records_appended)
 
-(* The one-pass conflict scan, pinned via its test seam. An appended txn
-   span holds in-flight tickets on its member keys; the scan must find
-   them, the ignore list must exclude them, and commit must retire them. *)
+(* The per-key conflict lookup, pinned via its test seam. An appended txn
+   span holds in-flight tickets on its member keys; the lookup must find
+   them, pass the caller's own advisory lock, and commit must retire
+   them. *)
 let test_conflict_scan_one_pass () =
   with_store (fun _ st ctx ->
       Dstore.oput ctx "cs1" (value_of_string "x");
       let e = Dstore.engine st in
       let a =
         match
-          Dipper.append e ~holder:0 ~reads:[]
+          Dipper.append e ~ctx:0 ~reads:[]
             [
               ("cs1", 1, fun () -> Logrec.Noop { key = "cs1" });
               ("cs2", 1, fun () -> Logrec.Noop { key = "cs2" });
@@ -1704,18 +1772,168 @@ let test_conflict_scan_one_pass () =
         | Ok a -> a
         | Error k -> Alcotest.failf "unexpected stale read on %s" k
       in
-      let clear ?(ignore = []) k = Dipper.conflicting_ticket ~ignore ~holder:0 e k = Dipper.Clear in
-      (match Dipper.conflicting_ticket ~holder:0 e "cs2" with
-      | Dipper.Ticket tk ->
+      let clear ?(ctx = 0) k =
+        match Dipper.lookup ~ctx e k with _ -> true | exception Dipper.Busy _ -> false
+      in
+      (match Dipper.lookup ~ctx:0 e "cs2" with
+      | exception Dipper.Busy tk ->
           Alcotest.(check bool) "in-flight member found" true
             (List.memq tk (Dipper.members a))
       | _ -> Alcotest.fail "in-flight member not found");
       Alcotest.(check bool) "unrelated key clean" true (clear "unrelated");
-      Alcotest.(check bool) "ignore list excludes own tickets" true
-        (List.for_all (clear ~ignore:(Dipper.members a)) [ "cs1"; "cs2" ]);
+      Dipper.lock e ~ctx:7 "cs3";
+      Alcotest.(check (pair bool bool)) "own lock passed, others' not" (true, false)
+        (clear ~ctx:7 "cs3", clear ~ctx:8 "cs3");
+      Alcotest.(check bool) "unlock by its owner only" true
+        ((not (Dipper.unlock e ~ctx:8 "cs3")) && Dipper.unlock e ~ctx:7 "cs3");
       Dipper.commit e a;
       Alcotest.(check bool) "tickets retired by commit" true
-        (List.for_all (fun k -> clear k) [ "cs1"; "cs2" ]))
+        (List.for_all (fun k -> clear k) [ "cs1"; "cs2"; "cs3" ]))
+
+(* The per-key table against a brute-force oracle. Random appends (plain
+   groups and transactions, with stale reads that must abort), commits,
+   log swaps, advisory locks and reservations, by three contexts over five
+   keys; after every step, every (context, key) lookup must equal a full
+   scan of the live in-flight set plus a model of the reservations and
+   committed versions: the oldest ticket on the key, by the step that
+   made it, that the context does not own. Only steps the oracle says
+   would not block are taken, so one process drives it all. *)
+let prop_key_table_matches_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"key table lookups equal a full in-flight scan" ~count:30
+       QCheck.(int_range 0 1_000_000)
+       (fun seed ->
+         Seed_report.attempt ~test:"key table vs scan" ~seed
+           ~repro:"dune exec test/test_main.exe -- test dstore" @@ fun () ->
+         with_store ~crash_model:false (fun _ st _ ->
+             let e = Dstore.engine st in
+             let r = Rng.create seed in
+             let keys = [| "k0"; "k1"; "k2"; "k3"; "k4" |] in
+             let versions = Hashtbl.create 8 in
+             let version k = Option.value (Hashtbl.find_opt versions k) ~default:0 in
+             (* the step each live record first appeared at, and each
+                reservation as (key, holder, step) *)
+             let step = ref 0 and born = ref [] and resv = ref [] in
+             let groups = ref [] and locks = ref [] in
+             let held = Array.make 4 None in
+             let live () =
+               let l = Dipper.in_flight e in
+               List.iter
+                 (fun (tk, _, _) ->
+                   if not (List.mem_assq tk !born) then born := (tk, !step) :: !born)
+                 l;
+               l
+             in
+             let expect c k =
+               let records =
+                 List.filter_map
+                   (fun (tk, key, owner) ->
+                     if key = Some k && not (owner <> 0 && owner = c) then
+                       Some (List.assq tk !born, `Ticket tk)
+                     else None)
+                   (live ())
+               and reservations =
+                 List.filter_map
+                   (fun (key, h, at) -> if key = k && h <> c then Some (at, `Reserved) else None)
+                   !resv
+               in
+               match List.sort (fun (a, _) (b, _) -> compare a b) (records @ reservations) with
+               | (_, first) :: _ -> first
+               | [] -> `Clear (version k)
+             in
+             let got c k =
+               match Dipper.lookup ~ctx:c e k with
+               | v -> `Clear v
+               | exception Dipper.Busy tk ->
+                   if List.exists (fun (x, _, _) -> x == tk) (live ()) then `Ticket tk
+                   else if Dipper.ticket_op tk = Logrec.Noop { key = k } then `Reserved
+                   else `Stale
+             in
+             let agree () =
+               Array.for_all
+                 (fun k ->
+                   List.for_all
+                     (fun c ->
+                       match (got c k, expect c k) with
+                       | `Ticket a, `Ticket b -> a == b
+                       | a, b -> a = b)
+                     [ 0; 1; 2; 3 ])
+                 keys
+             in
+             let clear c ks = List.for_all (fun k -> match expect c k with `Clear _ -> true | _ -> false) ks in
+             let pick_keys () =
+               List.sort_uniq compare (List.init (1 + Rng.int r 3) (fun _ -> keys.(Rng.int r 5)))
+             in
+             let commit_bumps ks = List.iter (fun k -> Hashtbl.replace versions k (version k + 1)) ks in
+             let noops ks = List.map (fun k -> (k, 1, fun () -> Logrec.Noop { key = k })) ks in
+             let act () =
+               let c = 1 + Rng.int r 3 in
+               match Rng.int r 8 with
+               | 0 | 1 ->
+                   let ks = pick_keys () in
+                   if clear c ks then begin
+                     let reads = if Rng.bool r then Some (List.map (fun k -> (k, version k)) ks) else None in
+                     match Dipper.append e ~ctx:c ~holding:(held.(c) <> None) ?reads (noops ks) with
+                     | Ok a -> groups := (a, ks) :: !groups
+                     | Error k -> Alcotest.failf "valid read of %s aborted" k
+                   end
+               | 2 ->
+                   (* a stale read aborts and appends nothing *)
+                   let ks = pick_keys () in
+                   if clear c ks then begin
+                     let before = List.length (live ()) in
+                     let reads = List.map (fun k -> (k, version k + 1)) ks in
+                     (match Dipper.append e ~ctx:c ~reads (noops ks) with
+                     | Ok _ -> Alcotest.fail "stale read validated"
+                     | Error _ -> ());
+                     if List.length (live ()) <> before then
+                       Alcotest.fail "aborted transaction left records in flight"
+                   end
+               | 3 -> (
+                   match !groups with
+                   | [] -> ()
+                   | gs ->
+                       let i = Rng.int r (List.length gs) in
+                       let a, ks = List.nth gs i in
+                       groups := List.filteri (fun j _ -> j <> i) gs;
+                       Dipper.commit e a;
+                       commit_bumps ks)
+               | 4 -> Dipper.checkpoint_now e
+               | 5 ->
+                   let k = keys.(Rng.int r 5) in
+                   if clear c [ k ] then begin
+                     Dipper.lock e ~ctx:c k;
+                     locks := (c, k) :: !locks
+                   end
+               | 6 -> (
+                   match !locks with
+                   | [] -> ()
+                   | (c, k) :: rest ->
+                       if not (Dipper.unlock e ~ctx:c k) then Alcotest.fail "held lock not found";
+                       locks := rest;
+                       commit_bumps [ k ])
+               | _ -> (
+                   match held.(c) with
+                   | None ->
+                       let ks = pick_keys () in
+                       if clear c ks then begin
+                         held.(c) <- Some (Dipper.reserve e ~ctx:c ks);
+                         resv := List.map (fun k -> (k, c, !step)) ks @ !resv
+                       end
+                   | Some h ->
+                       Dipper.release e h;
+                       resv := List.filter (fun (_, h, _) -> h <> c) !resv;
+                       held.(c) <- None)
+             in
+             let ok = ref (agree ()) in
+             for _ = 1 to 80 do
+               if !ok then begin
+                 incr step;
+                 act ();
+                 ok := agree ()
+               end
+             done;
+             !ok)))
 
 let test_txn_crash_committed_survives () =
   let fx = fixture () in
@@ -1796,6 +2014,27 @@ let test_oput_alloc_budget () =
       let per_put = (Gc.minor_words () -. w0) /. float_of_int n in
       if per_put > 400.0 then Alcotest.failf "oput: %.0f words > 400" per_put)
 
+(* A cache-hit [oget_into] under the same budget shape: the reader entry
+   is one per-key lookup, with no scan closure or lock-ownership list
+   (17 words a read here; a whole-table scan cost 33). *)
+let test_cached_read_alloc_budget () =
+  let cfg = { small_cfg with Config.obs_enabled = false; cache_bytes = 1024 * 1024 } in
+  with_store ~cfg (fun _ _ ctx ->
+      let keys = Array.init 256 (Printf.sprintf "obj/%03d") in
+      Array.iter (fun k -> Dstore.oput ctx k (Bytes.make 1024 'v')) keys;
+      let buf = Bytes.create 1024 in
+      let gets n =
+        for i = 0 to n - 1 do
+          ignore (Dstore.oget_into ctx keys.(i land 255) buf)
+        done
+      in
+      gets 2_048;
+      let n = 4_096 in
+      let w0 = Gc.minor_words () in
+      gets n;
+      let per_get = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_get > 25.0 then Alcotest.failf "cached oget_into: %.0f words > 25" per_get)
+
 let suite =
   [
     ("put/get", `Quick, test_put_get);
@@ -1831,6 +2070,7 @@ let suite =
       fun () -> check_woken_at_event (drain_run Short_buffer) );
     ("hot keys: every op completes (sim)", `Quick, test_hot_mix_sim);
     ("hot keys: every op completes (threads)", `Quick, test_hot_mix_real);
+    ("hot keys: no ticket re-parks (sim)", `Quick, test_hot_puts_no_reparks);
     ("checkpoint_now", `Quick, test_checkpoint_now);
     ("automatic checkpoints", `Quick, test_checkpoint_automatic);
     ("No_checkpoint raises Log_full", `Quick, test_no_checkpoint_mode_log_full);
@@ -1843,6 +2083,7 @@ let suite =
     ("concurrent distinct keys", `Quick, test_concurrent_distinct_keys);
     ("concurrent same key serialized", `Quick, test_concurrent_same_key_serialized);
     ("oput alloc budget", `Quick, test_oput_alloc_budget);
+    ("cached read alloc budget", `Quick, test_cached_read_alloc_budget);
     ("readers exclude writer", `Quick, test_readers_exclude_writer);
     ("swap moves in-flight records", `Quick, test_swap_moves_inflight_records);
     ("moved record survives crash", `Quick, test_moved_record_survives_crash);
@@ -1888,6 +2129,7 @@ let suite =
     ("txn retry wrapper recommits", `Quick, test_txn_retry_commits);
     ("txn read-only validates", `Quick, test_txn_readonly_validates);
     ("txn conflict scan one-pass", `Quick, test_conflict_scan_one_pass);
+    prop_key_table_matches_scan;
     ("txn crash: committed span survives", `Quick, test_txn_crash_committed_survives);
     ("txn crash: torn span dropped", `Quick, test_txn_torn_span_dropped);
     prop_crash_recovery_observational_equivalence;
