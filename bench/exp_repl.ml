@@ -14,11 +14,13 @@
    base latency): the same ack-all workload with the backup forced
    serial (apply chunks of one entry, apply queue depth 1 — the
    pre-pipeline protocol) and with the pipelined backup apply at the
-   config defaults. The primary ships every entry at commit in both;
-   the pipelined backup keeps receiving while it applies and
-   re-executes up to [repl_ship_ops] queued entries as one group commit
-   under one ack, so the acked throughput at high latency must scale
-   well past the serial protocol's round-trip bound.
+   config defaults. The primary sends each put's payload ahead of its
+   local op and ships every entry at commit in both; the pipelined
+   backup writes up to [repl_apply_depth] - 1 payloads as they arrive
+   (the serial one, at depth 1, writes each at apply), keeps receiving
+   while it applies and re-executes up to [repl_ship_ops] queued entries
+   as one group commit under one ack, so the acked throughput at high
+   latency must scale well past the serial protocol's round-trip bound.
 
    Acceptance gates (smoke/repl.sh and smoke/repl2.sh grep for these):
    - REPL-ATTRIBUTION: on the ack-all run at base link latency, at
@@ -50,9 +52,6 @@ type row = {
   kops : float;
   p99_us : float;
   p9999_us : float;
-  ships : int;
-  ship_msgs : int;
-  fill_avg : float;  (* entries per flushed ship message *)
   final_lag : int;
   wait_us_per_op : float;
   repl_share_pct : float;  (* Repl_wait share of the >=p9999 mass *)
@@ -120,11 +119,8 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
   let ship_bytes = engine_of "repl.ship_bytes" in
   let waits = engine_of "repl.waits" in
   let wait_ns = engine_of "repl.wait_ns" in
+  let stage_msgs = engine_of "repl.stage_msgs" in
   let final_lag = engine_of "repl.lag_max" in
-  let fill_avg =
-    if ship_msgs = 0 then 0.0
-    else float_of_int ships /. float_of_int ship_msgs
-  in
   (* Backup-side pipeline stats: the apply loop's gauges live on each
      backup store's own registry (a backup is a separate machine). *)
   let backup_of k =
@@ -145,9 +141,9 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
     (us r.Runner.updates 99.0)
     (us r.Runner.updates 99.99);
   if mode <> None then begin
-    note "shipped %d entries in %d msgs (avg fill %.1f), durability waits %d \
+    note "shipped %d entries in %d msgs after %d stages, durability waits %d \
           (avg %.1f us), peak lag %d entries (drained before stop)"
-      ships ship_msgs fill_avg waits wait_us_per_op final_lag;
+      ships ship_msgs stage_msgs waits wait_us_per_op final_lag;
     if apply_batches > 0 then
       note "backup apply: %d entries in %d chunks (%.1f/chunk), drain %.1f ms"
         apply_entries apply_batches
@@ -193,7 +189,7 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
          ("ships", Json.Int ships);
          ("ship_msgs", Json.Int ship_msgs);
          ("ship_bytes", Json.Int ship_bytes);
-         ("ship_fill_avg", Json.Float fill_avg);
+         ("stage_msgs", Json.Int stage_msgs);
          ("apply_batches", Json.Int apply_batches);
          ("apply_entries", Json.Int apply_entries);
          ("apply_drain_ns", Json.Int apply_drain_ns);
@@ -207,9 +203,6 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
     kops = r.Runner.throughput /. 1e3;
     p99_us = us r.Runner.updates 99.0;
     p9999_us = us r.Runner.updates 99.99;
-    ships;
-    ship_msgs;
-    fill_avg;
     final_lag;
     wait_us_per_op;
     repl_share_pct = repl_share;
@@ -238,12 +231,12 @@ let run opts =
     ]
   in
   hdr "repl: summary (write-only, Zipfian hot keys)";
-  note "%-28s %10s %9s %9s %6s %7s %9s %10s" "mode" "Kops/s" "p99(us)"
-    "p9999(us)" "fill" "lag" "wait(us)" "repl%p9999";
+  note "%-28s %10s %9s %9s %7s %9s %10s" "mode" "Kops/s" "p99(us)"
+    "p9999(us)" "lag" "wait(us)" "repl%p9999";
   List.iter
     (fun row ->
-      note "%-28s %10.1f %9.1f %9.1f %6.1f %7d %9.1f %10.1f" row.label row.kops
-        row.p99_us row.p9999_us row.fill_avg row.final_lag row.wait_us_per_op
+      note "%-28s %10.1f %9.1f %9.1f %7d %9.1f %10.1f" row.label row.kops
+        row.p99_us row.p9999_us row.final_lag row.wait_us_per_op
         row.repl_share_pct)
     rows;
   print_newline ();

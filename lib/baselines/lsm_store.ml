@@ -567,18 +567,6 @@ let flush_now t =
   in
   wait ()
 
-let object_count t =
-  let seen = Hashtbl.create 1024 in
-  Platform.with_lock t.m (fun () ->
-      let note k v = if not (Hashtbl.mem seen k) then Hashtbl.add seen k (v <> None) in
-      Hashtbl.iter (fun k v -> note k v) t.active.entries;
-      List.iter (fun mt -> Hashtbl.iter (fun k v -> note k v) mt.entries) t.frozen;
-      List.iter
-        (fun r ->
-          Array.iter (fun (k, _, _, del) -> note k (if del then None else Some Bytes.empty)) r.index)
-        t.runs);
-  Hashtbl.fold (fun _ live acc -> if live then acc + 1 else acc) seen 0
-
 let footprint t =
   let mem_bytes =
     t.active.bytes + List.fold_left (fun acc mt -> acc + mt.bytes) 0 t.frozen

@@ -41,9 +41,6 @@ val get : t -> string -> Bytes.t -> int
 
 val delete : t -> string -> bool
 
-val object_count : t -> int
-(** Approximate (live keys across levels). *)
-
 val flush_now : t -> unit
 (** Force memtable freeze + flush (testing aid). *)
 

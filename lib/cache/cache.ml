@@ -151,9 +151,6 @@ let borrow t key =
       t.misses <- t.misses + 1;
       None
 
-let mem t key =
-  match Hashtbl.find_opt t.tbl key with Some e -> e.live | None -> false
-
 let put t key src ~pos ~len =
   if len >= 0 then begin
     match Hashtbl.find_opt t.tbl key with

@@ -56,10 +56,6 @@ val borrow : t -> string -> (Bytes.t * int) option
     before mutating the cache. Counts a hit (and sets the entry's
     reference bit) or a miss. *)
 
-val mem : t -> string -> bool
-(** Presence probe; does not count a hit or miss and does not set the
-    reference bit. *)
-
 val put : t -> string -> Bytes.t -> pos:int -> len:int -> unit
 (** [put t key src ~pos ~len] caches [len] bytes of [src] at [pos]
     under [key], copying into a recycled (or freshly grown) buffer and

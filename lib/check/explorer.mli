@@ -76,8 +76,6 @@ type topology =
       target : int;  (** 0 = primary's PMEM swept, 1 = backup's. *)
     }
 
-val story_label : story -> string
-
 val topology_label : topology -> string
 (** E.g. ["single"], ["cluster shards=2 target=0"],
     ["pair mode=ack-all story=steady target=node1"]. *)

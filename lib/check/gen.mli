@@ -40,10 +40,6 @@ val generate : seed:int -> n:int -> op list
     multi-slot log records), followed by unlocks for any still-held
     locks. *)
 
-val pp_op : op -> string
-
-val pp_ops : op list -> string
-
 val arbitrary : n:int -> (int * op list) QCheck.arbitrary
 (** [(seed, generate ~seed ~n)] pairs for qcheck properties; the printer
     shows the seed so failures are reproducible with one number. *)

@@ -35,8 +35,6 @@ let create () = { committed = Hashtbl.create 64; pending = P_none }
 let committed_value t key =
   match Hashtbl.find_opt t.committed key with Some v -> v | None -> None
 
-let known t key = Hashtbl.mem t.committed key
-
 let touch t key =
   if not (Hashtbl.mem t.committed key) then Hashtbl.add t.committed key None
 
@@ -107,8 +105,6 @@ let commit_pending t =
   t.pending <- P_none
 
 let abort_pending t = t.pending <- P_none
-
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.committed []
 
 (* Acceptable recovered states for the key an op was in flight on. An
    owrite streams its affected pages to the SSD in ascending order, so the

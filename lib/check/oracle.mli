@@ -60,11 +60,6 @@ val committed_value : t -> string -> Bytes.t option
 (** The durably-acknowledged value ([None] = absent). Drivers use this to
     make deterministic decisions (e.g. skip a write to an absent key). *)
 
-val known : t -> string -> bool
-(** Whether the key is part of the oracle universe (was ever touched). *)
-
-val keys : t -> string list
-
 (** {1 Checking} *)
 
 val check :
@@ -74,7 +69,3 @@ val check :
     through the metadata zone and SSD extents), [names] is the recovered
     object listing (phantom detection). Returns human-readable violations;
     empty = the recovered state is one the contract allows. *)
-
-val acceptable : t -> string -> Bytes.t option list
-(** The set of values the contract allows for a key right now (exposed
-    for tests). *)

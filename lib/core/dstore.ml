@@ -388,6 +388,8 @@ let page_size t = Ssd.page_size t.ssd
 
 let page_bytes = page_size
 
+let ssd_channels t = (Ssd.config t.ssd).Ssd.channels
+
 let blocks_for t size = (size + page_size t - 1) / page_size t
 
 (* Write [size] bytes of [buf] to the blocks of [extents], in order. *)
@@ -626,7 +628,7 @@ let unstage_on_error t staged f =
       raise e
 
 (* Step 8 for every staged put, overlapped across the SSD's channels. *)
-let write_payloads ~span t staged =
+let write_payloads ?(span = Span.none) t staged =
   match List.filter (function Sput _ -> true | Sdelete _ -> false) staged with
   | [] -> ()
   | puts ->
@@ -785,15 +787,17 @@ let rec exec_sub_batches ctx t span = function
       let r = exec_sub_batch ctx t span ~later:(List.concat rest) sub in
       r @ exec_sub_batches ctx t span rest
 
-(* Staging runs once per call, before the split: every payload of the
-   call shares one SSD round, however many duplicate-key sub-batches
-   follow. A single op is its own sub-batch, with no split to run.
-   Returns what each op's commit released, in input order: [None] only
-   for a delete that found nothing. *)
-let pipeline ctx t span ops =
-  match stage ~span t ops with
+(* Append and commit a staged group. A single op is its own sub-batch,
+   with no split to run. Returns what each op's commit released, in
+   input order: [None] only for a delete that found nothing. *)
+let exec ctx t span = function
   | [ _ ] as one -> exec_sub_batch ctx t span ~later:[] one
   | staged -> exec_sub_batches ctx t span (split_batches t staged)
+
+(* Staging runs once per call, before the split: every payload of the
+   call shares one SSD round, however many duplicate-key sub-batches
+   follow. *)
+let pipeline ctx t span ops = exec ctx t span (stage ~span t ops)
 
 (* Physical-logging put (Figure 9 naïve baseline): allocations, structure
    updates and releases all run inside the critical section under write
@@ -880,6 +884,29 @@ let odelete ?span ctx key =
   Metrics.observe t.h_del (now t - t0);
   r
 
+(* Group-commit acknowledgment: every op in the group observes the whole
+   call's latency — nothing is durable earlier. *)
+let observe_group t t0 is_put ops =
+  let dt = now t - t0 in
+  List.iter
+    (fun op -> Metrics.observe (if is_put op then t.h_put else t.h_del) dt)
+    ops
+
+(* One Batch span covers a whole group commit; attribution weights it by
+   op count (every op observes batch latency). *)
+let exec_staged ?span ctx staged =
+  check_ctx ctx;
+  let t = ctx.store in
+  match staged with
+  | [] -> []
+  | _ ->
+      let t0 = now t in
+      let sp = span_of t span ~n_ops:(List.length staged) Span.Batch "(batch)" in
+      let posts = exec ctx t sp staged in
+      finish_own span sp;
+      observe_group t t0 (function Sput _ -> true | Sdelete _ -> false) staged;
+      List.map Option.is_some posts
+
 let obatch ?span ctx ops =
   check_ctx ctx;
   let t = ctx.store in
@@ -890,8 +917,8 @@ let obatch ?span ctx ops =
       let results =
         match t.cfg.logging with
         | Config.Logical ->
-            (* One Batch span covers the whole group commit; attribution
-               weights it by op count (every op observes batch latency). *)
+            (* [claim], [write_payloads], then [exec_staged]'s append and
+               commit, all in the one span. *)
             let sp = span_of t span ~n_ops:(List.length ops) Span.Batch "(batch)" in
             let posts = pipeline ctx t sp ops in
             finish_own span sp;
@@ -907,15 +934,7 @@ let obatch ?span ctx ops =
                 | Bdelete k -> delete_one ctx t Span.none k)
               ops
       in
-      (* Group-commit acknowledgment: every op in the batch observes the
-         whole batch's latency — nothing is durable earlier. *)
-      let dt = now t - t0 in
-      List.iter
-        (fun op ->
-          match op with
-          | Bput _ -> Metrics.observe t.h_put dt
-          | Bdelete _ -> Metrics.observe t.h_del dt)
-        ops;
+      observe_group t t0 (function Bput _ -> true | Bdelete _ -> false) ops;
       results
 
 let oput_batch ctx kvs =

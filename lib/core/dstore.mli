@@ -193,6 +193,33 @@ val obatch : ?span:Dstore_obs.Span.t -> ctx -> batch_op list -> bool list
     committed before the rejection stay committed, and every id claimed
     for the rest of the call is given back. *)
 
+(** {2 The pipeline's halves}
+
+    Under [Logical] logging [obatch] is [claim], [write_payloads], then
+    the append and commit of [exec_staged], in one span. A replication
+    backup runs them apart: it claims and writes a put's payload when the
+    payload arrives, and commits it when its ordering entry does. Claimed
+    ids are unreachable until their record commits and the pools are
+    volatile, so an unexecuted claim costs nothing durable. *)
+
+type staged
+(** One op of a claimed group. *)
+
+val claim : t -> batch_op list -> staged list
+(** Claim every put's blocks and metadata id in one frontend-lock hold;
+    raises [Out_of_blocks] with nothing claimed. *)
+
+val write_payloads : ?span:Dstore_obs.Span.t -> t -> staged list -> unit
+(** Write every put's payload, overlapped across the SSD's channels. *)
+
+val exec_staged : ?span:Dstore_obs.Span.t -> ctx -> staged list -> bool list
+(** Append, apply and commit a claimed, written group; as [obatch]. *)
+
+val unstage : t -> staged list -> unit
+(** Give back the ids of a claimed group that will not be executed. *)
+
+val ssd_channels : t -> int
+
 val oput_batch : ctx -> (string * Bytes.t) list -> unit
 (** [obatch] over puts only. Durable on return. *)
 

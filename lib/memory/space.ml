@@ -71,8 +71,6 @@ let set_used t v = t.mem.Mem.set_u64 off_used v
 
 let used_bytes = used
 
-let size t = t.mem.Mem.size
-
 let reserve t n =
   Mutex.lock t.guard;
   if t.sealed then begin

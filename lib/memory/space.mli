@@ -26,9 +26,6 @@ exception Out_of_space
 
 val header_bytes : int
 
-val root_slots : int
-(** Number of generic root slots (structure entry points) in the header. *)
-
 val format : Mem.t -> t
 (** Initialise a fresh space covering the whole arena. *)
 
@@ -59,8 +56,6 @@ val set_root : t -> int -> int -> unit
 
 val used_bytes : t -> int
 (** High-water mark: the prefix a clone must copy. *)
-
-val size : t -> int
 
 val persist_used : t -> unit
 (** Flush the used prefix (no-op on DRAM arenas) — the end-of-checkpoint

@@ -31,9 +31,6 @@ let create ?(capacity = 4096) ~causes () =
   let cap = max 1 capacity in
   { causes; cap; n = 0; heap = Array.make cap dummy }
 
-let capacity t = t.cap
-let length t = t.n
-
 let swap t i j =
   let x = t.heap.(i) in
   t.heap.(i) <- t.heap.(j);

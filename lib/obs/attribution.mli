@@ -20,13 +20,9 @@ type t
 
 val create : ?capacity:int -> causes:string array -> unit -> t
 
-val capacity : t -> int
-val length : t -> int
-
 val add :
   t -> lat:int -> weight:int -> t_end:int -> kind:string -> blame:int array -> unit
 
-val iter : t -> (entry -> unit) -> unit
 val clear : t -> unit
 val merge_into : dst:t -> t -> unit
 

@@ -31,11 +31,6 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  escape_to buf s;
-  Buffer.contents buf
-
 (* Floats must survive a round-trip and stay valid JSON (no nan/inf). *)
 let float_repr f =
   if Float.is_nan f then "null"

@@ -18,10 +18,6 @@ val to_string : t -> string
 val pretty : t -> string
 (** Two-space-indented encoding for humans. *)
 
-val escape : string -> string
-(** The quoted, escaped form of a string (as it appears inside a
-    document). *)
-
 exception Parse_error of string
 
 val of_string : string -> t

@@ -65,16 +65,7 @@ val observe : histo -> int -> unit
 val histo_data : histo -> Dstore_util.Histogram.t
 (** The underlying histogram, for percentile queries. *)
 
-(** {1 Snapshot, merge, reset} *)
-
-type value =
-  | Vcounter of int
-  | Vgauge of int  (** Plain and callback gauges. *)
-  | Vhisto of Dstore_util.Histogram.t
-
-val snapshot : t -> (string * value) list
-(** Name-sorted. Histograms are returned live (not copied): read, don't
-    mutate. *)
+(** {1 Lookup, merge, reset} *)
 
 val value : t -> string -> int option
 (** Scalar lookup by name; [None] for histograms and unknown names. *)

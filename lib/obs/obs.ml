@@ -24,17 +24,9 @@ let create ?(enabled = true) ?span_capacity ~now () =
   done;
   o
 
-let null () = create ~enabled:false ~span_capacity:1 ~now:(fun () -> 0) ()
-
-let enabled t = Metrics.enabled t.metrics
-
 let set_enabled t v =
   Metrics.set_enabled t.metrics v;
   Span.set_enabled t.spans v
-
-let reset t =
-  Metrics.reset t.metrics;
-  Span.reset t.spans
 
 let to_json t =
   Json.Obj

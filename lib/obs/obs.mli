@@ -11,17 +11,8 @@ val create :
     gauges over the span recorder, so cluster prefix-merges export
     per-shard blame rollups automatically. *)
 
-val null : unit -> t
-(** A disabled handle with a constant clock — the zero-cost default when
-    no observability is wanted. *)
-
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
 (** Switches the registry and the span recorder. *)
-
-val reset : t -> unit
-(** Reset metrics and the span recorder. *)
 
 val to_json : t -> Json.t
 (** [{"metrics": ..., "blame": {...}}]. *)

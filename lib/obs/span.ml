@@ -110,8 +110,6 @@ let seg_names =
     "other";
   |]
 
-let seg_label i = seg_names.(i)
-
 type kind = Put | Get | Delete | Write | Read | Batch | Txn | Checkpoint | Recovery
 
 let kind_name = function
@@ -224,7 +222,6 @@ let create ?(capacity = 1024) ?reservoir ?(bucket_ns = 100_000_000) ?ts_buckets
     ops = 0;
   }
 
-let enabled r = !(r.on)
 let set_enabled r v = r.on := v
 let set_ambient r f = r.ambient <- f
 let capacity r = Array.length r.ring

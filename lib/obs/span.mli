@@ -34,7 +34,6 @@ type cause =
 val n_causes : int
 val cause_index : cause -> int
 val cause_label : int -> string
-val cause_names : string array
 
 type seg =
   | S_index
@@ -58,11 +57,8 @@ type seg =
 
 val n_segs : int
 val seg_index : seg -> int
-val seg_label : int -> string
 
 type kind = Put | Get | Delete | Write | Read | Batch | Txn | Checkpoint | Recovery
-
-val kind_name : kind -> string
 
 val is_op : kind -> bool
 (** Checkpoint and recovery spans are recorded but excluded from the op
@@ -90,7 +86,6 @@ val create :
     reservoir (default 4x capacity); [bucket_ns]/[ts_buckets] shape the
     time series (defaults 100 ms x 64). *)
 
-val enabled : recorder -> bool
 val set_enabled : recorder -> bool -> unit
 
 val set_ambient : recorder -> (unit -> int) -> unit

@@ -34,9 +34,6 @@ let create ?(bucket_ns = 100_000_000) ?(buckets = 64) ~causes () =
           });
   }
 
-let bucket_ns t = t.bucket_ns
-let capacity t = Array.length t.ring
-
 let reset_bucket b idx =
   b.idx <- idx;
   b.ops <- 0;

@@ -11,11 +11,6 @@ type t
 val create : ?bucket_ns:int -> ?buckets:int -> causes:string array -> unit -> t
 (** [causes] names the blame vector's components (fixed at creation). *)
 
-val bucket_ns : t -> int
-
-val capacity : t -> int
-(** Number of ring slots. *)
-
 val observe : t -> now:int -> lat:int -> weight:int -> blame:int array -> unit
 (** Record one (possibly batched) operation: [blame] is its per-op blame
     vector in create-order; mass scales with [weight]. *)

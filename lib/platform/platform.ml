@@ -31,7 +31,3 @@ let with_lock m f =
       raise e
 
 let ns_per_s = 1_000_000_000
-
-let ns_per_ms = 1_000_000
-
-let ns_per_us = 1_000

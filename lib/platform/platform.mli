@@ -43,7 +43,3 @@ val with_lock : mutex -> (unit -> 'a) -> 'a
 (** Run under the mutex; always unlocks, including on exceptions. *)
 
 val ns_per_s : int
-
-val ns_per_ms : int
-
-val ns_per_us : int

@@ -10,14 +10,6 @@ type t
 
 val create : Platform.t -> t
 
-val read_lock : t -> unit
-
-val read_unlock : t -> unit
-
-val write_lock : t -> unit
-
-val write_unlock : t -> unit
-
 val with_read : t -> (unit -> 'a) -> 'a
 
 val with_write : t -> (unit -> 'a) -> 'a

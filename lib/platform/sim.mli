@@ -12,30 +12,6 @@
     function of the program and its seeds. All the paper's experiments run
     on this engine with 28 simulated client threads (see DESIGN.md). *)
 
-type waker
-(** A parked process. Handed to the register function of a {!Suspend};
-    {!wake} schedules it again. Wake each waker exactly once. *)
-
-type _ Effect.t +=
-  | Wait : int -> unit Effect.t
-        (** Advance the performing process's time. Prefer {!wait}. *)
-  | Suspend : (waker -> unit) -> unit Effect.t
-        (** Park the performing process. The argument runs at once, before
-            any other process, and receives the process's waker, typically
-            to queue it; whoever later pops it calls {!wake}. Exposed so
-            other libraries can build additional synchronization primitives
-            (see {!Sim_platform}). Build the effect value once per
-            primitive, not per park: performing a prebuilt [Suspend] and
-            waking it allocates nothing beyond the runtime's continuation.
-
-            The handler takes each [Wait]'s and [Suspend]'s payload out of
-            the effect into the simulator's own record and returns the
-            matching one of two handlers built with the simulator, which
-            reads it back. This
-            allocates nothing and is safe because the runtime calls the
-            returned handler right after matching the effect, before any
-            other OCaml code runs. *)
-
 type t
 
 val create : unit -> t
@@ -70,10 +46,6 @@ val clear_pending : t -> unit
     reference to a dropped process, so once the old incarnation's own
     structures (the mutexes and conds its processes park on) are dropped,
     their stacks are garbage. *)
-
-val wake : t -> waker -> unit
-(** Schedule a parked process to resume at the current virtual time, after
-    every event already queued for that time. *)
 
 val blocked_processes : t -> int
 (** Number of processes currently suspended (waiting on a mutex, condition

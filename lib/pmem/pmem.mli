@@ -86,9 +86,6 @@ val create : Platform.t -> config -> t
 
 val size : t -> int
 
-val line_size : int
-(** 64 bytes. *)
-
 (** {1 CPU accessors (cached, not persistent until flushed)} *)
 
 val get_u8 : t -> int -> int

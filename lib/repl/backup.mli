@@ -16,11 +16,23 @@
     the highest applied rseq, which the primary's monotone per-slot
     watermark expands to every entry at or below it.
 
-    Time an entry spends queued between receipt and re-execution is
-    booked as [Span.Repl_apply] blame on this store's recorder, and the
-    pipeline exports [repl.apply_queue] / [repl.apply_depth] /
+    {b Pre-staging}: a {!Repl.Stage} claims ids when it arrives — only
+    once everything received before it has applied, so claims and
+    commit-time frees happen in link order, as a one-by-one replay of
+    the stream would make them — and queues the payload write for a
+    fixed pool of writer fibers, one per SSD channel. Its entry then
+    waits for that write and appends and commits with no device time.
+    At most [repl_apply_depth - 1] stages wait unapplied (a ring indexed
+    by tag); beyond that, and for an entry whose stage never arrived,
+    the entry stages at apply. Claims no entry will use go back on a
+    {!Repl.Drop}, an epoch change, {!reattach} and {!stop}.
+
+    Time an entry spends queued between receipt and re-execution, and
+    its wait for an unfinished payload write, are booked as
+    [Span.Repl_apply] blame on this store's recorder, and the pipeline
+    exports [repl.apply_queue] / [repl.apply_depth] /
     [repl.apply_batches] / [repl.apply_entries] / [repl.apply_drain_ns]
-    on its registry.
+    / [repl.prestaged] on its registry.
 
     Epoch fence: a ship whose epoch is older than the backup's is
     rejected with a negative ack carrying the backup's epoch — this is
@@ -41,7 +53,7 @@ type t
 val create :
   Platform.t ->
   ?applied0:int ->
-  data:Repl.entry Link.t ->
+  data:Repl.msg Link.t ->
   ack:Repl.ack_msg Link.t ->
   epoch:int ->
   Dstore.t ->
@@ -52,15 +64,16 @@ val create :
     it. Call {!start} to spawn the loops. *)
 
 val reattach :
-  t -> data:Repl.entry Link.t -> ack:Repl.ack_msg Link.t -> epoch:int -> t
+  t -> data:Repl.msg Link.t -> ack:Repl.ack_msg Link.t -> epoch:int -> t
 (** After failover: rebind a surviving backup to a new primary's links
     under the new epoch, keeping its store and applied watermark (the
     apply queue starts empty — the new primary reships everything above
-    the watermark). Call {!start} on the result. *)
+    the watermark — and the old incarnation's claims go back). Call
+    {!start} on the result. *)
 
 val start : t -> unit
-(** Spawn the receive and apply loops (both exit when the data link
-    closes and the queue drains, or on {!stop}). *)
+(** Spawn the receive and apply loops and the payload writers (all exit
+    when the data link closes and the queue drains, or on {!stop}). *)
 
 val drain : t -> unit
 (** Block until everything already received has been applied (queue
@@ -68,12 +81,11 @@ val drain : t -> unit
     applied watermark before comparing survivors. *)
 
 val stop : t -> unit
-(** Close both links, wake and retire both loops, stop the store.
-    Entries still queued are dropped — they were never acked. *)
+(** Close both links, wake and retire the loops, give back pre-staged
+    claims once their writes finish, stop the store. Entries still
+    queued are dropped — they were never acked. *)
 
 val store : t -> Dstore.t
-
-val epoch : t -> int
 
 val applied_rseq : t -> int
 (** Highest applied-and-persisted replication sequence number. *)

@@ -18,8 +18,9 @@ let slot_state_name = function
 
 type slot = {
   node : int;
-  data : Repl.entry Link.t;
+  data : Repl.msg Link.t;
   ack : Repl.ack_msg Link.t;
+  staged_from : int;  (* the first stage tag sent to this slot *)
   mutable state : slot_state;
   mutable shipped : int;
   mutable acked : int;
@@ -41,6 +42,7 @@ type t = {
   waiters : Platform.cond Pqueue.t;
   cond_pool : Platform.cond Pqueue.t;  (* every key 0: a stack *)
   mutable rseq : int;
+  mutable tag : int;  (* last stage tag; tags restart with each incarnation *)
   mutable in_flight : int;  (* mutating ops between entry and ship+ack *)
   mutable committed_lsn : int;  (* engine commit-hook watermark *)
   journal_on : bool;
@@ -51,8 +53,9 @@ type t = {
   mutable barrier : bool;
   (* stats (exported as repl.* gauge views) *)
   mutable ships : int;  (* entries shipped *)
-  mutable ship_msgs : int;  (* messages sent, one per entry *)
-  mutable ship_bytes : int;  (* serialized bytes sent *)
+  mutable ship_msgs : int;  (* ordering messages sent, one per entry *)
+  mutable ship_bytes : int;  (* their serialized bytes *)
+  mutable stage_msgs : int;  (* stage messages sent, one per staged op *)
   mutable acks : int;
   mutable rejects : int;
   mutable waits : int;
@@ -61,12 +64,8 @@ type t = {
 }
 
 let store t = t.store
-let mode t = t.mode
-let epoch t = t.epoch
 let fenced t = t.fenced
 let rseq t = t.rseq
-let committed_lsn t = t.committed_lsn
-let wait_ns t = t.wait_ns
 let journal t = List.rev t.journal_rev
 
 (* Quorum arithmetic ranges over Live slots only: a Dead slot must not
@@ -102,6 +101,7 @@ let register_views t =
   Metrics.gauge_fn m "repl.ships" (fun () -> t.ships);
   Metrics.gauge_fn m "repl.ship_msgs" (fun () -> t.ship_msgs);
   Metrics.gauge_fn m "repl.ship_bytes" (fun () -> t.ship_bytes);
+  Metrics.gauge_fn m "repl.stage_msgs" (fun () -> t.stage_msgs);
   Metrics.gauge_fn m "repl.acks" (fun () -> t.acks);
   Metrics.gauge_fn m "repl.rejects" (fun () -> t.rejects);
   Metrics.gauge_fn m "repl.waits" (fun () -> t.waits);
@@ -128,6 +128,7 @@ let wake_all t =
   release t max_int;
   t.ack_cond.Platform.broadcast ()
 
+(* Hand-locked, like the put path: no closure per ack. *)
 let ack_loop t slot =
   let rec loop () =
     match Link.recv slot.ack with
@@ -136,36 +137,33 @@ let ack_loop t slot =
             if slot.state <> Dead then slot.state <- Dead;
             wake_all t)
     | a ->
-        Platform.with_lock t.lock (fun () ->
-            if a.Repl.a_ok then begin
-              t.acks <- t.acks + 1;
-              if a.Repl.a_rseq > slot.acked then begin
-                slot.acked <- a.Repl.a_rseq;
-                slot.acked_lsn <- a.Repl.a_lsn
-              end;
-              (* A re-syncing slot goes live the moment it has acked
-                 everything shipped: from here on it is an ordinary
-                 backup and starts gating the quorum. *)
-              if slot.state = Syncing && slot.acked >= t.rseq then
-                slot.state <- Live;
-              release t (quorum_mark t);
-              t.ack_cond.Platform.broadcast ()
-            end
-            else begin
-              (* A reject means someone with a newer epoch owns the
-                 stream: self-fence (split-brain protection for a
-                 primary that missed the explicit seal). *)
-              t.rejects <- t.rejects + 1;
-              if a.Repl.a_epoch > t.epoch then t.fenced <- true;
-              wake_all t
-            end);
+        t.lock.Platform.lock ();
+        if a.Repl.a_ok then begin
+          t.acks <- t.acks + 1;
+          if a.Repl.a_rseq > slot.acked then begin
+            slot.acked <- a.Repl.a_rseq;
+            slot.acked_lsn <- a.Repl.a_lsn
+          end;
+          (* A re-syncing slot goes live the moment it has acked
+             everything shipped: from here on it is an ordinary backup
+             and starts gating the quorum. *)
+          if slot.state = Syncing && slot.acked >= t.rseq then
+            slot.state <- Live;
+          release t (quorum_mark t);
+          t.ack_cond.Platform.broadcast ()
+        end
+        else begin
+          (* A reject means someone with a newer epoch owns the stream:
+             self-fence (split-brain protection for a primary that
+             missed the explicit seal). *)
+          t.rejects <- t.rejects + 1;
+          if a.Repl.a_epoch > t.epoch then t.fenced <- true;
+          wake_all t
+        end;
+        t.lock.Platform.unlock ();
         loop ()
   in
   loop ()
-
-(* Wire-size model for a message: a header plus a per-entry framing line
-   and the op payload. *)
-let msg_bytes (e : Repl.entry) = 64 + 16 + Repl.rop_bytes e.Repl.op
 
 let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
     slot_specs =
@@ -176,6 +174,7 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
           node;
           data;
           ack;
+          staged_from = 1;
           state = Live;
           shipped = acked0;
           acked = acked0;
@@ -197,6 +196,7 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
       waiters = Pqueue.create ~filler;
       cond_pool = Pqueue.create ~filler;
       rseq = rseq_base;
+      tag = 0;
       in_flight = 0;
       committed_lsn = 0;
       journal_on = journal;
@@ -205,6 +205,7 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
       ships = 0;
       ship_msgs = 0;
       ship_bytes = 0;
+      stage_msgs = 0;
       acks = 0;
       rejects = 0;
       waits = 0;
@@ -248,57 +249,118 @@ let check_fenced t = if t.fenced then raise Fenced
    {!Fenced} into a caller whose op was about to become fully durable.
    The same count is the snapshot barrier's drain condition: while a
    snapshot is being cut, new mutators block here. Only the drains wait
-   for the count, and only for zero. *)
+   for the count, and only for zero. [enter] and [leave] lock by hand:
+   the put path allocates no closure for them. *)
+let enter t =
+  t.lock.Platform.lock ();
+  while t.barrier && not t.fenced do
+    t.ack_cond.Platform.wait t.lock
+  done;
+  if t.fenced then begin
+    t.lock.Platform.unlock ();
+    raise Fenced
+  end;
+  t.in_flight <- t.in_flight + 1;
+  t.lock.Platform.unlock ()
+
+let leave t =
+  t.lock.Platform.lock ();
+  t.in_flight <- t.in_flight - 1;
+  if t.in_flight = 0 then t.ack_cond.Platform.broadcast ();
+  t.lock.Platform.unlock ()
+
 let with_op t f =
-  check_fenced t;
-  Platform.with_lock t.lock (fun () ->
-      while t.barrier && not t.fenced do
-        t.ack_cond.Platform.wait t.lock
-      done;
-      if t.fenced then raise Fenced;
-      t.in_flight <- t.in_flight + 1);
-  Fun.protect
-    ~finally:(fun () ->
-      Platform.with_lock t.lock (fun () ->
-          t.in_flight <- t.in_flight - 1;
-          if t.in_flight = 0 then t.ack_cond.Platform.broadcast ()))
-    f
+  enter t;
+  match f () with
+  | r ->
+      leave t;
+      r
+  | exception e ->
+      leave t;
+      raise e
+
+(* Send [msg] on one slot's data link. A closed link downgrades the slot
+   to [Dead] instead of propagating — losing a backup must not fail the
+   committer that happened to send. Caller holds the lock. *)
+let send t s ~bytes msg =
+  try Link.send s.data ~bytes msg
+  with Link.Closed ->
+    s.state <- Dead;
+    wake_all t
+
+(* [msg] to every non-dead slot that was sent stage [tag]. Caller holds
+   the lock. *)
+let send_staged t tag ~bytes msg =
+  for i = 0 to Array.length t.slots - 1 do
+    let s = t.slots.(i) in
+    if s.state <> Dead && tag >= s.staged_from then send t s ~bytes msg
+  done
+
+(* Send the payloads of [ops] to every non-dead slot ahead of the local
+   op, so each backup claims ids and writes them to its SSD while this
+   node does the same. Returns the tag the op's ordering entry names; 0
+   when no slot takes it. *)
+let stage t ops =
+  if Array.length t.slots = 0 || t.fenced then 0
+  else begin
+    t.lock.Platform.lock ();
+    let tag = t.tag + 1 in
+    t.tag <- tag;
+    let msg = Repl.Stage { tag; epoch = t.epoch; ops } in
+    let bytes = Repl.msg_bytes msg in
+    t.stage_msgs <- t.stage_msgs + 1;
+    send_staged t tag ~bytes msg;
+    t.lock.Platform.unlock ();
+    tag
+  end
+
+(* The op of [tag] raised locally: the slots that were sent its stage
+   give the claims back. *)
+let drop t tag =
+  if tag > 0 then begin
+    t.lock.Platform.lock ();
+    send_staged t tag ~bytes:Repl.header_bytes (Repl.Drop { tag; epoch = t.epoch });
+    t.lock.Platform.unlock ()
+  end
 
 (* Assign the rseq and send under one lock hold: rseq order equals send
    order over each FIFO link, so stream order matches rseq order even
    with concurrent committers. Every committed entry goes out at once,
-   as a message of its own. A closed data link downgrades its slot to
-   [Dead] instead of propagating — losing a backup must not fail the
-   committer that happened to ship. *)
-let ship t op =
-  if Array.length t.slots = 0 && not t.journal_on then None
-  else
-    Some
-      (Platform.with_lock t.lock (fun () ->
-           if t.fenced then raise Fenced;
-           t.rseq <- t.rseq + 1;
-           t.ships <- t.ships + 1;
-           let entry =
-             { Repl.rseq = t.rseq; epoch = t.epoch; lsn = t.committed_lsn; op }
-           in
-           if t.journal_on then t.journal_rev <- entry :: t.journal_rev;
-           let m = live_acked t ~best:false in
-           if m <> max_int then t.lag_max <- max t.lag_max (t.rseq - m);
-           if Array.length t.slots > 0 then begin
-             let bytes = msg_bytes entry in
-             t.ship_msgs <- t.ship_msgs + 1;
-             t.ship_bytes <- t.ship_bytes + bytes;
-             for i = 0 to Array.length t.slots - 1 do
-               let s = t.slots.(i) in
-               if s.state <> Dead then
-                 match Link.send s.data ~bytes entry with
-                 | () -> s.shipped <- t.rseq
-                 | exception Link.Closed ->
-                     s.state <- Dead;
-                     wake_all t
-             done
-           end;
-           entry))
+   as a message of its own: a header to a slot that was sent its stage,
+   the whole op to the others. Returns the rseq; 0 when nothing
+   shipped. *)
+let ship t ~tag op =
+  if Array.length t.slots = 0 && not t.journal_on then 0
+  else begin
+    t.lock.Platform.lock ();
+    if t.fenced then begin
+      t.lock.Platform.unlock ();
+      raise Fenced
+    end;
+    t.rseq <- t.rseq + 1;
+    t.ships <- t.ships + 1;
+    let entry =
+      { Repl.rseq = t.rseq; epoch = t.epoch; lsn = t.committed_lsn; tag; op }
+    in
+    if t.journal_on then t.journal_rev <- entry :: t.journal_rev;
+    let m = live_acked t ~best:false in
+    if m <> max_int then t.lag_max <- max t.lag_max (t.rseq - m);
+    if Array.length t.slots > 0 then begin
+      let msg = Repl.Entry entry in
+      let full = Repl.msg_bytes msg in
+      t.ship_msgs <- t.ship_msgs + 1;
+      t.ship_bytes <- t.ship_bytes + (if tag > 0 then Repl.header_bytes else full);
+      for i = 0 to Array.length t.slots - 1 do
+        let s = t.slots.(i) in
+        if s.state <> Dead then begin
+          send t s msg ~bytes:(if tag >= s.staged_from then Repl.header_bytes else full);
+          if s.state <> Dead then s.shipped <- t.rseq
+        end
+      done
+    end;
+    t.lock.Platform.unlock ();
+    t.rseq
+  end
 
 (* Park until the quorum mark covers [rseq] or the primary is fenced.
    Caller holds the lock. *)
@@ -316,41 +378,54 @@ let await_quorum t rseq =
   end;
   if rseq > quorum_mark t then raise Fenced
 
-let wait_durable t span (entry : Repl.entry) =
-  if Array.length t.slots = 0 then ()
-  else
-    match t.mode with
-    | Repl.Async -> ()
-    | Repl.Ack_one | Repl.Ack_all ->
-        let t0 = t.platform.Platform.now () in
-        Platform.with_lock t.lock (fun () -> await_quorum t entry.Repl.rseq);
-        let dt = t.platform.Platform.now () - t0 in
-        (* One wait per client op the entry carries, mirroring the
-           group-commit convention: an R_batch of n puts books n waits
-           of dt each, so mean-wait-per-op stays comparable across batch
-           sizes. *)
-        let n = Repl.rop_ops entry.Repl.op in
-        t.waits <- t.waits + n;
-        t.wait_ns <- t.wait_ns + (n * dt);
-        Span.stall span Span.Repl_wait dt
+(* [n] is the client ops the entry carries: an R_batch of n puts books n
+   waits of the whole wait each, the group-commit convention, so
+   mean-wait-per-op stays comparable across batch sizes. *)
+let wait_durable t span ~n rseq =
+  if rseq > 0 && Array.length t.slots > 0 && t.mode <> Repl.Async then begin
+    let t0 = t.platform.Platform.now () in
+    t.lock.Platform.lock ();
+    (match await_quorum t rseq with
+    | () -> t.lock.Platform.unlock ()
+    | exception e ->
+        t.lock.Platform.unlock ();
+        raise e);
+    let dt = t.platform.Platform.now () - t0 in
+    t.waits <- t.waits + n;
+    t.wait_ns <- t.wait_ns + (n * dt);
+    Span.stall span Span.Repl_wait dt
+  end
 
-let replicate t span op =
-  match ship t op with None -> () | Some e -> wait_durable t span e
+let replicate t span ~tag op =
+  wait_durable t span ~n:(Repl.rop_ops op) (ship t ~tag op)
 
 let spans t = (Dstore.obs t.store).Obs.spans
 
+(* A put's stage leaves before its local op; if the op raises, the
+   backups are told to give the claims back. *)
 let oput t ctx key value =
-  with_op t (fun () ->
-      let span = Span.start (spans t) Span.Put key in
-      Dstore.oput ~span ctx key value;
-      replicate t span (Repl.R_put (key, value));
-      Span.finish span)
+  enter t;
+  match
+    let span = Span.start (spans t) Span.Put key in
+    let tag = stage t [ Dstore.Bput (key, value) ] in
+    (match Dstore.oput ~span ctx key value with
+    | () -> ()
+    | exception e ->
+        drop t tag;
+        raise e);
+    replicate t span ~tag (Repl.R_put (key, value));
+    Span.finish span
+  with
+  | () -> leave t
+  | exception e ->
+      leave t;
+      raise e
 
 let odelete t ctx key =
   with_op t (fun () ->
       let span = Span.start (spans t) Span.Delete key in
       let existed = Dstore.odelete ~span ctx key in
-      replicate t span (Repl.R_delete key);
+      replicate t span ~tag:0 (Repl.R_delete key);
       Span.finish span;
       existed)
 
@@ -362,8 +437,15 @@ let obatch t ctx ops =
           let span =
             Span.start (spans t) ~n_ops:(List.length ops) Span.Batch "(batch)"
           in
-          let rs = Dstore.obatch ~span ctx ops in
-          replicate t span (Repl.R_batch ops);
+          let tag = stage t ops in
+          let rs =
+            match Dstore.obatch ~span ctx ops with
+            | rs -> rs
+            | exception e ->
+                drop t tag;
+                raise e
+          in
+          replicate t span ~tag (Repl.R_batch ops);
           Span.finish span;
           rs)
 
@@ -371,7 +453,7 @@ let ocreate t ctx key =
   with_op t (fun () ->
       let o = Dstore.oopen ctx key ~create:true Dstore.Wr in
       Dstore.oclose o;
-      replicate t Span.none (Repl.R_create key))
+      replicate t Span.none ~tag:0 (Repl.R_create key))
 
 let owrite t ctx key ~off data =
   with_op t (fun () ->
@@ -379,7 +461,7 @@ let owrite t ctx key ~off data =
       let o = Dstore.oopen ctx key ~create:false Dstore.Rdwr in
       let n = Dstore.owrite ~span o data ~size:(Bytes.length data) ~off in
       Dstore.oclose o;
-      replicate t span (Repl.R_write { key; off; data });
+      replicate t span ~tag:0 (Repl.R_write { key; off; data });
       Span.finish span;
       n)
 
@@ -445,19 +527,23 @@ let end_snapshot t =
 
 let attach_slot t ~node ~data ~ack ~acked0 ~syncing =
   let slot =
-    {
-      node;
-      data;
-      ack;
-      state = (if syncing then Syncing else Live);
-      shipped = acked0;
-      acked = acked0;
-      acked_lsn = 0;
-    }
+    Platform.with_lock t.lock (fun () ->
+        let slot =
+          {
+            node;
+            data;
+            ack;
+            staged_from = t.tag + 1;
+            state = (if syncing then Syncing else Live);
+            shipped = acked0;
+            acked = acked0;
+            acked_lsn = 0;
+          }
+        in
+        t.slots <- Array.append t.slots [| slot |];
+        wake_all t;
+        slot)
   in
-  Platform.with_lock t.lock (fun () ->
-      t.slots <- Array.append t.slots [| slot |];
-      wake_all t);
   t.platform.Platform.spawn "repl.ack" (fun () -> ack_loop t slot)
 
 let detach_slot t node =

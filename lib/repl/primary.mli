@@ -5,7 +5,11 @@
     persists as usual), then ships as one replication entry — a whole
     group commit ships as one [R_batch] entry, mirroring the
     [Oplog.flush_batch]/[persist_span] boundaries — to every attached
-    backup, in rseq order. Under [Ack_one]/[Ack_all] the call then
+    backup, in rseq order. A put or group commit first sends its
+    payloads as a {!Repl.Stage}, before the local op, so each backup
+    writes them to its SSD while this node does; its entry is then a
+    header naming the stage's tag, and a local op that raises sends a
+    {!Repl.Drop} for it. Under [Ack_one]/[Ack_all] the call then
     blocks until the quorum acks the entry; that wait is charged to the
     op's causal span as [Span.Repl_wait] blame, so tail attribution
     explains replication stalls by name.
@@ -36,8 +40,10 @@
 
     Metrics ([repl.*]) register on the store's registry: epoch, rseq,
     committed LSN watermark (from the engine's commit hook), ship /
-    message / byte / ack / reject / wait counters, live-backup count,
-    and the current replication lag over live slots. *)
+    message / byte / ack / reject / wait counters ([repl.ship_msgs] and
+    [repl.ship_bytes] count ordering entries, [repl.stage_msgs] the
+    stages), live-backup count, and the current
+    replication lag over live slots. *)
 
 open Dstore_platform
 open Dstore_core
@@ -62,7 +68,7 @@ val create :
   ?rseq_base:int ->
   ?journal:bool ->
   Dstore.t ->
-  (int * Repl.entry Link.t * Repl.ack_msg Link.t * int) array ->
+  (int * Repl.msg Link.t * Repl.ack_msg Link.t * int) array ->
   t
 (** [create p ~mode ~epoch store slots] with one
     [(node_id, data, ack, acked0)] slot per backup; [acked0] is the
@@ -73,11 +79,8 @@ val create :
     (test seam — see {!journal}). *)
 
 val store : t -> Dstore.t
-val mode : t -> Repl.durability
-val epoch : t -> int
 val fenced : t -> bool
 val rseq : t -> int
-val committed_lsn : t -> int
 
 val fence : t -> unit
 (** Seal: reject every later append and wake blocked durability waits. *)
@@ -129,7 +132,7 @@ val end_snapshot : t -> unit
 val attach_slot :
   t ->
   node:int ->
-  data:Repl.entry Link.t ->
+  data:Repl.msg Link.t ->
   ack:Repl.ack_msg Link.t ->
   acked0:int ->
   syncing:bool ->
@@ -170,11 +173,6 @@ val status : t -> status
 val quiesce : t -> unit
 (** Block until no op is in flight and every non-dead slot has acked
     everything shipped so far (or the primary is fenced). *)
-
-val wait_ns : t -> int
-(** Cumulative durability-wait time, weighted by client ops (an
-    [R_batch] of n books n times its wait — the group-commit
-    convention); also exported as [repl.wait_ns]. *)
 
 val journal : t -> Repl.entry list
 (** Shipped entries in rseq order; empty unless created with

@@ -39,7 +39,20 @@ let rop_bytes = function
 
 let rop_ops = function R_batch ops -> List.length ops | _ -> 1
 
-type entry = { rseq : int; epoch : int; lsn : int; op : rop }
+type entry = { rseq : int; epoch : int; lsn : int; tag : int; op : rop }
+
+type msg =
+  | Stage of { tag : int; epoch : int; ops : Dstore.batch_op list }
+  | Drop of { tag : int; epoch : int }
+  | Entry of entry
+
+(* A message header plus a per-entry framing line. *)
+let header_bytes = 64 + 16
+
+let msg_bytes = function
+  | Stage { ops; _ } -> header_bytes + rop_bytes (R_batch ops)
+  | Drop _ -> header_bytes
+  | Entry e -> header_bytes + rop_bytes e.op
 
 type ack_msg = { a_epoch : int; a_rseq : int; a_lsn : int; a_ok : bool }
 

@@ -14,7 +14,12 @@
     A group commit ships as {e one} [R_batch] entry — the replication
     span mirrors the [Oplog.flush_batch]/[persist_span] span boundaries
     of the local group commit, and the backup re-executes it as one
-    group commit of its own. *)
+    group commit of its own.
+
+    A put or group commit travels as two messages: a {!Stage} with its
+    payloads before the primary runs it, so the backup's SSD write
+    overlaps the primary's, and the ordering {!entry} at commit, a
+    header that names the stage. *)
 
 open Dstore_core
 
@@ -40,22 +45,34 @@ type rop =
   | R_batch of Dstore.batch_op list
       (** One whole group commit: applied as one group commit. *)
 
-val rop_bytes : rop -> int
-(** Serialized payload size estimate, for the link bandwidth model. *)
-
 val rop_ops : rop -> int
 (** Client operations the entry represents: batch length for [R_batch],
     1 otherwise. Weights replication wait accounting the same way
     [n_ops] weights group-commit spans. *)
 
-(** One data-link message: the primary ships each entry on its own, at
-    commit. *)
+(** The ordering entry of one op, shipped at commit. *)
 type entry = {
   rseq : int;  (** Replication sequence number, in primary commit order. *)
   epoch : int;  (** The primary's epoch when shipped. *)
   lsn : int;  (** Primary oplog committed-LSN watermark at ship time. *)
+  tag : int;  (** The {!Stage} sent ahead of it; 0 for none. *)
   op : rop;
+      (** The full op: for a receiver without that stage, and the journal. *)
 }
+
+(** One data-link message. Tags are scoped to one primary incarnation. *)
+type msg =
+  | Stage of { tag : int; epoch : int; ops : Dstore.batch_op list }
+      (** Claim ids for [ops] and write their payloads now. *)
+  | Drop of { tag : int; epoch : int }
+      (** The op of [tag] raised on the primary: give its claims back. *)
+  | Entry of entry
+
+val header_bytes : int
+(** Wire size of a message without payload. *)
+
+val msg_bytes : msg -> int
+(** Wire size of a message with its payload. *)
 
 type ack_msg = {
   a_epoch : int;

@@ -310,8 +310,6 @@ let olist ctx ~prefix =
 
 let shard_count c = Array.length c.shards
 
-let map c = c.map
-
 let shard_of c key = Shard_map.shard_of c.map key
 
 let shard_store c i = c.shards.(i).store

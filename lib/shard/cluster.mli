@@ -179,8 +179,6 @@ val olist : ctx -> prefix:string -> string list
 
 val shard_count : t -> int
 
-val map : t -> Shard_map.t
-
 val shard_of : t -> string -> int
 
 val shard_store : t -> int -> Dstore.t

@@ -4,8 +4,6 @@ let create ~shards =
   if shards < 1 then invalid_arg "Shard_map.create: shards must be >= 1";
   { shards }
 
-let shards t = t.shards
-
 (* FNV-1a over the name's bytes. Computed in Int64 (the offset basis does
    not fit OCaml's 63-bit int), then masked to a non-negative int. *)
 let fnv_offset = 0xcbf29ce484222325L

@@ -13,8 +13,6 @@ type t
 val create : shards:int -> t
 (** Raises [Invalid_argument] unless [shards >= 1]. *)
 
-val shards : t -> int
-
 val hash : string -> int
 (** FNV-1a of the name's bytes, masked non-negative. Exposed for
     distribution tests. *)

@@ -46,9 +46,6 @@ val iter : t -> (string -> int -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> string -> int -> 'a) -> 'a
 
-val max_key_len : int
-(** Longest supported key (bounded by slab max block; generous: 4096). *)
-
 val check_invariants : t -> unit
 (** Testing aid: walks the whole tree verifying key order, uniform leaf
     depth, separator correctness and the leaf chain. Raises [Failure] with

@@ -31,8 +31,6 @@ let format space ~off ~count =
 
 let attach space ~off ~count = { space; off; count }
 
-let count t = t.count
-
 let is_live t id = (mem t).Mem.get_u8 (entry t id) = 1
 
 let nextents t id = (mem t).Mem.get_u16 (entry t id + 2)

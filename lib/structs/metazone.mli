@@ -17,9 +17,6 @@ type t
 type extent = { start : int; len : int }
 (** [len] SSD blocks beginning at block [start]. *)
 
-val entry_bytes : int
-(** 64. *)
-
 val inline_extents : int
 (** 5. *)
 
@@ -30,8 +27,6 @@ val format : Dstore_memory.Space.t -> off:int -> count:int -> t
 (** Initialise: every entry free. *)
 
 val attach : Dstore_memory.Space.t -> off:int -> count:int -> t
-
-val count : t -> int
 
 val write_object : t -> int -> size:int -> extent list -> unit
 (** [write_object t id ~size extents] fills entry [id]. If the slot still

@@ -53,8 +53,6 @@ val commit : t -> (unit, abort_reason) result
 val abort : t -> unit
 (** Discard the transaction (nothing to undo — writes were buffered). *)
 
-val default_retries : int
-
 val txn :
   ?retries:int ->
   Dstore_core.Dstore.ctx ->

@@ -15,8 +15,6 @@ let create ~filler = { prio = [||]; seq = [||]; vals = [||]; n = 0; filler }
 
 let is_empty q = q.n = 0
 
-let length q = q.n
-
 (* Slot [i]'s key against [(p, s)]. *)
 let below q i p s = q.prio.(i) < p || (q.prio.(i) = p && q.seq.(i) < s)
 

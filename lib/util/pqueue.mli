@@ -14,8 +14,6 @@ val create : filler:'a -> 'a t
 
 val is_empty : 'a t -> bool
 
-val length : 'a t -> int
-
 val push : 'a t -> int -> int -> 'a -> unit
 (** [push q primary tiebreak v] inserts [v]. *)
 

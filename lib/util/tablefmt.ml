@@ -85,5 +85,3 @@ let commas n =
       Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let iops v = commas (int_of_float v)

@@ -33,8 +33,5 @@ val f2 : float -> string
 val pct : float -> string
 (** Percentage with two decimals, e.g. [88.06]. *)
 
-val iops : float -> string
-(** Operations per second, thousands-separated. *)
-
 val commas : int -> string
 (** Thousands-separated integer. *)

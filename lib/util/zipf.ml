@@ -56,6 +56,4 @@ let fnv_hash64 v =
 
 let draw_scrambled t rng = fnv_hash64 (draw t rng) mod t.items
 
-let cardinality t = t.items
-
 let uniform n rng = Rng.int rng n

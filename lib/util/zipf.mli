@@ -18,8 +18,6 @@ val draw_scrambled : t -> Rng.t -> int
 (** Draw with YCSB's FNV-style scrambling so popular items are spread
     uniformly over the item space rather than clustered at low ids. *)
 
-val cardinality : t -> int
-
 val uniform : int -> Rng.t -> int
 (** [uniform n rng] draws uniformly from [0, n) — the YCSB "uniform"
     request distribution, provided here for symmetry. *)

@@ -128,11 +128,6 @@ let cow_tweak cfg = { cfg with Config.checkpoint = Config.Cow }
 let no_ckpt_tweak cfg =
   { cfg with Config.checkpoint = Config.No_checkpoint; log_slots = 1 lsl 20 }
 
-let physical_tweak cfg =
-  { cfg with Config.logging = Config.Physical; oe = false }
-
-let no_oe_tweak cfg = { cfg with Config.oe = false }
-
 let cached ?label ?(tweak = Fun.id) platform scale : Kv_intf.system =
   let cfg =
     tweak

@@ -47,11 +47,6 @@ val cow_tweak : Config.t -> Config.t
 val no_ckpt_tweak : Config.t -> Config.t
 (** Checkpoints disabled, log provisioned to outlast the run (Figure 1). *)
 
-val physical_tweak : Config.t -> Config.t
-(** ARIES-style physical logging, OE off (Figure 9's naïve base). *)
-
-val no_oe_tweak : Config.t -> Config.t
-
 val cached :
   ?label:string ->
   ?tweak:(Dstore_baselines.Cached_store.config -> Dstore_baselines.Cached_store.config) ->

@@ -39,5 +39,3 @@ let next g =
   in
   let k = key i in
   if Rng.int g.rng 100 < g.wl.read_pct then Read k else Update k
-
-let load_keys wl = Array.init wl.records Fun.id

@@ -38,6 +38,3 @@ type gen
 val gen : t -> Rng.t -> gen
 
 val next : gen -> op
-
-val load_keys : t -> int array
-(** The record ids to insert during the load phase (0..records-1). *)

@@ -568,7 +568,7 @@ let test_pair_sweep_clean () =
 let test_pair_sweep_detects_skip_replica_ack () =
   let r = pair_sweep Config.Skip_replica_ack_fence in
   check bool "acked-before-apply caught" true (r.violations <> []);
-  check (list int) "fingerprint" [ 94; 12; 21; 42; 20 ]
+  check (list int) "fingerprint" [ 104; 12; 23; 46; 10 ]
     (Test_check.fingerprint r)
 
 (* --- shipping at commit ----------------------------------------------- *)
@@ -620,6 +620,154 @@ let ship_run commits_ns =
 let test_ship_at_commit () =
   check (list int) "one message per commit, sent at commit"
     [ 1_000; 4_000; 6_000 ] (ship_run [ 1_000; 4_000; 6_000 ])
+
+(* --- payload early, order at commit ------------------------------------ *)
+
+(* One Ack_all put over a 50 us link. The stage leaves before the local
+   op, so the backup writes the payload while the primary runs it, and
+   the ordering entry applies with no device time: the ack comes back in
+   less than the local op, a round trip and one backup page write. *)
+let test_stage_overlaps_backup_write () =
+  let cfg = pair_cfg in
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  let nodes = make_nodes p cfg 3 in
+  let link_ns = 50_000 in
+  let v = Bytes.make 4096 'v' in
+  let local = ref 0 and acked = ref 0 in
+  Sim.spawn sim "t" (fun () ->
+      (* The local op alone, on a store of its own: the second of two puts. *)
+      let st = Dstore.create p nodes.(2).Group.pm nodes.(2).Group.ssd cfg in
+      let ctx = Dstore.ds_init st in
+      Dstore.oput ctx "warm" v;
+      let t0 = Sim.now sim in
+      Dstore.oput ctx "k" v;
+      local := Sim.now sim - t0;
+      Dstore.stop st;
+      let g =
+        Group.create ~mode:Repl.Ack_all
+          ~link:{ Link.default_config with latency_ns = link_ns }
+          p cfg [| nodes.(0); nodes.(1) |]
+      in
+      let gc = Group.ds_init g in
+      Group.oput gc "warm" v;
+      let t0 = Sim.now sim in
+      Group.oput gc "k" v;
+      acked := Sim.now sim - t0;
+      Group.stop g);
+  Sim.run sim;
+  let bound = !local + (2 * link_ns) + Ssd.default_config.Ssd.write_page_ns in
+  check bool
+    (Printf.sprintf "acked in %d ns, under local %d + 2 links + 1 page = %d"
+       !acked !local bound)
+    true (!acked < bound)
+
+let prestaged b =
+  Option.value ~default:(-1)
+    (Dstore_obs.Metrics.value
+       (Dstore.obs (Backup.store b)).Dstore_obs.Obs.metrics "repl.prestaged")
+
+(* The primary dies after a put's stage reached both backups but before
+   its ordering entry left. The claims it made there must go back: on
+   the promoted node (which recovers) and on the survivor re-attached to
+   it (which keeps its store), so both pass fsck's exact pool accounting,
+   and the op, never acked, is nowhere. *)
+let test_failover_mid_stage () =
+  let cfg = pair_cfg in
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  let nodes = make_nodes p cfg 3 in
+  let old_v = Bytes.make 5000 'a' and new_v = Bytes.make 5000 'c' in
+  Sim.spawn sim "t" (fun () ->
+      let g = Group.create ~mode:Repl.Ack_all p cfg nodes in
+      let ctx = Group.ds_init g in
+      for i = 0 to 7 do
+        Group.oput ctx (Printf.sprintf "k%d" i) old_v
+      done;
+      Group.quiesce g;
+      let rseq = (Group.status g).Group.rseq in
+      let outcome = ref None in
+      Sim.spawn sim "writer" (fun () ->
+          outcome :=
+            Some
+              (match Group.oput ctx "k0" (Bytes.make 5000 'b') with
+              | () -> "acked"
+              | exception Primary.Fenced -> "fenced"));
+      (* One 5 us hop delivers the stage; the local op takes longer. *)
+      Sim.wait sim 8_000;
+      check int "the entry has not shipped" rseq (Group.status g).Group.rseq;
+      List.iter
+        (fun (j, b) ->
+          check int (Printf.sprintf "node %d holds the stage" j) 1 (prestaged b))
+        (Group.backups g);
+      Group.kill_primary g;
+      Group.promote g;
+      Sim.wait sim 100_000;
+      check (option string) "the writer was fenced" (Some "fenced") !outcome;
+      let fsck_all what =
+        check (list string) (what ^ ": promoted store") [] (Fsck.run (Group.store g));
+        List.iter
+          (fun (j, b) ->
+            check int (Printf.sprintf "%s: node %d holds no stage" what j) 0
+              (prestaged b);
+            check (list string)
+              (Printf.sprintf "%s: survivor node %d" what j)
+              [] (Fsck.run (Backup.store b)))
+          (Group.backups g)
+      in
+      Group.quiesce g;
+      check int "a survivor re-attached" 1 (List.length (Group.backups g));
+      fsck_all "after promote";
+      (* Ids handed out again carry the new payloads, not a late write. *)
+      for i = 0 to 7 do
+        Group.oput ctx (Printf.sprintf "n%d" i) new_v
+      done;
+      Group.quiesce g;
+      fsck_all "after new puts";
+      check (option bytes) "the unacked put is nowhere" (Some old_v)
+        (Group.oget ctx "k0");
+      List.iter
+        (fun (_, b) ->
+          let bc = Dstore.ds_init (Backup.store b) in
+          for i = 0 to 7 do
+            check (option bytes) "survivor serves the new puts" (Some new_v)
+              (Dstore.oget bc (Printf.sprintf "n%d" i))
+          done)
+        (Group.backups g);
+      Group.stop g);
+  Sim.run sim
+
+(* A put whose stage has shipped raises on the primary (its device is
+   smaller than the backup's): the primary sends a drop, and the backup
+   gives the claims back instead of leaking them. *)
+let test_local_raise_drops_stage () =
+  let bcfg = pair_cfg in
+  let cfg = { pair_cfg with Config.ssd_blocks = 256 } in
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  let nodes = [| (make_nodes p cfg 1).(0); (make_nodes p bcfg 1).(0) |] in
+  Sim.spawn sim "t" (fun () ->
+      let g = Group.create ~mode:Repl.Ack_all ~bcfg p cfg nodes in
+      let ctx = Group.ds_init g in
+      Group.oput ctx "a" (Bytes.make 64 'a');
+      let raised =
+        match Group.oput ctx "big" (Bytes.make (300 * 4096) 'x') with
+        | () -> false
+        | exception Dstore.Out_of_blocks -> true
+      in
+      check bool "the put raised on the primary" true raised;
+      Group.oput ctx "b" (Bytes.make 64 'b');
+      Group.quiesce g;
+      let b = List.assoc 1 (Group.backups g) in
+      check int "no stage held" 0 (prestaged b);
+      check (list string) "backup pools exact" [] (Fsck.run (Backup.store b));
+      let bc = Dstore.ds_init (Backup.store b) in
+      check (option bytes) "the raised put is not on the backup" None
+        (Dstore.oget bc "big");
+      check (option bytes) "the stream went on" (Some (Bytes.make 64 'b'))
+        (Dstore.oget bc "b");
+      Group.stop g);
+  Sim.run sim
 
 (* --- durability waits ------------------------------------------------- *)
 
@@ -829,6 +977,12 @@ let suite =
     test_case "link: drop model counts and keeps order" `Quick test_link_drop;
     test_case "link: close semantics" `Quick test_link_closed;
     test_case "ship: every commit ships at once" `Quick test_ship_at_commit;
+    test_case "stage: backup writes the payload during the local op" `Quick
+      test_stage_overlaps_backup_write;
+    test_case "stage: failover between stage and entry leaks no claim" `Quick
+      test_failover_mid_stage;
+    test_case "stage: a put raising locally leaks no claim" `Quick
+      test_local_raise_drops_stage;
     test_case "wait/sim: acks free just their waiters" `Quick
       (fun () -> test_acks_release_in_order (sim_harness ()) ());
     test_case "wait/threads: acks free just their waiters"
