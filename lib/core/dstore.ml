@@ -69,6 +69,14 @@ let format_structures (cfg : Config.t) reg space =
 
 (* --- store ------------------------------------------------------------------ *)
 
+(* [par_iter]'s join: tasks still running, the first exception one raised. *)
+type join = {
+  mu : Platform.mutex;
+  cv : Platform.cond;
+  mutable pending : int;
+  mutable failed : exn option;
+}
+
 type t = {
   platform : Platform.t;
   cfg : Config.t;
@@ -81,6 +89,7 @@ type t = {
       (* Serializes index/metadata updates when [oe = false]; unused (no
          contention) when observational equivalence is on. *)
   obs : Obs.t;
+  joins : join list Atomic.t;  (* [par_iter]'s free join records *)
   cache : Cache.t option;
       (* DRAM object cache (strictly volatile; see the cache glue below).
          None when [cfg.cache_bytes = 0] or under physical logging. *)
@@ -149,6 +158,14 @@ let of_mz extents = List.map (fun e -> (e.Metazone.start, e.Metazone.len)) exten
 
 (* --- replay hooks ------------------------------------------------------------ *)
 
+let free_blocks pool extents =
+  List.iter
+    (fun (s, l) ->
+      for b = s to s + l - 1 do
+        Bitpool.free pool b
+      done)
+    extents
+
 (* Phase 1: pool effects, serial in LSN order (what the frontend did under
    the lock, plus the commit-time releases). *)
 let prepare_op h (op : Logrec.op) =
@@ -160,24 +177,16 @@ let prepare_op h (op : Logrec.op) =
         done)
       extents
   in
-  let release extents =
-    List.iter
-      (fun (s, l) ->
-        for b = s to s + l - 1 do
-          Bitpool.free h.blockpool b
-        done)
-      extents
-  in
   match op with
   | Logrec.Put { meta; extents; freed_meta; freed_extents; _ } ->
       mark extents;
       Bitpool.set_allocated h.metapool meta;
-      release freed_extents;
+      free_blocks h.blockpool freed_extents;
       if freed_meta >= 0 then Bitpool.free h.metapool freed_meta
   | Logrec.Create { meta; _ } -> Bitpool.set_allocated h.metapool meta
   | Logrec.Write { new_extents; _ } -> mark new_extents
   | Logrec.Delete { meta; extents; _ } ->
-      release extents;
+      free_blocks h.blockpool extents;
       Bitpool.free h.metapool meta
   | Logrec.Noop _ -> ()
   | Logrec.Phys _ -> ()
@@ -267,6 +276,7 @@ let build platform cfg engine ssd =
     h;
     struct_lock = platform.Platform.new_mutex ();
     obs;
+    joins = Atomic.make [];
     cache;
     h_put = Metrics.histogram m "op.put";
     h_get = Metrics.histogram m "op.get";
@@ -444,13 +454,7 @@ let alloc_meta t =
   if m < 0 then raise Out_of_blocks;
   m
 
-let free_extents t extents =
-  List.iter
-    (fun (s, l) ->
-      for b = s to s + l - 1 do
-        Bitpool.free t.h.blockpool b
-      done)
-    extents
+let free_extents t extents = free_blocks t.h.blockpool extents
 
 (* Commit-time releases: performed under the frontend lock so replay (which
    processes pool effects serially in LSN order) can never observe a block
@@ -532,15 +536,17 @@ let cache_write_through t key value size =
    log by recovery), so a crash before the append loses nothing durable.
    Ids a record frees still come from committed state, because the record
    is built under the append's lock hold. [txn_commit_writes] claims the
-   same way but validates before its payload writes; [owrite] rewrites
-   live pages inside its window.
+   same way but validates first, then writes its payloads beside its
+   structure updates; [owrite] rewrites live pages inside its window.
 
    The op's span partitions it by step: [S_stage] (claim), [S_data]
    (payload), [S_lock] and [S_append] (the engine's cuts), then per
    record [S_ticket] (reader drain), [S_structs] (metadata entry) and
    [S_index] (B-tree), [S_structs] again for the cache maintenance, and
    the commit: [S_fence] for a one-record group, [S_commit] for the
-   coalesced persist of a larger one. Table 3 is these sums. *)
+   coalesced persist of a larger one. Table 3 is these sums. A
+   transaction's [S_data] (and its payloads' queueing) is only the wait
+   left after its structure updates. *)
 
 type batch_op = Bput of string * Bytes.t | Bdelete of string
 
@@ -554,30 +560,50 @@ type staged =
 
 let staged_key = function Sput { key; _ } -> key | Sdelete k -> k
 
-(* Fork-join over [items]: run [f] on each concurrently (one platform
-   task per extra element, the first inline) and return when all are
-   done. Used to overlap the SSD payload writes of one staging round. *)
-let par_iter t items f =
-  match items with
-  | [] -> ()
-  | [ x ] -> f x
-  | x :: rest ->
-      let mu = t.platform.Platform.new_mutex () in
-      let cv = t.platform.Platform.new_cond () in
-      let pending = ref (List.length rest) in
-      List.iter
-        (fun y ->
-          t.platform.Platform.spawn "batch-io" (fun () ->
-              f y;
-              Platform.with_lock mu (fun () ->
-                  decr pending;
-                  if !pending = 0 then cv.Platform.signal ())))
-        rest;
-      f x;
-      Platform.with_lock mu (fun () ->
-          while !pending > 0 do
-            cv.Platform.wait mu
-          done)
+(* Fork-join: [f] on each of [items] in a task of its own, [inline] on
+   the caller's fiber; returns, or raises [inline]'s exception else the
+   first a task raised, only once every task is done. Join records are
+   pooled per store: a fork allocates its task closures and a list cell. *)
+let rec take_join t =
+  match Atomic.get t.joins with
+  | j :: rest as l -> if Atomic.compare_and_set t.joins l rest then j else take_join t
+  | [] ->
+      let p = t.platform in
+      { mu = p.Platform.new_mutex (); cv = p.Platform.new_cond (); pending = 0; failed = None }
+
+let rec give_join t j =
+  let l = Atomic.get t.joins in
+  if not (Atomic.compare_and_set t.joins l (j :: l)) then give_join t j
+
+let await t j =
+  j.mu.Platform.lock ();
+  while j.pending > 0 do j.cv.Platform.wait j.mu done;
+  j.mu.Platform.unlock ();
+  let failed = j.failed in
+  j.failed <- None;
+  give_join t j;
+  failed
+
+let par_iter t items f ~inline =
+  let j = take_join t in
+  j.pending <- List.length items;
+  List.iter
+    (fun y ->
+      t.platform.Platform.spawn "batch-io" (fun () ->
+          let e = match f y with () -> None | exception e -> Some e in
+          j.mu.Platform.lock ();
+          if Option.is_none j.failed then j.failed <- e;
+          j.pending <- j.pending - 1;
+          if j.pending = 0 then j.cv.Platform.signal ();
+          j.mu.Platform.unlock ()))
+    items;
+  match inline () with
+  | r ->
+      Option.iter raise (await t j);
+      r
+  | exception e ->
+      ignore (await t j);
+      raise e
 
 let free_claim t = function
   | Sput { meta; extents; _ } ->
@@ -619,23 +645,19 @@ let claim t ops =
 let unstage t staged =
   Dipper.with_frontend_lock t.engine (fun () -> List.iter (free_claim t) staged)
 
-(* Run [f]; if it raises, [unstage] first. *)
-let unstage_on_error t staged f =
-  match f () with
-  | r -> r
-  | exception e ->
-      unstage t staged;
-      raise e
+let write_staged ~span t = function
+  | Sput { value; extents; _ } -> write_data ~span t extents value (Bytes.length value)
+  | Sdelete _ -> ()
+
+let puts_of = List.filter (function Sput _ -> true | Sdelete _ -> false)
 
 (* Step 8 for every staged put, overlapped across the SSD's channels. *)
 let write_payloads ?(span = Span.none) t staged =
-  match List.filter (function Sput _ -> true | Sdelete _ -> false) staged with
+  match puts_of staged with
   | [] -> ()
-  | puts ->
-      par_iter t puts (function
-        | Sput { value; extents; _ } ->
-            write_data ~span t extents value (Bytes.length value)
-        | Sdelete _ -> ())
+  | [ p ] -> write_staged ~span t p
+  | p :: rest ->
+      par_iter t rest (write_staged ~span t) ~inline:(fun () -> write_staged ~span t p)
 
 (* Claim, then write every payload, before any log append. *)
 let stage ~span t ops =
@@ -831,12 +853,7 @@ let oput_physical ctx t key value size =
           Metazone.write_object t.h.zone meta ~size (to_mz extents);
           ignore (Btree.insert t.h.btree key meta);
           if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta;
-          List.iter
-            (fun (s, l) ->
-              for b = s to s + l - 1 do
-                Bitpool.free t.h.blockpool b
-              done)
-            freed_extents)
+          free_extents t freed_extents)
     in
     Logrec.Phys { images }
   in
@@ -1403,12 +1420,12 @@ let release ctx =
    Validation comes before any device work: [claim] the allocations, then
    [Dipper.append] with the read-set (conflict lookups, OCC validation and
    span staging under one lock hold, then the begin + members flush), and
-   only on success write the SSD payloads. An aborted attempt therefore
-   does no SSD I/O and needs only [unstage]'s in-memory frees. Crash-safe
-   because the span stays uncommitted until [Dipper.commit] persists its
-   commit record — after every payload write has returned — and
-   recovery drops a span without one. The price is that the span's
-   in-flight tickets are held across the payload writes, so concurrent
+   only on success fork the payload writes beside the reader drains,
+   structures and cache. An aborted attempt therefore does no SSD I/O.
+   Crash-safe because the span stays uncommitted until [Dipper.commit]
+   persists its commit record after the join, recovery drops a span
+   without one, and member readers wait on the tickets until then. The
+   tickets are held for max(payloads, structures), so concurrent
    accesses to member keys wait instead of racing. [oput] and [obatch]
    keep the payload-before-append order: they never abort, and their
    tickets stay free of device time. *)
@@ -1424,19 +1441,24 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   | _ -> (
       let staged = claim t writes in
       Span.seg span Span.S_stage;
-      match
-        unstage_on_error t staged (fun () ->
-            append_items ~span ~reads ctx (append_items_of t staged))
-      with
+      match append_items ~span ~reads ctx (append_items_of t staged) with
+      | exception e ->
+          unstage t staged;
+          raise e
       | Error key ->
           (* Stale read: nothing was appended or written. *)
           unstage t staged;
           Error key
       | Ok a ->
-          write_payloads ~span t staged;
+          let io = Span.detach span in
+          let posts =
+            par_iter t (puts_of staged) (write_staged ~span:io t) ~inline:(fun () ->
+                let posts = apply_all ~span t staged (ops_of a) in
+                Span.seg span Span.S_structs;
+                posts)
+          in
+          Span.absorb span io;
           Span.seg span Span.S_data;
-          let posts = apply_all ~span t staged (ops_of a) in
-          Span.seg span Span.S_structs;
           Dipper.commit t.engine a;
           Span.seg span Span.S_commit;
           release_posts t posts;

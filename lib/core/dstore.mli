@@ -212,6 +212,11 @@ val claim : t -> batch_op list -> staged list
 val write_payloads : ?span:Dstore_obs.Span.t -> t -> staged list -> unit
 (** Write every put's payload, overlapped across the SSD's channels. *)
 
+val par_iter : t -> 'a list -> ('a -> unit) -> inline:(unit -> 'b) -> 'b
+(** Fork-join: [f] on each element in a task of its own, [inline] on the
+    caller's fiber; returns or raises ([inline]'s exception first) only
+    once every task is done. *)
+
 val exec_staged : ?span:Dstore_obs.Span.t -> ctx -> staged list -> bool list
 (** Append, apply and commit a claimed, written group; as [obatch]. *)
 

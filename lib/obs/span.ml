@@ -260,6 +260,13 @@ let stall s cause ns =
     if ns > 0 then s.pending.(i) <- s.pending.(i) + ns
   end
 
+(* Forked tasks stall on [detach s], not into the periods [s] closes
+   while they run; [absorb] adds their blame to [s]'s open period. *)
+let detach s = if s.live then { s with pending = Array.make n_causes 0 } else s
+
+let absorb s d =
+  if d != s then Array.iteri (fun i p -> s.pending.(i) <- s.pending.(i) + p) d.pending
+
 (* Span-less blame, e.g. the cluster checkpoint gate holding a shard's
    manager thread: folds straight into the recorder's totals. *)
 let note_stall r cause ns =

@@ -108,6 +108,12 @@ val stall : t -> cause -> int -> unit
     ticks on every call, mirroring the engine's [dipper.*] stall
     counters. *)
 
+val detach : t -> t
+(** A view for forked tasks: its stalls reach the span's open period
+    only at [absorb s (detach s)]. *)
+
+val absorb : t -> t -> unit
+
 val note_stall : recorder -> cause -> int -> unit
 (** Span-less blame (e.g. the cluster checkpoint gate holding a shard's
     manager); folds into the recorder's cause totals only. *)

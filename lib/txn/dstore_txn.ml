@@ -31,7 +31,7 @@ type state = Active | Committed | Aborted
 type t = {
   ctx : Dstore.ctx;
   reads : (string, int) Hashtbl.t;
-  mutable writes : (string * Dstore.batch_op) list;  (* first-touch order *)
+  mutable writes : (string * Dstore.batch_op) list;  (* newest first *)
   mutable state : state;
   span : Span.t;  (* the [txn] wrapper's, or [Span.none] *)
 }
@@ -51,7 +51,7 @@ let set_write tx key w =
   if List.mem_assoc key tx.writes then
     tx.writes <-
       List.map (fun (k, old) -> if k = key then (k, w) else (k, old)) tx.writes
-  else tx.writes <- tx.writes @ [ (key, w) ]
+  else tx.writes <- (key, w) :: tx.writes
 
 (* Read-your-own-writes: the write-set shadows the store. A store read
    records the key's version on first observation only — commit-time
@@ -87,7 +87,7 @@ let abort tx =
 let commit tx =
   check tx;
   let reads = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tx.reads [] in
-  let writes = List.map snd tx.writes in
+  let writes = List.rev_map snd tx.writes in  (* first-touch order *)
   match Dstore.txn_commit_writes ~span:tx.span tx.ctx ~reads ~writes with
   | Ok () ->
       tx.state <- Committed;

@@ -1717,7 +1717,100 @@ let test_txn_span_owns_reads () =
       | _ -> Alcotest.fail "exception swallowed"
       | exception Exit -> ());
       check Alcotest.int "raising txn still finishes its span" (f0 + 2)
-        (Span.finished rc))
+        (Span.finished rc);
+      (* Four members: their payload writes run beside the structure
+         updates, and the span still partitions exactly. *)
+      let keys = List.init 4 (Printf.sprintf "sp%d") in
+      let r =
+        Dstore_txn.txn ctx (fun tx ->
+            List.iter
+              (fun k ->
+                ignore (Dstore_txn.get tx k);
+                Dstore_txn.put tx k (big_value 7 (Dstore.page_bytes st)))
+              keys)
+      in
+      Alcotest.(check bool) "4-member txn committed" true (Result.is_ok r);
+      match Span.last rc 1 with
+      | [ s ] ->
+          check Alcotest.int "4-member partition holds" (Span.duration s)
+            (Span.segments_total s + Span.blame_total s)
+      | _ -> Alcotest.fail "no span recorded")
+
+(* The structure updates hide behind the payload writes: on an idle
+   store a 4-member transaction commits in less than its log append, one
+   page write and its members' structure time added up. *)
+let test_txn_structures_overlap_payloads () =
+  with_store (fun fx st ctx ->
+      let module Span = Dstore_obs.Span in
+      let w0 = (Ssd.stats fx.ssd).Ssd.writes in
+      let r =
+        Dstore_txn.txn ctx (fun tx ->
+            for i = 0 to 3 do
+              Dstore_txn.put tx (Printf.sprintf "ov%d" i) (big_value i (Dstore.page_bytes st))
+            done)
+      in
+      Alcotest.(check bool) "committed" true (Result.is_ok r);
+      check Alcotest.int "one page per member" (w0 + 4) (Ssd.stats fx.ssd).Ssd.writes;
+      match Span.last (Dstore.obs st).Dstore_obs.Obs.spans 1 with
+      | [ s ] ->
+          let sum = List.fold_left (fun acc sg -> acc + Span.segment s sg) 0 in
+          let append = sum [ Span.S_lock; Span.S_append ] in
+          let structures = sum [ Span.S_ticket; Span.S_structs; Span.S_index ] in
+          let page = (Ssd.config fx.ssd).Ssd.write_page_ns in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d ns < %d + %d + %d" (Span.duration s) append page structures)
+            true
+            (Span.duration s < append + page + structures)
+      | _ -> Alcotest.fail "no span recorded")
+
+(* [par_iter] joins on every exit path: an exception from the inline
+   task, or from a task, reaches the caller only once every task has
+   finished. Run under the simulator and under real threads. *)
+let test_par_iter_joins_on_raise ~run p =
+  run (fun () ->
+      let pm =
+        Pmem.create p
+          { Pmem.default_config with size = Dipper.layout_bytes small_cfg; crash_model = false }
+      in
+      let ssd = Ssd.create p { Ssd.default_config with pages = small_cfg.Config.ssd_blocks } in
+      let st = Dstore.create p pm ssd small_cfg in
+      let finished = Atomic.make 0 in
+      let task i =
+        p.Platform.sleep (i * 5_000_000);
+        Atomic.incr finished;
+        if i = 2 then raise Not_found
+      in
+      (match Dstore.par_iter st [ 1; 3 ] task ~inline:(fun () -> raise Exit) with
+      | () -> Alcotest.fail "inline exception swallowed"
+      | exception Exit -> check Alcotest.int "inline raise: tasks done first" 2 (Atomic.get finished));
+      (match Dstore.par_iter st [ 1; 2; 3 ] task ~inline:(fun () -> 7) with
+      | _ -> Alcotest.fail "task exception swallowed"
+      | exception Not_found -> check Alcotest.int "task raise: tasks done first" 5 (Atomic.get finished));
+      check Alcotest.int "clean join" 7 (Dstore.par_iter st [ 1 ] ignore ~inline:(fun () -> 7));
+      Dstore.stop st)
+
+let test_par_iter_sim () =
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  test_par_iter_joins_on_raise p ~run:(fun f ->
+      Sim.spawn sim "main" f;
+      Sim.run sim)
+
+let test_par_iter_threads () =
+  let rp = Real_platform.create ~parallelism:2 () in
+  let p = Real_platform.platform rp in
+  test_par_iter_joins_on_raise p ~run:(fun f ->
+      let result = Atomic.make None in
+      p.Platform.spawn "main" (fun () ->
+          Atomic.set result (Some (try Ok (f ()) with e -> Error e)));
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while Option.is_none (Atomic.get result) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.001
+      done;
+      match Atomic.get result with
+      | Some (Ok ()) -> Real_platform.join_all rp
+      | Some (Error e) -> raise e
+      | None -> Alcotest.fail "scenario not done within 60 s")
 
 let test_txn_retry_commits () =
   (* The wrapper re-runs the whole function after a conflict abort, so the
@@ -2126,6 +2219,9 @@ let suite =
       `Quick,
       test_txn_payload_durable_before_commit );
     ("txn span owns reads and exceptions", `Quick, test_txn_span_owns_reads);
+    ("txn structures overlap payloads", `Quick, test_txn_structures_overlap_payloads);
+    ("par_iter/sim: joins before raising", `Quick, test_par_iter_sim);
+    ("par_iter/threads: joins before raising", `Quick, test_par_iter_threads);
     ("txn retry wrapper recommits", `Quick, test_txn_retry_commits);
     ("txn read-only validates", `Quick, test_txn_readonly_validates);
     ("txn conflict scan one-pass", `Quick, test_conflict_scan_one_pass);
