@@ -386,12 +386,6 @@ let serialized t = (not t.cfg.oe) || t.cfg.checkpoint = Config.Cow
 let with_structs t f =
   if serialized t then Platform.with_lock t.struct_lock f else f ()
 
-(* Read-side guard: needed only under CoW (see above); OE reads are safe
-   because every structure mutation is atomic between scheduling points. *)
-let with_structs_read t f =
-  if t.cfg.checkpoint = Config.Cow then Platform.with_lock t.struct_lock f
-  else f ()
-
 (* --- data plane helpers ------------------------------------------------------ *)
 
 let page_size t = Ssd.page_size t.ssd
@@ -423,22 +417,16 @@ let write_data ?(span = Span.none) t extents buf size =
       extents
   end
 
-let read_data ?(span = Span.none) t extents buf size =
-  if size > 0 then begin
-    let ps = page_size t in
-    let nblocks = blocks_for t size in
-    let scratch = Bytes.create (nblocks * ps) in
-    let pos = ref 0 in
-    List.iter
-      (fun (start, len) ->
-        if !pos < nblocks then begin
-          let len = min len (nblocks - !pos) in
-          Ssd.read ~span t.ssd ~page:start scratch ~off:(!pos * ps) ~count:len;
-          pos := !pos + len
-        end)
-      extents;
-    Bytes.blit scratch 0 buf 0 size
-  end
+(* Flatten extents into a page array for random page addressing. *)
+let pages_of_extents extents =
+  let flat = ref [] in
+  List.iter
+    (fun (s, l) ->
+      for i = 0 to l - 1 do
+        flat := (s + i) :: !flat
+      done)
+    extents;
+  Array.of_list (List.rev !flat)
 
 (* --- allocation helpers (run under the frontend lock) ------------------------- *)
 
@@ -973,7 +961,7 @@ let read_exit t key =
    before its record appeared — and those readers never wait on it: no
    circular wait. A reservation holder raises [Would_wait] rather than wait
    on a NOOP. Returns the version the conflict-free lookup observed. *)
-let rec read_entry ?(span = Span.none) ctx key =
+let rec read_entry ~span ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
   match Dipper.lookup ~ctx:ctx.id t.engine key with
@@ -988,158 +976,189 @@ let rec read_entry ?(span = Span.none) ctx key =
       Dipper.wait_conflict ~span t.engine tk;
       read_entry ~span ctx key
 
-(* A caller buffer too short for the object: leave the reader window
-   and finish the span before raising, or the key's next writer would
-   wait in [Dipper.wait_readers] for a reader that is gone. *)
-let short_buffer ~span t key fn =
-  read_exit t key;
-  Span.finish span;
-  invalid_arg (fn ^ ": buffer shorter than the object")
+(* Where a read delivers the object, and what it returns. *)
+type _ sink =
+  | Into : int sink  (* into the caller's buffer: the size, -1 if absent *)
+  | Fresh : Bytes.t option sink  (* into a buffer of its own *)
+  | Versioned : (int * Bytes.t option) sink  (* [Fresh], with the entry's version *)
+  | View : (Bytes.t * int) option sink  (* the cache's own buffer on a hit, else [buf] *)
+  | Exists : bool sink
+  | Size : int sink
+  | Range : int sink  (* [len] bytes from [off] into [buf], clipped at the end *)
 
-let oget_into ctx key buf =
+let find_entry t key ~entry =
+  match Btree.find t.h.btree key with
+  | None -> (-1, [])
+  | Some meta -> if entry then Metazone.read_object t.h.zone meta else (0, [])
+
+(* The index half of a miss: the key's (size, extents), size -1 if absent;
+   without [entry], the metadata read is skipped. Under CoW this runs
+   under the structure guard: a B-tree split shrinks the child before the
+   parent's cell goes in, and the parent write can yield in a CoW fault
+   between the two, so an unguarded walk could miss a key that moved right
+   (see [serialized]). Without CoW a reader needs no guard: every
+   structure mutation is atomic between scheduling points, so the walk is
+   called directly, with no closure per read. *)
+let locate t key ~entry =
+  if t.cfg.checkpoint = Config.Cow then
+    Platform.with_lock t.struct_lock (fun () -> find_entry t key ~entry)
+  else find_entry t key ~entry
+
+(* The index probe plus a copy of [n] bytes, then the [S_index] cut. *)
+let charge_lookup t sp n =
+  t.platform.Platform.consume Config.costs.lookup_ns;
+  copy_cost t n;
+  Span.seg sp Span.S_index
+
+(* A cache hit. Copies out BEFORE charging modeled costs: [consume] is a
+   scheduling point, and a concurrent op's fill/write-through could evict
+   and recycle the borrowed buffer during the yield. A view copies
+   nothing: it hands out the borrowed buffer itself. *)
+let rec from_cache : type r.
+    t -> Span.t -> r sink -> int -> Bytes.t -> off:int -> len:int ->
+    (Bytes.t * int) option -> r =
+ fun t sp sink v buf ~off ~len hit ->
+  let cbuf, clen = Option.get hit in
+  match sink with
+  | Into ->
+      if Bytes.length buf < clen then
+        invalid_arg "Dstore.oget_into: buffer shorter than the object";
+      Bytes.blit cbuf 0 buf 0 clen;
+      charge_lookup t sp clen;
+      clen
+  | Fresh ->
+      let b = Bytes.sub cbuf 0 clen in
+      charge_lookup t sp clen;
+      Some b
+  | Versioned -> (v, from_cache t sp Fresh v buf ~off ~len hit)
+  | View ->
+      charge_lookup t sp 0;
+      hit
+  | Range ->
+      let n = if off >= clen then 0 else min len (clen - off) in
+      if n > 0 then Bytes.blit cbuf off buf 0 n;
+      charge_lookup t sp n;
+      n
+  | Exists -> true
+  | Size -> clen
+
+(* A whole object off the SSD into [buf], extent by extent, then the
+   cache fill. *)
+let read_whole t sp key extents buf size what =
+  charge_lookup t sp 0;
+  if Bytes.length buf < size then invalid_arg (what ^ ": buffer shorter than the object");
+  if size > 0 then begin
+    let ps = page_size t in
+    let nblocks = blocks_for t size in
+    let scratch = Bytes.create (nblocks * ps) in
+    let pos = ref 0 in
+    List.iter
+      (fun { Metazone.start; len } ->
+        if !pos < nblocks then begin
+          let len = min len (nblocks - !pos) in
+          Ssd.read ~span:sp t.ssd ~page:start scratch ~off:(!pos * ps) ~count:len;
+          pos := !pos + len
+        end)
+      extents;
+    Bytes.blit scratch 0 buf 0 size
+  end;
+  Span.seg sp Span.S_data;
+  cache_fill ~span:sp t key buf size;
+  buf
+
+(* [n] bytes from [off], off the SSD page by page. A partial read cannot
+   warm a whole-object cache, so it fills nothing. *)
+let read_range t sp extents buf ~off n =
+  charge_lookup t sp 0;
+  let ps = page_size t in
+  let first_page = off / ps and last_page = (off + n - 1) / ps in
+  let scratch = Bytes.create ((last_page - first_page + 1) * ps) in
+  let pages = pages_of_extents (of_mz extents) in
+  for p = first_page to last_page do
+    Ssd.read ~span:sp t.ssd ~page:pages.(p) scratch ~off:((p - first_page) * ps) ~count:1
+  done;
+  Bytes.blit scratch (off - (first_page * ps)) buf 0 n;
+  Span.seg sp Span.S_data;
+  n
+
+(* A miss, [located] in the index. Where nothing is read, the [S_index]
+   cut charges nothing. *)
+let rec from_index : type r.
+    t -> Span.t -> r sink -> int -> string -> Bytes.t -> off:int -> len:int ->
+    int * Metazone.extent list -> r =
+ fun t sp sink v key buf ~off ~len ((size, extents) as located) ->
+  match sink with
+  | Into ->
+      if size < 0 then (Span.seg sp Span.S_index; -1)
+      else (ignore (read_whole t sp key extents buf size "Dstore.oget_into"); size)
+  | Fresh ->
+      if size < 0 then (Span.seg sp Span.S_index; None)
+      else Some (read_whole t sp key extents (Bytes.create size) size "Dstore.oget")
+  | Versioned -> (v, from_index t sp Fresh v key buf ~off ~len located)
+  | View ->
+      if size < 0 then (Span.seg sp Span.S_index; None)
+      else Some (read_whole t sp key extents buf size "Dstore.oget_view", size)
+  | Exists -> (Span.seg sp Span.S_index; size >= 0)
+  | Size -> if size < 0 then raise (Object_not_found key) else (Span.seg sp Span.S_index; size)
+  | Range ->
+      if size < 0 then raise (Object_not_found key)
+      else if off >= size then (Span.seg sp Span.S_index; 0)
+      else read_range t sp extents buf ~off (min len (size - off))
+
+let read_close t span sp kind t0 =
+  finish_own span sp;
+  Metrics.observe (if kind = Span.Read then t.h_read else t.h_get) (now t - t0)
+
+(* Every read: enter the read count, take a cache hit or locate the object
+   in the index, deliver it to [sink], leave. The span (the caller's, or a
+   [Get] / [Read] one of its own) and the latency histogram close on every
+   exit, a raise included, and the read count is left on every exit past
+   the entry. Existence and size come from the index alone, so they leave
+   the cache's hit counts and CLOCK bits alone. *)
+let read : type r.
+    ?span:Span.t -> ctx -> r sink -> string -> Bytes.t -> off:int -> len:int -> r =
+ fun ?span ctx sink key buf ~off ~len ->
   check_ctx ctx;
   let t = ctx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  ignore (read_entry ~span ctx key);
-  Span.seg span Span.S_ticket;
-  let result =
-    match cache_lookup t key with
-    | Some (cbuf, len) ->
-        (* Hit: one DRAM probe + one copy straight into the caller's
-           buffer — no index walk, no metadata read, no SSD. Copy out
-           BEFORE charging modeled costs: [consume] is a scheduling
-           point, and a concurrent op's fill/write-through could evict
-           and recycle the borrowed buffer during the yield. *)
-        if Bytes.length buf < len then
-          short_buffer ~span t key "Dstore.oget_into";
-        Bytes.blit cbuf 0 buf 0 len;
-        t.platform.Platform.consume Config.costs.lookup_ns;
-        copy_cost t len;
-        Span.seg span Span.S_index;
-        len
-    | None -> (
-        let located =
-          with_structs_read t (fun () ->
-              match Btree.find t.h.btree key with
-              | None -> None
-              | Some meta ->
-                  t.platform.Platform.consume Config.costs.lookup_ns;
-                  let size, extents = Metazone.read_object t.h.zone meta in
-                  Some (size, extents))
-        in
-        Span.seg span Span.S_index;
-        match located with
-        | None -> -1
-        | Some (size, extents) ->
-            if Bytes.length buf < size then
-              short_buffer ~span t key "Dstore.oget_into";
-            read_data ~span t (of_mz extents) buf size;
-            Span.seg span Span.S_data;
-            cache_fill ~span t key buf size;
-            size)
-  in
-  read_exit t key;
-  Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  result
-
-(* Shared miss-or-hit value fetch inside an open reader window;
-   allocates the result buffer ([oget] / [oget_versioned]). *)
-let fetch_value ~span t key =
-  match cache_lookup t key with
-  | Some (cbuf, len) ->
-      (* Copy out before the [consume] yield — see [oget_into]. *)
-      let buf = Bytes.create len in
-      Bytes.blit cbuf 0 buf 0 len;
-      t.platform.Platform.consume Config.costs.lookup_ns;
-      copy_cost t len;
-      Span.seg span Span.S_index;
-      Some buf
-  | None -> (
-      match Btree.find t.h.btree key with
-      | None ->
-          Span.seg span Span.S_index;
-          None
-      | Some meta ->
-          t.platform.Platform.consume Config.costs.lookup_ns;
-          let size, extents = Metazone.read_object t.h.zone meta in
-          Span.seg span Span.S_index;
-          let buf = Bytes.create size in
-          read_data ~span t (of_mz extents) buf size;
-          Span.seg span Span.S_data;
-          cache_fill ~span t key buf size;
-          Some buf)
-
-let oget ctx key =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  ignore (read_entry ~span ctx key);
-  Span.seg span Span.S_ticket;
-  let result = fetch_value ~span t key in
-  read_exit t key;
-  Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  result
-
-(* Zero-copy borrow seam for hot read loops: on a cache hit the returned
-   buffer is the cache's own — valid only until ANY store mutation (a
-   fill/write-through/invalidation by any client, not just the caller's
-   own next op, may evict and recycle it) — so nothing is copied at all;
-   on a miss, [scratch] is filled from the SSD path (warming the cache)
-   and returned. No per-op allocation either way. Callers that share the
-   store with concurrent writers must consume the view before yielding,
-   or use [oget_into]. *)
-let oget_view ctx key scratch =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  ignore (read_entry ~span ctx key);
-  Span.seg span Span.S_ticket;
-  let result =
-    match cache_lookup t key with
-    | Some (cbuf, len) ->
-        t.platform.Platform.consume Config.costs.lookup_ns;
-        Span.seg span Span.S_index;
-        Some (cbuf, len)
-    | None -> (
-        match Btree.find t.h.btree key with
+  let t0 = now t in
+  let kind = match sink with Size | Range -> Span.Read | _ -> Span.Get in
+  let sp = span_of t span kind key in
+  match read_entry ~span:sp ctx key with
+  | exception e ->
+      read_close t span sp kind t0;
+      raise e
+  | v -> (
+      Span.seg sp Span.S_ticket;
+      match
+        match match sink with Exists | Size -> None | _ -> cache_lookup t key with
+        | Some _ as hit -> from_cache t sp sink v buf ~off ~len hit
         | None ->
-            Span.seg span Span.S_index;
-            None
-        | Some meta ->
-            t.platform.Platform.consume Config.costs.lookup_ns;
-            let size, extents = Metazone.read_object t.h.zone meta in
-            Span.seg span Span.S_index;
-            if Bytes.length scratch < size then
-              short_buffer ~span t key "Dstore.oget_view";
-            read_data ~span t (of_mz extents) scratch size;
-            Span.seg span Span.S_data;
-            cache_fill ~span t key scratch size;
-            Some (scratch, size))
-  in
-  read_exit t key;
-  Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  result
+            from_index t sp sink v key buf ~off ~len
+              (locate t key ~entry:(match sink with Exists -> false | _ -> true))
+      with
+      | r ->
+          read_exit t key;
+          read_close t span sp kind t0;
+          r
+      | exception e ->
+          read_exit t key;
+          read_close t span sp kind t0;
+          raise e)
 
-let oexists ctx key =
-  check_ctx ctx;
-  let t = ctx.store in
-  ignore (read_entry ctx key);
-  let r = Btree.mem t.h.btree key in
-  read_exit t key;
-  r
+let oget_into ctx key buf = read ctx Into key buf ~off:0 ~len:0
+
+let oget ctx key = read ctx Fresh key Bytes.empty ~off:0 ~len:0
+
+let oget_view ctx key scratch = read ctx View key scratch ~off:0 ~len:0
+
+let oexists ctx key = read ctx Exists key Bytes.empty ~off:0 ~len:0
 
 (* --- filesystem-style API ----------------------------------------------------- *)
 
 let oopen ctx name ?(create = true) mode =
   check_ctx ctx;
   let t = ctx.store in
-  let exists = with_structs_read t (fun () -> Btree.mem t.h.btree name) in
+  let exists = fst (locate t name ~entry:false) >= 0 in
   (match (exists, create, mode) with
   | true, _, _ -> ()
   | false, true, (Wr | Rdwr) ->
@@ -1186,91 +1205,12 @@ let oclose o =
 
 let osize o =
   check_obj o;
-  let t = o.octx.store in
-  ignore (read_entry o.octx o.name);
-  let size =
-    with_structs_read t (fun () ->
-        match Btree.find t.h.btree o.name with
-        | None -> None
-        | Some meta -> Some (fst (Metazone.read_object t.h.zone meta)))
-  in
-  read_exit t o.name;
-  match size with None -> raise (Object_not_found o.name) | Some s -> s
-
-(* Flatten extents into a page array for random page addressing. *)
-let pages_of_extents extents =
-  let flat = ref [] in
-  List.iter
-    (fun (s, l) ->
-      for i = 0 to l - 1 do
-        flat := (s + i) :: !flat
-      done)
-    extents;
-  Array.of_list (List.rev !flat)
+  read o.octx Size o.name Bytes.empty ~off:0 ~len:0
 
 let oread o buf ~size ~off =
   check_obj o;
   if o.mode = `Wr then invalid_arg "DStore.oread: object opened write-only";
-  let t = o.octx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Read o.name in
-  ignore (read_entry ~span o.octx o.name);
-  Span.seg span Span.S_ticket;
-  (* Whole-object cache hit: serve the byte range straight from the
-     cached buffer (no index walk, no SSD). Misses take the page-granular
-     SSD path below and do NOT fill — a partial read can't warm a
-     whole-object cache. *)
-  match cache_lookup t o.name with
-  | Some (cbuf, osz) ->
-      let n = if off >= osz then 0 else min size (osz - off) in
-      (* Copy out before the [consume] yield — see [oget_into]. *)
-      if n > 0 then Bytes.blit cbuf off buf 0 n;
-      t.platform.Platform.consume Config.costs.lookup_ns;
-      copy_cost t n;
-      Span.seg span Span.S_index;
-      read_exit t o.name;
-      Span.finish span;
-      Metrics.observe t.h_read (now t - tstart);
-      n
-  | None ->
-  let located =
-    with_structs_read t (fun () ->
-        match Btree.find t.h.btree o.name with
-        | None -> None
-        | Some meta -> Some (Metazone.read_object t.h.zone meta))
-  in
-  let result =
-    match located with
-    | None ->
-        read_exit t o.name;
-        raise (Object_not_found o.name)
-    | Some (osz, extents) ->
-        if off >= osz then begin
-          Span.seg span Span.S_index;
-          0
-        end
-        else begin
-          let n = min size (osz - off) in
-          t.platform.Platform.consume Config.costs.lookup_ns;
-          Span.seg span Span.S_index;
-          let ps = page_size t in
-          let first_page = off / ps and last_page = (off + n - 1) / ps in
-          let scratch = Bytes.create ((last_page - first_page + 1) * ps) in
-          let pages = pages_of_extents (of_mz extents) in
-          for p = first_page to last_page do
-            Ssd.read ~span t.ssd ~page:pages.(p) scratch
-              ~off:((p - first_page) * ps)
-              ~count:1
-          done;
-          Bytes.blit scratch (off - (first_page * ps)) buf 0 n;
-          Span.seg span Span.S_data;
-          n
-        end
-  in
-  read_exit t o.name;
-  Span.finish span;
-  Metrics.observe t.h_read (now t - tstart);
-  result
+  read o.octx Range o.name buf ~off ~len:size
 
 let owrite ?span:caller_span o buf ~size ~off =
   check_obj o;
@@ -1282,11 +1222,7 @@ let owrite ?span:caller_span o buf ~size ~off =
     let ps = page_size t in
     let name = o.name in
     let new_end = off + size in
-    let span, owned =
-      match caller_span with
-      | Some s -> (s, false)
-      | None -> (Span.start t.obs.Obs.spans Span.Write name, true)
-    in
+    let span = span_of t caller_span Span.Write name in
     let plan = ref None in
     let release () =
       Option.iter (fun (_, _, new_extents, _) -> free_extents t new_extents) !plan;
@@ -1353,7 +1289,7 @@ let owrite ?span:caller_span o buf ~size ~off =
     Span.seg span Span.S_data;
     Dipper.commit t.engine a;
     Span.seg span Span.S_fence;
-    if owned then Span.finish span;
+    finish_own caller_span span;
     Metrics.observe t.h_write (now t - tstart);
     size
   end
@@ -1379,28 +1315,12 @@ let key_version ctx key =
    recorded version is stale and validation aborts the transaction —
    never the reverse interleaving (fresh version, old value), which
    validation could not detect. The version comes out of the reader
-   entry's own lookup and the value out of one [fetch_value] in the same
-   reader window: one frontend-lock round and one index pass.
+   entry's own lookup and the value out of the same reader window: one
+   frontend-lock round and one index pass.
 
    A caller-owned [span] (a transaction's) takes the read's segments and
    ticket waits in place of a [Get] span of its own. *)
-let oget_versioned ?span ctx key =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let own = Option.is_none span in
-  let span =
-    match span with
-    | Some s -> s
-    | None -> Span.start t.obs.Obs.spans Span.Get key
-  in
-  let v = read_entry ~span ctx key in
-  Span.seg span Span.S_ticket;
-  let result = fetch_value ~span t key in
-  read_exit t key;
-  if own then Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  (v, result)
+let oget_versioned ?span ctx key = read ?span ctx Versioned key Bytes.empty ~off:0 ~len:0
 
 (* Reserve [keys] for the context, all or nothing (see [Dipper.reserve]);
    the context must hold none. *)
@@ -1474,10 +1394,7 @@ let olist ctx ~prefix =
   check_ctx ctx;
   let t = ctx.store in
   let acc = ref [] in
-  Btree.iter t.h.btree (fun k _ ->
-      if String.length k >= String.length prefix
-         && String.sub k 0 (String.length prefix) = prefix
-      then acc := k :: !acc);
+  Btree.iter t.h.btree (fun k _ -> if String.starts_with ~prefix k then acc := k :: !acc);
   List.rev !acc
 
 let footprint t =

@@ -129,22 +129,43 @@ val oput : ?span:Dstore_obs.Span.t -> ctx -> string -> Bytes.t -> unit
     façade can charge post-return ack waits ([Span.Repl_wait]) to the
     same record before closing it. *)
 
+val odelete : ?span:Dstore_obs.Span.t -> ctx -> string -> bool
+(** Remove an object; [false] if it did not exist. Durable on return.
+    [oput] and [odelete] run the group-commit pipeline of {!obatch} as a
+    group of one, in a [Put] or [Delete] span. A delete logs a logical
+    record under either logging mode. *)
+
+(** {2 Reads}
+
+    Every read runs one path, the reader protocol of §4.4: enter the
+    key's read count and wait out any in-flight write on it, take a
+    DRAM-cache hit or locate the object in the index (B-tree, then
+    metadata entry), deliver it, and leave the read count. The entry
+    points differ only in where the object goes and what they return.
+    Each read books a span ([Get], or [Read] for {!osize} and {!oread})
+    and an [op.get] / [op.read] latency sample, and both close on every
+    exit, a raise included: a raising read leaves the key free for
+    writers and still reaches the span histograms and Table 3. A
+    reservation holder's read of a key behind another context's NOOP
+    raises {!Would_wait} instead of waiting. Under [checkpoint = Cow]
+    the index walk takes the structure lock, since a B-tree split can
+    yield in a CoW fault with the moved keys unreachable. *)
+
 val oget : ctx -> string -> Bytes.t option
-(** Fetch the whole object. *)
+(** Fetch the whole object into a fresh buffer. *)
 
 val oget_into : ctx -> string -> Bytes.t -> int
-(** Zero-copy-ish variant: read into the caller's buffer, return the
-    object size; -1 if absent. Raises [Invalid_argument] if the buffer
-    is shorter than the object, leaving the key free for writers. On a
-    DRAM-cache hit the bytes come straight out of the cached buffer —
-    one copy, no index walk, no SSD. *)
+(** Read the whole object into the caller's buffer, return the object
+    size; -1 if absent. Raises [Invalid_argument] if the buffer is
+    shorter than the object. On a DRAM-cache hit the bytes come straight
+    out of the cached buffer — one copy, no index walk, no SSD. *)
 
 val oget_view : ctx -> string -> Bytes.t -> (Bytes.t * int) option
 (** Zero-copy borrow seam for hot read loops: [oget_view ctx key scratch]
     returns [(buf, len)] where [buf] is the cache's own buffer on a hit
     (nothing copied) or [scratch] filled from the SSD path on a miss
-    (which also warms the cache). [None] if absent. No per-op allocation
-    on either path; a miss raises [Invalid_argument] if [scratch] is
+    (which also warms the cache). [None] if absent. No buffer is
+    allocated on either path; a miss raises [Invalid_argument] if [scratch] is
     shorter than the object, as {!oget_into} does.
 
     The borrowed view is invalidated by {e any} store mutation — a cache
@@ -154,13 +175,9 @@ val oget_view : ctx -> string -> Bytes.t -> (Bytes.t * int) option
     (i.e. before any other store call); with concurrent writers prefer
     [oget_into], which copies out before any scheduling point. *)
 
-val odelete : ?span:Dstore_obs.Span.t -> ctx -> string -> bool
-(** Remove an object; [false] if it did not exist. Durable on return.
-    [oput] and [odelete] run the group-commit pipeline of {!obatch} as a
-    group of one, in a [Put] or [Delete] span. A delete logs a logical
-    record under either logging mode. *)
-
 val oexists : ctx -> string -> bool
+(** Whether the key is bound. Reads the index only: it neither consults
+    nor warms the cache, and charges no lookup cost. *)
 
 (** {1 Group commit (batched updates)}
 
@@ -243,10 +260,15 @@ val oopen : ctx -> string -> ?create:bool -> open_mode -> obj
 val oclose : obj -> unit
 
 val osize : obj -> int
+(** The object's size, from the index only (as {!oexists}). Raises
+    {!Object_not_found} if it was deleted since {!oopen}. *)
 
 val oread : obj -> Bytes.t -> size:int -> off:int -> int
 (** Read up to [size] bytes at object offset [off]; returns bytes read
-    (short at end of object). *)
+    (short at end of object). A cache hit serves the range from the
+    cached object; a miss reads only the pages the range covers, and
+    fills nothing. Raises {!Object_not_found} if the object was deleted
+    since {!oopen}. *)
 
 val owrite : ?span:Dstore_obs.Span.t -> obj -> Bytes.t -> size:int -> off:int -> int
 (** Write [size] bytes at object offset [off], extending the object if
@@ -286,7 +308,7 @@ val oget_versioned :
     and the value is fetched in the same reader window: one frontend-lock
     round and one index pass. With [span] (a transaction's), the read's
     segments and conflict waits are booked on it instead of on a [Get]
-    span of the read's own. *)
+    span of the read's own, and the read leaves it open. *)
 
 val reserve : ?span:Dstore_obs.Span.t -> ctx -> string list -> unit
 (** Reserve the keys for this context, all or nothing ([Dipper.reserve]);

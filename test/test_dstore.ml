@@ -112,6 +112,47 @@ let test_short_buffer_frees_key () =
   run "oget_view miss" ~cache_bytes:0 (fun ctx k b ->
       Option.fold ~none:(-1) ~some:snd (Dstore.oget_view ctx k b))
 
+(* A read that raises still closes its own span: an [oread] of an object
+   deleted after [oopen] raises [Object_not_found], and a reservation
+   holder's [oget] of a key behind another context's NOOP raises
+   [Would_wait]. Each raise finishes one span, and the next put of the
+   key completes. *)
+let test_read_raise_finishes_span () =
+  let fx = fixture () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Sim.spawn fx.sim "test" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let rc = (Dstore.obs st).Dstore_obs.Obs.spans in
+      let ctx = Dstore.ds_init st in
+      let finished () = Dstore_obs.Span.finished rc in
+      Dstore.oput ctx "f" (Bytes.make 100 'a');
+      let o = Dstore.oopen ctx "f" Dstore.Rd in
+      ignore (Dstore.odelete ctx "f");
+      let f0 = finished () in
+      (match Dstore.oread o (Bytes.create 100) ~size:100 ~off:0 with
+      | _ -> note "oread: no raise"
+      | exception Dstore.Object_not_found _ -> note (Printf.sprintf "oread: %d span" (finished () - f0)));
+      Dstore.oput ctx "f" (Bytes.make 100 'b');
+      note "put f done";
+      let holder = Dstore.ds_init st and locker = Dstore.ds_init st in
+      Dstore.reserve holder [ "x" ];
+      Dstore.olock locker "y";
+      let f0 = finished () in
+      (match Dstore.oget holder "y" with
+      | _ -> note "oget: no raise"
+      | exception Dstore.Would_wait _ -> note (Printf.sprintf "oget: %d span" (finished () - f0)));
+      Dstore.release holder;
+      Dstore.ounlock locker "y";
+      Dstore.oput ctx "y" (Bytes.make 100 'c');
+      note "put y done");
+  Sim.run_until fx.sim 50_000_000;
+  check
+    Alcotest.(list string)
+    "each raise finishes one span; later puts complete"
+    [ "oread: 1 span"; "put f done"; "oget: 1 span"; "put y done" ]
+    (List.rev !log)
+
 let test_put_overwrite () =
   with_store (fun _ st ctx ->
       Dstore.oput ctx "k" (value_of_string "v1");
@@ -607,6 +648,57 @@ let test_checkpoint_cow_mode () =
         Alcotest.(check bool) "data intact" true
           (Dstore.oexists ctx (Printf.sprintf "k%d" i))
       done)
+
+(* Under CoW a B-tree split opens a window: [Btree.split_child] shrinks the
+   full child before it inserts the parent's cell, and when the parent's
+   page is still write-protected that insert yields in the CoW fault
+   handler, so the keys that moved right are briefly unreachable. k000 ..
+   k125 leave the root's right leaf full; a put of k126 splits it while a
+   checkpoint's copier runs. A monitor walks the raw index each
+   microsecond; in the window, where k125 is missing, three readers read
+   k125 through the store. They wait on the structure guard and see it. *)
+let test_cow_split_window_reads () =
+  let cfg = { small_cfg with checkpoint = Config.Cow; cache_bytes = 0 } in
+  let fx = fixture ~cfg ~crash_model:false () in
+  let seen = ref (-1) and got = ref [] in
+  Sim.spawn fx.sim "main" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      let key i = Printf.sprintf "k%03d" i in
+      for i = 0 to 125 do
+        Dstore.oput ctx (key i) (Bytes.make 64 'v')
+      done;
+      let index = (Dstore.internals st).Dstore.i_btree in
+      let writing = ref true in
+      Sim.spawn fx.sim "writer" (fun () ->
+          Dstore.oput (Dstore.ds_init st) (key 126) (Bytes.make 64 'w');
+          writing := false);
+      Sim.spawn fx.sim "checkpoint" (fun () ->
+          Sim.wait fx.sim 1_000;
+          Dstore.checkpoint_now st);
+      let read name f =
+        Sim.spawn fx.sim name (fun () ->
+            let r = f (Dstore.ds_init st) in
+            got := (name, r) :: !got)
+      in
+      while !writing do
+        if !seen < 0 && Dstore_structs.Btree.find index (key 125) = None then begin
+          seen := Sim.now fx.sim;
+          read "oexists" (fun c -> Dstore.oexists c (key 125));
+          read "oget" (fun c -> Dstore.oget c (key 125) <> None);
+          read "oget_into" (fun c -> Dstore.oget_into c (key 125) (Bytes.create 64) = 64)
+        end;
+        Sim.wait fx.sim 1_000
+      done;
+      Sim.wait fx.sim 10_000_000;
+      Dstore.stop st);
+  Sim.run fx.sim;
+  check Alcotest.bool "the split window opened" true (!seen >= 0);
+  check
+    Alcotest.(list (pair string bool))
+    "every read in the window sees k125"
+    [ ("oexists", true); ("oget", true); ("oget_into", true) ]
+    (List.sort compare !got)
 
 (* Under the default Delta clone mode, the first checkpoint of a process
    has no dirty epoch to consume and falls back to a full clone; the
@@ -2107,26 +2199,86 @@ let test_oput_alloc_budget () =
       let per_put = (Gc.minor_words () -. w0) /. float_of_int n in
       if per_put > 400.0 then Alcotest.failf "oput: %.0f words > 400" per_put)
 
-(* A cache-hit [oget_into] under the same budget shape: the reader entry
-   is one per-key lookup, with no scan closure or lock-ownership list
-   (17 words a read here; a whole-table scan cost 33). *)
-let test_cached_read_alloc_budget () =
-  let cfg = { small_cfg with Config.obs_enabled = false; cache_bytes = 1024 * 1024 } in
-  with_store ~cfg (fun _ _ ctx ->
-      let keys = Array.init 256 (Printf.sprintf "obj/%03d") in
-      Array.iter (fun k -> Dstore.oput ctx k (Bytes.make 1024 'v')) keys;
-      let buf = Bytes.create 1024 in
-      let gets n =
-        for i = 0 to n - 1 do
-          ignore (Dstore.oget_into ctx keys.(i land 255) buf)
-        done
+(* [oget], [oget_into] and [oget_versioned] of one key in one store
+   state run the same read: identical span segments and elapsed virtual
+   time, on a miss (cache cleared first) and on the hit that follows.
+   [oget_view] matches them on the miss; on the hit it skips only the
+   copy out, so its [S_index] and elapsed time are one [copy_cost]
+   (1000 B at 32 B/ns) shorter. *)
+let test_equivalent_reads_match () =
+  let module Span = Dstore_obs.Span in
+  (* [S_index] first, [S_data] second. *)
+  let segs =
+    Span.
+      [ S_index; S_data; S_ticket; S_lock; S_append; S_fence; S_structs; S_stage; S_commit;
+        S_cache_fill; S_other ]
+  in
+  let cfg = { small_cfg with Config.cache_bytes = 1 lsl 20 } in
+  with_store ~cfg (fun fx st ctx ->
+      Dstore.oput ctx "k" (big_value 7 1000);
+      let rc = (Dstore.obs st).Dstore_obs.Obs.spans in
+      let once read =
+        let t0 = Sim.now fx.sim in
+        read ();
+        let dt = Sim.now fx.sim - t0 in
+        match Span.last rc 1 with
+        | [ s ] -> (dt, List.map (Span.segment s) segs)
+        | _ -> Alcotest.fail "no span"
       in
-      gets 2_048;
-      let n = 4_096 in
-      let w0 = Gc.minor_words () in
-      gets n;
-      let per_get = (Gc.minor_words () -. w0) /. float_of_int n in
-      if per_get > 25.0 then Alcotest.failf "cached oget_into: %.0f words > 25" per_get)
+      let run read =
+        Dstore.cache_clear st;
+        let miss = once read in
+        (miss, once read)
+      in
+      let buf = Bytes.create 1000 in
+      let oget = run (fun () -> ignore (Dstore.oget ctx "k")) in
+      let into = run (fun () -> ignore (Dstore.oget_into ctx "k" buf)) in
+      let versioned = run (fun () -> ignore (Dstore.oget_versioned ctx "k")) in
+      let view = run (fun () -> ignore (Dstore.oget_view ctx "k" buf)) in
+      let same = Alcotest.(pair (pair int (list int)) (pair int (list int))) in
+      check same "oget_into = oget" oget into;
+      check same "oget_versioned = oget" oget versioned;
+      let miss, (hit_dt, hit_segs) = oget in
+      let copy = 1000 / 32 in
+      let less_copy = List.mapi (fun i v -> if i = 0 then v - copy else v) hit_segs in
+      check same "oget_view = oget less the hit's copy" (miss, (hit_dt - copy, less_copy)) view;
+      check Alcotest.bool "the miss reads the SSD" true (List.nth (snd miss) 1 > 0);
+      check Alcotest.bool "the hit does not" true (List.nth hit_segs 1 = 0))
+
+(* Host words per read, single client, observability off, 256 objects of
+   1 KB: every read entry point on a cache hit and with the cache off,
+   bounded by what each cost before the reads shared one path. The
+   reader entry is one per-key lookup, with no scan closure or
+   lock-ownership list (a whole-table scan cost 33 words per hit). *)
+let test_cached_read_alloc_budget () =
+  let budgets ~cache_bytes into view get versioned exists =
+    let cfg = { small_cfg with Config.obs_enabled = false; cache_bytes } in
+    with_store ~cfg (fun _ _ ctx ->
+        let keys = Array.init 256 (Printf.sprintf "obj/%03d") in
+        Array.iter (fun k -> Dstore.oput ctx k (Bytes.make 1024 'v')) keys;
+        let buf = Bytes.create 1024 in
+        let budget name bound read =
+          let reads n =
+            for i = 0 to n - 1 do
+              read keys.(i land 255)
+            done
+          in
+          reads 2_048;
+          let n = 4_096 in
+          let w0 = Gc.minor_words () in
+          reads n;
+          let per_read = (Gc.minor_words () -. w0) /. float_of_int n in
+          if per_read > float_of_int bound then
+            Alcotest.failf "%s, cache %d B: %.1f words > %d" name cache_bytes per_read bound
+        in
+        budget "oget_into" into (fun k -> ignore (Dstore.oget_into ctx k buf));
+        budget "oget_view" view (fun k -> ignore (Dstore.oget_view ctx k buf));
+        budget "oget" get (fun k -> ignore (Dstore.oget ctx k));
+        budget "oget_versioned" versioned (fun k -> ignore (Dstore.oget_versioned ctx k));
+        budget "oexists" exists (fun k -> ignore (Dstore.oexists ctx k)))
+  in
+  budgets ~cache_bytes:(1024 * 1024) 17 17 149 152 2;
+  budgets ~cache_bytes:0 57 52 179 182 2
 
 let suite =
   [
@@ -2168,6 +2320,7 @@ let suite =
     ("automatic checkpoints", `Quick, test_checkpoint_automatic);
     ("No_checkpoint raises Log_full", `Quick, test_no_checkpoint_mode_log_full);
     ("CoW checkpoint mode", `Quick, test_checkpoint_cow_mode);
+    ("CoW: reads in a B-tree split's window", `Quick, test_cow_split_window_reads);
     ( "delta clone: first full, then delta",
       `Quick,
       test_delta_clone_first_full_then_delta );
@@ -2177,6 +2330,7 @@ let suite =
     ("concurrent same key serialized", `Quick, test_concurrent_same_key_serialized);
     ("oput alloc budget", `Quick, test_oput_alloc_budget);
     ("cached read alloc budget", `Quick, test_cached_read_alloc_budget);
+    ("equivalent reads match", `Quick, test_equivalent_reads_match);
     ("readers exclude writer", `Quick, test_readers_exclude_writer);
     ("swap moves in-flight records", `Quick, test_swap_moves_inflight_records);
     ("moved record survives crash", `Quick, test_moved_record_survives_crash);
@@ -2230,4 +2384,5 @@ let suite =
     ("txn crash: torn span dropped", `Quick, test_txn_torn_span_dropped);
     prop_crash_recovery_observational_equivalence;
     ("short read buffer frees the key", `Quick, test_short_buffer_frees_key);
+    ("a raising read finishes its span", `Quick, test_read_raise_finishes_span);
   ]
