@@ -108,14 +108,9 @@ type ctx = {
   mutable holds : Dipper.reservation option;  (* see [reserve] *)
 }
 
-type obj = {
-  octx : ctx;
-  name : string;
-  mode : [ `Rd | `Wr | `Rdwr ];
-  mutable closed : bool;
-}
-
 type open_mode = Rd | Wr | Rdwr
+
+type obj = { octx : ctx; name : string; mode : open_mode; mutable closed : bool }
 
 let engine t = t.engine
 
@@ -345,30 +340,11 @@ let ds_finalize ctx = ctx.live <- false
 
 let check_ctx ctx = if not ctx.live then invalid_arg "DStore: finalized context"
 
+
 (* Append [items] past the caller's own advisory locks and reservations. *)
 let append_items ?span ?reads ctx items =
   Dipper.append ~ctx:ctx.id ~holding:(Option.is_some ctx.holds) ?span ?reads ctx.store.engine
     items
-
-(* The records of an appended group, in item order. *)
-let ops_of a = List.map Dipper.ticket_op (Dipper.members a)
-
-(* [append_items] without a read-set, where validation cannot fail. *)
-let append ?span ctx items =
-  match append_items ?span ctx items with
-  | Ok a -> (a, ops_of a)
-  | Error _ -> assert false
-
-(* One record whose builder claims ids under the lock ([oopen], [owrite]).
-   The engine builds a record again when it outgrew its estimate, so each
-   build first runs [release] (give back the previous build's claim, then
-   forget it); an append that raises gives back the last build's claim. *)
-let append_claiming ?span ctx key max_slots ~release build =
-  match append ?span ctx [ (key, max_slots, fun () -> release (); build ()) ] with
-  | r -> r
-  | exception e ->
-      Dipper.with_frontend_lock ctx.store.engine release;
-      raise e
 
 (* With observational equivalence (the default), index and metadata updates
    by non-conflicting requests run fully in parallel; the [oe = false]
@@ -388,18 +364,16 @@ let with_structs t f =
 
 (* --- data plane helpers ------------------------------------------------------ *)
 
-let page_size t = Ssd.page_size t.ssd
-
-let page_bytes = page_size
+let page_bytes t = Ssd.page_size t.ssd
 
 let ssd_channels t = (Ssd.config t.ssd).Ssd.channels
 
-let blocks_for t size = (size + page_size t - 1) / page_size t
+let blocks_for t size = (size + page_bytes t - 1) / page_bytes t
 
 (* Write [size] bytes of [buf] to the blocks of [extents], in order. *)
 let write_data ?(span = Span.none) t extents buf size =
   if size > 0 then begin
-    let ps = page_size t in
+    let ps = page_bytes t in
     let nblocks = blocks_for t size in
     let padded =
       if Bytes.length buf >= nblocks * ps then buf
@@ -417,16 +391,27 @@ let write_data ?(span = Span.none) t extents buf size =
       extents
   end
 
-(* Flatten extents into a page array for random page addressing. *)
-let pages_of_extents extents =
-  let flat = ref [] in
-  List.iter
-    (fun (s, l) ->
-      for i = 0 to l - 1 do
-        flat := (s + i) :: !flat
-      done)
-    extents;
-  Array.of_list (List.rev !flat)
+type io = ?span:Span.t -> Ssd.t -> page:int -> Bytes.t -> off:int -> count:int -> unit
+
+(* The one extent walker: [io] ([Ssd.read] or [Ssd.write]) object pages
+   [first, first + n) against [buf], page p at page (p - origin) of [buf],
+   one call per page or with [~runs] per device-contiguous stretch. The
+   object lies on [extents], their head at object page [base]. *)
+let rec move_pages ~span t (io : io) ~runs buf ~origin ~first ~n base = function
+  | [] -> ()
+  | { Metazone.start; len } :: rest ->
+      let ps = page_bytes t in
+      let lo = max first base and hi = min (first + n) (base + len) in
+      if runs then begin
+        if lo < hi then
+          io ~span t.ssd ~page:(start + lo - base) buf ~off:((lo - origin) * ps) ~count:(hi - lo)
+      end
+      else
+        for p = lo to hi - 1 do
+          io ~span t.ssd ~page:(start + p - base) buf ~off:((p - origin) * ps) ~count:1
+        done;
+      if base + len < first + n then
+        move_pages ~span t io ~runs buf ~origin ~first ~n (base + len) rest
 
 (* --- allocation helpers (run under the frontend lock) ------------------------- *)
 
@@ -443,15 +428,6 @@ let alloc_meta t =
   m
 
 let free_extents t extents = free_blocks t.h.blockpool extents
-
-(* Commit-time releases: performed under the frontend lock so replay (which
-   processes pool effects serially in LSN order) can never observe a block
-   freed by record X yet allocated by a record younger than X. *)
-let release_freed t freed_meta freed_extents =
-  if freed_meta >= 0 || freed_extents <> [] then
-    Dipper.with_frontend_lock t.engine (fun () ->
-        free_extents t freed_extents;
-        if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta)
 
 let now t = t.platform.Platform.now ()
 
@@ -510,43 +486,85 @@ let cache_write_through t key value size =
       Cache.put c key value ~pos:0 ~len:size
   | _ -> ()
 
-(* --- the write pipeline (Figure 4, staged) ------------------------------------ *)
 
-(* [oput], [odelete] and [obatch] run one pipeline; a single op is the
-   group of one. Every put runs alloc → SSD payload → lock / conflict
-   lookup / log append → [wait_readers] → structures → cache → commit →
-   release: allocation (step 4) and the data write (step 8) are STAGED
-   ahead of the append. The op's in-flight window, which every same-key
-   reader and writer must wait out, then holds only the log flush, the
-   structure updates and the commit fence — no device time. Staging early
-   is crash-safe: the freshly claimed blocks and meta id are unreachable
-   until the record commits, and the pools are volatile (rebuilt from the
-   log by recovery), so a crash before the append loses nothing durable.
-   Ids a record frees still come from committed state, because the record
-   is built under the append's lock hold. [txn_commit_writes] claims the
-   same way but validates first, then writes its payloads beside its
-   structure updates; [owrite] rewrites live pages inside its window.
+(* --- the write bracket (Figure 4, staged) ------------------------------------- *)
 
-   The op's span partitions it by step: [S_stage] (claim), [S_data]
-   (payload), [S_lock] and [S_append] (the engine's cuts), then per
-   record [S_ticket] (reader drain), [S_structs] (metadata entry) and
-   [S_index] (B-tree), [S_structs] again for the cache maintenance, and
-   the commit: [S_fence] for a one-record group, [S_commit] for the
-   coalesced persist of a larger one. Table 3 is these sums. A
-   transaction's [S_data] (and its payloads' queueing) is only the wait
-   left after its structure updates. *)
+(* Every writer runs one bracket, [write]: span, stage, append, per record
+   reader drain, structures and cache, in-window data, commit, release,
+   and the span and latency sample closed on every exit. Its group is one
+   op, a batch, or a transaction's write-set (the single op being the
+   degenerate transaction, Marathe et al.).
+
+   The group's shape fixes where a payload goes. The puts of [oput],
+   [odelete] and [obatch] claim their ids and write their SSD payloads
+   before their append (steps 4 and 8 STAGED), so the in-flight window
+   that same-key requests wait out holds no device time; crash-safe, as
+   claimed ids are unreachable until the record commits and the pools
+   are volatile. A backup's group arrives claimed and written. A
+   transaction claims, validates in its append, then writes its payloads
+   beside its structure updates: an abort does no SSD I/O. [owrite]
+   rewrites live pages inside its window, and a physical put writes its
+   payload after the build that claimed and applied it. A record is
+   built under the append's lock hold, so the ids it frees are committed
+   state; a rebuild (the record outgrew its estimate) first gives back
+   the previous build's claims, and a raising append every claim.
+
+   Segments: [S_stage] (claim), [S_data] (payload), [S_lock] and
+   [S_append] (the engine's), per record [S_ticket] (reader drain),
+   [S_structs] (metadata) and [S_index] (B-tree), [S_structs] (cache),
+   [S_data] (in-window data), and [S_fence] for one record's commit or
+   [S_commit] for a group's or a transaction's. Table 3 is their sums. *)
 
 type batch_op = Bput of string * Bytes.t | Bdelete of string
 
 let batch_key = function Bput (k, _) -> k | Bdelete k -> k
 
-(* A batch op after staging: a put carries its claimed ids, its payload
-   already on the SSD. *)
+(* One op of a write group. A put's ids are claimed at stage ([meta] -1
+   until then). A create claims in its build; an owrite records there the
+   object's extents and the blocks it claimed ([fresh]); a physical put
+   claims and applies its updates there. *)
 type staged =
-  | Sput of { key : string; value : Bytes.t; meta : int; extents : (int * int) list }
+  | Sput of {
+      key : string; value : Bytes.t; mutable meta : int; mutable extents : (int * int) list }
   | Sdelete of string
+  | Screate of { key : string; mutable meta : int }
+  | Swrite of {
+      key : string;
+      buf : Bytes.t;
+      size : int;
+      off : int;
+      mutable old : Metazone.extent list;
+      mutable fresh : (int * int) list;
+    }
+  | Sphys of {
+      key : string; value : Bytes.t; mutable extents : (int * int) list; mutable built : bool }
 
-let staged_key = function Sput { key; _ } -> key | Sdelete k -> k
+let staged_key = function
+  | Sput { key; _ } | Screate { key; _ } | Swrite { key; _ } | Sphys { key; _ } | Sdelete key -> key
+
+let put_of t key value =
+  match t.cfg.logging with
+  | Config.Logical -> Sput { key; value; meta = -1; extents = [] }
+  | Config.Physical -> Sphys { key; value; extents = []; built = false }
+
+(* Table 2 arguments, checked at entry: host work only, before any claim,
+   lock or append. *)
+let check_key what key =
+  if String.length key > Btree.max_key_len then
+    invalid_arg (Printf.sprintf "Dstore.%s: key longer than %d bytes" what Btree.max_key_len)
+
+let check_range what buf ~size ~off =
+  if off < 0 then invalid_arg (Printf.sprintf "Dstore.%s: off %d < 0" what off);
+  if size < 0 || size > Bytes.length buf then
+    invalid_arg (Printf.sprintf "Dstore.%s: size %d outside 0..%d" what size (Bytes.length buf))
+
+(* [what]'s group of [ops], each key checked. *)
+let rec staged_of t what = function
+  | [] -> []
+  | op :: rest ->
+      check_key what (batch_key op);
+      (match op with Bput (k, v) -> put_of t k v | Bdelete k -> Sdelete k)
+      :: staged_of t what rest
 
 (* Fork-join: [f] on each of [items] in a task of its own, [inline] on
    the caller's fiber; returns, or raises [inline]'s exception else the
@@ -559,17 +577,16 @@ let rec take_join t =
       let p = t.platform in
       { mu = p.Platform.new_mutex (); cv = p.Platform.new_cond (); pending = 0; failed = None }
 
-let rec give_join t j =
-  let l = Atomic.get t.joins in
-  if not (Atomic.compare_and_set t.joins l (j :: l)) then give_join t j
-
 let await t j =
   j.mu.Platform.lock ();
   while j.pending > 0 do j.cv.Platform.wait j.mu done;
   j.mu.Platform.unlock ();
   let failed = j.failed in
   j.failed <- None;
-  give_join t j;
+  while
+    let l = Atomic.get t.joins in
+    not (Atomic.compare_and_set t.joins l (j :: l))
+  do () done;
   failed
 
 let par_iter t items f ~inline =
@@ -593,98 +610,147 @@ let par_iter t items f ~inline =
       ignore (await t j);
       raise e
 
+(* Give back (under the frontend lock) and forget every id [s] holds that
+   no committed record names: its stage's claims or its last build's. *)
 let free_claim t = function
-  | Sput { meta; extents; _ } ->
-      free_extents t extents;
-      Bitpool.free t.h.metapool meta
-  | Sdelete _ -> ()
+  | Sput p ->
+      free_extents t p.extents;
+      if p.meta >= 0 then Bitpool.free t.h.metapool p.meta;
+      p.meta <- -1;
+      p.extents <- []
+  | Screate c ->
+      if c.meta >= 0 then Bitpool.free t.h.metapool c.meta;
+      c.meta <- -1
+  | Swrite w ->
+      free_extents t w.fresh;
+      w.fresh <- []
+  | Sdelete _ | Sphys _ -> ()
 
-(* Step 4 for every put of [ops], all or nothing: if a claim runs out of
-   blocks or meta ids, the ids already taken go back as [Out_of_blocks]
-   unwinds. *)
+let rec free_claims t = function
+  | [] -> ()
+  | s :: rest ->
+      free_claim t s;
+      free_claims t rest
+
 let rec claim_all t = function
-  | [] -> []
-  | Bdelete k :: rest -> Sdelete k :: claim_all t rest
-  | Bput (key, value) :: rest -> (
-      let extents = alloc_blocks t (blocks_for t (Bytes.length value)) in
-      let meta =
-        match alloc_meta t with
-        | m -> m
-        | exception e ->
-            free_extents t extents;
-            raise e
-      in
-      let s = Sput { key; value; meta; extents } in
-      match claim_all t rest with
-      | staged -> s :: staged
-      | exception e ->
-          free_claim t s;
-          raise e)
+  | [] -> ()
+  | Sput p :: rest when p.meta < 0 ->
+      p.extents <- alloc_blocks t (blocks_for t (Bytes.length p.value));
+      p.meta <- alloc_meta t;
+      claim_all t rest
+  | _ :: rest -> claim_all t rest
 
-(* The claims share one frontend-lock hold, taken only when some op
-   claims ids. *)
+(* Step 4 for every unclaimed put of [group] in one frontend-lock hold, all
+   or nothing: if a claim runs out of ids, every id taken goes back as
+   [Out_of_blocks] unwinds. Returns whether it claimed anything. *)
+let claim_group t group =
+  List.exists (function Sput { meta; _ } -> meta < 0 | _ -> false) group
+  && Dipper.with_frontend_lock t.engine (fun () ->
+         match claim_all t group with
+         | () -> true
+         | exception e ->
+             free_claims t group;
+             raise e)
+
 let claim t ops =
-  if List.exists (function Bput _ -> true | Bdelete _ -> false) ops then
-    Dipper.with_frontend_lock t.engine (fun () -> claim_all t ops)
-  else claim_all t ops
+  let group = staged_of t "claim" ops in
+  ignore (claim_group t group);
+  group
 
 (* Give back the ids of staged ops that never reached the log (volatile
    pools, no record names them: a plain free suffices). *)
-let unstage t staged =
-  Dipper.with_frontend_lock t.engine (fun () -> List.iter (free_claim t) staged)
+let unstage t group =
+  Dipper.with_frontend_lock t.engine (fun () -> free_claims t group)
 
 let write_staged ~span t = function
   | Sput { value; extents; _ } -> write_data ~span t extents value (Bytes.length value)
-  | Sdelete _ -> ()
+  | _ -> ()
 
-let puts_of = List.filter (function Sput _ -> true | Sdelete _ -> false)
+let puts_of = List.filter (function Sput _ -> true | _ -> false)
 
 (* Step 8 for every staged put, overlapped across the SSD's channels. *)
-let write_payloads ?(span = Span.none) t staged =
-  match puts_of staged with
+let write_payloads ?(span = Span.none) t group =
+  match puts_of group with
   | [] -> ()
   | [ p ] -> write_staged ~span t p
   | p :: rest ->
       par_iter t rest (write_staged ~span t) ~inline:(fun () -> write_staged ~span t p)
 
-(* Claim, then write every payload, before any log append. *)
-let stage ~span t ops =
-  let staged = claim t ops in
-  Span.seg span Span.S_stage;
-  write_payloads ~span t staged;
-  Span.seg span Span.S_data;
-  staged
+(* The meta id [key] is bound to, -1 if none, and the extents of one. *)
+let bound t key = match Btree.find t.h.btree key with Some m -> m | None -> -1
 
-(* Step 3, under the append's lock hold: find the binding a staged op
-   replaces and build its record. *)
+let extents_of t meta = if meta < 0 then [] else of_mz (snd (Metazone.read_object t.h.zone meta))
+
+(* Step 3, under the append's lock hold: find the binding the op
+   replaces, claim what the build needs, and build its record. *)
 let record_of t = function
   | Sput { key; value; meta; extents } ->
-      let freed_meta, freed_extents =
-        match Btree.find t.h.btree key with
-        | Some old_meta ->
-            let _, exts = Metazone.read_object t.h.zone old_meta in
-            (old_meta, of_mz exts)
-        | None -> (-1, [])
-      in
+      let freed_meta = bound t key in
       Logrec.Put
-        { key; size = Bytes.length value; meta; extents; freed_meta; freed_extents }
+        { key; size = Bytes.length value; meta; extents; freed_meta;
+          freed_extents = extents_of t freed_meta }
   | Sdelete key -> (
-      match Btree.find t.h.btree key with
-      | None -> Logrec.Noop { key }
-      | Some meta ->
-          let _, exts = Metazone.read_object t.h.zone meta in
-          Logrec.Delete { key; meta; extents = of_mz exts })
+      match bound t key with
+      | -1 -> Logrec.Noop { key }
+      | meta -> Logrec.Delete { key; meta; extents = extents_of t meta })
+  | Screate c when bound t c.key >= 0 ->
+      (* Re-checked under the lock: a racing oopen created it. *)
+      Logrec.Noop { key = c.key }
+  | Screate c ->
+      c.meta <- alloc_meta t;
+      Logrec.Create { key = c.key; meta = c.meta }
+  | Swrite w ->
+      let meta = bound t w.key in
+      if meta < 0 then raise (Object_not_found w.key);
+      let osz, extents = Metazone.read_object t.h.zone meta in
+      let size = max (w.off + w.size) osz in
+      w.old <- extents;
+      w.fresh <- alloc_blocks t (blocks_for t size - Metazone.blocks_of extents);
+      if w.fresh = [] && size = osz then
+        (* In-place overwrite: no metadata change, no logical record
+           needed (§4.3); the NOOP still serializes conflicting writers
+           through the conflict lookup. *)
+        Logrec.Noop { key = w.key }
+      else Logrec.Write { key = w.key; meta; size; new_extents = w.fresh }
+  | Sphys p ->
+      (* Figure 9's naïve baseline: claim, bind and release under write
+         capture, so the record carries redo images of every byte range
+         changed. Far below the quarter-log estimate for the ablation's
+         small puts; one that outgrew it fails rather than apply twice. *)
+      if p.built then failwith "Dstore.oput: physical record outgrew its estimate";
+      p.built <- true;
+      let size = Bytes.length p.value in
+      let images =
+        Dipper.capture_writes t.engine (fun () ->
+            let freed_meta = bound t p.key in
+            let freed_extents = extents_of t freed_meta in
+            p.extents <- alloc_blocks t (blocks_for t size);
+            let meta = alloc_meta t in
+            t.platform.Platform.consume (Config.costs.meta_ns + Config.costs.btree_ns);
+            Metazone.write_object t.h.zone meta ~size (to_mz p.extents);
+            ignore (Btree.insert t.h.btree p.key meta);
+            if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta;
+            free_extents t freed_extents)
+      in
+      Logrec.Phys { images }
 
 let max_slots_of t = function
-  | Sput { key; value; _ } ->
-      Logrec.put_max_slots key (blocks_for t (Bytes.length value))
+  | Sput { key; value; _ } -> Logrec.put_max_slots key (blocks_for t (Bytes.length value))
   | Sdelete key -> Logrec.put_max_slots key 1
+  | Screate _ -> 4
+  | Swrite w -> Logrec.put_max_slots w.key (blocks_for t w.size + 1)
+  | Sphys _ -> t.cfg.log_slots / 4
 
-(* Staged ops as append items. *)
+(* Staged ops as append items; a rebuild first gives back what the previous
+   build claimed (a put's claims are its stage's, kept). *)
 let rec append_items_of t = function
   | [] -> []
   | s :: rest ->
-      (staged_key s, max_slots_of t s, fun () -> record_of t s) :: append_items_of t rest
+      let build () =
+        (match s with Sput _ -> () | _ -> free_claim t s);
+        record_of t s
+      in
+      (staged_key s, max_slots_of t s, build) :: append_items_of t rest
 
 (* Steps 6 and 7, cut apart so Table 3 can tell metadata from B-tree. *)
 let put_structures ~span t key meta size extents =
@@ -695,101 +761,151 @@ let put_structures ~span t key meta size extents =
   ignore (Btree.insert t.h.btree key meta);
   Span.seg span Span.S_index
 
-let delete_structures t key =
-  with_structs t (fun () ->
-      t.platform.Platform.consume Config.costs.btree_ns;
-      ignore (Btree.delete t.h.btree key));
-  cache_invalidate t key
-
-(* Steps 6-7 and cache maintenance for one appended record, after
-   draining the key's readers. Returns the ids its commit releases,
-   [None] for a delete that found nothing. *)
+(* Steps 6-7 and cache maintenance for one appended record, after its
+   reader drain; returns the ids its commit releases. A physical put
+   applied its updates, releases included, in its build. *)
 let apply_appended ~span t s op =
   match (s, op) with
-  | Sput { key; value; _ }, Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ }
-    ->
+  | (Sdelete _ | Screate _), Logrec.Noop _ -> None
+  | Sphys _, _ -> Some (-1, [])
+  | _ -> (
+      let key = staged_key s in
       Dipper.wait_readers t.engine t.rc key;
       Span.seg span Span.S_ticket;
-      (* Called directly when unserialized: no closure per put. *)
-      if serialized t then
-        Platform.with_lock t.struct_lock (fun () ->
-            put_structures ~span t key meta size extents)
-      else put_structures ~span t key meta size extents;
-      cache_write_through t key value size;
-      Some (freed_meta, freed_extents)
-  | Sdelete key, Logrec.Delete { meta; extents; _ } ->
-      Dipper.wait_readers t.engine t.rc key;
-      Span.seg span Span.S_ticket;
-      delete_structures t key;
-      Some (meta, extents)
-  | Sdelete _, Logrec.Noop _ -> None
-  | _ -> assert false
+      match (s, op) with
+      | Sput { value; _ }, Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ } ->
+          (* Called directly when unserialized: no closure per put. *)
+          if serialized t then
+            Platform.with_lock t.struct_lock (fun () ->
+                put_structures ~span t key meta size extents)
+          else put_structures ~span t key meta size extents;
+          cache_write_through t key value size;
+          Some (freed_meta, freed_extents)
+      | _, Logrec.Delete { meta; extents; _ } ->
+          with_structs t (fun () ->
+              t.platform.Platform.consume Config.costs.btree_ns;
+              ignore (Btree.delete t.h.btree key));
+          cache_invalidate t key;
+          Some (meta, extents)
+      | _ ->
+          (match op with
+          | Logrec.Noop _ -> ()
+          | _ -> with_structs t (fun () -> apply_op t.platform t.h op));
+          (* Even an in-place owrite rewrites SSD bytes: the cached
+             whole-object copy is stale either way. *)
+          cache_invalidate t key;
+          None)
 
-let rec apply_all ~span t staged ops =
-  match (staged, ops) with
-  | s :: staged, op :: ops ->
+let rec apply_all ~span t group ops =
+  match (group, ops) with
+  | s :: group, op :: ops ->
       let post = apply_appended ~span t s op in
-      post :: apply_all ~span t staged ops
+      post :: apply_all ~span t group ops
   | _ -> []
 
+(* Step 8 inside the window. An owrite rewrites the pages it covers in
+   place, reading first a partial first or last page that held data. *)
+let window_data ~span t = function
+  | [ Swrite w ] ->
+      let ps = page_bytes t in
+      let first = w.off / ps and last = (w.off + w.size - 1) / ps in
+      let scratch = Bytes.make ((last - first + 1) * ps) '\000' in
+      let extents = if w.fresh = [] then w.old else w.old @ to_mz w.fresh in
+      let fetch p =
+        if p < Metazone.blocks_of w.old then
+          move_pages ~span t Ssd.read ~runs:false scratch ~origin:first ~first:p ~n:1 0 extents
+      in
+      if w.off mod ps <> 0 then fetch first;
+      if (w.off + w.size) mod ps <> 0 && last <> first then fetch last;
+      Bytes.blit w.buf 0 scratch (w.off - (first * ps)) w.size;
+      move_pages ~span t Ssd.write ~runs:false scratch ~origin:first ~first
+        ~n:(last - first + 1) 0 extents;
+      Span.seg span Span.S_data
+  | [ Sphys { value; extents; _ } ] ->
+      write_data ~span t extents value (Bytes.length value);
+      Span.seg span Span.S_data
+  | _ -> ()
+
+(* Steps 5-8 of an appended group, but a transaction's payloads. *)
+let apply_group ~span t group a =
+  let posts = apply_all ~span t group (List.map Dipper.ticket_op (Dipper.members a)) in
+  Span.seg span Span.S_structs;
+  window_data ~span t group;
+  posts
+
+(* Commit-time releases: performed under the frontend lock so replay
+   (which processes pool effects serially in LSN order) can never observe
+   a block freed by record X yet allocated by a record younger than X. *)
 let rec release_posts t = function
   | [] -> ()
-  | Some (m, e) :: rest ->
-      release_freed t m e;
+  | Some (m, e) :: rest when m >= 0 || e <> [] ->
+      Dipper.with_frontend_lock t.engine (fun () ->
+          free_extents t e;
+          if m >= 0 then Bitpool.free t.h.metapool m);
       release_posts t rest
-  | None :: rest -> release_posts t rest
+  | _ :: rest -> release_posts t rest
 
-(* Split a staged group into sub-batches of pairwise-distinct keys, each
-   small enough to always fit the log. Distinct keys are required for
+(* Split a group into sub-batches of pairwise-distinct keys, each small
+   enough to always fit the log. Distinct keys are required for
    correctness, not just to avoid self-conflict: a record's freed ids must
    come from state committed before its sub-batch, so that any surviving
    subset of the sub-batch replays against ids that were really allocated
    — if op B freed what same-sub-batch op A allocated and only B survived
-   a crash, replay would free never-allocated ids. *)
-let split_batches t staged =
-  let max_batch_slots = max 8 (t.cfg.Config.log_slots / 2) in
-  let out = ref [] and cur = ref [] and cur_slots = ref 0 in
-  let seen = Hashtbl.create 16 in
-  let flush () =
-    if !cur <> [] then begin
-      out := List.rev !cur :: !out;
-      cur := [];
-      cur_slots := 0;
-      Hashtbl.reset seen
-    end
+   a crash, replay would free never-allocated ids. Physical logging
+   captures its redo images per op, so there each op is a sub-batch. *)
+let split_batches t group =
+  let limit = if t.cfg.logging = Config.Physical then 0 else max 8 (t.cfg.Config.log_slots / 2) in
+  (* [cur] holds [keys] in [slots] of log; [out] the sub-batches, reversed. *)
+  let rec go out cur keys slots = function
+    | [] -> List.rev (if cur = [] then out else List.rev cur :: out)
+    | s :: rest ->
+        let k = staged_key s and n = max_slots_of t s in
+        if cur <> [] && (List.mem k keys || slots + n > limit) then
+          go (List.rev cur :: out) [ s ] [ k ] n rest
+        else go out (s :: cur) (k :: keys) (slots + n) rest
   in
-  List.iter
-    (fun s ->
-      let k = staged_key s in
-      let n = max_slots_of t s in
-      if Hashtbl.mem seen k || !cur_slots + n > max_batch_slots then flush ();
-      Hashtbl.add seen k ();
-      cur := s :: !cur;
-      cur_slots := !cur_slots + n)
-    staged;
-  flush ();
-  List.rev !out
+  go [] [] [] 0 group
 
-(* One sub-batch (distinct keys), already staged: one append, steps 6–7
-   per op, one commit, then the commit-time releases. If the append
-   raises, the claims of this sub-batch and of the [later] ones go back. *)
-let exec_sub_batch ctx t span ~later sub =
-  let a, ops =
-    match append ~span ctx (append_items_of t sub) with
-    | r -> r
+(* A transaction whose read-set went stale: nothing was appended. *)
+exception Stale of string
+
+(* One sub-batch (distinct keys): one append, steps 5–8 per op, one
+   commit, the releases. If the append raises or a transaction's
+   validation fails, the claims of this and the [later] sub-batches go back. *)
+let exec_sub_batch ?reads ctx t span ~later sub =
+  let a =
+    match append_items ~span ?reads ctx (append_items_of t sub) with
+    | Ok a -> a
+    | Error key ->
+        unstage t sub;
+        raise (Stale key)
     | exception e ->
         unstage t (sub @ later);
         raise e
   in
-  let posts = apply_all ~span t sub ops in
-  Span.seg span Span.S_structs;
+  let posts =
+    match reads with
+    | None -> apply_group ~span t sub a
+    | Some _ ->
+        (* A transaction forks its payload writes beside steps 5-7 and
+           joins before its commit. *)
+        let io = Span.detach span in
+        let posts =
+          par_iter t (puts_of sub) (write_staged ~span:io t) ~inline:(fun () ->
+              apply_group ~span t sub a)
+        in
+        Span.absorb span io;
+        Span.seg span Span.S_data;
+        posts
+  in
   Dipper.commit t.engine a;
-  Span.seg span (match sub with [ _ ] -> Span.S_fence | _ -> Span.S_commit);
+  Span.seg span (match (sub, reads) with [ _ ], None -> Span.S_fence | _ -> Span.S_commit);
   release_posts t posts;
   posts
 
 (* The sub-batches append and commit in order, so each record's freed ids
-   come from state the earlier sub-batches committed. *)
+   come from state the earlier sub-batches committed. A single op and a
+   transaction are one sub-batch, with no split to run. *)
 let rec exec_sub_batches ctx t span = function
   | [] -> []
   | [ sub ] -> exec_sub_batch ctx t span ~later:[] sub
@@ -797,153 +913,96 @@ let rec exec_sub_batches ctx t span = function
       let r = exec_sub_batch ctx t span ~later:(List.concat rest) sub in
       r @ exec_sub_batches ctx t span rest
 
-(* Append and commit a staged group. A single op is its own sub-batch,
-   with no split to run. Returns what each op's commit released, in
-   input order: [None] only for a delete that found nothing. *)
-let exec ctx t span = function
-  | [ _ ] as one -> exec_sub_batch ctx t span ~later:[] one
-  | staged -> exec_sub_batches ctx t span (split_batches t staged)
+let exec ?reads ctx t span group =
+  match group with
+  | _ :: _ :: _ when Option.is_none reads -> exec_sub_batches ctx t span (split_batches t group)
+  | _ -> exec_sub_batch ?reads ctx t span ~later:[] group
 
-(* Staging runs once per call, before the split: every payload of the
-   call shares one SSD round, however many duplicate-key sub-batches
-   follow. *)
-let pipeline ctx t span ops = exec ctx t span (stage ~span t ops)
+(* One op's span and sample go by its kind; a batch has one [Batch] span
+   and a sample per op; a transaction, the caller's span. *)
+type writer = One | Batch | Txn
 
-(* Physical-logging put (Figure 9 naïve baseline): allocations, structure
-   updates and releases all run inside the critical section under write
-   capture; the record carries redo images of every modified byte range.
-   Intended for the write-only ablation workload (see DESIGN.md). Its
-   builder applies what it logs, so it must not run twice: the images of
-   the ablation's small puts stay far below the quarter-log estimate, and
-   a record that outgrew it (so [Dipper.append] would build it again)
-   fails here rather than applying its updates a second time. *)
-let oput_physical ctx t key value size =
-  let nblocks = blocks_for t size in
-  let data_extents = ref [] in
-  let built = ref false in
-  let build () =
-    if !built then failwith "Dstore.oput_physical: record outgrew its estimate";
-    built := true;
-    let images =
-      Dipper.capture_writes t.engine (fun () ->
-          let freed_meta, freed_extents =
-            match Btree.find t.h.btree key with
-            | Some old_meta ->
-                let _, exts = Metazone.read_object t.h.zone old_meta in
-                (old_meta, of_mz exts)
-            | None -> (-1, [])
-          in
-          let extents = alloc_blocks t nblocks in
-          let meta = alloc_meta t in
-          data_extents := extents;
-          t.platform.Platform.consume
-            (Config.costs.meta_ns + Config.costs.btree_ns);
-          Metazone.write_object t.h.zone meta ~size (to_mz extents);
-          ignore (Btree.insert t.h.btree key meta);
-          if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta;
-          free_extents t freed_extents)
-    in
-    Logrec.Phys { images }
-  in
-  let a, _ = append ctx [ (key, t.cfg.log_slots / 4, build) ] in
-  write_data t !data_extents value size;
-  Dipper.commit t.engine a
-
-(* --- entry points: each a group over the one pipeline ------------------------- *)
-
-(* The caller's [span], or a fresh one of [kind] that [finish_own]
-   closes. A caller-owned span (the replication façade's) takes the
-   engine's segments and stalls but stays open, so post-return waits
+(* A caller-owned span (the replication façade's, a transaction's) takes
+   the engine's segments and stalls but stays open, so post-return waits
    (backup acks) land in the same record and the partition invariant
    still holds. *)
-let span_of t span ?n_ops kind key =
-  match span with Some s -> s | None -> Span.start t.obs.Obs.spans ?n_ops kind key
-
 let finish_own span sp = match span with None -> Span.finish sp | Some _ -> ()
 
-let oput ?span ctx key value =
+(* A group's own span: none for a create, nor under physical logging for
+   puts and batches (the Figure 9 ablation, measured by client latency). *)
+let own_span t w group =
+  let r = t.obs.Obs.spans in
+  match (w, group) with
+  | One, [ (Sput { key; _ } | Sdelete key | Swrite { key; _ }) as s ] ->
+      let kind = match s with Sput _ -> Span.Put | Sdelete _ -> Span.Delete | _ -> Span.Write in
+      Span.start r kind key
+  | Batch, _ when t.cfg.logging = Config.Logical ->
+      Span.start r ~n_ops:(List.length group) Span.Batch "(batch)"
+  | _ -> Span.none
+
+(* Every op observes the whole call's latency: nothing in a group is
+   durable earlier. *)
+let rec observe_group t dt = function
+  | [] -> ()
+  | s :: rest ->
+      (match s with
+      | Sput _ | Sphys _ -> Metrics.observe t.h_put dt
+      | Sdelete _ -> Metrics.observe t.h_del dt
+      | Swrite _ -> Metrics.observe t.h_write dt
+      | Screate _ -> ());
+      observe_group t dt rest
+
+let close t span sp w group t0 =
+  finish_own span sp;
+  if w <> Txn then observe_group t (now t - t0) group
+
+(* Returns what each op's commit released, in input order. *)
+let write ?span ?reads ctx w group =
   check_ctx ctx;
   let t = ctx.store in
-  let t0 = now t in
-  (match t.cfg.logging with
-  | Config.Logical ->
-      let sp = span_of t span Span.Put key in
-      ignore (pipeline ctx t sp [ Bput (key, value) ]);
-      finish_own span sp
-  | Config.Physical -> oput_physical ctx t key value (Bytes.length value));
-  Metrics.observe t.h_put (now t - t0)
+  match group with
+  | [] -> []
+  | _ -> (
+      let t0 = now t in
+      let sp = match span with Some s -> s | None -> own_span t w group in
+      match
+        (* Steps 4 and 8 before the append: claim the puts and, without a
+           read-set, write them; a backup's group arrives claimed, written. *)
+        if claim_group t group then begin
+          Span.seg sp Span.S_stage;
+          if w <> Txn then begin
+            write_payloads ~span:sp t group;
+            Span.seg sp Span.S_data
+          end
+        end;
+        exec ?reads ctx t sp group
+      with
+      | posts ->
+          close t span sp w group t0;
+          posts
+      | exception e ->
+          close t span sp w group t0;
+          raise e)
+
+(* --- entry points: each one writer over the one bracket ------------------------ *)
+
+let oput ?span ctx key value =
+  check_key "oput" key;
+  ignore (write ?span ctx One [ put_of ctx.store key value ])
 
 (* A delete logs a logical record under either logging mode. *)
-let delete_one ctx t span key =
-  match pipeline ctx t span [ Bdelete key ] with
-  | [ post ] -> Option.is_some post
-  | _ -> assert false
-
 let odelete ?span ctx key =
-  check_ctx ctx;
-  let t = ctx.store in
-  let t0 = now t in
-  let sp = span_of t span Span.Delete key in
-  let r = delete_one ctx t sp key in
-  finish_own span sp;
-  Metrics.observe t.h_del (now t - t0);
-  r
-
-(* Group-commit acknowledgment: every op in the group observes the whole
-   call's latency — nothing is durable earlier. *)
-let observe_group t t0 is_put ops =
-  let dt = now t - t0 in
-  List.iter
-    (fun op -> Metrics.observe (if is_put op then t.h_put else t.h_del) dt)
-    ops
+  check_key "odelete" key;
+  List.exists Option.is_some (write ?span ctx One [ Sdelete key ])
 
 (* One Batch span covers a whole group commit; attribution weights it by
    op count (every op observes batch latency). *)
-let exec_staged ?span ctx staged =
-  check_ctx ctx;
-  let t = ctx.store in
-  match staged with
-  | [] -> []
-  | _ ->
-      let t0 = now t in
-      let sp = span_of t span ~n_ops:(List.length staged) Span.Batch "(batch)" in
-      let posts = exec ctx t sp staged in
-      finish_own span sp;
-      observe_group t t0 (function Sput _ -> true | Sdelete _ -> false) staged;
-      List.map Option.is_some posts
-
 let obatch ?span ctx ops =
-  check_ctx ctx;
-  let t = ctx.store in
-  match ops with
-  | [] -> []
-  | _ ->
-      let t0 = now t in
-      let results =
-        match t.cfg.logging with
-        | Config.Logical ->
-            (* [claim], [write_payloads], then [exec_staged]'s append and
-               commit, all in the one span. *)
-            let sp = span_of t span ~n_ops:(List.length ops) Span.Batch "(batch)" in
-            let posts = pipeline ctx t sp ops in
-            finish_own span sp;
-            List.map Option.is_some posts
-        | Config.Physical ->
-            (* Physical logging captures redo images inside the critical
-               section per op; run the batch as individual ops. *)
-            List.map
-              (function
-                | Bput (k, v) ->
-                    oput_physical ctx t k v (Bytes.length v);
-                    true
-                | Bdelete k -> delete_one ctx t Span.none k)
-              ops
-      in
-      observe_group t t0 (function Bput _ -> true | Bdelete _ -> false) ops;
-      results
+  List.map Option.is_some (write ?span ctx Batch (staged_of ctx.store "obatch" ops))
 
-let oput_batch ctx kvs =
-  ignore (obatch ctx (List.map (fun (k, v) -> Bput (k, v)) kvs))
+let exec_staged ?span ctx staged = List.map Option.is_some (write ?span ctx Batch staged)
+
+let oput_batch ctx kvs = ignore (obatch ctx (List.map (fun (k, v) -> Bput (k, v)) kvs))
 
 let odelete_batch ctx keys = obatch ctx (List.map (fun k -> Bdelete k) keys)
 
@@ -1048,36 +1107,25 @@ let read_whole t sp key extents buf size what =
   charge_lookup t sp 0;
   if Bytes.length buf < size then invalid_arg (what ^ ": buffer shorter than the object");
   if size > 0 then begin
-    let ps = page_size t in
-    let nblocks = blocks_for t size in
-    let scratch = Bytes.create (nblocks * ps) in
-    let pos = ref 0 in
-    List.iter
-      (fun { Metazone.start; len } ->
-        if !pos < nblocks then begin
-          let len = min len (nblocks - !pos) in
-          Ssd.read ~span:sp t.ssd ~page:start scratch ~off:(!pos * ps) ~count:len;
-          pos := !pos + len
-        end)
-      extents;
+    let n = blocks_for t size in
+    let scratch = Bytes.create (n * page_bytes t) in
+    move_pages ~span:sp t Ssd.read ~runs:true scratch ~origin:0 ~first:0 ~n 0 extents;
     Bytes.blit scratch 0 buf 0 size
   end;
   Span.seg sp Span.S_data;
   cache_fill ~span:sp t key buf size;
   buf
 
-(* [n] bytes from [off], off the SSD page by page. A partial read cannot
-   warm a whole-object cache, so it fills nothing. *)
+(* [n] > 0 bytes from [off], off the SSD page by page. A partial read
+   cannot warm a whole-object cache, so it fills nothing. *)
 let read_range t sp extents buf ~off n =
   charge_lookup t sp 0;
-  let ps = page_size t in
-  let first_page = off / ps and last_page = (off + n - 1) / ps in
-  let scratch = Bytes.create ((last_page - first_page + 1) * ps) in
-  let pages = pages_of_extents (of_mz extents) in
-  for p = first_page to last_page do
-    Ssd.read ~span:sp t.ssd ~page:pages.(p) scratch ~off:((p - first_page) * ps) ~count:1
-  done;
-  Bytes.blit scratch (off - (first_page * ps)) buf 0 n;
+  let ps = page_bytes t in
+  let first = off / ps and last = (off + n - 1) / ps in
+  let scratch = Bytes.create ((last - first + 1) * ps) in
+  move_pages ~span:sp t Ssd.read ~runs:false scratch ~origin:first ~first ~n:(last - first + 1) 0
+    extents;
+  Bytes.blit scratch (off - (first * ps)) buf 0 n;
   Span.seg sp Span.S_data;
   n
 
@@ -1122,7 +1170,7 @@ let read : type r.
   let t = ctx.store in
   let t0 = now t in
   let kind = match sink with Size | Range -> Span.Read | _ -> Span.Get in
-  let sp = span_of t span kind key in
+  let sp = match span with Some s -> s | None -> Span.start t.obs.Obs.spans kind key in
   match read_entry ~span:sp ctx key with
   | exception e ->
       read_close t span sp kind t0;
@@ -1153,47 +1201,17 @@ let oget_view ctx key scratch = read ctx View key scratch ~off:0 ~len:0
 
 let oexists ctx key = read ctx Exists key Bytes.empty ~off:0 ~len:0
 
+
 (* --- filesystem-style API ----------------------------------------------------- *)
 
 let oopen ctx name ?(create = true) mode =
   check_ctx ctx;
-  let t = ctx.store in
-  let exists = fst (locate t name ~entry:false) >= 0 in
-  (match (exists, create, mode) with
-  | true, _, _ -> ()
-  | false, true, (Wr | Rdwr) ->
-      let claimed = ref (-1) in
-      let release () =
-        if !claimed >= 0 then Bitpool.free t.h.metapool !claimed;
-        claimed := -1
-      in
-      let a, ops =
-        append_claiming ctx name 4 ~release (fun () ->
-            (* Re-check under the lock: a racing oopen may have created it. *)
-            match Btree.find t.h.btree name with
-            | Some _ -> Logrec.Noop { key = name }
-            | None ->
-                claimed := alloc_meta t;
-                Logrec.Create { key = name; meta = !claimed })
-      in
-      (match ops with
-      | [ Logrec.Create { meta; _ } ] ->
-          Dipper.wait_readers t.engine t.rc name;
-          with_structs t (fun () ->
-              t.platform.Platform.consume
-                (Config.costs.meta_ns + Config.costs.btree_ns);
-              Metazone.write_object t.h.zone meta ~size:0 [];
-              ignore (Btree.insert t.h.btree name meta));
-          cache_invalidate t name
-      | _ -> ());
-      Dipper.commit t.engine a
-  | false, _, _ -> raise (Object_not_found name));
-  {
-    octx = ctx;
-    name;
-    mode = (match mode with Rd -> `Rd | Wr -> `Wr | Rdwr -> `Rdwr);
-    closed = false;
-  }
+  check_key "oopen" name;
+  if fst (locate ctx.store name ~entry:false) < 0 then begin
+    if (not create) || mode = Rd then raise (Object_not_found name);
+    ignore (write ctx One [ Screate { key = name; meta = -1 } ])
+  end;
+  { octx = ctx; name; mode; closed = false }
 
 let check_obj o =
   if o.closed then invalid_arg "DStore: operation on closed object";
@@ -1209,88 +1227,18 @@ let osize o =
 
 let oread o buf ~size ~off =
   check_obj o;
-  if o.mode = `Wr then invalid_arg "DStore.oread: object opened write-only";
-  read o.octx Range o.name buf ~off ~len:size
+  if o.mode = Wr then invalid_arg "DStore.oread: object opened write-only";
+  check_range "oread" buf ~size ~off;
+  if size = 0 then 0 else read o.octx Range o.name buf ~off ~len:size
 
-let owrite ?span:caller_span o buf ~size ~off =
+let owrite ?span o buf ~size ~off =
   check_obj o;
-  if o.mode = `Rd then invalid_arg "DStore.owrite: object opened read-only";
-  let t = o.octx.store in
+  if o.mode = Rd then invalid_arg "DStore.owrite: object opened read-only";
+  check_range "owrite" buf ~size ~off;
   if size = 0 then 0
   else begin
-    let tstart = now t in
-    let ps = page_size t in
-    let name = o.name in
-    let new_end = off + size in
-    let span = span_of t caller_span Span.Write name in
-    let plan = ref None in
-    let release () =
-      Option.iter (fun (_, _, new_extents, _) -> free_extents t new_extents) !plan;
-      plan := None
-    in
-    let a, ops =
-      append_claiming ~span o.octx name
-        (Logrec.put_max_slots name (blocks_for t size + 1))
-        ~release
-        (fun () ->
-          let meta =
-            match Btree.find t.h.btree name with
-            | Some m -> m
-            | None -> raise (Object_not_found name)
-          in
-          let osz, extents = Metazone.read_object t.h.zone meta in
-          let have_blocks = Metazone.blocks_of extents in
-          let need_blocks = (max new_end osz + ps - 1) / ps in
-          let extra = need_blocks - have_blocks in
-          let new_extents = if extra > 0 then alloc_blocks t extra else [] in
-          let new_size = max new_end osz in
-          plan := Some (meta, of_mz extents, new_extents, new_size);
-          if new_extents = [] && new_size = osz then
-            (* In-place overwrite: no metadata change, no logical record
-               needed (§4.3); the NOOP still serializes conflicting
-               writers through the conflict lookup. *)
-            Logrec.Noop { key = name }
-          else Logrec.Write { key = name; meta; size = new_size; new_extents })
-    in
-    let meta, old_extents, new_extents, new_size = Option.get !plan in
-    Dipper.wait_readers t.engine t.rc name;
-    Span.seg span Span.S_ticket;
-    (* Partial overwrite (even the in-place NOOP case rewrites SSD
-       bytes): the cached whole-object copy is stale either way. *)
-    cache_invalidate t name;
-    (match ops with
-    | [ Logrec.Write _ ] ->
-        with_structs t (fun () ->
-            t.platform.Platform.consume Config.costs.meta_ns;
-            if new_extents <> [] then
-              Metazone.append_extents t.h.zone meta (to_mz new_extents);
-            Metazone.set_size t.h.zone meta new_size)
-    | _ -> ());
-    Span.seg span Span.S_structs;
-    (* Data: page-granular read-modify-write over the affected range. *)
-    let pages = pages_of_extents (old_extents @ new_extents) in
-    let first_page = off / ps and last_page = (new_end - 1) / ps in
-    let window = (last_page - first_page + 1) * ps in
-    let scratch = Bytes.make window '\000' in
-    let old_pages = Metazone.blocks_of (to_mz old_extents) in
-    let fetch_page p dst_off =
-      if p < old_pages then
-        Ssd.read ~span t.ssd ~page:pages.(p) scratch ~off:dst_off ~count:1
-    in
-    if off mod ps <> 0 then fetch_page first_page 0;
-    if new_end mod ps <> 0 && last_page <> first_page then
-      fetch_page last_page ((last_page - first_page) * ps);
-    Bytes.blit buf 0 scratch (off - (first_page * ps)) size;
-    for p = first_page to last_page do
-      Ssd.write ~span t.ssd ~page:pages.(p) scratch
-        ~off:((p - first_page) * ps)
-        ~count:1
-    done;
-    Span.seg span Span.S_data;
-    Dipper.commit t.engine a;
-    Span.seg span Span.S_fence;
-    finish_own caller_span span;
-    Metrics.observe t.h_write (now t - tstart);
+    ignore
+      (write ?span o.octx One [ Swrite { key = o.name; buf; size; off; old = []; fresh = [] } ]);
     size
   end
 
@@ -1336,53 +1284,26 @@ let release ctx =
       Dipper.release ctx.store.engine r;
       ctx.holds <- None
 
-(* Commit a transaction's buffered write-set against its read-set.
-   Validation comes before any device work: [claim] the allocations, then
-   [Dipper.append] with the read-set (conflict lookups, OCC validation and
-   span staging under one lock hold, then the begin + members flush), and
-   only on success fork the payload writes beside the reader drains,
-   structures and cache. An aborted attempt therefore does no SSD I/O.
-   Crash-safe because the span stays uncommitted until [Dipper.commit]
-   persists its commit record after the join, recovery drops a span
-   without one, and member readers wait on the tickets until then. The
-   tickets are held for max(payloads, structures), so concurrent
-   accesses to member keys wait instead of racing. [oput] and [obatch]
-   keep the payload-before-append order: they never abort, and their
-   tickets stay free of device time. *)
-let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
+(* A transaction is the write group with a read-set: [Dipper.append]
+   validates it under the lock hold that appends the begin + members
+   span, and only then do the payload writes run, beside the structure
+   updates. Crash-safe because the span stays uncommitted until
+   [Dipper.commit] persists its commit record after the join, recovery
+   drops a span without one, and member readers wait on the tickets until
+   then. *)
+let txn_commit_writes ?span ctx ~reads ~writes =
   check_ctx ctx;
   let t = ctx.store in
   if t.cfg.logging <> Config.Logical then
     invalid_arg "DStore.txn_commit_writes: transactions require logical logging";
-  match writes with
-  | [] ->
-      (* Read-only transaction: validation is the whole commit. *)
-      Result.map ignore (append_items ~reads ctx [])
-  | _ -> (
-      let staged = claim t writes in
-      Span.seg span Span.S_stage;
-      match append_items ~span ~reads ctx (append_items_of t staged) with
-      | exception e ->
-          unstage t staged;
-          raise e
-      | Error key ->
-          (* Stale read: nothing was appended or written. *)
-          unstage t staged;
-          Error key
-      | Ok a ->
-          let io = Span.detach span in
-          let posts =
-            par_iter t (puts_of staged) (write_staged ~span:io t) ~inline:(fun () ->
-                let posts = apply_all ~span t staged (ops_of a) in
-                Span.seg span Span.S_structs;
-                posts)
-          in
-          Span.absorb span io;
-          Span.seg span Span.S_data;
-          Dipper.commit t.engine a;
-          Span.seg span Span.S_commit;
-          release_posts t posts;
-          Ok ())
+  let group = staged_of t "txn_commit_writes" writes in
+  if group = [] then (* Read-only: validation is the whole commit. *)
+    Result.map ignore (append_items ~reads ctx [])
+  else
+    match write ?span ~reads ctx Txn group with
+    | _ -> Ok ()
+    | exception Stale key -> Error key
+
 
 (* --- introspection -------------------------------------------------------------- *)
 
@@ -1401,7 +1322,7 @@ let footprint t =
   {
     dram = Dipper.dram_footprint t.engine;
     pmem = Dipper.pmem_footprint t.engine;
-    ssd = Bitpool.allocated t.h.blockpool * page_size t;
+    ssd = Bitpool.allocated t.h.blockpool * page_bytes t;
   }
 
 let cache_stats t = Option.map Cache.stats t.cache

@@ -7,22 +7,30 @@
     DRAM, made persistent by DIPPER shadow copies in PMEM; the data plane
     is an SSD with a power-loss-protected write cache (Figure 4).
 
-    A whole-object write runs the paper's nine steps in a staged order
+    Every write runs one bracket, the paper's nine steps in a staged order
     (DESIGN.md decision 11): allocate blocks and a metadata page; write the
     data to the SSD; lock; look up in-flight records on the key; find the
     binding being replaced; append the logical log record and unlock; wait
     for readers of the object to drain; write the metadata entry and
     B-tree record (in parallel with other requests, by observational
-    equivalence); commit and flush the log record. Allocating and writing
-    the payload before the append keeps device time out of the window in
-    which same-key requests wait. Three refinements over the paper's
-    prose, all explained in DESIGN.md: allocated (and to-be-freed) extents
-    are carried in the record so checkpoint replay is allocation-exact;
-    blocks freed by an overwrite or delete are released only at commit so a
-    crash before commit can never have handed a still-referenced block to
-    another object; and a put rejected before its append ([Out_of_blocks],
-    or [Dipper.Log_full] under [No_checkpoint]) gives back every id it
-    claimed.
+    equivalence); commit and flush the log record. Where a payload is
+    written follows from the write's shape: a put's before its append,
+    which keeps device time out of the window in which same-key requests
+    wait; a transaction's after its validation, beside its structure
+    updates; an [owrite]'s inside its window. Three refinements over the
+    paper's prose, all explained in DESIGN.md: allocated (and to-be-freed)
+    extents are carried in the record so checkpoint replay is
+    allocation-exact; blocks freed by an overwrite or delete are released
+    only at commit so a crash before commit can never have handed a
+    still-referenced block to another object; and a write rejected before
+    its commit ([Out_of_blocks], or [Dipper.Log_full] under
+    [No_checkpoint]) gives back every id it claimed. Every write's span
+    and latency sample close on every exit, a raise included.
+
+    Table 2 arguments are checked at entry, before any claim, lock or
+    append: a key longer than {!Dstore_structs.Btree.max_key_len}, or an
+    [off] or [size] outside [buf], raises [Invalid_argument] naming the
+    entry point and the argument.
 
     All calls must run in platform thread context (a simulated process or
     a real thread). Each application thread creates its own {!ctx}
@@ -131,9 +139,9 @@ val oput : ?span:Dstore_obs.Span.t -> ctx -> string -> Bytes.t -> unit
 
 val odelete : ?span:Dstore_obs.Span.t -> ctx -> string -> bool
 (** Remove an object; [false] if it did not exist. Durable on return.
-    [oput] and [odelete] run the group-commit pipeline of {!obatch} as a
-    group of one, in a [Put] or [Delete] span. A delete logs a logical
-    record under either logging mode. *)
+    [oput] and [odelete] run the write of {!obatch} as a group of one, in
+    a [Put] or [Delete] span. A delete logs a logical record under either
+    logging mode. *)
 
 (** {2 Reads}
 
@@ -205,26 +213,29 @@ val batch_key : batch_op -> string
 val obatch : ?span:Dstore_obs.Span.t -> ctx -> batch_op list -> bool list
 (** Execute a batch of updates under group commit; results in input
     order ([Bput] → [true], [Bdelete] → whether the key existed). Under
-    [Physical] logging the ops run individually (redo-image capture is
-    per-op by construction). Rejections raise as for [oput]; sub-batches
-    committed before the rejection stay committed, and every id claimed
-    for the rest of the call is given back. *)
+    [Physical] logging every op is a sub-batch of its own (redo-image
+    capture is per-op by construction). Rejections raise as for [oput];
+    sub-batches committed before the rejection stay committed, and every
+    id claimed for the rest of the call is given back. *)
 
-(** {2 The pipeline's halves}
+(** {2 A batch in two halves}
 
-    Under [Logical] logging [obatch] is [claim], [write_payloads], then
-    the append and commit of [exec_staged], in one span. A replication
-    backup runs them apart: it claims and writes a put's payload when the
-    payload arrives, and commits it when its ordering entry does. Claimed
-    ids are unreachable until their record commits and the pools are
-    volatile, so an unexecuted claim costs nothing durable. *)
+    Under [Logical] logging [obatch] claims its puts' ids, writes their
+    payloads, then appends and commits, in one span. A replication backup
+    runs the halves apart: it [claim]s and [write_payloads] a put when the
+    payload arrives, and hands the claimed, written group to
+    [exec_staged] when its ordering entry does; the write stages nothing
+    for it. Claimed ids are unreachable until their record commits and
+    the pools are volatile, so an unexecuted claim costs nothing
+    durable. *)
 
 type staged
 (** One op of a claimed group. *)
 
 val claim : t -> batch_op list -> staged list
 (** Claim every put's blocks and metadata id in one frontend-lock hold;
-    raises [Out_of_blocks] with nothing claimed. *)
+    raises [Out_of_blocks] with nothing claimed, and [Invalid_argument] on
+    an over-long key. *)
 
 val write_payloads : ?span:Dstore_obs.Span.t -> t -> staged list -> unit
 (** Write every put's payload, overlapped across the SSD's channels. *)
@@ -235,7 +246,8 @@ val par_iter : t -> 'a list -> ('a -> unit) -> inline:(unit -> 'b) -> 'b
     once every task is done. *)
 
 val exec_staged : ?span:Dstore_obs.Span.t -> ctx -> staged list -> bool list
-(** Append, apply and commit a claimed, written group; as [obatch]. *)
+(** Append, apply and commit a claimed, written group; as [obatch], in a
+    [Batch] span. *)
 
 val unstage : t -> staged list -> unit
 (** Give back the ids of a claimed group that will not be executed. *)
@@ -264,16 +276,19 @@ val osize : obj -> int
     {!Object_not_found} if it was deleted since {!oopen}. *)
 
 val oread : obj -> Bytes.t -> size:int -> off:int -> int
-(** Read up to [size] bytes at object offset [off]; returns bytes read
-    (short at end of object). A cache hit serves the range from the
-    cached object; a miss reads only the pages the range covers, and
-    fills nothing. Raises {!Object_not_found} if the object was deleted
-    since {!oopen}. *)
+(** Read up to [size] bytes at object offset [off] into [buf]; returns
+    bytes read (short at end of object). A cache hit serves the range
+    from the cached object; a miss walks the extent list to the pages the
+    range covers, reads only those, and fills nothing. [size = 0] returns
+    0 at once, with no lookup. Raises {!Object_not_found} if the object
+    was deleted since {!oopen}. *)
 
 val owrite : ?span:Dstore_obs.Span.t -> obj -> Bytes.t -> size:int -> off:int -> int
 (** Write [size] bytes at object offset [off], extending the object if
     needed. In-place page overwrites log nothing (§4.3); extensions log a
-    metadata record. Durable on return. *)
+    metadata record. The pages are rewritten inside the write's window.
+    Raises {!Object_not_found} if the object was deleted since {!oopen}.
+    Durable on return. *)
 
 (** {1 Concurrency control} *)
 

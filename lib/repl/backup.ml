@@ -136,7 +136,9 @@ let adopt t epoch =
    order: only once everything received before the stage has applied, so
    the pools see claims and commit-time frees in the order a one-by-one
    replay of the stream would. A full ring, a taken slot or a full device
-   leave the op to be staged at apply from its entry. *)
+   leave the op to be staged at apply from its entry; an op the store
+   rejects as malformed is left unstaged (its local op raises too, and
+   no entry follows). *)
 let prestage t tag ops =
   let n = Array.length t.ring in
   if n > 0 then begin
@@ -152,7 +154,7 @@ let prestage t tag ops =
             p.written <- false;
             Queue.push p t.jobs;
             t.work.Platform.signal ()
-        | exception Dstore.Out_of_blocks -> ()
+        | exception (Dstore.Out_of_blocks | Invalid_argument _) -> ()
     end;
     t.lock.Platform.unlock ()
   end

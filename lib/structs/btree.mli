@@ -28,9 +28,13 @@ val attach : Dstore_memory.Space.t -> root_slot:int -> t
 (** Re-open a tree previously created in this space (or in a space this
     one was cloned/copied from). *)
 
+val max_key_len : int
+(** The longest key [insert] accepts, in bytes. *)
+
 val insert : t -> string -> int -> int option
 (** [insert t key v] maps [key] to [v]; returns the previous value if the
-    key was present (its blob is reused). Values must be >= 0. *)
+    key was present (its blob is reused). Values must be >= 0. Raises
+    [Invalid_argument] on a key longer than {!max_key_len}. *)
 
 val find : t -> string -> int option
 

@@ -2280,6 +2280,351 @@ let test_cached_read_alloc_budget () =
   budgets ~cache_bytes:(1024 * 1024) 17 17 149 152 2;
   budgets ~cache_bytes:0 57 52 179 182 2
 
+(* --- one write path ------------------------------------------------------ *)
+
+(* A write that raises still closes its span and its latency sample: an
+   [oput] that runs out of blocks raises [Out_of_blocks] from its claim,
+   and an [owrite] of an object deleted after [oopen] raises
+   [Object_not_found] from its record builder. Each raise finishes one
+   span and books one sample, and the next put of the key completes. *)
+let test_write_raise_finishes_span () =
+  let fx = fixture ~cfg:{ small_cfg with ssd_blocks = 64 } () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Sim.spawn fx.sim "test" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let obs = Dstore.obs st in
+      let finished () = Dstore_obs.Span.finished obs.Dstore_obs.Obs.spans in
+      let samples name =
+        Histogram.count
+          (Dstore_obs.Metrics.histo_data
+             (Dstore_obs.Metrics.histogram obs.Dstore_obs.Obs.metrics name))
+      in
+      let ctx = Dstore.ds_init st in
+      let raised what histo f =
+        let f0 = finished () and h0 = samples histo in
+        match f () with
+        | () -> note (what ^ ": no raise")
+        | exception (Dstore.Out_of_blocks | Dstore.Object_not_found _) ->
+            note (Printf.sprintf "%s: %d span, %d sample" what (finished () - f0) (samples histo - h0))
+      in
+      raised "oput" "op.put" (fun () ->
+          Dstore.oput ctx "p" (Bytes.make (65 * Dstore.page_bytes st) 'a'));
+      Dstore.oput ctx "p" (Bytes.make 100 'b');
+      note "put p done";
+      Dstore.oput ctx "f" (Bytes.make 100 'a');
+      let o = Dstore.oopen ctx "f" Dstore.Wr in
+      ignore (Dstore.odelete ctx "f");
+      raised "owrite" "op.write" (fun () ->
+          ignore (Dstore.owrite o (Bytes.make 10 'x') ~size:10 ~off:0));
+      Dstore.oput ctx "f" (Bytes.make 100 'c');
+      note "put f done";
+      Dstore.stop st);
+  Sim.run_until fx.sim 1_000_000_000;
+  check
+    Alcotest.(list string)
+    "each raise finishes one span; later puts complete"
+    [ "oput: 1 span, 1 sample"; "put p done"; "owrite: 1 span, 1 sample"; "put f done" ]
+    (List.rev !log)
+
+(* Host words per 16-byte [oread] miss at offset 0 (cache off,
+   observability off) on a 1-, 16- and 256-page object: the read walks
+   the extent list to the pages it needs, so its allocation does not
+   grow with the object. 29 words on each; 55, 160 and 1 840 when the
+   read flattened the whole extent list into a page array first. *)
+let test_oread_alloc_independent_of_size () =
+  with_store ~cfg:{ small_cfg with Config.obs_enabled = false } (fun _ st ctx ->
+      let ps = Dstore.page_bytes st in
+      let words pages =
+        let key = Printf.sprintf "obj%d" pages in
+        Dstore.oput ctx key (Bytes.make (pages * ps) 'v');
+        let o = Dstore.oopen ctx key Dstore.Rd in
+        let buf = Bytes.create 16 in
+        let reads n =
+          for _ = 1 to n do
+            ignore (Dstore.oread o buf ~size:16 ~off:0)
+          done
+        in
+        reads 100;
+        let w0 = Gc.minor_words () in
+        reads 1_000;
+        (Gc.minor_words () -. w0) /. 1_000.0
+      in
+      let one = words 1 in
+      List.iter
+        (fun pages ->
+          let w = words pages in
+          if w > one +. 0.5 then
+            Alcotest.failf "%d pages: %.1f words per read, 1 page: %.1f" pages w one)
+        [ 16; 256 ];
+      if one > 29.0 then Alcotest.failf "1 page: %.1f words per read > 29" one)
+
+(* A zero-length [oread] returns 0 at once, inside or past the object:
+   no lookup, no SSD read, no span. *)
+let test_oread_zero_length () =
+  with_store (fun fx st ctx ->
+      Dstore.oput ctx "z" (Bytes.make 4096 'z');
+      let o = Dstore.oopen ctx "z" Dstore.Rd in
+      let rc = (Dstore.obs st).Dstore_obs.Obs.spans in
+      List.iter
+        (fun off ->
+          let t0 = Sim.now fx.sim and f0 = Dstore_obs.Span.finished rc in
+          let n = Dstore.oread o (Bytes.create 16) ~size:0 ~off in
+          check Alcotest.(triple int int int)
+            (Printf.sprintf "off %d: bytes, ns, spans" off)
+            (0, 0, 0)
+            (n, Sim.now fx.sim - t0, Dstore_obs.Span.finished rc - f0))
+        [ 0; 100; 5000 ])
+
+(* Run [f st ctx] on a fresh store: whether it completed, what [Fsck]
+   found right after it, and how many processes are left blocked once the
+   store stops. *)
+let probe f =
+  let fx = fixture () in
+  let completed = ref false and fsck = ref [ "not reached" ] in
+  Sim.spawn fx.sim "probe" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      f st ctx;
+      fsck := Dstore_check.Fsck.run st;
+      completed := true;
+      Dstore.stop st);
+  Sim.run_until fx.sim 1_000_000_000;
+  (!completed, !fsck, Sim.blocked_processes fx.sim)
+
+let check_probe what (completed, fsck, blocked) =
+  check Alcotest.bool (what ^ ": completes") true completed;
+  check Alcotest.(list string) (what ^ ": fsck exact") [] fsck;
+  check Alcotest.int (what ^ ": nothing blocked") 0 blocked
+
+(* [f] raises [Invalid_argument] whose message names [prefix] (the entry
+   point and the argument). *)
+let expect_invalid prefix f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no raise" prefix
+  | exception Invalid_argument m when String.starts_with ~prefix m -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" prefix (Printexc.to_string e)
+
+let long_key n = String.make n 'k'
+
+(* An over-long key in a batch is rejected before anything is claimed or
+   appended: the batch's valid key stays free for the next read. *)
+let test_obatch_long_key_rejected () =
+  check_probe "obatch"
+    (probe (fun _ ctx ->
+         expect_invalid "Dstore.obatch: key" (fun () ->
+             Dstore.obatch ctx
+               [ Dstore.Bput ("k1", value_of_string "v"); Dstore.Bput (long_key 5000, value_of_string "v") ]);
+         check Alcotest.bool "k1 unbound" true (Dstore.oget ctx "k1" = None)))
+
+(* An [owrite] whose size exceeds its buffer is rejected before it claims
+   blocks or appends: the object stays readable. *)
+let test_owrite_size_past_buffer_rejected () =
+  check_probe "owrite"
+    (probe (fun _ ctx ->
+         Dstore.oput ctx "w" (value_of_string "before");
+         let o = Dstore.oopen ctx "w" Dstore.Rdwr in
+         expect_invalid "Dstore.owrite: size" (fun () ->
+             Dstore.owrite o (Bytes.create 10) ~size:100 ~off:0);
+         check Alcotest.string "w unchanged" "before"
+           (Bytes.to_string (Option.get (Dstore.oget ctx "w")))))
+
+(* A 40 000-byte key can never be indexed: it is a bad argument, not a
+   full log. *)
+let test_huge_key_invalid_not_log_full () =
+  check_probe "oput"
+    (probe (fun _ ctx ->
+         expect_invalid "Dstore.oput: key" (fun () ->
+             Dstore.oput ctx (long_key 40_000) (value_of_string "v"));
+         Dstore.oput ctx "after" (value_of_string "ok")))
+
+(* The remaining Table 2 argument checks, each before any claim, lock or
+   append. A key of exactly [Btree.max_key_len] bytes is accepted. *)
+let test_table2_arguments_checked () =
+  check_probe "arguments"
+    (probe (fun _ ctx ->
+         let v = value_of_string "v" in
+         let max = Dstore_structs.Btree.max_key_len in
+         Dstore.oput ctx (long_key max) v;
+         expect_invalid "Dstore.odelete: key" (fun () -> Dstore.odelete ctx (long_key (max + 1)));
+         expect_invalid "Dstore.oopen: key" (fun () ->
+             Dstore.oopen ctx (long_key (max + 1)) Dstore.Wr);
+         expect_invalid "Dstore.txn_commit_writes: key" (fun () ->
+             Dstore.txn_commit_writes ctx ~reads:[]
+               ~writes:[ Dstore.Bput ("t", v); Dstore.Bput (long_key (max + 1), v) ]);
+         Dstore.oput ctx "o" (Bytes.make 100 'o');
+         let o = Dstore.oopen ctx "o" Dstore.Rdwr in
+         let buf = Bytes.create 10 in
+         expect_invalid "Dstore.owrite: off" (fun () -> Dstore.owrite o buf ~size:1 ~off:(-1));
+         expect_invalid "Dstore.owrite: size" (fun () -> Dstore.owrite o buf ~size:(-1) ~off:0);
+         expect_invalid "Dstore.oread: off" (fun () -> Dstore.oread o buf ~size:1 ~off:(-1));
+         expect_invalid "Dstore.oread: size" (fun () -> Dstore.oread o buf ~size:(-1) ~off:0);
+         expect_invalid "Dstore.oread: size" (fun () -> Dstore.oread o buf ~size:11 ~off:0);
+         check Alcotest.bool "t unbound" false (Dstore.oexists ctx "t");
+         check Alcotest.int "o readable" 10 (Dstore.oread o buf ~size:10 ~off:0)))
+
+(* Every writer on an idle store: elapsed virtual time, spans finished,
+   and the last span's blame total and segments (in [segs] order), as
+   recorded before the writers shared one bracket. *)
+let pinned_writes =
+  [
+    ("oput", (10183, 1, 0, [ 300; 8900; 0; 60; 300; 300; 323; 0; 0; 0; 0 ]));
+    ("odelete", (960, 1, 0, [ 0; 0; 0; 60; 300; 300; 300; 0; 0; 0; 0 ]));
+    ("obatch", (12266, 1, 0, [ 900; 8900; 362; 240; 638; 0; 907; 0; 319; 0; 0 ]));
+    ("txn", (10210, 1, 0, [ 1200; 6408; 93; 360; 650; 0; 1199; 0; 300; 0; 0 ]));
+    ("oopen create", (1252, 0, 0, []));
+    ("owrite in place", (19560, 1, 0, [ 0; 18900; 0; 60; 300; 300; 0; 0; 0; 0; 0 ]));
+    ("owrite extending", (9852, 1, 0, [ 0; 8900; 0; 60; 300; 300; 292; 0; 0; 0; 0 ]));
+    ("oput physical", (10471, 0, 0, []));
+  ]
+
+let test_equivalent_writes_pinned () =
+  let module Span = Dstore_obs.Span in
+  let segs =
+    Span.
+      [ S_index; S_data; S_ticket; S_lock; S_append; S_fence; S_structs; S_stage; S_commit;
+        S_cache_fill; S_other ]
+  in
+  let record cfg body =
+    with_store ~cfg (fun fx st ctx ->
+        let rc = (Dstore.obs st).Dstore_obs.Obs.spans in
+        let out = ref [] in
+        let once name f =
+          let t0 = Sim.now fx.sim and f0 = Span.finished rc in
+          f ();
+          let n = Span.finished rc - f0 in
+          let last =
+            match Span.last rc 1 with
+            | [ s ] when n > 0 -> (Span.blame_total s, List.map (Span.segment s) segs)
+            | _ -> (0, [])
+          in
+          out := (name, (Sim.now fx.sim - t0, n, fst last, snd last)) :: !out
+        in
+        body ctx once;
+        List.rev !out)
+  in
+  let v = big_value 9 1000 in
+  let logical =
+    record { small_cfg with Config.cache_bytes = 1 lsl 20 } (fun ctx once ->
+        once "oput" (fun () -> Dstore.oput ctx "p" v);
+        once "odelete" (fun () -> ignore (Dstore.odelete ctx "p"));
+        Dstore.oput ctx "b2" v;
+        once "obatch" (fun () ->
+            ignore
+              (Dstore.obatch ctx
+                 Dstore.[ Bput ("b0", v); Bput ("b1", v); Bdelete "b2"; Bput ("b3", v) ]));
+        once "txn" (fun () ->
+            match
+              Dstore_txn.txn ctx (fun tx ->
+                  List.iter (fun k -> Dstore_txn.put tx k v) [ "t0"; "t1"; "t2"; "t3" ])
+            with
+            | Ok () -> ()
+            | Error r -> Alcotest.failf "txn: %s" (Dstore_txn.pp_abort r));
+        let o = ref None in
+        once "oopen create" (fun () -> o := Some (Dstore.oopen ctx "f" Dstore.Rdwr));
+        let o = Option.get !o in
+        ignore (Dstore.owrite o (big_value 10 4096) ~size:4096 ~off:0);
+        once "owrite in place" (fun () -> ignore (Dstore.owrite o v ~size:100 ~off:50));
+        once "owrite extending" (fun () -> ignore (Dstore.owrite o v ~size:100 ~off:4096)))
+  in
+  let physical =
+    record { small_cfg with Config.logging = Config.Physical } (fun ctx once ->
+        once "oput physical" (fun () -> Dstore.oput ctx "x" v))
+  in
+  let got = logical @ physical in
+  check
+    Alcotest.(list (pair string (pair (pair int int) (pair int (list int)))))
+    "writers as pinned"
+    (List.map (fun (k, (a, b, c, d)) -> (k, ((a, b), (c, d)))) pinned_writes)
+    (List.map (fun (k, (a, b, c, d)) -> (k, ((a, b), (c, d)))) got)
+
+(* Host words per call of every writer with observability off, each
+   bounded by what it cost before the writers shared one bracket: the
+   allocation may fall but must not rise. *)
+let pinned_write_words =
+  [
+    ("oput", 335.1);
+    ("odelete", 150.6);
+    ("obatch", 1300.9);
+    ("txn", 2090.5);
+    ("oopen create", 218.0);
+    ("owrite in place", 203.0);
+    ("owrite extending", 459.2);
+    ("oput physical", 603.0);
+  ]
+
+let test_write_alloc_pinned () =
+  let per_call cfg body =
+    with_store ~cfg:{ cfg with Config.obs_enabled = false } (fun _ _ ctx ->
+        let out = ref [] in
+        let measure name n ~setup f =
+          let total = ref 0.0 in
+          let round () =
+            total := 0.0;
+            for i = 0 to n - 1 do
+              setup i;
+              let w0 = Gc.minor_words () in
+              f i;
+              total := !total +. (Gc.minor_words () -. w0)
+            done
+          in
+          round ();
+          round ();
+          out := (name, !total /. float_of_int n) :: !out
+        in
+        body ctx measure;
+        List.rev !out)
+  in
+  let v = big_value 9 1000 in
+  let keys = Array.init 64 (Printf.sprintf "w/%02d") in
+  let key i = keys.(i land 63) in
+  let none _ = () in
+  let logical =
+    per_call small_cfg (fun ctx measure ->
+        measure "oput" 256 ~setup:none (fun i -> Dstore.oput ctx (key i) v);
+        measure "odelete" 256
+          ~setup:(fun i -> Dstore.oput ctx (key i) v)
+          (fun i -> ignore (Dstore.odelete ctx (key i)));
+        let batches =
+          Array.init 16 (fun j ->
+              Dstore.
+                [ Bput (key (4 * j), v); Bput (key ((4 * j) + 1), v); Bdelete (key ((4 * j) + 2));
+                  Bput (key ((4 * j) + 3), v) ])
+        in
+        measure "obatch" 256 ~setup:none (fun i -> ignore (Dstore.obatch ctx batches.(i land 15)));
+        let txn_keys = Array.init 16 (fun j -> List.init 4 (fun m -> key ((4 * j) + m))) in
+        measure "txn" 256 ~setup:none (fun i ->
+            ignore
+              (Dstore_txn.txn ctx (fun tx ->
+                   List.iter (fun k -> Dstore_txn.put tx k v) txn_keys.(i land 15))));
+        let names = Array.init 512 (Printf.sprintf "c/%03d") in
+        let round = ref 0 in
+        measure "oopen create" 256
+          ~setup:(fun i -> if i = 0 then incr round)
+          (fun i -> ignore (Dstore.oopen ctx names.((!round - 1) * 256 + i) Dstore.Wr));
+        Dstore.oput ctx "ip" (big_value 10 4096);
+        let ip = Dstore.oopen ctx "ip" Dstore.Rdwr in
+        measure "owrite in place" 256 ~setup:none (fun _ ->
+            ignore (Dstore.owrite ip v ~size:100 ~off:50));
+        let handle = ref ip and big = big_value 11 4000 in
+        measure "owrite extending" 256
+          ~setup:(fun i ->
+            Dstore.oput ctx (key i) v;
+            handle := Dstore.oopen ctx (key i) Dstore.Rdwr)
+          (fun _ -> ignore (Dstore.owrite !handle big ~size:4000 ~off:1000)))
+  in
+  let physical =
+    per_call { small_cfg with Config.logging = Config.Physical } (fun ctx measure ->
+        measure "oput physical" 256 ~setup:none (fun i -> Dstore.oput ctx (key i) v))
+  in
+  let got = logical @ physical in
+  List.iter
+    (fun (name, w) ->
+      match List.assoc_opt name pinned_write_words with
+      | None -> Alcotest.failf "%s: not pinned" name
+      | Some bound -> if w > bound then Alcotest.failf "%s: %.1f words > %.1f" name w bound)
+    got
+
 let suite =
   [
     ("put/get", `Quick, test_put_get);
@@ -2385,4 +2730,13 @@ let suite =
     prop_crash_recovery_observational_equivalence;
     ("short read buffer frees the key", `Quick, test_short_buffer_frees_key);
     ("a raising read finishes its span", `Quick, test_read_raise_finishes_span);
+    ("a raising write finishes its span", `Quick, test_write_raise_finishes_span);
+    ("oread alloc independent of object size", `Quick, test_oread_alloc_independent_of_size);
+    ("zero-length oread", `Quick, test_oread_zero_length);
+    ("obatch: over-long key rejected at entry", `Quick, test_obatch_long_key_rejected);
+    ("owrite: size past buffer rejected at entry", `Quick, test_owrite_size_past_buffer_rejected);
+    ("40 000-byte key: Invalid_argument, not Log_full", `Quick, test_huge_key_invalid_not_log_full);
+    ("Table 2 arguments checked at entry", `Quick, test_table2_arguments_checked);
+    ("equivalent writes pinned", `Quick, test_equivalent_writes_pinned);
+    ("write alloc pinned", `Quick, test_write_alloc_pinned);
   ]

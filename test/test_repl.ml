@@ -739,7 +739,8 @@ let test_failover_mid_stage () =
 
 (* A put whose stage has shipped raises on the primary (its device is
    smaller than the backup's): the primary sends a drop, and the backup
-   gives the claims back instead of leaking them. *)
+   gives the claims back instead of leaking them. A put with an over-long
+   key raises on both nodes before anything is claimed. *)
 let test_local_raise_drops_stage () =
   let bcfg = pair_cfg in
   let cfg = { pair_cfg with Config.ssd_blocks = 256 } in
@@ -756,6 +757,12 @@ let test_local_raise_drops_stage () =
         | exception Dstore.Out_of_blocks -> true
       in
       check bool "the put raised on the primary" true raised;
+      let rejected =
+        match Group.oput ctx (String.make 5000 'k') (Bytes.make 64 'k') with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      check bool "an over-long key raised on the primary" true rejected;
       Group.oput ctx "b" (Bytes.make 64 'b');
       Group.quiesce g;
       let b = List.assoc 1 (Group.backups g) in
