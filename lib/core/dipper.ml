@@ -7,6 +7,8 @@ module Span = Dstore_obs.Span
 
 exception Log_full
 
+exception Dependency_failed
+
 type hooks = {
   format_structures : Space.t -> unit;
   prepare : Space.t -> Logrec.op -> unit;
@@ -20,7 +22,7 @@ type ticket = {
   op : Logrec.op;
   entry : entry;  (* its key's; [blank] for a transaction's framing records *)
   mutable owner : int;  (* the context holding this lock or reservation, else 0 *)
-  done_ : bool Atomic.t;
+  state : int Atomic.t;  (* [held], [passed], [failed] or [done_], maybe [barred] *)
 }
 
 (* One key of the per-key concurrency table ([t.keys]). *)
@@ -31,18 +33,53 @@ and entry = {
 }
 
 (* A parked client, pooled, with a cond of its own so that a wake reaches
-   exactly it; [awaits] is its ticket's [done_]. Chains end in [nil]. *)
+   exactly it; [awaits] is its ticket's [state], which must reach [until].
+   Chains end in [nil]. *)
 and waiter = {
   cond : Platform.cond;
   mutable seq : int;  (* park stamp: the wake order *)
-  mutable awaits : bool Atomic.t;
+  mutable awaits : int Atomic.t;
+  mutable until : int;
   mutable ready : bool;
   mutable next : waiter;
 }
 
+(* A ticket's life, in its state word's low two bits: [held] once
+   appended (or reserved), then for a transaction's member [passed]
+   (structures applied, payloads still running), then [done_] (committed
+   or released) or [failed] (it will never commit). A failed ticket stays
+   on its key: only its dependents, which wait for [failed], see it end;
+   every other client waits for [done_] and parks for good (fail-stop).
+   [barred] is a bit on top: a client that may not pass found the ticket
+   in its way, and no transaction may pass it either until it is done. *)
+let held = 0
+
+let passed = 1
+
+let failed = 2
+
+let done_ = 3
+
+let barred = 4
+
+let stage_of tk = Atomic.get tk.state land 3
+
+(* Whether [tk]'s stage is [until] or later. *)
+let reached tk until = stage_of tk >= until
+
+(* A transaction may go past a passed ticket nobody barred. *)
+let passable tk = Atomic.get tk.state = passed
+
+(* Its values are visible but not durable: a transaction that takes them
+   depends on it. *)
+let applied tk =
+  let s = stage_of tk in
+  s = passed || s = failed
+
 let no_cond = { Platform.wait = ignore; signal = ignore; broadcast = ignore }
 
-let rec nil = { cond = no_cond; seq = 0; awaits = Atomic.make false; ready = false; next = nil }
+let rec nil =
+  { cond = no_cond; seq = 0; awaits = Atomic.make 0; until = 0; ready = false; next = nil }
 
 (* Unknown keys and framing records. Never mutated. *)
 let blank = { tickets = []; version = 0; waiters = nil }
@@ -453,8 +490,12 @@ let swap_logs t =
       Oplog.write_record nl ~slot ~lsn tk.op;
       (* Flushed here (under the lock, bounded by client count) so a
          commit persisting only the first line cannot leave a torn
-         committed record. *)
-      Oplog.flush_record nl ~slot ~lsn tk.op;
+         committed record. A transaction's commit record is left without
+         its LSN word: that word is the transaction's commit point, and
+         [Oplog.flush_txn_commit] writes it. *)
+      (match tk.op with
+      | Logrec.Txn_commit _ -> ()
+      | _ -> Oplog.flush_record nl ~slot ~lsn tk.op);
       tk.log_id <- standby;
       tk.slot <- slot;
       tk.lsn <- lsn;
@@ -894,19 +935,42 @@ let entry_of t key =
 (* [ctx] owns the ticket: an advisory lock or a reservation it took. *)
 let owns ctx tk = tk.owner <> 0 && tk.owner = ctx
 
-(* The oldest ticket [ctx] does not own. *)
-let rec foreign ctx = function
+(* The oldest ticket [ctx] does not own and, when [pass], may not go
+   past either. *)
+let rec foreign ctx ~pass = function
   | [] -> None
-  | tk :: rest -> if owns ctx tk then foreign ctx rest else Some tk
+  | tk :: rest ->
+      if owns ctx tk || (pass && passable tk) then foreign ctx ~pass rest else Some tk
+
+(* A client that may not pass found the key busy: bar every ticket on it
+   that it does not own, so that no transaction passes them while it
+   waits and a stream of passing transactions cannot starve it. A bar
+   lost to a concurrent commit is moot. Call under the frontend lock. *)
+let rec bar ctx = function
+  | [] -> ()
+  | tk :: rest ->
+      let s = Atomic.get tk.state in
+      if (not (owns ctx tk)) && s land 3 < done_ then
+        ignore (Atomic.compare_and_set tk.state s (s lor barred));
+      bar ctx rest
+
+(* [foreign], barring the key's tickets when a client that may not pass
+   meets one. *)
+let blocking ctx ~pass e =
+  match foreign ctx ~pass e.tickets with
+  | Some _ as busy ->
+      if not pass then bar ctx e.tickets;
+      busy
+  | None -> None
 
 (* The first conflict on the items' keys, in item order. Allocates
    nothing when there is none. *)
-let rec items_conflict t ~ctx = function
+let rec items_conflict t ~ctx ~pass = function
   | [] -> None
   | (key, _, _) :: rest -> (
-      match foreign ctx (find_entry t key).tickets with
+      match blocking ctx ~pass (find_entry t key) with
       | Some tk -> Some (key, tk)
-      | None -> items_conflict t ~ctx rest)
+      | None -> items_conflict t ~ctx ~pass rest)
 
 let rec remove tk = function
   | [] -> []
@@ -914,10 +978,10 @@ let rec remove tk = function
 
 (* Locked by hand: the lookup cannot raise, and a [with_lock] closure
    would cost every read an allocation. *)
-let lookup ~ctx t key =
+let lookup ~ctx ~pass t key =
   t.lock.Platform.lock ();
   let e = find_entry t key in
-  let tk = foreign ctx e.tickets and v = e.version in
+  let tk = blocking ctx ~pass e and v = e.version in
   t.lock.Platform.unlock ();
   match tk with Some tk -> raise (Busy tk) | None -> v
 
@@ -953,17 +1017,18 @@ let rec insert w c =
   end
 
 (* The paper's CC spins on the commit flag (§4.4); here a waiter parks on
-   the ticket's key until [finish] marks the ticket done and wakes it, and
-   then on the key's next reservation: a releaser mostly re-reserves. *)
-let rec wait_ticket t tk =
-  if not (Atomic.get tk.done_) then begin
+   the ticket's key until the ticket reaches [until] and a [signal] wakes
+   it. *)
+let park t tk until =
+  if not (reached tk until) then begin
     t.wait_lock.Platform.lock ();
     Atomic.incr t.ticket_waiters;
-    if not (Atomic.get tk.done_) then begin
+    if not (reached tk until) then begin
       let w = if t.spare == nil then { nil with cond = t.platform.Platform.new_cond () } else t.spare in
       t.spare <- w.next;
       w.seq <- stamp t;
-      w.awaits <- tk.done_;
+      w.awaits <- tk.state;
+      w.until <- until;
       w.ready <- false;
       tk.entry.waiters <- insert w tk.entry.waiters;
       while not w.ready do
@@ -974,25 +1039,36 @@ let rec wait_ticket t tk =
     end;
     Atomic.decr t.ticket_waiters;
     t.wait_lock.Platform.unlock ()
-  end;
+  end
+
+(* [park], then on the key's next reservation: a releaser mostly
+   re-reserves. *)
+let rec wait_ticket t tk until =
+  park t tk until;
   if tk.lsn = 0 then begin
     t.lock.Platform.lock ();
     let next = List.find_opt (fun x -> x.lsn = 0) tk.entry.tickets in
     t.lock.Platform.unlock ();
-    match next with Some next -> wait_ticket t next | None -> ()
+    match next with Some next -> wait_ticket t next until | None -> ()
   end
 
-(* Run [wait]; with a live span, book its duration as [cause] blame. *)
-let blamed t span cause wait =
-  if Span.live span then begin
-    let tw = t.platform.Platform.now () in
-    wait ();
-    Span.stall span cause (t.platform.Platform.now () - tw)
-  end
-  else wait ()
+(* How far a client waits a ticket out: one that may pass, until it can
+   (a barred or failed ticket, only once done); any other, until it is
+   done. *)
+let until_for ~pass tk = if pass && Atomic.get tk.state <= passed then passed else done_
 
-let wait_conflict ?(span = Span.none) t tk =
-  blamed t span Span.Conflict_retry (fun () -> wait_ticket t tk)
+(* A wait's start and, after it, its duration booked as [cause] blame on
+   a live [span]. By hand rather than around a closure: a wait allocates
+   nothing. *)
+let wait_began t span = if Span.live span then t.platform.Platform.now () else 0
+
+let blame t span cause t0 =
+  if Span.live span then Span.stall span cause (t.platform.Platform.now () - t0)
+
+let wait_conflict ?(span = Span.none) ~pass t tk =
+  let t0 = wait_began t span in
+  wait_ticket t tk (until_for ~pass tk);
+  blame t span Span.Conflict_retry t0
 
 (* No hold-and-wait: a reservation holder waits only on commit tickets,
    never on a NOOP — another holder's reservation, or an advisory lock
@@ -1038,24 +1114,51 @@ let fire_commit_hook t tks =
 (* --- one append, one commit (Figure 4, §3.4) -------------------------------- *)
 
 (* An appended, uncommitted group: the member records in item order and,
-   for a transaction, its Txn_begin / Txn_commit framing records. The
-   flush protocol follows from this shape alone (see dipper.mli): a
-   transaction persists begin + members with [Oplog.flush_batch] and
-   commits with the [Oplog.flush_txn_commit] line, one record takes
-   [Oplog.flush_record] + [Oplog.persist_slot], more than one
-   [Oplog.flush_batch] + [Oplog.persist_span]. Every record holds an
-   in-flight ticket until commit, so conflict lookups block concurrent
-   writers on its key and a concurrent log swap re-homes the group
-   wholesale. *)
-type appended = { members : ticket list; frame : (ticket * ticket) option }
+   for a transaction, its frame. The flush protocol follows from this
+   shape alone (see dipper.mli): a transaction persists begin + members
+   with [Oplog.flush_batch] and commits with the [Oplog.flush_txn_commit]
+   line, one record takes [Oplog.flush_record] + [Oplog.persist_slot],
+   more than one [Oplog.flush_batch] + [Oplog.persist_span]. Every record
+   holds an in-flight ticket until commit, so conflict lookups block
+   concurrent writers on its key (a passed member, only those that may
+   not pass) and a concurrent log swap re-homes the group wholesale. *)
+
+(* A transaction's Txn_begin and Txn_commit records, and its
+   dependencies: the passed members of other transactions whose values
+   it read or overwrote. Its commit record waits until they are done. *)
+type frame = { opening : ticket; closing : ticket; deps : ticket list }
+
+type appended = { members : ticket list; frame : frame option }
 
 let members a = a.members
 
-(* The first stale read: a commit bumped its key's version after the
-   transaction observed it. *)
+(* The first stale read: a commit or a pass bumped its key's version
+   after the transaction observed it. *)
 let rec stale_read t = function
   | [] -> None
   | (k, v) :: rest -> if (find_entry t k).version <> v then Some k else stale_read t rest
+
+(* The applied tickets of other transactions on [tks], onto [acc]. *)
+let rec applied_of ctx acc = function
+  | [] -> acc
+  | tk :: rest -> applied_of ctx (if (not (owns ctx tk)) && applied tk then tk :: acc else acc) rest
+
+(* The dependencies of a transaction that validated a read of, or
+   appends over, each element's key ([key_of]): the applied tickets on
+   it, whose values it took. Call under the frontend lock. *)
+let rec deps_on t ~ctx key_of acc = function
+  | [] -> acc
+  | x :: rest -> deps_on t ~ctx key_of (applied_of ctx acc (find_entry t (key_of x)).tickets) rest
+
+(* Wait, holding nothing, until every dependency is done; the first that
+   failed instead, if any. Only [park]: a dependent does not wait out the
+   reservations behind its dependency. A dependency is always an older
+   append than its dependent, so these waits form no cycle. *)
+let rec await_deps t = function
+  | [] -> None
+  | tk :: rest ->
+      park t tk failed;
+      if stage_of tk = failed then Some tk else await_deps t rest
 
 (* Steps 2–3 under the lock, in item order: each item's builder finds the
    binding it replaces and builds its record, sized here. *)
@@ -1074,7 +1177,7 @@ let stage_record t log entry op n =
   Oplog.write_record log ~slot ~lsn op;
   t.platform.Platform.consume Config.costs.log_cpu_ns;
   let tk =
-    { lsn; log_id = t.active_log; slot; op; entry; owner = 0; done_ = Atomic.make false }
+    { lsn; log_id = t.active_log; slot; op; entry; owner = 0; state = Atomic.make held }
   in
   Hashtbl.add t.in_flight lsn tk;
   if entry != blank then entry.tickets <- entry.tickets @ [ tk ];
@@ -1092,7 +1195,7 @@ let rec stage_members t log items ops =
    the shape's flush protocol outside the critical section. Records are
    located before the release (a swap may re-home them after it); a
    transaction's commit record is left unflushed until [commit]. *)
-let stage t span ~txn items ops =
+let stage t span ~txn ~deps items ops =
   let log = t.logs.(t.active_log) in
   let opened =
     if txn then begin
@@ -1107,9 +1210,9 @@ let stage t span ~txn items ops =
   let members = stage_members t log items ops in
   let frame =
     match opened with
-    | Some (id, b) ->
+    | Some (id, opening) ->
         let op = Logrec.Txn_commit { txn = id } in
-        Some (b, stage_record t log blank op (Logrec.slots_needed op))
+        Some { opening; closing = stage_record t log blank op (Logrec.slots_needed op); deps }
     | None -> None
   in
   if
@@ -1124,7 +1227,7 @@ let stage t span ~txn items ops =
       t.lock.Platform.unlock ();
       Oplog.flush_record log ~slot ~lsn tk.op
   | _ ->
-      let records = match frame with Some (b, _) -> b :: members | None -> members in
+      let records = match frame with Some f -> f.opening :: members | None -> members in
       let located = List.map (fun tk -> (tk.slot, tk.lsn, tk.op)) records in
       t.lock.Platform.unlock ();
       Oplog.flush_batch log located);
@@ -1139,22 +1242,36 @@ let abort_locked t key =
   t.lock.Platform.unlock ();
   Error key
 
+(* A read-only transaction, validated under the lock: it commits once the
+   values it read are durable, and aborts if one never will be. *)
+let commit_reads t ~ctx reads =
+  let deps = deps_on t ~ctx fst [] reads in
+  t.lock.Platform.unlock ();
+  match await_deps t deps with
+  | None ->
+      t.st.txns_committed <- t.st.txns_committed + 1;
+      Ok { members = []; frame = None }
+  | Some tk ->
+      t.st.txns_aborted <- t.st.txns_aborted + 1;
+      Error (Option.value (Logrec.op_key tk.op) ~default:"")
+
 (* Steps 1–6 of one append attempt, [need] slots of log space: conflict
    lookup and wait, log-full stall, validation, builders, staging. It and
    its helpers are top-level functions, not closures over the call, so a
    single put's append allocates no closure on the hot path. A
-   transaction whose caller holds reservations aborts where
-   [holder_must_abort] forbids the wait. *)
+   transaction ([reads] given) may go past passed tickets, and one whose
+   caller holds reservations aborts where [holder_must_abort] forbids the
+   wait. *)
 let rec attempt t ~ctx ~holding ~span ~reads ~txn items need =
   if need > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
+  let pass = Option.is_some reads in
   t.lock.Platform.lock ();
-  match items_conflict t ~ctx items with
-  | Some (key, tk) when holding && reads <> None && holder_must_abort tk ->
-      abort_locked t key
+  match items_conflict t ~ctx ~pass items with
+  | Some (key, tk) when holding && pass && holder_must_abort tk -> abort_locked t key
   | Some (_, tk) ->
       t.lock.Platform.unlock ();
       t.st.conflict_waits <- t.st.conflict_waits + 1;
-      wait_conflict ~span t tk;
+      wait_conflict ~span ~pass t tk;
       attempt t ~ctx ~holding ~span ~reads ~txn items need
   | None when Oplog.free_slots t.logs.(t.active_log) < need ->
       if t.cfg.checkpoint = Config.No_checkpoint then begin
@@ -1164,21 +1281,25 @@ let rec attempt t ~ctx ~holding ~span ~reads ~txn items need =
       request_checkpoint_locked t;
       t.st.log_full_stalls <- t.st.log_full_stalls + 1;
       (* cond wait releases and re-acquires the frontend lock *)
-      blamed t span Span.Log_full (fun () -> t.cond_space.Platform.wait t.lock);
+      let t0 = wait_began t span in
+      t.cond_space.Platform.wait t.lock;
+      blame t span Span.Log_full t0;
       t.lock.Platform.unlock ();
       attempt t ~ctx ~holding ~span ~reads ~txn items need
   | None -> (
       (* OCC validation shares this lock hold with the append: no
-         conflicting record is in flight (the lookup above), so a read is
-         stale exactly when a commit bumped its key's version after the
+         conflicting record is in flight (the lookup above) but passed
+         ones, whose versions already moved, so a read is stale exactly
+         when a commit or a pass bumped its key's version after the
          transaction observed it. *)
       match match reads with Some r -> stale_read t r | None -> None with
       | Some key -> abort_locked t key
-      | None when items = [] ->
-          (* A read-only transaction: validation is the whole commit. *)
-          if reads <> None then t.st.txns_committed <- t.st.txns_committed + 1;
-          t.lock.Platform.unlock ();
-          Ok { members = []; frame = None }
+      | None when items = [] -> (
+          match reads with
+          | Some r -> commit_reads t ~ctx r
+          | None ->
+              t.lock.Platform.unlock ();
+              Ok { members = []; frame = None })
       | None -> (
           match build items with
           | exception e ->
@@ -1195,18 +1316,24 @@ let rec attempt t ~ctx ~holding ~span ~reads ~txn items need =
                 t.lock.Platform.unlock ();
                 attempt t ~ctx ~holding ~span ~reads ~txn items actual
               end
-              else Ok (stage t span ~txn items ops)))
+              else
+                let deps =
+                  match reads with
+                  | Some r -> deps_on t ~ctx (fun (k, _, _) -> k) (deps_on t ~ctx fst [] r) items
+                  | None -> []
+                in
+                Ok (stage t span ~txn ~deps items ops)))
 
 let append ~ctx ?(holding = false) ?(span = Span.none) ?reads t items =
   let txn = reads <> None && items <> [] in
   let estimate = List.fold_left (fun n (_, bound, _) -> n + bound) 0 items in
   attempt t ~ctx ~holding ~span ~reads ~txn items (estimate + if txn then 2 else 0)
 
-(* Unlink from [e]'s chain the waiters whose ticket is done, into
-   [batch] in stamp order. Call under [wait_lock]. *)
+(* Unlink from [e]'s chain the waiters whose ticket reached their mark,
+   into [batch] in stamp order. Call under [wait_lock]. *)
 let rec take e prev w batch =
   if w == nil then batch
-  else if Atomic.get w.awaits then begin
+  else if Atomic.get w.awaits land 3 >= w.until then begin
     let next = w.next in
     if prev == nil then e.waiters <- next else prev.next <- next;
     take e prev next (insert w batch)
@@ -1221,9 +1348,9 @@ let rec wake w =
     wake next
   end
 
-(* Mark the tickets done and wake exactly the waiters parked on them. *)
-let finish t tks =
-  List.iter (fun tk -> Atomic.set tk.done_ true) tks;
+(* Wake exactly the waiters parked on [tks] whose ticket reached their
+   mark. *)
+let signal t tks =
   if Atomic.get t.ticket_waiters > 0 then begin
     t.wait_lock.Platform.lock ();
     t.woke_at <- t.platform.Platform.now ();
@@ -1232,37 +1359,97 @@ let finish t tks =
     t.wait_lock.Platform.unlock ()
   end
 
-(* Drop the ticket from the in-flight set and its key's entry, and bump
-   the key's version: every commit on the key, Noop commits included (an
-   in-place [owrite] changes bytes under a Noop record), invalidates its
-   readers. Call under the frontend lock. *)
-let retire t tk =
-  Hashtbl.remove t.in_flight tk.lsn;
+(* Mark the tickets done and wake the waiters parked on them. *)
+let finish t tks =
+  List.iter (fun tk -> Atomic.set tk.state done_) tks;
+  signal t tks
+
+(* Drop the ticket from its key's entry and bump the key's version,
+   unless its pass did: every commit on the key, Noop commits included
+   (an in-place [owrite] changes bytes under a Noop record), invalidates
+   its readers. Call under the frontend lock. *)
+let unqueue tk =
   let e = tk.entry in
   if e != blank then begin
     e.tickets <- remove tk e.tickets;
-    e.version <- e.version + 1
+    if stage_of tk <> passed then e.version <- e.version + 1
   end
+
+(* Drop the ticket from the in-flight set and its key's entry. *)
+let retire t tk =
+  Hashtbl.remove t.in_flight tk.lsn;
+  unqueue tk
+
+(* The pass: [a]'s structures and cache are applied while its payload
+   writes may still run. Its members become passable and their keys'
+   versions move now (their commit moves them no more); [r], the
+   committing context's reservations, drops. Then the clients parked on
+   any of them wake: a transaction to go past them, any other client to
+   wait on. *)
+let pass t a r =
+  t.lock.Platform.lock ();
+  List.iter
+    (fun tk ->
+      Atomic.set tk.state (Atomic.get tk.state lor passed);
+      tk.entry.version <- tk.entry.version + 1)
+    a.members;
+  match r with
+  | None ->
+      t.lock.Platform.unlock ();
+      signal t a.members
+  | Some r ->
+      List.iter (fun tk -> tk.entry.tickets <- remove tk tk.entry.tickets) r;
+      t.lock.Platform.unlock ();
+      List.iter (fun tk -> Atomic.set tk.state done_) r;
+      signal t (a.members @ r)
+
+(* Passed [members] will never commit. They stay in flight and on their
+   keys, so every client but their dependents still waits on them for
+   good, as on a group that raised before its pass: its structures and
+   cache are applied and uncommitted. Their dependents wake to [failed]
+   and fail in turn. *)
+let fail t members =
+  List.iter (fun tk -> Atomic.set tk.state failed) members;
+  signal t members
+
+(* Only a passed group has dependents to free. *)
+let abandon t a =
+  match a.members with tk :: _ when stage_of tk = passed -> fail t a.members | _ -> ()
 
 (* Step 9, by the group's shape. A record's commit word (or, for a
    transaction, the commit record) is located under the lock — a
    concurrent swap may have re-homed it — and the ticket retired there
-   with its key's version bumped; the persist runs outside. Conflict
-   waiters release once the group is durable. *)
-let commit t a =
+   with its key's version bumped; the persist runs outside. A
+   transaction first waits out its dependencies ([Conflict_retry] blame
+   on a live [span]), and its tickets stay on their keys until its commit
+   record is durable, so that a later transaction still finds them as
+   dependencies. Conflict waiters release once the group is durable. *)
+let commit ?(span = Span.none) t a =
   match (a.frame, a.members) with
   | _, [] -> ()
-  | Some (b, c), members ->
-      let log_id, slot, lsn =
-        Platform.with_lock t.lock (fun () ->
-            List.iter (retire t) (b :: c :: members);
-            (c.log_id, c.slot, c.lsn))
-      in
+  | Some f, members ->
+      let tks = f.opening :: f.closing :: members in
+      let t0 = wait_began t span in
+      let lost = await_deps t f.deps in
+      if f.deps <> [] then blame t span Span.Conflict_retry t0;
+      if Option.is_some lost then begin
+        fail t members;
+        raise Dependency_failed
+      end;
+      (* Locked by hand: nothing in either hold raises. *)
+      let c = f.closing in
+      t.lock.Platform.lock ();
+      List.iter (fun tk -> Hashtbl.remove t.in_flight tk.lsn) tks;
+      let log_id = c.log_id and slot = c.slot and lsn = c.lsn in
+      t.lock.Platform.unlock ();
       Oplog.flush_txn_commit t.logs.(log_id) ~slot ~lsn c.op;
+      t.lock.Platform.lock ();
+      List.iter unqueue tks;
+      t.lock.Platform.unlock ();
       fire_commit_hook t members;
       t.st.txns_committed <- t.st.txns_committed + 1;
       t.st.txn_member_records <- t.st.txn_member_records + List.length members;
-      finish t (b :: c :: members)
+      finish t tks
   | None, [ tk ] ->
       (* Locked by hand: neither step raises, and a [with_lock] closure
          returning the location would cost every put two allocations. *)
@@ -1307,25 +1494,42 @@ let commit t a =
         (List.length tks);
       finish t tks
 
+(* A passing read that missed the cache follows the index to the pages
+   of the youngest applied write on [key], which may still be in flight:
+   wait until it is done (or failed, which fails the reader's
+   transaction too). No write on the key passes meanwhile, since the
+   reader's count holds back every later structure update. *)
+let wait_written t key =
+  t.lock.Platform.lock ();
+  let last =
+    List.fold_left (fun acc tk -> if applied tk then Some tk else acc) None (find_entry t key).tickets
+  in
+  t.lock.Platform.unlock ();
+  Option.iter (fun tk -> park t tk failed) last
+
 (* --- reservations ------------------------------------------------------------ *)
 
 type reservation = ticket list
 
 (* One unlogged NOOP ticket per key, owned by the holder, all or nothing
-   in one frontend-lock hold. While any key has a ticket the holder does
-   not own, wait holding nothing ([Txn_retry] blame), then look again. *)
+   in one frontend-lock hold. While any key has a ticket the holder may
+   not go past, wait holding nothing ([Txn_retry] blame), then look
+   again. A reservation goes past passed tickets like the transaction it
+   serves. *)
 let rec reserve ?(span = Span.none) t ~ctx keys =
   t.lock.Platform.lock ();
   (* the lookups take append items: (key, size estimate, builder) *)
-  match items_conflict t ~ctx (List.map (fun k -> (k, 0, ())) keys) with
+  match items_conflict t ~ctx ~pass:true (List.map (fun k -> (k, 0, ())) keys) with
   | Some (_, tk) ->
       t.lock.Platform.unlock ();
-      blamed t span Span.Txn_retry (fun () -> wait_ticket t tk);
+      let t0 = wait_began t span in
+      wait_ticket t tk (until_for ~pass:true tk);
+      blame t span Span.Txn_retry t0;
       reserve ~span t ~ctx keys
   | None ->
       let hold key =
-        let entry = entry_of t key and done_ = Atomic.make false in
-        let tk = { lsn = 0; log_id = 0; slot = 0; op = Noop { key }; entry; owner = ctx; done_ } in
+        let entry = entry_of t key and state = Atomic.make held in
+        let tk = { lsn = 0; log_id = 0; slot = 0; op = Noop { key }; entry; owner = ctx; state } in
         entry.tickets <- entry.tickets @ [ tk ];
         tk
       in

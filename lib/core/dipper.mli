@@ -31,6 +31,11 @@ open Dstore_memory
 exception Log_full
 (** Raised only under [No_checkpoint] when the log is exhausted. *)
 
+exception Dependency_failed
+(** Raised by {!commit} of a transaction that took a value of a passed
+    transaction which then failed before its commit: the group fails with
+    it (see {!abandon}). *)
+
 type hooks = {
   format_structures : Space.t -> unit;
       (** Create the store's structures in a freshly formatted space. Must
@@ -55,7 +60,14 @@ type ticket
 
 (** Callers name themselves by a context id, [ctx] below: a nonzero int
     (a store context's id), or 0 for an anonymous caller. A context passes
-    its own advisory locks ({!lock}) and reservations ({!reserve}). *)
+    its own advisory locks ({!lock}) and reservations ({!reserve}).
+
+    A transaction may also go past another transaction's {e passed}
+    member (see {!pass}): its versioned reads ([lookup ~pass:true]), its
+    {!append} and {!reserve} do. It then depends on that transaction,
+    and its commit waits until that one is done. No other client goes
+    past a passed member; one that meets it bars every ticket on the
+    key, so that no transaction passes them until they are done. *)
 
 val layout_bytes : Config.t -> int
 (** PMEM bytes the engine needs for root + two logs + two spaces. *)
@@ -124,7 +136,11 @@ val shadow_space : t -> Space.t
       committed-or-not, so recovery needs no batch awareness.
 
     So a put, a delete and an [obatch] of one op all take the single-record
-    protocol. *)
+    protocol.
+
+    A transaction has one more point between its append and its commit,
+    {!pass}: once its structures and cache are applied, while its payload
+    writes may still run. *)
 
 val wait_readers : t -> Dstore_structs.Readcount.t -> string -> unit
 (** Park until the name's read count is zero (§4.4 read-write conflicts);
@@ -138,6 +154,9 @@ val reader_exited : t -> unit
 
 type appended
 (** An appended, uncommitted group of records. *)
+
+type reservation
+(** See {!reserve}. *)
 
 val append :
   ctx:int ->
@@ -163,22 +182,50 @@ val append :
     whose caller is [holding] reservations aborts with [Error key] instead
     of waiting where {!holder_must_abort} says so. [reads], the read-set
     as [(key, observed version)] pairs (see {!key_version}), makes the
-    group a transaction: it is validated under the same lock hold, after
-    the conflict lookups, and
+    group a transaction: it goes past passed members, is validated under
+    the same lock hold, after the conflict lookups, and
     [Error key] reports the first stale read (nothing appended, stats
-    count an abort). With [reads] and no items the call only validates
-    (a read-only transaction; its {!commit} does nothing).
+    count an abort). The passed members on its read and write keys
+    there are its dependencies, which its {!commit} waits out. With
+    [reads] and no items the call only validates (a read-only
+    transaction; its {!commit} does nothing): it returns [Ok] once its
+    dependencies are done, or [Error key] if one failed. A failed member
+    counts as a dependency too.
 
     Raises {!Log_full} if the group can never fit the log, or under
     [No_checkpoint] when it does not fit now. With a live [span], conflict
     and log-full waits are booked as blame intervals and the lock hold /
     log append as segments. *)
 
-val commit : t -> appended -> unit
+val commit : ?span:Dstore_obs.Span.t -> t -> appended -> unit
 (** Step 9, by the group's shape (see above): retire every ticket, bump
-    the committed version of every member key, persist, fire the commit
-    hook with the member records. On return the group is durable and the
-    clients parked on its records are woken, in the order they parked. *)
+    the committed version of every member key that {!pass} did not,
+    persist, fire the commit hook with the member records. On return the
+    group is durable and the clients parked on its records are woken, in
+    the order they parked. A transaction first waits until every
+    dependency is done, and keeps its tickets on their keys until its
+    commit record is durable; if a dependency failed, the group fails as
+    by {!abandon} and {!Dependency_failed} is raised. With a live [span],
+    the dependency waits are booked as [Conflict_retry] blame. *)
+
+val pass : t -> appended -> reservation option -> unit
+(** The pass of an appended transaction, whose structure and cache
+    updates are applied while its payload writes may still run: mark its
+    members passed and bump their keys' versions (their commit bumps them
+    no more), drop the committing context's reservations, and wake the
+    clients parked on either. A transaction that goes past a passed
+    member before its commit reads or overwrites its values and depends
+    on it. *)
+
+val abandon : t -> appended -> unit
+(** The group will never commit (its payload writes raised after its
+    pass): its members become failed. They stay in flight and on their
+    keys (fail-stop, as for a group that raised before its pass), so
+    every client that is not their dependent still waits on them for
+    good and never sees their uncommitted values. Their dependents wake:
+    a dependent's {!commit} raises {!Dependency_failed}, a read-only one
+    aborts. A group that has not passed has no dependents and is left as
+    it is. *)
 
 val members : appended -> ticket list
 (** The member tickets in item order (their operations via {!ticket_op};
@@ -194,9 +241,10 @@ val with_frontend_lock : t -> (unit -> 'a) -> 'a
     the log. *)
 
 val key_version : t -> string -> int
-(** The key's committed-version counter (bumped at every commit on the
-    key). Observe it {e before} reading the value: validation then aborts
-    any transaction whose read raced a commit. *)
+(** The key's version counter, bumped at every commit on the key and at
+    every pass of a transaction's member on it. Observe it {e before}
+    reading the value: validation then aborts any transaction whose read
+    raced a commit or a pass. *)
 
 val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
 (** Oplog span export seam (dstore_repl). The hook fires after a commit's
@@ -209,17 +257,25 @@ exception Busy of ticket
 (** What a client must wait out on a key: the oldest ticket on it, record
     or reservation, that the client does not own. *)
 
-val lookup : ctx:int -> t -> string -> int
-(** The key's committed version (see {!key_version}) if [ctx] may read it
-    now, in one frontend-lock round; raises {!Busy} otherwise. The same
-    lookup backs {!append}'s conflict check. Allocates nothing when the
-    key is clear. *)
+val lookup : ctx:int -> pass:bool -> t -> string -> int
+(** The key's version (see {!key_version}) if [ctx] may read it now, in
+    one frontend-lock round; raises {!Busy} otherwise. With [pass] (a
+    transaction's read) it goes past passed members, which counts them
+    in the version; without it, a busy key's tickets are barred. The
+    same lookup backs {!append}'s conflict check. Allocates nothing when
+    the key is clear. *)
 
-val wait_conflict : ?span:Dstore_obs.Span.t -> t -> ticket -> unit
+val wait_conflict : ?span:Dstore_obs.Span.t -> pass:bool -> t -> ticket -> unit
 (** Wait out a {!Busy} ticket, holding nothing: park on its key until its
-    commit or release wakes the caller. A reader first leaves the read
-    count. With a live [span], the wait is booked as [Conflict_retry]
-    blame. *)
+    commit or release wakes the caller, or with [pass] until it may be
+    passed. A reader first leaves the read count. With a live [span], the
+    wait is booked as [Conflict_retry] blame. *)
+
+val wait_written : t -> string -> unit
+(** A passing read that missed the cache: wait until the youngest passed
+    member on the key is done, so that its payload pages are written, or
+    failed, which fails the reader's transaction too. Waits on no
+    reservation. *)
 
 val holder_must_abort : ticket -> bool
 (** Whether a reservation holder must abort rather than wait: on a NOOP,
@@ -233,22 +289,22 @@ val holder_must_abort : ticket -> bool
     transaction retrying after repeat aborts ([Dstore_txn.txn]): one
     unlogged NOOP ticket per key, owned by the holder. Every other
     client's conflict lookup waits it out like an in-flight record, so the
-    holder's reads stay valid and its commit cannot fail validation. Log
-    swaps do not re-home reservations, and checkpoints and recovery never
-    see them. *)
-
-type reservation
+    holder's reads stay valid and its commit cannot fail validation. The
+    holder's {!pass} drops it. Log swaps do not re-home reservations, and
+    checkpoints and recovery never see them. *)
 
 val reserve :
   ?span:Dstore_obs.Span.t -> t -> ctx:int -> string list -> reservation
 (** Reserve every key for [ctx] in one frontend-lock hold. While any key
-    has a ticket [ctx] does not own, wait holding nothing, then look
+    has a ticket [ctx] may not go past (another's, unless a passed and
+    unbarred member), wait holding nothing, then look
     again. A reserve does not queue behind clients parked on the key.
     With a live [span], the waits are booked as [Txn_retry] blame. *)
 
 val release : t -> reservation -> unit
 (** Drop the reservation, bumping no version, and wake the clients parked
-    on it. *)
+    on it. A reservation the holder's {!pass} dropped must not be
+    released again. *)
 
 (** {1 Advisory locks (§4.5)} *)
 

@@ -448,7 +448,9 @@ let now t = t.platform.Platform.now ()
      invalidation), and
    - every reader arriving AFTER the append is held at [read_entry] by
      the conflict lookup until the op commits (so nobody observes the
-     write-through before the op is acknowledged).
+     write-through before the op is acknowledged), except a
+     transaction's read once the op has passed, which comes after the
+     write-through and whose transaction commits only after the op.
 
    Hence invalidation/write-through inherits exactly the order the
    frontend lock gave the log append: once an overwrite or delete has
@@ -502,7 +504,8 @@ let cache_write_through t key value size =
    claimed ids are unreachable until the record commits and the pools
    are volatile. A backup's group arrives claimed and written. A
    transaction claims, validates in its append, then writes its payloads
-   beside its structure updates: an abort does no SSD I/O. [owrite]
+   beside its structure updates and passes: an abort does no SSD I/O, and
+   its keys are held for its append and structure updates only. [owrite]
    rewrites live pages inside its window, and a physical put writes its
    payload after the build that claimed and applied it. A record is
    built under the append's lock hold, so the ids it frees are committed
@@ -724,8 +727,14 @@ let record_of t = function
         Dipper.capture_writes t.engine (fun () ->
             let freed_meta = bound t p.key in
             let freed_extents = extents_of t freed_meta in
-            p.extents <- alloc_blocks t (blocks_for t size);
+            (* The meta id first, given back if the blocks run out. *)
             let meta = alloc_meta t in
+            (p.extents <-
+               match alloc_blocks t (blocks_for t size) with
+               | extents -> extents
+               | exception e ->
+                   Bitpool.free t.h.metapool meta;
+                   raise e);
             t.platform.Platform.consume (Config.costs.meta_ns + Config.costs.btree_ns);
             Metazone.write_object t.h.zone meta ~size (to_mz p.extents);
             ignore (Btree.insert t.h.btree p.key meta);
@@ -869,6 +878,32 @@ let split_batches t group =
 (* A transaction whose read-set went stale: nothing was appended. *)
 exception Stale of string
 
+(* A transaction's steps 5-9: its payload writes forked beside its
+   structure updates, then its pass (which drops the context's
+   reservations), the join, and its commit, which first waits out its
+   dependencies. A payload write that raises after the pass abandons the
+   group, so that its dependents fail rather than wait forever; its keys
+   stay blocked to every other client. *)
+let commit_txn ctx t span sub a =
+  let io = Span.detach span in
+  let posts =
+    match
+      par_iter t (puts_of sub) (write_staged ~span:io t) ~inline:(fun () ->
+          let posts = apply_group ~span t sub a in
+          Dipper.pass t.engine a ctx.holds;
+          ctx.holds <- None;
+          posts)
+    with
+    | posts -> posts
+    | exception e ->
+        Dipper.abandon t.engine a;
+        raise e
+  in
+  Span.absorb span io;
+  Span.seg span Span.S_data;
+  Dipper.commit ~span t.engine a;
+  posts
+
 (* One sub-batch (distinct keys): one append, steps 5–8 per op, one
    commit, the releases. If the append raises or a transaction's
    validation fails, the claims of this and the [later] sub-batches go back. *)
@@ -885,20 +920,12 @@ let exec_sub_batch ?reads ctx t span ~later sub =
   in
   let posts =
     match reads with
-    | None -> apply_group ~span t sub a
-    | Some _ ->
-        (* A transaction forks its payload writes beside steps 5-7 and
-           joins before its commit. *)
-        let io = Span.detach span in
-        let posts =
-          par_iter t (puts_of sub) (write_staged ~span:io t) ~inline:(fun () ->
-              apply_group ~span t sub a)
-        in
-        Span.absorb span io;
-        Span.seg span Span.S_data;
+    | None ->
+        let posts = apply_group ~span t sub a in
+        Dipper.commit t.engine a;
         posts
+    | Some _ -> commit_txn ctx t span sub a
   in
-  Dipper.commit t.engine a;
   Span.seg span (match (sub, reads) with [ _ ], None -> Span.S_fence | _ -> Span.S_commit);
   release_posts t posts;
   posts
@@ -1018,12 +1045,13 @@ let read_exit t key =
    a write on this name is in flight. A writer appends its record before
    draining the read count, so it only ever waits on readers that entered
    before its record appeared — and those readers never wait on it: no
-   circular wait. A reservation holder raises [Would_wait] rather than wait
-   on a NOOP. Returns the version the conflict-free lookup observed. *)
-let rec read_entry ~span ctx key =
+   circular wait. A transaction's read ([pass]) goes past passed members
+   (see [Dipper.pass]). A reservation holder raises [Would_wait] rather
+   than wait on a NOOP. Returns the version the lookup observed. *)
+let rec read_entry ~span ~pass ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
-  match Dipper.lookup ~ctx:ctx.id t.engine key with
+  match Dipper.lookup ~ctx:ctx.id ~pass t.engine key with
   | v -> v
   | exception Dipper.Busy tk ->
       read_exit t key;
@@ -1032,8 +1060,8 @@ let rec read_entry ~span ctx key =
         st.Dipper.txns_aborted <- st.Dipper.txns_aborted + 1;
         raise (Would_wait key)
       end;
-      Dipper.wait_conflict ~span t.engine tk;
-      read_entry ~span ctx key
+      Dipper.wait_conflict ~span ~pass t.engine tk;
+      read_entry ~span ~pass ctx key
 
 (* Where a read delivers the object, and what it returns. *)
 type _ sink =
@@ -1162,7 +1190,9 @@ let read_close t span sp kind t0 =
    [Get] / [Read] one of its own) and the latency histogram close on every
    exit, a raise included, and the read count is left on every exit past
    the entry. Existence and size come from the index alone, so they leave
-   the cache's hit counts and CLOCK bits alone. *)
+   the cache's hit counts and CLOCK bits alone. Only a versioned read
+   passes; one that misses the cache waits for the pages of the passed
+   write it is about to follow. *)
 let read : type r.
     ?span:Span.t -> ctx -> r sink -> string -> Bytes.t -> off:int -> len:int -> r =
  fun ?span ctx sink key buf ~off ~len ->
@@ -1171,7 +1201,8 @@ let read : type r.
   let t0 = now t in
   let kind = match sink with Size | Range -> Span.Read | _ -> Span.Get in
   let sp = match span with Some s -> s | None -> Span.start t.obs.Obs.spans kind key in
-  match read_entry ~span:sp ctx key with
+  let pass = match sink with Versioned -> true | _ -> false in
+  match read_entry ~span:sp ~pass ctx key with
   | exception e ->
       read_close t span sp kind t0;
       raise e
@@ -1181,6 +1212,7 @@ let read : type r.
         match match sink with Exists | Size -> None | _ -> cache_lookup t key with
         | Some _ as hit -> from_cache t sp sink v buf ~off ~len hit
         | None ->
+            if pass then Dipper.wait_written t.engine key;
             from_index t sp sink v key buf ~off ~len
               (locate t key ~entry:(match sink with Exists -> false | _ -> true))
       with
@@ -1287,10 +1319,11 @@ let release ctx =
 (* A transaction is the write group with a read-set: [Dipper.append]
    validates it under the lock hold that appends the begin + members
    span, and only then do the payload writes run, beside the structure
-   updates. Crash-safe because the span stays uncommitted until
-   [Dipper.commit] persists its commit record after the join, recovery
-   drops a span without one, and member readers wait on the tickets until
-   then. *)
+   updates and the pass. Crash-safe because the span stays uncommitted
+   until [Dipper.commit] persists its commit record after the join and
+   after the commits of the transactions it took values from, recovery
+   drops a span without one, and every other reader of a member waits on
+   its ticket until then. *)
 let txn_commit_writes ?span ctx ~reads ~writes =
   check_ctx ctx;
   let t = ctx.store in

@@ -312,7 +312,8 @@ val ounlock : ctx -> string -> unit
     handle with buffering and retry lives in [Dstore_txn]. *)
 
 val key_version : ctx -> string -> int
-(** The key's committed-version counter (see [Dipper.key_version]). *)
+(** The key's version counter (see [Dipper.key_version]): it counts
+    commits and passed transaction members. *)
 
 val oget_versioned :
   ?span:Dstore_obs.Span.t -> ctx -> string -> int * Bytes.t option
@@ -321,9 +322,13 @@ val oget_versioned :
     observation stale (caught by validation), never silently fresh.
     The reader entry's own lookup ([Dipper.lookup]) observes the version,
     and the value is fetched in the same reader window: one frontend-lock
-    round and one index pass. With [span] (a transaction's), the read's
-    segments and conflict waits are booked on it instead of on a [Get]
-    span of the read's own, and the read leaves it open. *)
+    round and one index pass. The read goes past another transaction's
+    passed members ([Dipper.pass]) and returns their value: from the
+    cache, or, on a miss, once their payload is written. The transaction
+    that reads it then commits only after theirs. With [span] (a
+    transaction's), the read's segments and conflict waits are booked on
+    it instead of on a [Get] span of the read's own, and the read leaves
+    it open. *)
 
 val reserve : ?span:Dstore_obs.Span.t -> ctx -> string list -> unit
 (** Reserve the keys for this context, all or nothing ([Dipper.reserve]);
@@ -331,11 +336,13 @@ val reserve : ?span:Dstore_obs.Span.t -> ctx -> string list -> unit
     context's reads and writes of the keys wait, and this context's own
     operations pass. A holder's reads and {!txn_commit_writes} never wait
     on another holder's reservation or on a NOOP: a read raises
-    {!Would_wait}, the commit returns [Error]. *)
+    {!Would_wait}, the commit returns [Error]. Like a transaction, the
+    reservation goes past passed members. A {!txn_commit_writes} drops the
+    context's reservations at its pass, before its payload writes end. *)
 
 val release : ctx -> unit
-(** Drop every reservation the context holds and wake the clients parked
-    on those keys. *)
+(** Drop every reservation the context still holds and wake the clients
+    parked on those keys. *)
 
 val txn_commit_writes :
   ?span:Dstore_obs.Span.t ->
@@ -347,9 +354,17 @@ val txn_commit_writes :
     still matches the committed state. Keys in [writes] must be pairwise
     distinct. Validation precedes all device work: [Error key] names the
     first stale read; nothing is logged, written to the SSD or applied,
-    and staged allocations are returned. On [Ok ()], the whole
-    write-set is durable (single transaction span) and structure updates
-    are applied. An empty write-set validates only (read-only commit).
+    and staged allocations are returned. Once validated, the write-set is
+    appended, its structures and cache are updated beside its payload
+    writes, and it passes ([Dipper.pass]): other transactions may read
+    and overwrite its values from then on, and commit only after it. Its
+    commit record waits for the transactions whose values it took. On
+    [Ok ()], the whole write-set is durable (single transaction span). An
+    empty write-set validates only (read-only commit), and returns once
+    the values it read are durable. Raises [Dipper.Dependency_failed] if
+    a transaction it took values from failed before its commit; like
+    that one's, its keys then stay blocked to every other client
+    ([Dipper.abandon]).
     Requires [Logical] logging. *)
 
 (** {1 Introspection} *)

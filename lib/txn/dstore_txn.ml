@@ -9,10 +9,10 @@
    DESIGN.md "Transactions". The [txn] wrapper re-runs the caller's
    function on abort: at once the first time, then under volatile
    reservations on every key it has touched, so it finishes in a bounded
-   number of attempts. Reservation waits are [Span.Txn_retry] blame; its
-   span also takes the read phase, so ticket waits of reads are
-   [Span.Conflict_retry] blame on the transaction rather than time hidden
-   before its first cut. *)
+   number of attempts; a commit drops them at its pass. Reservation waits
+   are [Span.Txn_retry] blame; its span also takes the read phase, so
+   ticket waits of reads are [Span.Conflict_retry] blame on the
+   transaction rather than time hidden before its first cut. *)
 
 open Dstore_core
 module Span = Dstore_obs.Span

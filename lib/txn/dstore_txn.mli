@@ -13,9 +13,11 @@
     the whole function, under key reservations from the second retry on,
     so it finishes in a bounded number of attempts. Commit validates before
     any device work, so an abort writes nothing; a validated commit holds
-    its member keys from validation through its SSD payload writes, and
-    clients touching those keys wait that long. Writes are invisible to
-    other clients (and to crash recovery) until commit succeeds. *)
+    its member keys for its append and structure updates, then passes
+    them on to other transactions while its SSD payload writes run. A
+    transaction that reads or overwrites a passed value commits after
+    the one that wrote it. Writes are invisible to other clients that are
+    not transactions (and to crash recovery) until commit succeeds. *)
 
 type abort_reason =
   | Conflict of string  (** Validation failed: this key's version moved. *)
@@ -48,7 +50,8 @@ val commit : t -> (unit, abort_reason) result
 (** Validate and atomically apply the write-set. [Error (Conflict key)]
     if any read observation is stale — the store is untouched (no log
     record, no SSD write) and the handle is dead. A transaction with no
-    writes validates only. *)
+    writes validates only. Raises [Dipper.Dependency_failed] if a
+    transaction whose value it took failed before its commit. *)
 
 val abort : t -> unit
 (** Discard the transaction (nothing to undo — writes were buffered). *)

@@ -1958,9 +1958,9 @@ let test_conflict_scan_one_pass () =
         | Error k -> Alcotest.failf "unexpected stale read on %s" k
       in
       let clear ?(ctx = 0) k =
-        match Dipper.lookup ~ctx e k with _ -> true | exception Dipper.Busy _ -> false
+        match Dipper.lookup ~ctx ~pass:false e k with _ -> true | exception Dipper.Busy _ -> false
       in
-      (match Dipper.lookup ~ctx:0 e "cs2" with
+      (match Dipper.lookup ~ctx:0 ~pass:false e "cs2" with
       | exception Dipper.Busy tk ->
           Alcotest.(check bool) "in-flight member found" true
             (List.memq tk (Dipper.members a))
@@ -2027,7 +2027,7 @@ let prop_key_table_matches_scan =
                | [] -> `Clear (version k)
              in
              let got c k =
-               match Dipper.lookup ~ctx:c e k with
+               match Dipper.lookup ~ctx:c ~pass:false e k with
                | v -> `Clear v
                | exception Dipper.Busy tk ->
                    if List.exists (fun (x, _, _) -> x == tk) (live ()) then `Ticket tk
@@ -2379,8 +2379,8 @@ let test_oread_zero_length () =
 (* Run [f st ctx] on a fresh store: whether it completed, what [Fsck]
    found right after it, and how many processes are left blocked once the
    store stops. *)
-let probe f =
-  let fx = fixture () in
+let probe ?cfg f =
+  let fx = fixture ?cfg () in
   let completed = ref false and fsck = ref [ "not reached" ] in
   Sim.spawn fx.sim "probe" (fun () ->
       let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
@@ -2396,6 +2396,23 @@ let check_probe what (completed, fsck, blocked) =
   check Alcotest.bool (what ^ ": completes") true completed;
   check Alcotest.(list string) (what ^ ": fsck exact") [] fsck;
   check Alcotest.int (what ^ ": nothing blocked") 0 blocked
+
+(* A physical put that runs out of meta ids gives back the blocks its
+   build claimed: the pools stay exact. *)
+let test_physical_put_out_of_meta_exact () =
+  let cfg = { small_cfg with Config.logging = Config.Physical; meta_entries = 16 } in
+  check_probe "physical put"
+    (probe ~cfg (fun _ ctx ->
+         let ran_out =
+           match
+             for i = 0 to 99 do
+               Dstore.oput ctx (Printf.sprintf "p%02d" i) (Bytes.make 5000 'p')
+             done
+           with
+           | () -> false
+           | exception Dstore.Out_of_blocks -> true
+         in
+         check Alcotest.bool "ran out of meta ids" true ran_out))
 
 (* [f] raises [Invalid_argument] whose message names [prefix] (the entry
    point and the argument). *)
@@ -2739,4 +2756,5 @@ let suite =
     ("Table 2 arguments checked at entry", `Quick, test_table2_arguments_checked);
     ("equivalent writes pinned", `Quick, test_equivalent_writes_pinned);
     ("write alloc pinned", `Quick, test_write_alloc_pinned);
+    ("physical put out of meta ids: pools exact", `Quick, test_physical_put_out_of_meta_exact);
   ]
