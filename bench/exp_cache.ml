@@ -9,7 +9,7 @@
    exactly that surface: {YCSB-B, YCSB-C} x theta {0.7, 0.99} x cache
    size {0, 1/16, 1/4, full} of the dataset.
 
-   Acceptance (smoke/cache.sh greps for CACHE-SWEEP OK): within each
+   Acceptance (a `@torture` rule greps for CACHE-SWEEP OK): within each
    (workload, theta) series the measured hit rate must be nondecreasing
    in cache size, and on YCSB-C the full-size cache must deliver >= 2x
    the uncached cell's throughput with >= 90% hits. *)

@@ -22,7 +22,7 @@
    as one group commit under one ack, so the acked throughput at high
    latency must scale well past the serial protocol's round-trip bound.
 
-   Acceptance gates (smoke/repl.sh and smoke/repl2.sh grep for these):
+   Acceptance gates (`@torture` rules grep for these):
    - REPL-ATTRIBUTION: on the ack-all run at base link latency, at
      least 90% of the >=p9999 latency mass must be attributed to named
      causes, with Repl_wait among them.

@@ -8,7 +8,7 @@
    retries, batch waits, SSD queueing), and the attribution report
    decomposes the >=p99 / >=p9999 latency mass by cause.
 
-   Acceptance gate (smoke/tail.sh greps for it): at least 90% of the
+   Acceptance gate (a `@torture` rule greps for it): at least 90% of the
    >=p9999 mass must be attributed to a named cause — the tail must be
    explained, not merely measured. The report is cross-checked against
    the engine's own dipper.* stall counters: each blame event is booked

@@ -11,7 +11,7 @@
 
    The primary sweep measures exactly that: read-modify-write
    transactions of 2/4/8 Zipf-drawn distinct keys across theta in
-   {0.5, 0.7, 0.9, 0.99}. Acceptance (smoke/txn.sh greps for
+   {0.5, 0.7, 0.9, 0.99}. Acceptance (a `@torture` rule greps for
    TXN-SWEEP OK): within each txn size the abort rate must be
    nondecreasing in theta, and a single-key blind-put transaction —
    which pays the span framing (3 log records, same 3 fences) but does

@@ -123,31 +123,3 @@ let generate ~seed ~n =
      in-flight records left when the counting run finishes). *)
   let tail = Hashtbl.fold (fun k () acc -> Unlock k :: acc) locked [] in
   body @ List.sort compare tail
-
-let pp_item = function
-  | B_put { key; size; vseed } -> Printf.sprintf "put %s %d #%d" key size vseed
-  | B_del k -> "del " ^ k
-
-let pp_op = function
-  | Put { key; size; vseed } -> Printf.sprintf "put %s %d #%d" key size vseed
-  | Write { key; off_pct; len; vseed } ->
-      Printf.sprintf "write %s @%d%% %d #%d" key off_pct len vseed
-  | Delete k -> "del " ^ k
-  | Get k -> "get " ^ k
-  | Lock k -> "lock " ^ k
-  | Unlock k -> "unlock " ^ k
-  | Batch items ->
-      Printf.sprintf "batch[%s]" (String.concat ", " (List.map pp_item items))
-  | Txn { reads; items } ->
-      Printf.sprintf "txn[reads:%s; %s]" (String.concat "," reads)
-        (String.concat ", " (List.map pp_item items))
-
-let pp_ops ops = String.concat "; " (List.map pp_op ops)
-
-(* QCheck integration: generate (seed, ops) pairs so a failing property
-   prints the scenario seed, which is all a repro needs. *)
-let arbitrary ~n =
-  let of_seed seed = (seed, generate ~seed ~n) in
-  QCheck.make
-    ~print:(fun (seed, ops) -> Printf.sprintf "seed=%d [%s]" seed (pp_ops ops))
-    (QCheck.Gen.map of_seed (QCheck.Gen.int_bound 1_000_000))

@@ -39,7 +39,3 @@ val generate : seed:int -> n:int -> op list
     distribution over a small key set (including long keys that force
     multi-slot log records), followed by unlocks for any still-held
     locks. *)
-
-val arbitrary : n:int -> (int * op list) QCheck.arbitrary
-(** [(seed, generate ~seed ~n)] pairs for qcheck properties; the printer
-    shows the seed so failures are reproducible with one number. *)

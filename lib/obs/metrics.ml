@@ -25,8 +25,6 @@ type t = {
 let create ?(enabled = true) () =
   { instruments = Hashtbl.create 64; on = ref enabled; guard = Mutex.create () }
 
-let enabled t = !(t.on)
-
 let set_enabled t v = t.on := v
 
 let with_guard t f =

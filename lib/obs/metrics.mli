@@ -24,8 +24,6 @@ type histo
 val create : ?enabled:bool -> unit -> t
 (** New empty registry (default enabled). *)
 
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
 (** Enable/disable every instrument of this registry at once. While
     disabled, [incr]/[add]/[set_gauge]/[observe] are no-ops; values read

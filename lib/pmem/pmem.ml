@@ -86,153 +86,27 @@ let default_config =
     share = None;
   }
 
-(* The dirty-line map: line index -> undo slot, a chained hash table
-   over int arrays with no per-entry heap block. It copies the layout of
-   the stdlib [Hashtbl] it replaced: the same [Hashtbl.hash] and bucket
-   index, new entries prepended to their chain, an order-preserving
-   doubling once the size exceeds twice the bucket count, and [reset]
-   back to the initial buckets. Iteration therefore visits entries in
-   exactly [Hashtbl.iter]'s order, which fixes the order in which
-   [crash] resolves lines and draws its random numbers. Nodes are
-   recycled through a free list, so adds stop allocating once the pool
-   covers the peak entry count. *)
-module Line_map = struct
-  let initial_buckets = 4096
-
-  type t = {
-    mutable heads : int array;  (* bucket -> first node, -1 if empty *)
-    mutable keys : int array;  (* node -> key *)
-    mutable vals : int array;  (* node -> value *)
-    mutable next : int array;  (* node -> next node in chain or free list *)
-    mutable used : int;  (* nodes handed out from the pool's prefix *)
-    mutable free : int;  (* free-list head, -1 if empty *)
-    mutable size : int;
-  }
-
-  let create () =
-    {
-      heads = Array.make initial_buckets (-1);
-      keys = [||];
-      vals = [||];
-      next = [||];
-      used = 0;
-      free = -1;
-      size = 0;
-    }
-
-  let length m = m.size
-
-  let index m key = Hashtbl.hash key land (Array.length m.heads - 1)
-
-  let rec find_node m key n =
-    if n < 0 || m.keys.(n) = key then n else find_node m key m.next.(n)
-
-  let mem m key = find_node m key m.heads.(index m key) >= 0
-
-  let grow_pool m =
-    let cap = max 64 (2 * Array.length m.keys) in
-    let extend a =
-      let a' = Array.make cap 0 in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    in
-    m.keys <- extend m.keys;
-    m.vals <- extend m.vals;
-    m.next <- extend m.next
-
-  let new_node m =
-    if m.free >= 0 then begin
-      let n = m.free in
-      m.free <- m.next.(n);
-      n
-    end
-    else begin
-      if m.used = Array.length m.keys then grow_pool m;
-      let n = m.used in
-      m.used <- n + 1;
-      n
-    end
-
-  (* Double the buckets, walking the old ones in order and appending each
-     node to the tail of its new chain: relative order within a chain is
-     kept, as [Hashtbl]'s resize keeps it. *)
-  let resize m =
-    let old = m.heads in
-    let nsize = 2 * Array.length old in
-    let heads = Array.make nsize (-1) and tails = Array.make nsize (-1) in
-    m.heads <- heads;
-    Array.iter
-      (fun first ->
-        let n = ref first in
-        while !n >= 0 do
-          let nx = m.next.(!n) in
-          let i = index m m.keys.(!n) in
-          if tails.(i) < 0 then heads.(i) <- !n else m.next.(tails.(i)) <- !n;
-          tails.(i) <- !n;
-          m.next.(!n) <- -1;
-          n := nx
-        done)
-      old
-
-  (* [key] must be absent. *)
-  let add m key v =
-    let n = new_node m in
-    let i = index m key in
-    m.keys.(n) <- key;
-    m.vals.(n) <- v;
-    m.next.(n) <- m.heads.(i);
-    m.heads.(i) <- n;
-    m.size <- m.size + 1;
-    if m.size > 2 * Array.length m.heads then resize m
-
-  let rec unlink m key i prev n =
-    if n < 0 then -1
-    else if m.keys.(n) = key then begin
-      if prev < 0 then m.heads.(i) <- m.next.(n) else m.next.(prev) <- m.next.(n);
-      m.next.(n) <- m.free;
-      m.free <- n;
-      m.size <- m.size - 1;
-      m.vals.(n)
-    end
-    else unlink m key i n m.next.(n)
-
-  let take m key =
-    let i = index m key in
-    unlink m key i (-1) m.heads.(i)
-
-  let iter f m =
-    Array.iter
-      (fun first ->
-        let n = ref first in
-        while !n >= 0 do
-          f m.keys.(!n) m.vals.(!n);
-          n := m.next.(!n)
-        done)
-      m.heads
-
-  let reset m =
-    if Array.length m.heads = initial_buckets then Array.fill m.heads 0 initial_buckets (-1)
-    else m.heads <- Array.make initial_buckets (-1);
-    m.used <- 0;
-    m.free <- -1;
-    m.size <- 0
-end
-
 (* Undo images live in one growable arena of 64 B slots: slot [s] is
    bytes [s * line_size, (s + 1) * line_size) of [undo]. Flushed lines
    return their slot to the [free] stack, so a steady write/flush load
-   stops allocating once the arena covers its peak dirty set. *)
+   stops allocating once the arena covers its peak dirty set. Two int
+   tables link lines and slots both ways: stores and flushes index
+   [slot_of] by line, and [crash] walks [line_of] over the handed-out
+   slots only. *)
 type t = {
   cfg : config;
   platform : Platform.t;
   data : Bytes.t;
-  (* line index -> arena slot holding the line's last durable content *)
-  dirty : Line_map.t;
+  (* line -> arena slot holding the line's last durable content, -1 while
+     the line is clean; one entry per device line, empty without the
+     crash model *)
+  slot_of : int array;
+  mutable line_of : int array;  (* arena slot -> its line, -1 while free *)
   mutable undo : Bytes.t;
   mutable free : int array;  (* free-slot stack, [nfree] entries *)
   mutable nfree : int;
   mutable slots : int;  (* slots handed out so far (live + free) *)
-  guard : Mutex.t;  (* protects the dirty map and arena under the real platform *)
+  guard : Mutex.t;  (* protects both tables and the arena under the real platform *)
   st : stats;
   mutable persist_events : int;
   mutable persist_hook : (int -> unit) option;
@@ -245,7 +119,10 @@ let create platform cfg =
     cfg;
     platform;
     data = Bytes.make cfg.size '\000';
-    dirty = Line_map.create ();
+    slot_of =
+      (if cfg.crash_model then Array.make (cfg.size lsr line_shift) (-1)
+       else [||]);
+    line_of = [||];
     undo = Bytes.empty;
     free = [||];
     nfree = 0;
@@ -342,11 +219,8 @@ let bulk_busy_ns t =
   | None -> 0
   | Some d -> Bw.busy_at d ~now:(t.platform.now ())
 
-let dirty_lines_unlocked t =
-  Mutex.lock t.guard;
-  let n = Line_map.length t.dirty in
-  Mutex.unlock t.guard;
-  n
+(* Every slot handed out and not on the free stack holds a dirty line. *)
+let dirty_lines t = t.slots - t.nfree
 
 (* Surface the device counters as registry views. The hot path keeps its
    plain mutable stats (always on — crash tooling depends on them); the
@@ -361,7 +235,7 @@ let attach_obs t obs =
   M.gauge_fn m "pmem.flush_calls" (fun () -> t.st.flush_calls);
   M.gauge_fn m "pmem.fence_calls" (fun () -> t.st.fence_calls);
   M.gauge_fn m "pmem.lines_flushed" (fun () -> t.st.bytes_flushed / line_size);
-  M.gauge_fn m "pmem.dirty_lines" (fun () -> dirty_lines_unlocked t);
+  M.gauge_fn m "pmem.dirty_lines" (fun () -> dirty_lines t);
   match t.cfg.share with
   | None -> ()
   | Some d ->
@@ -386,6 +260,9 @@ let take_slot t =
       let undo = Bytes.create (cap' * line_size) in
       Bytes.blit t.undo 0 undo 0 (Bytes.length t.undo);
       t.undo <- undo;
+      let line_of = Array.make cap' (-1) in
+      Array.blit t.line_of 0 line_of 0 cap;
+      t.line_of <- line_of;
       t.free <- Array.make cap' 0
     end;
     let s = t.slots in
@@ -393,7 +270,9 @@ let take_slot t =
     s
   end
 
-let release_slot t s =
+let release_slot t l s =
+  t.slot_of.(l) <- -1;
+  t.line_of.(s) <- -1;
   t.free.(t.nfree) <- s;
   t.nfree <- t.nfree + 1
 
@@ -406,11 +285,12 @@ let note_write t off len =
     let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
     Mutex.lock t.guard;
     for l = first to last do
-      if not (Line_map.mem t.dirty l) then begin
+      if t.slot_of.(l) < 0 then begin
         let s = take_slot t in
         Bytes.blit t.data (l lsl line_shift) t.undo (s lsl line_shift)
           line_size;
-        Line_map.add t.dirty l s
+        t.slot_of.(l) <- s;
+        t.line_of.(s) <- l
       end
     done;
     Mutex.unlock t.guard
@@ -490,8 +370,8 @@ let flush t off len =
     if t.cfg.crash_model then begin
       Mutex.lock t.guard;
       for l = first to last do
-        let s = Line_map.take t.dirty l in
-        if s >= 0 then release_slot t s
+        let s = t.slot_of.(l) in
+        if s >= 0 then release_slot t l s
       done;
       Mutex.unlock t.guard
     end;
@@ -544,14 +424,18 @@ let crash t mode =
                 Bytes.blit t.undo (src + (w * 8)) t.data (base + (w * 8)) 8
             done)
   in
-  Line_map.iter resolve t.dirty;
-  Line_map.reset t.dirty;
+  for s = 0 to t.slots - 1 do
+    let l = t.line_of.(s) in
+    if l >= 0 then begin
+      resolve l s;
+      t.slot_of.(l) <- -1
+    end
+  done;
+  t.line_of <- [||];
   t.undo <- Bytes.empty;
   t.free <- [||];
   t.nfree <- 0;
   t.slots <- 0;
   Mutex.unlock t.guard
-
-let dirty_lines = dirty_lines_unlocked
 
 let undo_slots t = t.slots

@@ -66,12 +66,12 @@ type config = {
   crash_model : bool;
       (** Track dirty-line undo images so {!crash} works. The first store
           to a clean line copies the line's durable content into a slot
-          of one growable arena and notes the slot in a {!Line_map};
-          {!flush} hands slot and map node back for reuse, and {!crash}
-          empties both. A steady write/flush load therefore stops
-          allocating once the arena and the map's node pool cover its
-          peak dirty set. Disable for pure performance runs to skip the
-          bookkeeping. *)
+          of one growable arena and notes the slot in a table with one
+          int per device line (size / 8 bytes, made at {!create});
+          {!flush} hands the slot back for reuse, and {!crash} empties
+          both. A steady write/flush load therefore stops allocating once
+          the arena covers its peak dirty set. Disable for pure
+          performance runs to skip the bookkeeping and the table. *)
   share : Bw.t option;
       (** Shared bandwidth domain, or [None] (default) for a dedicated
           device whose transfers never contend. *)
@@ -182,7 +182,9 @@ type crash_mode =
 
 val crash : t -> crash_mode -> unit
 (** Apply the crash model: resolve every dirty line per [crash_mode] and
-    mark the device clean. The caller then discards all volatile state and
+    mark the device clean. Lines are resolved in undo-slot order, which
+    is deterministic for a given history; [Random] draws its numbers in
+    that order. The caller then discards all volatile state and
     runs recovery against the surviving bytes. *)
 
 val dirty_lines : t -> int
@@ -192,46 +194,8 @@ val dirty_lines : t -> int
 val undo_slots : t -> int
 (** Undo-image slots the crash-model arena has handed out since
     {!create} or the last {!crash}, live and free: at most the peak of
-    {!dirty_lines} over that time. *)
-
-(** {1 Dirty-line map}
-
-    The crash model's map from dirty line to undo slot, exposed so tests
-    can hold it against the stdlib [Hashtbl] it replaced. *)
-
-module Line_map : sig
-  type t
-  (** Int keys to non-negative int values, in a chained hash table over
-      int arrays: no heap block per entry. Nodes are recycled through a
-      free list, so {!add} stops allocating once the pool covers the
-      peak entry count. The table copies [Hashtbl]'s layout: the same
-      [Hashtbl.hash] bucket index, new entries prepended to their chain,
-      an order-preserving doubling once the size exceeds twice the
-      bucket count, and {!reset} back to the initial 4096 buckets. So
-      {!iter} visits entries in exactly the order [Hashtbl.iter] visits
-      a [Hashtbl.create 4096] given the same calls — the order in which
-      {!crash} resolves lines and draws its random numbers. *)
-
-  val create : unit -> t
-
-  val length : t -> int
-
-  val mem : t -> int -> bool
-
-  val add : t -> int -> int -> unit
-  (** [add m key v]; [key] must be absent ([Hashtbl.add] after a failed
-      [Hashtbl.mem]). *)
-
-  val take : t -> int -> int
-  (** Remove [key] and return its value, or -1 when absent
-      ([Hashtbl.find] then [Hashtbl.remove]). *)
-
-  val iter : (int -> int -> unit) -> t -> unit
-
-  val reset : t -> unit
-  (** Empty the map and shrink it back to the initial buckets
-      ([Hashtbl.reset]). *)
-end
+    {!dirty_lines} over that time. A flushed line's slot goes back to a
+    free stack and is handed out again before the arena grows. *)
 
 (** {1 Statistics} *)
 

@@ -27,8 +27,6 @@ val default_scale : scale
 (** 10k 4 KB objects, 8-channel SSD, crash model and payload retention off
     (benchmark settings). *)
 
-val dstore_config : scale -> Config.t
-
 val dstore :
   ?tweak:(Config.t -> Config.t) -> ?label:string -> Platform.t -> scale ->
   Kv_intf.system

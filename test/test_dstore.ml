@@ -2180,9 +2180,10 @@ let test_txn_torn_span_dropped () =
 (* Host words one single-client [oput] allocates on a warm store with
    observability off: an overwrite of one of 256 keys, its 1 KB payload
    already built. The checkpoints the window triggers (one per 256 puts
-   on a 512-slot log) are paid for by the puts. 358 words per put, 471
-   before the dirty-line map, the one-pass committed scan, the staged
-   record image and the closure-free single-put steps. *)
+   on a 512-slot log) are paid for by the puts. 326 words per put, 471
+   before the allocation-free dirty-line tracking in [Pmem], the
+   one-pass committed scan, the staged record image and the closure-free
+   single-put steps. *)
 let test_oput_alloc_budget () =
   with_store ~cfg:{ small_cfg with Config.obs_enabled = false } (fun _ _ ctx ->
       let keys = Array.init 256 (Printf.sprintf "obj/%03d") in

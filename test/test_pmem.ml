@@ -243,13 +243,14 @@ let test_with_bulk_cost_linear () =
   check Alcotest.int "4 segments cost the same as one 4x transfer"
     (elapsed 1 19200) (elapsed 4 4800)
 
-(* Crash-model equivalence: a scripted history of stores across many
-   lines (enough to make the dirty map resize), re-dirtied lines and
-   partial flushes, then a random crash. The digests were captured with
-   one [Bytes] undo image per dirty line; the pooled arena must reproduce
-   them bit for bit, which pins both the undo images and the order in
-   which [crash] visits lines and draws its random numbers. *)
-let crash_history_digest seed =
+(* Crash-model fingerprint: a scripted history of stores across many
+   lines, re-dirtied lines and partial flushes, then a crash in [mode].
+   The [Drop_all] and [Keep_all] digests do not depend on the order in
+   which [crash] visits lines, so they pin the undo images alone. A
+   [Random] digest also pins that order (undo-slot order) and the random
+   numbers drawn in it; the trailing draw shows how many [crash]
+   consumed. *)
+let crash_history_digest mode =
   let cfg = { small_config with size = 2 * 1024 * 1024 } in
   with_pmem ~cfg (fun pm _ _ ->
       let size = Pmem.size pm in
@@ -277,28 +278,38 @@ let crash_history_digest seed =
         done
       done;
       let dirty = Pmem.dirty_lines pm in
-      let rng = Rng.create seed in
-      Pmem.crash pm (Pmem.Random rng);
+      Pmem.crash pm mode;
       let img = Bytes.create size in
       Pmem.blit_to_bytes pm ~src:0 img ~dst:0 ~len:size;
-      Printf.sprintf "%d %d %s" dirty (Rng.int rng 1_000_000)
-        (Digest.to_hex (Digest.bytes img)))
+      let draw =
+        match mode with
+        | Pmem.Random rng -> Printf.sprintf " %d" (Rng.int rng 1_000_000)
+        | Pmem.Drop_all | Pmem.Keep_all -> ""
+      in
+      Printf.sprintf "%d%s %s" dirty draw (Digest.to_hex (Digest.bytes img)))
 
 let test_crash_history_digest () =
   List.iter
-    (fun (seed, expect) ->
-      check Alcotest.string (Printf.sprintf "seed %d" seed) expect
-        (crash_history_digest seed))
+    (fun (name, mode, expect) ->
+      check Alcotest.string name expect (crash_history_digest mode))
     [
-      (1, "19579 393143 58d602404416584f14a91540b6ace603");
-      (2, "19579 430433 23107b8090513147cd149240b083e689");
-      (3, "19579 597605 a00f6cc0ca77ae2b88016650f61edf1b");
-      (42, "19579 428704 084a414166702a7b2b7464f4c99279cd");
+      ("drop all", Pmem.Drop_all,
+       "19579 49a8d3e06ba70e8592357bfdf721afbc");
+      ("keep all", Pmem.Keep_all,
+       "19579 f38e2c2990aa1a1662986eaf9f0c97a5");
+      ("seed 1", Pmem.Random (Rng.create 1),
+       "19579 393143 4a788e46c570fe0b121330f27cf9d4a7");
+      ("seed 2", Pmem.Random (Rng.create 2),
+       "19579 430433 01fde447b916f255b0a244f92522a5cd");
+      ("seed 3", Pmem.Random (Rng.create 3),
+       "19579 597605 4cb537988dfa33fd5c1b482ef56a8f20");
+      ("seed 42", Pmem.Random (Rng.create 42),
+       "19579 428704 c2f91511ad141ddc0c2f8d8369dbcde2");
     ]
 
 (* Flushed lines hand their undo slot back: many write/flush rounds never
    grow the arena past the peak number of lines dirty at once, and a
-   crash empties both the dirty map and the arena. *)
+   crash empties both the slot table and the arena. *)
 let test_undo_slots_recycled () =
   with_pmem (fun pm _ _ ->
       let r = Rng.create 3 in
@@ -316,7 +327,7 @@ let test_undo_slots_recycled () =
         (Pmem.undo_slots pm <= !peak);
       Alcotest.(check bool) "some lines still dirty" true (Pmem.dirty_lines pm > 0);
       Pmem.crash pm Pmem.Drop_all;
-      check Alcotest.int "dirty map emptied" 0 (Pmem.dirty_lines pm);
+      check Alcotest.int "slot table emptied" 0 (Pmem.dirty_lines pm);
       check Alcotest.int "arena emptied" 0 (Pmem.undo_slots pm))
 
 (* A zero-length store dirties no line, wherever it lands, and leaves the
@@ -336,89 +347,14 @@ let test_zero_length_store () =
       check Alcotest.int "next store lands" 7 (Pmem.get_u64 pm 0);
       check Alcotest.int "one line dirty" 1 (Pmem.dirty_lines pm))
 
-(* The line map against the stdlib table it replaced: a seeded program of
-   adds (absent keys only, as the crash model adds), takes, mems, iters
-   and resets drives both. Contents and [iter] order must agree after
-   every step that can change them; each program grows the map past two
-   resizes (8 192 and 16 384 entries over 4 096 buckets), resets it and
-   grows it again. *)
-let prop_line_map_matches_hashtbl =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"line map = Hashtbl, iter order included"
-       ~count:12
-       QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let r = Rng.create seed in
-         let m = Pmem.Line_map.create () in
-         let h = Hashtbl.create ~random:false 4096 in
-         let bindings_m () =
-           let l = ref [] in
-           Pmem.Line_map.iter (fun k v -> l := (k, v) :: !l) m;
-           !l
-         in
-         let bindings_h () =
-           let l = ref [] in
-           Hashtbl.iter (fun k v -> l := (k, v) :: !l) h;
-           !l
-         in
-         let same () =
-           Pmem.Line_map.length m = Hashtbl.length h && bindings_m () = bindings_h ()
-         in
-         let key_space = 1 lsl (16 + Rng.int r 6) in
-         let ok = ref true in
-         let step () =
-           let k = Rng.int r key_space in
-           match Rng.int r 10 with
-           | 0 | 1 ->
-               let expect =
-                 match Hashtbl.find h k with
-                 | v ->
-                     Hashtbl.remove h k;
-                     v
-                 | exception Not_found -> -1
-               in
-               if Pmem.Line_map.take m k <> expect then ok := false
-           | 2 -> if Pmem.Line_map.mem m k <> Hashtbl.mem h k then ok := false
-           | _ ->
-               if not (Hashtbl.mem h k) then begin
-                 let v = Rng.int r 1_000_000 in
-                 Hashtbl.add h k v;
-                 Pmem.Line_map.add m k v
-               end
-         in
-         let grow target =
-           let resizes = ref 0 in
-           let buckets = ref 4096 in
-           while !ok && Hashtbl.length h < target do
-             step ();
-             if Hashtbl.length h > 2 * !buckets then begin
-               buckets := 2 * !buckets;
-               incr resizes;
-               if not (same ()) then ok := false
-             end
-           done;
-           !resizes
-         in
-         let resizes = grow 20_000 in
-         if resizes < 2 then ok := false;
-         if not (same ()) then ok := false;
-         Hashtbl.reset h;
-         Pmem.Line_map.reset m;
-         if not (same ()) then ok := false;
-         ignore (grow (9_000 + Rng.int r 2_000));
-         for _ = 1 to 2_000 do
-           step ()
-         done;
-         !ok && same ()))
-
-(* After warm-up, stores to clean lines take map nodes and undo slots
-   from their free lists: no heap block per newly dirtied line. The
-   stdlib table allocated a 4-word bucket cell per add, 4.0 words per
-   new line here. Random draws are made up front, and
-   the device runs on a platform whose [consume] is free, so only the
-   crash-model bookkeeping is counted, not the scheduler's suspension
-   for each flush's latency. *)
-let test_line_map_alloc_budget () =
+(* After warm-up, a store to a clean line takes an undo slot from the
+   free stack and notes it in the line-indexed slot table: no heap block
+   per newly dirtied line. A stdlib [Hashtbl] as the dirty map allocated
+   a 4-word bucket cell per add, 4.0 words per new line here. Random
+   draws are made up front, and the device runs on a platform whose
+   [consume] is free, so only the crash-model bookkeeping is counted,
+   not the scheduler's suspension for each flush's latency. *)
+let test_slot_table_alloc_budget () =
   let p = { (Sim_platform.make (Sim.create ())) with Platform.consume = ignore } in
   let pm = Pmem.create p small_config in
   let r = Rng.create 5 in
@@ -466,6 +402,5 @@ let suite =
     ("crash history digest", `Quick, test_crash_history_digest);
     ("undo slots recycled", `Quick, test_undo_slots_recycled);
     ("zero-length store", `Quick, test_zero_length_store);
-    prop_line_map_matches_hashtbl;
-    ("line map alloc budget", `Quick, test_line_map_alloc_budget);
+    ("slot table alloc budget", `Quick, test_slot_table_alloc_budget);
   ]
