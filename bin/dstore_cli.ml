@@ -25,9 +25,8 @@
 
    Replicated-shell commands (with --backups):
      put/get/del/list/checkpoint as below, plus
-     repl status       epoch, durability mode, rseq / committed LSN, and per
-                       backup: slot state, shipped, acked, acked LSN,
-                       applied, lag
+     repl status       epoch, durability mode, rseq, and per backup: slot
+                       state, shipped, acked, applied, lag
      kill-primary      abrupt primary loss: power-fail its PMEM and fence it;
                        ops fail until promote
      kill-backup N     abrupt backup loss: power-fail node N's PMEM, mark its
@@ -496,12 +495,12 @@ let repl_exec s f =
 
 let repl_status s =
   let st = Group.status s.rgroup in
-  Printf.printf "epoch %d, mode %s, primary %s, rseq %d, committed lsn %d\n"
+  Printf.printf "epoch %d, mode %s, primary %s, rseq %d\n"
     st.Group.epoch_
     (Repl.durability_name st.Group.mode_)
     (if st.Group.alive then Printf.sprintf "node%d" st.Group.primary_
      else "DEAD (promote to fail over)")
-    st.Group.rseq st.Group.committed_lsn;
+    st.Group.rseq;
   (match Group.detached s.rgroup with
   | [] -> ()
   | ds ->
@@ -513,8 +512,7 @@ let repl_status s =
   | lines ->
       let t =
         Tablefmt.create
-          [ "backup"; "state"; "shipped"; "acked"; "acked lsn"; "applied";
-            "lag"; "in flight" ]
+          [ "backup"; "state"; "shipped"; "acked"; "applied"; "lag"; "in flight" ]
       in
       List.iter
         (fun (l : Group.backup_line) ->
@@ -524,7 +522,6 @@ let repl_status s =
               Primary.slot_state_name l.Group.state;
               string_of_int l.Group.shipped;
               string_of_int l.Group.acked;
-              string_of_int l.Group.acked_lsn;
               string_of_int l.Group.applied;
               string_of_int l.Group.lag;
               string_of_int l.Group.link_pending;

@@ -117,26 +117,27 @@ val shadow_space : t -> Space.t
     the staging of every record with an in-flight ticket; the flush runs
     after the lock is released. {!commit} is step 9.
 
-    The durability protocol is not chosen by the caller: it follows from
-    the group's shape.
-    - {b With a read-set} (an OCC transaction): a [Txn_begin], members,
-      [Txn_commit] span. Begin and members are persisted by the coalesced
-      batch pass; the commit record alone is persisted by {!commit}, and
-      its validity {e is} the transaction's commit point — after a crash,
-      recovery surfaces the members iff it persisted (all-or-nothing, see
-      [Oplog.committed]).
-    - {b Exactly one record}: the single-record protocol —
-      [Oplog.flush_record] to append, [Oplog.persist_slot] to commit.
+    The durability protocol is not chosen by the caller or by this
+    module. A group's records sit at consecutive slots of one log (staged
+    under one lock hold; a log swap re-homes every in-flight record in LSN
+    order), so {!append} persists them with one [Oplog.persist] and
+    {!commit} commits them with one [Oplog.commit], and [Oplog] picks the
+    protocol from the record count.
+    - {b Exactly one record} (a put, a delete, an [obatch] of one op): the
+      single-record protocol of §3.4, then one commit line.
     - {b More than one record} (group commit): one coalesced flush+fence
-      over the staged slot span before the LSN stores and one after
-      ([Oplog.flush_batch]), then one [Oplog.persist_span] per log to
-      commit, instead of up to 2N + N rounds. No record of the group is
-      acknowledged durable until {!commit} returns; after a crash any
-      subset may survive, each individually valid-or-absent and
-      committed-or-not, so recovery needs no batch awareness.
-
-    So a put, a delete and an [obatch] of one op all take the single-record
-    protocol.
+      over the staged slot span before the LSN stores and one after, then
+      one flush+fence over the span's commit words, instead of up to
+      2N + N rounds. No record of the group is acknowledged durable until
+      {!commit} returns; after a crash any subset may survive, each
+      individually valid-or-absent and committed-or-not, so recovery
+      needs no batch awareness.
+    - {b With a read-set} (an OCC transaction): a [Txn_begin], members,
+      [Txn_commit] span. Begin and members are persisted as a group; the
+      commit record alone is persisted by {!commit}
+      ([Oplog.flush_txn_commit]), and its validity {e is} the
+      transaction's commit point — after a crash, recovery surfaces the
+      members iff it persisted (all-or-nothing, see [Oplog.committed]).
 
     A transaction has one more point between its append and its commit,
     {!pass}: once its structures and cache are applied, while its payload
@@ -198,9 +199,8 @@ val append :
     log append as segments. *)
 
 val commit : ?span:Dstore_obs.Span.t -> t -> appended -> unit
-(** Step 9, by the group's shape (see above): retire every ticket, bump
-    the committed version of every member key that {!pass} did not,
-    persist, fire the commit hook with the member records. On return the
+(** Step 9 (see above): retire every ticket, bump the committed version
+    of every member key that {!pass} did not, and persist. On return the
     group is durable and the clients parked on its records are woken, in
     the order they parked. A transaction first waits until every
     dependency is done, and keeps its tickets on their keys until its
@@ -245,13 +245,6 @@ val key_version : t -> string -> int
     every pass of a transaction's member on it. Observe it {e before}
     reading the value: validation then aborts any transaction whose read
     raced a commit or a pass. *)
-
-val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
-(** Oplog span export seam (dstore_repl). The hook fires after a commit's
-    closing persist with the (lsn, op) pairs of the group's members,
-    mirroring the persist that made them durable. It runs on the
-    committing thread, outside the frontend lock, so it may take locks of
-    its own but must not call back into the engine. *)
 
 exception Busy of ticket
 (** What a client must wait out on a key: the oldest ticket on it, record

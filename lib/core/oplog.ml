@@ -125,7 +125,7 @@ let crc_matches t ~slot ~len_slots =
 
 (* Assemble the full record image (header + payload, the payload encoded
    in place) in the log's staging buffer, then store everything except
-   the LSN word; flush_record writes it after the rest of the record is
+   the LSN word; [persist] writes it after the rest of the record is
    durable. The CRC covers lsn, len, op and payload — everything except
    the commit word and the CRC itself. *)
 let write_record t ~slot ~lsn op =
@@ -146,94 +146,106 @@ let write_record t ~slot ~lsn op =
   Bytes.set_int32_le img 20 (Int32.of_int crc);
   Pmem.blit_from_bytes t.pm img ~src:8 ~dst:(slot_off t slot + 8) ~len:(len - 8)
 
-let flush_record t ~slot ~lsn op =
-  let n = Logrec.slots_needed op in
+(* A staged record's length in slots, from the header [write_record]
+   stored. *)
+let record_slots t s = Pmem.get_u16 t.pm (slot_off t s + 16)
+
+let rec span_end t s k = if k = 0 then s else span_end t (s + record_slots t s) (k - 1)
+
+let txn_commit_tag = Logrec.tag_of_op (Logrec.Txn_commit { txn = 0 })
+
+(* Store the LSN words of the [k] records staged from slot [s], except a
+   [Txn_commit] record's: that word is its transaction's commit point,
+   which only [flush_txn_commit] writes. *)
+let rec store_lsns t s k =
+  if k > 0 then begin
+    let off = slot_off t s in
+    if Pmem.get_u8 t.pm (off + 18) <> txn_commit_tag then
+      Pmem.set_u64 t.pm off (t.base + s);
+    store_lsns t (s + record_slots t s) (k - 1)
+  end
+
+let rec flush_first_lines t s k =
+  if k > 0 then begin
+    Pmem.flush t.pm (slot_off t s) slot_bytes;
+    flush_first_lines t (s + record_slots t s) (k - 1)
+  end
+
+(* One record takes the §3.4 protocol: flush its continuation lines,
+   then write the LSN and flush its line last, so the record becomes
+   valid only once the rest of it is durable.
+
+   Two or more take two coalesced flush+fence rounds over the whole
+   staged span instead of one or two per record. The first round may
+   include each record's first line: every LSN word is still zero then,
+   so no record can probe as valid. Then every LSN word is stored and
+   the span flushed and fenced again. Each record therefore keeps the
+   single-record invariant, its payload durable strictly before its LSN
+   line, so after a crash any subset of the span survives, each member
+   individually valid-or-absent. *)
+let persist t ~slot ~records =
   let skip_payload = t.fault = Config.Skip_payload_flush in
-  (* 1. Persist every line except the first. *)
-  if n > 1 && not skip_payload then
-    Pmem.flush t.pm (slot_off t slot + slot_bytes) ((n - 1) * slot_bytes);
-  if n > 1 && not skip_payload then Pmem.fence t.pm;
-  (* 2. Write the LSN last, then persist its line: the record becomes
-     valid only once this line is durable. *)
-  Pmem.set_u64 t.pm (slot_off t slot) lsn;
-  Pmem.persist t.pm (slot_off t slot) slot_bytes
-
-(* Group commit (§3.4 batched): persist a whole batch of staged records
-   with two coalesced flush+fence rounds instead of one or two per record.
-   [items] are (slot, lsn, op) triples staged by write_record into
-   consecutive slots of this log.
-
-   Phase A flushes the entire staged slot span in one pass. Every LSN word
-   is still zero at this point, so including each record's first line is
-   harmless — no record can probe as valid until its LSN is stored. Phase B
-   stores all LSN words; phase C flushes the span again (one call) and
-   fences. Each record therefore keeps the single-record invariant: its
-   payload is durable strictly before its LSN line, so after a crash any
-   subset of the batch survives, each member individually valid-or-absent. *)
-let flush_batch t items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let lo =
-        List.fold_left (fun acc (slot, _, _) -> min acc slot) max_int items
-      in
-      let hi =
-        List.fold_left
-          (fun acc (slot, _, op) -> max acc (slot + Logrec.slots_needed op))
-          0 items
-      in
-      let span = (hi - lo) * slot_bytes in
-      let skip_payload = t.fault = Config.Skip_payload_flush in
-      if not skip_payload then begin
-        Pmem.flush t.pm (slot_off t lo) span;
-        Pmem.fence t.pm
-      end;
-      List.iter
-        (fun (slot, lsn, _) -> Pmem.set_u64 t.pm (slot_off t slot) lsn)
-        items;
-      if skip_payload then
-        (* Mirror the single-record fault: persist only each record's LSN
-           line, leaving continuation lines unflushed. *)
-        List.iter
-          (fun (slot, _, _) -> Pmem.flush t.pm (slot_off t slot) slot_bytes)
-          items
-      else Pmem.flush t.pm (slot_off t lo) span;
+  let off = slot_off t slot in
+  if records = 1 then begin
+    let n = record_slots t slot in
+    if n > 1 && not skip_payload then begin
+      Pmem.flush t.pm (off + slot_bytes) ((n - 1) * slot_bytes);
       Pmem.fence t.pm
+    end;
+    store_lsns t slot 1;
+    Pmem.persist t.pm off slot_bytes
+  end
+  else begin
+    let span = (span_end t slot records - slot) * slot_bytes in
+    if not skip_payload then begin
+      Pmem.flush t.pm off span;
+      Pmem.fence t.pm
+    end;
+    store_lsns t slot records;
+    if skip_payload then
+      (* Mirror the single-record fault: persist only each record's LSN
+         line, leaving continuation lines unflushed. *)
+      flush_first_lines t slot records
+    else Pmem.flush t.pm off span;
+    Pmem.fence t.pm
+  end
 
 (* Transaction commit point: make the span's Txn_commit record valid. The
-   members were already persisted (flush_batch), so storing + flushing the
-   commit record's LSN line is the single atomic step that commits the
-   whole span. Under [Skip_txn_commit_record] the LSN word is stored but
-   never flushed — recovery still sees the commit in the cache-warm image
+   members were already persisted, so storing + flushing the commit
+   record's LSN line is the single atomic step that commits the whole
+   span. Under [Skip_txn_commit_record] the LSN word is stored but never
+   flushed — recovery still sees the commit in the cache-warm image
    (checkpoint replay reads memory), but a power failure can drop the
    line, evaporating an acknowledged transaction wholesale. *)
-let flush_txn_commit t ~slot ~lsn op =
-  assert (Logrec.slots_needed op = 1);
-  ignore op;
-  Pmem.set_u64 t.pm (slot_off t slot) lsn;
+let flush_txn_commit t ~slot =
+  let off = slot_off t slot in
+  Pmem.set_u64 t.pm off (t.base + slot);
   if t.fault <> Config.Skip_txn_commit_record then
-    Pmem.persist t.pm (slot_off t slot) slot_bytes
+    Pmem.persist t.pm off slot_bytes
 
-(* Batch-commit persistence: one flush+fence over the contiguous slot span
-   holding the batch's commit words. Skipped entirely under
-   [Skip_batch_commit_fence] — in this PMEM model a flushed line is durable
-   immediately, so skipping only the fence would not be observable; the
-   fault models losing the whole commit persist pass. *)
-let persist_span t ~slot ~slots =
-  if slots > 0 && t.fault <> Config.Skip_batch_commit_fence then
-    Pmem.persist t.pm (slot_off t slot) (slots * slot_bytes)
+(* Set the commit words of the [k] records staged from [s]; the slot
+   after the last. *)
+let rec set_commit_words t s k =
+  if k = 0 then s
+  else begin
+    count t.ctr (fun c -> c.c_commits);
+    Pmem.set_u64 t.pm (slot_off t s + 8) 1;
+    set_commit_words t (s + record_slots t s) (k - 1)
+  end
 
-let set_commit_word t ~slot =
-  count t.ctr (fun c -> c.c_commits);
-  Pmem.set_u64 t.pm (slot_off t slot + 8) 1
-
-let persist_slot t ~slot =
-  if t.fault <> Config.Skip_commit_persist then
-    Pmem.persist t.pm (slot_off t slot) slot_bytes
-
-let commit_record t ~slot =
-  set_commit_word t ~slot;
-  persist_slot t ~slot
+(* One commit word persists its line; a span of them persists with one
+   flush+fence over the span. The faults model losing that persist pass
+   whole: in this PMEM model a flushed line is durable immediately, so
+   skipping only the fence would not be observable. *)
+let commit t ~slot ~records ~unlock =
+  let hi = set_commit_words t slot records in
+  unlock ();
+  if records = 1 then begin
+    if t.fault <> Config.Skip_commit_persist then
+      Pmem.persist t.pm (slot_off t slot) slot_bytes
+  end
+  else if t.fault <> Config.Skip_batch_commit_fence then
+    Pmem.persist t.pm (slot_off t slot) ((hi - slot) * slot_bytes)
 
 type entry = { lsn : int; slot : int; committed : bool; op : Logrec.op }
 

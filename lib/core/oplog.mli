@@ -9,14 +9,18 @@
 
     Appending is split to keep the paper's lock-hold time (<300 ns):
     {!reserve} + {!write_record} run inside the pool critical section and
-    only store bytes; {!flush_record} runs outside it and performs the
-    actual persistence protocol — payload lines first, then the LSN word is
+    only store bytes; {!persist} runs outside it and performs the actual
+    persistence protocol — payload lines first, then the LSN word is
     written and its line flushed {e last}, so a crash can never leave a
     valid-looking record with unpersisted payload. A record found by
     {!scan} is therefore valid only if its LSN satisfies the slot equation
     {e and} its CRC-32C (over LSN, header and payload) matches; the commit
-    word sits outside the CRC and is persisted separately by
-    {!commit_record} once the operation's data is durable. *)
+    word sits outside the CRC and is set and persisted separately by
+    {!commit} once the operation's data is durable.
+
+    {!persist}, {!commit} and {!flush_txn_commit} are the whole
+    persistence surface: each picks its protocol from the number of
+    records it covers, so callers never do. *)
 
 open Dstore_pmem
 
@@ -65,43 +69,38 @@ val write_record : t -> slot:int -> lsn:int -> Logrec.op -> unit
     allocates nothing once the buffer covers the longest record. No
     persistence; call under the frontend lock. *)
 
-val flush_record : t -> slot:int -> lsn:int -> Logrec.op -> unit
-(** The §3.4 protocol: flush continuation lines, then write the LSN and
-    flush its line last. On return the record is durable and valid (but
-    uncommitted). Call outside the lock. *)
+val persist : t -> slot:int -> records:int -> unit
+(** Make the [records] (at least one) records staged with {!write_record}
+    at consecutive slots from [slot] durable and valid, but uncommitted.
+    One record takes the §3.4 protocol: its continuation lines are flushed
+    and fenced, then its LSN word is stored and its line persisted. Two or
+    more take two coalesced rounds, whatever their number: one flush +
+    fence over the whole span, every LSN word stored, then a second flush
+    + fence over the span. Each record keeps the reverse-order invariant
+    (payload durable strictly before its LSN line), so after a crash any
+    subset of the span may survive, each member individually
+    valid-or-absent. A [Txn_commit] record in the span is flushed but keeps
+    a zero LSN word: {!flush_txn_commit} writes it. Under
+    [Config.Skip_payload_flush] (checker fault) only LSN lines are
+    flushed. Call outside the frontend lock. *)
 
-val flush_batch : t -> (int * int * Logrec.op) list -> unit
-(** Group-commit append persistence: [(slot, lsn, op)] triples previously
-    staged with {!write_record}. One coalesced flush + fence over the whole
-    staged slot span, then every LSN word is stored, then a second flush +
-    fence over the span — two persistence rounds for the entire batch
-    instead of one or two per record. Each record keeps the reverse-order
-    invariant (payload durable strictly before its LSN line), so after a
-    crash any subset of the batch may survive, each member individually
-    valid-or-absent. Call outside the frontend lock. *)
+val commit : t -> slot:int -> records:int -> unlock:(unit -> unit) -> unit
+(** Commit the [records] (at least one) records at consecutive slots from
+    [slot]: store every commit word, call [unlock], then persist the
+    words — one record's line, or the whole span with one flush + fence.
+    The caller holds the frontend lock and passes its release as [unlock],
+    so a log swap that takes the lock next sees the commit and the
+    persist runs outside it. Under [Config.Skip_commit_persist] (one
+    record) or [Config.Skip_batch_commit_fence] (a span) the persist is
+    skipped (checker faults). *)
 
-val flush_txn_commit : t -> slot:int -> lsn:int -> Logrec.op -> unit
+val flush_txn_commit : t -> slot:int -> unit
 (** Transaction commit point: store the single-slot [Txn_commit] record's
     LSN word and persist its line — the one atomic step that makes the
-    whole preceding span (already durable via {!flush_batch}) replayable.
+    whole preceding span (already durable via {!persist}) replayable.
     Under [Config.Skip_txn_commit_record] the persist is skipped (checker
     fault): an acknowledged transaction's span can then evaporate
     wholesale on power failure. Call outside the frontend lock. *)
-
-val persist_span : t -> slot:int -> slots:int -> unit
-(** Persist [slots] consecutive slots starting at [slot] with one flush +
-    fence — the batch-commit counterpart of {!persist_slot}. A no-op under
-    [Config.Skip_batch_commit_fence] (checker fault). *)
-
-val commit_record : t -> slot:int -> unit
-(** Set and persist the commit word. *)
-
-val set_commit_word : t -> slot:int -> unit
-(** Store the commit word without persisting — used under the frontend
-    lock so a concurrent log swap sees the commit; pair with
-    {!persist_slot} outside the lock. *)
-
-val persist_slot : t -> slot:int -> unit
 
 type entry = { lsn : int; slot : int; committed : bool; op : Logrec.op }
 

@@ -249,7 +249,7 @@ let ack_fence_skipped t =
 
 let send_ack t (e : Repl.entry) =
   Link.send t.ack
-    { Repl.a_epoch = t.epoch; a_rseq = e.Repl.rseq; a_lsn = e.Repl.lsn; a_ok = true }
+    { Repl.a_epoch = t.epoch; a_rseq = e.Repl.rseq; a_ok = true }
 
 (* --- receive loop: link -> bounded queue -------------------------------- *)
 
@@ -271,7 +271,7 @@ let enqueue t (e : Repl.entry) =
 
 let reject t =
   t.rejects <- t.rejects + 1;
-  Link.send t.ack { Repl.a_epoch = t.epoch; a_rseq = 0; a_lsn = 0; a_ok = false }
+  Link.send t.ack { Repl.a_epoch = t.epoch; a_rseq = 0; a_ok = false }
 
 (* A stale stage or drop is ignored: the entry that follows it is the
    message rejected. *)

@@ -374,7 +374,6 @@ type backup_line = {
   state : Primary.slot_state;
   shipped : int;
   acked : int;
-  acked_lsn : int;
   applied : int;
   lag : int;
   link_pending : int;
@@ -386,7 +385,6 @@ type status = {
   primary_ : int;
   alive : bool;
   rseq : int;
-  committed_lsn : int;
   lines : backup_line list;
 }
 
@@ -403,7 +401,6 @@ let status g =
     primary_ = (if g.alive then g.pidx else -1);
     alive = g.alive;
     rseq = ps.Primary.s_rseq;
-    committed_lsn = ps.Primary.s_committed_lsn;
     lines =
       List.map
         (fun (b : Primary.backup_status) ->
@@ -412,7 +409,6 @@ let status g =
             state = b.Primary.b_state;
             shipped = b.Primary.b_shipped;
             acked = b.Primary.b_acked;
-            acked_lsn = b.Primary.b_acked_lsn;
             applied = applied_of b.Primary.b_node;
             lag = ps.Primary.s_rseq - b.Primary.b_acked;
             link_pending = b.Primary.b_link_pending;

@@ -156,7 +156,6 @@ type backup_line = {
   state : Primary.slot_state;
   shipped : int;
   acked : int;
-  acked_lsn : int;
   applied : int;
   lag : int;  (** rseq - acked. *)
   link_pending : int;
@@ -168,7 +167,6 @@ type status = {
   primary_ : int;  (** Node index; -1 if dead. *)
   alive : bool;
   rseq : int;
-  committed_lsn : int;
   lines : backup_line list;
 }
 

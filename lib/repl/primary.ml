@@ -24,7 +24,6 @@ type slot = {
   mutable state : slot_state;
   mutable shipped : int;
   mutable acked : int;
-  mutable acked_lsn : int;
 }
 
 type t = {
@@ -44,7 +43,6 @@ type t = {
   mutable rseq : int;
   mutable tag : int;  (* last stage tag; tags restart with each incarnation *)
   mutable in_flight : int;  (* mutating ops between entry and ship+ack *)
-  mutable committed_lsn : int;  (* engine commit-hook watermark *)
   journal_on : bool;
   mutable journal_rev : Repl.entry list;
   (* snapshot barrier: while set, new mutators block at entry; the
@@ -97,7 +95,6 @@ let register_views t =
   let m = (Dstore.obs t.store).Obs.metrics in
   Metrics.gauge_fn m "repl.epoch" (fun () -> t.epoch);
   Metrics.gauge_fn m "repl.rseq" (fun () -> t.rseq);
-  Metrics.gauge_fn m "repl.committed_lsn" (fun () -> t.committed_lsn);
   Metrics.gauge_fn m "repl.ships" (fun () -> t.ships);
   Metrics.gauge_fn m "repl.ship_msgs" (fun () -> t.ship_msgs);
   Metrics.gauge_fn m "repl.ship_bytes" (fun () -> t.ship_bytes);
@@ -140,10 +137,7 @@ let ack_loop t slot =
         t.lock.Platform.lock ();
         if a.Repl.a_ok then begin
           t.acks <- t.acks + 1;
-          if a.Repl.a_rseq > slot.acked then begin
-            slot.acked <- a.Repl.a_rseq;
-            slot.acked_lsn <- a.Repl.a_lsn
-          end;
+          if a.Repl.a_rseq > slot.acked then slot.acked <- a.Repl.a_rseq;
           (* A re-syncing slot goes live the moment it has acked
              everything shipped: from here on it is an ordinary backup
              and starts gating the quorum. *)
@@ -178,7 +172,6 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
           state = Live;
           shipped = acked0;
           acked = acked0;
-          acked_lsn = 0;
         })
       slot_specs
   in
@@ -198,7 +191,6 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
       rseq = rseq_base;
       tag = 0;
       in_flight = 0;
-      committed_lsn = 0;
       journal_on = journal;
       journal_rev = [];
       barrier = false;
@@ -213,15 +205,6 @@ let create platform ~mode ~epoch ?(rseq_base = 0) ?(journal = false) store
       lag_max = 0;
     }
   in
-  (* Oplog span export seam: every commit's persisted span reports its
-     (lsn, op) pairs here; the watermark is what shipped entries carry
-     as their LSN coordinate. *)
-  Dipper.set_commit_hook (Dstore.engine store)
-    (Some
-       (fun pairs ->
-         List.iter
-           (fun (lsn, _) -> if lsn > t.committed_lsn then t.committed_lsn <- lsn)
-           pairs));
   register_views t;
   Array.iter
     (fun s -> platform.Platform.spawn "repl.ack" (fun () -> ack_loop t s))
@@ -234,7 +217,6 @@ let fence t =
       wake_all t)
 
 let close_links t =
-  Dipper.set_commit_hook (Dstore.engine t.store) None;
   Array.iter
     (fun s ->
       Link.close s.data;
@@ -340,7 +322,7 @@ let ship t ~tag op =
     t.rseq <- t.rseq + 1;
     t.ships <- t.ships + 1;
     let entry =
-      { Repl.rseq = t.rseq; epoch = t.epoch; lsn = t.committed_lsn; tag; op }
+      { Repl.rseq = t.rseq; epoch = t.epoch; tag; op }
     in
     if t.journal_on then t.journal_rev <- entry :: t.journal_rev;
     let m = live_acked t ~best:false in
@@ -537,7 +519,6 @@ let attach_slot t ~node ~data ~ack ~acked0 ~syncing =
             state = (if syncing then Syncing else Live);
             shipped = acked0;
             acked = acked0;
-            acked_lsn = 0;
           }
         in
         t.slots <- Array.append t.slots [| slot |];
@@ -564,7 +545,6 @@ type backup_status = {
   b_state : slot_state;
   b_shipped : int;
   b_acked : int;
-  b_acked_lsn : int;
   b_link_pending : int;
 }
 
@@ -573,7 +553,6 @@ type status = {
   s_mode : Repl.durability;
   s_fenced : bool;
   s_rseq : int;
-  s_committed_lsn : int;
   s_backups : backup_status list;
 }
 
@@ -584,7 +563,6 @@ let status t =
         s_mode = t.mode;
         s_fenced = t.fenced;
         s_rseq = t.rseq;
-        s_committed_lsn = t.committed_lsn;
         s_backups =
           Array.to_list
             (Array.map
@@ -594,7 +572,6 @@ let status t =
                    b_state = s.state;
                    b_shipped = s.shipped;
                    b_acked = s.acked;
-                   b_acked_lsn = s.acked_lsn;
                    b_link_pending = Link.pending s.data;
                  })
                t.slots);

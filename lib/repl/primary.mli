@@ -3,9 +3,8 @@
 
     Every mutating Table 2 call runs locally first (local commit
     persists as usual), then ships as one replication entry — a whole
-    group commit ships as one [R_batch] entry, mirroring the
-    [Oplog.flush_batch]/[persist_span] boundaries — to every attached
-    backup, in rseq order. A put or group commit first sends its
+    group commit ships as one [R_batch] entry, mirroring the local
+    group commit's persist — to every attached backup, in rseq order. A put or group commit first sends its
     payloads as a {!Repl.Stage}, before the local op, so each backup
     writes them to its SSD while this node does; its entry is then a
     header naming the stage's tag, and a local op that raises sends a
@@ -39,8 +38,7 @@
     ack it receives from a promoted backup.
 
     Metrics ([repl.*]) register on the store's registry: epoch, rseq,
-    committed LSN watermark (from the engine's commit hook), ship /
-    message / byte / ack / reject / wait counters ([repl.ship_msgs] and
+    ship / message / byte / ack / reject / wait counters ([repl.ship_msgs] and
     [repl.ship_bytes] count ordering entries, [repl.stage_msgs] the
     stages), live-backup count, and the current
     replication lag over live slots. *)
@@ -74,8 +72,7 @@ val create :
     [(node_id, data, ack, acked0)] slot per backup; [acked0] is the
     backup's already-applied rseq (0 for a fresh pair, the applied
     watermark when re-attaching after failover). [rseq_base] continues
-    an existing sequence. Installs the engine commit hook and spawns one
-    ack-receiver process per slot. [journal] retains every shipped entry in DRAM
+    an existing sequence. Spawns one ack-receiver process per slot. [journal] retains every shipped entry in DRAM
     (test seam — see {!journal}). *)
 
 val store : t -> Dstore.t
@@ -86,8 +83,7 @@ val fence : t -> unit
 (** Seal: reject every later append and wake blocked durability waits. *)
 
 val close_links : t -> unit
-(** Close both links of every slot (backup receive loops exit) and
-    uninstall the commit hook. *)
+(** Close both links of every slot (backup receive loops exit). *)
 
 (** {1 Replicated Table 2 surface}
 
@@ -155,7 +151,6 @@ type backup_status = {
   b_state : slot_state;
   b_shipped : int;
   b_acked : int;
-  b_acked_lsn : int;
   b_link_pending : int;  (** Messages in flight + queued on the data link. *)
 }
 
@@ -164,7 +159,6 @@ type status = {
   s_mode : Repl.durability;
   s_fenced : bool;
   s_rseq : int;
-  s_committed_lsn : int;
   s_backups : backup_status list;
 }
 

@@ -39,7 +39,7 @@ let rop_bytes = function
 
 let rop_ops = function R_batch ops -> List.length ops | _ -> 1
 
-type entry = { rseq : int; epoch : int; lsn : int; tag : int; op : rop }
+type entry = { rseq : int; epoch : int; tag : int; op : rop }
 
 type msg =
   | Stage of { tag : int; epoch : int; ops : Dstore.batch_op list }
@@ -54,7 +54,7 @@ let msg_bytes = function
   | Drop _ -> header_bytes
   | Entry e -> header_bytes + rop_bytes e.op
 
-type ack_msg = { a_epoch : int; a_rseq : int; a_lsn : int; a_ok : bool }
+type ack_msg = { a_epoch : int; a_rseq : int; a_ok : bool }
 
 let apply_entry ctx = function
   | R_put (k, v) -> Dstore.oput ctx k v

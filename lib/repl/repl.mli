@@ -6,15 +6,14 @@
     overwrites log nothing at all (§4.3), so the oplog alone cannot
     rebuild a backup. Instead the primary intercepts the Table 2
     mutating calls, assigns each a replication sequence number in local
-    commit order, and ships it over a {!Dstore_platform.Link}; the
-    engine-level commit hook ({!Dstore_core.Dipper.set_commit_hook})
-    supplies the oplog LSN watermark each shipped entry carries, so acks
-    can be reported in both sequence and LSN terms.
+    commit order, and ships it over a {!Dstore_platform.Link}. Entries
+    and acks name ops by that sequence number alone: the engine exports
+    no oplog coordinate, so nothing ties a backup to the primary's log
+    layout.
 
     A group commit ships as {e one} [R_batch] entry — the replication
-    span mirrors the [Oplog.flush_batch]/[persist_span] span boundaries
-    of the local group commit, and the backup re-executes it as one
-    group commit of its own.
+    span mirrors the local group commit, and the backup re-executes it
+    as one group commit of its own.
 
     A put or group commit travels as two messages: a {!Stage} with its
     payloads before the primary runs it, so the backup's SSD write
@@ -54,7 +53,6 @@ val rop_ops : rop -> int
 type entry = {
   rseq : int;  (** Replication sequence number, in primary commit order. *)
   epoch : int;  (** The primary's epoch when shipped. *)
-  lsn : int;  (** Primary oplog committed-LSN watermark at ship time. *)
   tag : int;  (** The {!Stage} sent ahead of it; 0 for none. *)
   op : rop;
       (** The full op: for a receiver without that stage, and the journal. *)
@@ -77,7 +75,6 @@ val msg_bytes : msg -> int
 type ack_msg = {
   a_epoch : int;
   a_rseq : int;  (** Highest applied-and-persisted rseq ([a_ok]). *)
-  a_lsn : int;  (** LSN watermark of that entry. *)
   a_ok : bool;  (** [false]: rejected — the sender's epoch is stale. *)
 }
 

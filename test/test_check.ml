@@ -346,8 +346,8 @@ let prop_oplog_corrupted_slots_never_valid =
                   if slot < 0 then raise Exit;
                   let lsn = Oplog.lsn_base log + slot in
                   Oplog.write_record log ~slot ~lsn op;
-                  Oplog.flush_record log ~slot ~lsn op;
-                  Oplog.commit_record log ~slot;
+                  Oplog.persist log ~slot ~records:1;
+                  Oplog.commit log ~slot ~records:1 ~unlock:ignore;
                   written := (slot, Logrec.slots_needed op, lsn, op) :: !written
                 done
               with Exit -> ());

@@ -307,12 +307,21 @@ let reserve log n =
   let slot = Oplog.reserve log n in
   if slot < 0 then None else Some (slot, Oplog.lsn_base log + slot)
 
+(* Make one staged record valid, as the engine does: a [Txn_commit]
+   record through its commit point, any other through [Oplog.persist]. *)
+let persist_one log ~slot op =
+  match op with
+  | Logrec.Txn_commit _ -> Oplog.flush_txn_commit log ~slot
+  | _ -> Oplog.persist log ~slot ~records:1
+
+let commit_record log ~slot = Oplog.commit log ~slot ~records:1 ~unlock:ignore
+
 let append log op =
   match reserve log (Logrec.slots_needed op) with
   | None -> Alcotest.fail "log full"
   | Some (slot, lsn) ->
       Oplog.write_record log ~slot ~lsn op;
-      Oplog.flush_record log ~slot ~lsn op;
+      persist_one log ~slot op;
       (slot, lsn)
 
 let test_oplog_append_scan () =
@@ -322,7 +331,7 @@ let test_oplog_append_scan () =
       let _s2, l2 = append log (put_op "b") in
       check Alcotest.int "lsn equation" 100 l1;
       check Alcotest.int "lsn sequence" 101 l2;
-      Oplog.commit_record log ~slot:s1;
+      commit_record log ~slot:s1;
       let entries = Oplog.scan log in
       check Alcotest.int "two valid records" 2 (List.length entries);
       match entries with
@@ -346,7 +355,7 @@ let test_oplog_scan_alloc_budget () =
       let n = 200 in
       for i = 1 to n do
         let slot, _ = append log (put_op (Printf.sprintf "obj/%04d" i)) in
-        Oplog.commit_record log ~slot
+        commit_record log ~slot
       done;
       check Alcotest.int "all records scanned" n (List.length (Oplog.scan log));
       let w0 = Gc.minor_words () in
@@ -379,8 +388,8 @@ let random_span_log r pm log =
     | None -> ()
     | Some (slot, lsn) ->
         Oplog.write_record log ~slot ~lsn op;
-        if valid then Oplog.flush_record log ~slot ~lsn op;
-        if commit then Oplog.commit_record log ~slot
+        if valid then persist_one log ~slot op;
+        if commit then commit_record log ~slot
   in
   let key () = Printf.sprintf "k%d" (Rng.int r 20) in
   let single () =
@@ -445,7 +454,7 @@ let prop_oplog_committed_matches_passes =
 let test_oplog_committed_spans () =
   with_sim (fun p _ ->
       let _, log = fresh_log p in
-      let commit (slot, _) = Oplog.commit_record log ~slot in
+      let commit (slot, _) = commit_record log ~slot in
       let a = append log (put_op "a") in
       commit a;
       ignore (append log (Logrec.Txn_begin { txn = 1; members = 2 }));
@@ -484,7 +493,7 @@ let test_oplog_committed_alloc_budget () =
       let n = 200 in
       for i = 1 to n do
         let slot, _ = append log (put_op (Printf.sprintf "obj/%04d" i)) in
-        Oplog.commit_record log ~slot
+        commit_record log ~slot
       done;
       check Alcotest.int "all records kept" n (List.length (Oplog.committed log ~above:0));
       let w0 = Gc.minor_words () in
@@ -501,7 +510,7 @@ let test_oplog_multislot_records () =
       let big = Logrec.Noop { key = String.make 200 'x' } in
       let slot, lsn = append log big in
       let _ = append log (put_op "after") in
-      Oplog.commit_record log ~slot;
+      commit_record log ~slot;
       let entries = Oplog.scan log in
       check Alcotest.int "both found" 2 (List.length entries);
       check Alcotest.int "multislot lsn" lsn (List.hd entries).Oplog.lsn)
@@ -543,7 +552,7 @@ let test_oplog_stale_epoch_invalid () =
 
 let test_oplog_torn_lsn_invalid () =
   (* Crash before the LSN line is flushed: the record must not validate.
-     write_record stores everything except the LSN; without flush_record
+     write_record stores everything except the LSN; without persist
      the LSN word is still zero — and even the written parts are dirty. *)
   with_sim (fun p _ ->
       let pm, log = fresh_log p in
@@ -566,7 +575,7 @@ let test_oplog_torn_multislot_does_not_hide_later () =
       | None -> Alcotest.fail "reserve");
       (* ...while a later record is fully appended and committed. *)
       let slot2, _ = append log (put_op "later") in
-      Oplog.commit_record log ~slot:slot2;
+      commit_record log ~slot:slot2;
       Pmem.crash pm Pmem.Drop_all;
       let entries = Oplog.scan log in
       check Alcotest.int "later record found" 1 (List.length entries);
@@ -589,7 +598,7 @@ let test_oplog_interior_collision_rejected () =
       check Alcotest.int "forged slot rejected" 0 (List.length (Oplog.scan log));
       (* A genuine record elsewhere still scans. *)
       let slot, _ = append log (put_op "real") in
-      Oplog.commit_record log ~slot;
+      commit_record log ~slot;
       let entries = Oplog.scan log in
       check Alcotest.int "real record found" 1 (List.length entries))
 
@@ -597,7 +606,7 @@ let test_oplog_commit_persists () =
   with_sim (fun p _ ->
       let pm, log = fresh_log p in
       let slot, _ = append log (put_op "c") in
-      Oplog.commit_record log ~slot;
+      commit_record log ~slot;
       Pmem.crash pm Pmem.Drop_all;
       let entries = Oplog.scan log in
       check Alcotest.int "record survives" 1 (List.length entries);
@@ -610,7 +619,7 @@ let test_oplog_uncommitted_after_crash () =
       ignore (append log (put_op "u"));
       Pmem.crash pm Pmem.Drop_all;
       let entries = Oplog.scan log in
-      (* flush_record ran, so the record is durable but must scan as
+      (* persist ran, so the record is durable but must scan as
          uncommitted. *)
       check Alcotest.int "valid" 1 (List.length entries);
       Alcotest.(check bool) "uncommitted" false (List.hd entries).Oplog.committed)
@@ -650,7 +659,7 @@ let test_oplog_persist_call_accounting () =
       Alcotest.(check (pair int int)) "single-slot append: 1 flush, 1 fence"
         (1, 1) (diff s);
       let s = snap () in
-      Oplog.commit_record log ~slot;
+      commit_record log ~slot;
       Alcotest.(check (pair int int)) "commit: 1 flush, 1 fence" (1, 1) (diff s);
       (* Multi-slot record: payload round then LSN round. *)
       let big = Logrec.Noop { key = String.make 100 'm' } in
@@ -673,24 +682,18 @@ let test_oplog_persist_call_accounting () =
           (fun i -> stage (put_op (Printf.sprintf "b%d" i)))
           [ 1; 2; 3; 4 ]
       in
+      let lo = List.fold_left (fun a (sl, _, _) -> min a sl) max_int items in
       let s = snap () in
-      Oplog.flush_batch log items;
+      Oplog.persist log ~slot:lo ~records:(List.length items);
       Alcotest.(check (pair int int)) "batched append: 2 flushes, 2 fences"
         (2, 2) (diff s);
       (* Batch commit: all commit words set, one persist over the span. *)
-      List.iter (fun (slot, _, _) -> Oplog.set_commit_word log ~slot) items;
-      let lo = List.fold_left (fun a (sl, _, _) -> min a sl) max_int items in
-      let hi =
-        List.fold_left
-          (fun a (sl, _, op) -> max a (sl + Logrec.slots_needed op))
-          0 items
-      in
       let s = snap () in
-      Oplog.persist_span log ~slot:lo ~slots:(hi - lo);
+      Oplog.commit log ~slot:lo ~records:(List.length items) ~unlock:ignore;
       Alcotest.(check (pair int int)) "batch commit: 1 flush, 1 fence" (1, 1)
         (diff s))
 
-let test_oplog_flush_batch_durable () =
+let test_oplog_group_persist_durable () =
   with_sim (fun p _ ->
       let pm, log = fresh_log ~slots:128 p in
       let stage op =
@@ -705,21 +708,15 @@ let test_oplog_flush_batch_durable () =
         List.map stage
           [ put_op "k0"; Logrec.Noop { key = String.make 100 'z' }; put_op "k2" ]
       in
-      Oplog.flush_batch log items;
+      let lo = List.fold_left (fun a (sl, _, _) -> min a sl) max_int items in
+      Oplog.persist log ~slot:lo ~records:(List.length items);
       Pmem.crash pm Pmem.Drop_all;
       let entries = Oplog.scan log in
       check Alcotest.int "all records valid after crash" 3 (List.length entries);
       Alcotest.(check bool) "all uncommitted" true
         (List.for_all (fun e -> not e.Oplog.committed) entries);
       (* Batch commit, then crash again: every member durable-committed. *)
-      List.iter (fun (slot, _, _) -> Oplog.set_commit_word log ~slot) items;
-      let lo = List.fold_left (fun a (sl, _, _) -> min a sl) max_int items in
-      let hi =
-        List.fold_left
-          (fun a (sl, _, op) -> max a (sl + Logrec.slots_needed op))
-          0 items
-      in
-      Oplog.persist_span log ~slot:lo ~slots:(hi - lo);
+      Oplog.commit log ~slot:lo ~records:(List.length items) ~unlock:ignore;
       Pmem.crash pm Pmem.Drop_all;
       let entries = Oplog.scan log in
       Alcotest.(check bool) "all committed after crash" true
@@ -754,7 +751,7 @@ let prop_oplog_random_crash_valid_prefix =
                | Some (slot, lsn) ->
                    Oplog.write_record log ~slot ~lsn op;
                    if Rng.int r 5 > 0 then begin
-                     Oplog.flush_record log ~slot ~lsn op;
+                     Oplog.persist log ~slot ~records:1;
                      flushed := (lsn, op) :: !flushed
                    end
                    else incr unflushed
@@ -878,7 +875,7 @@ let suite =
     ("oplog uncommitted after crash", `Quick, test_oplog_uncommitted_after_crash);
     ("oplog recover_tail", `Quick, test_oplog_recover_tail);
     ("oplog persist-call accounting", `Quick, test_oplog_persist_call_accounting);
-    ("oplog flush_batch durable", `Quick, test_oplog_flush_batch_durable);
+    ("oplog group persist durable", `Quick, test_oplog_group_persist_durable);
     prop_oplog_random_crash_valid_prefix;
     ("root init/read", `Quick, test_root_init_read);
     ("root attach uninitialized", `Quick, test_root_attach_uninitialized);

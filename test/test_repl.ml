@@ -351,8 +351,7 @@ let drive_group ctx sizes (op : Gen.op) =
       in
       ignore (Group.obatch ctx ops)
   | Gen.Txn { items; _ } ->
-      (* The replication group has no transaction entry point (txn member
-         records reach backups as plain ops via the commit hook); drive
+      (* The replication group has no transaction entry point; drive
          the write-set as the equivalent batch — same final state, same
          shipped record stream shape. *)
       let ops =
@@ -873,7 +872,7 @@ let waits_fixture h ~mode ~slots k =
       let pr = Primary.create counting ~mode ~epoch:1 st specs in
       let ack i rseq =
         let _, _, l, _ = specs.(i) in
-        Link.send l { Repl.a_epoch = 1; a_rseq = rseq; a_lsn = 0; a_ok = true }
+        Link.send l { Repl.a_epoch = 1; a_rseq = rseq; a_ok = true }
       in
       k pr ack specs (fun () -> Atomic.get parks);
       Primary.close_links pr;
