@@ -15,8 +15,7 @@ type opts = {
   stagger : bool;  (* staggered checkpoint scheduling in the cluster *)
   batch : int;  (* group-commit batch size (1 = per-op commit) *)
   cache_mb : int;  (* DRAM object-cache budget for DStore runs (0 = off) *)
-  ship_batch : int option;  (* backup apply-chunk override (1 = serial) *)
-  apply_depth : int option;  (* backup apply-queue depth override *)
+  apply_depth : int option;  (* backup apply-queue depth override (1 = serial) *)
 }
 
 let default_opts =
@@ -31,7 +30,6 @@ let default_opts =
     stagger = true;
     batch = 1;
     cache_mb = 0;
-    ship_batch = None;
     apply_depth = None;
   }
 

@@ -12,15 +12,14 @@
 
    The last two rows are the pipeline ablation at a WAN-ish link (10x
    base latency): the same ack-all workload with the backup forced
-   serial (apply chunks of one entry, apply queue depth 1 — the
-   pre-pipeline protocol) and with the pipelined backup apply at the
-   config defaults. The primary sends each put's payload ahead of its
-   local op and ships every entry at commit in both; the pipelined
-   backup writes up to [repl_apply_depth] - 1 payloads as they arrive
-   (the serial one, at depth 1, writes each at apply), keeps receiving
-   while it applies and re-executes up to [repl_ship_ops] queued entries
-   as one group commit under one ack, so the acked throughput at high
-   latency must scale well past the serial protocol's round-trip bound.
+   serial (apply queue depth 1 — the pre-pipeline protocol) and with the
+   pipelined backup apply at the config defaults. The primary sends each
+   put's payload ahead of its local op and ships every entry at commit
+   in both; the pipelined backup writes up to [repl_apply_depth] - 1
+   payloads as they arrive (the serial one, at depth 1, writes each at
+   apply) and keeps receiving while it applies and acks one entry at a
+   time, so the acked throughput at high latency must scale well past
+   the serial protocol's round-trip bound.
 
    Acceptance gates (`@torture` rules grep for these):
    - REPL-ATTRIBUTION: on the ack-all run at base link latency, at
@@ -28,7 +27,7 @@
      causes, with Repl_wait among them.
    - REPL-PIPELINE: at 10x base latency, pipelined ack-all throughput
      must be >= 2x the serial ablation, with peak lag bounded by the
-     configured pipeline depth (clients + apply chunk + apply queue). *)
+     configured pipeline depth (clients + apply queue). *)
 
 open Dstore_workload
 open Common
@@ -63,19 +62,8 @@ let obs_of r =
   | Some o -> o
   | None -> failwith "exp_repl: system exposes no observability handle"
 
-(* Per-row pipeline knobs: an explicit value (the ablation rows) wins,
-   then the command-line override, then the config default. *)
-let knob explicit override default =
-  match (explicit, override) with
-  | Some v, _ -> v
-  | None, Some v -> v
-  | None, None -> default
-
-let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
+let run_one opts ?tag ?apply_depth ?clients ~mode ~latency_ns () =
   let clients = Option.value clients ~default:opts.clients in
-  let ship_batch =
-    match ship_batch with Some _ as s -> s | None -> opts.ship_batch
-  in
   let apply_depth =
     match apply_depth with Some _ as d -> d | None -> opts.apply_depth
   in
@@ -104,7 +92,7 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
         | Some m ->
             let sys, g =
               Systems.replicated ~mode:m ~link_latency_ns:latency_ns
-                ?ship_batch ?apply_depth ~label p scale
+                ?apply_depth ~label p scale
             in
             backups_ref := Group.backups g;
             sys)
@@ -130,7 +118,6 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
         acc + Option.value ~default:0 (Metrics.value bm k))
       0 !backups_ref
   in
-  let apply_batches = backup_of "repl.apply_batches" in
   let apply_entries = backup_of "repl.apply_entries" in
   let apply_drain_ns = backup_of "repl.apply_drain_ns" in
   let wait_us_per_op =
@@ -144,10 +131,8 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
     note "shipped %d entries in %d msgs after %d stages, durability waits %d \
           (avg %.1f us), peak lag %d entries (drained before stop)"
       ships ship_msgs stage_msgs waits wait_us_per_op final_lag;
-    if apply_batches > 0 then
-      note "backup apply: %d entries in %d chunks (%.1f/chunk), drain %.1f ms"
-        apply_entries apply_batches
-        (float_of_int apply_entries /. float_of_int apply_batches)
+    if apply_entries > 0 then
+      note "backup apply: %d entries, drain %.1f ms" apply_entries
         (float_of_int apply_drain_ns /. 1e6)
   end;
   let rep = Span.report obs.Obs.spans in
@@ -180,17 +165,14 @@ let run_one opts ?tag ?ship_batch ?apply_depth ?clients ~mode ~latency_ns () =
              | None -> "none"
              | Some m -> Repl.durability_name m) );
          ("link_latency_ns", Json.Int latency_ns);
-         ( "ship_batch",
-           Json.Int (knob ship_batch None Config.default.Config.repl_ship_ops)
-         );
          ( "apply_depth",
            Json.Int
-             (knob apply_depth None Config.default.Config.repl_apply_depth) );
+             (Option.value apply_depth
+                ~default:Config.default.Config.repl_apply_depth) );
          ("ships", Json.Int ships);
          ("ship_msgs", Json.Int ship_msgs);
          ("ship_bytes", Json.Int ship_bytes);
          ("stage_msgs", Json.Int stage_msgs);
-         ("apply_batches", Json.Int apply_batches);
          ("apply_entries", Json.Int apply_entries);
          ("apply_drain_ns", Json.Int apply_drain_ns);
          ("waits", Json.Int waits);
@@ -224,7 +206,7 @@ let run opts =
       run_one opts ~mode:(Some Repl.Async) ~latency_ns:base_latency ();
       run_one opts ~mode:(Some Repl.Ack_one) ~latency_ns:base_latency ();
       run_one opts ~mode:(Some Repl.Ack_all) ~latency_ns:base_latency ();
-      run_one opts ~tag:"serial" ~ship_batch:1 ~apply_depth:1
+      run_one opts ~tag:"serial" ~apply_depth:1
         ~clients:ablation_clients ~mode:(Some Repl.Ack_all) ~latency_ns:wan ();
       run_one opts ~tag:"pipelined" ~clients:ablation_clients
         ~mode:(Some Repl.Ack_all) ~latency_ns:wan ();
@@ -257,14 +239,13 @@ let run opts =
   (* Gate 2: the shipping pipeline at WAN latency (last two rows).
      Pipelining must buy at least 2x acked throughput over the serial
      protocol, and the peak lag must stay bounded by the configured
-     pipeline: the clients' outstanding ops, plus one apply chunk, plus
-     the backup's apply queue. *)
+     pipeline: the clients' outstanding ops plus the backup's apply
+     queue. *)
   let serial = List.nth rows 4 and piped = List.nth rows 5 in
-  let ship_ops =
-    knob None opts.ship_batch Config.default.Config.repl_ship_ops
+  let depth =
+    Option.value opts.apply_depth ~default:Config.default.Config.repl_apply_depth
   in
-  let depth = knob None opts.apply_depth Config.default.Config.repl_apply_depth in
-  let lag_bound = ablation_clients + ship_ops + depth in
+  let lag_bound = ablation_clients + depth in
   let speedup =
     if serial.kops > 0.0 then piped.kops /. serial.kops else infinity
   in
@@ -281,5 +262,5 @@ let run opts =
   note "ack-all puts the link round-trip inside every acked write; the";
   note "span partition books that wait as repl_wait, so the tail stays";
   note "explained end to end. The pipelined backup overlaps receive with";
-  note "apply and re-executes each queued chunk through group commit under";
-  note "one ack - serial vs pipelined is the last two rows."
+  note "apply and writes payloads ahead of their entries - serial vs";
+  note "pipelined is the last two rows."

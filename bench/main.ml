@@ -54,10 +54,17 @@ let usage () =
   print_endline
     "  --cache-mb N   DRAM object-cache budget for DStore runs (default 0 = off)";
   print_endline
-    "  --ship-batch N backup apply-chunk bound in entries (1 = serial baseline)";
-  print_endline
-    "  --apply-depth N backup apply-queue depth for the repl experiment";
+    "  --apply-depth N backup apply-queue depth for the repl experiment (1 = serial)";
   print_endline "  --seed N"
+
+(* A numeric flag's value, at least [min]; anything else exits 2. *)
+let int_arg ?(min = 1) flag v =
+  match int_of_string_opt v with
+  | Some n when n >= min -> n
+  | _ ->
+      Printf.eprintf "%s expects a %s integer\n" flag
+        (if min > 0 then "positive" else "non-negative");
+      exit 2
 
 let () =
   let opts = ref Common.default_opts in
@@ -65,40 +72,37 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--clients" :: v :: rest ->
-        opts := { !opts with Common.clients = int_of_string v };
+        opts := { !opts with Common.clients = int_arg "--clients" v };
         parse rest
     | "--objects" :: v :: rest ->
-        opts := { !opts with Common.objects = int_of_string v };
+        opts := { !opts with Common.objects = int_arg "--objects" v };
         parse rest
     | "--seconds" :: v :: rest ->
-        opts := { !opts with Common.fig7_window_ns = int_of_string v * 1_000_000_000 };
+        opts := { !opts with Common.fig7_window_ns = int_arg "--seconds" v * 1_000_000_000 };
         parse rest
     | "--window-ms" :: v :: rest ->
-        opts := { !opts with Common.window_ns = int_of_string v * 1_000_000 };
+        opts := { !opts with Common.window_ns = int_arg "--window-ms" v * 1_000_000 };
         parse rest
     | "--recovery-objects" :: v :: rest ->
-        opts := { !opts with Common.recovery_objects = int_of_string v };
+        opts := { !opts with Common.recovery_objects = int_arg "--recovery-objects" v };
         parse rest
     | "--seed" :: v :: rest ->
-        opts := { !opts with Common.seed = int_of_string v };
+        opts := { !opts with Common.seed = int_arg ~min:0 "--seed" v };
         parse rest
     | "--shards" :: v :: rest ->
-        opts := { !opts with Common.shards = int_of_string v };
+        opts := { !opts with Common.shards = int_arg "--shards" v };
         parse rest
     | "--no-stagger" :: rest ->
         opts := { !opts with Common.stagger = false };
         parse rest
     | "--batch" :: v :: rest ->
-        opts := { !opts with Common.batch = int_of_string v };
+        opts := { !opts with Common.batch = int_arg "--batch" v };
         parse rest
     | "--cache-mb" :: v :: rest ->
-        opts := { !opts with Common.cache_mb = int_of_string v };
-        parse rest
-    | "--ship-batch" :: v :: rest ->
-        opts := { !opts with Common.ship_batch = Some (int_of_string v) };
+        opts := { !opts with Common.cache_mb = int_arg ~min:0 "--cache-mb" v };
         parse rest
     | "--apply-depth" :: v :: rest ->
-        opts := { !opts with Common.apply_depth = Some (int_of_string v) };
+        opts := { !opts with Common.apply_depth = Some (int_arg "--apply-depth" v) };
         parse rest
     | ("--help" | "-h") :: _ ->
         usage ();

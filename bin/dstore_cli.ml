@@ -19,9 +19,8 @@
      --repl MODE       replication durability: async, ack-one, ack-all
                        (default ack-all; only with --backups)
      --latency-ns N    one-way link latency (default 5000; only with --backups)
-     --ship-batch N    backup apply-chunk bound in entries (1 = serial
-                       per-entry apply; only with --backups)
-     --apply-depth N   backup apply-queue depth (only with --backups)
+     --apply-depth N   backup apply-queue depth (1 = serial apply; only
+                       with --backups)
 
    Replicated-shell commands (with --backups):
      put/get/del/list/checkpoint as below, plus
@@ -703,14 +702,6 @@ let parse_args () =
         | _ ->
             prerr_endline "--cache-mb expects a non-negative integer";
             exit 2)
-    | "--ship-batch" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            cfg := { !cfg with Config.repl_ship_ops = v };
-            go rest
-        | _ ->
-            prerr_endline "--ship-batch expects a positive integer";
-            exit 2)
     | "--apply-depth" :: n :: rest -> (
         match int_of_string_opt n with
         | Some v when v >= 1 ->
@@ -729,7 +720,7 @@ let parse_args () =
         Printf.eprintf
           "unknown argument %s (try --shards N, --batch N, --cache-mb N, \
            --no-stagger, --backups N, --repl MODE, --latency-ns N, \
-           --ship-batch N, --apply-depth N)\n"
+           --apply-depth N)\n"
           a;
         exit 2
   in

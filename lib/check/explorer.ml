@@ -252,7 +252,7 @@ let ckpt_running st = Dipper.is_checkpoint_running (Dstore.engine st)
 
 (* Settle gap inserted before each op at and after a resync story's join
    point: long enough for the acks already in flight (link round trip
-   plus the backup's chunk apply) to land, so the re-synced slot flips
+   plus the backup's apply of the entry) to land, so the re-synced slot flips
    [Live] between ops instead of forever chasing a rseq that advances
    with every back-to-back op. Without the gap, neither the clean
    convergence nor the [Skip_resync_journal_replay] divergence would ever

@@ -130,18 +130,13 @@ type t = {
           volatile (never persisted, cold after recovery) and only
           engaged under [Logical] logging, where the write pipeline's
           reader fencing makes invalidation race-free. *)
-  repl_ship_ops : int;
-      (** Backup apply-chunk bound: the backup drains at most this many
-          queued entries at a time and re-executes them as one group
-          commit, acked once. The primary ships every entry at commit,
-          whatever this says. 1 = one entry per apply (the serial
-          ablation baseline). *)
   repl_apply_depth : int;
       (** Backup apply-queue bound, in entries: the receive loop drains
           the data link into a queue of at most this depth (then
           backpressures into the link), decoupling receive from apply so
-          shipped spans re-execute through the group-commit path while
-          later messages are still in flight. *)
+          the backup re-executes and acks one entry while later messages
+          are still in flight, and pre-stages up to [depth - 1] payloads
+          ahead of their entries. 1 = the serial ablation baseline. *)
   obs_enabled : bool;
       (** Observability opt-out: when false the store's metrics registry
           and span recorder are created disabled (recording is a dead
@@ -166,7 +161,6 @@ let default =
     meta_entries = 16384;
     ssd_blocks = 60 * 1024;
     cache_bytes = 0;
-    repl_ship_ops = 32;
     repl_apply_depth = 256;
     obs_enabled = true;
     fault = No_fault;

@@ -26,11 +26,9 @@ type t = {
   mutable stopped : bool;
   (* apply pipeline: the receive loop drains the data link into this
      bounded queue (backpressuring into the link when full); the apply
-     loop drains it in chunks and re-executes them through the
-     group-commit path. Entries carry their enqueue time so queue wait
+     loop pops one entry at a time, re-executes it and acks it. Entries carry their enqueue time so queue wait
      becomes [Repl_apply] blame on this store's recorder. *)
   depth : int;
-  chunk : int;
   queue : (Repl.entry * int) Queue.t;
   lock : Platform.mutex;
   not_full : Platform.cond;
@@ -46,7 +44,6 @@ type t = {
   work : Platform.cond;  (* a job queued, or the loops end *)
   write_done : Platform.cond;  (* a payload write finished *)
   (* stats (exported as repl.* gauge views on the backup's registry) *)
-  mutable apply_batches : int;
   mutable apply_entries : int;
   mutable apply_drain_ns : int;
 }
@@ -55,7 +52,8 @@ let register_views t =
   let m = (Dstore.obs t.store).Obs.metrics in
   Metrics.gauge_fn m "repl.apply_queue" (fun () -> Queue.length t.queue);
   Metrics.gauge_fn m "repl.apply_depth" (fun () -> t.depth);
-  Metrics.gauge_fn m "repl.apply_batches" (fun () -> t.apply_batches);
+  (* One entry per apply: [repl.apply_batches] is the entry count. *)
+  Metrics.gauge_fn m "repl.apply_batches" (fun () -> t.apply_entries);
   Metrics.gauge_fn m "repl.apply_entries" (fun () -> t.apply_entries);
   Metrics.gauge_fn m "repl.apply_drain_ns" (fun () -> t.apply_drain_ns);
   Metrics.gauge_fn m "repl.prestaged" (fun () ->
@@ -80,7 +78,6 @@ let create platform ?(applied0 = 0) ~data ~ack ~epoch store =
       rejects = 0;
       stopped = false;
       depth;
-      chunk = max 1 cfg.Config.repl_ship_ops;
       queue = Queue.create ();
       lock = platform.Platform.new_mutex ();
       not_full = platform.Platform.new_cond ();
@@ -92,7 +89,6 @@ let create platform ?(applied0 = 0) ~data ~ack ~epoch store =
       writing = 0;
       work = platform.Platform.new_cond ();
       write_done = platform.Platform.new_cond ();
-      apply_batches = 0;
       apply_entries = 0;
       apply_drain_ns = 0;
     }
@@ -306,78 +302,46 @@ let recv_loop t =
       t.not_empty.Platform.broadcast ();
       t.work.Platform.broadcast ())
 
-(* --- apply loop: queue -> group-commit re-execution --------------------- *)
+(* --- apply loop: queue -> re-execution, one entry at a time ------------- *)
 
-(* Re-execute one drained chunk. Puts, deletes and shipped group
-   commits coalesce into one group-commit run — safe because batched and
-   unbatched execution are byte-identical by construction (the engine
-   splits dup-key batches itself) — while creates and ranged writes
-   break the run and replay through their own entry points. A run
-   executes the claims of pre-staged entries as they are; the others
-   claim in run order and write their payloads together. One ack covers
-   the whole chunk (the highest rseq applied). *)
+(* Re-execute one entry and ack it. Creates and ranged writes replay
+   through their own entry points; every other entry runs as one group
+   commit, with its pre-staged claims as they are, or claiming and
+   writing its payloads here. *)
 let ops_of = function
   | Repl.R_put (k, v) -> [ Dstore.Bput (k, v) ]
   | Repl.R_delete k -> [ Dstore.Bdelete k ]
   | Repl.R_batch ops -> ops
   | Repl.R_create _ | Repl.R_write _ -> []
 
-let apply_chunk t entries =
+let apply_one t (e : Repl.entry) t_enq =
   let spans = (Dstore.obs t.store).Obs.spans in
-  let now () = t.platform.Platform.now () in
-  let t0 = now () in
-  List.iter
-    (fun ((_ : Repl.entry), t_enq) ->
-      Span.note_stall spans Span.Repl_apply (max 0 (t0 - t_enq)))
-    entries;
-  (* The run's claims and those staged at apply, newest first. *)
-  let run = ref [] and fresh = ref [] in
-  let flush_run () =
-    if !run <> [] then begin
-      let staged = List.rev !run in
-      let span =
-        Span.start spans ~n_ops:(List.length staged) Span.Batch "(repl-apply)"
-      in
-      Dstore.write_payloads ~span t.store (List.rev !fresh);
-      ignore (Dstore.exec_staged ~span t.ctx staged);
-      Span.finish span;
-      run := [];
-      fresh := []
-    end
-  in
-  let last = ref None in
-  List.iter
-    (fun ((e : Repl.entry), _) ->
-      let p = find t e.Repl.tag in
-      if e.Repl.rseq <= t.applied_rseq then begin
-        (* Already applied (a re-synced watermark): drop its claims. *)
-        if p != none then Dstore.unstage t.store (take t p)
-      end
-      else begin
-        (match e.Repl.op with
-        | Repl.R_create _ | Repl.R_write _ ->
-            flush_run ();
-            Repl.apply_entry t.ctx e.Repl.op
-        | _ when p != none -> run := List.rev_append (take t p) !run
-        | op ->
+  let t0 = t.platform.Platform.now () in
+  Span.note_stall spans Span.Repl_apply (max 0 (t0 - t_enq));
+  let p = find t e.Repl.tag in
+  if e.Repl.rseq <= t.applied_rseq then begin
+    (* Already applied (a re-synced watermark): drop its claims. *)
+    if p != none then Dstore.unstage t.store (take t p)
+  end
+  else begin
+    (match e.Repl.op with
+    | Repl.R_create _ | Repl.R_write _ -> Repl.apply_entry t.ctx e.Repl.op
+    | op ->
+        let staged, fresh =
+          if p != none then (take t p, [])
+          else
             let claims = Dstore.claim t.store (ops_of op) in
-            fresh := List.rev_append claims !fresh;
-            run := List.rev_append claims !run);
-        t.applied_rseq <- e.Repl.rseq;
-        t.apply_entries <- t.apply_entries + 1;
-        last := Some e
-      end)
-    entries;
-  flush_run ();
-  t.apply_batches <- t.apply_batches + 1;
-  t.apply_drain_ns <- t.apply_drain_ns + (now () - t0);
-  match !last with
-  | Some e when not (ack_fence_skipped t) ->
-      (* One ack for the span: the primary's per-slot watermark is
-         monotone, so acking the highest rseq releases every durability
-         wait at or below it. *)
-      (try send_ack t e with Link.Closed -> ())
-  | _ -> ()
+            (claims, claims)
+        in
+        let span = Span.start spans ~n_ops:(List.length staged) Span.Batch "(repl-apply)" in
+        Dstore.write_payloads ~span t.store fresh;
+        ignore (Dstore.exec_staged ~span t.ctx staged);
+        Span.finish span);
+    t.applied_rseq <- e.Repl.rseq;
+    t.apply_entries <- t.apply_entries + 1;
+    if not (ack_fence_skipped t) then try send_ack t e with Link.Closed -> ()
+  end;
+  t.apply_drain_ns <- t.apply_drain_ns + (t.platform.Platform.now () - t0)
 
 let apply_loop t =
   let rec loop () =
@@ -387,12 +351,11 @@ let apply_loop t =
     done;
     if t.stopped || Queue.is_empty t.queue then t.lock.Platform.unlock ()
     else begin
-      let rec pop n acc = if n = 0 then List.rev acc else pop (n - 1) (Queue.pop t.queue :: acc) in
-      let entries = pop (min t.chunk (Queue.length t.queue)) [] in
+      let e, t_enq = Queue.pop t.queue in
       t.applying <- true;
       t.not_full.Platform.broadcast ();
       t.lock.Platform.unlock ();
-      match apply_chunk t entries with
+      match apply_one t e t_enq with
       | exception Stopped -> ()
       | () ->
           t.lock.Platform.lock ();
@@ -415,7 +378,7 @@ let start t =
     done
 
 (* Wait until everything already received has been applied: the queue is
-   empty and no chunk is mid-execution. Used by failover to make the
+   empty and no entry is mid-execution. Used by failover to make the
    applied watermark stable before it is compared across survivors. *)
 let drain t = Platform.with_lock t.lock (fun () -> settle t)
 

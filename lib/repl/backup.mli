@@ -6,15 +6,12 @@
     are decoupled. The receive loop drains the data link into a bounded
     queue ([Config.repl_apply_depth] entries; when full it stops
     receiving, backpressuring into the link), and a separate apply loop
-    drains the queue in chunks of up to [Config.repl_ship_ops] entries
-    (the primary ships one entry per message, so this is where entries
-    batch), re-executing each chunk through the {e group-commit} path: runs of
-    puts / deletes / shipped group commits coalesce into one
-    [Dstore.obatch] call (safe — batched and unbatched execution are
-    byte-identical by construction), while creates and ranged writes
-    break the run and replay individually. One ack covers the chunk:
-    the highest applied rseq, which the primary's monotone per-slot
-    watermark expands to every entry at or below it.
+    pops one entry at a time, re-executes it and acks it. A put, delete
+    or shipped group commit runs as one group commit on its pre-staged
+    claims (or claims and writes its payloads at apply); creates and
+    ranged writes replay through {!Repl.apply_entry}. The ack carries the
+    entry's rseq, so a client's durability wait ends as soon as its own
+    entry is applied, not when a later one is.
 
     {b Pre-staging}: a {!Repl.Stage} claims ids when it arrives — only
     once everything received before it has applied, so claims and
@@ -31,8 +28,9 @@
     its wait for an unfinished payload write, are booked as
     [Span.Repl_apply] blame on this store's recorder, and the pipeline
     exports [repl.apply_queue] / [repl.apply_depth] /
-    [repl.apply_batches] / [repl.apply_entries] / [repl.apply_drain_ns]
-    / [repl.prestaged] on its registry.
+    [repl.apply_entries] / [repl.apply_drain_ns] / [repl.prestaged] on
+    its registry ([repl.apply_batches], one per entry, equals
+    [repl.apply_entries]).
 
     Epoch fence: a ship whose epoch is older than the backup's is
     rejected with a negative ack carrying the backup's epoch — this is
@@ -77,7 +75,7 @@ val start : t -> unit
 
 val drain : t -> unit
 (** Block until everything already received has been applied (queue
-    empty, no chunk mid-execution). Failover uses this to stabilize the
+    empty, no entry mid-execution). Failover uses this to stabilize the
     applied watermark before comparing survivors. *)
 
 val stop : t -> unit

@@ -5,9 +5,8 @@
     generalizes to N backups with the same protocol. Node 0 starts as
     primary; each backup runs a full engine on its own devices and
     receives the primary's shipped entries — one message per entry,
-    sent at commit, and re-executed in chunks through the backup's
-    group-commit path (see {!Primary} and {!Backup}) — over simulated
-    {!Link}s.
+    sent at commit, and re-executed and acked one at a time by the
+    backup (see {!Primary} and {!Backup}) — over simulated {!Link}s.
 
     Failover: {!promote} seals the current epoch (fencing the old
     primary if it is still alive), drains the survivors' apply queues,

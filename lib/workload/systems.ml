@@ -299,16 +299,11 @@ let sharded ?(shards = 4) ?(stagger = true) ?label platform scale :
    full-scale devices each, with its own bandwidth domain (replication
    adds hardware, it does not split it). The returned [Group.t] exposes
    status/lag and the failover controls to experiments and the CLI. *)
-let replicated ?(backups = 1) ?mode ?link_latency_ns ?ship_batch ?apply_depth
+let replicated ?(backups = 1) ?mode ?link_latency_ns ?apply_depth
     ?label platform scale : Kv_intf.system * Dstore_repl.Group.t =
   let open Dstore_repl in
   if backups < 1 then invalid_arg "Systems.replicated: backups < 1";
   let cfg = dstore_config scale in
-  let cfg =
-    match ship_batch with
-    | None -> cfg
-    | Some n -> { cfg with Config.repl_ship_ops = max 1 n }
-  in
   let cfg =
     match apply_depth with
     | None -> cfg

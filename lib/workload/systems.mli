@@ -65,7 +65,6 @@ val replicated :
   ?backups:int ->
   ?mode:Dstore_repl.Repl.durability ->
   ?link_latency_ns:int ->
-  ?ship_batch:int ->
   ?apply_depth:int ->
   ?label:string ->
   Platform.t -> scale ->
@@ -75,10 +74,8 @@ val replicated :
     machine) — behind the uniform interface, plus the group handle for
     replication status and failover control. [mode] defaults to
     [Ack_all]; [link_latency_ns] overrides the one-way link latency of
-    {!Dstore_platform.Link.default_config}; [ship_batch] overrides
-    [Config.repl_ship_ops], the backup's apply-chunk bound (1 is the
-    serial ablation baseline), and [apply_depth] overrides
-    [Config.repl_apply_depth]. *)
+    {!Dstore_platform.Link.default_config}; [apply_depth] overrides
+    [Config.repl_apply_depth] (1 is the serial ablation baseline). *)
 
 val sharded :
   ?shards:int -> ?stagger:bool -> ?label:string -> Platform.t -> scale ->

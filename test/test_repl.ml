@@ -976,6 +976,49 @@ let test_wake_all h () =
       ("detach", Durable, fun pr _ -> Primary.detach_slot pr 1);
     ]
 
+(* --- one entry per apply ------------------------------------------------ *)
+
+(* Two deletes ship while the backup is not yet receiving, so both entries
+   are in its apply queue before its apply loop first runs. Each is
+   applied and acked on its own: the first writer's durability wait ends
+   at the first entry's ack, before the second entry's apply is done. *)
+let test_apply_acks_each_entry () =
+  let cfg = pair_cfg in
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  let nodes = make_nodes p cfg 2 in
+  let fin = ref [] in
+  Sim.spawn sim "t" (fun () ->
+      let data = Link.create p Link.default_config in
+      let ack = Link.create p Link.default_config in
+      let bstore = Dstore.create p nodes.(1).Group.pm nodes.(1).Group.ssd cfg in
+      let b = Backup.create p ~data ~ack ~epoch:1 bstore in
+      let store = Dstore.create p nodes.(0).Group.pm nodes.(0).Group.ssd cfg in
+      let pr = Primary.create p ~mode:Repl.Ack_all ~epoch:1 store [| (1, data, ack, 0) |] in
+      List.iter
+        (fun key ->
+          Sim.spawn sim "writer" (fun () ->
+              ignore (Primary.odelete pr (Dstore.ds_init store) key);
+              fin := Sim.now sim :: !fin))
+        [ "a"; "b" ];
+      Sim.wait sim 100_000;
+      check int "both entries shipped" 2 (Primary.rseq pr);
+      check int "both entries delivered, none received" 2 (Link.pending data);
+      Backup.start b;
+      Sim.wait sim 100_000;
+      check int "backup applied both" 2 (Backup.applied_rseq b);
+      Primary.close_links pr;
+      Backup.stop b;
+      Dstore.stop store);
+  Sim.run sim;
+  match List.sort compare !fin with
+  | [ first; second ] ->
+      check bool
+        (Printf.sprintf "first waiter released at %d ns, before the second at %d ns"
+           first second)
+        true (first < second)
+  | l -> failf "%d of 2 writers finished" (List.length l)
+
 let suite =
   [
     test_case "link: FIFO under jitter + bandwidth" `Quick
@@ -1017,4 +1060,6 @@ let suite =
       test_pair_sweep_clean;
     test_case "pair sweep: detects skipped replica ack fence" `Quick
       test_pair_sweep_detects_skip_replica_ack;
+    test_case "apply: each queued entry is acked as it applies" `Quick
+      test_apply_acks_each_entry;
   ]
