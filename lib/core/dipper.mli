@@ -267,8 +267,7 @@ val wait_conflict : ?span:Dstore_obs.Span.t -> pass:bool -> t -> ticket -> unit
 val wait_written : t -> string -> unit
 (** A passing read that missed the cache: wait until the youngest passed
     member on the key is done, so that its payload pages are written, or
-    failed, which fails the reader's transaction too. Waits on no
-    reservation. *)
+    failed, which fails the reader's transaction too. *)
 
 val holder_must_abort : ticket -> bool
 (** Whether a reservation holder must abort rather than wait: on a NOOP,
