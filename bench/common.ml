@@ -12,7 +12,6 @@ type opts = {
   recovery_objects : int;  (* paper: 2 M *)
   seed : int;
   shards : int;  (* focus shard count for the sharding experiment *)
-  stagger : bool;  (* staggered checkpoint scheduling in the cluster *)
   batch : int;  (* group-commit batch size (1 = per-op commit) *)
   cache_mb : int;  (* DRAM object-cache budget for DStore runs (0 = off) *)
   apply_depth : int option;  (* backup apply-queue depth override (1 = serial) *)
@@ -27,7 +26,6 @@ let default_opts =
     recovery_objects = 50_000;
     seed = 42;
     shards = 4;
-    stagger = true;
     batch = 1;
     cache_mb = 0;
     apply_depth = None;

@@ -1,11 +1,9 @@
 (* Sharded cluster scaling: throughput and write tail latency for 1/2/4/8
-   hash-partitioned DStore shards under full client subscription, with
-   checkpoint scheduling staggered vs free-running. Every shard lives on
-   its own PMEM/SSD pair but all PMEMs share one DIMM bandwidth domain, so
+   hash-partitioned DStore shards under full client subscription. Every
+   shard lives on its own PMEM/SSD pair and checkpoints whenever its own
+   log fills, but all PMEMs share one DIMM bandwidth domain, so
    coinciding checkpoints inflate each other's — and the frontends' —
-   flush costs. Staggering the per-shard log-fill triggers and gating
-   concurrency keeps checkpoints from coinciding, which shows up at the
-   extreme write percentiles. *)
+   flush costs, which shows up at the extreme write percentiles. *)
 
 open Dstore_util
 open Dstore_workload
@@ -21,19 +19,19 @@ let shard_counts opts =
    the client loop — is the bottleneck. *)
 let shard_scale opts = { (scale_of opts) with Systems.log_slots = 1024 }
 
-let measure_cluster ~shards ~stagger opts =
+let measure_cluster ~shards opts =
   let wl = Ycsb.a ~records:opts.objects () in
   let r =
     Runner.run ~seed:opts.seed ~think_ns:2_000
-      ~build:(fun p -> Systems.sharded ~shards ~stagger p (shard_scale opts))
+      ~build:(fun p -> Systems.sharded ~shards p (shard_scale opts))
       ~workload:wl ~clients:opts.clients ~duration_ns:opts.window_ns ()
   in
   record_json (Runner.result_json r);
   r
 
 (* Cluster-side series out of the run's store observability: the cluster
-   registry holds the scheduler gauges plus every shard's engine counters
-   merged under shard<i>.* at stop time. *)
+   registry holds every shard's engine counters merged under shard<i>.* at
+   stop time. *)
 let cluster_metric r name =
   match r.Runner.sys_obs with
   | None -> 0
@@ -52,52 +50,28 @@ let run opts =
     opts.clients;
   let t =
     Tablefmt.create
-      [
-        "shards"; "stagger"; "kops/s"; "mean"; "p50"; "p99"; "p999"; "p9999";
-        "ckpts"; "peak conc";
-      ]
+      [ "shards"; "kops/s"; "mean"; "p50"; "p99"; "p999"; "p9999"; "ckpts" ]
   in
   let tput = Hashtbl.create 8 in
-  let p9999 = Hashtbl.create 8 in
   List.iter
     (fun shards ->
-      let variants =
-        if not opts.stagger then [ false ]
-        else if shards = 1 then [ true ]
-        else [ true; false ]
-      in
-      List.iter
-        (fun stagger ->
-          let r = measure_cluster ~shards ~stagger opts in
-          Hashtbl.replace tput (shards, stagger) r.Runner.throughput;
-          Hashtbl.replace p9999 (shards, stagger)
-            (us r.Runner.updates 99.99);
-          Tablefmt.row t
-            [
-              string_of_int shards;
-              (if shards = 1 then "-" else if stagger then "on" else "off");
-              Tablefmt.f1 (r.Runner.throughput /. 1e3);
-              Tablefmt.f1 (mean_us r.Runner.updates);
-              Tablefmt.f1 (us r.Runner.updates 50.0);
-              Tablefmt.f1 (us r.Runner.updates 99.0);
-              Tablefmt.f1 (us r.Runner.updates 99.9);
-              Tablefmt.f1 (us r.Runner.updates 99.99);
-              string_of_int (total_checkpoints r shards);
-              string_of_int (cluster_metric r "cluster.peak_concurrent_checkpoints");
-            ])
-        variants;
-      Tablefmt.sep t)
+      let r = measure_cluster ~shards opts in
+      Hashtbl.replace tput shards r.Runner.throughput;
+      Tablefmt.row t
+        [
+          string_of_int shards;
+          Tablefmt.f1 (r.Runner.throughput /. 1e3);
+          Tablefmt.f1 (mean_us r.Runner.updates);
+          Tablefmt.f1 (us r.Runner.updates 50.0);
+          Tablefmt.f1 (us r.Runner.updates 99.0);
+          Tablefmt.f1 (us r.Runner.updates 99.9);
+          Tablefmt.f1 (us r.Runner.updates 99.99);
+          string_of_int (total_checkpoints r shards);
+        ])
     (shard_counts opts);
   Tablefmt.print t;
-  let get h k = try Hashtbl.find h k with Not_found -> nan in
-  note "scaling (staggered): 1x=%.0f kops/s  2x=%.0f  4x=%.0f  8x=%.0f"
-    (get tput (1, true) /. 1e3)
-    (get tput (2, true) /. 1e3)
-    (get tput (4, true) /. 1e3)
-    (get tput (8, true) /. 1e3);
-  note "p9999 write at %d shards: staggered %.1f us vs unstaggered %.1f us"
-    opts.shards
-    (get p9999 (opts.shards, true))
-    (get p9999 (opts.shards, false));
-  note "expected shape: throughput grows with shards; staggering trims the";
-  note "extreme write percentiles by keeping checkpoints from coinciding."
+  let get k = try Hashtbl.find tput k with Not_found -> nan in
+  note "scaling: 1x=%.0f kops/s  2x=%.0f  4x=%.0f  8x=%.0f"
+    (get 1 /. 1e3) (get 2 /. 1e3) (get 4 /. 1e3) (get 8 /. 1e3);
+  note "expected shape: throughput grows with shards; checkpoints that";
+  note "coincide on the shared DIMMs lift the extreme write percentiles."

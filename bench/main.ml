@@ -27,7 +27,7 @@ let experiments : (string * string * (Common.opts -> unit)) list =
     ("table5", "achievable SLO summary", Exp_table5.run);
     ("ablation", "DIPPER design-knob ablations (workers/log size/threshold)", Exp_ablation.run);
     ("micro", "real-time software-path microbenchmarks", Exp_micro.run);
-    ("shard", "sharded cluster scaling + staggered checkpoints", Exp_shard.run);
+    ("shard", "sharded cluster scaling vs shard count", Exp_shard.run);
     ("batch", "group-commit batch-size sweep", Exp_batch.run);
     ("tail", "per-op causal spans + tail-latency attribution", Exp_tail.run);
     ("repl", "replication durability modes / link latency sweep", Exp_repl.run);
@@ -48,7 +48,6 @@ let usage () =
   print_endline "  --window-ms N  latency-experiment window (default 2000)";
   print_endline "  --recovery-objects N  table-4 population (default 50000)";
   print_endline "  --shards N     focus shard count for the shard experiment (default 4)";
-  print_endline "  --no-stagger   disable staggered checkpoint scheduling";
   print_endline
     "  --batch N      group-commit batch size for DStore runs (default 1)";
   print_endline
@@ -91,9 +90,6 @@ let () =
         parse rest
     | "--shards" :: v :: rest ->
         opts := { !opts with Common.shards = int_arg "--shards" v };
-        parse rest
-    | "--no-stagger" :: rest ->
-        opts := { !opts with Common.stagger = false };
         parse rest
     | "--batch" :: v :: rest ->
         opts := { !opts with Common.batch = int_arg "--batch" v };

@@ -249,25 +249,15 @@ let cluster_cmd =
       & info [ "target" ] ~docv:"I"
           ~doc:"Shard whose persistence events index the crash points.")
   in
-  let no_stagger =
-    Arg.(
-      value & flag
-      & info [ "no-stagger" ]
-          ~doc:"Disable staggered checkpoint scheduling for the sweep.")
-  in
-  let setup shards target no_stagger clone fault _ =
-    let policy =
-      if no_stagger then Dstore_shard.Cluster.no_stagger
-      else Dstore_shard.Cluster.staggered
-    in
-    (Explorer.Cluster { shards; policy; target }, cluster_cfg ~clone fault)
+  let setup shards target clone fault _ =
+    (Explorer.Cluster { shards; target }, cluster_cfg ~clone fault)
   in
   sweep_cmd "cluster" ~artifact:"CHECK_SHARD_FAIL.json" ~ops:80 ~subsets:1
     ~doc:
       "Whole-cluster crash-point sweep: crash one shard mid-checkpoint, \
        power-fail the rest, recover all shards, check oracle + per-shard \
        fsck."
-    Term.(const setup $ shards $ target $ no_stagger $ clone_arg $ fault_arg)
+    Term.(const setup $ shards $ target $ clone_arg $ fault_arg)
 
 (* A pair over an [n]-op scenario. The default resync drill kills the
    backup early, starts the transfer with a third of the ops still to come

@@ -9,8 +9,6 @@
 
    Flags:
      --shards N        shards in the cluster (default 1)
-     --stagger         staggered checkpoint scheduling (default)
-     --no-stagger      let every shard checkpoint whenever its log says so
      --batch N         group-commit batch size (default 1 = per-op commit)
      --cache-mb N      DRAM object-cache budget, split evenly across shards
                        (default 0 = cache off)
@@ -108,7 +106,6 @@ type session = {
   sim : Sim.t;
   platform : Platform.t;
   nodes : Cluster.node array;
-  policy : Cluster.policy;
   obs : Obs.t;  (* session-owned: spans survive crash/recover *)
   mutable cluster : Cluster.t option;
   mutable ctx : Cluster.ctx option;
@@ -359,9 +356,11 @@ let handle s line =
           ]
       done;
       Tablefmt.print t;
-      Printf.printf "checkpoints active now: %d (peak concurrent: %d)\n"
-        (Cluster.active_checkpoints c)
-        (Cluster.peak_concurrent_checkpoints c)
+      let active = ref 0 in
+      for i = 0 to Cluster.shard_count c - 1 do
+        if Cluster.is_checkpoint_running c i then incr active
+      done;
+      Printf.printf "checkpoints active now: %d\n" !active
   | [ "stats" ] ->
       let c = cluster s in
       let sum f =
@@ -450,8 +449,8 @@ let handle s line =
   | [ "recover" ] ->
       exec s (fun () ->
           let c =
-            Cluster.recover ~obs:s.obs ~shard_obs:(shard_obs s)
-              ~policy:s.policy s.platform !cfg s.nodes
+            Cluster.recover ~obs:s.obs ~shard_obs:(shard_obs s) s.platform
+              !cfg s.nodes
           in
           s.cluster <- Some c;
           s.ctx <- Some (Cluster.ds_init c);
@@ -647,37 +646,31 @@ let repl_main backups mode latency_ns =
    with Exit -> ());
   print_endline "bye"
 
+(* A numeric flag's value, at least [min]; anything else exits 2. *)
+let int_arg ?(min = 1) flag v =
+  match int_of_string_opt v with
+  | Some n when n >= min -> n
+  | _ ->
+      Printf.eprintf "%s expects a %s integer\n" flag
+        (if min > 0 then "positive" else "non-negative");
+      exit 2
+
 let parse_args () =
-  let shards = ref 1 and stagger = ref true and batch = ref 1 in
+  let shards = ref 1 and batch = ref 1 in
   let backups = ref 0
   and rmode = ref Repl.Ack_all
   and latency = ref Link.default_config.Link.latency_ns in
   let rec go = function
     | [] -> ()
-    | "--shards" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            shards := v;
-            go rest
-        | _ ->
-            prerr_endline "--shards expects a positive integer";
-            exit 2)
-    | "--batch" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            batch := v;
-            go rest
-        | _ ->
-            prerr_endline "--batch expects a positive integer";
-            exit 2)
-    | "--backups" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            backups := v;
-            go rest
-        | _ ->
-            prerr_endline "--backups expects a positive integer";
-            exit 2)
+    | "--shards" :: n :: rest ->
+        shards := int_arg "--shards" n;
+        go rest
+    | "--batch" :: n :: rest ->
+        batch := int_arg "--batch" n;
+        go rest
+    | "--backups" :: n :: rest ->
+        backups := int_arg "--backups" n;
+        go rest
     | "--repl" :: m :: rest -> (
         match Repl.durability_of_string m with
         | Some d ->
@@ -686,49 +679,28 @@ let parse_args () =
         | None ->
             prerr_endline "--repl expects async, ack-one or ack-all";
             exit 2)
-    | "--latency-ns" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 0 ->
-            latency := v;
-            go rest
-        | _ ->
-            prerr_endline "--latency-ns expects a non-negative integer";
-            exit 2)
-    | "--cache-mb" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 0 ->
-            cfg := { !cfg with Config.cache_bytes = v * 1024 * 1024 };
-            go rest
-        | _ ->
-            prerr_endline "--cache-mb expects a non-negative integer";
-            exit 2)
-    | "--apply-depth" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            cfg := { !cfg with Config.repl_apply_depth = v };
-            go rest
-        | _ ->
-            prerr_endline "--apply-depth expects a positive integer";
-            exit 2)
-    | "--stagger" :: rest ->
-        stagger := true;
+    | "--latency-ns" :: n :: rest ->
+        latency := int_arg ~min:0 "--latency-ns" n;
         go rest
-    | "--no-stagger" :: rest ->
-        stagger := false;
+    | "--cache-mb" :: n :: rest ->
+        let mb = int_arg ~min:0 "--cache-mb" n in
+        cfg := { !cfg with Config.cache_bytes = mb * 1024 * 1024 };
+        go rest
+    | "--apply-depth" :: n :: rest ->
+        cfg := { !cfg with Config.repl_apply_depth = int_arg "--apply-depth" n };
         go rest
     | a :: _ ->
         Printf.eprintf
           "unknown argument %s (try --shards N, --batch N, --cache-mb N, \
-           --no-stagger, --backups N, --repl MODE, --latency-ns N, \
-           --apply-depth N)\n"
+           --backups N, --repl MODE, --latency-ns N, --apply-depth N)\n"
           a;
         exit 2
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!shards, !stagger, !batch, !backups, !rmode, !latency)
+  (!shards, !batch, !backups, !rmode, !latency)
 
 let () =
-  let n_shards, stagger, batch, backups, rmode, latency = parse_args () in
+  let n_shards, batch, backups, rmode, latency = parse_args () in
   (* --cache-mb names the whole-machine budget; shards each own a slice. *)
   if !cfg.Config.cache_bytes > 0 && n_shards > 1 then
     cfg :=
@@ -754,14 +726,12 @@ let () =
           ssd = Ssd.create platform { Ssd.default_config with pages = 16384 };
         })
   in
-  let policy = if stagger then Cluster.staggered else Cluster.no_stagger in
   let obs = Obs.create ~now:(fun () -> platform.Platform.now ()) () in
   let s =
     {
       sim;
       platform;
       nodes;
-      policy;
       obs;
       cluster = None;
       ctx = None;
@@ -773,8 +743,7 @@ let () =
   in
   exec s (fun () ->
       let c =
-        Cluster.create ~obs ~shard_obs:(shard_obs s) ~policy platform !cfg
-          s.nodes
+        Cluster.create ~obs ~shard_obs:(shard_obs s) platform !cfg s.nodes
       in
       s.cluster <- Some c;
       s.ctx <- Some (Cluster.ds_init c));

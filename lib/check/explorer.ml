@@ -20,7 +20,7 @@ type story =
 
 type topology =
   | Single
-  | Cluster of { shards : int; policy : Cluster.policy; target : int }
+  | Cluster of { shards : int; target : int }
   | Pair of {
       mode : Repl.durability;
       link_latency_ns : int;
@@ -286,8 +286,8 @@ let start fx (cfg : Config.t) = function
         mid_ckpt = (fun () -> ckpt_running st);
         failover_ready = (fun () -> true);
       }
-  | Cluster { policy; target; _ } ->
-      let c = Cluster.create ~policy fx.platform cfg fx.nodes in
+  | Cluster { target; _ } ->
+      let c = Cluster.create fx.platform cfg fx.nodes in
       let ctx = Cluster.ds_init c in
       {
         client =
@@ -386,11 +386,11 @@ let store_view fx cfg i () =
    promote it — and the primary as a plain restart. *)
 let views fx (cfg : Config.t) ~ready = function
   | Single -> [ ("", store_view fx cfg 0) ]
-  | Cluster { shards; policy; _ } ->
+  | Cluster { shards; _ } ->
       [
         ( "",
           fun () ->
-            let c = Cluster.recover ~policy fx.platform cfg fx.nodes in
+            let c = Cluster.recover fx.platform cfg fx.nodes in
             let ctx = Cluster.ds_init c in
             {
               read = Cluster.oget ctx;

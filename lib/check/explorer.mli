@@ -63,9 +63,6 @@ type topology =
   | Single
   | Cluster of {
       shards : int;
-      policy : Dstore_shard.Cluster.policy;
-          (** Applies to the counting run, every crash run and every
-              recovery, keeping the DES schedule reproducible. *)
       target : int;  (** Shard whose events index the crash points. *)
     }
   | Pair of {

@@ -235,7 +235,6 @@ type t = {
   drain_waiters : int Atomic.t;
   mutable ckpt_needed : bool;
   mutable ckpt_running : bool;
-  mutable ckpt_gate : (unit -> unit) -> unit;
   mutable stopping : bool;
   cow : cow;
   cap : capture;
@@ -431,7 +430,6 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
       drain_waiters = Atomic.make 0;
       ckpt_needed = false;
       ckpt_running = false;
-      ckpt_gate = (fun run -> run ());
       stopping = false;
       cow;
       cap;
@@ -805,7 +803,7 @@ let manager_loop t () =
     in
     if not should_run then continue_ := false
     else begin
-      t.ckpt_gate (fun () -> do_checkpoint t);
+      do_checkpoint t;
       Platform.with_lock t.lock (fun () ->
           t.ckpt_running <- false;
           t.cond_done.Platform.broadcast ();
@@ -1523,12 +1521,6 @@ let checkpoint_now t =
         done)
 
 let is_checkpoint_running t = t.ckpt_running
-
-(* Cluster seam: the shard layer wraps checkpoint execution to bound how
-   many engines run one concurrently and to count concurrent checkpoints.
-   The gate runs on the engine's manager thread; it must call the thunk
-   exactly once. *)
-let set_ckpt_gate t gate = t.ckpt_gate <- gate
 
 let log_fill t =
   let log = t.logs.(t.active_log) in

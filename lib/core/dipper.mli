@@ -328,13 +328,6 @@ val is_checkpoint_running : t -> bool
 (** Lock-free snapshot (racy by design) — lets crash harnesses detect the
     paper's worst failure point from outside process context. *)
 
-val set_ckpt_gate : t -> ((unit -> unit) -> unit) -> unit
-(** Install a wrapper around checkpoint execution. The manager thread
-    calls [gate run] instead of running the checkpoint directly; the gate
-    must call [run] exactly once. The shard layer uses this to cap how
-    many engines checkpoint concurrently (staggered scheduling) and to
-    count concurrent checkpoints. Default: [fun run -> run ()]. *)
-
 val log_fill : t -> float
 (** Fraction of the active log's slots currently occupied, in [0, 1] —
     the quantity the checkpoint trigger thresholds on ([Config.t]'s

@@ -32,7 +32,7 @@ type t
     clone reads, shadow-space persist sweeps — anything ≥ 4 KB) divides the
     bandwidth evenly, so overlapping checkpoints slow each other {e and}
     every frontend log flush down by the domain's load factor. This is what
-    makes unstaggered cluster checkpoints visible as a tail spike. *)
+    makes coinciding cluster checkpoints visible as a tail spike. *)
 module Bw : sig
   type t
 

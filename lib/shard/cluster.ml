@@ -8,86 +8,19 @@ module Span = Dstore_obs.Span
 
 type node = Dstore.node = { pm : Pmem.t; ssd : Ssd.t }
 
-type policy = { max_concurrent : int; spread : float }
-
-let no_stagger = { max_concurrent = 0; spread = 0.0 }
-
-let staggered = { max_concurrent = 1; spread = 0.2 }
-
-type shard = { index : int; store : Dstore.t; pm : Pmem.t; ssd : Ssd.t }
+type shard = { index : int; store : Dstore.t; pm : Pmem.t }
 
 type t = {
   platform : Platform.t;
-  cfg : Config.t;
-  policy : policy;
   map : Shard_map.t;
   shards : shard array;
   obs : Obs.t;
-  gate_sem : Platform.sem option;
-  gate_waits : Metrics.counter;
-  gate_wait_ns : Metrics.counter;
-  mutable active_ckpts : int;
-  mutable peak_ckpts : int;
   mutable stopped : bool;
 }
-
-(* Spread the log-fill trigger thresholds apart so identically-loaded
-   shards do not all hit the trigger in the same instant. Capped below
-   0.95: a shard must always trigger with enough log headroom left to
-   absorb writes arriving while its checkpoint (possibly queued behind
-   the gate) runs. *)
-let shard_config (cfg : Config.t) policy i n =
-  if policy.spread <= 0.0 || n <= 1 then cfg
-  else
-    {
-      cfg with
-      Config.checkpoint_threshold =
-        min 0.95
-          (cfg.Config.checkpoint_threshold
-          +. (policy.spread *. float_of_int i /. float_of_int n));
-    }
-
-(* The gate runs on each shard's checkpoint-manager thread. Semaphore
-   first (so at most [max_concurrent] engines proceed), then accounting;
-   [Fun.protect] keeps both balanced if the checkpoint is aborted by a
-   crash harness. *)
-let install_gates c =
-  Array.iter
-    (fun sh ->
-      Dipper.set_ckpt_gate (Dstore.engine sh.store) (fun run ->
-          (match c.gate_sem with
-          | None -> ()
-          | Some sem ->
-              let t0 = c.platform.Platform.now () in
-              sem.Platform.acquire ();
-              let waited = c.platform.Platform.now () - t0 in
-              if waited > 0 then begin
-                Metrics.incr c.gate_waits;
-                Metrics.add c.gate_wait_ns waited;
-                (* A queued checkpoint is the cluster-level face of
-                   checkpoint interference: while it waits, the shard's
-                   log keeps filling toward log-full stalls. *)
-                Span.note_stall
-                  (Dstore.obs sh.store).Obs.spans
-                  Span.Ckpt_interference waited
-              end);
-          c.active_ckpts <- c.active_ckpts + 1;
-          if c.active_ckpts > c.peak_ckpts then c.peak_ckpts <- c.active_ckpts;
-          Fun.protect
-            ~finally:(fun () ->
-              c.active_ckpts <- c.active_ckpts - 1;
-              match c.gate_sem with
-              | None -> ()
-              | Some sem -> sem.Platform.release ())
-            run))
-    c.shards
 
 let register_views c =
   let m = c.obs.Obs.metrics in
   Metrics.gauge_fn m "cluster.shards" (fun () -> Array.length c.shards);
-  Metrics.gauge_fn m "cluster.active_checkpoints" (fun () -> c.active_ckpts);
-  Metrics.gauge_fn m "cluster.peak_concurrent_checkpoints" (fun () ->
-      c.peak_ckpts);
   Array.iter
     (fun sh ->
       let eng = Dstore.engine sh.store in
@@ -122,8 +55,8 @@ let verify_roots c =
     c.shards;
   List.rev !problems
 
-let make ~recovering ?obs ?(shard_obs = fun _ -> None) ?(policy = staggered)
-    platform (cfg : Config.t) (nodes : node array) =
+let make ~recovering ?obs ?(shard_obs = fun _ -> None) platform
+    (cfg : Config.t) (nodes : node array) =
   let n = Array.length nodes in
   if n = 0 then invalid_arg "Cluster: need at least one node";
   let obs =
@@ -143,37 +76,17 @@ let make ~recovering ?obs ?(shard_obs = fun _ -> None) ?(policy = staggered)
   let shards =
     Array.mapi
       (fun i (nd : node) ->
-        let scfg = shard_config cfg policy i n in
         let sobs = shard_obs i in
         let store =
-          if recovering then Dstore.recover ?obs:sobs platform nd.pm nd.ssd scfg
-          else Dstore.create ?obs:sobs platform nd.pm nd.ssd scfg
+          if recovering then Dstore.recover ?obs:sobs platform nd.pm nd.ssd cfg
+          else Dstore.create ?obs:sobs platform nd.pm nd.ssd cfg
         in
-        { index = i; store; pm = nd.pm; ssd = nd.ssd })
+        { index = i; store; pm = nd.pm })
       nodes
   in
-  let gate_sem =
-    if policy.max_concurrent > 0 then
-      Some (platform.Platform.new_sem policy.max_concurrent)
-    else None
-  in
   let c =
-    {
-      platform;
-      cfg;
-      policy;
-      map = Shard_map.create ~shards:n;
-      shards;
-      obs;
-      gate_sem;
-      gate_waits = Metrics.counter obs.Obs.metrics "cluster.ckpt_gate_waits";
-      gate_wait_ns = Metrics.counter obs.Obs.metrics "cluster.ckpt_gate_wait_ns";
-      active_ckpts = 0;
-      peak_ckpts = 0;
-      stopped = false;
-    }
+    { platform; map = Shard_map.create ~shards:n; shards; obs; stopped = false }
   in
-  install_gates c;
   register_views c;
   if recovering then begin
     match verify_roots c with
@@ -182,11 +95,11 @@ let make ~recovering ?obs ?(shard_obs = fun _ -> None) ?(policy = staggered)
   end;
   c
 
-let create ?obs ?shard_obs ?policy platform cfg nodes =
-  make ~recovering:false ?obs ?shard_obs ?policy platform cfg nodes
+let create ?obs ?shard_obs platform cfg nodes =
+  make ~recovering:false ?obs ?shard_obs platform cfg nodes
 
-let recover ?obs ?shard_obs ?policy platform cfg nodes =
-  make ~recovering:true ?obs ?shard_obs ?policy platform cfg nodes
+let recover ?obs ?shard_obs platform cfg nodes =
+  make ~recovering:true ?obs ?shard_obs platform cfg nodes
 
 let stop c =
   if not c.stopped then begin
@@ -314,8 +227,6 @@ let shard_of c key = Shard_map.shard_of c.map key
 
 let shard_store c i = c.shards.(i).store
 
-let policy c = c.policy
-
 let object_count c =
   Array.fold_left (fun acc sh -> acc + Dstore.object_count sh.store) 0 c.shards
 
@@ -374,10 +285,6 @@ let log_fill c i = Dipper.log_fill (Dstore.engine c.shards.(i).store)
 
 let is_checkpoint_running c i =
   Dipper.is_checkpoint_running (Dstore.engine c.shards.(i).store)
-
-let active_checkpoints c = c.active_ckpts
-
-let peak_concurrent_checkpoints c = c.peak_ckpts
 
 let obs c = c.obs
 

@@ -9,22 +9,15 @@
     no operation ever spans two shards, so every shard keeps exactly the
     single-store crash-consistency story the checker verifies.
 
-    Two cluster-level mechanisms are added on top:
+    Each shard triggers its own checkpoint when its log fills, exactly
+    as a single store does (§3.5); the cluster adds no checkpoint
+    scheduling. The shards' PMEM devices share one bandwidth domain
+    ({!Dstore_pmem.Pmem.Bw}), so checkpoints that overlap split DIMM
+    bandwidth between them.
 
-    - {b Staggered checkpoints.} Each shard still self-triggers on log
-      fill, but the {!policy} spreads the per-shard trigger thresholds
-      apart and a semaphore caps how many engines may execute a
-      checkpoint concurrently ({!policy.max_concurrent}). With the
-      shards' PMEM devices sharing one bandwidth domain
-      ({!Dstore_pmem.Pmem.Bw}), unstaggered checkpoints coincide, split
-      DIMM bandwidth, and stretch every frontend log flush at once — the
-      cluster-scale version of the paper's Fig. 1 tail spike. The gate
-      trades peak parallelism for tail smoothness.
-
-    - {b Whole-cluster crash/recover.} {!crash} applies a per-shard crash
-      mode to every PMEM device; {!recover} re-opens every shard
-      (interrupted checkpoints redo first, then log replay, per §3.6),
-      verifies every shard's root, and re-wires the checkpoint gates.
+    {!crash} applies a per-shard crash mode to every PMEM device;
+    {!recover} re-opens every shard (interrupted checkpoints redo first,
+    then log replay, per §3.6) and verifies every shard's root.
 
     Observability: the cluster owns an {!Dstore_obs.Obs.t} whose registry
     carries cluster gauges ([cluster.*], [shard<i>.log_fill_pct], …).
@@ -39,25 +32,6 @@ open Dstore_core
 (** One shard's device pair (see {!Dstore_core.Dstore.node}). *)
 type node = Dstore.node = { pm : Pmem.t; ssd : Ssd.t }
 
-(** Checkpoint scheduling policy. *)
-type policy = {
-  max_concurrent : int;
-      (** Cap on shards executing a checkpoint at once; [0] = unlimited. *)
-  spread : float;
-      (** Total spread added to per-shard log-fill trigger thresholds:
-          shard [i] of [n] triggers at [threshold + spread*i/n], so
-          identically-loaded shards do not all hit the trigger in the
-          same instant. [0.] = identical thresholds. *)
-}
-
-val no_stagger : policy
-(** [{max_concurrent = 0; spread = 0.}] — every shard checkpoints
-    whenever its own log says so. *)
-
-val staggered : policy
-(** [{max_concurrent = 1; spread = 0.2}] — offset triggers, one
-    checkpoint at a time. *)
-
 type t
 
 type ctx
@@ -66,14 +40,12 @@ type ctx
 val create :
   ?obs:Dstore_obs.Obs.t ->
   ?shard_obs:(int -> Dstore_obs.Obs.t option) ->
-  ?policy:policy ->
   Platform.t ->
   Config.t ->
   node array ->
   t
 (** Format a fresh store on every node. [Config.t] is the per-shard
-    configuration (sizes are per shard, not per cluster);
-    [checkpoint_threshold] is adjusted per shard by the policy spread.
+    configuration (sizes are per shard, not per cluster).
     [obs] supplies a cluster observability handle that survives
     crash/recover cycles. [shard_obs i] optionally supplies shard [i]'s
     store-level handle the same way (e.g. a single-shard shell sharing
@@ -84,7 +56,6 @@ val create :
 val recover :
   ?obs:Dstore_obs.Obs.t ->
   ?shard_obs:(int -> Dstore_obs.Obs.t option) ->
-  ?policy:policy ->
   Platform.t ->
   Config.t ->
   node array ->
@@ -184,8 +155,6 @@ val shard_of : t -> string -> int
 val shard_store : t -> int -> Dstore.t
 (** The underlying store of shard [i] (checker/status access). *)
 
-val policy : t -> policy
-
 val object_count : t -> int
 
 val iter_names : t -> (string -> unit) -> unit
@@ -195,7 +164,7 @@ val footprint : t -> Dstore.footprint
 (** Field-wise sum over shards. *)
 
 val checkpoint_now : t -> unit
-(** Checkpoint every shard, in shard order (respects the gate). *)
+(** Checkpoint every shard, in shard order. *)
 
 val cache_stats : t -> Dstore_cache.Cache.stats option
 (** Field-wise sum of every shard's DRAM-cache counters; [None] when no
@@ -209,13 +178,6 @@ val log_fill : t -> int -> float
 (** Active-log fill fraction of shard [i]. *)
 
 val is_checkpoint_running : t -> int -> bool
-
-val active_checkpoints : t -> int
-(** Shards executing a checkpoint right now. *)
-
-val peak_concurrent_checkpoints : t -> int
-(** High-water mark of {!active_checkpoints} over this handle's life —
-    under [staggered] this never exceeds [max_concurrent]. *)
 
 val verify_roots : t -> string list
 (** Per-shard root sanity: space/log selectors in domain, no checkpoint

@@ -231,8 +231,7 @@ let lsm_no_stall ?label platform scale : Kv_intf.system =
    premise), while every shard's PMEM shares one bandwidth domain: the
    shards model distinct namespaces on the same DIMMs, which is what makes
    coinciding checkpoints globally visible. *)
-let sharded ?(shards = 4) ?(stagger = true) ?label platform scale :
-    Kv_intf.system =
+let sharded ?(shards = 4) platform scale : Kv_intf.system =
   let open Dstore_shard in
   let per =
     {
@@ -258,17 +257,9 @@ let sharded ?(shards = 4) ?(stagger = true) ?label platform scale :
         in
         { Cluster.pm; ssd = make_ssd platform per })
   in
-  let policy = if stagger then Cluster.staggered else Cluster.no_stagger in
-  let c = Cluster.create ~policy platform cfg nodes in
-  let name =
-    match label with
-    | Some l -> l
-    | None ->
-        Printf.sprintf "DStore x%d%s" shards
-          (if stagger then " (staggered)" else " (unstaggered)")
-  in
+  let c = Cluster.create platform cfg nodes in
   {
-    Kv_intf.name;
+    Kv_intf.name = Printf.sprintf "DStore x%d" shards;
     client =
       (fun () ->
         let ctx = Cluster.ds_init c in

@@ -78,12 +78,11 @@ val replicated :
     [Config.repl_apply_depth] (1 is the serial ablation baseline). *)
 
 val sharded :
-  ?shards:int -> ?stagger:bool -> ?label:string -> Platform.t -> scale ->
+  ?shards:int -> Platform.t -> scale ->
   Kv_intf.system
 (** A {!Dstore_shard.Cluster} of [shards] (default 4) independent DStore
     instances behind the uniform interface. The scale is divided across
     shards (objects, SSD pages — each shard keeps its own channels), and
     every shard's PMEM shares one {!Pmem.Bw} bandwidth domain so
-    concurrent checkpoints contend as they would on real DIMMs. [stagger]
-    (default [true]) selects {!Dstore_shard.Cluster.staggered} checkpoint
-    scheduling; [false] lets all shards checkpoint at once. *)
+    concurrent checkpoints contend as they would on real DIMMs. Every
+    shard checkpoints whenever its own log fills. *)

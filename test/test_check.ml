@@ -360,6 +360,9 @@ let prop_oplog_corrupted_slots_never_valid =
                | None -> None
              in
              let corrupted_lsns = ref [] in
+             (* Flipping an (offset, bit) pair twice would restore the
+                record, so a repeat is redrawn. *)
+             let flipped = Hashtbl.create 16 in
              let corrupt_slot s =
                match record_of_slot s with
                | None -> ()
@@ -371,8 +374,14 @@ let prop_oplog_corrupted_slots_never_valid =
                        (* Bit flip in the payload region (past the header
                           fields of slot 0; anywhere in continuations). *)
                        let lo = 24 and hi = slot_bytes in
-                       let off = slot_off + lo + Rng.int r (hi - lo) in
-                       let bit = 1 lsl Rng.int r 8 in
+                       let rec draw () =
+                         let off = slot_off + lo + Rng.int r (hi - lo) in
+                         let bit = 1 lsl Rng.int r 8 in
+                         if Hashtbl.mem flipped (off, bit) then draw ()
+                         else (off, bit)
+                       in
+                       let off, bit = draw () in
+                       Hashtbl.replace flipped (off, bit) ();
                        Pmem.set_u8 pm off (Pmem.get_u8 pm off lxor bit)
                    | 1 ->
                        (* Stale-epoch LSN: valid-looking but from another

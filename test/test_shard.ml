@@ -1,8 +1,8 @@
 (* Tests for the sharded cluster layer (lib/shard): Shard_map partition
-   properties, cross-shard Table 2 behavior, the staggered checkpoint
-   gate, prefixed metrics merging, and the tier-1 crash story — power
-   failure with one shard mid-checkpoint, whole-cluster recovery, and
-   read-back of every acknowledged write. *)
+   properties, cross-shard Table 2 behavior, prefixed metrics merging,
+   and the tier-1 crash story — power failure with one or two shards
+   mid-checkpoint, whole-cluster recovery, and read-back of every
+   acknowledged write. *)
 
 open Dstore_platform
 open Dstore_pmem
@@ -209,29 +209,6 @@ let test_cluster_obatch () =
       Cluster.stop c);
   Sim.run fx.sim
 
-let test_cluster_gate_staggered () =
-  (* Under the staggered policy the checkpoint gate must keep the
-     concurrency high-water mark at one, while still letting every shard
-     checkpoint repeatedly. *)
-  let fx = fixture ~shards:3 () in
-  Sim.spawn fx.sim "w" (fun () ->
-      let c = Cluster.create ~policy:Cluster.staggered fx.p small_cfg fx.nodes in
-      let ctx = Cluster.ds_init c in
-      for i = 0 to 2_000 do
-        Cluster.oput ctx
-          (Printf.sprintf "key%04d" (i mod 300))
-          (Bytes.make 64 'x')
-      done;
-      let ckpts i =
-        (Dipper.stats (Dstore.engine (Cluster.shard_store c i))).Dipper.checkpoints
-      in
-      let total = ckpts 0 + ckpts 1 + ckpts 2 in
-      check bool "checkpoints happened" true (total >= 3);
-      check bool "gate held concurrency at <= 1" true
-        (Cluster.peak_concurrent_checkpoints c <= 1);
-      Cluster.stop c);
-  Sim.run fx.sim
-
 (* --- Metrics namespacing ---------------------------------------------- *)
 
 let test_metrics_prefix_merge () =
@@ -279,11 +256,25 @@ let test_cluster_stop_merges_shard_metrics () =
 
 exception Boom
 
-let test_cluster_crash_mid_ckpt_recover () =
+(* Crash predicates, asked at every persistence event on shard [j]'s
+   DIMM. *)
+let target = 0
+
+let target_mid_ckpt c j = j = target && Cluster.is_checkpoint_running c target
+
+(* A shard is mid-checkpoint from the root publish that opens its
+   checkpoint to the one that closes it: recovery must redo it. *)
+let two_shards_mid_ckpt c _ =
+  let in_progress i =
+    (Dipper.root_snapshot (Dstore.engine (Cluster.shard_store c i)))
+      .Root.ckpt_in_progress
+  in
+  List.length (List.filter in_progress (List.init (Cluster.shard_count c) Fun.id))
+  >= 2
+
+let test_cluster_crash_mid_ckpt_recover crash_when () =
   let shards = 3 in
   let fx = fixture ~crash_model:true ~shards () in
-  let target = 0 in
-  let tpm = fx.nodes.(target).Cluster.pm in
   let acked = Hashtbl.create 512 in
   (* The write in flight when power fails: its log record may or may not
      have persisted before the crash event, so recovery may legitimately
@@ -291,22 +282,23 @@ let test_cluster_crash_mid_ckpt_recover () =
   let pending = ref None in
   let cref = ref None in
   let crashed_mid_ckpt = ref false in
-  (* Power-fail the whole machine at the first persistence event on the
-     target shard's DIMM that lands inside one of its checkpoints — but
-     only once the workload has made real progress, so the read-back
-     covers a non-trivial acked set spanning earlier checkpoints. *)
-  Pmem.set_persist_hook tpm
-    (Some
-       (fun _ ->
-         match !cref with
-         | Some c
-           when Hashtbl.length acked > 150
-                && Cluster.is_checkpoint_running c target ->
-             crashed_mid_ckpt := true;
-             raise Boom
-         | _ -> ()));
+  (* Power-fail the whole machine at the first persistence event where
+     [crash_when] holds — but only once the workload has made real
+     progress, so the read-back covers a non-trivial acked set spanning
+     earlier checkpoints. *)
+  Array.iteri
+    (fun j (nd : Cluster.node) ->
+      Pmem.set_persist_hook nd.Cluster.pm
+        (Some
+           (fun _ ->
+             match !cref with
+             | Some c when Hashtbl.length acked > 150 && crash_when c j ->
+                 crashed_mid_ckpt := true;
+                 raise Boom
+             | _ -> ())))
+    fx.nodes;
   Sim.spawn fx.sim "w" (fun () ->
-      let c = Cluster.create ~policy:Cluster.staggered fx.p small_cfg fx.nodes in
+      let c = Cluster.create fx.p small_cfg fx.nodes in
       cref := Some c;
       let ctx = Cluster.ds_init c in
       for i = 0 to 5_000 do
@@ -319,7 +311,9 @@ let test_cluster_crash_mid_ckpt_recover () =
         pending := None
       done);
   (try Sim.run fx.sim with Boom -> ());
-  Pmem.set_persist_hook tpm None;
+  Array.iter
+    (fun (nd : Cluster.node) -> Pmem.set_persist_hook nd.Cluster.pm None)
+    fx.nodes;
   check bool "scenario crashed inside a checkpoint" true !crashed_mid_ckpt;
   Sim.clear_pending fx.sim;
   (* Whole-machine power loss: every DIMM loses its unflushed lines. *)
@@ -330,7 +324,7 @@ let test_cluster_crash_mid_ckpt_recover () =
         (if j = target then Pmem.Random (Rng.split rng) else Pmem.Drop_all))
     fx.nodes;
   Sim.spawn fx.sim "r" (fun () ->
-      let c = Cluster.recover ~policy:Cluster.staggered fx.p small_cfg fx.nodes in
+      let c = Cluster.recover fx.p small_cfg fx.nodes in
       check (list string) "roots verify clean" [] (Cluster.verify_roots c);
       let ctx = Cluster.ds_init c in
       Hashtbl.iter
@@ -363,7 +357,7 @@ let test_cluster_bounded_sweep () =
   let cfg = { small_cfg with Config.log_slots = 64 } in
   let r =
     Dstore_check.Explorer.sweep ~subsets:0 ~stride:16 ~seed:7 ~n_ops:30
-      (Cluster { shards = 2; policy = Cluster.staggered; target = 0 })
+      (Cluster { shards = 2; target = 0 })
       cfg
   in
   check bool "swept some crash points" true (r.crash_points > 0);
@@ -380,14 +374,16 @@ let suite =
     ("shard_map: rejects zero shards", `Quick, test_shard_map_bad_args);
     ("cluster: basic ops across 3 shards", `Quick, test_cluster_basic_ops);
     ("cluster: group commit across shards", `Quick, test_cluster_obatch);
-    ("cluster: staggered gate caps concurrency", `Quick, test_cluster_gate_staggered);
     ("metrics: prefixed merge keeps shards apart", `Quick, test_metrics_prefix_merge);
     ( "cluster: stop folds shard metrics under shard<i>.",
       `Quick,
       test_cluster_stop_merges_shard_metrics );
     ( "cluster: crash mid-checkpoint, recover, read back",
       `Quick,
-      test_cluster_crash_mid_ckpt_recover );
+      test_cluster_crash_mid_ckpt_recover target_mid_ckpt );
+    ( "cluster: crash with two shards mid-checkpoint, recover",
+      `Quick,
+      test_cluster_crash_mid_ckpt_recover two_shards_mid_ckpt );
     ( "cluster: bounded crash sweep is violation-free",
       `Slow,
       test_cluster_bounded_sweep );
